@@ -29,8 +29,8 @@ import numpy as np
 
 from . import entanglement as ent
 from .errors import EnumerationCapError, UndefinedBoundError
-from .linalg import hermitian_eig
-from .models import LocalSpectrum, Splitting, interaction_extremes, local_spectrum
+from .linalg import EigenDecomposition, hermitian_eig
+from .models import LocalSpectrum, SpinModel, Splitting, interaction_extremes, local_spectrum
 
 TOL_ENT = 1e-6  # slack for optimizer-derived entanglement values
 SUBSPACE_MEMBER_CAP = 10**6
@@ -123,13 +123,21 @@ class FrustrationReport:
         return out
 
 
-def dense_decomposition(h: np.ndarray):
-    """(eigendecomposition, scale, ground-degeneracy flag) of a dense Hamiltonian."""
-    dec = hermitian_eig(h)
+def _with_scale(dec: EigenDecomposition):
     vals = dec.eigenvalues
     scale = max(1.0, float(max(abs(vals[0]), abs(vals[-1]))))
     degenerate = bool(vals.size > 1 and vals[1] - vals[0] <= 1e-9 * scale)
     return dec, scale, degenerate
+
+
+def dense_decomposition(h: np.ndarray):
+    """(eigendecomposition, scale, ground-degeneracy flag) of a dense Hamiltonian."""
+    return _with_scale(hermitian_eig(h))
+
+
+def model_decomposition(model: SpinModel):
+    """dense_decomposition of the model's H, from the decomposition the model keeps."""
+    return _with_scale(model.spectrum)
 
 
 def analyze_ground(splitting: Splitting,
@@ -140,7 +148,7 @@ def analyze_ground(splitting: Splitting,
     and flagged; the bounds hold for any ground state, so no minimization
     over the ground space is attempted.
     """
-    dec, scale, degenerate = dense_decomposition(splitting.dense_total())
+    dec, scale, degenerate = model_decomposition(splitting.model)
     e0 = float(dec.eigenvalues[0])
     ground = dec.eigenvectors[:, 0]
     psi = ent.PureState(ground, splitting.model.dims)
@@ -404,7 +412,7 @@ def analyze_excited(splitting: Splitting, j: int,
     product state belongs to a different local energy level, the report is
     flagged (``pairing_flag``) rather than silently reassociated.
     """
-    dec, scale, _ = dense_decomposition(splitting.dense_total())
+    dec, scale, _ = model_decomposition(splitting.model)
     dimension = dec.eigenvalues.size
     if j < 0 or j >= dimension:
         raise IndexError(f"eigenstate index {j} out of range for dimension {dimension}")
@@ -423,9 +431,8 @@ def analyze_excited(splitting: Splitting, j: int,
     outside_mask[list(member_flats)] = False
     delta_kperp = float(np.min(np.abs(e_j - spec.energies[outside_mask])))
 
-    hi_vals = hermitian_eig(splitting.dense_interaction()).eigenvalues
-    e_i_max = float(hi_vals[-1])
-    radius = float(max(abs(hi_vals[0]), abs(hi_vals[-1])))
+    e_i_0, e_i_max, _ = interaction_extremes(splitting)
+    radius = max(abs(e_i_0), abs(e_i_max))
     h_norm = radius  # Hermitian interaction: operator norm equals spectral radius
 
     margin_tol = 1e-12 * max(1.0, scale)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     InvalidBipartitionError,
     NonHermitianTermError,
 )
-from .linalg import hermitian_eig, op_norm
+from .linalg import EigenDecomposition, eigvalsh, hermitian_eig
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "FRUSTRA_DIM_CAP"
@@ -142,6 +143,22 @@ class SpinModel:
             if not np.isfinite(term.coeff):
                 raise NonHermitianTermError(f"term {t}: coefficient must be finite")
 
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        return _read_only(dense_terms(self.terms, self.dims))
+
+    @cached_property
+    def spectrum(self) -> EigenDecomposition:
+        """Eigendecomposition of the dense H.
+
+        Computed on first use and then shared by every splitting of this
+        model and every report drawn from them.
+        """
+        dec = hermitian_eig(build_dense(self))
+        _read_only(dec.eigenvalues)
+        _read_only(dec.eigenvectors)
+        return dec
+
     @property
     def num_sites(self) -> int:
         return len(self.dims)
@@ -159,28 +176,57 @@ class SpinModel:
             ) from None
 
 
-def _embed_term(term: OperatorTerm, dims: Sequence[int]) -> np.ndarray:
-    ops = {site: op for site, op in term.factors}
-    out = np.array([[term.coeff]], dtype=complex)
-    for site, d in enumerate(dims):
-        out = np.kron(out, ops.get(site, np.eye(d)))
-    return out
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _add_term(h: np.ndarray, term: OperatorTerm, dims: Sequence[int]) -> None:
+    """h += the tensor-product embedding of one term, in place.
+
+    The embedding is I_left x core x I_right, where the core runs from the
+    term's first to its last site, so only the block diagonal over the
+    untouched outer sites is written.  Every entry is the same product, in
+    the same site order, that the full Kronecker chain would give.
+    """
+    ops = {site: (op.real if h.dtype == float else op) for site, op in term.factors}
+    lo, hi = min(ops, default=0), max(ops, default=-1)
+    core = np.array([[term.coeff]], dtype=h.dtype)
+    for site in range(lo, hi + 1):
+        core = np.kron(core, ops.get(site, np.eye(dims[site])))
+    left, c = int(np.prod(dims[:lo])), core.shape[0]
+    right = h.shape[0] // (left * c)
+    h6 = h.reshape(left, c, right, left, c, right)
+    st = h6.strides
+    # distinct (l, r, a, b) address distinct entries h6[l, a, r, l, b, r]
+    block = np.lib.stride_tricks.as_strided(
+        h6, (left, right, c, c), (st[0] + st[3], st[2] + st[5], st[1], st[4]))
+    block += core
 
 
 def dense_terms(terms: Iterable[OperatorTerm], dims: Sequence[int]) -> np.ndarray:
-    """Sum of tensor-product embeddings; identity on untouched sites."""
+    """Sum of tensor-product embeddings; identity on untouched sites.
+
+    The result is float64 when no factor has an imaginary part (every
+    Pauli X/Z model), complex otherwise.
+    """
+    terms = tuple(terms)
+    real = not any(np.iscomplexobj(op) and op.imag.any() for term in terms for _, op in term.factors)
     total = int(np.prod(dims))
-    h = np.zeros((total, total), dtype=complex)
+    h = np.zeros((total, total), dtype=float if real else complex)
     for term in terms:
-        h += _embed_term(term, dims)
+        _add_term(h, term, dims)
     return h
 
 
 def build_dense(model: SpinModel) -> np.ndarray:
-    """Dense Hermitian matrix of the full model."""
+    """Dense Hermitian matrix of the full model.
+
+    Built once per model and returned read-only, so every caller shares it.
+    """
     if model.dimension > dim_cap():
         raise DimensionCapError(f"dimension {model.dimension} exceeds cap {dim_cap()}")
-    return dense_terms(model.terms, model.dims)
+    return model._dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,21 +236,37 @@ class Splitting:
     Every local term is attributed to exactly one site's H_j (degree-0
     constants go to site 0, where they shift all levels equally and leave
     gaps untouched), so sum_j H_j embedded equals H_L.
+
+    The dense H_L and H_I are built once, at construction, and kept
+    read-only; the dense H and its eigendecomposition live on the model.
     """
 
     model: SpinModel
     local_terms: tuple[OperatorTerm, ...]
     interaction_terms: tuple[OperatorTerm, ...]
     per_site_local: tuple[np.ndarray, ...]
+    _h_local: np.ndarray = field(init=False, repr=False)
+    _h_interaction: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dims = self.model.dims
+        object.__setattr__(self, "_h_local", _read_only(dense_terms(self.local_terms, dims)))
+        object.__setattr__(self, "_h_interaction",
+                           _read_only(dense_terms(self.interaction_terms, dims)))
 
     def dense_total(self) -> np.ndarray:
         return build_dense(self.model)
 
     def dense_local(self) -> np.ndarray:
-        return dense_terms(self.local_terms, self.model.dims)
+        return self._h_local
 
     def dense_interaction(self) -> np.ndarray:
-        return dense_terms(self.interaction_terms, self.model.dims)
+        return self._h_interaction
+
+    @cached_property
+    def interaction_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of H_I; no eigenvectors, since only extremes are used."""
+        return _read_only(eigvalsh(self._h_interaction))
 
     def validate_rebuild(self, tol: float = 1e-12) -> float:
         """Max-entry deviation of dense(H_L) + dense(H_I) from dense(H)."""
@@ -360,8 +422,7 @@ def local_spectrum(splitting: Splitting) -> LocalSpectrum:
 
 def interaction_extremes(splitting: Splitting) -> tuple[float, float, float]:
     """(E^I_0, E^I_max, E^I_tot): extreme eigenvalues of H_I and their spread."""
-    h = splitting.dense_interaction()
-    ev = hermitian_eig(h).eigenvalues
+    ev = splitting.interaction_eigenvalues
     e0, emax = float(ev[0]), float(ev[-1])
     return e0, emax, emax - e0
 
@@ -517,6 +578,13 @@ def chain3(ga: float = 1.0, gb: float = 1.0, gc: float = 1.0,
     )
 
 
+def transverse_chain(n: int, g: float = 1.0, j: float = 1.0) -> SpinModel:
+    """Open n-spin transverse-field Ising chain: -g sum X_i - j sum Z_i Z_{i+1}."""
+    terms = [OperatorTerm(-g, [(i, "X")]) for i in range(n)]
+    terms += [OperatorTerm(-j, [(i, "Z"), (i + 1, "Z")]) for i in range(n - 1)]
+    return SpinModel(f"chain{n}", (2,) * n, tuple(terms))
+
+
 @dataclass(frozen=True)
 class BuiltinSpec:
     factory: object
@@ -606,6 +674,7 @@ def model_to_dict(model: SpinModel) -> dict:
     return {
         "name": model.name,
         "sites": list(model.dims),
+        "labels": list(model.site_labels),
         "terms": [
             {
                 "coeff": term.coeff,
@@ -627,9 +696,10 @@ def model_from_dict(data: dict) -> SpinModel:
             )
             for t in data["terms"]
         )
+        labels = tuple(str(label) for label in data.get("labels", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
-    return SpinModel(name=name, dims=dims, terms=terms)
+    return SpinModel(name=name, dims=dims, terms=terms, site_labels=labels)
 
 
 def load_model(path: str) -> SpinModel:
@@ -641,8 +711,3 @@ def save_model(model: SpinModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh, indent=2)
         fh.write("\n")
-
-
-def hamiltonian_scale(h: np.ndarray) -> float:
-    """Scale factor used by tolerance checks: max(1, ||H||)."""
-    return max(1.0, op_norm(h))

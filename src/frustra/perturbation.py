@@ -33,8 +33,8 @@ from .bounds import (
     EntanglementOptions,
     ProductSubspace,
     TOL_ENT,
-    dense_decomposition,
     local_coefficients,
+    model_decomposition,
     state_entanglement,
 )
 from .errors import DegenerateSeparationError, NotProjectorError
@@ -48,7 +48,7 @@ from .linalg import (
     singular_values,
     ui_norm,
 )
-from .models import Splitting, local_spectrum
+from .models import Splitting, interaction_extremes, local_spectrum
 
 
 def _check_projector(p: np.ndarray, name: str, tol: float = 1e-10) -> None:
@@ -301,7 +301,7 @@ def dk_entanglement_chain(splitting: Splitting, j: int, subspace: ProductSubspac
     amplitude of the eigenstate outside the subspace, is bounded by
     ||H_I|| / Delta, and its square bounds the eigenstate's entanglement.
     """
-    dec, scale, _ = dense_decomposition(splitting.dense_total())
+    dec, scale, _ = model_decomposition(splitting.model)
     if j < 0 or j >= dec.eigenvalues.size:
         raise IndexError(f"eigenstate index {j} out of range")
     e_j = float(dec.eigenvalues[j])
@@ -320,7 +320,8 @@ def dk_entanglement_chain(splitting: Splitting, j: int, subspace: ProductSubspac
     alpha = local_coefficients(spec, vec_j)
     pjq = float(np.sqrt(np.sum(np.abs(alpha[outside]) ** 2)))
 
-    h_i_norm = op_norm(splitting.dense_interaction())
+    e_i_0, e_i_max, _ = interaction_extremes(splitting)
+    h_i_norm = max(abs(e_i_0), abs(e_i_max))  # Hermitian: operator norm is the spectral radius
     hi_over_delta = h_i_norm / delta
 
     psi = ent.PureState(vec_j, splitting.model.dims)

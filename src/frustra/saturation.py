@@ -23,15 +23,14 @@ from .bounds import (
     EntanglementOptions,
     FrustrationReport,
     analyze_ground,
-    dense_decomposition,
     local_coefficients,
+    model_decomposition,
 )
 from .errors import NotBipartiteError, UndefinedBoundError
 from .models import (
     OperatorTerm,
     SpinModel,
     Splitting,
-    build_dense,
     local_spectrum,
     regroup,
     splitting_from_parts,
@@ -60,7 +59,7 @@ def _bipartite_view(model: SpinModel, grouping=None) -> SpinModel:
 
 
 def _ground_schmidt(model: SpinModel):
-    dec, _, _ = dense_decomposition(build_dense(model))
+    dec, _, _ = model_decomposition(model)
     psi = ent.PureState(dec.eigenvectors[:, 0], model.dims)
     sd = ent.schmidt(psi, ((0,), (1,)))
     coeffs = sd.coefficients
@@ -79,11 +78,14 @@ def schmidt_splitting(model: SpinModel, gamma: float, grouping=None) -> SchmidtS
         raise ValueError(f"gamma must be positive, got {gamma}")
     bip = _bipartite_view(model, grouping)
     a0, coeffs, degenerate = _ground_schmidt(bip)
-    projector = np.outer(a0, a0.conj())
+    splitting = _rank1_splitting(bip, np.outer(a0, a0.conj()), gamma)
+    return SchmidtSplit(splitting, float(gamma), a0, coeffs, degenerate)
+
+
+def _rank1_splitting(bip: SpinModel, projector: np.ndarray, gamma: float) -> Splitting:
     local = OperatorTerm(-gamma, [(0, projector)])
     compensator = OperatorTerm(gamma, [(0, projector)])
-    splitting = splitting_from_parts(bip, (local,), bip.terms + (compensator,))
-    return SchmidtSplit(splitting, float(gamma), a0, coeffs, degenerate)
+    return splitting_from_parts(bip, (local,), bip.terms + (compensator,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +117,8 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float],
     Gammas below 1e-6 are rejected: delta_e_ent = gamma would amplify
     eigensolver noise in E_f / gamma beyond double precision.  Records where
     E_f is produced by cancellation below 1e-9 * scale are flagged
-    unreliable instead of silently reported.
+    unreliable instead of silently reported.  H does not depend on gamma,
+    so its one eigendecomposition (kept by the model) serves every record.
     """
     gs = [float(g) for g in gammas]
     if not gs or any(g <= 0 for g in gs):
@@ -131,10 +134,7 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float],
 
     records = []
     for gamma in gs:
-        local = OperatorTerm(-gamma, [(0, projector)])
-        compensator = OperatorTerm(gamma, [(0, projector)])
-        splitting = splitting_from_parts(bip, (local,), bip.terms + (compensator,))
-        report = analyze_ground(splitting, ent_opts)
+        report = analyze_ground(_rank1_splitting(bip, projector, gamma), ent_opts)
         e_scale = max(1.0, abs(report.E0), abs(report.E0_L), abs(report.E0_I))
         if report.ef_bound is None:
             records.append(SweepRecord(gamma, report, float("nan"), float("nan"), True))

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 
+import numpy as np
+
+import frustra.models
 from frustra.cli import main
-from frustra.models import model_to_dict, chain3
+from frustra.models import model_to_dict, chain3, save_model
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +41,46 @@ def test_analyze_chain3_bipartition(capsys):
     report = json.loads(out)
     assert report["ratio_bound"] is not None and report["ratio_bound"] < 0.5
     assert report["entanglement"] <= report["ratio_bound"] + 1e-6
+
+
+def test_saved_model_keeps_labels_for_bipartition(tmp_path, capsys):
+    path = str(tmp_path / "chain3.json")
+    save_model(chain3(gb=10.0), path)
+    argv = ["analyze", "--bipartition", "B|AC"]
+    code, from_file, _ = run_cli(capsys, *argv, "--model", path)
+    assert code == 0
+    _, builtin, _ = run_cli(capsys, *argv, "--model", "chain3", "--param", "gb=10")
+    assert from_file == builtin
+
+
+def test_excited_decomposes_h_once(capsys, monkeypatch):
+    sizes = {"eigh": [], "eigvalsh": []}
+    for name in sizes:
+        solver = getattr(np.linalg, name)
+
+        def counting(a, *args, _solver=solver, _sizes=sizes[name], **kwargs):
+            _sizes.append(np.shape(a)[0])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    code, out, _ = run_cli(capsys, "excited", "--model", "chain3", "--j", "0..7")
+    assert code == 0 and len(json.loads(out)) == 8
+    assert sizes["eigh"].count(8) == 1  # H, shared by every j
+    assert sizes["eigvalsh"].count(8) == 1  # H_I, eigenvalues only
+
+
+def test_analyze_builds_each_operator_once(capsys, monkeypatch):
+    calls = []
+    build = frustra.models.dense_terms
+
+    def counting(terms, dims):
+        calls.append(len(dims))
+        return build(terms, dims)
+
+    monkeypatch.setattr(frustra.models, "dense_terms", counting)
+    code, _, _ = run_cli(capsys, "analyze", "--model", "chain3")
+    assert code == 0
+    assert 1 <= len(calls) <= 3  # H, H_L and H_I
 
 
 def test_analyze_config_errors(capsys):

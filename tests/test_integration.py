@@ -14,15 +14,10 @@ from frustra.models import (
     chain3,
     local_spectrum,
     split,
+    transverse_chain,
 )
 from frustra.saturation import saturation_sweep
 from frustra.verify import gaussian_hermitian
-
-
-def transverse_chain(n, g=1.0, j=1.0):
-    terms = [OperatorTerm(-g, [(i, "X")]) for i in range(n)]
-    terms += [OperatorTerm(-j, [(i, "Z"), (i + 1, "Z")]) for i in range(n - 1)]
-    return SpinModel(f"chain{n}", (2,) * n, tuple(terms))
 
 
 def test_ten_qubit_chain_invariants():

@@ -4,8 +4,10 @@ from hypothesis import given, strategies as st
 
 from frustra.errors import NotHermitianError
 from frustra.linalg import (
+    STRUCTURAL_TOL,
     NormKind,
     appendix_norm_check,
+    eigvalsh,
     haar_unitary,
     hermitian_eig,
     op_norm,
@@ -16,6 +18,7 @@ from frustra.linalg import (
     svd,
     ui_norm,
 )
+from frustra.models import build_dense, transverse_chain
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -95,6 +98,58 @@ def test_eig_phase_convention_and_orthonormality(seed, n):
         col = dec.eigenvectors[:, k]
         pivot = col[int(np.argmax(np.abs(col)))]
         assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+
+
+def _svd_rule_accepts(m, tol=STRUCTURAL_TOL):
+    """The operator-norm acceptance rule: ||M - M^dag||_2 <= tol * max(1, ||M||_2)."""
+    asym = np.linalg.norm(m - m.conj().T, 2)
+    return asym <= tol * max(1.0, np.linalg.norm(m, 2))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 12), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 1.0), st.booleans())
+def test_hermitian_check_never_looser_than_svd_rule(seed, n, log_scale, log_noise, real):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, n).real if real else random_hermitian(rng, n)
+    h = h * 10.0 ** log_scale
+    e = rng.normal(size=(n, n)) + (0 if real else 1j * rng.normal(size=(n, n)))
+    e = e / max(np.linalg.norm(e), 1e-300)
+    m = h + e * STRUCTURAL_TOL * max(1.0, np.linalg.norm(h, 2)) * 10.0 ** log_noise
+    accepted = []
+    for check in (hermitian_eig, eigvalsh, lambda a: psd_leq(a, a)):
+        try:
+            check(m)
+            accepted.append(True)
+        except NotHermitianError:
+            accepted.append(False)
+    assert len(set(accepted)) == 1  # one rule for every entry point
+    if accepted[0]:
+        assert _svd_rule_accepts(m)
+    if log_noise < -1.5:
+        assert accepted[0]  # noise well below tolerance is still accepted
+
+
+def test_real_path_matches_complex_eigh():
+    h = build_dense(transverse_chain(6))
+    assert h.dtype == np.float64
+    vals, vecs = np.linalg.eigh(h.astype(complex))
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    for given_matrix in (h, h.astype(complex)):  # zero imaginary part also takes the real path
+        dec = hermitian_eig(given_matrix)
+        assert dec.eigenvectors.dtype == np.float64
+        assert np.max(np.abs(dec.eigenvalues - vals)) <= 1e-12 * scale
+        assert np.max(np.abs(eigvalsh(given_matrix) - vals)) <= 1e-12 * scale
+        ground = vecs[:, 0]
+        pivot = ground[int(np.argmax(np.abs(ground)))]
+        ground = ground * (pivot.conjugate() / abs(pivot))
+        assert np.max(np.abs(dec.eigenvectors[:, 0] - ground)) <= 1e-10
+
+
+def test_eigvalsh_rejects_non_hermitian():
+    with pytest.raises(NotHermitianError):
+        eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitianError):
+        eigvalsh(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

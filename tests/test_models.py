@@ -15,9 +15,11 @@ from frustra.linalg import hermitian_eig, op_norm
 from frustra.models import (
     OperatorTerm,
     SpinModel,
+    PAULI,
     build_dense,
     chain3,
     dense_bipartite_model,
+    dense_terms,
     interaction_extremes,
     ising2,
     ising2_exact_energy,
@@ -45,6 +47,49 @@ def test_ising2_dense_ground_energy():
 def test_empty_term_list_gives_zero():
     model = SpinModel("empty", (2, 2), ())
     np.testing.assert_array_equal(build_dense(model), np.zeros((4, 4)))
+
+
+def _kron_reference(terms, dims):
+    """Full Kronecker chain per term, summed in term order, in complex arithmetic."""
+    total = int(np.prod(dims))
+    h = np.zeros((total, total), dtype=complex)
+    for term in terms:
+        ops = dict(term.factors)
+        out = np.array([[term.coeff]], dtype=complex)
+        for site, d in enumerate(dims):
+            out = np.kron(out, ops.get(site, np.eye(d)))
+        h += out
+    return h
+
+
+@given(st.integers(0, 10_000), st.lists(st.integers(2, 3), min_size=1, max_size=4))
+def test_dense_terms_matches_kron_reference(seed, dims):
+    rng = np.random.default_rng(seed)
+    real = bool(rng.integers(2))
+    terms = [OperatorTerm(rng.normal(), [])]  # a constant
+    for _ in range(4):
+        sites = rng.choice(len(dims), size=rng.integers(1, len(dims) + 1), replace=False)
+        factors = []
+        for site in sorted(int(x) for x in sites):
+            z = rng.normal(size=(dims[site],) * 2)
+            if not real:
+                z = z + 1j * rng.normal(size=z.shape)
+            factors.append((site, (z + z.conj().T) / 2))
+        terms.append(OperatorTerm(rng.normal(), factors))
+    h = dense_terms(terms, dims)
+    assert h.dtype == (np.float64 if real else np.complex128)
+    np.testing.assert_array_equal(h, _kron_reference(terms, dims))
+
+
+def test_dense_build_is_shared_and_read_only():
+    model = chain3()
+    h = build_dense(model)
+    assert h.dtype == np.float64 and build_dense(model) is h
+    s = split(model)
+    assert s.dense_total() is h
+    for mat in (h, s.dense_local(), s.dense_interaction()):
+        assert not mat.flags.writeable
+    assert build_dense(SpinModel("y", (2,), (OperatorTerm(1.0, [(0, PAULI["Y"])]),))).dtype == complex
 
 
 def test_triangle_matches_classical_enumeration():
@@ -300,6 +345,44 @@ def test_model_json_explicit_matrix(tmp_path):
     save_model(model, str(path))
     reloaded = load_model(str(path))
     np.testing.assert_allclose(build_dense(reloaded), h, atol=1e-14)
+
+
+_hermitian_2x2 = st.tuples(*[st.floats(-2, 2)] * 4).map(
+    lambda x: np.array([[x[0], x[2] + 1j * x[3]], [x[2] - 1j * x[3], x[1]]]))
+
+
+@st.composite
+def _models(draw):
+    n = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        sites = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+        ops = [draw(st.sampled_from(["X", "Y", "Z"]) | _hermitian_2x2) for _ in sites]
+        coeff = draw(st.floats(-1e6, 1e6, allow_nan=False))
+        terms.append(OperatorTerm(coeff, list(zip(sites, ops))))
+    return SpinModel(draw(st.text(max_size=8)), (2,) * n, tuple(terms), site_labels=tuple(labels))
+
+
+@given(_models())
+def test_model_json_roundtrip_property(model):
+    again = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    assert (again.name, again.dims, again.site_labels) == (model.name, model.dims, model.site_labels)
+    assert len(again.terms) == len(model.terms)
+    for a, b in zip(again.terms, model.terms):
+        assert a.coeff == b.coeff and a.sites == b.sites
+        for (_, op_a), (_, op_b) in zip(a.factors, b.factors):
+            np.testing.assert_array_equal(op_a, op_b)
+
+
+def test_model_json_labels_optional():
+    doc = model_to_dict(chain3())
+    assert doc["labels"] == ["A", "B", "C"]
+    del doc["labels"]
+    assert model_from_dict(doc).site_labels == ("0", "1", "2")
+    doc["labels"] = ["A", "B"]
+    with pytest.raises(ValueError):
+        model_from_dict(doc)
 
 
 def test_model_json_malformed():
