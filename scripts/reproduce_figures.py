@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the transverse-Ising comparison data.
 
-Writes two CSV files into --outdir (default: .):
+Writes two CSV files into --outdir (default: .), each through the CLI, so
+they match `frustra sweep` and `frustra saturate` byte for byte:
 
 * ising_sweep.csv      entanglement and both frustration bounds against the
                        closed forms, over the standard field grid
@@ -13,12 +14,18 @@ and prints the worst deviations as a quick regression check.
 import argparse
 import csv
 import pathlib
+import sys
 
-import numpy as np
+from frustra.cli import main as frustra
 
-from frustra.cli import SATURATE_COLUMNS, SWEEP_COLUMNS, ising_sweep_rows
-from frustra.models import ising2
-from frustra.saturation import saturation_sweep
+
+def run(*argv) -> list[dict]:
+    """Run one subcommand whose last two arguments are --out PATH; return its CSV rows."""
+    code = frustra(list(argv))
+    if code:
+        sys.exit(code)
+    with open(argv[-1], newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def main():
@@ -30,32 +37,21 @@ def main():
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = ising_sweep_rows(np.linspace(0.01, 5.0, args.points))
     sweep_path = outdir / "ising_sweep.csv"
-    with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(["" if row[c] is None else format(row[c], ".17g")
-                             for c in SWEEP_COLUMNS])
+    rows = run("sweep", "--grid", f"0.01:5:{args.points}", "--out", str(sweep_path))
     print(f"wrote {sweep_path} ({len(rows)} rows)")
-    print(f"  max |entanglement - closed form| : {max(r['dev_entanglement'] for r in rows):.3e}")
-    print(f"  max |sym bound    - closed form| : {max(r['dev_ef_symmetric'] for r in rows):.3e}")
-    print(f"  max |asym bound   - closed form| : {max(r['dev_ef_asymmetric'] for r in rows):.3e}")
+    for label, column in (("entanglement", "dev_entanglement"),
+                          ("sym bound   ", "dev_ef_symmetric"),
+                          ("asym bound  ", "dev_ef_asymmetric")):
+        worst = max(float(r[column]) for r in rows)
+        print(f"  max |{label} - closed form| : {worst:.3e}")
 
-    sweep = saturation_sweep(ising2(args.g), (1e-1, 1e-2, 1e-3))
     sat_path = outdir / "ising_saturation.csv"
-    with open(sat_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SATURATE_COLUMNS)
-        for r in sweep.records:
-            rep = r.report
-            writer.writerow([format(v, ".17g") for v in (
-                r.gamma, rep.E0, rep.E0_L, rep.E0_I, rep.E_f, rep.delta_e_ent,
-                rep.ef_bound, rep.entanglement, r.excess, r.interaction_term)])
+    records = run("saturate", "--model", "ising2", "--param", f"g={args.g!r}",
+                  "--gammas", "1e-1,1e-2,1e-3", "--out", str(sat_path))
     print(f"wrote {sat_path}")
-    for r in sweep.records:
-        print(f"  gamma={r.gamma:g}: bound-entanglement excess = {r.excess:.3e}")
+    for r in records:
+        print(f"  gamma={float(r['gamma']):g}: bound-entanglement excess = {float(r['excess']):.3e}")
 
 
 if __name__ == "__main__":

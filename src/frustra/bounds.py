@@ -29,7 +29,6 @@ import numpy as np
 
 from . import entanglement as ent
 from .errors import EnumerationCapError, UndefinedBoundError
-from .linalg import EigenDecomposition, hermitian_eig
 from .models import LocalSpectrum, SpinModel, Splitting, interaction_extremes, local_spectrum
 
 TOL_ENT = 1e-6  # slack for optimizer-derived entanglement values
@@ -44,21 +43,25 @@ class EntanglementOptions:
     tol: float = ent.DEFAULT_TOL
     max_iters: int = ent.DEFAULT_MAX_ITERS
     seed: int = ent.DEFAULT_SEED
-    force_multipartite: bool = False
 
 
 DEFAULT_ENT_OPTS = EntanglementOptions()
 
 
+def multipartite_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
+    """(value, method) from the alternating optimizer, for any number of sites."""
+    res = ent.geometric_measure_multipartite(
+        psi, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed
+    )
+    return res.value, res.method
+
+
 def state_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
     """(value, method): exact Schmidt route for two parties, alternating otherwise."""
-    if psi.num_sites == 2 and not opts.force_multipartite:
+    if psi.num_sites == 2:
         res = ent.geometric_measure_bipartite(psi)
-    else:
-        res = ent.geometric_measure_multipartite(
-            psi, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed
-        )
-    return res.value, res.method
+        return res.value, res.method
+    return multipartite_entanglement(psi, opts)
 
 
 def local_coefficients(spec: LocalSpectrum, vector: np.ndarray) -> np.ndarray:
@@ -123,21 +126,30 @@ class FrustrationReport:
         return out
 
 
-def _with_scale(dec: EigenDecomposition):
+def model_decomposition(model: SpinModel):
+    """(eigendecomposition, scale, ground-degeneracy flag) of the model's H.
+
+    The decomposition is the one the model keeps, so every caller shares it.
+    """
+    dec = model.spectrum
     vals = dec.eigenvalues
     scale = max(1.0, float(max(abs(vals[0]), abs(vals[-1]))))
     degenerate = bool(vals.size > 1 and vals[1] - vals[0] <= 1e-9 * scale)
     return dec, scale, degenerate
 
 
-def dense_decomposition(h: np.ndarray):
-    """(eigendecomposition, scale, ground-degeneracy flag) of a dense Hamiltonian."""
-    return _with_scale(hermitian_eig(h))
+def cut_expansion(spec: LocalSpectrum, report: FrustrationReport):
+    """The ground state's product-basis expansion, cut at E0_L + delta_e_ent.
 
-
-def model_decomposition(model: SpinModel):
-    """dense_decomposition of the model's H, from the decomposition the model keeps."""
-    return _with_scale(model.spectrum)
+    The cut is strict by energy, so degenerate levels are kept or dropped as
+    sets.  Returns (flat indices below the cut, all coefficients alpha,
+    weight below the cut).
+    """
+    threshold = report.E0_L + spec.delta_e_ent
+    eps = 1e-9 * max(1.0, abs(threshold))
+    below = np.flatnonzero(spec.energies < threshold - eps)
+    alpha = local_coefficients(spec, report.ground_state.amplitudes)
+    return below, alpha, float(np.sum(np.abs(alpha[below]) ** 2))
 
 
 def analyze_ground(splitting: Splitting,
@@ -232,13 +244,7 @@ def proof_step_check(splitting: Splitting,
     if report.ef_bound is None or delta <= 0:
         raise UndefinedBoundError(f"delta_e_ent = {delta:g} leaves the bound undefined")
 
-    threshold = report.E0_L + delta
-    eps = 1e-9 * max(1.0, abs(threshold))
-    below = np.flatnonzero(spec.energies < threshold - eps)
-
-    alpha = local_coefficients(spec, report.ground_state.amplitudes)
-    sum_alpha_sq = float(np.sum(np.abs(alpha[below]) ** 2))
-
+    below, alpha, sum_alpha_sq = cut_expansion(spec, report)
     truncated = np.zeros(spec.dimension, dtype=complex)
     for flat in below:
         truncated += alpha[flat] * spec.product_vector(spec.config_of_flat(int(flat)))
@@ -353,6 +359,33 @@ def delta_j_ent(spec: LocalSpectrum, config) -> tuple[float, ProductSubspace]:
     return best_delta, _subspace(spec, best_site, config)
 
 
+def eigenstate_setup(splitting: Splitting, j: int):
+    """(scale, E_j, |E_j>, local spectrum, max eigenvalue of H_I, ||H_I||).
+
+    The j-th eigenstate of H comes from the decomposition the model keeps;
+    ||H_I|| is the spectral radius, which equals the operator norm of the
+    Hermitian interaction.
+    """
+    dec, scale, _ = model_decomposition(splitting.model)
+    dimension = dec.eigenvalues.size
+    if j < 0 or j >= dimension:
+        raise IndexError(f"eigenstate index {j} out of range for dimension {dimension}")
+    e_i_0, e_i_max, _ = interaction_extremes(splitting)
+    return (scale, float(dec.eigenvalues[j]), dec.eigenvectors[:, j], local_spectrum(splitting),
+            e_i_max, max(abs(e_i_0), abs(e_i_max)))
+
+
+def outside_subspace(spec: LocalSpectrum, energy: float, subspace: ProductSubspace):
+    """(mask of the product states outside the subspace, delta_j_Kperp).
+
+    delta_j_Kperp is the distance from the energy to the local energies of
+    the states outside the subspace.
+    """
+    outside = np.ones(spec.dimension, dtype=bool)
+    outside[[spec.flat_of_config(m) for m in subspace.members]] = False
+    return outside, float(np.min(np.abs(energy - spec.energies[outside])))
+
+
 @dataclass(frozen=True, eq=False)
 class ExcitedBoundReport:
     """Entanglement bounds for the j-th eigenstate of H (ascending energy).
@@ -412,28 +445,13 @@ def analyze_excited(splitting: Splitting, j: int,
     product state belongs to a different local energy level, the report is
     flagged (``pairing_flag``) rather than silently reassociated.
     """
-    dec, scale, _ = model_decomposition(splitting.model)
-    dimension = dec.eigenvalues.size
-    if j < 0 or j >= dimension:
-        raise IndexError(f"eigenstate index {j} out of range for dimension {dimension}")
-    e_j = float(dec.eigenvalues[j])
-    vec_j = dec.eigenvectors[:, j]
-
-    spec = local_spectrum(splitting)
+    scale, e_j, vec_j, spec, e_i_max, h_norm = eigenstate_setup(splitting, j)
     config_j = spec.sorted_config(j)
-    flat_j = spec.flat_of_config(config_j)
-    e_l_j = float(spec.energies[flat_j])
+    e_l_j = float(spec.energies[spec.flat_of_config(config_j)])
 
     delta_j, subspace = delta_j_ent(spec, config_j)
-
-    member_flats = {spec.flat_of_config(m) for m in subspace.members}
-    outside_mask = np.ones(spec.dimension, dtype=bool)
-    outside_mask[list(member_flats)] = False
-    delta_kperp = float(np.min(np.abs(e_j - spec.energies[outside_mask])))
-
-    e_i_0, e_i_max, _ = interaction_extremes(splitting)
-    radius = max(abs(e_i_0), abs(e_i_max))
-    h_norm = radius  # Hermitian interaction: operator norm equals spectral radius
+    _, delta_kperp = outside_subspace(spec, e_j, subspace)
+    radius = h_norm  # Hermitian interaction: operator norm equals spectral radius
 
     margin_tol = 1e-12 * max(1.0, scale)
     precondition = delta_j > radius
@@ -441,13 +459,7 @@ def analyze_excited(splitting: Splitting, j: int,
     bound_30 = h_norm**2 / (delta_j - h_norm) ** 2 if delta_j - h_norm > margin_tol else None
     bound_exact = h_norm**2 / delta_kperp**2 if delta_kperp > margin_tol else None
 
-    psi = ent.PureState(vec_j, splitting.model.dims)
-    value, method = state_entanglement(
-        psi, EntanglementOptions(
-            restarts=ent_opts.restarts, tol=ent_opts.tol, max_iters=ent_opts.max_iters,
-            seed=ent_opts.seed, force_multipartite=True,
-        )
-    )
+    value, method = multipartite_entanglement(ent.PureState(vec_j, splitting.model.dims), ent_opts)
 
     alpha = local_coefficients(spec, vec_j)
     top_flat = int(np.argmax(np.abs(alpha)))

@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: analyze, sweep, excited, saturate, perturb, selftest,
-list-models.  Reports go to stdout (or --out) as JSON; sweeps as CSV with
-one header row and floats at 17 significant digits.  Every run is fully
-determined by its arguments plus --seed.  Exit codes: 0 success (an
-undefined bound is a reported outcome, not an error), 2 configuration
-error, 3 computation error.
+list-models.  Reports go to stdout (or --out) as JSON, or as CSV with one
+header row and floats at 17 significant digits (sweep, saturate, and
+--format csv).  Every run is fully determined by its arguments; the
+seeded subcommands take --seed.  The sweep's rows come from
+``verify.ising_sweep_row``.  Exit codes: 0 success (an undefined bound is a
+reported outcome, not an error), 1 a failed property suite, 2
+configuration error, 3 computation error.
 """
 
 from __future__ import annotations
@@ -15,26 +17,15 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import entanglement as ent
 from . import verify
 from .bounds import EntanglementOptions, analyze_excited, analyze_ground
-from .errors import FrustraError
-from .models import (
-    BUILTIN_MODELS,
-    SpinModel,
-    ising2,
-    ising2_exact_bound_asymmetric,
-    ising2_exact_bound_symmetric,
-    ising2_exact_entanglement,
-    load_model,
-    make_builtin,
-    regroup,
-    split,
-)
-from .saturation import saturation_sweep, schmidt_splitting
+from .errors import FrustraError, InvalidBipartitionError
+from .models import BUILTIN_MODELS, SpinModel, load_model, make_builtin, regroup, split
+from .saturation import saturation_sweep, schmidt_splitting, validate_gammas
 
 CONFIG_ERROR = 2
 COMPUTE_ERROR = 3
@@ -60,6 +51,19 @@ def _write_text(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_json(payload, out_path: str | None) -> None:
+    _write_text(json.dumps(payload, indent=2) + "\n", out_path)
+
+
+def _csv_table(rows: list[dict], columns: list[str]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row.get(c)) for c in columns])
+    return buf.getvalue()
+
+
 def _parse_params(pairs) -> dict:
     params = {}
     for pair in pairs or []:
@@ -75,7 +79,7 @@ def _parse_params(pairs) -> dict:
 
 def _load_model(args) -> SpinModel:
     name = args.model
-    params = _parse_params(getattr(args, "param", None))
+    params = _parse_params(args.param)
     if name in BUILTIN_MODELS:
         try:
             return make_builtin(name, **params)
@@ -105,10 +109,26 @@ def _parse_bipartition(model: SpinModel, spec: str):
     return tuple(parts)
 
 
-def _build_splitting(model: SpinModel, args, grouping=None):
-    spec = getattr(args, "split", "default") or "default"
-    if grouping is not None:
-        model = regroup(model, grouping)
+def _load_parties(args) -> SpinModel:
+    """The model, regrouped into the two parties of --bipartition when given."""
+    model = _load_model(args)
+    if not args.bipartition:
+        return model
+    try:
+        return regroup(model, _parse_bipartition(model, args.bipartition))
+    except InvalidBipartitionError as exc:
+        raise ConfigError(f"bad --bipartition {args.bipartition!r}: {exc}") from exc
+
+
+def _require_two_parties(model: SpinModel) -> None:
+    if model.num_sites != 2:
+        raise ConfigError(f"model has {model.num_sites} sites; "
+                          "pass --bipartition to form two parties")
+
+
+def _build_splitting(args):
+    model = _load_parties(args)
+    spec = args.split or "default"
     if spec == "default":
         return split(model)
     if spec.startswith("file:"):
@@ -125,30 +145,19 @@ def _build_splitting(model: SpinModel, args, grouping=None):
             gamma = float(spec[len("schmidt:"):])
         except ValueError:
             raise ConfigError(f"bad schmidt gamma in {spec!r}") from None
+        if not gamma > 0:
+            raise ConfigError(f"schmidt gamma must be positive, got {spec!r}")
+        _require_two_parties(model)
         return schmidt_splitting(model, gamma).splitting
     raise ConfigError(f"unknown --split value {spec!r}")
 
 
 def _ent_opts(args) -> EntanglementOptions:
-    kwargs = {}
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
-        kwargs["tol"] = args.tol
-    return EntanglementOptions(**kwargs)
+    return EntanglementOptions(seed=args.seed, tol=args.tol)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _csv_table(rows: list[dict], columns: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in columns])
-    return buf.getvalue()
 
 
 ANALYZE_COLUMNS = [
@@ -160,14 +169,11 @@ ANALYZE_COLUMNS = [
 
 
 def cmd_analyze(args) -> int:
-    model = _load_model(args)
-    grouping = _parse_bipartition(model, args.bipartition) if args.bipartition else None
-    splitting = _build_splitting(model, args, grouping)
-    report = analyze_ground(splitting, _ent_opts(args))
+    report = analyze_ground(_build_splitting(args), _ent_opts(args))
     if args.format == "csv":
         _write_text(_csv_table([report.to_dict(include_state=False)], ANALYZE_COLUMNS), args.out)
     else:
-        _write_text(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+        _write_json(report.to_dict(), args.out)
     return 0
 
 
@@ -189,60 +195,27 @@ SWEEP_COLUMNS = [
 ]
 
 
-def ising_sweep_row(g: float) -> dict:
-    """One comparison row: numeric analysis against closed forms at field g."""
-    model = ising2(g)
-    sym = analyze_ground(split(model))
-    asym = analyze_ground(split(model, local=[0]))
-    gse = ising2_exact_entanglement(g)
-    fb = ising2_exact_bound_symmetric(g)
-    fb2 = ising2_exact_bound_asymmetric(g)
-    return {
-        "g": float(g),
-        "entanglement": sym.entanglement,
-        "ef_bound_symmetric": sym.ef_bound,
-        "ef_bound_asymmetric": asym.ef_bound,
-        "closed_form_gse": gse,
-        "closed_form_fb": fb,
-        "closed_form_fb2": fb2,
-        "dev_entanglement": abs(sym.entanglement - gse),
-        "dev_ef_symmetric": abs(sym.ef_bound - fb) if sym.ef_bound is not None else None,
-        "dev_ef_asymmetric": abs(asym.ef_bound - fb2) if asym.ef_bound is not None else None,
-    }
-
-
-def ising_sweep_rows(gs, jobs: int = 1) -> list[dict]:
-    gs = [float(g) for g in gs]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(ising_sweep_row, gs))
-    return [ising_sweep_row(g) for g in gs]
-
-
 def cmd_sweep(args) -> int:
     if args.model not in (None, "ising2"):
         raise ConfigError("sweep reproduces the two-spin transverse Ising figures; "
                           "only --model ising2 is supported")
-    gs = _parse_grid(args.grid)
-    rows = ising_sweep_rows(gs, jobs=args.jobs)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in SWEEP_COLUMNS])
-    _write_text(buf.getvalue(), args.out)
+    rows = [verify.ising_sweep_row(float(g)) for g in _parse_grid(args.grid)]
+    _write_text(_csv_table(rows, SWEEP_COLUMNS), args.out)
     return 0
 
 
 def _parse_j_list(spec: str, dimension: int):
     out = []
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+    try:
+        for chunk in spec.split(","):
+            chunk = chunk.strip()
+            if ".." in chunk:
+                lo, hi = chunk.split("..")
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(chunk))
+    except ValueError:
+        raise ConfigError(f"--j expects indices like 0..3 or 0,2,5, got {spec!r}") from None
     for j in out:
         if j < 0 or j >= dimension:
             raise ConfigError(f"eigenstate index {j} out of range (dimension {dimension})")
@@ -258,9 +231,7 @@ EXCITED_COLUMNS = [
 
 
 def cmd_excited(args) -> int:
-    model = _load_model(args)
-    grouping = _parse_bipartition(model, args.bipartition) if args.bipartition else None
-    splitting = _build_splitting(model, args, grouping)
+    splitting = _build_splitting(args)
     js = _parse_j_list(args.j, splitting.model.dimension)
     opts = _ent_opts(args)
     reports = [analyze_excited(splitting, j, opts).to_dict() for j in js]
@@ -269,7 +240,7 @@ def cmd_excited(args) -> int:
             rep["local_config"] = ";".join(str(c) for c in rep["local_config"])
         _write_text(_csv_table(reports, EXCITED_COLUMNS), args.out)
     else:
-        _write_text(json.dumps(reports, indent=2) + "\n", args.out)
+        _write_json(reports, args.out)
     return 0
 
 
@@ -280,51 +251,46 @@ SATURATE_COLUMNS = [
 
 
 def cmd_saturate(args) -> int:
-    model = _load_model(args)
-    grouping = _parse_bipartition(model, args.bipartition) if args.bipartition else None
+    model = _load_parties(args)
+    _require_two_parties(model)
     try:
-        gammas = [float(x) for x in args.gammas.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad --gammas list {args.gammas!r}") from None
-    sweep = saturation_sweep(model, gammas, _ent_opts(args), grouping=grouping)
+        gammas = validate_gammas(args.gammas.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --gammas list {args.gammas!r}: {exc}") from None
+    sweep = saturation_sweep(model, gammas, _ent_opts(args))
+    rows = [
+        {
+            "gamma": r.gamma,
+            "excess": r.excess,
+            "overshoot_interaction": r.interaction_term,
+            "unreliable": r.unreliable,
+            "report": r.report.to_dict(include_state=False),
+        }
+        for r in sweep.records
+    ]
     if args.format == "json":
-        payload = [
-            {
-                "gamma": r.gamma,
-                "excess": r.excess,
-                "overshoot_interaction": r.interaction_term,
-                "unreliable": r.unreliable,
-                "report": r.report.to_dict(include_state=False),
-            }
-            for r in sweep.records
-        ]
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(SATURATE_COLUMNS)
-    for r in sweep.records:
-        rep = r.report
-        writer.writerow([_fmt(v) for v in (
-            r.gamma, rep.E0, rep.E0_L, rep.E0_I, rep.E_f, rep.delta_e_ent,
-            rep.ef_bound, rep.entanglement, r.excess, r.interaction_term,
-        )])
-    _write_text(buf.getvalue(), args.out)
+        _write_json(rows, args.out)
+    else:
+        flat = [{**row["report"], **row} for row in rows]
+        _write_text(_csv_table(flat, SATURATE_COLUMNS), args.out)
     return 0
 
 
 def cmd_perturb(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:
+        raise ConfigError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
+    if min(dims) < 1:
+        raise ConfigError(f"--dims must be positive, got {args.dims!r}")
     lines = []
 
     def collect(index, report):
         entry = {"trial": index, **report.to_dict()}
         lines.append(json.dumps(entry))
 
-    result = verify.perturbation_suite(
-        trials=args.trials, dims=dims, seed=args.seed if args.seed is not None else 1,
-        collect=collect, jobs=args.jobs,
-    )
+    result = verify.perturbation_suite(trials=args.trials, dims=dims, seed=args.seed,
+                                       collect=collect)
     body = "\n".join(lines) + "\n" if lines else ""
     _write_text(body, args.out)
     print(
@@ -337,7 +303,7 @@ def cmd_perturb(args) -> int:
 
 def cmd_selftest(args) -> int:
     scale = args.trials / 500.0 if args.trials else 1.0
-    results = verify.run_all(seed=args.seed or 0, scale=scale)
+    results = verify.run_all(seed=args.seed, scale=scale)
     width = max(len(r.name) for r in results)
     print(f"{'suite':<{width}}  status  trials  failures  notes")
     for r in results:
@@ -358,6 +324,13 @@ def cmd_list_models(_args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frustra",
@@ -365,19 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        if model:
-            p.add_argument("--model", required=True,
-                           help="built-in model name or path to a model .json file")
-            p.add_argument("--param", action="append", metavar="K=V",
-                           help="model parameter override (repeatable)")
-            p.add_argument("--split", default="default",
-                           help="default | file:PATH | schmidt:GAMMA")
-            p.add_argument("--bipartition", metavar="A|B",
-                           help="group sites into two parties by label, e.g. B|AC")
+    def common(p):
+        p.add_argument("--model", required=True,
+                       help="built-in model name or path to a model .json file")
+        p.add_argument("--param", action="append", metavar="K=V",
+                       help="model parameter override (repeatable)")
+        p.add_argument("--split", default="default",
+                       help="default | file:PATH | schmidt:GAMMA")
+        p.add_argument("--bipartition", metavar="A|B",
+                       help="group sites into two parties by label, e.g. B|AC")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, help="seed for randomized components")
-        p.add_argument("--tol", type=float, help="optimizer tolerance override")
+        p.add_argument("--seed", type=int, default=ent.DEFAULT_SEED,
+                       help="seed for randomized components")
+        p.add_argument("--tol", type=float, default=ent.DEFAULT_TOL,
+                       help="optimizer tolerance")
 
     p = sub.add_parser("analyze", help="frustration report for the ground state")
     common(p)
@@ -388,10 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="must be ising2 (the default)")
     p.add_argument("--grid", default="0.01:5:200", metavar="MIN:MAX:N",
                    help="field grid, default 0.01:5:200")
-    p.add_argument("--jobs", type=int, default=1, help="parallel grid evaluations")
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.add_argument("--seed", type=int, help="unused; accepted for uniformity")
-    p.add_argument("--tol", type=float, help="unused; accepted for uniformity")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("excited", help="bound reports for excited eigenstates")
@@ -407,15 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_saturate)
 
     p = sub.add_parser("perturb", help="randomized perturbation-theorem suite")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_positive_int, default=500)
     p.add_argument("--dims", default="4,8,16")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1, help="parallel trial evaluations")
     p.add_argument("--out", help="write per-trial JSON lines here")
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("selftest", help="run every randomized property suite")
-    p.add_argument("--trials", type=int, help="base trial count (default 500)")
+    p.add_argument("--trials", type=_positive_int, help="base trial count (default 500)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selftest)
 

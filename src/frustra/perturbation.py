@@ -33,9 +33,10 @@ from .bounds import (
     EntanglementOptions,
     ProductSubspace,
     TOL_ENT,
+    eigenstate_setup,
     local_coefficients,
-    model_decomposition,
-    state_entanglement,
+    multipartite_entanglement,
+    outside_subspace,
 )
 from .errors import DegenerateSeparationError, NotProjectorError
 from .linalg import (
@@ -48,7 +49,7 @@ from .linalg import (
     singular_values,
     ui_norm,
 )
-from .models import Splitting, interaction_extremes, local_spectrum
+from .models import Splitting
 
 
 def _check_projector(p: np.ndarray, name: str, tol: float = 1e-10) -> None:
@@ -301,17 +302,8 @@ def dk_entanglement_chain(splitting: Splitting, j: int, subspace: ProductSubspac
     amplitude of the eigenstate outside the subspace, is bounded by
     ||H_I|| / Delta, and its square bounds the eigenstate's entanglement.
     """
-    dec, scale, _ = model_decomposition(splitting.model)
-    if j < 0 or j >= dec.eigenvalues.size:
-        raise IndexError(f"eigenstate index {j} out of range")
-    e_j = float(dec.eigenvalues[j])
-    vec_j = dec.eigenvectors[:, j]
-
-    spec = local_spectrum(splitting)
-    member_flats = [spec.flat_of_config(m) for m in subspace.members]
-    outside = np.ones(spec.dimension, dtype=bool)
-    outside[member_flats] = False
-    delta = float(np.min(np.abs(e_j - spec.energies[outside])))
+    scale, e_j, vec_j, spec, _, h_i_norm = eigenstate_setup(splitting, j)
+    outside, delta = outside_subspace(spec, e_j, subspace)
     if delta <= 1e-9 * scale:
         raise DegenerateSeparationError(f"eigenvalue separation {delta:g} too small")
 
@@ -319,18 +311,8 @@ def dk_entanglement_chain(splitting: Splitting, j: int, subspace: ProductSubspac
     # precision when the state lies almost entirely inside the subspace
     alpha = local_coefficients(spec, vec_j)
     pjq = float(np.sqrt(np.sum(np.abs(alpha[outside]) ** 2)))
-
-    e_i_0, e_i_max, _ = interaction_extremes(splitting)
-    h_i_norm = max(abs(e_i_0), abs(e_i_max))  # Hermitian: operator norm is the spectral radius
     hi_over_delta = h_i_norm / delta
-
-    psi = ent.PureState(vec_j, splitting.model.dims)
-    value, _ = state_entanglement(
-        psi, EntanglementOptions(
-            restarts=ent_opts.restarts, tol=ent_opts.tol, max_iters=ent_opts.max_iters,
-            seed=ent_opts.seed, force_multipartite=True,
-        )
-    )
+    value, _ = multipartite_entanglement(ent.PureState(vec_j, splitting.model.dims), ent_opts)
     return DkChainReport(
         pjq_norm=pjq,
         delta_j_Kperp=delta,

@@ -23,7 +23,7 @@ from .bounds import (
     EntanglementOptions,
     FrustrationReport,
     analyze_ground,
-    local_coefficients,
+    cut_expansion,
     model_decomposition,
 )
 from .errors import NotBipartiteError, UndefinedBoundError
@@ -109,6 +109,18 @@ class SaturationSweep:
         return float(max(values) - min(values)) if values else 0.0
 
 
+def validate_gammas(gammas: Sequence[float]) -> list[float]:
+    """The gammas as floats; ValueError unless positive, strictly descending and >= 1e-6."""
+    gs = [float(g) for g in gammas]
+    if not gs or any(g <= 0 for g in gs):
+        raise ValueError("gammas must be positive")
+    if any(b >= a for a, b in zip(gs, gs[1:])):
+        raise ValueError("gammas must be strictly descending")
+    if gs[-1] < 1e-6:
+        raise ValueError("smallest gamma must be >= 1e-6")
+    return gs
+
+
 def saturation_sweep(model: SpinModel, gammas: Sequence[float],
                      ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS,
                      grouping=None) -> SaturationSweep:
@@ -120,14 +132,7 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float],
     unreliable instead of silently reported.  H does not depend on gamma,
     so its one eigendecomposition (kept by the model) serves every record.
     """
-    gs = [float(g) for g in gammas]
-    if not gs or any(g <= 0 for g in gs):
-        raise ValueError("gammas must be positive")
-    if any(b >= a for a, b in zip(gs, gs[1:])):
-        raise ValueError("gammas must be strictly descending")
-    if gs[-1] < 1e-6:
-        raise ValueError("smallest gamma must be >= 1e-6")
-
+    gs = validate_gammas(gammas)
     bip = _bipartite_view(model, grouping)
     a0, coeffs, degenerate = _ground_schmidt(bip)
     projector = np.outer(a0, a0.conj())
@@ -185,12 +190,7 @@ def excess_decomposition(splitting: Splitting,
     spec = local_spectrum(splitting)
     delta = spec.delta_e_ent
 
-    threshold = report.E0_L + delta
-    eps = 1e-9 * max(1.0, abs(threshold))
-    below = np.flatnonzero(spec.energies < threshold - eps)
-    alpha = local_coefficients(spec, report.ground_state.amplitudes)
-    sum_below = float(np.sum(np.abs(alpha[below]) ** 2))
-
+    _, _, sum_below = cut_expansion(spec, report)
     overshoot_local = (report.local_frustration - (1.0 - sum_below) * delta) / delta
     overshoot_interaction = report.interaction_frustration / delta
     entanglement_gap = (1.0 - sum_below) - report.entanglement

@@ -1,9 +1,12 @@
-"""Randomized verification suites and the instance ensembles they draw from.
+"""Randomized verification suites, the instance ensembles they draw from,
+and the transverse-Ising comparison against closed forms.
 
 Each suite replays a seeded ensemble of random instances against the
 package's inequalities and reports failure counts plus worst margins.
 The same runners back the command-line selftest and the acceptance tests,
-so trial counts are parameters rather than constants.
+so trial counts are parameters rather than constants.  ``ising_sweep_row``
+compares the numeric two-spin analysis with the closed forms at one field;
+the ``sweep`` subcommand prints one row per grid point.
 """
 
 from __future__ import annotations
@@ -15,8 +18,18 @@ import numpy as np
 from . import entanglement as ent
 from .bounds import EntanglementOptions, analyze_ground
 from .errors import DegenerateSeparationError
-from .linalg import NormKind, haar_unitary, ui_norm
-from .models import OperatorTerm, SpinModel, dense_bipartite_model, dense_terms, split
+from .linalg import NormKind, appendix_norm_check, haar_unitary, ui_norm
+from .models import (
+    OperatorTerm,
+    SpinModel,
+    dense_bipartite_model,
+    dense_terms,
+    ising2,
+    ising2_exact_bound_asymmetric,
+    ising2_exact_bound_symmetric,
+    ising2_exact_entanglement,
+    split,
+)
 from .perturbation import check_theorem, hermitian_instance
 from .saturation import saturation_sweep
 
@@ -89,6 +102,32 @@ def random_weak_chain(rng: np.random.Generator, name: str = "weak3") -> SpinMode
 
 
 # ---------------------------------------------------------------------------
+# closed-form comparison
+
+
+def ising_sweep_row(g: float) -> dict:
+    """One comparison row: numeric analysis against closed forms at field g."""
+    model = ising2(g)
+    sym = analyze_ground(split(model))
+    asym = analyze_ground(split(model, local=[0]))
+    gse = ising2_exact_entanglement(g)
+    fb = ising2_exact_bound_symmetric(g)
+    fb2 = ising2_exact_bound_asymmetric(g)
+    return {
+        "g": float(g),
+        "entanglement": sym.entanglement,
+        "ef_bound_symmetric": sym.ef_bound,
+        "ef_bound_asymmetric": asym.ef_bound,
+        "closed_form_gse": gse,
+        "closed_form_fb": fb,
+        "closed_form_fb2": fb2,
+        "dev_entanglement": abs(sym.entanglement - gse),
+        "dev_ef_symmetric": abs(sym.ef_bound - fb) if sym.ef_bound is not None else None,
+        "dev_ef_asymmetric": abs(asym.ef_bound - fb2) if asym.ef_bound is not None else None,
+    }
+
+
+# ---------------------------------------------------------------------------
 # suite results
 
 
@@ -99,11 +138,6 @@ class SuiteResult:
     failures: int
     ok: bool
     stats: dict = field(default_factory=dict)
-
-    def summary_line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        extras = ", ".join(f"{k}={v:.3g}" for k, v in sorted(self.stats.items()))
-        return f"{self.name}: {status} ({self.trials} trials, {self.failures} failures{', ' + extras if extras else ''})"
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +253,16 @@ def sharpness_witness(eps: float = 1e-3) -> float:
 
 
 def perturbation_suite(trials: int = 500, dims=(4, 8, 16), c_norms=(0.01, 0.1, 1.0),
-                       seed: int = 1, collect=None, jobs: int = 1) -> SuiteResult:
+                       seed: int = 1, collect=None) -> SuiteResult:
     """Seeded random Hermitian instances against both operator inequalities
     and the three-norm chain, plus the 2x2 sharpness witness.
 
-    Trials are independent; with jobs > 1 they run in a thread pool, with
-    results consumed in trial order either way.
+    ``collect(trial, report)``, when given, sees every report in trial order.
     """
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(
-                lambda t: perturbation_trial(seed, t, dims=dims, c_norms=c_norms),
-                range(trials),
-            ))
-    else:
-        reports = [perturbation_trial(seed, t, dims=dims, c_norms=c_norms)
-                   for t in range(trials)]
     failures = 0
     worst_margin = np.inf
-    for t, rep in enumerate(reports):
+    for t in range(trials):
+        rep = perturbation_trial(seed, t, dims=dims, c_norms=c_norms)
         worst_margin = min(worst_margin, rep.op_ineq_margin)
         if not rep.all_ok:
             failures += 1
@@ -310,11 +333,7 @@ def norm_suite(matrices: int = 200, seed: int = 9) -> SuiteResult:
         rng = np.random.default_rng([seed, t])
         n = 2 + t % 15
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        op = ui_norm(m, NormKind.OPERATOR)
-        hs = ui_norm(m, NormKind.HILBERT_SCHMIDT)
-        tr = ui_norm(m, NormKind.TRACE)
-        slack = 1e-12 * max(1.0, tr)
-        if not (op <= hs + slack and hs <= tr + slack):
+        if not appendix_norm_check(m):
             failures += 1
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         w = rng.normal(size=n) + 1j * rng.normal(size=n)

@@ -3,6 +3,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 import frustra.models
 from frustra.cli import main
@@ -100,6 +101,33 @@ def test_analyze_config_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["excited", "--model", "chain3", "--j", "x"],
+    ["excited", "--model", "chain3", "--j", "0..x"],
+    ["perturb", "--dims", "4,x", "--trials", "1"],
+    ["perturb", "--dims", "0", "--trials", "1"],
+    ["analyze", "--model", "chain3", "--bipartition", "B|"],
+    ["analyze", "--model", "chain3", "--bipartition", "A|A"],
+    ["analyze", "--model", "chain3", "--bipartition", "AB|BC"],
+    ["analyze", "--model", "ising2", "--split", "schmidt:-1"],
+    ["analyze", "--model", "chain3", "--split", "schmidt:0.1"],
+    ["saturate", "--model", "ising2", "--gammas", "1e-2,1e-1"],
+    ["saturate", "--model", "chain3", "--gammas", "1e-1,1e-2"],
+    ["selftest", "--trials", "0"],
+    ["perturb", "--trials", "-1"],
+    # removed flags
+    ["sweep", "--grid", "0.2:2:2", "--jobs", "2"],
+    ["sweep", "--grid", "0.2:2:2", "--seed", "1"],
+    ["sweep", "--grid", "0.2:2:2", "--tol", "1e-9"],
+    ["perturb", "--trials", "1", "--jobs", "2"],
+], ids=" ".join)
+def test_config_errors_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "computation error" not in err
+
+
 def test_analyze_model_file_and_split_file(tmp_path, capsys):
     model_path = tmp_path / "chain.json"
     model_path.write_text(json.dumps(model_to_dict(chain3(1.0, 2.0, 1.0))))
@@ -175,8 +203,6 @@ def test_sweep_determinism_and_jobs(capsys):
     _, out1, _ = run_cli(capsys, "sweep", "--grid", "0.2:2:5")
     _, out2, _ = run_cli(capsys, "sweep", "--grid", "0.2:2:5")
     assert out1 == out2
-    _, out3, _ = run_cli(capsys, "sweep", "--grid", "0.2:2:5", "--jobs", "3")
-    assert out1 == out3
 
 
 def test_sweep_rejects_other_models(capsys):

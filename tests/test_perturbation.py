@@ -201,9 +201,9 @@ def test_dk_chain_explicit_projector_cross_check(rng):
     j = 2
     _, sub = delta_j_ent(spec, spec.sorted_config(j))
     rep = dk_entanglement_chain(s, j, sub, FAST)
-    from frustra.bounds import dense_decomposition
+    from frustra.linalg import hermitian_eig
 
-    dec, _, _ = dense_decomposition(s.dense_total())
+    dec = hermitian_eig(s.dense_total())
     vec = dec.eigenvectors[:, j]
     q = np.eye(spec.dimension, dtype=complex)
     for member in sub.members:
