@@ -216,6 +216,8 @@ def _parse_j_list(spec: str, dimension: int):
                 out.append(int(chunk))
     except ValueError:
         raise ConfigError(f"--j expects indices like 0..3 or 0,2,5, got {spec!r}") from None
+    if not out:
+        raise ConfigError(f"--j selects no eigenstate, got {spec!r}")
     for j in out:
         if j < 0 or j >= dimension:
             raise ConfigError(f"eigenstate index {j} out of range (dimension {dimension})")
@@ -281,8 +283,9 @@ def cmd_perturb(args) -> int:
         dims = tuple(int(d) for d in args.dims.split(","))
     except ValueError:
         raise ConfigError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
-    if min(dims) < 1:
-        raise ConfigError(f"--dims must be positive, got {args.dims!r}")
+    if min(dims) < 2:
+        # one dimension cannot separate the a-eigenvalue from B's upper spectrum
+        raise ConfigError(f"--dims must be at least 2, got {args.dims!r}")
     lines = []
 
     def collect(index, report):

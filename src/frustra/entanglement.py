@@ -10,7 +10,9 @@ Three routes are provided:
   overlap is the largest Schmidt coefficient);
 * alternating optimization for the multipartite case: cycling over sites,
   the optimal vector at one site given the others is a normalized partial
-  contraction, so every update increases the overlap;
+  contraction, so every update increases the overlap.  All restarts run in
+  lockstep, one stacked contraction per site update, and each keeps its own
+  stopping rule, so a run does the same sweeps as it would alone;
 * a brute-force Bloch-sphere grid oracle for small all-qubit states, used
   to validate the optimizer.
 
@@ -177,33 +179,84 @@ def geometric_measure_bipartite(
                    method="schmidt_exact", converged=True)
 
 
-def _alternating_run(tensor_conj, dims, phis, tol, max_iters):
-    """One alternating-maximization run from a given initialization."""
+def _initial_vectors(psi: PureState, restarts: int, seed: int) -> list[list[np.ndarray]]:
+    """Per-run start vectors: the dominant product-basis amplitude, then seeded draws."""
+    top = np.unravel_index(int(np.argmax(np.abs(psi.amplitudes))), psi.dims)
+    inits = [[np.eye(d, dtype=complex)[top[i]] for i, d in enumerate(psi.dims)]]
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        vecs = []
+        for d in psi.dims:
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            vecs.append(v / np.linalg.norm(v))
+        inits.append(vecs)
+    return inits
+
+
+def _alternating(psi: PureState, inits, tol: float, max_iters: int,
+                 record_trace: bool) -> GeometricMeasureResult:
+    """Alternating maximization from every initialization in lockstep.
+
+    Each site update contracts the state with the other sites' vectors of
+    all active runs in one stacked product.  A run leaves the active set
+    when its sweep gains less than ``tol`` (converged) or after
+    ``max_iters`` sweeps, so it does exactly the sweeps it would do alone.
+    """
+    dims = psi.dims
     n = len(dims)
+    tensor_conj = psi.amplitudes.conj().reshape(dims)
     mats = [np.moveaxis(tensor_conj, i, 0).reshape(dims[i], -1) for i in range(n)]
-    overlap = 0.0
-    trace = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_iters + 1):
-        current = overlap
+    resets = [np.ones(d, dtype=complex) / np.sqrt(d) for d in dims]
+
+    phis = [np.array([init[i] for init in inits]) for i in range(n)]  # rows: active runs
+    active = np.arange(len(inits))
+    overlap = np.zeros(len(inits))
+    final_phis = [p.copy() for p in phis]
+    final_overlap = np.zeros(len(inits))
+    sweeps = np.zeros(len(inits), dtype=int)
+    converged = np.zeros(len(inits), dtype=bool)
+    traces = [[] for _ in inits] if record_trace else []
+
+    for sweep in range(1, max_iters + 1):
         for i in range(n):
-            rest = reduce(np.kron, [phis[k] for k in range(n) if k != i])
-            w = mats[i] @ rest
-            nrm = float(np.linalg.norm(w))
-            if nrm == 0.0:
-                # overlap is zero whatever phi_i is; reset the direction
-                phis[i] = np.ones(dims[i], dtype=complex) / np.sqrt(dims[i])
-                continue
-            phis[i] = w.conj() / nrm
-            current = nrm
-        trace.append(current)
-        if current - overlap < tol:
-            overlap = current
-            converged = True
-            break
+            others = [phis[k] for k in range(n) if k != i]
+            rest = others[0]
+            for p in others[1:]:  # row-wise kron, in site order
+                rest = (rest[:, :, None] * p[:, None, :]).reshape(active.size, -1)
+            w = np.matmul(mats[i], rest[:, :, None])[:, :, 0]
+            nrm = np.sqrt(np.vecdot(w, w).real)
+            zero = nrm == 0.0
+            if zero.any():
+                # a zero contraction means the run's overlap is still zero
+                # (updates never lower it), whatever phi_i is; reset the direction
+                phis[i] = np.where(zero[:, None], resets[i],
+                                   w.conj() / np.where(zero, 1.0, nrm)[:, None])
+            else:
+                phis[i] = w.conj() / nrm[:, None]
+        current = nrm
+        if record_trace:
+            for r, value in zip(active, current):
+                traces[r].append(float(value))
+        done = current - overlap < tol
         overlap = current
-    return overlap, phis, sweeps, converged, trace
+        stop = done | (sweep == max_iters)
+        if stop.any():
+            ids = active[stop]
+            for k in range(n):
+                final_phis[k][ids] = phis[k][stop]
+            final_overlap[ids] = overlap[stop]
+            sweeps[ids] = sweep
+            converged[ids] = done[stop]
+            keep = ~stop
+            active, overlap = active[keep], overlap[keep]
+            phis = [p[keep] for p in phis]
+            if not active.size:
+                break
+
+    best = int(np.argmax(final_overlap))  # first maximum: ties go to the earliest run
+    return _result(psi, [p[best] for p in final_phis], method="alternating",
+                   converged=bool(converged[best]), restarts=len(inits) - 1,
+                   iterations=int(sweeps.sum()), traces=[tuple(t) for t in traces])
 
 
 def geometric_measure_multipartite(
@@ -218,49 +271,13 @@ def geometric_measure_multipartite(
 
     Runs ``restarts`` seeded random initializations plus one built from the
     dominant product-basis amplitude, and keeps the best overlap (ties go to
-    the earliest run).  ``converged`` reports whether any run met ``tol``
-    before ``max_iters`` sweeps.
+    the earliest run).  ``converged`` reports whether that best run met
+    ``tol`` before ``max_iters`` sweeps; ``iterations`` counts the sweeps
+    of all runs.
     """
     if psi.num_sites < 2:
         raise ValueError("multipartite measure requires at least 2 parties")
-    dims = psi.dims
-    tensor_conj = psi.amplitudes.conj().reshape(dims)
-
-    inits = []
-    top = np.unravel_index(int(np.argmax(np.abs(psi.amplitudes))), dims)
-    amp_init = []
-    for i, d in enumerate(dims):
-        e = np.zeros(d, dtype=complex)
-        e[top[i]] = 1.0
-        amp_init.append(e)
-    inits.append(amp_init)
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        vecs = []
-        for d in dims:
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            vecs.append(v / np.linalg.norm(v))
-        inits.append(vecs)
-
-    best_overlap = -1.0
-    best_vectors = inits[0]
-    total_sweeps = 0
-    any_converged = False
-    traces = []
-    for phis in inits:
-        ov, vecs, sweeps, conv, trace = _alternating_run(
-            tensor_conj, dims, [v.copy() for v in phis], tol, max_iters
-        )
-        total_sweeps += sweeps
-        any_converged = any_converged or conv
-        if record_trace:
-            traces.append(tuple(trace))
-        if ov > best_overlap:
-            best_overlap = ov
-            best_vectors = vecs
-
-    return _result(psi, best_vectors, method="alternating", converged=any_converged,
-                   restarts=restarts, iterations=total_sweeps, traces=traces)
+    return _alternating(psi, _initial_vectors(psi, restarts, seed), tol, max_iters, record_trace)
 
 
 def _bloch_vectors(thetas: np.ndarray, phases: np.ndarray):

@@ -104,8 +104,10 @@ def test_analyze_config_errors(capsys):
 @pytest.mark.parametrize("argv", [
     ["excited", "--model", "chain3", "--j", "x"],
     ["excited", "--model", "chain3", "--j", "0..x"],
+    ["excited", "--model", "ising2", "--j", "3..1"],
     ["perturb", "--dims", "4,x", "--trials", "1"],
     ["perturb", "--dims", "0", "--trials", "1"],
+    ["perturb", "--dims", "1", "--trials", "2"],
     ["analyze", "--model", "chain3", "--bipartition", "B|"],
     ["analyze", "--model", "chain3", "--bipartition", "A|A"],
     ["analyze", "--model", "chain3", "--bipartition", "AB|BC"],

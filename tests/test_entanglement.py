@@ -1,9 +1,18 @@
+import itertools
+import json
+from functools import reduce
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from frustra.cli import main
 from frustra.entanglement import (
+    DEFAULT_TOL,
     PureState,
+    _alternating,
+    _initial_vectors,
     brute_force_geometric_measure,
     geometric_measure_bipartite,
     geometric_measure_multipartite,
@@ -157,6 +166,118 @@ def test_monotone_overlap_within_run():
     for trace in res.traces:
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs >= -1e-12)
+
+
+def test_converged_means_the_best_run_converged():
+    # the amplitude run stops at the W state's product-basis fixed point after
+    # 2 sweeps; the random runs beat it but are cut off at max_iters
+    res = geometric_measure_multipartite(W3, restarts=4, max_iters=3, record_trace=True)
+    assert res.value < 1.0 - 1.0 / 3.0  # a random run won
+    assert any(len(trace) < 3 for trace in res.traces)  # some run converged
+    assert not res.converged
+
+
+def test_traces_only_on_request():
+    assert geometric_measure_multipartite(W3, restarts=2).traces == ()
+    res = geometric_measure_multipartite(W3, restarts=2, record_trace=True)
+    assert len(res.traces) == 3
+    assert sum(len(trace) for trace in res.traces) == res.iterations
+
+
+# ---------------------------------------------------------------------------
+# lockstep optimizer against a one-run-at-a-time kron reference
+
+
+def serial_reference(psi, inits, tol, max_iters):
+    """(value, total sweeps, best run converged, zero-norm resets), one run at a time."""
+    dims, n = psi.dims, psi.num_sites
+    tensor_conj = psi.amplitudes.conj().reshape(dims)
+    mats = [np.moveaxis(tensor_conj, i, 0).reshape(dims[i], -1) for i in range(n)]
+    best, best_vecs, best_conv, total, resets = -1.0, None, False, 0, 0
+    for init in inits:
+        phis = [v.copy() for v in init]
+        overlap, conv, sweeps = 0.0, False, 0
+        for sweeps in range(1, max_iters + 1):
+            current = overlap
+            for i in range(n):
+                w = mats[i] @ reduce(np.kron, [phis[k] for k in range(n) if k != i])
+                nrm = float(np.linalg.norm(w))
+                if nrm == 0.0:
+                    phis[i] = np.ones(dims[i], dtype=complex) / np.sqrt(dims[i])
+                    resets += 1
+                    continue
+                phis[i], current = w.conj() / nrm, nrm
+            conv = current - overlap < tol
+            overlap = current
+            if conv:
+                break
+        total += sweeps
+        if overlap > best:
+            best, best_vecs, best_conv = overlap, phis, conv
+    value = 1.0 - min(abs(overlap_with_product(psi, best_vecs)) ** 2, 1.0)
+    return value, total, best_conv, resets
+
+
+def reset_init(psi):
+    """Basis vectors whose contraction with psi vanishes at site 0's first update."""
+    t = psi.tensor()
+    for config in itertools.product(*(range(d) for d in psi.dims[1:])):
+        if not t[(slice(None),) + config].any():
+            return [np.eye(d, dtype=complex)[c] for d, c in zip(psi.dims, (0,) + config)]
+    raise AssertionError("state has no zero slice")
+
+
+def with_zero_slice(dims, seed):
+    """Random state with every amplitude of |x 1 1 ...> set to zero."""
+    t = random_state(np.random.default_rng(seed), dims).tensor().copy()
+    t[(slice(None),) + (1,) * (len(dims) - 1)] = 0.0
+    return PureState.normalized(t, dims)
+
+
+EQUIVALENCE_STATES = {
+    "ghz3": GHZ3,
+    "w3": W3,
+    "rand222": with_zero_slice((2, 2, 2), 1),
+    "rand2222": with_zero_slice((2, 2, 2, 2), 2),
+    "rand322": with_zero_slice((3, 2, 2), 3),
+}
+
+
+@pytest.mark.parametrize("max_iters", [3, 1000])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_STATES))
+def test_lockstep_matches_serial_reference(name, max_iters):
+    psi = EQUIVALENCE_STATES[name]
+    inits = [reset_init(psi)] + _initial_vectors(psi, 6, seed=11) + [reset_init(psi)]
+    value, total, conv, resets = serial_reference(psi, inits, DEFAULT_TOL, max_iters)
+    assert resets > 0
+    res = _alternating(psi, inits, DEFAULT_TOL, max_iters, record_trace=False)
+    assert res.iterations == total
+    assert res.converged == conv
+    assert abs(res.value - value) < 1e-12
+
+
+def assert_close_json(got, want, path="$"):
+    """Strings, ints, bools and nulls equal; floats within 1e-12 * max(1, |v|)."""
+    if isinstance(want, float):
+        assert isinstance(got, float), path
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), path
+    elif isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_close_json(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_close_json(g, w, f"{path}[{k}]")
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+def test_excited_chain3_matches_committed_output(capsys):
+    # reference: the one-run-at-a-time optimizer's `excited --model chain3 --j 0..7`
+    want = json.loads((Path(__file__).parent / "data" / "excited_chain3_j0-7.json").read_text())
+    assert main(["excited", "--model", "chain3", "--j", "0..7"]) == 0
+    assert_close_json(json.loads(capsys.readouterr().out), want)
 
 
 def test_local_unitary_invariance_bipartite():
