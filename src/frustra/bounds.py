@@ -64,6 +64,20 @@ def state_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_E
     return multipartite_entanglement(psi, opts)
 
 
+def ground_entanglement(model: SpinModel, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
+    """(value, method) of the model's ground state, computed once per options.
+
+    The ground state is the first eigenvector of the decomposition the model
+    keeps, so the result depends only on (model, opts); it is kept in
+    ``model.entanglement_memo`` and shared by every splitting of the model.
+    """
+    memo = model.entanglement_memo
+    if opts not in memo:
+        psi = ent.PureState(model.spectrum.eigenvectors[:, 0], model.dims)
+        memo[opts] = state_entanglement(psi, opts)
+    return memo[opts]
+
+
 def local_coefficients(spec: LocalSpectrum, vector: np.ndarray) -> np.ndarray:
     """Expansion coefficients of a state in the product eigenbasis of H_L.
 
@@ -175,7 +189,7 @@ def analyze_ground(splitting: Splitting,
     exp_l = float(np.real(ground.conj() @ (hl @ ground)))
     exp_i = float(np.real(ground.conj() @ (hi @ ground)))
 
-    value, method = state_entanglement(psi, ent_opts)
+    value, method = ground_entanglement(splitting.model, ent_opts)
 
     delta = spec.delta_e_ent
     if delta > 1e-9 * scale:

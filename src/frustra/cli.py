@@ -145,8 +145,8 @@ def _build_splitting(args):
             gamma = float(spec[len("schmidt:"):])
         except ValueError:
             raise ConfigError(f"bad schmidt gamma in {spec!r}") from None
-        if not gamma > 0:
-            raise ConfigError(f"schmidt gamma must be positive, got {spec!r}")
+        if not 0 < gamma < np.inf:
+            raise ConfigError(f"schmidt gamma must be positive and finite, got {spec!r}")
         _require_two_parties(model)
         return schmidt_splitting(model, gamma).splitting
     raise ConfigError(f"unknown --split value {spec!r}")
@@ -183,7 +183,7 @@ def _parse_grid(spec: str):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigError(f"--grid expects MIN:MAX:N, got {spec!r}") from None
-    if count < 1 or hi < lo:
+    if count < 1 or not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
         raise ConfigError(f"bad grid {spec!r}")
     return np.linspace(lo, hi, count)
 
@@ -334,6 +334,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:  # numpy seeds must be non-negative
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < np.inf:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frustra",
@@ -351,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bipartition", metavar="A|B",
                        help="group sites into two parties by label, e.g. B|AC")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=ent.DEFAULT_SEED,
+        p.add_argument("--seed", type=_seed, default=ent.DEFAULT_SEED,
                        help="seed for randomized components")
-        p.add_argument("--tol", type=float, default=ent.DEFAULT_TOL,
+        p.add_argument("--tol", type=_positive_float, default=ent.DEFAULT_TOL,
                        help="optimizer tolerance")
 
     p = sub.add_parser("analyze", help="frustration report for the ground state")
@@ -383,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="randomized perturbation-theorem suite")
     p.add_argument("--trials", type=_positive_int, default=500)
     p.add_argument("--dims", default="4,8,16")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--out", help="write per-trial JSON lines here")
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("selftest", help="run every randomized property suite")
     p.add_argument("--trials", type=_positive_int, help="base trial count (default 500)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("list-models", help="list built-in models and parameters")

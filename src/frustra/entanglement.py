@@ -54,6 +54,8 @@ class PureState:
         if amps.size != int(np.prod(dims)):
             raise ValueError(f"{amps.size} amplitudes incompatible with dims {dims}")
         nrm = float(np.linalg.norm(amps))
+        if not np.isfinite(nrm):  # a NaN norm would pass the test below
+            raise ValueError("state amplitudes must be finite")
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)

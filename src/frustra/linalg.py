@@ -212,13 +212,12 @@ def psd_leq(s, t, tol: float = STRUCTURAL_TOL) -> tuple[bool, float]:
     return holds, margin
 
 
-def ui_norm(s, kind: NormKind) -> float:
-    """Normalized unitarily invariant norm of a matrix.
+def sv_norm(sv: np.ndarray, kind: NormKind) -> float:
+    """Normalized unitarily invariant norm from descending singular values.
 
     OPERATOR: largest singular value; HILBERT_SCHMIDT: sqrt of the sum of
     squared singular values; TRACE: sum of singular values.
     """
-    sv = singular_values(s)
     if kind is NormKind.OPERATOR:
         return float(sv[0]) if sv.size else 0.0
     if kind is NormKind.HILBERT_SCHMIDT:
@@ -226,6 +225,16 @@ def ui_norm(s, kind: NormKind) -> float:
     if kind is NormKind.TRACE:
         return float(np.sum(sv))
     raise ValueError(f"unknown norm kind: {kind!r}")
+
+
+def ui_norm(s, kind: NormKind) -> float:
+    """Normalized unitarily invariant norm of a matrix (see sv_norm)."""
+    return sv_norm(singular_values(s), kind)
+
+
+def sv_dominance(sv_s: np.ndarray, sv_t: np.ndarray, tol: float = 1e-12) -> bool:
+    """True iff sv_s[k] <= sv_t[k] + tol for all k (both descending, same length)."""
+    return bool(np.all(sv_s <= sv_t + tol))
 
 
 def singular_dominance(s, t, tol: float = 1e-12) -> bool:
@@ -240,7 +249,7 @@ def singular_dominance(s, t, tol: float = 1e-12) -> bool:
     b = _as_matrix(t)
     if a.shape != b.shape:
         raise ValueError(f"incompatible shapes {a.shape} vs {b.shape}")
-    return bool(np.all(singular_values(a) <= singular_values(b) + tol))
+    return sv_dominance(singular_values(a), singular_values(b), tol)
 
 
 def appendix_norm_check(s, tol: float = 1e-12) -> bool:
@@ -248,9 +257,7 @@ def appendix_norm_check(s, tol: float = 1e-12) -> bool:
     sv = singular_values(s)
     if sv.size == 0:
         return True
-    op = float(sv[0])
-    hs = float(np.sqrt(np.sum(sv * sv)))
-    tr = float(np.sum(sv))
+    op, hs, tr = (sv_norm(sv, kind) for kind in NormKind)
     slack = tol * max(1.0, tr)
     return op <= hs + slack and hs <= tr + slack
 

@@ -159,6 +159,16 @@ class SpinModel:
         _read_only(dec.eigenvectors)
         return dec
 
+    @cached_property
+    def entanglement_memo(self) -> dict:
+        """Ground-state entanglement results, keyed by the options that made them.
+
+        The ground state depends only on the model, so ``bounds`` fills this
+        once per set of entanglement options and every splitting of the
+        model reads it back; it is freed with the model.
+        """
+        return {}
+
     @property
     def num_sites(self) -> int:
         return len(self.dims)
@@ -193,7 +203,10 @@ def _add_term(h: np.ndarray, term: OperatorTerm, dims: Sequence[int]) -> None:
     lo, hi = min(ops, default=0), max(ops, default=-1)
     core = np.array([[term.coeff]], dtype=h.dtype)
     for site in range(lo, hi + 1):
-        core = np.kron(core, ops.get(site, np.eye(dims[site])))
+        b = ops.get(site, np.eye(dims[site]))
+        # np.kron(core, b): the same single products, without its overhead
+        core = (core[:, None, :, None] * b[None, :, None, :]).reshape(
+            core.shape[0] * b.shape[0], core.shape[1] * b.shape[1])
     left, c = int(np.prod(dims[:lo])), core.shape[0]
     right = h.shape[0] // (left * c)
     h6 = h.reshape(left, c, right, left, c, right)

@@ -110,10 +110,10 @@ class SaturationSweep:
 
 
 def validate_gammas(gammas: Sequence[float]) -> list[float]:
-    """The gammas as floats; ValueError unless positive, strictly descending and >= 1e-6."""
+    """The gammas as floats; ValueError unless finite, positive, strictly descending and >= 1e-6."""
     gs = [float(g) for g in gammas]
-    if not gs or any(g <= 0 for g in gs):
-        raise ValueError("gammas must be positive")
+    if not gs or not all(0 < g < np.inf for g in gs):  # NaN fails every comparison
+        raise ValueError("gammas must be positive and finite")
     if any(b >= a for a, b in zip(gs, gs[1:])):
         raise ValueError("gammas must be strictly descending")
     if gs[-1] < 1e-6:
@@ -130,7 +130,8 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float],
     eigensolver noise in E_f / gamma beyond double precision.  Records where
     E_f is produced by cancellation below 1e-9 * scale are flagged
     unreliable instead of silently reported.  H does not depend on gamma,
-    so its one eigendecomposition (kept by the model) serves every record.
+    so its one eigendecomposition and its ground-state entanglement (both
+    kept by the model) serve every record.
     """
     gs = validate_gammas(gammas)
     bip = _bipartite_view(model, grouping)

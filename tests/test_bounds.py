@@ -11,6 +11,7 @@ from frustra.bounds import (
     delta_j_ent,
     enumerate_product_subspaces,
     local_coefficients,
+    multipartite_entanglement,
     proof_step_check,
 )
 from frustra.entanglement import PureState, geometric_measure_multipartite
@@ -21,6 +22,7 @@ from frustra.models import (
     ising2,
     local_spectrum,
     split,
+    transverse_chain,
     triangle,
 )
 from frustra.saturation import schmidt_splitting
@@ -331,3 +333,17 @@ def test_local_coefficients_match_direct_overlaps(rng):
     for flat in range(9):
         direct = np.vdot(spec.product_vector(spec.config_of_flat(flat)), vec)
         assert abs(alpha[flat] - direct) < 1e-12
+
+
+def test_ground_entanglement_is_kept_per_options():
+    model = transverse_chain(3)
+    psi = PureState(model.spectrum.eigenvectors[:, 0], model.dims)
+    short = EntanglementOptions(restarts=0, max_iters=1)
+    splits = (split(model), split(model, local=[0]))
+    values = []
+    for opts in (short, FAST):
+        want, _ = multipartite_entanglement(psi, opts)
+        assert [analyze_ground(s, opts).entanglement for s in splits] == [want, want]
+        values.append(want)
+    assert values[0] != values[1]  # the options matter for this state
+    assert len(model.entanglement_memo) == 2

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import frustra.entanglement
 import frustra.models
 from frustra.cli import main
 from frustra.models import model_to_dict, chain3, save_model
@@ -84,6 +85,36 @@ def test_analyze_builds_each_operator_once(capsys, monkeypatch):
     assert 1 <= len(calls) <= 3  # H, H_L and H_I
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name with a wrapper that appends to the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_sweep_measures_each_model_once(capsys, monkeypatch):
+    # the symmetric and the asymmetric split of one grid point share its ground state
+    calls = count_calls(monkeypatch, frustra.entanglement, "geometric_measure_bipartite")
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "0.1:2:7")
+    assert code == 0 and len(out.splitlines()) == 8
+    assert len(calls) == 7
+
+
+def test_saturate_decomposes_the_ground_state_twice(capsys, monkeypatch):
+    # once to choose a0, once for the entanglement every gamma shares
+    calls = count_calls(monkeypatch, frustra.entanglement, "schmidt")
+    gammas = "0.5,0.2,0.1,0.05,0.02,1e-2,5e-3,1e-3"
+    code, out, _ = run_cli(capsys, "saturate", "--model", "ising2", "--gammas", gammas)
+    assert code == 0 and len(out.splitlines()) == 9
+    assert len(calls) == 2
+
+
 def test_analyze_config_errors(capsys):
     code, _, err = run_cli(capsys, "analyze", "--model", "nope")
     assert code == 2 and "unknown model" in err
@@ -117,6 +148,16 @@ def test_analyze_config_errors(capsys):
     ["saturate", "--model", "chain3", "--gammas", "1e-1,1e-2"],
     ["selftest", "--trials", "0"],
     ["perturb", "--trials", "-1"],
+    ["sweep", "--grid", "nan:1:3"],
+    ["sweep", "--grid", "0:inf:3"],
+    ["saturate", "--model", "ising2", "--gammas", "0.1,nan"],
+    ["saturate", "--model", "ising2", "--gammas", "inf,0.1"],
+    ["analyze", "--model", "chain3", "--seed", "-1"],
+    ["analyze", "--model", "chain3", "--tol", "nan"],
+    ["analyze", "--model", "chain3", "--tol", "-1"],
+    ["analyze", "--model", "ising2", "--split", "schmidt:inf"],
+    ["perturb", "--trials", "1", "--seed", "-1"],
+    ["selftest", "--trials", "1", "--seed", "-3000"],
     # removed flags
     ["sweep", "--grid", "0.2:2:2", "--jobs", "2"],
     ["sweep", "--grid", "0.2:2:2", "--seed", "1"],

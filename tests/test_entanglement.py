@@ -280,6 +280,13 @@ def test_excited_chain3_matches_committed_output(capsys):
     assert_close_json(json.loads(capsys.readouterr().out), want)
 
 
+def test_pure_state_rejects_non_finite_amplitudes():
+    with pytest.raises(ValueError, match="finite"):
+        PureState(np.array([np.nan, 0, 0, 0, 0, 0, 0, 0]), (2, 2, 2))
+    with pytest.raises(ValueError, match="finite"):
+        PureState(np.array([np.inf, 0, 0, 0]), (2, 2))
+
+
 def test_local_unitary_invariance_bipartite():
     rng = np.random.default_rng(9)
     psi = random_state(rng, (2, 3))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import frustra.verify
 from frustra.bounds import EntanglementOptions, analyze_excited, delta_j_ent
 from frustra.errors import DegenerateSeparationError, NotProjectorError
 from frustra.linalg import NormKind, haar_unitary
@@ -126,6 +127,48 @@ def test_instance_validation():
     )
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_trial_takes_one_singular_value_pass_per_matrix(monkeypatch):
+    # A, P_a Q, P_a C Q and C: every norm, the dominance test and the
+    # cosines come from these singular values (np.linalg.norm(x, 2) is one too)
+    inside, counted = [False], []
+    svd, norm, check = np.linalg.svd, np.linalg.norm, frustra.verify.check_theorem
+
+    def counting_svd(a, *args, compute_uv=True, **kwargs):
+        if inside[0] and not compute_uv:
+            counted.append("svd")
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if inside[0] and ord == 2:
+            counted.append("norm2")
+        return norm(x, ord, *args, **kwargs)
+
+    def counting_check(inst, *args, **kwargs):
+        inside[0] = True
+        try:
+            return check(inst, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(frustra.verify, "check_theorem", counting_check)
+    for index in range(3):
+        counted.clear()
+        assert perturbation_trial(5, index).all_ok
+        assert 3 <= len(counted) <= 4
+
+
+def test_projector_residuals_use_frobenius_norm():
+    # I + d S (S the 4x4 shift): its asymmetry is 1.62 d in the spectral norm
+    # and 2.45 d in the Frobenius norm; at d = 0.55e-10 only the latter fails 1e-10
+    p = np.eye(4, dtype=complex) + 0.55e-10 * np.eye(4, k=1)
+    asym = p - p.conj().T
+    assert np.linalg.norm(asym, 2) < 1e-10 < np.linalg.norm(asym)
+    with pytest.raises(NotProjectorError, match="Hermitian"):
+        canonical_cosines(p, np.eye(4))
 
 
 # ---------------------------------------------------------------------------
