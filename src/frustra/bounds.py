@@ -29,9 +29,9 @@ import numpy as np
 
 from . import entanglement as ent
 from .errors import EnumerationCapError, UndefinedBoundError
+from .linalg import CLOSED_MARGIN_TOL, STRUCTURAL_TOL, TIE_TOL, TOL_ENT, ZERO_NORM, tol_scale
 from .models import LocalSpectrum, SpinModel, Splitting, interaction_extremes, local_spectrum
 
-TOL_ENT = 1e-6  # slack for optimizer-derived entanglement values
 SUBSPACE_MEMBER_CAP = 10**6
 
 
@@ -140,18 +140,6 @@ class FrustrationReport:
         return out
 
 
-def model_decomposition(model: SpinModel):
-    """(eigendecomposition, scale, ground-degeneracy flag) of the model's H.
-
-    The decomposition is the one the model keeps, so every caller shares it.
-    """
-    dec = model.spectrum
-    vals = dec.eigenvalues
-    scale = max(1.0, float(max(abs(vals[0]), abs(vals[-1]))))
-    degenerate = bool(vals.size > 1 and vals[1] - vals[0] <= 1e-9 * scale)
-    return dec, scale, degenerate
-
-
 def cut_expansion(spec: LocalSpectrum, report: FrustrationReport):
     """The ground state's product-basis expansion, cut at E0_L + delta_e_ent.
 
@@ -160,7 +148,7 @@ def cut_expansion(spec: LocalSpectrum, report: FrustrationReport):
     weight below the cut).
     """
     threshold = report.E0_L + spec.delta_e_ent
-    eps = 1e-9 * max(1.0, abs(threshold))
+    eps = STRUCTURAL_TOL * tol_scale(threshold)
     below = np.flatnonzero(spec.energies < threshold - eps)
     alpha = local_coefficients(spec, report.ground_state.amplitudes)
     return below, alpha, float(np.sum(np.abs(alpha[below]) ** 2))
@@ -174,8 +162,11 @@ def analyze_ground(splitting: Splitting,
     and flagged; the bounds hold for any ground state, so no minimization
     over the ground space is attempted.
     """
-    dec, scale, degenerate = model_decomposition(splitting.model)
-    e0 = float(dec.eigenvalues[0])
+    dec = splitting.model.spectrum
+    vals = dec.eigenvalues
+    scale = tol_scale(vals[0], vals[-1])
+    degenerate = bool(vals.size > 1 and vals[1] - vals[0] <= STRUCTURAL_TOL * scale)
+    e0 = float(vals[0])
     ground = dec.eigenvectors[:, 0]
     psi = ent.PureState(ground, splitting.model.dims)
 
@@ -192,7 +183,7 @@ def analyze_ground(splitting: Splitting,
     value, method = ground_entanglement(splitting.model, ent_opts)
 
     delta = spec.delta_e_ent
-    if delta > 1e-9 * scale:
+    if delta > STRUCTURAL_TOL * scale:
         ef_bound, ef_reason = e_f / delta, None
         ratio_bound, ratio_reason = e_i_tot / delta, None
     else:
@@ -263,17 +254,17 @@ def proof_step_check(splitting: Splitting,
     for flat in below:
         truncated += alpha[flat] * spec.product_vector(spec.config_of_flat(int(flat)))
     tnorm = float(np.linalg.norm(truncated))
-    if tnorm > 1e-12:
+    if tnorm > ZERO_NORM:
         tpsi = ent.PureState.normalized(truncated, splitting.model.dims)
         tval, _ = state_entanglement(tpsi, ent_opts)
         truncated_entanglement = tval
-        is_product = tval <= 1e-9
+        is_product = tval <= STRUCTURAL_TOL
     else:
         truncated_entanglement = None
         is_product = True  # empty component: nothing to test
 
     weight_bound = 1.0 - sum_alpha_sq
-    ok_weight = weight_bound <= report.ef_bound + 1e-9
+    ok_weight = weight_bound <= report.ef_bound + STRUCTURAL_TOL
     ok_ent = report.entanglement <= weight_bound + TOL_ENT
 
     return ProofStepDiagnostics(
@@ -367,7 +358,7 @@ def delta_j_ent(spec: LocalSpectrum, config) -> tuple[float, ProductSubspace]:
         in_subspace = np.all(eq[:, others], axis=1)
         outside = spec.energies[~in_subspace]
         delta = float(np.min(np.abs(e_j - outside))) if outside.size else np.inf
-        if delta > best_delta + 1e-15:
+        if delta > best_delta + TIE_TOL:
             best_delta = delta
             best_site = s
     return best_delta, _subspace(spec, best_site, config)
@@ -380,7 +371,8 @@ def eigenstate_setup(splitting: Splitting, j: int):
     ||H_I|| is the spectral radius, which equals the operator norm of the
     Hermitian interaction.
     """
-    dec, scale, _ = model_decomposition(splitting.model)
+    dec = splitting.model.spectrum
+    scale = tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
     dimension = dec.eigenvalues.size
     if j < 0 or j >= dimension:
         raise IndexError(f"eigenstate index {j} out of range for dimension {dimension}")
@@ -467,7 +459,7 @@ def analyze_excited(splitting: Splitting, j: int,
     _, delta_kperp = outside_subspace(spec, e_j, subspace)
     radius = h_norm  # Hermitian interaction: operator norm equals spectral radius
 
-    margin_tol = 1e-12 * max(1.0, scale)
+    margin_tol = CLOSED_MARGIN_TOL * scale
     precondition = delta_j > radius
     bound_29 = h_norm**2 / (delta_j - radius) ** 2 if delta_j - radius > margin_tol else None
     bound_30 = h_norm**2 / (delta_j - h_norm) ** 2 if delta_j - h_norm > margin_tol else None
@@ -477,7 +469,7 @@ def analyze_excited(splitting: Splitting, j: int,
 
     alpha = local_coefficients(spec, vec_j)
     top_flat = int(np.argmax(np.abs(alpha)))
-    pairing_flag = abs(float(spec.energies[top_flat]) - e_l_j) > 1e-9 * scale
+    pairing_flag = abs(float(spec.energies[top_flat]) - e_l_j) > STRUCTURAL_TOL * scale
 
     return ExcitedBoundReport(
         j=j,

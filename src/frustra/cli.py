@@ -23,7 +23,7 @@ import numpy as np
 from . import entanglement as ent
 from . import verify
 from .bounds import EntanglementOptions, analyze_excited, analyze_ground
-from .errors import FrustraError, InvalidBipartitionError
+from .errors import FrustraError, InvalidAssignmentError, InvalidBipartitionError
 from .models import BUILTIN_MODELS, SpinModel, load_model, make_builtin, regroup, split
 from .saturation import saturation_sweep, schmidt_splitting, validate_gammas
 
@@ -89,9 +89,13 @@ def _load_model(args) -> SpinModel:
         if params:
             raise ConfigError("--param applies to built-in models only")
         try:
-            return load_model(name)
+            model = load_model(name)
         except (OSError, ValueError, FrustraError) as exc:
             raise ConfigError(f"cannot load model file {name!r}: {exc}") from exc
+        unnamed = [label for label in model.site_labels if "|" in label or "," in label]
+        if unnamed:  # --bipartition could not name these sites
+            raise ConfigError(f"model file {name!r}: labels {unnamed} contain '|' or ','")
+        return model
     raise ConfigError(f"unknown model {name!r}; see `frustra list-models` or pass a .json path")
 
 
@@ -135,11 +139,15 @@ def _build_splitting(args):
         path = spec[len("file:"):]
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                assignment = json.load(fh)
-            local = assignment["local"]
-        except (OSError, ValueError, KeyError) as exc:
+                local = json.load(fh)["local"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot read split file {path!r}: {exc}") from exc
-        return split(model, local=local)
+        if not isinstance(local, list) or any(type(i) is not int for i in local):
+            raise ConfigError(f"split file {path!r}: \"local\" must be a list of integers")
+        try:
+            return split(model, local=local)
+        except InvalidAssignmentError as exc:
+            raise ConfigError(f"bad split file {path!r}: {exc}") from exc
     if spec.startswith("schmidt:"):
         try:
             gamma = float(spec[len("schmidt:"):])

@@ -31,10 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidBipartitionError, OracleScaleError
-from .linalg import fix_phases, svd
+from .linalg import OPTIMIZER_TOL, RECONSTRUCTION_TOL, STRUCTURAL_TOL, fix_phases, svd
 
 DEFAULT_RESTARTS = 32
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = OPTIMIZER_TOL
 DEFAULT_MAX_ITERS = 1000
 DEFAULT_SEED = 0x5EED
 
@@ -56,7 +56,7 @@ class PureState:
         nrm = float(np.linalg.norm(amps))
         if not np.isfinite(nrm):  # a NaN norm would pass the test below
             raise ValueError("state amplitudes must be finite")
-        if abs(nrm - 1.0) > 1e-10:
+        if abs(nrm - 1.0) > RECONSTRUCTION_TOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -159,7 +159,7 @@ def schmidt(psi: PureState, bipartition: tuple[Sequence[int], Sequence[int]]) ->
     matrix = psi.tensor().transpose(left + right).reshape(d_left, -1)
     dec = svd(matrix)
     resid = float(np.max(np.abs(dec.reconstruct() - matrix)))
-    if resid > 1e-9:
+    if resid > STRUCTURAL_TOL:
         raise ArithmeticError(f"schmidt reconstruction residual {resid:.3e}")
     return SchmidtDecomposition(dec.singular_values, dec.left, dec.right.conj())
 

@@ -24,10 +24,29 @@ import numpy as np
 
 from .errors import NoConvergenceError, NotHermitianError
 
-# Structural checks use 1e-9 * scale, reconstruction-grade checks
-# 1e-10 * scale; adequate for double precision at dims <= few hundred.
-STRUCTURAL_TOL = 1e-9
-RECONSTRUCTION_TOL = 1e-10
+# Every tolerance of the package.  A relative one multiplies tol_scale(...) of the
+# quantities it guards; sized for double precision up to the dimension cap (4096).
+STRUCTURAL_TOL = 1e-9  # the Hermitian check; degeneracy, gap, cut and pairing tests; bound-chain slack
+RECONSTRUCTION_TOL = 1e-10  # projectors, state normalization, Hermiticity of an imported dense H
+ROUNDOFF_TOL = 1e-12  # exact identities: factor Hermiticity, split rebuild, A = B + C, norm orders
+CLOSED_MARGIN_TOL = 1e-12  # an excited-state bound whose denominator is this small is absent
+ZERO_NORM = 1e-12  # absolute: a truncated ground-state component of smaller norm is empty
+TIE_TOL = 1e-15  # absolute: delta_j_ent prefers a later varying site only by more than this
+PSD_MARGIN_TOL = 1e-8  # PSD margin of |P_a Q| <= |P_a C Q| / delta_a in check_theorem
+VALUE_MATCH_TOL = 1e-8  # hermitian_instance matches a requested eigenvalue within this
+OPTIMIZER_TOL = 1e-10  # default --tol: an optimizer run stops on a smaller per-sweep gain
+TOL_ENT = 1e-6  # absolute slack on optimizer-derived entanglement against a bound
+MIN_GAP = 1e-6  # smallest trusted local gap: saturate's gamma floor, the bound suite's delta_e_ent
+COSINE_TOL = 1e-6  # absolute: a canonical cosine above 1 + this is an error, not round-off
+ORACLE_EXACT_TOL = 1e-6  # absolute: optimizer against the Schmidt value, and GHZ against 1/2
+ORACLE_W_TOL = 1e-4  # absolute: optimizer on the W state against 5/9
+ORACLE_GRID_TOL = 1e-3  # absolute: optimizer against the Bloch-grid oracle
+ZERO_COEFF = 1e-300  # absolute: dense_bipartite_model drops smaller expansion coefficients
+
+
+def tol_scale(*values) -> float:
+    """max(1, |v| for every value), the scale of a relative tolerance; max() skips a NaN after 1.0."""
+    return float(max(1.0, *(abs(v) for v in values)))
 
 
 class NormKind(Enum):
@@ -117,24 +136,25 @@ def _hermitian_part(m) -> tuple[np.ndarray, float]:
     return (a + adj) / 2.0, float(np.linalg.norm(a - adj))
 
 
-def _check_hermitian(asym: float, eigenvalues: np.ndarray, tol: float, name: str = "matrix") -> None:
-    """Shared acceptance rule: ||M - M^dag||_F <= tol * max(1, max |eigenvalue|)."""
-    scale = max(1.0, float(abs(eigenvalues[0])), float(abs(eigenvalues[-1])))
-    if asym > tol * scale:
+def _check_hermitian(asym: float, eigenvalues: np.ndarray) -> None:
+    """The Hermitian rule: ||M - M^dag||_F <= STRUCTURAL_TOL * tol_scale(max |eigenvalue|)."""
+    scale = tol_scale(eigenvalues[0], eigenvalues[-1])
+    if asym > STRUCTURAL_TOL * scale:
         raise NotHermitianError(
-            f"{name} asymmetry {asym:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"matrix asymmetry {asym:.3e} exceeds {STRUCTURAL_TOL:.1e} * {scale:.3e}"
         )
 
 
-def hermitian_eig(m, tol: float = STRUCTURAL_TOL) -> EigenDecomposition:
+def hermitian_eig(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitianError unless ||M - M^dag||_F <= tol * max(1, |lam|_max),
-    with lam the eigenvalues of the Hermitian part (M + M^dag) / 2.  The
-    Frobenius norm is at least the operator norm and |lam|_max is at most
-    ||M||, so the rule never accepts what tol * max(1, ||M||) in the
-    operator norm would reject.  Raises NoConvergenceError if the
-    underlying iteration fails.  A matrix without imaginary part is
+    Raises NotHermitianError unless
+    ||M - M^dag||_F <= STRUCTURAL_TOL * max(1, |lam|_max), with lam the
+    eigenvalues of the Hermitian part (M + M^dag) / 2.  The Frobenius norm
+    is at least the operator norm and |lam|_max is at most ||M||, so the
+    rule never accepts what STRUCTURAL_TOL * max(1, ||M||) in the operator
+    norm would reject.  Raises NoConvergenceError if the underlying
+    iteration fails.  A matrix without imaginary part is
     decomposed in float64 and gets real eigenvectors.  The returned
     eigenvectors are orthonormal columns paired with ascending eigenvalues.
     Reconstruction holds to RECONSTRUCTION_TOL * max(1, ||M||).
@@ -144,18 +164,18 @@ def hermitian_eig(m, tol: float = STRUCTURAL_TOL) -> EigenDecomposition:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
-    _check_hermitian(asym, vals, tol)
+    _check_hermitian(asym, vals)
     return EigenDecomposition(vals, fix_phases(vecs))
 
 
-def eigvalsh(m, tol: float = STRUCTURAL_TOL) -> np.ndarray:
+def eigvalsh(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, under hermitian_eig's check."""
     h, asym = _hermitian_part(m)
     try:
         vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
-    _check_hermitian(asym, vals, tol)
+    _check_hermitian(asym, vals)
     return vals
 
 
@@ -192,8 +212,8 @@ def operator_abs(s) -> np.ndarray:
 def psd_leq(s, t, tol: float = STRUCTURAL_TOL) -> tuple[bool, float]:
     """Test S <= T in the PSD order; returns (holds, margin).
 
-    S and T must each pass hermitian_eig's Hermitian check at ``tol``.
-    margin is the smallest eigenvalue of T - S; the order holds when
+    S and T must each pass hermitian_eig's Hermitian check.  margin is the
+    smallest eigenvalue of T - S; the order holds when
     margin >= -tol * max(1, ||T - S||), the norm taken as the largest
     eigenvalue magnitude of the Hermitian part of T - S.
     """
@@ -201,14 +221,13 @@ def psd_leq(s, t, tol: float = STRUCTURAL_TOL) -> tuple[bool, float]:
     b = _as_matrix(t)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"incompatible shapes {a.shape} vs {b.shape}")
-    for name, mat in (("S", a), ("T", b)):
-        h, asym = _hermitian_part(mat)
-        _check_hermitian(asym, np.linalg.eigvalsh(h), tol, name)
+    eigvalsh(a)
+    eigvalsh(b)
     diff = b - a
     diff = (diff + diff.conj().T) / 2.0
     vals = np.linalg.eigvalsh(diff)
     margin = float(vals[0])
-    holds = margin >= -tol * max(1.0, abs(margin), float(abs(vals[-1])))
+    holds = margin >= -tol * tol_scale(margin, vals[-1])
     return holds, margin
 
 
@@ -232,12 +251,12 @@ def ui_norm(s, kind: NormKind) -> float:
     return sv_norm(singular_values(s), kind)
 
 
-def sv_dominance(sv_s: np.ndarray, sv_t: np.ndarray, tol: float = 1e-12) -> bool:
+def sv_dominance(sv_s: np.ndarray, sv_t: np.ndarray, tol: float) -> bool:
     """True iff sv_s[k] <= sv_t[k] + tol for all k (both descending, same length)."""
     return bool(np.all(sv_s <= sv_t + tol))
 
 
-def singular_dominance(s, t, tol: float = 1e-12) -> bool:
+def singular_dominance(s, t, tol: float = ROUNDOFF_TOL) -> bool:
     """True iff sigma_k(S) <= sigma_k(T) + tol for all k (both descending).
 
     This is the checkable certificate for the existential statement
@@ -252,13 +271,13 @@ def singular_dominance(s, t, tol: float = 1e-12) -> bool:
     return sv_dominance(singular_values(a), singular_values(b), tol)
 
 
-def appendix_norm_check(s, tol: float = 1e-12) -> bool:
-    """Operator norm <= Hilbert-Schmidt norm <= trace norm, within tol*scale."""
+def appendix_norm_check(s) -> bool:
+    """Operator norm <= Hilbert-Schmidt norm <= trace norm, within ROUNDOFF_TOL * max(1, trace norm)."""
     sv = singular_values(s)
     if sv.size == 0:
         return True
     op, hs, tr = (sv_norm(sv, kind) for kind in NormKind)
-    slack = tol * max(1.0, tr)
+    slack = ROUNDOFF_TOL * tol_scale(tr)
     return op <= hs + slack and hs <= tr + slack
 
 

@@ -30,7 +30,10 @@ from .errors import (
     InvalidBipartitionError,
     NonHermitianTermError,
 )
-from .linalg import EigenDecomposition, eigvalsh, hermitian_eig
+from .linalg import (
+    RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, eigvalsh, hermitian_eig,
+    tol_scale,
+)
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "FRUSTRA_DIM_CAP"
@@ -122,6 +125,8 @@ class SpinModel:
             object.__setattr__(self, "site_labels", tuple(str(i) for i in range(len(dims))))
         elif len(self.site_labels) != len(dims):
             raise ValueError("site_labels must match the number of sites")
+        elif len(set(self.site_labels)) != len(dims):
+            raise ValueError(f"site_labels must be distinct, got {self.site_labels}")
         object.__setattr__(self, "terms", tuple(self.terms))
         for t, term in enumerate(self.terms):
             seen = set()
@@ -138,7 +143,7 @@ class SpinModel:
                     )
                 if not np.all(np.isfinite(op)):
                     raise NonHermitianTermError(f"term {t}: non-finite factor entries")
-                if np.max(np.abs(op - op.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(op))):
+                if np.max(np.abs(op - op.conj().T)) > ROUNDOFF_TOL * tol_scale(np.max(np.abs(op))):
                     raise NonHermitianTermError(f"term {t}: factor on site {site} not Hermitian")
             if not np.isfinite(term.coeff):
                 raise NonHermitianTermError(f"term {t}: coefficient must be finite")
@@ -246,9 +251,11 @@ def build_dense(model: SpinModel) -> np.ndarray:
 class Splitting:
     """A designated decomposition H = H_L + H_I with per-site local parts.
 
-    Every local term is attributed to exactly one site's H_j (degree-0
-    constants go to site 0, where they shift all levels equally and leave
-    gaps untouched), so sum_j H_j embedded equals H_L.
+    Every local term acts on at most one site and is attributed to exactly
+    one site's H_j (degree-0 constants go to site 0, where they shift all
+    levels equally and leave gaps untouched), so sum_j H_j embedded equals
+    H_L.  Construction raises InvalidAssignmentError unless the degrees fit
+    and H_L + H_I rebuilds H within ROUNDOFF_TOL * max(1, max |H|).
 
     The dense H_L and H_I are built once, at construction, and kept
     read-only; the dense H and its eigendecomposition live on the model.
@@ -257,15 +264,28 @@ class Splitting:
     model: SpinModel
     local_terms: tuple[OperatorTerm, ...]
     interaction_terms: tuple[OperatorTerm, ...]
-    per_site_local: tuple[np.ndarray, ...]
+    per_site_local: tuple[np.ndarray, ...] = field(init=False)
     _h_local: np.ndarray = field(init=False, repr=False)
     _h_interaction: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.model.dims
-        object.__setattr__(self, "_h_local", _read_only(dense_terms(self.local_terms, dims)))
-        object.__setattr__(self, "_h_interaction",
-                           _read_only(dense_terms(self.interaction_terms, dims)))
+        per_site = [np.zeros((d, d), dtype=complex) for d in dims]
+        for term in self.local_terms:
+            if term.degree > 1:
+                raise InvalidAssignmentError(
+                    f"local term on sites {term.sites} has degree {term.degree} > 1")
+            site, op = term.factors[0] if term.degree else (0, np.eye(dims[0]))
+            per_site[site] += term.coeff * op
+        object.__setattr__(self, "per_site_local", tuple(per_site))
+        h_local = _read_only(dense_terms(self.local_terms, dims))
+        h_interaction = _read_only(dense_terms(self.interaction_terms, dims))
+        h = build_dense(self.model)
+        resid = float(np.max(np.abs(h_local + h_interaction - h)))
+        if resid > ROUNDOFF_TOL * tol_scale(np.max(np.abs(h))):
+            raise InvalidAssignmentError(f"split does not rebuild the model: residual {resid:.3e}")
+        object.__setattr__(self, "_h_local", h_local)
+        object.__setattr__(self, "_h_interaction", h_interaction)
 
     def dense_total(self) -> np.ndarray:
         return build_dense(self.model)
@@ -281,34 +301,15 @@ class Splitting:
         """Ascending eigenvalues of H_I; no eigenvectors, since only extremes are used."""
         return _read_only(eigvalsh(self._h_interaction))
 
-    def validate_rebuild(self, tol: float = 1e-12) -> float:
-        """Max-entry deviation of dense(H_L) + dense(H_I) from dense(H)."""
-        h = self.dense_total()
-        resid = float(np.max(np.abs(self.dense_local() + self.dense_interaction() - h)))
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if resid > tol * scale:
-            raise InvalidAssignmentError(f"split does not rebuild the model: residual {resid:.3e}")
-        return resid
-
-
-def _per_site_from_terms(local_terms: Iterable[OperatorTerm], dims: Sequence[int]):
-    mats = [np.zeros((d, d), dtype=complex) for d in dims]
-    for term in local_terms:
-        if term.degree == 0:
-            mats[0] += term.coeff * np.eye(dims[0])
-        else:
-            site, op = term.factors[0]
-            mats[site] += term.coeff * op
-    return tuple(mats)
-
 
 def split(model: SpinModel, local: Iterable[int] | None = None) -> Splitting:
     """Split the model into local and interaction parts.
 
     With ``local=None`` (default policy) every term of degree <= 1 goes to
     H_L and the rest to H_I.  Passing explicit term indices makes exactly
-    those terms local (they must have degree <= 1); everything else,
-    including degree-1 terms left off the list, becomes interaction.
+    those terms local (they must be distinct, in range and of degree
+    <= 1); everything else, including degree-1 terms left off the list,
+    becomes interaction.
     """
     if local is None:
         local_idx = [i for i, t in enumerate(model.terms) if t.degree <= 1]
@@ -319,30 +320,10 @@ def split(model: SpinModel, local: Iterable[int] | None = None) -> Splitting:
         for i in local_idx:
             if i < 0 or i >= len(model.terms):
                 raise InvalidAssignmentError(f"term index {i} out of range")
-            if model.terms[i].degree > 1:
-                raise InvalidAssignmentError(f"term {i} has degree {model.terms[i].degree} > 1")
     local_set = set(local_idx)
     local_terms = tuple(model.terms[i] for i in sorted(local_set))
     interaction_terms = tuple(t for i, t in enumerate(model.terms) if i not in local_set)
-    s = Splitting(model, local_terms, interaction_terms, _per_site_from_terms(local_terms, model.dims))
-    s.validate_rebuild()
-    return s
-
-
-def splitting_from_parts(
-    model: SpinModel,
-    local_terms: Iterable[OperatorTerm],
-    interaction_terms: Iterable[OperatorTerm],
-) -> Splitting:
-    """Splitting from explicit term lists (they must rebuild the model)."""
-    local_terms = tuple(local_terms)
-    for t, term in enumerate(local_terms):
-        if term.degree > 1:
-            raise InvalidAssignmentError(f"local term {t} has degree {term.degree} > 1")
-    s = Splitting(model, local_terms, tuple(interaction_terms),
-                  _per_site_from_terms(local_terms, model.dims))
-    s.validate_rebuild()
-    return s
+    return Splitting(model, local_terms, interaction_terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,7 +503,7 @@ def dense_bipartite_model(h: np.ndarray, dims: tuple[int, int], name: str = "den
     h = np.asarray(h, dtype=complex)
     if h.shape != (da * db, da * db):
         raise ValueError(f"matrix shape {h.shape} does not match dims {dims}")
-    if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
+    if np.max(np.abs(h - h.conj().T)) > RECONSTRUCTION_TOL * tol_scale(np.max(np.abs(h))):
         raise NonHermitianTermError("input matrix is not Hermitian")
     basis_a = _hermitian_basis(da)
     basis_b = _hermitian_basis(db)
@@ -531,7 +512,7 @@ def dense_bipartite_model(h: np.ndarray, dims: tuple[int, int], name: str = "den
         for eb in basis_b:
             c = np.trace(np.kron(ea, eb) @ h)
             coeff = float(c.real)
-            if abs(coeff) < 1e-300:
+            if abs(coeff) < ZERO_COEFF:
                 continue
             terms.append(OperatorTerm(coeff, [(0, ea), (1, eb)]))
     return SpinModel(name=name, dims=(da, db), terms=tuple(terms))
@@ -698,14 +679,23 @@ def model_to_dict(model: SpinModel) -> dict:
     }
 
 
+def _json_number(value, what: str, kinds=(int, float)):
+    """The value if it is a JSON number of the given kinds; int() and float() would take 2.5 or true."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if kinds is int else "a number"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
 def model_from_dict(data: dict) -> SpinModel:
     try:
         name = str(data["name"])
-        dims = tuple(int(d) for d in data["sites"])
+        dims = tuple(_json_number(d, "site dimension", int) for d in data["sites"])
         terms = tuple(
             OperatorTerm(
-                float(t["coeff"]),
-                [(int(f["site"]), _op_from_json(f["op"])) for f in t.get("factors", [])],
+                _json_number(t["coeff"], "coeff"),
+                [(_json_number(f["site"], "factor site", int), _op_from_json(f["op"]))
+                 for f in t.get("factors", [])],
             )
             for t in data["terms"]
         )

@@ -20,11 +20,12 @@ chain bounds the eigenstate's weight outside the subspace and with it the
 eigenstate's entanglement.
 
 Instances are validated by residuals in the Frobenius norm: Hermiticity
-and idempotency of each projector (within 1e-10 * max(1, ||P||)), the
-eigenspace residual P_a A - a P_a and the commutator [Q, B] (within
-1e-9 * max(1, ||A||)).  The Frobenius norm is at least the spectral norm,
-so these tests accept nothing a spectral-norm test at the same tolerance
-would reject, and they need no SVD.
+and idempotency of each projector (within RECONSTRUCTION_TOL * max(1, ||P||)),
+the eigenspace residual P_a A - a P_a and the commutator [Q, B] (within
+STRUCTURAL_TOL * max(1, ||A||)).  The Frobenius norm is at least the
+spectral norm, so these tests accept nothing a spectral-norm test at the
+same tolerance would reject, and they need no SVD.  The checks allow
+PSD_MARGIN_TOL in the PSD order and STRUCTURAL_TOL in the norm chain.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .bounds import (
     DEFAULT_ENT_OPTS,
     EntanglementOptions,
     ProductSubspace,
-    TOL_ENT,
     eigenstate_setup,
     local_coefficients,
     multipartite_entanglement,
@@ -48,24 +48,19 @@ from .bounds import (
 )
 from .errors import DegenerateSeparationError, NotProjectorError
 from .linalg import (
-    NormKind,
-    hermitian_eig,
-    op_norm,
-    operator_abs,
-    psd_leq,
-    singular_values,
-    sv_dominance,
-    sv_norm,
+    COSINE_TOL, PSD_MARGIN_TOL, RECONSTRUCTION_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, TOL_ENT,
+    VALUE_MATCH_TOL, NormKind, hermitian_eig, op_norm, operator_abs, psd_leq, singular_values,
+    sv_dominance, sv_norm, tol_scale,
 )
 from .models import Splitting
 
 
-def _check_projector(p: np.ndarray, name: str, tol: float = 1e-10) -> None:
-    scale = max(1.0, op_norm(p))
-    if np.linalg.norm(p - p.conj().T) > tol * scale:
-        raise NotProjectorError(f"{name} is not Hermitian within {tol:g}")
-    if np.linalg.norm(p @ p - p) > tol * scale:
-        raise NotProjectorError(f"{name} is not idempotent within {tol:g}")
+def _check_projector(p: np.ndarray, name: str) -> None:
+    tol = RECONSTRUCTION_TOL * tol_scale(op_norm(p))
+    if np.linalg.norm(p - p.conj().T) > tol:
+        raise NotProjectorError(f"{name} is not Hermitian within {RECONSTRUCTION_TOL:g}")
+    if np.linalg.norm(p @ p - p) > tol:
+        raise NotProjectorError(f"{name} is not idempotent within {RECONSTRUCTION_TOL:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,17 +79,18 @@ class PerturbationInstance:
     @cached_property
     def scale(self) -> float:
         """max(1, ||A||), the scale of every tolerance on this instance."""
-        return max(1.0, op_norm(self.a_matrix))
+        return tol_scale(op_norm(self.a_matrix))
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         scale = self.scale
-        if np.max(np.abs(self.a_matrix - self.b_matrix - self.c_matrix)) > 1e-12 * scale:
+        if np.max(np.abs(self.a_matrix - self.b_matrix - self.c_matrix)) > ROUNDOFF_TOL * scale:
             raise ValueError("A != B + C beyond tolerance")
         _check_projector(self.p_a, "P_a")
         _check_projector(self.q, "Q")
-        if np.linalg.norm(self.p_a @ self.a_matrix - self.a_value * self.p_a) > tol * scale:
+        tol = STRUCTURAL_TOL * scale
+        if np.linalg.norm(self.p_a @ self.a_matrix - self.a_value * self.p_a) > tol:
             raise ValueError("P_a does not project into the a-eigenspace of A")
-        if np.linalg.norm(self.q @ self.b_matrix - self.b_matrix @ self.q) > tol * scale:
+        if np.linalg.norm(self.q @ self.b_matrix - self.b_matrix @ self.q) > tol:
             raise ValueError("Q does not commute with B")
         if self.delta_a <= 0:
             raise DegenerateSeparationError("delta_a must be positive")
@@ -103,15 +99,15 @@ class PerturbationInstance:
 def _cluster_projector(values: np.ndarray, vectors: np.ndarray, index: int, scale: float):
     """Projector onto the eigenvalue cluster containing the given index."""
     target = values[index]
-    members = np.flatnonzero(np.abs(values - target) <= 1e-9 * scale)
+    members = np.flatnonzero(np.abs(values - target) <= STRUCTURAL_TOL * scale)
     cols = vectors[:, members]
     return cols @ cols.conj().T, complex(target)
 
 
 def _value_index(values: np.ndarray, target: float, scale: float) -> int:
     idx = int(np.argmin(np.abs(values - target)))
-    if abs(values[idx] - target) > 1e-8 * scale:
-        raise ValueError(f"no eigenvalue within 1e-8*scale of {target}")
+    if abs(values[idx] - target) > VALUE_MATCH_TOL * scale:
+        raise ValueError(f"no eigenvalue within {VALUE_MATCH_TOL:g} * scale of {target}")
     return idx
 
 
@@ -124,7 +120,7 @@ def hermitian_instance(
     """Instance builder for Hermitian B and C (A = B + C solved internally).
 
     ``a_select`` is "ground", "top", an eigenvalue index of A, or
-    ("value", x) matching an eigenvalue to within 1e-8 * scale;
+    ("value", x) matching an eigenvalue to within VALUE_MATCH_TOL * scale;
     ``beta_select`` is "upper_half", "lower_half", explicit eigenvalue
     indices of B, or ("values", [...]) with the same matching rule.  The
     a-projector covers the whole near-degenerate cluster at the selected
@@ -136,7 +132,7 @@ def hermitian_instance(
     dec_a = hermitian_eig(a)
     dec_b = hermitian_eig(b)
     n = dec_a.eigenvalues.size
-    scale = max(1.0, float(np.max(np.abs(dec_a.eigenvalues))))
+    scale = tol_scale(dec_a.eigenvalues[0], dec_a.eigenvalues[-1])
 
     if a_select == "ground":
         idx = 0
@@ -156,7 +152,7 @@ def hermitian_instance(
         else:
             raise ValueError(f"unknown beta selector {beta_select!r}")
     elif isinstance(beta_select, tuple) and beta_select and beta_select[0] == "values":
-        b_scale = max(1.0, float(np.max(np.abs(dec_b.eigenvalues))))
+        b_scale = tol_scale(dec_b.eigenvalues[0], dec_b.eigenvalues[-1])
         beta_idx = sorted({_value_index(dec_b.eigenvalues, float(v), b_scale)
                            for v in beta_select[1]})
     else:
@@ -232,7 +228,7 @@ class PerturbationCheckReport:
         }
 
 
-def check_theorem(inst: PerturbationInstance, margin_tol: float = 1e-8) -> PerturbationCheckReport:
+def check_theorem(inst: PerturbationInstance) -> PerturbationCheckReport:
     """Check both operator inequalities and the norm chain on one instance.
 
     The first inequality is tested directly in the PSD order; the
@@ -243,7 +239,7 @@ def check_theorem(inst: PerturbationInstance, margin_tol: float = 1e-8) -> Pertu
     them.
     """
     scale = inst.scale
-    if inst.delta_a <= 1e-9 * scale:
+    if inst.delta_a <= STRUCTURAL_TOL * scale:
         raise DegenerateSeparationError(
             f"delta_a = {inst.delta_a:g} too small against scale {scale:g}"
         )
@@ -252,10 +248,10 @@ def check_theorem(inst: PerturbationInstance, margin_tol: float = 1e-8) -> Pertu
 
     abs_paq = operator_abs(paq)
     abs_pacq = operator_abs(pacq)
-    holds, margin = psd_leq(abs_paq, abs_pacq / inst.delta_a, tol=margin_tol)
+    holds, margin = psd_leq(abs_paq, abs_pacq / inst.delta_a, tol=PSD_MARGIN_TOL)
 
     sv_paq, sv_pacq, sv_c = (singular_values(m) for m in (paq, pacq, inst.c_matrix))
-    dom_tol = 1e-12 * max(1.0, sv_norm(sv_c, NormKind.OPERATOR))
+    dom_tol = ROUNDOFF_TOL * tol_scale(sv_norm(sv_c, NormKind.OPERATOR))
     dominance = sv_dominance(sv_pacq, sv_c, tol=dom_tol)
 
     chain = {}
@@ -265,7 +261,7 @@ def check_theorem(inst: PerturbationInstance, margin_tol: float = 1e-8) -> Pertu
         y = sv_norm(sv_pacq, kind) / inst.delta_a
         z = sv_norm(sv_c, kind) / inst.delta_a
         chain[kind] = (x, y, z)
-        slack = 1e-9 * max(1.0, z)
+        slack = STRUCTURAL_TOL * tol_scale(z)
         chain_ok = chain_ok and (x <= y + slack) and (y <= z + slack)
 
     cosines = np.clip(sv_paq, 0.0, 1.0)
@@ -283,15 +279,15 @@ def check_theorem(inst: PerturbationInstance, margin_tol: float = 1e-8) -> Pertu
 def canonical_cosines(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Cosines of the canonical angles between two projected subspaces.
 
-    These are the singular values of P Q, descending, clipped to [0, 1]
-    at 1e-10 tolerance.
+    These are the singular values of P Q, descending, clipped to [0, 1];
+    a value above 1 + COSINE_TOL raises ArithmeticError.
     """
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
     _check_projector(p, "P")
     _check_projector(q, "Q")
     sv = singular_values(p @ q)
-    if sv.size and sv[0] > 1.0 + 1e-6:
+    if sv.size and sv[0] > 1.0 + COSINE_TOL:
         raise ArithmeticError(f"cosine {sv[0]:.6f} exceeds 1 beyond round-off")
     return np.clip(sv, 0.0, 1.0)
 
@@ -305,7 +301,7 @@ class DkChainReport:
     h_i_norm: float
     hi_over_delta: float
     entanglement: float
-    norm_step_ok: bool  # pjq_norm <= ||H_I|| / delta + 1e-9
+    norm_step_ok: bool  # pjq_norm <= ||H_I|| / delta + STRUCTURAL_TOL
     ent_step_ok: bool  # E(|E_j>) <= pjq_norm^2 + TOL_ENT
 
 
@@ -320,7 +316,7 @@ def dk_entanglement_chain(splitting: Splitting, j: int, subspace: ProductSubspac
     """
     scale, e_j, vec_j, spec, _, h_i_norm = eigenstate_setup(splitting, j)
     outside, delta = outside_subspace(spec, e_j, subspace)
-    if delta <= 1e-9 * scale:
+    if delta <= STRUCTURAL_TOL * scale:
         raise DegenerateSeparationError(f"eigenvalue separation {delta:g} too small")
 
     # sum the outside weights directly: 1 - (inside weight) would lose all
@@ -335,6 +331,6 @@ def dk_entanglement_chain(splitting: Splitting, j: int, subspace: ProductSubspac
         h_i_norm=h_i_norm,
         hi_over_delta=hi_over_delta,
         entanglement=value,
-        norm_step_ok=pjq <= hi_over_delta + 1e-9,
+        norm_step_ok=pjq <= hi_over_delta + STRUCTURAL_TOL,
         ent_step_ok=value <= pjq * pjq + TOL_ENT,
     )

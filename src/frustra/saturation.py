@@ -24,17 +24,10 @@ from .bounds import (
     FrustrationReport,
     analyze_ground,
     cut_expansion,
-    model_decomposition,
 )
 from .errors import NotBipartiteError, UndefinedBoundError
-from .models import (
-    OperatorTerm,
-    SpinModel,
-    Splitting,
-    local_spectrum,
-    regroup,
-    splitting_from_parts,
-)
+from .linalg import MIN_GAP, STRUCTURAL_TOL, tol_scale
+from .models import OperatorTerm, SpinModel, Splitting, local_spectrum, regroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +52,10 @@ def _bipartite_view(model: SpinModel, grouping=None) -> SpinModel:
 
 
 def _ground_schmidt(model: SpinModel):
-    dec, _, _ = model_decomposition(model)
-    psi = ent.PureState(dec.eigenvectors[:, 0], model.dims)
+    psi = ent.PureState(model.spectrum.eigenvectors[:, 0], model.dims)
     sd = ent.schmidt(psi, ((0,), (1,)))
     coeffs = sd.coefficients
-    degenerate = bool(coeffs.size > 1 and coeffs[0] - coeffs[1] <= 1e-9)
+    degenerate = bool(coeffs.size > 1 and coeffs[0] - coeffs[1] <= STRUCTURAL_TOL)
     return sd.left_vectors[:, 0], coeffs, degenerate
 
 
@@ -85,7 +77,7 @@ def schmidt_splitting(model: SpinModel, gamma: float, grouping=None) -> SchmidtS
 def _rank1_splitting(bip: SpinModel, projector: np.ndarray, gamma: float) -> Splitting:
     local = OperatorTerm(-gamma, [(0, projector)])
     compensator = OperatorTerm(gamma, [(0, projector)])
-    return splitting_from_parts(bip, (local,), bip.terms + (compensator,))
+    return Splitting(bip, (local,), bip.terms + (compensator,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +102,14 @@ class SaturationSweep:
 
 
 def validate_gammas(gammas: Sequence[float]) -> list[float]:
-    """The gammas as floats; ValueError unless finite, positive, strictly descending and >= 1e-6."""
+    """The gammas as floats; ValueError unless finite, positive, strictly descending and >= MIN_GAP."""
     gs = [float(g) for g in gammas]
     if not gs or not all(0 < g < np.inf for g in gs):  # NaN fails every comparison
         raise ValueError("gammas must be positive and finite")
     if any(b >= a for a, b in zip(gs, gs[1:])):
         raise ValueError("gammas must be strictly descending")
-    if gs[-1] < 1e-6:
-        raise ValueError("smallest gamma must be >= 1e-6")
+    if gs[-1] < MIN_GAP:
+        raise ValueError(f"smallest gamma must be >= {MIN_GAP:g}")
     return gs
 
 
@@ -126,9 +118,9 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float],
                      grouping=None) -> SaturationSweep:
     """Frustration reports for a descending list of gammas.
 
-    Gammas below 1e-6 are rejected: delta_e_ent = gamma would amplify
+    Gammas below MIN_GAP are rejected: delta_e_ent = gamma would amplify
     eigensolver noise in E_f / gamma beyond double precision.  Records where
-    E_f is produced by cancellation below 1e-9 * scale are flagged
+    E_f is produced by cancellation below STRUCTURAL_TOL * scale are flagged
     unreliable instead of silently reported.  H does not depend on gamma,
     so its one eigendecomposition and its ground-state entanglement (both
     kept by the model) serve every record.
@@ -141,13 +133,13 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float],
     records = []
     for gamma in gs:
         report = analyze_ground(_rank1_splitting(bip, projector, gamma), ent_opts)
-        e_scale = max(1.0, abs(report.E0), abs(report.E0_L), abs(report.E0_I))
+        e_scale = tol_scale(report.E0, report.E0_L, report.E0_I)
         if report.ef_bound is None:
             records.append(SweepRecord(gamma, report, float("nan"), float("nan"), True))
             continue
         excess = report.ef_bound - report.entanglement
         interaction_term = report.interaction_frustration / report.delta_e_ent
-        unreliable = report.E_f < 1e-9 * e_scale
+        unreliable = report.E_f < STRUCTURAL_TOL * e_scale
         records.append(SweepRecord(gamma, report, excess, interaction_term, unreliable))
     return SaturationSweep(tuple(gs), tuple(records), degenerate)
 

@@ -18,7 +18,10 @@ import numpy as np
 from . import entanglement as ent
 from .bounds import EntanglementOptions, analyze_ground
 from .errors import DegenerateSeparationError
-from .linalg import NormKind, appendix_norm_check, haar_unitary, ui_norm
+from .linalg import (
+    MIN_GAP, ORACLE_EXACT_TOL, ORACLE_GRID_TOL, ORACLE_W_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, TOL_ENT,
+    NormKind, appendix_norm_check, haar_unitary, tol_scale, ui_norm,
+)
 from .models import (
     OperatorTerm,
     SpinModel,
@@ -147,8 +150,8 @@ class SuiteResult:
 def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteResult:
     """Random two-qubit and two-qutrit models against the ground-state bounds.
 
-    Checks E_f >= -1e-9*scale, E_f <= E_I_tot + 1e-9*scale, and (when
-    delta_e_ent > 1e-6) entanglement <= both bounds + 1e-6.
+    Checks E_f >= -STRUCTURAL_TOL * scale, E_f <= E_I_tot + STRUCTURAL_TOL * scale,
+    and (when delta_e_ent > MIN_GAP) entanglement <= both bounds + TOL_ENT.
     """
     failures = 0
     worst_ef = np.inf
@@ -160,15 +163,15 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
             rng = np.random.default_rng([seed, d, t])
             model = random_two_site_model(rng, d, name=f"random2(d={d},t={t})")
             report = analyze_ground(split(model))
-            scale = max(1.0, abs(report.E0), abs(report.E0_L), abs(report.E0_I), report.E_I_tot)
-            ok = report.E_f >= -1e-9 * scale
-            ok = ok and report.E_f <= report.E_I_tot + 1e-9 * scale
+            scale = tol_scale(report.E0, report.E0_L, report.E0_I, report.E_I_tot)
+            ok = report.E_f >= -STRUCTURAL_TOL * scale
+            ok = ok and report.E_f <= report.E_I_tot + STRUCTURAL_TOL * scale
             worst_ef = min(worst_ef, report.E_f)
-            if report.delta_e_ent > 1e-6:
+            if report.delta_e_ent > MIN_GAP:
                 slack = max(report.entanglement - report.ef_bound,
                             report.entanglement - report.ratio_bound)
                 worst_slack = max(worst_slack, slack)
-                ok = ok and slack <= 1e-6
+                ok = ok and slack <= TOL_ENT
             if not ok:
                 failures += 1
     return SuiteResult(
@@ -293,7 +296,7 @@ def oracle_suite(two_qubit: int = 200, three_qubit: int = 50, seed: int = 5,
         alt = ent.geometric_measure_multipartite(psi, restarts=opts.restarts, seed=opts.seed).value
         err = abs(alt - exact)
         worst_bi = max(worst_bi, err)
-        if err > 1e-6:
+        if err > ORACLE_EXACT_TOL:
             failures += 1
     for t in range(three_qubit):
         rng = np.random.default_rng([seed, 3, t])
@@ -302,7 +305,7 @@ def oracle_suite(two_qubit: int = 200, three_qubit: int = 50, seed: int = 5,
         alt = ent.geometric_measure_multipartite(psi, restarts=opts.restarts, seed=opts.seed).value
         err = abs(alt - oracle)
         worst_tri = max(worst_tri, err)
-        if err > 1e-3:
+        if err > ORACLE_GRID_TOL:
             failures += 1
 
     ghz = ent.PureState.normalized(
@@ -311,9 +314,9 @@ def oracle_suite(two_qubit: int = 200, three_qubit: int = 50, seed: int = 5,
         np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex), (2, 2, 2))
     ghz_val = ent.geometric_measure_multipartite(ghz).value
     w_val = ent.geometric_measure_multipartite(w).value
-    if abs(ghz_val - 0.5) > 1e-6:
+    if abs(ghz_val - 0.5) > ORACLE_EXACT_TOL:
         failures += 1
-    if abs(w_val - 5.0 / 9.0) > 1e-4:
+    if abs(w_val - 5.0 / 9.0) > ORACLE_W_TOL:
         failures += 1
     return SuiteResult(
         name="measure-oracle",
@@ -339,7 +342,7 @@ def norm_suite(matrices: int = 200, seed: int = 9) -> SuiteResult:
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
         dyad = np.outer(v / np.linalg.norm(v), (w / np.linalg.norm(w)).conj())
         values = [ui_norm(dyad, kind) for kind in NormKind]
-        if max(values) - min(values) > 1e-12:
+        if max(values) - min(values) > ROUNDOFF_TOL:
             failures += 1
     return SuiteResult(
         name="norm-dominance", trials=matrices, failures=failures, ok=failures == 0

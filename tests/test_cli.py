@@ -171,6 +171,49 @@ def test_config_errors_exit_2(capsys, argv):
     assert "computation error" not in err
 
 
+def _ising2_doc(edit):
+    doc = model_to_dict(frustra.models.ising2())
+    edit(doc)
+    return doc
+
+
+BAD_FILES = {
+    # --split file: on ising2, whose terms are X on 0, X on 1 and the ZZ coupling
+    "split local 5": ("split", {"local": 5}),
+    "split top-level list": ("split", [0]),
+    "split string index": ("split", {"local": ["a"]}),
+    "split negative index": ("split", {"local": [-1]}),
+    "split float index": ("split", {"local": [0.5]}),
+    "split bool index": ("split", {"local": [True]}),
+    "split null": ("split", {"local": None}),
+    "split index out of range": ("split", {"local": [3]}),
+    "split duplicate index": ("split", {"local": [0, 0]}),
+    "split coupling as local": ("split", {"local": [2]}),
+    # --model PATH.json
+    "model float dimension": ("model", _ising2_doc(lambda d: d.update(sites=[2.5, 2]))),
+    "model float factor site": ("model", _ising2_doc(
+        lambda d: d["terms"][0]["factors"][0].update(site=0.7))),
+    "model bool coeff": ("model", _ising2_doc(lambda d: d["terms"][0].update(coeff=True))),
+    "model duplicate labels": ("model", _ising2_doc(lambda d: d.update(labels=["A", "A"]))),
+    "model label with bar": ("model", _ising2_doc(lambda d: d.update(labels=["A|B", "C"]))),
+    "model label with comma": ("model", _ising2_doc(lambda d: d.update(labels=["A,B", "C"]))),
+}
+
+
+@pytest.mark.parametrize("kind, doc", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_malformed_files_exit_2(tmp_path, capsys, kind, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if kind == "split":
+        argv = ["analyze", "--model", "ising2", "--split", f"file:{path}"]
+    else:
+        argv = ["analyze", "--model", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "computation error" not in err
+
+
 def test_analyze_model_file_and_split_file(tmp_path, capsys):
     model_path = tmp_path / "chain.json"
     model_path.write_text(json.dumps(model_to_dict(chain3(1.0, 2.0, 1.0))))

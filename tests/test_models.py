@@ -16,6 +16,7 @@ from frustra.models import (
     OperatorTerm,
     SpinModel,
     PAULI,
+    Splitting,
     build_dense,
     chain3,
     dense_bipartite_model,
@@ -157,6 +158,16 @@ def test_split_assignment_errors():
         split(m, local=[7])
     with pytest.raises(InvalidAssignmentError):
         split(m, local=[2])  # the coupling has degree 2
+
+
+def test_splitting_checks_itself():
+    m = ising2(1.0)
+    s = Splitting(m, m.terms[:2], m.terms[2:])
+    np.testing.assert_array_equal(s.per_site_local[0], -PAULI["X"])
+    with pytest.raises(InvalidAssignmentError, match="degree"):
+        Splitting(m, m.terms, ())
+    with pytest.raises(InvalidAssignmentError, match="rebuild"):
+        Splitting(m, m.terms[:1], m.terms[2:])
 
 
 def test_all_interaction_split():
