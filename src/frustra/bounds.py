@@ -30,7 +30,7 @@ import numpy as np
 from . import entanglement as ent
 from .errors import EnumerationCapError, UndefinedBoundError
 from .linalg import CLOSED_MARGIN_TOL, STRUCTURAL_TOL, TIE_TOL, TOL_ENT, ZERO_NORM, tol_scale
-from .models import LocalSpectrum, SpinModel, Splitting, interaction_extremes, local_spectrum
+from .models import LocalSpectrum, SpinModel, Splitting, interaction_extremes
 
 SUBSPACE_MEMBER_CAP = 10**6
 
@@ -170,7 +170,7 @@ def analyze_ground(splitting: Splitting,
     ground = dec.eigenvectors[:, 0]
     psi = ent.PureState(ground, splitting.model.dims)
 
-    spec = local_spectrum(splitting)
+    spec = splitting.local
     e0_l = float(np.sum([v[0] for v in spec.site_eigenvalues]))
     e0_i, e_i_max, e_i_tot = interaction_extremes(splitting)
     e_f = e0 - e0_l - e0_i
@@ -244,7 +244,7 @@ def proof_step_check(splitting: Splitting,
     """Recompute the cut expansion of the ground state and verify each step."""
     if report is None:
         report = analyze_ground(splitting, ent_opts)
-    spec = local_spectrum(splitting)
+    spec = splitting.local
     delta = spec.delta_e_ent
     if report.ef_bound is None or delta <= 0:
         raise UndefinedBoundError(f"delta_e_ent = {delta:g} leaves the bound undefined")
@@ -377,7 +377,7 @@ def eigenstate_setup(splitting: Splitting, j: int):
     if j < 0 or j >= dimension:
         raise IndexError(f"eigenstate index {j} out of range for dimension {dimension}")
     e_i_0, e_i_max, _ = interaction_extremes(splitting)
-    return (scale, float(dec.eigenvalues[j]), dec.eigenvectors[:, j], local_spectrum(splitting),
+    return (scale, float(dec.eigenvalues[j]), dec.eigenvectors[:, j], splitting.local,
             e_i_max, max(abs(e_i_0), abs(e_i_max)))
 
 

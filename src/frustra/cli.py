@@ -105,7 +105,13 @@ def _parse_bipartition(model: SpinModel, spec: str):
         raise ConfigError(f"bipartition must have exactly two sides, got {spec!r}")
     parts = []
     for side in sides:
-        labels = [s.strip() for s in side.split(",")] if "," in side else list(side.strip())
+        side = side.strip()
+        if side in model.site_labels:
+            labels = [side]
+        elif "," in side:
+            labels = [s.strip() for s in side.split(",")]
+        else:
+            labels = list(side)
         try:
             parts.append(tuple(model.label_index(lab) for lab in labels))
         except FrustraError as exc:

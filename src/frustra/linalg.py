@@ -28,7 +28,7 @@ from .errors import NoConvergenceError, NotHermitianError
 # quantities it guards; sized for double precision up to the dimension cap (4096).
 STRUCTURAL_TOL = 1e-9  # the Hermitian check; degeneracy, gap, cut and pairing tests; bound-chain slack
 RECONSTRUCTION_TOL = 1e-10  # projectors, state normalization, Hermiticity of an imported dense H
-ROUNDOFF_TOL = 1e-12  # exact identities: factor Hermiticity, split rebuild, A = B + C, norm orders
+ROUNDOFF_TOL = 1e-12  # exact identities: factor Hermiticity, A = B + C, norm orders
 CLOSED_MARGIN_TOL = 1e-12  # an excited-state bound whose denominator is this small is absent
 ZERO_NORM = 1e-12  # absolute: a truncated ground-state component of smaller norm is empty
 TIE_TOL = 1e-15  # absolute: delta_j_ent prefers a later varying site only by more than this

@@ -4,11 +4,12 @@ A model is a list of sites (local dimensions) plus terms of the form
 coeff * (op on site i) * (op on site j) * ..., each factor Hermitian and the
 coefficient real.  Dense Hamiltonians are built by tensor-product embedding.
 
-A splitting designates H = H_L + H_I where H_L collects single-site terms.
-The split is not unique: the default policy sends every degree<=1 term to
-H_L, but any subset may be forced into H_I term by term, and the
-Schmidt-based construction in the saturation module installs a local term
-that appears in no physical term list at all.  Per-site gaps are taken in
+A splitting is fixed by its local terms: H_L collects them and
+H_I = H - H_L is whatever they leave.  The split is not unique: the default
+policy sends every degree<=1 term to H_L, but any subset may be left in H_I
+term by term, and the Schmidt-based construction in the saturation module
+installs a local term that appears in no physical term list at all.  A
+splitting keeps its local spectrum, computed once.  Per-site gaps are taken in
 the degenerate-aware sense: the gap of H_j is zero whenever its lowest
 eigenvalue is repeated.
 """
@@ -249,24 +250,24 @@ def build_dense(model: SpinModel) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Splitting:
-    """A designated decomposition H = H_L + H_I with per-site local parts.
+    """A designated decomposition H = H_L + H_I, fixed by its local terms.
 
     Every local term acts on at most one site and is attributed to exactly
     one site's H_j (degree-0 constants go to site 0, where they shift all
     levels equally and leave gaps untouched), so sum_j H_j embedded equals
-    H_L.  Construction raises InvalidAssignmentError unless the degrees fit
-    and H_L + H_I rebuilds H within ROUNDOFF_TOL * max(1, max |H|).
+    H_L.  H_I = H - H_L is whatever the local terms leave, so H_L + H_I
+    rebuilds H by construction.  Construction raises InvalidAssignmentError
+    on a local term of degree > 1.
 
-    The dense H_L and H_I are built once, at construction, and kept
+    The dense H_L is built once, at construction; H_I, the eigenvalues of
+    H_I and the local spectrum are computed on first use.  All are kept
     read-only; the dense H and its eigendecomposition live on the model.
     """
 
     model: SpinModel
     local_terms: tuple[OperatorTerm, ...]
-    interaction_terms: tuple[OperatorTerm, ...]
     per_site_local: tuple[np.ndarray, ...] = field(init=False)
     _h_local: np.ndarray = field(init=False, repr=False)
-    _h_interaction: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.model.dims
@@ -278,17 +279,7 @@ class Splitting:
             site, op = term.factors[0] if term.degree else (0, np.eye(dims[0]))
             per_site[site] += term.coeff * op
         object.__setattr__(self, "per_site_local", tuple(per_site))
-        h_local = _read_only(dense_terms(self.local_terms, dims))
-        h_interaction = _read_only(dense_terms(self.interaction_terms, dims))
-        h = build_dense(self.model)
-        resid = float(np.max(np.abs(h_local + h_interaction - h)))
-        if resid > ROUNDOFF_TOL * tol_scale(np.max(np.abs(h))):
-            raise InvalidAssignmentError(f"split does not rebuild the model: residual {resid:.3e}")
-        object.__setattr__(self, "_h_local", h_local)
-        object.__setattr__(self, "_h_interaction", h_interaction)
-
-    def dense_total(self) -> np.ndarray:
-        return build_dense(self.model)
+        object.__setattr__(self, "_h_local", _read_only(dense_terms(self.local_terms, dims)))
 
     def dense_local(self) -> np.ndarray:
         return self._h_local
@@ -297,19 +288,27 @@ class Splitting:
         return self._h_interaction
 
     @cached_property
+    def _h_interaction(self) -> np.ndarray:
+        return _read_only(build_dense(self.model) - self._h_local)
+
+    @cached_property
     def interaction_eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of H_I; no eigenvectors, since only extremes are used."""
         return _read_only(eigvalsh(self._h_interaction))
 
+    @cached_property
+    def local(self) -> LocalSpectrum:
+        """Per-site spectra of H_L, computed on first use and shared by every report."""
+        return local_spectrum(self)
+
 
 def split(model: SpinModel, local: Iterable[int] | None = None) -> Splitting:
-    """Split the model into local and interaction parts.
+    """Split the model into local and interaction parts by choosing the local terms.
 
     With ``local=None`` (default policy) every term of degree <= 1 goes to
-    H_L and the rest to H_I.  Passing explicit term indices makes exactly
-    those terms local (they must be distinct, in range and of degree
-    <= 1); everything else, including degree-1 terms left off the list,
-    becomes interaction.
+    H_L.  Passing explicit term indices makes exactly those terms local
+    (they must be distinct, in range and of degree <= 1).  H_I is the rest
+    of H, including degree-1 terms left off the list.
     """
     if local is None:
         local_idx = [i for i, t in enumerate(model.terms) if t.degree <= 1]
@@ -320,10 +319,7 @@ def split(model: SpinModel, local: Iterable[int] | None = None) -> Splitting:
         for i in local_idx:
             if i < 0 or i >= len(model.terms):
                 raise InvalidAssignmentError(f"term index {i} out of range")
-    local_set = set(local_idx)
-    local_terms = tuple(model.terms[i] for i in sorted(local_set))
-    interaction_terms = tuple(t for i, t in enumerate(model.terms) if i not in local_set)
-    return Splitting(model, local_terms, interaction_terms)
+    return Splitting(model, tuple(model.terms[i] for i in sorted(local_idx)))
 
 
 @dataclass(frozen=True, eq=False)

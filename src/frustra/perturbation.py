@@ -119,12 +119,12 @@ def hermitian_instance(
 ) -> PerturbationInstance:
     """Instance builder for Hermitian B and C (A = B + C solved internally).
 
-    ``a_select`` is "ground", "top", an eigenvalue index of A, or
-    ("value", x) matching an eigenvalue to within VALUE_MATCH_TOL * scale;
-    ``beta_select`` is "upper_half", "lower_half", explicit eigenvalue
-    indices of B, or ("values", [...]) with the same matching rule.  The
-    a-projector covers the whole near-degenerate cluster at the selected
-    eigenvalue so it remains a valid eigenprojector under round-off.
+    ``a_select`` is "ground", an eigenvalue index of A, or ("value", x)
+    matching an eigenvalue to within VALUE_MATCH_TOL * scale;
+    ``beta_select`` is "upper_half", explicit eigenvalue indices of B, or
+    ("values", [...]) with the same matching rule.  The a-projector covers
+    the whole near-degenerate cluster at the selected eigenvalue so it
+    remains a valid eigenprojector under round-off.
     """
     b = np.asarray(b, dtype=complex)
     c = np.asarray(c, dtype=complex)
@@ -136,8 +136,6 @@ def hermitian_instance(
 
     if a_select == "ground":
         idx = 0
-    elif a_select == "top":
-        idx = n - 1
     elif isinstance(a_select, tuple) and a_select[0] == "value":
         idx = _value_index(dec_a.eigenvalues, float(a_select[1]), scale)
     else:
@@ -145,12 +143,9 @@ def hermitian_instance(
     p_a, a_value = _cluster_projector(dec_a.eigenvalues, dec_a.eigenvectors, idx, scale)
 
     if isinstance(beta_select, str):
-        if beta_select == "upper_half":
-            beta_idx = list(range(n // 2, n))
-        elif beta_select == "lower_half":
-            beta_idx = list(range(0, n // 2))
-        else:
+        if beta_select != "upper_half":
             raise ValueError(f"unknown beta selector {beta_select!r}")
+        beta_idx = list(range(n // 2, n))
     elif isinstance(beta_select, tuple) and beta_select and beta_select[0] == "values":
         b_scale = tol_scale(dec_b.eigenvalues[0], dec_b.eigenvalues[-1])
         beta_idx = sorted({_value_index(dec_b.eigenvalues, float(v), b_scale)

@@ -27,7 +27,7 @@ from .bounds import (
 )
 from .errors import NotBipartiteError, UndefinedBoundError
 from .linalg import MIN_GAP, STRUCTURAL_TOL, tol_scale
-from .models import OperatorTerm, SpinModel, Splitting, local_spectrum, regroup
+from .models import OperatorTerm, SpinModel, Splitting
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,14 +41,11 @@ class SchmidtSplit:
     degenerate_top: bool  # largest Schmidt coefficient ties; a0 is then one valid choice
 
 
-def _bipartite_view(model: SpinModel, grouping=None) -> SpinModel:
-    if grouping is not None:
-        return regroup(model, grouping)
+def _require_bipartite(model: SpinModel) -> None:
     if model.num_sites != 2:
         raise NotBipartiteError(
-            f"model has {model.num_sites} sites; pass a grouping to form two parties"
+            f"model has {model.num_sites} sites; regroup it into two parties first"
         )
-    return model
 
 
 def _ground_schmidt(model: SpinModel):
@@ -59,7 +56,7 @@ def _ground_schmidt(model: SpinModel):
     return sd.left_vectors[:, 0], coeffs, degenerate
 
 
-def schmidt_splitting(model: SpinModel, gamma: float, grouping=None) -> SchmidtSplit:
+def schmidt_splitting(model: SpinModel, gamma: float) -> SchmidtSplit:
     """Build the rank-1 local splitting from the ground state's Schmidt form.
 
     The per-site gaps are (gamma, 0), so delta_e_ent equals gamma by
@@ -68,16 +65,14 @@ def schmidt_splitting(model: SpinModel, gamma: float, grouping=None) -> SchmidtS
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    bip = _bipartite_view(model, grouping)
-    a0, coeffs, degenerate = _ground_schmidt(bip)
-    splitting = _rank1_splitting(bip, np.outer(a0, a0.conj()), gamma)
+    _require_bipartite(model)
+    a0, coeffs, degenerate = _ground_schmidt(model)
+    splitting = _rank1_splitting(model, np.outer(a0, a0.conj()), gamma)
     return SchmidtSplit(splitting, float(gamma), a0, coeffs, degenerate)
 
 
-def _rank1_splitting(bip: SpinModel, projector: np.ndarray, gamma: float) -> Splitting:
-    local = OperatorTerm(-gamma, [(0, projector)])
-    compensator = OperatorTerm(gamma, [(0, projector)])
-    return Splitting(bip, (local,), bip.terms + (compensator,))
+def _rank1_splitting(model: SpinModel, projector: np.ndarray, gamma: float) -> Splitting:
+    return Splitting(model, (OperatorTerm(-gamma, [(0, projector)]),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +109,7 @@ def validate_gammas(gammas: Sequence[float]) -> list[float]:
 
 
 def saturation_sweep(model: SpinModel, gammas: Sequence[float],
-                     ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS,
-                     grouping=None) -> SaturationSweep:
+                     ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> SaturationSweep:
     """Frustration reports for a descending list of gammas.
 
     Gammas below MIN_GAP are rejected: delta_e_ent = gamma would amplify
@@ -126,13 +120,13 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float],
     kept by the model) serve every record.
     """
     gs = validate_gammas(gammas)
-    bip = _bipartite_view(model, grouping)
-    a0, coeffs, degenerate = _ground_schmidt(bip)
+    _require_bipartite(model)
+    a0, coeffs, degenerate = _ground_schmidt(model)
     projector = np.outer(a0, a0.conj())
 
     records = []
     for gamma in gs:
-        report = analyze_ground(_rank1_splitting(bip, projector, gamma), ent_opts)
+        report = analyze_ground(_rank1_splitting(model, projector, gamma), ent_opts)
         e_scale = tol_scale(report.E0, report.E0_L, report.E0_I)
         if report.ef_bound is None:
             records.append(SweepRecord(gamma, report, float("nan"), float("nan"), True))
@@ -180,7 +174,7 @@ def excess_decomposition(splitting: Splitting,
     report = analyze_ground(splitting, ent_opts)
     if report.ef_bound is None:
         raise UndefinedBoundError(report.ef_bound_reason or "bound undefined")
-    spec = local_spectrum(splitting)
+    spec = splitting.local
     delta = spec.delta_e_ent
 
     _, _, sum_below = cut_expansion(spec, report)

@@ -68,6 +68,7 @@ def test_excited_decomposes_h_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "excited", "--model", "chain3", "--j", "0..7")
     assert code == 0 and len(json.loads(out)) == 8
     assert sizes["eigh"].count(8) == 1  # H, shared by every j
+    assert sizes["eigh"].count(2) == 3  # one per site: the local spectrum is shared too
     assert sizes["eigvalsh"].count(8) == 1  # H_I, eigenvalues only
 
 
@@ -82,7 +83,7 @@ def test_analyze_builds_each_operator_once(capsys, monkeypatch):
     monkeypatch.setattr(frustra.models, "dense_terms", counting)
     code, _, _ = run_cli(capsys, "analyze", "--model", "chain3")
     assert code == 0
-    assert 1 <= len(calls) <= 3  # H, H_L and H_I
+    assert len(calls) == 2  # H and H_L; H_I = H - H_L
 
 
 def count_calls(monkeypatch, module, name):
@@ -113,6 +114,44 @@ def test_saturate_decomposes_the_ground_state_twice(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "saturate", "--model", "ising2", "--gammas", gammas)
     assert code == 0 and len(out.splitlines()) == 9
     assert len(calls) == 2
+
+
+def test_saturate_builds_one_local_part_per_gamma(capsys, monkeypatch):
+    # H once for the model, then only H_L = -gamma P x I for each gamma
+    calls = count_calls(monkeypatch, frustra.models, "dense_terms")
+    gammas = "0.5,0.2,0.1,0.05,0.02,1e-2,5e-3,1e-3"
+    code, _, _ = run_cli(capsys, "saturate", "--model", "ising2", "--gammas", gammas)
+    assert code == 0
+    assert len(calls) == 8 + 1
+
+
+def _labelled_chain(tmp_path, labels):
+    path = str(tmp_path / "chain.json")
+    doc = model_to_dict(frustra.models.transverse_chain(3))
+    doc["labels"] = labels
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@pytest.mark.parametrize("spec, name", [
+    ("AB|C,D", "chain3[AB|CD]"),
+    ("C,D|AB", "chain3[CD|AB]"),
+    ("AB|CD", "chain3[AB|CD]"),
+    (" AB | C , D ", "chain3[AB|CD]"),
+])
+def test_bipartition_names_a_multi_character_label(tmp_path, capsys, spec, name):
+    # a side that is exactly one label names that site, before the comma and letter rules
+    path = _labelled_chain(tmp_path, ["AB", "C", "D"])
+    code, out, err = run_cli(capsys, "analyze", "--model", path, "--bipartition", spec)
+    assert code == 0, err
+    assert json.loads(out)["model"] == name
+
+
+def test_bipartition_label_letters_are_not_sites(tmp_path, capsys):
+    path = _labelled_chain(tmp_path, ["AB", "C", "D"])
+    code, out, err = run_cli(capsys, "analyze", "--model", path, "--bipartition", "A|B,C,D")
+    assert code == 2 and out == "" and "unknown site label 'A'" in err
 
 
 def test_analyze_config_errors(capsys):

@@ -13,6 +13,7 @@ from frustra.models import (
     build_dense,
     chain3,
     local_spectrum,
+    regroup,
     split,
     transverse_chain,
 )
@@ -73,8 +74,7 @@ def test_delta_j_ent_oracle_qutrit_pair():
 
 
 def test_saturation_sweep_grouped_chain():
-    sweep = saturation_sweep(chain3(1.0, 2.0, 1.0), (1e-1, 1e-2, 1e-3),
-                             grouping=((1,), (0, 2)))
+    sweep = saturation_sweep(regroup(chain3(1.0, 2.0, 1.0), ((1,), (0, 2))), (1e-1, 1e-2, 1e-3))
     ex = [r.excess for r in sweep.records]
     assert all(e > 0 for e in ex)
     assert ex[-1] <= 0.3 * ex[-2]

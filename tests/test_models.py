@@ -11,7 +11,7 @@ from frustra.errors import (
     InvalidBipartitionError,
     NonHermitianTermError,
 )
-from frustra.linalg import hermitian_eig, op_norm
+from frustra.linalg import ROUNDOFF_TOL, hermitian_eig, op_norm, tol_scale
 from frustra.models import (
     OperatorTerm,
     SpinModel,
@@ -32,6 +32,7 @@ from frustra.models import (
     regroup,
     save_model,
     split,
+    transverse_chain,
     triangle,
 )
 from frustra.verify import random_two_site_model
@@ -87,7 +88,7 @@ def test_dense_build_is_shared_and_read_only():
     h = build_dense(model)
     assert h.dtype == np.float64 and build_dense(model) is h
     s = split(model)
-    assert s.dense_total() is h
+    assert s.dense_interaction() is s.dense_interaction()
     for mat in (h, s.dense_local(), s.dense_interaction()):
         assert not mat.flags.writeable
     assert build_dense(SpinModel("y", (2,), (OperatorTerm(1.0, [(0, PAULI["Y"])]),))).dtype == complex
@@ -134,16 +135,19 @@ def test_dimension_cap(monkeypatch):
 
 
 def test_default_split_ising():
-    s = split(ising2(1.0))
-    assert len(s.local_terms) == 2 and len(s.interaction_terms) == 1
+    m = ising2(1.0)
+    s = split(m)
+    assert s.local_terms == m.terms[:2]
     np.testing.assert_allclose(s.dense_local(), build_dense(
         SpinModel("hl", (2, 2), (OperatorTerm(-1.0, [(0, "X")]), OperatorTerm(-1.0, [(1, "X")])))
     ))
+    np.testing.assert_array_equal(s.dense_interaction(), -np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_explicit_split_single_site_local():
-    s = split(ising2(1.0), local=[0])
-    assert len(s.local_terms) == 1 and len(s.interaction_terms) == 2
+    m = ising2(1.0)
+    s = split(m, local=[0])
+    assert s.local_terms == m.terms[:1]
     # interaction = -g X2 - Z1 Z2
     hi = s.dense_interaction()
     vals = np.linalg.eigvalsh(hi)
@@ -162,12 +166,11 @@ def test_split_assignment_errors():
 
 def test_splitting_checks_itself():
     m = ising2(1.0)
-    s = Splitting(m, m.terms[:2], m.terms[2:])
+    s = Splitting(m, m.terms[:2])
     np.testing.assert_array_equal(s.per_site_local[0], -PAULI["X"])
+    np.testing.assert_array_equal(s.dense_local() + s.dense_interaction(), build_dense(m))
     with pytest.raises(InvalidAssignmentError, match="degree"):
-        Splitting(m, m.terms, ())
-    with pytest.raises(InvalidAssignmentError, match="rebuild"):
-        Splitting(m, m.terms[:1], m.terms[2:])
+        Splitting(m, m.terms)
 
 
 def test_all_interaction_split():
@@ -182,10 +185,56 @@ def test_all_interaction_split():
 @given(st.integers(0, 5_000), st.sampled_from([2, 3]))
 def test_rebuild_identity_random(seed, d):
     model = random_two_site_model(np.random.default_rng(seed), d)
+    h = build_dense(model)
     for s in (split(model), split(model, local=[0]), split(model, local=[])):
-        h = s.dense_total()
         resid = np.max(np.abs(s.dense_local() + s.dense_interaction() - h))
         assert resid <= 1e-12 * max(1.0, np.max(np.abs(h)))
+
+
+def _complement(s):
+    """The model terms a splitting leaves out of H_L, in model order."""
+    return [t for t in s.model.terms if not any(t is local for local in s.local_terms)]
+
+
+@pytest.mark.parametrize("s", [
+    split(ising2(1.3)),
+    split(ising2(1.3), local=[0]),
+    split(chain3()),
+    split(regroup(chain3(), ((1,), (0, 2)))),
+    split(transverse_chain(6)),
+], ids=["ising2", "ising2-asym", "chain3", "chain3-B|AC", "chain6"])
+def test_interaction_is_complement_bitwise(s):
+    # where local and interaction terms write disjoint entries, H - H_L is exact
+    hi = dense_terms(_complement(s), s.model.dims)
+    assert s.dense_interaction().dtype == hi.dtype
+    np.testing.assert_array_equal(s.dense_interaction(), hi)
+
+
+@given(st.integers(0, 10_000), st.lists(st.integers(2, 3), min_size=2, max_size=3))
+def test_interaction_is_complement_random(seed, dims):
+    # local and interaction terms overlap here, so H - H_L matches to round-off
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(6):
+        sites = rng.choice(len(dims), size=rng.integers(0, len(dims) + 1), replace=False)
+        factors = []
+        for site in sorted(int(x) for x in sites):
+            z = rng.normal(size=(dims[site],) * 2) + 1j * rng.normal(size=(dims[site],) * 2)
+            factors.append((site, (z + z.conj().T) / 2))
+        terms.append(OperatorTerm(rng.normal(), factors))
+    model = SpinModel("random", tuple(dims), tuple(terms))
+    candidates = [i for i, t in enumerate(terms) if t.degree <= 1]
+    local = [i for i in candidates if rng.integers(2)]
+    for s in (split(model), split(model, local=local)):
+        hi = dense_terms(_complement(s), model.dims)
+        resid = np.max(np.abs(s.dense_interaction() - hi))
+        assert resid <= ROUNDOFF_TOL * tol_scale(np.max(np.abs(build_dense(model))))
+
+
+def test_splitting_keeps_its_local_spectrum():
+    s = split(chain3())
+    assert s.local is s.local
+    np.testing.assert_array_equal(s.local.gaps, local_spectrum(s).gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +296,7 @@ def test_ground_energy_superadditive(seed, d):
     # E0 >= E0_L + E0_I for any splitting
     model = random_two_site_model(np.random.default_rng(seed), d)
     s = split(model)
-    e0 = np.linalg.eigvalsh(s.dense_total())[0]
+    e0 = np.linalg.eigvalsh(build_dense(model))[0]
     e0_l = np.linalg.eigvalsh(s.dense_local())[0]
     e0_i = np.linalg.eigvalsh(s.dense_interaction())[0]
     assert e0 >= e0_l + e0_i - 1e-9 * max(1.0, abs(e0))

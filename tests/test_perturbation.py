@@ -5,7 +5,7 @@ import frustra.verify
 from frustra.bounds import EntanglementOptions, analyze_excited, delta_j_ent
 from frustra.errors import DegenerateSeparationError, NotProjectorError
 from frustra.linalg import NormKind, haar_unitary
-from frustra.models import OperatorTerm, SpinModel, ising2, local_spectrum, split
+from frustra.models import OperatorTerm, SpinModel, build_dense, ising2, local_spectrum, split
 from frustra.perturbation import (
     PerturbationInstance,
     canonical_cosines,
@@ -246,7 +246,7 @@ def test_dk_chain_explicit_projector_cross_check(rng):
     rep = dk_entanglement_chain(s, j, sub, FAST)
     from frustra.linalg import hermitian_eig
 
-    dec = hermitian_eig(s.dense_total())
+    dec = hermitian_eig(build_dense(s.model))
     vec = dec.eigenvectors[:, j]
     q = np.eye(spec.dimension, dtype=complex)
     for member in sub.members:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,14 @@ from frustra.errors import NotBipartiteError, UndefinedBoundError
 from frustra.models import (
     OperatorTerm,
     SpinModel,
+    build_dense,
+    chain3,
     dense_bipartite_model,
+    dense_terms,
     ising2,
+    load_model,
     local_spectrum,
+    regroup,
     split,
     triangle,
 )
@@ -19,6 +26,7 @@ from frustra.saturation import (
 from frustra.verify import gaussian_hermitian
 
 GAMMAS = (1e-1, 1e-2, 1e-3)
+DATA = Path(__file__).parent / "data"
 
 
 def test_schmidt_splitting_ising_picks_plus():
@@ -35,7 +43,22 @@ def test_schmidt_splitting_rebuild_random():
     model = dense_bipartite_model(h, (3, 3))
     ss = schmidt_splitting(model, 0.2)
     total = ss.splitting.dense_local() + ss.splitting.dense_interaction()
-    np.testing.assert_allclose(total, ss.splitting.dense_total(), atol=1e-12 * max(1.0, np.abs(h).max()))
+    np.testing.assert_allclose(total, build_dense(ss.splitting.model), atol=1e-12 * max(1.0, np.abs(h).max()))
+
+
+@pytest.mark.parametrize("model", [
+    ising2(1.0),
+    regroup(chain3(), ((1,), (0, 2))),
+    load_model(DATA / "saturate_qutrit_model.json"),
+], ids=["ising2", "chain3-B|AC", "qutrit"])
+def test_schmidt_interaction_matches_compensated_build(model):
+    # reference: every model term plus a compensator +gamma P on party 0
+    for gamma in (0.5, 1e-3):
+        ss = schmidt_splitting(model, gamma)
+        compensator = OperatorTerm(gamma, [(0, np.outer(ss.a0, ss.a0.conj()))])
+        reference = dense_terms(model.terms + (compensator,), model.dims)
+        assert ss.splitting.dense_interaction().dtype == reference.dtype
+        np.testing.assert_array_equal(ss.splitting.dense_interaction(), reference)
 
 
 def test_schmidt_splitting_gap_identity():
@@ -48,8 +71,8 @@ def test_schmidt_splitting_gap_identity():
 def test_schmidt_splitting_requires_two_parties():
     with pytest.raises(NotBipartiteError):
         schmidt_splitting(triangle(1.0), 0.1)
-    # but a grouping makes it bipartite
-    ss = schmidt_splitting(triangle(1.0), 0.1, grouping=((0,), (1, 2)))
+    # but regrouping makes it bipartite
+    ss = schmidt_splitting(regroup(triangle(1.0), ((0,), (1, 2))), 0.1)
     assert ss.splitting.model.dims == (2, 4)
 
 
