@@ -67,13 +67,13 @@ def state_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_E
 def ground_entanglement(model: SpinModel, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
     """(value, method) of the model's ground state, computed once per options.
 
-    The ground state is the first eigenvector of the decomposition the model
-    keeps, so the result depends only on (model, opts); it is kept in
+    The ground state is the one the model keeps (``model.ground``), so the
+    result depends only on (model, opts); it is kept in
     ``model.entanglement_memo`` and shared by every splitting of the model.
     """
     memo = model.entanglement_memo
     if opts not in memo:
-        psi = ent.PureState(model.spectrum.eigenvectors[:, 0], model.dims)
+        psi = ent.PureState(model.ground[1], model.dims)
         memo[opts] = state_entanglement(psi, opts)
     return memo[opts]
 
@@ -162,12 +162,10 @@ def analyze_ground(splitting: Splitting,
     and flagged; the bounds hold for any ground state, so no minimization
     over the ground space is attempted.
     """
-    dec = splitting.model.spectrum
-    vals = dec.eigenvalues
+    vals, ground = splitting.model.ground
     scale = tol_scale(vals[0], vals[-1])
     degenerate = bool(vals.size > 1 and vals[1] - vals[0] <= STRUCTURAL_TOL * scale)
     e0 = float(vals[0])
-    ground = dec.eigenvectors[:, 0]
     psi = ent.PureState(ground, splitting.model.dims)
 
     spec = splitting.local

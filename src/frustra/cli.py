@@ -45,8 +45,11 @@ def _fmt(value) -> str:
 
 def _write_text(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

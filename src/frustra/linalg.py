@@ -1,10 +1,19 @@
 """Dense matrix kernel.
 
-Hermitian eigendecomposition (with an eigenvalues-only variant), SVD,
-operator absolute value, the positive-semidefinite (PSD) ordering test,
-and the three normalized unitarily invariant norms (operator,
-Hilbert-Schmidt, trace).  Everything downstream (local spectra,
-frustration energies, canonical angles) is built on these few operations.
+Hermitian eigendecomposition with two cheaper variants (eigenvalues only,
+and eigenvalues plus the ground vector), SVD, operator absolute value, the
+positive-semidefinite (PSD) ordering test, and the three normalized
+unitarily invariant norms (operator, Hilbert-Schmidt, trace).  Everything
+downstream (local spectra, frustration energies, canonical angles) is
+built on these few operations.
+
+The eigenvalues-only solver returns the sorted diagonal of a matrix whose
+off-diagonal entries are all exactly zero, which is what LAPACK returns
+for it.  The ground variant takes every eigenvalue from LAPACK and the
+ground vector by inverse iteration at a shift next to the lowest
+eigenvalue, guarded by its residual; it gives no vector when the ground
+level is degenerate or the guard fails, and the caller then falls back to
+the full decomposition.
 
 All functions are pure and deterministic for identical input: eigenvalues
 come back ascending, singular values descending, and every returned
@@ -27,7 +36,7 @@ from .errors import NoConvergenceError, NotHermitianError
 # Every tolerance of the package.  A relative one multiplies tol_scale(...) of the
 # quantities it guards; sized for double precision up to the dimension cap (4096).
 STRUCTURAL_TOL = 1e-9  # the Hermitian check; degeneracy, gap, cut and pairing tests; bound-chain slack
-RECONSTRUCTION_TOL = 1e-10  # projectors, state normalization, Hermiticity of an imported dense H
+RECONSTRUCTION_TOL = 1e-10  # projectors, state normalization, imported dense H, ground residual
 ROUNDOFF_TOL = 1e-12  # exact identities: factor Hermiticity, A = B + C, norm orders
 CLOSED_MARGIN_TOL = 1e-12  # an excited-state bound whose denominator is this small is absent
 ZERO_NORM = 1e-12  # absolute: a truncated ground-state component of smaller norm is empty
@@ -122,18 +131,30 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return v * _pivot_phases(v).conj()
 
 
-def _hermitian_part(m) -> tuple[np.ndarray, float]:
-    """(Hermitian part, Frobenius norm of M - M^dag) of a square matrix.
-
-    A matrix without imaginary part is handled in float64.
-    """
+def _square(m) -> np.ndarray:
+    """A finite square matrix, in float64 when it has no imaginary part."""
     a = np.asarray(m)
     real = not np.iscomplexobj(a) or not a.imag.any()
     a = _as_matrix(a.real if real else a, dtype=float if real else complex)
     if a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"matrix is not square: shape {a.shape}")
+    return a
+
+
+def _hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(Hermitian part, Frobenius norm of M - M^dag) of a matrix from _square.
+
+    An exactly Hermitian matrix is its own Hermitian part, bit for bit.
+    """
     adj = a.conj().T
-    return (a + adj) / 2.0, float(np.linalg.norm(a - adj))
+    asym = float(np.linalg.norm(a - adj))
+    return (a if asym == 0 else (a + adj) / 2.0), asym
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a matrix whose off-diagonal entries are all exactly 0, else None."""
+    d = np.diagonal(a)
+    return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
 def _check_hermitian(asym: float, eigenvalues: np.ndarray) -> None:
@@ -159,7 +180,7 @@ def hermitian_eig(m) -> EigenDecomposition:
     eigenvectors are orthonormal columns paired with ascending eigenvalues.
     Reconstruction holds to RECONSTRUCTION_TOL * max(1, ||M||).
     """
-    h, asym = _hermitian_part(m)
+    h, asym = _hermitian_part(_square(m))
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -168,15 +189,80 @@ def hermitian_eig(m) -> EigenDecomposition:
     return EigenDecomposition(vals, fix_phases(vecs))
 
 
-def eigvalsh(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, under hermitian_eig's check."""
-    h, asym = _hermitian_part(m)
+def _eigvalsh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(ascending eigenvalues, Hermitian part or None for a diagonal matrix) under the Hermitian rule.
+
+    A diagonal matrix has Hermitian part diag(Re d) and ||M - M^dag||_F =
+    2 ||Im d||, so its eigenvalues are its sorted real diagonal: exactly what
+    LAPACK returns for it, without the O(d^3) solve.
+    """
+    d = _diagonal(a)
+    if d is not None:
+        vals = np.sort(d.real)
+        _check_hermitian(2.0 * float(np.linalg.norm(d.imag)), vals)
+        return vals, None
+    h, asym = _hermitian_part(a)
     try:
         vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     _check_hermitian(asym, vals)
-    return vals
+    return vals, h
+
+
+def eigvalsh(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, under hermitian_eig's check."""
+    return _eigvalsh(_square(m))[0]
+
+
+INVERSE_ITERATION_CAP = 8  # solves; a gap just above the degeneracy test takes 4
+
+
+def ground_eig(m) -> tuple[np.ndarray, np.ndarray | None]:
+    """(ascending eigenvalues, phase-fixed ground vector or None) of a Hermitian matrix.
+
+    The eigenvalues and the Hermitian rule are eigvalsh's.  The ground
+    vector comes from inverse iteration: np.linalg.solve at the float just
+    below E0, repeated until two successive unit iterates agree to
+    ROUNDOFF_TOL (at most INVERSE_ITERATION_CAP solves).  A diagonal matrix
+    gets the unit vector at its smallest entry, as hermitian_eig gives it.
+    No vector is returned, and the caller must take column 0 of
+    hermitian_eig, when the ground level is degenerate
+    (E1 - E0 <= STRUCTURAL_TOL * scale), when the solve fails, or when the
+    residual ||H psi - E0 psi|| exceeds RECONSTRUCTION_TOL * scale, with
+    scale = tol_scale(E0, lam_max).
+    """
+    a = _square(m)
+    vals, h = _eigvalsh(a)
+    scale = tol_scale(vals[0], vals[-1])
+    if vals.size > 1 and vals[1] - vals[0] <= STRUCTURAL_TOL * scale:
+        return vals, None
+    n = a.shape[0]
+    if h is None:
+        vec = np.zeros(n, dtype=a.dtype)
+        vec[np.argmin(np.diagonal(a).real)] = 1.0
+        return vals, vec
+    e0 = vals[0]
+    shifted = h.copy()
+    shifted.flat[:: n + 1] -= np.nextafter(e0, -np.inf)
+    x = np.random.default_rng(0).standard_normal(n)
+    x /= np.linalg.norm(x)
+    try:
+        for _ in range(INVERSE_ITERATION_CAP):
+            y = np.linalg.solve(shifted, x)
+            # the solve's round-off is as large as the shift's distance to E0,
+            # so each solve may turn the ground component by a constant phase
+            overlap = np.vdot(y, x)
+            y *= overlap / (abs(overlap) * np.linalg.norm(y))
+            done = np.linalg.norm(y - x) <= ROUNDOFF_TOL
+            x = y
+            if done:
+                break
+    except np.linalg.LinAlgError:
+        return vals, None
+    if np.linalg.norm(h @ x - e0 * x) > RECONSTRUCTION_TOL * scale:
+        return vals, None
+    return vals, fix_phases(x[:, None])[:, 0]
 
 
 def svd(m) -> SVDResult:

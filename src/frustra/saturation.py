@@ -49,7 +49,7 @@ def _require_bipartite(model: SpinModel) -> None:
 
 
 def _ground_schmidt(model: SpinModel):
-    psi = ent.PureState(model.spectrum.eigenvectors[:, 0], model.dims)
+    psi = ent.PureState(model.ground[1], model.dims)
     sd = ent.schmidt(psi, ((0,), (1,)))
     coeffs = sd.coefficients
     degenerate = bool(coeffs.size > 1 and coeffs[0] - coeffs[1] <= STRUCTURAL_TOL)

@@ -15,3 +15,18 @@ settings.load_profile("frustra")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def solver_sizes(monkeypatch):
+    """Sizes of the matrices passed to np.linalg.eigh and np.linalg.eigvalsh, in call order."""
+    sizes = {"eigh": [], "eigvalsh": []}
+    for name, seen in sizes.items():
+        solver = getattr(np.linalg, name)
+
+        def counting(a, *args, _solver=solver, _seen=seen, **kwargs):
+            _seen.append(np.shape(a)[0])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return sizes

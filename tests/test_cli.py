@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,21 +59,12 @@ def test_saved_model_keeps_labels_for_bipartition(tmp_path, capsys):
     assert from_file == builtin
 
 
-def test_excited_decomposes_h_once(capsys, monkeypatch):
-    sizes = {"eigh": [], "eigvalsh": []}
-    for name in sizes:
-        solver = getattr(np.linalg, name)
-
-        def counting(a, *args, _solver=solver, _sizes=sizes[name], **kwargs):
-            _sizes.append(np.shape(a)[0])
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+def test_excited_decomposes_h_once(capsys, solver_sizes):
     code, out, _ = run_cli(capsys, "excited", "--model", "chain3", "--j", "0..7")
     assert code == 0 and len(json.loads(out)) == 8
-    assert sizes["eigh"].count(8) == 1  # H, shared by every j
-    assert sizes["eigh"].count(2) == 3  # one per site: the local spectrum is shared too
-    assert sizes["eigvalsh"].count(8) == 1  # H_I, eigenvalues only
+    assert solver_sizes["eigh"].count(8) == 1  # H, shared by every j
+    assert solver_sizes["eigh"].count(2) == 3  # one per site: the local spectrum is shared too
+    assert solver_sizes["eigvalsh"].count(8) == 1  # H_I, eigenvalues only
 
 
 def test_analyze_builds_each_operator_once(capsys, monkeypatch):
@@ -197,6 +192,11 @@ def test_analyze_config_errors(capsys):
     ["analyze", "--model", "ising2", "--split", "schmidt:inf"],
     ["perturb", "--trials", "1", "--seed", "-1"],
     ["selftest", "--trials", "1", "--seed", "-3000"],
+    # an --out path that cannot be written
+    ["analyze", "--model", "ising2", "--out", "/nonexistent/x.json"],
+    ["sweep", "--grid", "0.2:2:2", "--out", "/nonexistent/missing_dir/x.csv"],
+    ["perturb", "--trials", "2", "--out", "/nonexistent/missing_dir/x.jsonl"],
+    ["excited", "--model", "chain3", "--j", "0", "--out", "."],
     # removed flags
     ["sweep", "--grid", "0.2:2:2", "--jobs", "2"],
     ["sweep", "--grid", "0.2:2:2", "--seed", "1"],
@@ -208,6 +208,19 @@ def test_config_errors_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "computation error" not in err
+    if "--out" in argv:
+        assert err.startswith("error: cannot write")
+
+
+def test_cli_import_loads_no_scipy():
+    """Importing scipy.linalg costs about 0.2 s and 28 MiB at start-up; the CLI needs none of it."""
+    src = str(Path(frustra.models.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, frustra.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def _ising2_doc(edit):

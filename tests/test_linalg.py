@@ -4,10 +4,13 @@ from hypothesis import given, strategies as st
 
 from frustra.errors import NotHermitianError
 from frustra.linalg import (
+    RECONSTRUCTION_TOL,
+    ROUNDOFF_TOL,
     STRUCTURAL_TOL,
     NormKind,
     appendix_norm_check,
     eigvalsh,
+    ground_eig,
     haar_unitary,
     hermitian_eig,
     op_norm,
@@ -16,6 +19,7 @@ from frustra.linalg import (
     singular_dominance,
     singular_values,
     svd,
+    tol_scale,
     ui_norm,
 )
 from frustra.models import build_dense, transverse_chain
@@ -116,7 +120,7 @@ def test_hermitian_check_never_looser_than_svd_rule(seed, n, log_scale, log_nois
     e = e / max(np.linalg.norm(e), 1e-300)
     m = h + e * STRUCTURAL_TOL * max(1.0, np.linalg.norm(h, 2)) * 10.0 ** log_noise
     accepted = []
-    for check in (hermitian_eig, eigvalsh, lambda a: psd_leq(a, a)):
+    for check in (hermitian_eig, eigvalsh, ground_eig, lambda a: psd_leq(a, a)):
         try:
             check(m)
             accepted.append(True)
@@ -150,6 +154,129 @@ def test_eigvalsh_rejects_non_hermitian():
         eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitianError):
         eigvalsh(np.zeros((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the diagonal shortcut of eigvalsh
+
+
+@given(st.integers(0, 10_000), st.integers(1, 64), st.booleans())
+def test_diagonal_shortcut_equals_lapack(seed, n, repeated):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    if repeated:
+        d = rng.choice(d[: max(1, n // 3)], size=n)  # repeated entries
+    for m in (np.diag(d), np.diag(d).astype(complex)):  # complex type, zero imaginary part
+        assert np.array_equal(eigvalsh(m), np.linalg.eigvalsh(m))
+
+
+def test_diagonal_shortcut_skips_lapack(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("LAPACK called on a diagonal matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert np.array_equal(eigvalsh(np.diag([3.0, -1.0, 2.0, -1.0])), [-1.0, -1.0, 2.0, 3.0])
+
+
+def test_diagonal_shortcut_keeps_the_hermitian_rule():
+    with pytest.raises(NotHermitianError):
+        eigvalsh(np.diag([1.0, 1.0 + 1e-3j, -2.0]))
+    # scale 2 (eigenvalues -2, 1, 2) and ||M - M^dag||_F = 2 * |Im d|
+    for check in (eigvalsh, ground_eig):
+        check(np.diag([1.0, 2.0 + 0.9j * STRUCTURAL_TOL, -2.0]))
+        with pytest.raises(NotHermitianError):
+            check(np.diag([1.0, 2.0 + 1.1j * STRUCTURAL_TOL, -2.0]))
+
+
+# ---------------------------------------------------------------------------
+# ground_eig: every eigenvalue, and the ground vector by inverse iteration
+
+
+def _with_spectrum(rng, n, complex_, gap_factor):
+    """A random Hermitian matrix; with gap_factor, E1 - E0 = gap_factor * STRUCTURAL_TOL * scale."""
+    h = random_hermitian(rng, n)
+    if not complex_:
+        h = h.real
+    if gap_factor is None:
+        return h
+    vals = np.sort(rng.uniform(-5.0, 5.0, size=n))
+    vals[1] = vals[0] + gap_factor * STRUCTURAL_TOL * tol_scale(vals[0], vals[-1])
+    vecs = np.linalg.eigh(h)[1]  # a random orthonormal basis of the right type
+    return (vecs * vals) @ vecs.conj().T
+
+
+@given(st.integers(0, 10_000), st.integers(2, 96), st.booleans(),
+       st.sampled_from([None, 10.0, 1000.0]))
+def test_ground_eig_matches_hermitian_eig(seed, n, complex_, gap_factor):
+    m = _with_spectrum(np.random.default_rng(seed), n, complex_, gap_factor)
+    dec = hermitian_eig(m)
+    vals, vec = ground_eig(m)
+    scale = tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
+    assert np.max(np.abs(vals - dec.eigenvalues)) <= ROUNDOFF_TOL * scale
+    assert vec is not None  # every gap here is at least 10 * STRUCTURAL_TOL * scale
+    gap = dec.eigenvalues[1] - dec.eigenvalues[0]
+    ref = dec.eigenvectors[:, 0]
+    assert vec.dtype == ref.dtype
+    assert 1.0 - abs(np.vdot(ref, vec)) <= ROUNDOFF_TOL * scale / gap
+    assert np.linalg.norm(vec - ref) <= ROUNDOFF_TOL * scale / gap  # the same phase convention
+    assert np.linalg.norm(m @ vec - vals[0] * vec) <= RECONSTRUCTION_TOL * scale
+
+
+@pytest.mark.parametrize("gap_factor", [1.5, 10.0, 1000.0, None])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_ground_eig_takes_at_most_four_solves(monkeypatch, gap_factor, complex_):
+    solves = []
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    m = _with_spectrum(np.random.default_rng(11), 80, complex_, gap_factor)
+    assert ground_eig(m)[1] is not None
+    assert len(solves) <= (4 if gap_factor == 1.5 else 3)
+
+
+def test_ground_eig_degenerate_gives_no_vector():
+    rng = np.random.default_rng(3)
+    for gap_factor in (0.0, 0.5):
+        for complex_ in (False, True):
+            vals, vec = ground_eig(_with_spectrum(rng, 24, complex_, gap_factor))
+            assert vec is None and vals.size == 24
+    vals, vec = ground_eig(np.diag([2.0, -1.0, 0.5, -1.0]))  # diagonal and degenerate
+    assert vec is None and np.array_equal(vals, [-1.0, -1.0, 0.5, 2.0])
+
+
+def test_ground_eig_diagonal_is_the_eigh_unit_vector():
+    d = np.random.default_rng(8).normal(size=70)
+    for m in (np.diag(d), np.diag(d).astype(complex)):
+        vals, vec = ground_eig(m)
+        dec = hermitian_eig(m)
+        assert np.array_equal(vals, dec.eigenvalues)
+        assert np.array_equal(vec, dec.eigenvectors[:, 0]) and vec.dtype == dec.eigenvectors.dtype
+
+
+def test_ground_eig_rejects_non_hermitian():
+    with pytest.raises(NotHermitianError):
+        ground_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitianError):
+        ground_eig(np.zeros((2, 3)))
+
+
+def test_ground_eig_failed_solve_gives_no_vector(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    vals, vec = ground_eig(build_dense(transverse_chain(4)))
+    assert vec is None and vals.size == 16
+
+
+def test_ground_eig_failed_residual_guard_gives_no_vector(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: b)  # iterates agree, but not on psi_0
+    vals, vec = ground_eig(build_dense(transverse_chain(4)))
+    assert vec is None and vals.size == 16
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from frustra.errors import (
     NonHermitianTermError,
 )
 from frustra.linalg import ROUNDOFF_TOL, hermitian_eig, op_norm, tol_scale
+from frustra.bounds import analyze_ground
 from frustra.models import (
+    GROUND_TIER_MIN_DIM,
     OperatorTerm,
     SpinModel,
     PAULI,
@@ -235,6 +237,46 @@ def test_splitting_keeps_its_local_spectrum():
     s = split(chain3())
     assert s.local is s.local
     np.testing.assert_array_equal(s.local.gaps, local_spectrum(s).gaps)
+
+
+# ---------------------------------------------------------------------------
+# the ground tier
+
+
+def test_ground_below_the_tier_reads_the_spectrum():
+    m = transverse_chain(5)
+    assert m.dimension < GROUND_TIER_MIN_DIM
+    vals, vec = m.ground
+    assert vals is m.spectrum.eigenvalues
+    np.testing.assert_array_equal(vec, m.spectrum.eigenvectors[:, 0])
+
+
+def test_ground_tier_skips_the_full_decomposition():
+    m = transverse_chain(6)
+    assert m.dimension == GROUND_TIER_MIN_DIM
+    vals, vec = m.ground
+    assert "spectrum" not in m.__dict__
+    assert m.ground[1] is vec  # cached
+    assert not vals.flags.writeable and not vec.flags.writeable
+    dec = m.spectrum
+    scale = tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
+    assert np.max(np.abs(vals - dec.eigenvalues)) <= ROUNDOFF_TOL * scale
+    assert np.linalg.norm(vec - dec.eigenvectors[:, 0]) <= ROUNDOFF_TOL * scale
+
+
+def test_degenerate_ground_falls_back_to_the_spectrum():
+    zz = SpinModel("zz6", (2,) * 6, tuple(OperatorTerm(-1.0, [(i, "Z"), (i + 1, "Z")])
+                                          for i in range(5)))
+    vals, vec = zz.ground
+    assert vals is zz.spectrum.eigenvalues
+    np.testing.assert_array_equal(vec, zz.spectrum.eigenvectors[:, 0])
+
+
+def test_analyze_solves_only_what_it_uses(solver_sizes):
+    report = analyze_ground(split(transverse_chain(7)))
+    assert report.degenerate_ground is False
+    assert set(solver_sizes["eigh"]) == {2}  # the per-site local spectra, no full eigh of H
+    assert solver_sizes["eigvalsh"] == [128]  # H once; the ZZ bonds make H_I diagonal
 
 
 # ---------------------------------------------------------------------------
