@@ -12,6 +12,7 @@ from .bounds import (
     FrustrationReport,
     ProductSubspace,
     analyze_excited,
+    analyze_excited_many,
     analyze_ground,
     delta_j_ent,
     enumerate_product_subspaces,
@@ -24,6 +25,7 @@ from .entanglement import (
     brute_force_geometric_measure,
     geometric_measure_bipartite,
     geometric_measure_multipartite,
+    geometric_measures_multipartite,
     product_state,
     schmidt,
 )

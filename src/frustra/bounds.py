@@ -441,6 +441,22 @@ class ExcitedBoundReport:
         }
 
 
+def analyze_excited_many(splitting: Splitting, js,
+                         ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> list[ExcitedBoundReport]:
+    """Bound reports for the listed eigenstates, in order (see analyze_excited).
+
+    The entanglement of every listed eigenstate comes from one batched
+    optimizer call; each value is the one a call for that state alone gives.
+    """
+    setups = [eigenstate_setup(splitting, j) for j in js]
+    results = ent.geometric_measures_multipartite(
+        [ent.PureState(setup[2], splitting.model.dims) for setup in setups],
+        restarts=ent_opts.restarts, tol=ent_opts.tol, max_iters=ent_opts.max_iters,
+        seed=ent_opts.seed,
+    )
+    return [_excited_report(j, setup, res) for j, setup, res in zip(js, setups, results)]
+
+
 def analyze_excited(splitting: Splitting, j: int,
                     ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> ExcitedBoundReport:
     """Bound report for the j-th eigenstate, paired with the j-th local level.
@@ -449,7 +465,11 @@ def analyze_excited(splitting: Splitting, j: int,
     product state belongs to a different local energy level, the report is
     flagged (``pairing_flag``) rather than silently reassociated.
     """
-    scale, e_j, vec_j, spec, e_i_max, h_norm = eigenstate_setup(splitting, j)
+    return analyze_excited_many(splitting, [j], ent_opts)[0]
+
+
+def _excited_report(j: int, setup, res: ent.GeometricMeasureResult) -> ExcitedBoundReport:
+    scale, e_j, vec_j, spec, e_i_max, h_norm = setup
     config_j = spec.sorted_config(j)
     e_l_j = float(spec.energies[spec.flat_of_config(config_j)])
 
@@ -462,8 +482,6 @@ def analyze_excited(splitting: Splitting, j: int,
     bound_29 = h_norm**2 / (delta_j - radius) ** 2 if delta_j - radius > margin_tol else None
     bound_30 = h_norm**2 / (delta_j - h_norm) ** 2 if delta_j - h_norm > margin_tol else None
     bound_exact = h_norm**2 / delta_kperp**2 if delta_kperp > margin_tol else None
-
-    value, method = multipartite_entanglement(ent.PureState(vec_j, splitting.model.dims), ent_opts)
 
     alpha = local_coefficients(spec, vec_j)
     top_flat = int(np.argmax(np.abs(alpha)))
@@ -483,8 +501,8 @@ def analyze_excited(splitting: Splitting, j: int,
         bound_29=bound_29,
         bound_30=bound_30,
         bound_exact_gap=bound_exact,
-        entanglement=value,
-        entanglement_method=method,
+        entanglement=res.value,
+        entanglement_method=res.method,
         precondition_met=precondition,
         pairing_flag=pairing_flag,
     )

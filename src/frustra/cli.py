@@ -5,7 +5,8 @@ list-models.  Reports go to stdout (or --out) as JSON, or as CSV with one
 header row and floats at 17 significant digits (sweep, saturate, and
 --format csv).  Every run is fully determined by its arguments; the
 seeded subcommands take --seed.  The sweep's rows come from
-``verify.ising_sweep_row``.  Exit codes: 0 success (an undefined bound is a
+``verify.ising_sweep_row``.  An --out path that cannot be opened exits 2
+before any work.  Exit codes: 0 success (an undefined bound is a
 reported outcome, not an error), 1 a failed property suite, 2
 configuration error, 3 computation error.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import entanglement as ent
 from . import verify
-from .bounds import EntanglementOptions, analyze_excited, analyze_ground
+from .bounds import EntanglementOptions, analyze_excited_many, analyze_ground
 from .errors import FrustraError, InvalidAssignmentError, InvalidBipartitionError
 from .models import BUILTIN_MODELS, SpinModel, load_model, make_builtin, regroup, split
 from .saturation import saturation_sweep, schmidt_splitting, validate_gammas
@@ -43,10 +44,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(text: str, out_path: str | None) -> None:
+def _write_text(text: str, out_path: str | None, mode: str = "w") -> None:
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with open(out_path, mode, encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write {out_path!r}: {exc.strerror or exc}") from exc
@@ -253,7 +254,7 @@ def cmd_excited(args) -> int:
     splitting = _build_splitting(args)
     js = _parse_j_list(args.j, splitting.model.dimension)
     opts = _ent_opts(args)
-    reports = [analyze_excited(splitting, j, opts).to_dict() for j in js]
+    reports = [r.to_dict() for r in analyze_excited_many(splitting, js, opts)]
     if args.format == "csv":
         for rep in reports:
             rep["local_config"] = ";".join(str(c) for c in rep["local_config"])
@@ -435,6 +436,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return CONFIG_ERROR if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "out", None):
+            # fail before any work; appending nothing leaves an existing file as it is
+            _write_text("", args.out, "a")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,10 @@ Three routes are provided:
   the optimal vector at one site given the others is a normalized partial
   contraction, so every update increases the overlap.  All restarts run in
   lockstep, one stacked contraction per site update, and each keeps its own
-  stopping rule, so a run does the same sweeps as it would alone;
+  stopping rule, so a run does the same sweeps as it would alone.  A batch
+  of states with equal dims runs in one such optimizer, every run against
+  its own state, with the seeded starts drawn once for the batch; each
+  state's result is bit for bit that of a call for it alone;
 * a brute-force Bloch-sphere grid oracle for small all-qubit states, used
   to validate the optimizer.
 
@@ -39,6 +42,7 @@ DEFAULT_MAX_ITERS = 1000
 DEFAULT_SEED = 0x5EED
 
 _ORACLE_WORK_CAP = 4_000_000  # grid points evaluated in one coarse pass
+_STACK_BYTES_CAP = 16 * 2**20  # per-run copies of the state matrices in one batched optimizer
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,43 +185,70 @@ def geometric_measure_bipartite(
                    method="schmidt_exact", converged=True)
 
 
-def _initial_vectors(psi: PureState, restarts: int, seed: int) -> list[list[np.ndarray]]:
-    """Per-run start vectors: the dominant product-basis amplitude, then seeded draws."""
-    top = np.unravel_index(int(np.argmax(np.abs(psi.amplitudes))), psi.dims)
-    inits = [[np.eye(d, dtype=complex)[top[i]] for i, d in enumerate(psi.dims)]]
+def _initial_vectors(psis: Sequence[PureState], restarts: int,
+                     seed: int) -> list[list[list[np.ndarray]]]:
+    """Each state's per-run start vectors: its dominant product-basis amplitude, then seeded draws.
+
+    Run r's draw comes from default_rng([seed, r]) and depends only on
+    (dims, restarts, seed), so the draws are made once and shared by all
+    states.
+    """
+    dims = psis[0].dims
+    seeded = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         vecs = []
-        for d in psi.dims:
+        for d in dims:
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
             vecs.append(v / np.linalg.norm(v))
-        inits.append(vecs)
+        seeded.append(vecs)
+    inits = []
+    for psi in psis:
+        top = np.unravel_index(int(np.argmax(np.abs(psi.amplitudes))), dims)
+        inits.append([[np.eye(d, dtype=complex)[top[i]] for i, d in enumerate(dims)]] + seeded)
     return inits
 
 
-def _alternating(psi: PureState, inits, tol: float, max_iters: int,
-                 record_trace: bool) -> GeometricMeasureResult:
-    """Alternating maximization from every initialization in lockstep.
+def _alternating(psis: Sequence[PureState], inits, tol: float, max_iters: int,
+                 record_trace: bool) -> list[GeometricMeasureResult]:
+    """Alternating maximization of every state from each of its initializations, in lockstep.
 
-    Each site update contracts the state with the other sites' vectors of
-    all active runs in one stacked product.  A run leaves the active set
-    when its sweep gains less than ``tol`` (converged) or after
-    ``max_iters`` sweeps, so it does exactly the sweeps it would do alone.
+    ``inits[s]`` lists the runs of ``psis[s]``; all states share their dims
+    and number of runs.  Each site update contracts every active run's
+    state with the run's other site vectors in one stacked product.  A run
+    leaves the active set when its sweep gains less than ``tol``
+    (converged) or after ``max_iters`` sweeps, so it does exactly the
+    sweeps it would do alone.
     """
-    dims = psi.dims
+    dims = psis[0].dims
     n = len(dims)
-    tensor_conj = psi.amplitudes.conj().reshape(dims)
-    mats = [np.moveaxis(tensor_conj, i, 0).reshape(dims[i], -1) for i in range(n)]
+    runs = len(inits[0])
+    mats = []  # per state, per site: the state contracted along every other site
+    for psi in psis:
+        tensor_conj = psi.amplitudes.conj().reshape(dims)
+        mats.append([np.moveaxis(tensor_conj, i, 0).reshape(dims[i], -1) for i in range(n)])
+    stacked = len(psis) > 1
+    if stacked:
+        # one copy of its state's matrix per run, in the memory order of the
+        # state's own matrix (the last site's is a transposed view), so that
+        # matmul makes the BLAS call that broadcasting one matrix makes
+        flip = [not mats[0][i].flags.c_contiguous for i in range(n)]
+        run_mats = [np.repeat(np.stack([m[i].T if flip[i] else m[i] for m in mats]), runs, axis=0)
+                    for i in range(n)]
+    else:
+        flip = [False] * n
+        run_mats = mats[0]  # broadcast over the runs
     resets = [np.ones(d, dtype=complex) / np.sqrt(d) for d in dims]
 
-    phis = [np.array([init[i] for init in inits]) for i in range(n)]  # rows: active runs
-    active = np.arange(len(inits))
-    overlap = np.zeros(len(inits))
+    total = len(psis) * runs
+    phis = [np.array([run[i] for state in inits for run in state]) for i in range(n)]  # rows: active runs
+    active = np.arange(total)
+    overlap = np.zeros(total)
     final_phis = [p.copy() for p in phis]
-    final_overlap = np.zeros(len(inits))
-    sweeps = np.zeros(len(inits), dtype=int)
-    converged = np.zeros(len(inits), dtype=bool)
-    traces = [[] for _ in inits] if record_trace else []
+    final_overlap = np.zeros(total)
+    sweeps = np.zeros(total, dtype=int)
+    converged = np.zeros(total, dtype=bool)
+    traces = [[] for _ in range(total)] if record_trace else []
 
     for sweep in range(1, max_iters + 1):
         for i in range(n):
@@ -225,7 +256,8 @@ def _alternating(psi: PureState, inits, tol: float, max_iters: int,
             rest = others[0]
             for p in others[1:]:  # row-wise kron, in site order
                 rest = (rest[:, :, None] * p[:, None, :]).reshape(active.size, -1)
-            w = np.matmul(mats[i], rest[:, :, None])[:, :, 0]
+            a = run_mats[i].transpose(0, 2, 1) if flip[i] else run_mats[i]
+            w = np.matmul(a, rest[:, :, None])[:, :, 0]
             nrm = np.sqrt(np.vecdot(w, w).real)
             zero = nrm == 0.0
             if zero.any():
@@ -252,13 +284,52 @@ def _alternating(psi: PureState, inits, tol: float, max_iters: int,
             keep = ~stop
             active, overlap = active[keep], overlap[keep]
             phis = [p[keep] for p in phis]
+            if stacked:
+                for k in range(n):  # one site at a time keeps the transient copy small
+                    run_mats[k] = run_mats[k][keep]
             if not active.size:
                 break
 
-    best = int(np.argmax(final_overlap))  # first maximum: ties go to the earliest run
-    return _result(psi, [p[best] for p in final_phis], method="alternating",
-                   converged=bool(converged[best]), restarts=len(inits) - 1,
-                   iterations=int(sweeps.sum()), traces=[tuple(t) for t in traces])
+    results = []
+    for s, psi in enumerate(psis):
+        own = slice(s * runs, (s + 1) * runs)
+        best = s * runs + int(np.argmax(final_overlap[own]))  # first maximum: ties go to the earliest run
+        results.append(_result(psi, [p[best] for p in final_phis], method="alternating",
+                               converged=bool(converged[best]), restarts=runs - 1,
+                               iterations=int(sweeps[own].sum()),
+                               traces=[tuple(t) for t in traces[own]]))
+    return results
+
+
+def geometric_measures_multipartite(
+    psis: Sequence[PureState],
+    restarts: int = DEFAULT_RESTARTS,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
+    seed: int = DEFAULT_SEED,
+    record_trace: bool = False,
+) -> list[GeometricMeasureResult]:
+    """geometric_measure_multipartite of each state, all runs of all states in one lockstep optimizer.
+
+    The states must share their dims.  Each result is bit for bit what a
+    call for its state alone returns.  States are batched in groups whose
+    per-run copies of the state matrices fit in _STACK_BYTES_CAP.
+    """
+    if not psis:
+        return []
+    dims = psis[0].dims
+    if any(psi.dims != dims for psi in psis):
+        raise ValueError("batched states must share their dims")
+    if len(dims) < 2:
+        raise ValueError("multipartite measure requires at least 2 parties")
+    inits = _initial_vectors(psis, restarts, seed)
+    per_state = 16 * (restarts + 1) * len(dims) * psis[0].amplitudes.size  # complex128 bytes
+    group = max(1, _STACK_BYTES_CAP // per_state)
+    results = []
+    for lo in range(0, len(psis), group):
+        results += _alternating(psis[lo:lo + group], inits[lo:lo + group], tol, max_iters,
+                                record_trace)
+    return results
 
 
 def geometric_measure_multipartite(
@@ -277,9 +348,7 @@ def geometric_measure_multipartite(
     ``tol`` before ``max_iters`` sweeps; ``iterations`` counts the sweeps
     of all runs.
     """
-    if psi.num_sites < 2:
-        raise ValueError("multipartite measure requires at least 2 parties")
-    return _alternating(psi, _initial_vectors(psi, restarts, seed), tol, max_iters, record_trace)
+    return geometric_measures_multipartite([psi], restarts, tol, max_iters, seed, record_trace)[0]
 
 
 def _bloch_vectors(thetas: np.ndarray, phases: np.ndarray):

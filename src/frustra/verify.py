@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entanglement as ent
-from .bounds import EntanglementOptions, analyze_ground
+from .bounds import analyze_ground
 from .errors import DegenerateSeparationError
 from .linalg import (
     MIN_GAP, ORACLE_EXACT_TOL, ORACLE_GRID_TOL, ORACLE_W_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, TOL_ENT,
@@ -288,32 +288,27 @@ def oracle_suite(two_qubit: int = 200, three_qubit: int = 50, seed: int = 5,
     failures = 0
     worst_bi = 0.0
     worst_tri = 0.0
-    opts = EntanglementOptions()
-    for t in range(two_qubit):
-        rng = np.random.default_rng([seed, 2, t])
-        psi = random_state(rng, (2, 2))
-        exact = ent.geometric_measure_bipartite(psi).value
-        alt = ent.geometric_measure_multipartite(psi, restarts=opts.restarts, seed=opts.seed).value
-        err = abs(alt - exact)
+    pairs = [random_state(np.random.default_rng([seed, 2, t]), (2, 2)) for t in range(two_qubit)]
+    alts = ent.geometric_measures_multipartite(pairs)
+    for psi, alt in zip(pairs, alts):
+        err = abs(alt.value - ent.geometric_measure_bipartite(psi).value)
         worst_bi = max(worst_bi, err)
         if err > ORACLE_EXACT_TOL:
-            failures += 1
-    for t in range(three_qubit):
-        rng = np.random.default_rng([seed, 3, t])
-        psi = random_state(rng, (2, 2, 2))
-        oracle = ent.brute_force_geometric_measure(psi, grid_depth=grid_depth).value
-        alt = ent.geometric_measure_multipartite(psi, restarts=opts.restarts, seed=opts.seed).value
-        err = abs(alt - oracle)
-        worst_tri = max(worst_tri, err)
-        if err > ORACLE_GRID_TOL:
             failures += 1
 
     ghz = ent.PureState.normalized(
         np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex), (2, 2, 2))
     w = ent.PureState.normalized(
         np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex), (2, 2, 2))
-    ghz_val = ent.geometric_measure_multipartite(ghz).value
-    w_val = ent.geometric_measure_multipartite(w).value
+    triples = [random_state(np.random.default_rng([seed, 3, t]), (2, 2, 2))
+               for t in range(three_qubit)]
+    *alts, ghz_res, w_res = ent.geometric_measures_multipartite(triples + [ghz, w])
+    for psi, alt in zip(triples, alts):
+        err = abs(alt.value - ent.brute_force_geometric_measure(psi, grid_depth=grid_depth).value)
+        worst_tri = max(worst_tri, err)
+        if err > ORACLE_GRID_TOL:
+            failures += 1
+    ghz_val, w_val = ghz_res.value, w_res.value
     if abs(ghz_val - 0.5) > ORACLE_EXACT_TOL:
         failures += 1
     if abs(w_val - 5.0 / 9.0) > ORACLE_W_TOL:

@@ -11,6 +11,7 @@ import pytest
 
 import frustra.entanglement
 import frustra.models
+import frustra.verify
 from frustra.cli import main
 from frustra.models import model_to_dict, chain3, save_model
 
@@ -65,6 +66,14 @@ def test_excited_decomposes_h_once(capsys, solver_sizes):
     assert solver_sizes["eigh"].count(8) == 1  # H, shared by every j
     assert solver_sizes["eigh"].count(2) == 3  # one per site: the local spectrum is shared too
     assert solver_sizes["eigvalsh"].count(8) == 1  # H_I, eigenvalues only
+
+
+def test_excited_draws_the_seeded_starts_once(capsys, monkeypatch):
+    # 32 restarts: one generator per restart for the whole call, not per eigenstate
+    calls = count_calls(monkeypatch, np.random, "default_rng")
+    code, out, _ = run_cli(capsys, "excited", "--model", "chain3", "--j", "0..7")
+    assert code == 0 and len(json.loads(out)) == 8
+    assert len(calls) == 32
 
 
 def test_analyze_builds_each_operator_once(capsys, monkeypatch):
@@ -295,6 +304,25 @@ def test_analyze_out_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", "--model", "ising2", "--out", str(out_path))
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["E0"] < 0
+
+
+def test_unwritable_out_fails_before_any_work(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("perturbation_suite ran before --out was checked")
+
+    monkeypatch.setattr(frustra.verify, "perturbation_suite", fail)
+    code, out, err = run_cli(capsys, "perturb", "--trials", "200",
+                             "--out", "/nonexistent/x.jsonl")
+    assert code == 2 and out == ""
+    assert "cannot write '/nonexistent/x.jsonl'" in err
+
+
+def test_out_check_keeps_an_existing_file(tmp_path, capsys):
+    out_path = tmp_path / "keep.json"
+    out_path.write_text("kept\n")
+    code, _, _ = run_cli(capsys, "analyze", "--model", "no-such-model", "--out", str(out_path))
+    assert code == 2
+    assert out_path.read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import frustra.entanglement
 from frustra.cli import main
 from frustra.entanglement import (
     DEFAULT_TOL,
@@ -16,6 +17,7 @@ from frustra.entanglement import (
     brute_force_geometric_measure,
     geometric_measure_bipartite,
     geometric_measure_multipartite,
+    geometric_measures_multipartite,
     overlap_with_product,
     product_state,
     regroup_state,
@@ -247,13 +249,59 @@ EQUIVALENCE_STATES = {
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_STATES))
 def test_lockstep_matches_serial_reference(name, max_iters):
     psi = EQUIVALENCE_STATES[name]
-    inits = [reset_init(psi)] + _initial_vectors(psi, 6, seed=11) + [reset_init(psi)]
+    inits = [reset_init(psi)] + _initial_vectors([psi], 6, seed=11)[0] + [reset_init(psi)]
     value, total, conv, resets = serial_reference(psi, inits, DEFAULT_TOL, max_iters)
     assert resets > 0
-    res = _alternating(psi, inits, DEFAULT_TOL, max_iters, record_trace=False)
+    res = _alternating([psi], [inits], DEFAULT_TOL, max_iters, record_trace=False)[0]
     assert res.iterations == total
     assert res.converged == conv
     assert abs(res.value - value) < 1e-12
+
+
+def assert_same_result(got, want):
+    assert got.value == want.value and got.overlap_sq == want.overlap_sq
+    assert got.converged == want.converged and got.iterations == want.iterations
+    assert got.restarts == want.restarts and got.traces == want.traces
+    assert len(got.maximizer) == len(want.maximizer)
+    for a, b in zip(got.maximizer, want.maximizer):
+        np.testing.assert_array_equal(a, b)
+
+
+@given(st.sampled_from([(2, 2), (2, 2, 2), (3, 2, 2), (2, 2, 2, 2)]),
+       st.lists(st.tuples(st.integers(0, 10_000), st.booleans()), min_size=1, max_size=5),
+       st.integers(0, 4), st.sampled_from([3, 1000]))
+def test_batch_matches_single_calls(dims, draws, restarts, max_iters):
+    psis = [with_zero_slice(dims, seed) if zero else random_state(np.random.default_rng(seed), dims)
+            for seed, zero in draws]
+    kwargs = dict(restarts=restarts, max_iters=max_iters, seed=7, record_trace=True)
+    batch = geometric_measures_multipartite(psis, **kwargs)
+    assert len(batch) == len(psis)
+    for psi, got in zip(psis, batch):
+        assert_same_result(got, geometric_measure_multipartite(psi, **kwargs))
+    # a zero-slice state's first run starts where its site-0 contraction vanishes (a reset)
+    inits = _initial_vectors(psis, restarts, seed=7)
+    inits = [[reset_init(psi)] + runs[1:] if zero else runs
+             for psi, runs, (_, zero) in zip(psis, inits, draws)]
+    stacked = _alternating(psis, inits, DEFAULT_TOL, max_iters, record_trace=True)
+    for psi, runs, got in zip(psis, inits, stacked):
+        assert_same_result(got, _alternating([psi], [runs], DEFAULT_TOL, max_iters, True)[0])
+
+
+def test_batch_groups_match_one_group(monkeypatch):
+    psis = [random_state(np.random.default_rng(seed), (2, 2, 2)) for seed in range(5)]
+    whole = geometric_measures_multipartite(psis, restarts=4, record_trace=True)
+    per_state = 16 * 5 * 3 * 8  # bytes of one state's per-run matrices
+    monkeypatch.setattr(frustra.entanglement, "_STACK_BYTES_CAP", 2 * per_state)
+    for got, want in zip(geometric_measures_multipartite(psis, restarts=4, record_trace=True), whole):
+        assert_same_result(got, want)
+
+
+def test_batch_rejects_mixed_dims():
+    with pytest.raises(ValueError, match="dims"):
+        geometric_measures_multipartite([GHZ3, BELL])
+    with pytest.raises(ValueError, match="dims"):
+        geometric_measures_multipartite([random_state(np.random.default_rng(0), (2, 3)), BELL])
+    assert geometric_measures_multipartite([]) == []
 
 
 def assert_close_json(got, want, path="$"):

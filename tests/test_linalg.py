@@ -358,6 +358,20 @@ def test_psd_leq_trivial_cases():
     assert not holds and abs(margin + 1.0) < 1e-14
 
 
+def test_psd_leq_solves_only_the_difference(solver_sizes):
+    sizes = solver_sizes["eigvalsh"]
+    rng = np.random.default_rng(3)
+    s, t = random_hermitian(rng, 5), random_hermitian(rng, 5)
+    skew = np.triu(np.ones((5, 5)), 1)  # ||skew - skew^T||_F = sqrt(20)
+    psd_leq(s, t)
+    psd_leq(s, t + 0.1 * STRUCTURAL_TOL * skew)
+    assert sizes == [5, 5]  # T - S only: asymmetry within STRUCTURAL_TOL passes at any scale
+    sizes.clear()
+    big = 100.0 * t  # asymmetry above STRUCTURAL_TOL, within the scaled rule: T is solved
+    assert psd_leq(s, big + 10.0 * STRUCTURAL_TOL * skew)[0] == psd_leq(s, big)[0]
+    assert sizes == [5, 5, 5]
+
+
 def test_psd_leq_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         psd_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
