@@ -15,7 +15,6 @@ from .bounds import (
     analyze_excited_many,
     analyze_ground,
     delta_j_ent,
-    enumerate_product_subspaces,
     proof_step_check,
 )
 from .entanglement import (
@@ -37,7 +36,6 @@ from .linalg import (
     hermitian_eig,
     operator_abs,
     psd_leq,
-    singular_dominance,
     svd,
     ui_norm,
 )
@@ -60,11 +58,8 @@ from .models import (
 from .perturbation import (
     PerturbationCheckReport,
     PerturbationInstance,
-    canonical_cosines,
     check_theorem,
-    dk_entanglement_chain,
     hermitian_instance,
-    shared_basis_instance,
 )
 from .saturation import (
     ExcessDecomposition,

@@ -22,17 +22,14 @@ upper bound on the eigenstate's entanglement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import entanglement as ent
-from .errors import EnumerationCapError, UndefinedBoundError
+from .errors import UndefinedBoundError
 from .linalg import CLOSED_MARGIN_TOL, STRUCTURAL_TOL, TIE_TOL, TOL_ENT, ZERO_NORM, tol_scale
 from .models import LocalSpectrum, SpinModel, Splitting, interaction_extremes
-
-SUBSPACE_MEMBER_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -48,20 +45,15 @@ class EntanglementOptions:
 DEFAULT_ENT_OPTS = EntanglementOptions()
 
 
-def multipartite_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
-    """(value, method) from the alternating optimizer, for any number of sites."""
-    res = ent.geometric_measure_multipartite(
-        psi, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed
-    )
-    return res.value, res.method
-
-
 def state_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
     """(value, method): exact Schmidt route for two parties, alternating otherwise."""
     if psi.num_sites == 2:
         res = ent.geometric_measure_bipartite(psi)
-        return res.value, res.method
-    return multipartite_entanglement(psi, opts)
+    else:
+        res = ent.geometric_measure_multipartite(
+            psi, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed
+        )
+    return res.value, res.method
 
 
 def ground_entanglement(model: SpinModel, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
@@ -236,12 +228,9 @@ class ProofStepDiagnostics:
         return self.truncated_is_product and self.weight_leq_ef_bound and self.entanglement_leq_weight
 
 
-def proof_step_check(splitting: Splitting,
-                     report: FrustrationReport | None = None,
+def proof_step_check(splitting: Splitting, report: FrustrationReport,
                      ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> ProofStepDiagnostics:
-    """Recompute the cut expansion of the ground state and verify each step."""
-    if report is None:
-        report = analyze_ground(splitting, ent_opts)
+    """Recompute the cut expansion of the splitting's ground-state report and verify each step."""
     spec = splitting.local
     delta = spec.delta_e_ent
     if report.ef_bound is None or delta <= 0:
@@ -311,29 +300,6 @@ def _subspace(spec: LocalSpectrum, varying: int, config) -> ProductSubspace:
     return ProductSubspace(varying, fixed, tuple(members), tuple(energies))
 
 
-def enumerate_product_subspaces(spec: LocalSpectrum) -> list[ProductSubspace]:
-    """All product subspaces: one per (varying site, background configuration).
-
-    There are sum_s prod_{i != s} d_i of them; each product state belongs to
-    exactly one subspace per choice of varying site.
-    """
-    n = len(spec.dims)
-    if n < 2:
-        raise ValueError("product subspaces need at least 2 sites")
-    total_members = n * spec.dimension
-    if total_members > SUBSPACE_MEMBER_CAP:
-        raise EnumerationCapError(
-            f"{total_members} subspace members exceed the cap {SUBSPACE_MEMBER_CAP}"
-        )
-    out = []
-    for s in range(n):
-        other_ranges = [range(d) for i, d in enumerate(spec.dims) if i != s]
-        for rest in itertools.product(*other_ranges):
-            config = list(rest[:s]) + [0] + list(rest[s:])
-            out.append(_subspace(spec, s, config))
-    return out
-
-
 def delta_j_ent(spec: LocalSpectrum, config) -> tuple[float, ProductSubspace]:
     """Best-case cost of leaving a product subspace through a given state.
 
@@ -362,7 +328,7 @@ def delta_j_ent(spec: LocalSpectrum, config) -> tuple[float, ProductSubspace]:
     return best_delta, _subspace(spec, best_site, config)
 
 
-def eigenstate_setup(splitting: Splitting, j: int):
+def _eigenstate_setup(splitting: Splitting, j: int):
     """(scale, E_j, |E_j>, local spectrum, max eigenvalue of H_I, ||H_I||).
 
     The j-th eigenstate of H comes from the decomposition the model keeps;
@@ -377,17 +343,6 @@ def eigenstate_setup(splitting: Splitting, j: int):
     e_i_0, e_i_max, _ = interaction_extremes(splitting)
     return (scale, float(dec.eigenvalues[j]), dec.eigenvectors[:, j], splitting.local,
             e_i_max, max(abs(e_i_0), abs(e_i_max)))
-
-
-def outside_subspace(spec: LocalSpectrum, energy: float, subspace: ProductSubspace):
-    """(mask of the product states outside the subspace, delta_j_Kperp).
-
-    delta_j_Kperp is the distance from the energy to the local energies of
-    the states outside the subspace.
-    """
-    outside = np.ones(spec.dimension, dtype=bool)
-    outside[[spec.flat_of_config(m) for m in subspace.members]] = False
-    return outside, float(np.min(np.abs(energy - spec.energies[outside])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,7 +403,7 @@ def analyze_excited_many(splitting: Splitting, js,
     The entanglement of every listed eigenstate comes from one batched
     optimizer call; each value is the one a call for that state alone gives.
     """
-    setups = [eigenstate_setup(splitting, j) for j in js]
+    setups = [_eigenstate_setup(splitting, j) for j in js]
     results = ent.geometric_measures_multipartite(
         [ent.PureState(setup[2], splitting.model.dims) for setup in setups],
         restarts=ent_opts.restarts, tol=ent_opts.tol, max_iters=ent_opts.max_iters,
@@ -474,7 +429,10 @@ def _excited_report(j: int, setup, res: ent.GeometricMeasureResult) -> ExcitedBo
     e_l_j = float(spec.energies[spec.flat_of_config(config_j)])
 
     delta_j, subspace = delta_j_ent(spec, config_j)
-    _, delta_kperp = outside_subspace(spec, e_j, subspace)
+    # delta_j_Kperp: distance from E_j to the local energies outside the subspace
+    outside = np.ones(spec.dimension, dtype=bool)
+    outside[[spec.flat_of_config(m) for m in subspace.members]] = False
+    delta_kperp = float(np.min(np.abs(e_j - spec.energies[outside])))
     radius = h_norm  # Hermitian interaction: operator norm equals spectral radius
 
     margin_tol = CLOSED_MARGIN_TOL * scale

@@ -24,8 +24,8 @@ import numpy as np
 from . import entanglement as ent
 from . import verify
 from .bounds import EntanglementOptions, analyze_excited_many, analyze_ground
-from .errors import FrustraError, InvalidAssignmentError, InvalidBipartitionError
-from .models import BUILTIN_MODELS, SpinModel, load_model, make_builtin, regroup, split
+from .errors import DimensionCapError, FrustraError, InvalidAssignmentError, InvalidBipartitionError
+from .models import BUILTIN_MODELS, SpinModel, dim_cap, load_model, make_builtin, regroup, split
 from .saturation import saturation_sweep, schmidt_splitting, validate_gammas
 
 CONFIG_ERROR = 2
@@ -223,22 +223,22 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_j_list(spec: str, dimension: int):
-    out = []
+    ranges = []
     try:
         for chunk in spec.split(","):
-            chunk = chunk.strip()
-            if ".." in chunk:
-                lo, hi = chunk.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(chunk))
+            lo, dots, hi = chunk.strip().partition("..")
+            ranges.append((int(lo), int(hi) if dots else int(lo)))
     except ValueError:
         raise ConfigError(f"--j expects indices like 0..3 or 0,2,5, got {spec!r}") from None
+    out = []
+    for lo, hi in ranges:
+        # check the ends before expanding, so a huge range is rejected, not built
+        if lo <= hi and (lo < 0 or hi >= dimension):
+            j = lo if lo < 0 else max(lo, dimension)  # the first index out of range
+            raise ConfigError(f"eigenstate index {j} out of range (dimension {dimension})")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ConfigError(f"--j selects no eigenstate, got {spec!r}")
-    for j in out:
-        if j < 0 or j >= dimension:
-            raise ConfigError(f"eigenstate index {j} out of range (dimension {dimension})")
     return out
 
 
@@ -304,6 +304,12 @@ def cmd_perturb(args) -> int:
     if min(dims) < 2:
         # one dimension cannot separate the a-eigenvalue from B's upper spectrum
         raise ConfigError(f"--dims must be at least 2, got {args.dims!r}")
+    try:
+        cap = dim_cap()
+    except DimensionCapError as exc:
+        raise ConfigError(str(exc)) from None
+    if max(dims) > cap:
+        raise ConfigError(f"--dims must be at most the dimension cap {cap}, got {args.dims!r}")
     lines = []
 
     def collect(index, report):

@@ -37,10 +37,6 @@ class UndefinedBoundError(FrustraError):
     """A bound was requested in a regime where it is undefined."""
 
 
-class EnumerationCapError(FrustraError):
-    """Product-subspace enumeration exceeds the member cap."""
-
-
 class DegenerateSeparationError(FrustraError):
     """Eigenvalue separation is too small for a perturbation bound."""
 

@@ -2,10 +2,11 @@
 
 Hermitian eigendecomposition with two cheaper variants (eigenvalues only,
 and eigenvalues plus the ground vector), SVD, operator absolute value, the
-positive-semidefinite (PSD) ordering test, and the three normalized
-unitarily invariant norms (operator, Hilbert-Schmidt, trace).  Everything
-downstream (local spectra, frustration energies, canonical angles) is
-built on these few operations.
+positive-semidefinite (PSD) ordering test, the three normalized
+unitarily invariant norms (operator, Hilbert-Schmidt, trace), and sorted
+dominance between two lists of singular values.  Everything downstream
+(local spectra, frustration energies, the perturbation checks) is built on
+these few operations.
 
 The eigenvalues-only solver returns the sorted diagonal of a matrix whose
 off-diagonal entries are all exactly zero, which is what LAPACK returns
@@ -46,7 +47,6 @@ VALUE_MATCH_TOL = 1e-8  # hermitian_instance matches a requested eigenvalue with
 OPTIMIZER_TOL = 1e-10  # default --tol: an optimizer run stops on a smaller per-sweep gain
 TOL_ENT = 1e-6  # absolute slack on optimizer-derived entanglement against a bound
 MIN_GAP = 1e-6  # smallest trusted local gap: saturate's gamma floor, the bound suite's delta_e_ent
-COSINE_TOL = 1e-6  # absolute: a canonical cosine above 1 + this is an error, not round-off
 ORACLE_EXACT_TOL = 1e-6  # absolute: optimizer against the Schmidt value, and GHZ against 1/2
 ORACLE_W_TOL = 1e-4  # absolute: optimizer on the W state against 5/9
 ORACLE_GRID_TOL = 1e-3  # absolute: optimizer against the Bloch-grid oracle
@@ -349,23 +349,14 @@ def ui_norm(s, kind: NormKind) -> float:
 
 
 def sv_dominance(sv_s: np.ndarray, sv_t: np.ndarray, tol: float) -> bool:
-    """True iff sv_s[k] <= sv_t[k] + tol for all k (both descending, same length)."""
-    return bool(np.all(sv_s <= sv_t + tol))
+    """True iff sv_s[k] <= sv_t[k] + tol for all k (both descending, same length).
 
-
-def singular_dominance(s, t, tol: float = ROUNDOFF_TOL) -> bool:
-    """True iff sigma_k(S) <= sigma_k(T) + tol for all k (both descending).
-
-    This is the checkable certificate for the existential statement
-    "there is a unitary U with |S| <= U |T| U^dag": sorted singular-value
-    dominance is necessary (Weyl ordering under the PSD order) and
-    sufficient (align the eigenbases).
+    For the singular values of S and T this is the checkable certificate for
+    the existential statement "there is a unitary U with |S| <= U |T| U^dag":
+    sorted singular-value dominance is necessary (Weyl ordering under the PSD
+    order) and sufficient (align the eigenbases).
     """
-    a = _as_matrix(s)
-    b = _as_matrix(t)
-    if a.shape != b.shape:
-        raise ValueError(f"incompatible shapes {a.shape} vs {b.shape}")
-    return sv_dominance(singular_values(a), singular_values(b), tol)
+    return bool(np.all(sv_s <= sv_t + tol))
 
 
 def appendix_norm_check(s) -> bool:

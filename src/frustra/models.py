@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     DimensionCapError,
-    EnumerationCapError,
     InvalidAssignmentError,
     InvalidBipartitionError,
     NonHermitianTermError,
@@ -382,18 +381,6 @@ class LocalSpectrum:
         for site, level in enumerate(config):
             vec = np.kron(vec, self.site_eigenvectors[site][:, int(level)])
         return vec
-
-    def product_basis(self, max_dim: int = 1024):
-        """All (configuration, energy, eigenvector) triples; dense, so capped."""
-        if self.dimension > max_dim:
-            raise EnumerationCapError(
-                f"refusing to materialize {self.dimension} product vectors (cap {max_dim})"
-            )
-        out = []
-        for flat in range(self.dimension):
-            config = self.config_of_flat(flat)
-            out.append((config, float(self.energies[flat]), self.product_vector(config)))
-        return out
 
 
 def local_spectrum(splitting: Splitting) -> LocalSpectrum:

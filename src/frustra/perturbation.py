@@ -14,11 +14,6 @@ normalized unitarily invariant norm, checked here for the operator,
 Hilbert-Schmidt and trace norms.  The singular values of P_a Q are the
 cosines of the canonical angles between the two subspaces.
 
-Applied to H = H_L + H_I with P the projector onto an eigenstate of H and
-Q the projector onto the product states outside a product subspace, the
-chain bounds the eigenstate's weight outside the subspace and with it the
-eigenstate's entanglement.
-
 Instances are validated by residuals in the Frobenius norm: Hermiticity
 and idempotency of each projector (within RECONSTRUCTION_TOL * max(1, ||P||)),
 the eigenspace residual P_a A - a P_a and the commutator [Q, B] (within
@@ -36,23 +31,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import entanglement as ent
-from .bounds import (
-    DEFAULT_ENT_OPTS,
-    EntanglementOptions,
-    ProductSubspace,
-    eigenstate_setup,
-    local_coefficients,
-    multipartite_entanglement,
-    outside_subspace,
-)
 from .errors import DegenerateSeparationError, NotProjectorError
 from .linalg import (
-    COSINE_TOL, PSD_MARGIN_TOL, RECONSTRUCTION_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, TOL_ENT,
-    VALUE_MATCH_TOL, NormKind, hermitian_eig, op_norm, operator_abs, psd_leq, singular_values,
-    sv_dominance, sv_norm, tol_scale,
+    PSD_MARGIN_TOL, RECONSTRUCTION_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, VALUE_MATCH_TOL, NormKind,
+    hermitian_eig, op_norm, operator_abs, psd_leq, singular_values, sv_dominance, sv_norm,
+    tol_scale,
 )
-from .models import Splitting
 
 
 def _check_projector(p: np.ndarray, name: str) -> None:
@@ -161,37 +145,6 @@ def hermitian_instance(
     return inst
 
 
-def shared_basis_instance(
-    u: np.ndarray,
-    a_diag: Sequence[complex],
-    b_diag: Sequence[complex],
-    a_index: int,
-    beta_indices: Sequence[int],
-) -> PerturbationInstance:
-    """Normal (possibly non-Hermitian) instance built by construction.
-
-    A = U diag(a) U^dag and B = U diag(b) U^dag share the eigenbasis U, so
-    eigenprojectors are known columns and no normal-matrix eigensolver is
-    needed; C is the difference.
-    """
-    u = np.asarray(u, dtype=complex)
-    a_diag = np.asarray(a_diag, dtype=complex)
-    b_diag = np.asarray(b_diag, dtype=complex)
-    a = (u * a_diag) @ u.conj().T
-    b = (u * b_diag) @ u.conj().T
-    c = a - b
-    col = u[:, a_index:a_index + 1]
-    p_a = col @ col.conj().T
-    cols = u[:, list(beta_indices)]
-    q = cols @ cols.conj().T
-    beta_values = tuple(complex(b_diag[i]) for i in beta_indices)
-    a_value = complex(a_diag[a_index])
-    delta = float(min(abs(a_value - bv) for bv in beta_values))
-    inst = PerturbationInstance(a, b, c, a_value, p_a, beta_values, q, delta)
-    inst.validate()
-    return inst
-
-
 @dataclass(frozen=True, eq=False)
 class PerturbationCheckReport:
     """Margins and norm chains for one instance."""
@@ -268,64 +221,4 @@ def check_theorem(inst: PerturbationInstance) -> PerturbationCheckReport:
         norm_chain_ok=chain_ok,
         canonical_cosines=cosines,
         delta_a=inst.delta_a,
-    )
-
-
-def canonical_cosines(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Cosines of the canonical angles between two projected subspaces.
-
-    These are the singular values of P Q, descending, clipped to [0, 1];
-    a value above 1 + COSINE_TOL raises ArithmeticError.
-    """
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    _check_projector(p, "P")
-    _check_projector(q, "Q")
-    sv = singular_values(p @ q)
-    if sv.size and sv[0] > 1.0 + COSINE_TOL:
-        raise ArithmeticError(f"cosine {sv[0]:.6f} exceeds 1 beyond round-off")
-    return np.clip(sv, 0.0, 1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class DkChainReport:
-    """Eigenstate weight outside a product subspace versus its norm bound."""
-
-    pjq_norm: float  # ||P_j Q_perp||, the amplitude outside the subspace
-    delta_j_Kperp: float
-    h_i_norm: float
-    hi_over_delta: float
-    entanglement: float
-    norm_step_ok: bool  # pjq_norm <= ||H_I|| / delta + STRUCTURAL_TOL
-    ent_step_ok: bool  # E(|E_j>) <= pjq_norm^2 + TOL_ENT
-
-
-def dk_entanglement_chain(splitting: Splitting, j: int, subspace: ProductSubspace,
-                          ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> DkChainReport:
-    """Apply the perturbation chain to one eigenstate and product subspace.
-
-    With P_j the projector onto the j-th eigenstate and Q the projector onto
-    the span of product states outside the subspace, ||P_j Q|| equals the
-    amplitude of the eigenstate outside the subspace, is bounded by
-    ||H_I|| / Delta, and its square bounds the eigenstate's entanglement.
-    """
-    scale, e_j, vec_j, spec, _, h_i_norm = eigenstate_setup(splitting, j)
-    outside, delta = outside_subspace(spec, e_j, subspace)
-    if delta <= STRUCTURAL_TOL * scale:
-        raise DegenerateSeparationError(f"eigenvalue separation {delta:g} too small")
-
-    # sum the outside weights directly: 1 - (inside weight) would lose all
-    # precision when the state lies almost entirely inside the subspace
-    alpha = local_coefficients(spec, vec_j)
-    pjq = float(np.sqrt(np.sum(np.abs(alpha[outside]) ** 2)))
-    hi_over_delta = h_i_norm / delta
-    value, _ = multipartite_entanglement(ent.PureState(vec_j, splitting.model.dims), ent_opts)
-    return DkChainReport(
-        pjq_norm=pjq,
-        delta_j_Kperp=delta,
-        h_i_norm=h_i_norm,
-        hi_over_delta=hi_over_delta,
-        entanglement=value,
-        norm_step_ok=pjq <= hi_over_delta + STRUCTURAL_TOL,
-        ent_step_ok=value <= pjq * pjq + TOL_ENT,
     )

@@ -168,10 +168,8 @@ class ExcessDecomposition:
         )
 
 
-def excess_decomposition(splitting: Splitting,
-                         ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> ExcessDecomposition:
-    """Decompose ef_bound - entanglement for one splitting."""
-    report = analyze_ground(splitting, ent_opts)
+def excess_decomposition(splitting: Splitting, report: FrustrationReport) -> ExcessDecomposition:
+    """Decompose ef_bound - entanglement of the splitting's ground-state report."""
     if report.ef_bound is None:
         raise UndefinedBoundError(report.ef_bound_reason or "bound undefined")
     spec = splitting.local

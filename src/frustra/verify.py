@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entanglement as ent
-from .bounds import analyze_ground
+from .bounds import analyze_ground, proof_step_check
 from .errors import DegenerateSeparationError
 from .linalg import (
     MIN_GAP, ORACLE_EXACT_TOL, ORACLE_GRID_TOL, ORACLE_W_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, TOL_ENT,
@@ -34,7 +34,7 @@ from .models import (
     split,
 )
 from .perturbation import check_theorem, hermitian_instance
-from .saturation import saturation_sweep
+from .saturation import excess_decomposition, saturation_sweep, schmidt_splitting
 
 # ---------------------------------------------------------------------------
 # ensembles
@@ -56,14 +56,6 @@ def random_state(rng: np.random.Generator, dims) -> ent.PureState:
     total = int(np.prod(dims))
     z = rng.normal(size=total) + 1j * rng.normal(size=total)
     return ent.PureState.normalized(z, tuple(dims))
-
-
-def random_product_state(rng: np.random.Generator, dims) -> ent.PureState:
-    vecs = []
-    for d in dims:
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        vecs.append(v / np.linalg.norm(v))
-    return ent.product_state(vecs)
 
 
 def random_two_site_model(rng: np.random.Generator, d: int, name: str = "random2") -> SpinModel:
@@ -151,7 +143,9 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
     """Random two-qubit and two-qutrit models against the ground-state bounds.
 
     Checks E_f >= -STRUCTURAL_TOL * scale, E_f <= E_I_tot + STRUCTURAL_TOL * scale,
-    and (when delta_e_ent > MIN_GAP) entanglement <= both bounds + TOL_ENT.
+    and, when delta_e_ent > MIN_GAP, entanglement <= both bounds + TOL_ENT and
+    every step of the bound's proof (``bounds.proof_step_check`` on the
+    model's report).  A trial fails when any check fails.
     """
     failures = 0
     worst_ef = np.inf
@@ -162,7 +156,8 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
             total += 1
             rng = np.random.default_rng([seed, d, t])
             model = random_two_site_model(rng, d, name=f"random2(d={d},t={t})")
-            report = analyze_ground(split(model))
+            splitting = split(model)
+            report = analyze_ground(splitting)
             scale = tol_scale(report.E0, report.E0_L, report.E0_I, report.E_I_tot)
             ok = report.E_f >= -STRUCTURAL_TOL * scale
             ok = ok and report.E_f <= report.E_I_tot + STRUCTURAL_TOL * scale
@@ -171,7 +166,8 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
                 slack = max(report.entanglement - report.ef_bound,
                             report.entanglement - report.ratio_bound)
                 worst_slack = max(worst_slack, slack)
-                ok = ok and slack <= TOL_ENT
+                proof_ok = proof_step_check(splitting, report).all_ok
+                ok = ok and slack <= TOL_ENT and proof_ok
             if not ok:
                 failures += 1
     return SuiteResult(
@@ -187,8 +183,11 @@ def saturation_suite(instances: int = 50, seed: int = 77,
                      gammas=(1e-1, 1e-2, 1e-3)) -> SuiteResult:
     """Schmidt-splitting sweeps on random bipartite Hamiltonians.
 
-    Checks that the excess over the entanglement stays strictly positive,
-    decays like the smallest gamma for most instances, and is negligible
+    An instance fails when the excess over the entanglement is not strictly
+    positive at every gamma, or when a record breaks the exact identity of
+    ``saturation.excess_decomposition`` by more than
+    STRUCTURAL_TOL * max(1, |ef_bound|).  The suite also needs the excess to
+    decay like the smallest gamma for most instances, and to be negligible
     against the entanglement at gamma = 1e-3.
     """
     failures = 0
@@ -202,6 +201,14 @@ def saturation_suite(instances: int = 50, seed: int = 77,
         sweep = saturation_sweep(model, gammas)
         ex = [r.excess for r in sweep.records]
         if any(not np.isfinite(e) or e <= 0.0 for e in ex):
+            failures += 1
+            continue
+        decompositions = [
+            excess_decomposition(schmidt_splitting(model, r.gamma).splitting, r.report)
+            for r in sweep.records
+        ]
+        if any(abs(dec.identity_residual) > STRUCTURAL_TOL * tol_scale(dec.ef_bound)
+               for dec in decompositions):
             failures += 1
             continue
         if ex[-1] <= 0.3 * ex[-2]:

@@ -1,18 +1,19 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import frustra.verify
 from frustra.bounds import (
     EntanglementOptions,
     analyze_excited,
     analyze_ground,
     delta_j_ent,
-    enumerate_product_subspaces,
     local_coefficients,
-    multipartite_entanglement,
     proof_step_check,
+    state_entanglement,
 )
 from frustra.entanglement import PureState, geometric_measure_multipartite
 from frustra.errors import UndefinedBoundError
@@ -26,7 +27,7 @@ from frustra.models import (
     triangle,
 )
 from frustra.saturation import schmidt_splitting
-from frustra.verify import random_two_site_model, random_weak_chain
+from frustra.verify import bound_property_suite, random_two_site_model, random_weak_chain
 
 FAST = EntanglementOptions(restarts=8)
 
@@ -149,7 +150,7 @@ def test_proof_steps_commuting_zero_slack():
         OperatorTerm(-1.0, [(0, "Z"), (1, "Z")]),
     ))
     s = split(model)
-    diag = proof_step_check(s)
+    diag = proof_step_check(s, analyze_ground(s))
     assert diag.all_ok
     assert diag.weight_bound <= 1e-12  # ground state is the kept product state
 
@@ -166,49 +167,31 @@ def test_proof_steps_random_two_qutrit(seed):
 
 
 def test_proof_steps_undefined():
+    s = split(triangle(1.0))
     with pytest.raises(UndefinedBoundError):
-        proof_step_check(split(triangle(1.0)))
+        proof_step_check(s, analyze_ground(s))
+
+
+def test_bound_suite_counts_a_failed_proof_step(monkeypatch):
+    real = frustra.verify.proof_step_check
+
+    def failing(splitting, report):
+        return dataclasses.replace(real(splitting, report), truncated_is_product=False)
+
+    monkeypatch.setattr(frustra.verify, "proof_step_check", failing)
+    result = bound_property_suite(trials_per_kind=2)
+    assert result.trials == 4 and result.failures == 4 and not result.ok
 
 
 # ---------------------------------------------------------------------------
 # product subspaces
 
 
-def test_subspace_count_two_qubits():
-    spec = local_spectrum(split(ising2(1.0)))
-    subs = enumerate_product_subspaces(spec)
-    assert len(subs) == 4
-    assert all(len(s.members) == 2 for s in subs)
-
-
-def test_subspace_count_three_qubits():
-    spec = local_spectrum(split(triangle(1.0)))
-    subs = enumerate_product_subspaces(spec)
-    assert len(subs) == 12  # 3 * 2^2, verified by exhaustive listing
-    listing = set()
-    for s in subs:
-        listing.add((s.varying_site, s.fixed_config))
-    assert len(listing) == 12
-    # each product state appears in exactly n subspaces
-    counts = {}
-    for s in subs:
-        for m in s.members:
-            counts[m] = counts.get(m, 0) + 1
-    assert all(c == 3 for c in counts.values())
-
-
-def test_subspace_count_two_qutrits(rng):
-    model = random_two_site_model(rng, 3)
-    spec = local_spectrum(split(model))
-    subs = enumerate_product_subspaces(spec)
-    assert len(subs) == 6
-    assert all(len(s.members) == 3 for s in subs)
-
-
 def test_subspace_superpositions_are_product(rng):
     model = random_two_site_model(rng, 3)
     spec = local_spectrum(split(model))
-    for sub in enumerate_product_subspaces(spec)[:3]:
+    for rank in range(3):
+        _, sub = delta_j_ent(spec, spec.sorted_config(rank))
         weights = rng.normal(size=len(sub.members)) + 1j * rng.normal(size=len(sub.members))
         vec = np.zeros(spec.dimension, dtype=complex)
         for w, member in zip(weights, sub.members):
@@ -342,7 +325,7 @@ def test_ground_entanglement_is_kept_per_options():
     splits = (split(model), split(model, local=[0]))
     values = []
     for opts in (short, FAST):
-        want, _ = multipartite_entanglement(psi, opts)
+        want, _ = state_entanglement(psi, opts)
         assert [analyze_ground(s, opts).entanglement for s in splits] == [want, want]
         values.append(want)
     assert values[0] != values[1]  # the options matter for this state

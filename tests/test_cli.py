@@ -179,6 +179,8 @@ def test_analyze_config_errors(capsys):
     ["excited", "--model", "chain3", "--j", "x"],
     ["excited", "--model", "chain3", "--j", "0..x"],
     ["excited", "--model", "ising2", "--j", "3..1"],
+    # the ends are checked before the range is expanded
+    ["excited", "--model", "ising2", "--j", "0..1000000000000"],
     ["perturb", "--dims", "4,x", "--trials", "1"],
     ["perturb", "--dims", "0", "--trials", "1"],
     ["perturb", "--dims", "1", "--trials", "2"],
@@ -315,6 +317,21 @@ def test_unwritable_out_fails_before_any_work(capsys, monkeypatch):
                              "--out", "/nonexistent/x.jsonl")
     assert code == 2 and out == ""
     assert "cannot write '/nonexistent/x.jsonl'" in err
+
+
+def test_perturb_dims_obey_the_dimension_cap(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("perturbation_suite ran with a dimension above the cap")
+
+    monkeypatch.setattr(frustra.verify, "perturbation_suite", fail)
+    monkeypatch.setenv("FRUSTRA_DIM_CAP", "8")
+    code, out, err = run_cli(capsys, "perturb", "--dims", "16", "--trials", "1")
+    assert code == 2 and out == ""
+    assert "dimension cap 8" in err
+    monkeypatch.setenv("FRUSTRA_DIM_CAP", "many")
+    code, out, err = run_cli(capsys, "perturb", "--dims", "4", "--trials", "1")
+    assert code == 2 and out == ""
+    assert "FRUSTRA_DIM_CAP must be an integer" in err
 
 
 def test_out_check_keeps_an_existing_file(tmp_path, capsys):

@@ -26,11 +26,19 @@ from frustra.entanglement import (
 from frustra.errors import InvalidBipartitionError, OracleScaleError
 from frustra.linalg import haar_unitary
 from frustra.models import build_dense, ising2
-from frustra.verify import random_product_state, random_state
+from frustra.verify import random_state
 
 BELL = PureState.normalized(np.array([1, 0, 0, 1], dtype=complex), (2, 2))
 GHZ3 = PureState.normalized(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex), (2, 2, 2))
 W3 = PureState.normalized(np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex), (2, 2, 2))
+
+
+def random_product_state(rng, dims):
+    vecs = []
+    for d in dims:
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        vecs.append(v / np.linalg.norm(v))
+    return product_state(vecs)
 
 
 def ising_ground(g):

@@ -299,12 +299,12 @@ def test_local_spectrum_asymmetric_ising():
 def test_product_basis_completeness_and_additivity(rng):
     model = random_two_site_model(rng, 3)
     spec = local_spectrum(split(model))
-    basis = spec.product_basis()
-    assert len(basis) == 9
-    vectors = np.stack([b[2] for b in basis], axis=1)
+    assert spec.dimension == 9
+    configs = [spec.config_of_flat(flat) for flat in range(spec.dimension)]
+    vectors = np.stack([spec.product_vector(config) for config in configs], axis=1)
     gram = vectors.conj().T @ vectors
     assert np.max(np.abs(gram - np.eye(9))) < 1e-10
-    for config, energy, _ in basis:
+    for config, energy in zip(configs, spec.energies):
         direct = sum(spec.site_eigenvalues[i][c] for i, c in enumerate(config))
         assert abs(energy - direct) <= 1e-10 * max(1.0, abs(direct))
 

@@ -2,26 +2,20 @@ import numpy as np
 import pytest
 
 import frustra.verify
-from frustra.bounds import EntanglementOptions, analyze_excited, delta_j_ent
 from frustra.errors import DegenerateSeparationError, NotProjectorError
 from frustra.linalg import NormKind, haar_unitary
-from frustra.models import OperatorTerm, SpinModel, build_dense, ising2, local_spectrum, split
-from frustra.perturbation import (
-    PerturbationInstance,
-    canonical_cosines,
-    check_theorem,
-    dk_entanglement_chain,
-    hermitian_instance,
-    shared_basis_instance,
-)
-from frustra.verify import (
-    perturbation_trial,
-    random_weak_chain,
-    sharpness_witness,
-)
+from frustra.perturbation import PerturbationInstance, check_theorem, hermitian_instance
+from frustra.verify import perturbation_trial, sharpness_witness
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-FAST = EntanglementOptions(restarts=8)
+
+
+def projector_instance(p, q):
+    """Instance with P_a = p (eigenvalue 0 of A = I - p) and Q = q (eigenvalue 2 of B)."""
+    eye = np.eye(p.shape[0], dtype=complex)
+    a = eye - p
+    b = 2 * q + 3 * (eye - q)
+    return PerturbationInstance(a, b, a - b, 0.0, p, (2.0,), q, 2.0)
 
 
 def two_level_overlap(eps):
@@ -68,21 +62,30 @@ def test_random_hermitian_trials():
 
 
 def test_normal_shared_basis_smoke():
+    # A = U diag(a) U^dag and B = U diag(b) U^dag are normal, not Hermitian, and
+    # share the eigenbasis U, so their eigenprojectors are projectors onto columns of U
+    n = 6
     for seed in range(10):
         rng = np.random.default_rng([55, seed])
-        n = 6
         u = haar_unitary(n, rng)
         a_diag = rng.normal(size=n) + 1j * rng.normal(size=n)
         b_diag = a_diag + 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        inst = shared_basis_instance(u, a_diag, b_diag, 0, [n - 2, n - 1])
-        rep = check_theorem(inst)
-        assert rep.all_ok
+        a = (u * a_diag) @ u.conj().T
+        b = (u * b_diag) @ u.conj().T
+        beta = u[:, n - 2:]
+        delta = float(min(abs(a_diag[0] - b_diag[n - 2:])))
+        inst = PerturbationInstance(a, b, a - b, a_diag[0], np.outer(u[:, 0], u[:, 0].conj()),
+                                    tuple(b_diag[n - 2:]), beta @ beta.conj().T, delta)
+        inst.validate()
+        assert check_theorem(inst).all_ok
 
 
 def test_degenerate_separation_raises():
-    u = np.eye(2, dtype=complex)
+    a = np.diag([1.0, 2.0]).astype(complex)
+    b = np.diag([1.0, 5.0]).astype(complex)
+    p = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(DegenerateSeparationError):
-        shared_basis_instance(u, [1.0, 2.0], [1.0, 5.0], 0, [0])  # delta = 0
+        PerturbationInstance(a, b, a - b, 1.0, p, (1.0,), p, 0.0).validate()  # delta = 0
     inst = PerturbationInstance(
         a_matrix=np.diag([0.0, 1.0]).astype(complex),
         b_matrix=np.diag([0.0, 1.0]).astype(complex),
@@ -168,18 +171,24 @@ def test_projector_residuals_use_frobenius_norm():
     asym = p - p.conj().T
     assert np.linalg.norm(asym, 2) < 1e-10 < np.linalg.norm(asym)
     with pytest.raises(NotProjectorError, match="Hermitian"):
-        canonical_cosines(p, np.eye(4))
+        projector_instance(p, np.eye(4, dtype=complex)).validate()
 
 
 # ---------------------------------------------------------------------------
-# canonical cosines
+# canonical cosines (the singular values of P_a Q, as check_theorem reports them)
+
+
+def reported_cosines(p, q):
+    inst = projector_instance(p, q)
+    inst.validate()
+    return check_theorem(inst).canonical_cosines
 
 
 def test_canonical_cosines_aligned_and_orthogonal():
     p = np.diag([1.0, 0.0]).astype(complex)
     q = np.diag([0.0, 1.0]).astype(complex)
-    np.testing.assert_allclose(canonical_cosines(p, p), [1.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(canonical_cosines(p, q), 0.0, atol=1e-14)
+    np.testing.assert_allclose(reported_cosines(p, p), [1.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(reported_cosines(p, q), 0.0, atol=1e-14)
 
 
 def test_canonical_cosines_plane_angle():
@@ -187,16 +196,17 @@ def test_canonical_cosines_plane_angle():
     v = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
     p = np.diag([1.0, 0.0]).astype(complex)
     q = np.outer(v, v.conj())
-    cosines = canonical_cosines(p, q)
+    cosines = reported_cosines(p, q)
     assert abs(cosines[0] - np.cos(theta)) < 1e-12
     assert abs(cosines[0] - 0.8660254) < 1e-7
 
 
 def test_canonical_cosines_rejects_non_projector():
+    eye = np.eye(2, dtype=complex)
     with pytest.raises(NotProjectorError):
-        canonical_cosines(2 * np.eye(2), np.eye(2))
+        reported_cosines(2 * eye, eye)
     with pytest.raises(NotProjectorError):
-        canonical_cosines(np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2))
+        reported_cosines(np.array([[0, 1], [0, 0]], dtype=complex), eye)
 
 
 def test_sharpness_witness_ratio():
@@ -204,67 +214,3 @@ def test_sharpness_witness_ratio():
     assert ratio >= 0.99
     # tightens as eps shrinks
     assert abs(sharpness_witness(1e-4) - 1.0) <= abs(sharpness_witness(1e-2) - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# entanglement chain
-
-
-def test_dk_chain_no_interaction():
-    model = SpinModel("local-only", (2, 2), (
-        OperatorTerm(-1.0, [(0, "X")]),
-        OperatorTerm(-1.0, [(1, "X")]),
-    ))
-    s = split(model)
-    spec = local_spectrum(s)
-    _, sub = delta_j_ent(spec, spec.sorted_config(0))
-    rep = dk_entanglement_chain(s, 0, sub, FAST)
-    assert rep.pjq_norm <= 1e-9
-    assert rep.norm_step_ok and rep.ent_step_ok
-
-
-def test_dk_chain_ising_g2():
-    s = split(ising2(2.0))
-    r = analyze_excited(s, 0, FAST)
-    assert [list(m) for m in r.chosen_subspace.members] == [[0, 0], [1, 0]]
-    rep = dk_entanglement_chain(s, 0, r.chosen_subspace, FAST)
-    # the weight outside {|++>, |-+>} is the |--> amplitude of the ground
-    # state; its square is the exact bipartite entanglement
-    expected_sq = 0.5 - 2 / np.sqrt(17.0)
-    assert abs(rep.pjq_norm**2 - expected_sq) < 1e-12
-    assert abs(rep.delta_j_Kperp - (np.sqrt(17.0) - 0.0)) < 1e-12
-    assert rep.norm_step_ok and rep.ent_step_ok
-
-
-def test_dk_chain_explicit_projector_cross_check(rng):
-    # the closed-form ||P_j Q|| must match the dense projector computation
-    model = random_weak_chain(rng)
-    s = split(model)
-    spec = local_spectrum(s)
-    j = 2
-    _, sub = delta_j_ent(spec, spec.sorted_config(j))
-    rep = dk_entanglement_chain(s, j, sub, FAST)
-    from frustra.linalg import hermitian_eig
-
-    dec = hermitian_eig(build_dense(s.model))
-    vec = dec.eigenvectors[:, j]
-    q = np.eye(spec.dimension, dtype=complex)
-    for member in sub.members:
-        pv = spec.product_vector(member)
-        q -= np.outer(pv, pv.conj())
-    pj = np.outer(vec, vec.conj())
-    dense_norm = np.linalg.norm(pj @ q, 2)
-    assert abs(rep.pjq_norm - dense_norm) < 1e-10
-
-
-def test_dk_chain_weakly_coupled_all_states():
-    model = random_weak_chain(np.random.default_rng(77))
-    s = split(model)
-    spec = local_spectrum(s)
-    for j in range(8):
-        _, sub = delta_j_ent(spec, spec.sorted_config(j))
-        try:
-            rep = dk_entanglement_chain(s, j, sub, FAST)
-        except DegenerateSeparationError:
-            continue
-        assert rep.norm_step_ok and rep.ent_step_ok

@@ -1,8 +1,11 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frustra.verify
+from frustra.bounds import analyze_ground
 from frustra.errors import NotBipartiteError, UndefinedBoundError
 from frustra.models import (
     OperatorTerm,
@@ -23,7 +26,7 @@ from frustra.saturation import (
     saturation_sweep,
     schmidt_splitting,
 )
-from frustra.verify import gaussian_hermitian
+from frustra.verify import gaussian_hermitian, saturation_suite
 
 GAMMAS = (1e-1, 1e-2, 1e-3)
 DATA = Path(__file__).parent / "data"
@@ -125,8 +128,12 @@ def test_sweep_product_ground_state():
         assert abs(r.report.ef_bound) <= 1e-9
 
 
+def decompose(splitting):
+    return excess_decomposition(splitting, analyze_ground(splitting))
+
+
 def test_excess_decomposition_symmetric_ising():
-    dec = excess_decomposition(split(ising2(1.0)))
+    dec = decompose(split(ising2(1.0)))
     e = 0.5 - 1 / np.sqrt(5.0)
     assert abs(dec.overshoot_local - e) < 1e-9
     assert abs(dec.entanglement_gap) < 1e-9
@@ -138,7 +145,7 @@ def test_excess_decomposition_symmetric_ising():
 
 def test_excess_decomposition_schmidt_small_gamma():
     ss = schmidt_splitting(ising2(1.0), 1e-3)
-    dec = excess_decomposition(ss.splitting)
+    dec = decompose(ss.splitting)
     assert abs(dec.overshoot_local) <= 1e-9
     assert abs(dec.entanglement_gap) <= 1e-9
     assert abs(dec.identity_residual) < 1e-9
@@ -150,7 +157,7 @@ def test_excess_decomposition_commuting_zero():
         OperatorTerm(-1.0, [(1, "Z")]),
         OperatorTerm(-1.0, [(0, "Z"), (1, "Z")]),
     ))
-    dec = excess_decomposition(split(model))
+    dec = decompose(split(model))
     assert abs(dec.overshoot_local) < 1e-12
     assert abs(dec.overshoot_interaction) < 1e-12
     assert abs(dec.entanglement_gap) < 1e-12
@@ -158,7 +165,19 @@ def test_excess_decomposition_commuting_zero():
 
 def test_excess_decomposition_undefined():
     with pytest.raises(UndefinedBoundError):
-        excess_decomposition(split(triangle(1.0)))
+        decompose(split(triangle(1.0)))
+
+
+def test_saturation_suite_counts_a_broken_excess_identity(monkeypatch):
+    real = frustra.verify.excess_decomposition
+
+    def broken(splitting, report):
+        dec = real(splitting, report)
+        return dataclasses.replace(dec, entanglement_gap=dec.entanglement_gap + 1e-6)
+
+    monkeypatch.setattr(frustra.verify, "excess_decomposition", broken)
+    result = saturation_suite(instances=4)
+    assert result.trials == 4 and result.failures == 4 and not result.ok
 
 
 def test_strict_positivity_of_excess():
