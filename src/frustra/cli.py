@@ -8,7 +8,7 @@ seeded subcommands take --seed.  The sweep's rows come from
 ``verify.ising_sweep_row``.  An --out path that cannot be opened exits 2
 before any work.  Exit codes: 0 success (an undefined bound is a
 reported outcome, not an error), 1 a failed property suite, 2
-configuration error, 3 computation error.
+configuration error (a dimension-cap error included), 3 computation error.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ def cmd_saturate(args) -> int:
         gammas = validate_gammas(args.gammas.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --gammas list {args.gammas!r}: {exc}") from None
-    sweep = saturation_sweep(model, gammas, _ent_opts(args))
+    sweep = saturation_sweep(model, gammas)
     rows = [
         {
             "gamma": r.gamma,
@@ -304,10 +304,7 @@ def cmd_perturb(args) -> int:
     if min(dims) < 2:
         # one dimension cannot separate the a-eigenvalue from B's upper spectrum
         raise ConfigError(f"--dims must be at least 2, got {args.dims!r}")
-    try:
-        cap = dim_cap()
-    except DimensionCapError as exc:
-        raise ConfigError(str(exc)) from None
+    cap = dim_cap()
     if max(dims) > cap:
         raise ConfigError(f"--dims must be at most the dimension cap {cap}, got {args.dims!r}")
     lines = []
@@ -379,16 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def model_args(p):
         p.add_argument("--model", required=True,
                        help="built-in model name or path to a model .json file")
         p.add_argument("--param", action="append", metavar="K=V",
                        help="model parameter override (repeatable)")
-        p.add_argument("--split", default="default",
-                       help="default | file:PATH | schmidt:GAMMA")
         p.add_argument("--bipartition", metavar="A|B",
                        help="group sites into two parties by label, e.g. B|AC")
         p.add_argument("--out", help="write the report here instead of stdout")
+
+    def common(p):  # saturate fixes its split and always takes the exact Schmidt route
+        model_args(p)
+        p.add_argument("--split", default="default",
+                       help="default | file:PATH | schmidt:GAMMA")
         p.add_argument("--seed", type=_seed, default=ent.DEFAULT_SEED,
                        help="seed for randomized components")
         p.add_argument("--tol", type=_positive_float, default=ent.DEFAULT_TOL,
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_excited)
 
     p = sub.add_parser("saturate", help="Schmidt-splitting gamma sweep")
-    common(p)
+    model_args(p)
     p.add_argument("--gammas", required=True, help="descending list, e.g. 1e-1,1e-2,1e-3")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_saturate)
@@ -446,7 +446,7 @@ def main(argv=None) -> int:
             # fail before any work; appending nothing leaves an existing file as it is
             _write_text("", args.out, "a")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DimensionCapError) as exc:  # the cap is configuration
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except FrustraError as exc:

@@ -43,7 +43,6 @@ CLOSED_MARGIN_TOL = 1e-12  # an excited-state bound whose denominator is this sm
 ZERO_NORM = 1e-12  # absolute: a truncated ground-state component of smaller norm is empty
 TIE_TOL = 1e-15  # absolute: delta_j_ent prefers a later varying site only by more than this
 PSD_MARGIN_TOL = 1e-8  # PSD margin of |P_a Q| <= |P_a C Q| / delta_a in check_theorem
-VALUE_MATCH_TOL = 1e-8  # hermitian_instance matches a requested eigenvalue within this
 OPTIMIZER_TOL = 1e-10  # default --tol: an optimizer run stops on a smaller per-sweep gain
 TOL_ENT = 1e-6  # absolute slack on optimizer-derived entanglement against a bound
 MIN_GAP = 1e-6  # smallest trusted local gap: saturate's gamma floor, the bound suite's delta_e_ent
@@ -286,12 +285,8 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def operator_abs(s) -> np.ndarray:
-    """Operator absolute value sqrt(S S^dag), a Hermitian PSD matrix."""
-    a = _as_matrix(s)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("operator absolute value requires a square matrix")
-    d = svd(a)
+def operator_abs(d: SVDResult) -> np.ndarray:
+    """Operator absolute value sqrt(S S^dag), a Hermitian PSD matrix, from the SVD of S."""
     return (d.left * d.singular_values) @ d.left.conj().T
 
 

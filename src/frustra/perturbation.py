@@ -15,7 +15,7 @@ Hilbert-Schmidt and trace norms.  The singular values of P_a Q are the
 cosines of the canonical angles between the two subspaces.
 
 Instances are validated by residuals in the Frobenius norm: Hermiticity
-and idempotency of each projector (within RECONSTRUCTION_TOL * max(1, ||P||)),
+and idempotency of each projector (within the absolute RECONSTRUCTION_TOL),
 the eigenspace residual P_a A - a P_a and the commutator [Q, B] (within
 STRUCTURAL_TOL * max(1, ||A||)).  The Frobenius norm is at least the
 spectral norm, so these tests accept nothing a spectral-norm test at the
@@ -33,17 +33,15 @@ import numpy as np
 
 from .errors import DegenerateSeparationError, NotProjectorError
 from .linalg import (
-    PSD_MARGIN_TOL, RECONSTRUCTION_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, VALUE_MATCH_TOL, NormKind,
-    hermitian_eig, op_norm, operator_abs, psd_leq, singular_values, sv_dominance, sv_norm,
-    tol_scale,
+    PSD_MARGIN_TOL, RECONSTRUCTION_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, NormKind, hermitian_eig,
+    op_norm, operator_abs, psd_leq, singular_values, sv_dominance, sv_norm, svd, tol_scale,
 )
 
 
 def _check_projector(p: np.ndarray, name: str) -> None:
-    tol = RECONSTRUCTION_TOL * tol_scale(op_norm(p))
-    if np.linalg.norm(p - p.conj().T) > tol:
+    if np.linalg.norm(p - p.conj().T) > RECONSTRUCTION_TOL:
         raise NotProjectorError(f"{name} is not Hermitian within {RECONSTRUCTION_TOL:g}")
-    if np.linalg.norm(p @ p - p) > tol:
+    if np.linalg.norm(p @ p - p) > RECONSTRUCTION_TOL:
         raise NotProjectorError(f"{name} is not idempotent within {RECONSTRUCTION_TOL:g}")
 
 
@@ -80,62 +78,25 @@ class PerturbationInstance:
             raise DegenerateSeparationError("delta_a must be positive")
 
 
-def _cluster_projector(values: np.ndarray, vectors: np.ndarray, index: int, scale: float):
-    """Projector onto the eigenvalue cluster containing the given index."""
-    target = values[index]
-    members = np.flatnonzero(np.abs(values - target) <= STRUCTURAL_TOL * scale)
-    cols = vectors[:, members]
-    return cols @ cols.conj().T, complex(target)
-
-
-def _value_index(values: np.ndarray, target: float, scale: float) -> int:
-    idx = int(np.argmin(np.abs(values - target)))
-    if abs(values[idx] - target) > VALUE_MATCH_TOL * scale:
-        raise ValueError(f"no eigenvalue within {VALUE_MATCH_TOL:g} * scale of {target}")
-    return idx
-
-
-def hermitian_instance(
-    b: np.ndarray,
-    c: np.ndarray,
-    a_select: int | str | tuple = "ground",
-    beta_select: str | Sequence[int] | tuple = "upper_half",
-) -> PerturbationInstance:
+def hermitian_instance(b: np.ndarray, c: np.ndarray, beta: Sequence[int]) -> PerturbationInstance:
     """Instance builder for Hermitian B and C (A = B + C solved internally).
 
-    ``a_select`` is "ground", an eigenvalue index of A, or ("value", x)
-    matching an eigenvalue to within VALUE_MATCH_TOL * scale;
-    ``beta_select`` is "upper_half", explicit eigenvalue indices of B, or
-    ("values", [...]) with the same matching rule.  The a-projector covers
-    the whole near-degenerate cluster at the selected eigenvalue so it
-    remains a valid eigenprojector under round-off.
+    a is A's lowest eigenvalue and P_a the projector onto its whole
+    near-degenerate cluster, so it remains a valid eigenprojector under
+    round-off.  ``beta`` indexes B's ascending eigenvalues; Q projects onto
+    their eigenvectors.
     """
     b = np.asarray(b, dtype=complex)
     c = np.asarray(c, dtype=complex)
     a = b + c
     dec_a = hermitian_eig(a)
     dec_b = hermitian_eig(b)
-    n = dec_a.eigenvalues.size
-    scale = tol_scale(dec_a.eigenvalues[0], dec_a.eigenvalues[-1])
+    vals = dec_a.eigenvalues
+    members = np.flatnonzero(vals - vals[0] <= STRUCTURAL_TOL * tol_scale(vals[0], vals[-1]))
+    cols = dec_a.eigenvectors[:, members]
+    p_a, a_value = cols @ cols.conj().T, complex(vals[0])
 
-    if a_select == "ground":
-        idx = 0
-    elif isinstance(a_select, tuple) and a_select[0] == "value":
-        idx = _value_index(dec_a.eigenvalues, float(a_select[1]), scale)
-    else:
-        idx = int(a_select)
-    p_a, a_value = _cluster_projector(dec_a.eigenvalues, dec_a.eigenvectors, idx, scale)
-
-    if isinstance(beta_select, str):
-        if beta_select != "upper_half":
-            raise ValueError(f"unknown beta selector {beta_select!r}")
-        beta_idx = list(range(n // 2, n))
-    elif isinstance(beta_select, tuple) and beta_select and beta_select[0] == "values":
-        b_scale = tol_scale(dec_b.eigenvalues[0], dec_b.eigenvalues[-1])
-        beta_idx = sorted({_value_index(dec_b.eigenvalues, float(v), b_scale)
-                           for v in beta_select[1]})
-    else:
-        beta_idx = [int(i) for i in beta_select]
+    beta_idx = [int(i) for i in beta]
     cols = dec_b.eigenvectors[:, beta_idx]
     q = cols @ cols.conj().T
     beta_values = tuple(complex(dec_b.eigenvalues[i]) for i in beta_idx)
@@ -182,9 +143,10 @@ def check_theorem(inst: PerturbationInstance) -> PerturbationCheckReport:
     The first inequality is tested directly in the PSD order; the
     existential second one through sorted singular-value dominance of
     P_a C Q against C, which is equivalent to the existence of the
-    aligning unitary.  Each of P_a Q, P_a C Q and C has its singular values
-    computed once; the norms, the dominance test and the cosines all read
-    them.
+    aligning unitary.  Each matrix is decomposed once: one SVD each of
+    P_a Q and P_a C Q gives both its operator absolute value and its
+    singular values, and C takes a values-only pass.  The norms, the
+    dominance test and the cosines all read these singular values.
     """
     scale = inst.scale
     if inst.delta_a <= STRUCTURAL_TOL * scale:
@@ -194,11 +156,12 @@ def check_theorem(inst: PerturbationInstance) -> PerturbationCheckReport:
     paq = inst.p_a @ inst.q
     pacq = inst.p_a @ inst.c_matrix @ inst.q
 
-    abs_paq = operator_abs(paq)
-    abs_pacq = operator_abs(pacq)
-    holds, margin = psd_leq(abs_paq, abs_pacq / inst.delta_a, tol=PSD_MARGIN_TOL)
+    svd_paq, svd_pacq = svd(paq), svd(pacq)
+    holds, margin = psd_leq(operator_abs(svd_paq), operator_abs(svd_pacq) / inst.delta_a,
+                            tol=PSD_MARGIN_TOL)
 
-    sv_paq, sv_pacq, sv_c = (singular_values(m) for m in (paq, pacq, inst.c_matrix))
+    sv_paq, sv_pacq = svd_paq.singular_values, svd_pacq.singular_values
+    sv_c = singular_values(inst.c_matrix)
     dom_tol = ROUNDOFF_TOL * tol_scale(sv_norm(sv_c, NormKind.OPERATOR))
     dominance = sv_dominance(sv_pacq, sv_c, tol=dom_tol)
 

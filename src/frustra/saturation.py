@@ -18,13 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import entanglement as ent
-from .bounds import (
-    DEFAULT_ENT_OPTS,
-    EntanglementOptions,
-    FrustrationReport,
-    analyze_ground,
-    cut_expansion,
-)
+from .bounds import FrustrationReport, analyze_ground, cut_expansion
 from .errors import NotBipartiteError, UndefinedBoundError
 from .linalg import MIN_GAP, STRUCTURAL_TOL, tol_scale
 from .models import OperatorTerm, SpinModel, Splitting
@@ -108,8 +102,7 @@ def validate_gammas(gammas: Sequence[float]) -> list[float]:
     return gs
 
 
-def saturation_sweep(model: SpinModel, gammas: Sequence[float],
-                     ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> SaturationSweep:
+def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> SaturationSweep:
     """Frustration reports for a descending list of gammas.
 
     Gammas below MIN_GAP are rejected: delta_e_ent = gamma would amplify
@@ -126,7 +119,7 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float],
 
     records = []
     for gamma in gs:
-        report = analyze_ground(_rank1_splitting(model, projector, gamma), ent_opts)
+        report = analyze_ground(_rank1_splitting(model, projector, gamma))
         e_scale = tol_scale(report.E0, report.E0_L, report.E0_I)
         if report.ef_bound is None:
             records.append(SweepRecord(gamma, report, float("nan"), float("nan"), True))

@@ -238,7 +238,7 @@ def perturbation_trial(seed: int, index: int, dims=(4, 8, 16), c_norms=(0.01, 0.
         b = gaussian_hermitian(rng, n, norm=1.0)
         c = gaussian_hermitian(rng, n, norm=c_norm)
         try:
-            inst = hermitian_instance(b, c, a_select="ground", beta_select="upper_half")
+            inst = hermitian_instance(b, c, range(n // 2, n))
             if inst.delta_a < 0.02:
                 continue
             return check_theorem(inst)
@@ -256,7 +256,7 @@ def sharpness_witness(eps: float = 1e-3) -> float:
     """
     b = np.diag([0.0, 1.0]).astype(complex)
     c = eps * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    inst = hermitian_instance(b, c, a_select="ground", beta_select=[1])
+    inst = hermitian_instance(b, c, [1])
     rep = check_theorem(inst)
     cosine = float(rep.canonical_cosines[0])
     return cosine * inst.delta_a / eps

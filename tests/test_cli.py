@@ -213,6 +213,10 @@ def test_analyze_config_errors(capsys):
     ["sweep", "--grid", "0.2:2:2", "--seed", "1"],
     ["sweep", "--grid", "0.2:2:2", "--tol", "1e-9"],
     ["perturb", "--trials", "1", "--jobs", "2"],
+    # saturate fixes its split and takes the exact Schmidt route
+    ["saturate", "--model", "ising2", "--gammas", "0.1,0.01", "--split", "default"],
+    ["saturate", "--model", "ising2", "--gammas", "0.1,0.01", "--seed", "1"],
+    ["saturate", "--model", "ising2", "--gammas", "0.1,0.01", "--tol", "1e-9"],
 ], ids=" ".join)
 def test_config_errors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -332,6 +336,22 @@ def test_perturb_dims_obey_the_dimension_cap(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "perturb", "--dims", "4", "--trials", "1")
     assert code == 2 and out == ""
     assert "FRUSTRA_DIM_CAP must be an integer" in err
+
+
+@pytest.mark.parametrize("cap", ["abc", "1"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "ising2"],
+    ["excited", "--model", "ising2", "--j", "0"],
+    ["saturate", "--model", "ising2", "--gammas", "0.1"],
+    ["sweep", "--grid", "1:1:1"],
+    ["perturb", "--trials", "1"],
+    ["selftest", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_bad_dimension_cap_exits_2(capsys, monkeypatch, argv, cap):
+    monkeypatch.setenv("FRUSTRA_DIM_CAP", cap)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: FRUSTRA_DIM_CAP must be")
 
 
 def test_out_check_keeps_an_existing_file(tmp_path, capsys):

@@ -322,25 +322,25 @@ def test_svd_reconstruction(seed, rows, cols):
 
 
 def test_operator_abs_scalar_matrix():
-    np.testing.assert_allclose(operator_abs(-2.0 * np.eye(2)), 2.0 * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(operator_abs(svd(-2.0 * np.eye(2))), 2.0 * np.eye(2), atol=1e-12)
 
 
 def test_operator_abs_fixes_psd():
     rng = np.random.default_rng(2)
     a = random_hermitian(rng, 5)
     psd = a @ a.conj().T
-    np.testing.assert_allclose(operator_abs(psd), psd, atol=1e-10)
+    np.testing.assert_allclose(operator_abs(svd(psd)), psd, atol=1e-10)
 
 
 def test_operator_abs_pauli_z():
     # sqrt(sz sz^dag) = sqrt(I) = I, checked by direct multiplication
-    np.testing.assert_allclose(operator_abs(SZ), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(operator_abs(svd(SZ)), np.eye(2), atol=1e-12)
 
 
 def test_operator_abs_matches_singular_values():
     rng = np.random.default_rng(3)
     s = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    abs_s = operator_abs(s)
+    abs_s = operator_abs(svd(s))
     sq = abs_s @ abs_s
     np.testing.assert_allclose(sq, s @ s.conj().T, atol=1e-9 * max(1.0, op_norm(s) ** 2))
     ev = np.linalg.eigvalsh(abs_s)[::-1]

@@ -28,8 +28,7 @@ def two_level_overlap(eps):
 
 def test_two_level_instance_against_closed_form():
     eps = 0.01
-    inst = hermitian_instance(np.diag([0.0, 1.0]).astype(complex), eps * SX,
-                              a_select="ground", beta_select=[1])
+    inst = hermitian_instance(np.diag([0.0, 1.0]).astype(complex), eps * SX, [1])
     rep = check_theorem(inst)
     expected = two_level_overlap(eps)
     assert abs(rep.canonical_cosines[0] - expected) < 1e-12
@@ -42,7 +41,7 @@ def test_two_level_instance_against_closed_form():
 
 def test_zero_perturbation_trivial():
     b = np.diag([0.0, 1.0, 2.0]).astype(complex)
-    inst = hermitian_instance(b, np.zeros((3, 3)), a_select="ground", beta_select=[1, 2])
+    inst = hermitian_instance(b, np.zeros((3, 3)), [1, 2])
     rep = check_theorem(inst)
     assert rep.all_ok
     np.testing.assert_allclose(rep.canonical_cosines, 0.0, atol=1e-14)
@@ -100,23 +99,8 @@ def test_degenerate_separation_raises():
         check_theorem(inst)
 
 
-def test_value_selectors():
-    b = np.diag([0.0, 1.0, 2.0]).astype(complex)
-    c = 0.01 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-    ground = np.linalg.eigvalsh(b + c)[0]
-    inst = hermitian_instance(b, c, a_select=("value", ground),
-                              beta_select=("values", [1.0, 2.0]))
-    assert abs(inst.a_value - ground) < 1e-12
-    assert inst.beta_values == (1.0, 2.0)
-    assert check_theorem(inst).all_ok
-    with pytest.raises(ValueError):
-        hermitian_instance(b, c, a_select=("value", 0.37))
-    with pytest.raises(ValueError):
-        hermitian_instance(b, c, beta_select=("values", [0.5]))
-
-
 def test_instance_validation():
-    good = hermitian_instance(np.diag([0.0, 1.0]).astype(complex), 0.1 * SX)
+    good = hermitian_instance(np.diag([0.0, 1.0]).astype(complex), 0.1 * SX, [1])
     good.validate()
     bad = PerturbationInstance(
         a_matrix=good.a_matrix,
@@ -132,36 +116,43 @@ def test_instance_validation():
         bad.validate()
 
 
-def test_trial_takes_one_singular_value_pass_per_matrix(monkeypatch):
-    # A, P_a Q, P_a C Q and C: every norm, the dominance test and the
-    # cosines come from these singular values (np.linalg.norm(x, 2) is one too)
-    inside, counted = [False], []
-    svd, norm, check = np.linalg.svd, np.linalg.norm, frustra.verify.check_theorem
+def test_trial_decomposes_each_matrix_once(monkeypatch):
+    # check_theorem: full SVDs of P_a Q and P_a C Q and a values-only pass of C;
+    # hermitian_instance: at most op_norm(A), the tolerance scale, and no projector SVD
+    # (np.linalg.norm(x, 2) is an SVD too)
+    phase, counts = [None], {"hermitian_instance": [], "check_theorem": []}
+    svd, norm = np.linalg.svd, np.linalg.norm
 
-    def counting_svd(a, *args, compute_uv=True, **kwargs):
-        if inside[0] and not compute_uv:
-            counted.append("svd")
-        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+    def counting_svd(*args, **kwargs):
+        if phase[0]:
+            counts[phase[0]][-1] += 1
+        return svd(*args, **kwargs)
 
     def counting_norm(x, ord=None, *args, **kwargs):
-        if inside[0] and ord == 2:
-            counted.append("norm2")
+        if phase[0] and ord == 2:
+            counts[phase[0]][-1] += 1
         return norm(x, ord, *args, **kwargs)
 
-    def counting_check(inst, *args, **kwargs):
-        inside[0] = True
-        try:
-            return check(inst, *args, **kwargs)
-        finally:
-            inside[0] = False
+    def counted(name):
+        inner = getattr(frustra.verify, name)
+
+        def wrapper(*args, **kwargs):
+            phase[0] = name
+            counts[name].append(0)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                phase[0] = None
+        monkeypatch.setattr(frustra.verify, name, wrapper)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
-    monkeypatch.setattr(frustra.verify, "check_theorem", counting_check)
+    counted("hermitian_instance")
+    counted("check_theorem")
     for index in range(3):
-        counted.clear()
         assert perturbation_trial(5, index).all_ok
-        assert 3 <= len(counted) <= 4
+    assert counts["check_theorem"] == [3, 3, 3]
+    assert counts["hermitian_instance"] and max(counts["hermitian_instance"]) <= 1
 
 
 def test_projector_residuals_use_frobenius_norm():
