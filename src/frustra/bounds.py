@@ -65,7 +65,7 @@ def ground_entanglement(model: SpinModel, opts: EntanglementOptions = DEFAULT_EN
     """
     memo = model.entanglement_memo
     if opts not in memo:
-        psi = ent.PureState(model.ground[1], model.dims)
+        psi = ent.PureState(model.ground.vector, model.dims)
         memo[opts] = state_entanglement(psi, opts)
     return memo[opts]
 
@@ -154,10 +154,8 @@ def analyze_ground(splitting: Splitting,
     and flagged; the bounds hold for any ground state, so no minimization
     over the ground space is attempted.
     """
-    vals, ground = splitting.model.ground
-    scale = tol_scale(vals[0], vals[-1])
-    degenerate = bool(vals.size > 1 and vals[1] - vals[0] <= STRUCTURAL_TOL * scale)
-    e0 = float(vals[0])
+    g = splitting.model.ground
+    ground, scale, e0 = g.vector, g.scale, g.energy
     psi = ent.PureState(ground, splitting.model.dims)
 
     spec = splitting.local
@@ -199,7 +197,7 @@ def analyze_ground(splitting: Splitting,
         E_I_tot=e_i_tot,
         local_frustration=exp_l - e0_l,
         interaction_frustration=exp_i - e0_i,
-        degenerate_ground=degenerate,
+        degenerate_ground=g.degenerate,
     )
 
 

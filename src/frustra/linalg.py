@@ -1,7 +1,7 @@
 """Dense matrix kernel.
 
 Hermitian eigendecomposition with two cheaper variants (eigenvalues only,
-and eigenvalues plus the ground vector), SVD, operator absolute value, the
+and a certified ground state), SVD, operator absolute value, the
 positive-semidefinite (PSD) ordering test, the three normalized
 unitarily invariant norms (operator, Hilbert-Schmidt, trace), and sorted
 dominance between two lists of singular values.  Everything downstream
@@ -10,11 +10,13 @@ these few operations.
 
 The eigenvalues-only solver returns the sorted diagonal of a matrix whose
 off-diagonal entries are all exactly zero, which is what LAPACK returns
-for it.  The ground variant takes every eigenvalue from LAPACK and the
-ground vector by inverse iteration at a shift next to the lowest
-eigenvalue, guarded by its residual; it gives no vector when the ground
-level is degenerate or the guard fails, and the caller then falls back to
-the full decomposition.
+for it.  The ground variant computes no full spectrum: Lanczos gives E0
+and the ground vector, and one block Cholesky factorization of a shifted,
+rank-1-lifted H certifies, by interlacing, that E0 is the lowest
+eigenvalue and that the next one lies more than STRUCTURAL_TOL * scale
+above it.  It gives nothing when the ground level is degenerate or the
+certificate fails, and the caller then falls back to the full
+decomposition.
 
 All functions are pure and deterministic for identical input: eigenvalues
 come back ascending, singular values descending, and every returned
@@ -38,7 +40,7 @@ from .errors import NoConvergenceError, NotHermitianError
 # quantities it guards; sized for double precision up to the dimension cap (4096).
 STRUCTURAL_TOL = 1e-9  # the Hermitian check; degeneracy, gap, cut and pairing tests; bound-chain slack
 RECONSTRUCTION_TOL = 1e-10  # projectors, state normalization, imported dense H, ground residual
-ROUNDOFF_TOL = 1e-12  # exact identities: factor Hermiticity, A = B + C, norm orders
+ROUNDOFF_TOL = 1e-12  # exact identities: factor Hermiticity, A = B + C, norm orders; Lanczos breakdown
 CLOSED_MARGIN_TOL = 1e-12  # an excited-state bound whose denominator is this small is absent
 ZERO_NORM = 1e-12  # absolute: a truncated ground-state component of smaller norm is empty
 TIE_TOL = 1e-15  # absolute: delta_j_ent prefers a later varying site only by more than this
@@ -188,8 +190,15 @@ def hermitian_eig(m) -> EigenDecomposition:
     return EigenDecomposition(vals, fix_phases(vecs))
 
 
-def _eigvalsh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(ascending eigenvalues, Hermitian part or None for a diagonal matrix) under the Hermitian rule.
+def _diagonal_eigvals(d: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the matrix with diagonal d and zeros elsewhere, under the Hermitian rule."""
+    vals = np.sort(d.real)
+    _check_hermitian(2.0 * float(np.linalg.norm(d.imag)), vals)
+    return vals
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a matrix from _square, under the Hermitian rule.
 
     A diagonal matrix has Hermitian part diag(Re d) and ||M - M^dag||_F =
     2 ||Im d||, so its eigenvalues are its sorted real diagonal: exactly what
@@ -197,71 +206,151 @@ def _eigvalsh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """
     d = _diagonal(a)
     if d is not None:
-        vals = np.sort(d.real)
-        _check_hermitian(2.0 * float(np.linalg.norm(d.imag)), vals)
-        return vals, None
+        return _diagonal_eigvals(d)
     h, asym = _hermitian_part(a)
     try:
         vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     _check_hermitian(asym, vals)
-    return vals, h
+    return vals
 
 
 def eigvalsh(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, under hermitian_eig's check."""
-    return _eigvalsh(_square(m))[0]
+    return _eigvalsh(_square(m))
 
 
-INVERSE_ITERATION_CAP = 8  # solves; a gap just above the degeneracy test takes 4
+LANCZOS_STEPS = 80  # ground_eig's Krylov dimension (all of it when d is smaller)
 
 
-def ground_eig(m) -> tuple[np.ndarray, np.ndarray | None]:
-    """(ascending eigenvalues, phase-fixed ground vector or None) of a Hermitian matrix.
+@dataclass(frozen=True, eq=False)
+class GroundState:
+    """What a ground-state report reads of H; degenerate means E1 - E0 <= STRUCTURAL_TOL * scale."""
 
-    The eigenvalues and the Hermitian rule are eigvalsh's.  The ground
-    vector comes from inverse iteration: np.linalg.solve at the float just
-    below E0, repeated until two successive unit iterates agree to
-    ROUNDOFF_TOL (at most INVERSE_ITERATION_CAP solves).  A diagonal matrix
-    gets the unit vector at its smallest entry, as hermitian_eig gives it.
-    No vector is returned, and the caller must take column 0 of
-    hermitian_eig, when the ground level is degenerate
-    (E1 - E0 <= STRUCTURAL_TOL * scale), when the solve fails, or when the
-    residual ||H psi - E0 psi|| exceeds RECONSTRUCTION_TOL * scale, with
-    scale = tol_scale(E0, lam_max).
+    energy: float
+    vector: np.ndarray
+    scale: float
+    degenerate: bool
+
+    @classmethod
+    def of(cls, eigenvalues: np.ndarray, vector: np.ndarray) -> GroundState:
+        """From every eigenvalue (ascending) and a ground vector; scale = tol_scale(E0, lam_max)."""
+        scale = tol_scale(eigenvalues[0], eigenvalues[-1])
+        gap = eigenvalues[1] - eigenvalues[0] if eigenvalues.size > 1 else np.inf
+        return cls(float(eigenvalues[0]), vector, scale, bool(gap <= STRUCTURAL_TOL * scale))
+
+
+def ground_eig(m) -> GroundState | None:
+    """The certified, non-degenerate ground state of a Hermitian matrix, or None.
+
+    A diagonal matrix gets the unit vector at its smallest entry, as
+    hermitian_eig gives it.  Otherwise Lanczos runs min(d, LANCZOS_STEPS)
+    steps from a fixed seeded start with full reorthogonalization; psi is
+    the lowest Ritz vector, E0 its Rayleigh quotient, r = ||H psi - E0 psi||
+    and scale = tol_scale(E0, theta_max), theta_max the top Ritz value.
+    theta_max never exceeds lam_max beyond round-off, so the Hermitian rule
+    at this scale is never looser than hermitian_eig's.  The state is certified when
+    r <= RECONSTRUCTION_TOL * scale and
+    H + (theta_max - E0) psi psi^dag - sigma I, sigma = E0 + r + STRUCTURAL_TOL * scale,
+    is positive definite.  The rank-1 term lifts one eigenvalue, so by
+    interlacing E1 > sigma: E0 is then within r of the ground energy and
+    E1 - E0 > STRUCTURAL_TOL * scale.  None is returned, and the caller must
+    fall back to hermitian_eig, when the ground level of a diagonal matrix
+    is degenerate, when the residual is too large, when the two lowest Ritz
+    values already fail the gap test, or when the factorization fails.
     """
     a = _square(m)
-    vals, h = _eigvalsh(a)
-    scale = tol_scale(vals[0], vals[-1])
-    if vals.size > 1 and vals[1] - vals[0] <= STRUCTURAL_TOL * scale:
-        return vals, None
-    n = a.shape[0]
-    if h is None:
-        vec = np.zeros(n, dtype=a.dtype)
-        vec[np.argmin(np.diagonal(a).real)] = 1.0
-        return vals, vec
-    e0 = vals[0]
-    shifted = h.copy()
-    shifted.flat[:: n + 1] -= np.nextafter(e0, -np.inf)
-    x = np.random.default_rng(0).standard_normal(n)
-    x /= np.linalg.norm(x)
+    return _ground_eig(a, np.random.default_rng(0).standard_normal(a.shape[0]))
+
+
+def _ground_eig(a: np.ndarray, start: np.ndarray) -> GroundState | None:
+    """ground_eig of a matrix from _square, with the Lanczos start vector given."""
+    d = _diagonal(a)
+    if d is not None:
+        vec = np.zeros(a.shape[0], dtype=a.dtype)
+        vec[np.argmin(d.real)] = 1.0
+        g = GroundState.of(_diagonal_eigvals(d), vec)
+        return None if g.degenerate else g
+    h, asym = _hermitian_part(a)
+    psi, ritz = _lanczos(h, start)
+    h_psi = h @ psi
+    e0 = float(np.vdot(psi, h_psi).real)
+    r = float(np.linalg.norm(h_psi - e0 * psi))
+    _check_hermitian(asym, (e0, ritz[-1]))
+    scale = tol_scale(e0, ritz[-1])
+    margin = STRUCTURAL_TOL * scale
+    if (r > RECONSTRUCTION_TOL * scale or (ritz.size > 1 and ritz[1] - ritz[0] <= margin)
+            or not _positive_definite(h, psi, ritz[-1] - e0, e0 + r + margin)):
+        return None
+    return GroundState(e0, fix_phases(psi[:, None])[:, 0], scale, False)
+
+
+def _lanczos(h: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unit lowest Ritz vector, ascending Ritz values) of min(d, LANCZOS_STEPS) Lanczos steps.
+
+    Every new direction is orthogonalized twice against all previous ones,
+    so the basis stays orthonormal.  The run ends early when that leaves
+    less than ROUNDOFF_TOL * tol_scale(||H v||) of H v: the basis then spans
+    an invariant subspace, and a further direction would be round-off.
+    """
+    n = h.shape[0]
+    steps = min(n, LANCZOS_STEPS)
+    basis = np.empty((steps, n), dtype=h.dtype)
+    alpha = np.empty(steps)
+    beta = np.empty(steps - 1)
+    v = start / np.linalg.norm(start)
+    for j in range(steps):
+        basis[j] = v
+        w = h @ v
+        alpha[j] = np.vdot(v, w).real
+        if j + 1 == steps:
+            break
+        floor = ROUNDOFF_TOL * tol_scale(np.linalg.norm(w))
+        q = basis[: j + 1]
+        for _ in range(2):
+            w -= (q @ w.conj()).conj() @ q
+        b = float(np.linalg.norm(w))
+        if b <= floor:  # the basis spans an invariant subspace, to round-off
+            steps = j + 1
+            break
+        beta[j] = b
+        v = w / b
+    t = np.diag(alpha[:steps]) + np.diag(beta[: steps - 1], 1) + np.diag(beta[: steps - 1], -1)
+    ritz, s = np.linalg.eigh(t)
+    psi = s[:, 0] @ basis[:steps]
+    return psi / np.linalg.norm(psi), ritz
+
+
+def _positive_definite(h: np.ndarray, psi: np.ndarray, c: float, sigma: float) -> bool:
+    """Whether M = h + c psi psi^dag - sigma I is positive definite.
+
+    M = [[A, B], [B^dag, C]] is factored by blocks: M is positive definite
+    iff A is and so is C - X^dag X, with X = L_A^-1 B and A = L_A L_A^dag.
+    Each block is built from a slice of h and freed once spent, so no d x d
+    copy of M is ever held.
+    """
+    k = h.shape[0] // 2
+    top, bottom = slice(None, k), slice(k, None)
+
+    def block(rows, cols):
+        out = np.multiply.outer(psi[rows], c * psi[cols].conj())
+        out += h[rows, cols]
+        if rows == cols:
+            out.flat[:: out.shape[0] + 1] -= sigma
+        return out
+
     try:
-        for _ in range(INVERSE_ITERATION_CAP):
-            y = np.linalg.solve(shifted, x)
-            # the solve's round-off is as large as the shift's distance to E0,
-            # so each solve may turn the ground component by a constant phase
-            overlap = np.vdot(y, x)
-            y *= overlap / (abs(overlap) * np.linalg.norm(y))
-            done = np.linalg.norm(y - x) <= ROUNDOFF_TOL
-            x = y
-            if done:
-                break
+        l_a = np.linalg.cholesky(block(top, top))
+        x = np.linalg.solve(l_a, block(top, bottom))
+        del l_a
+        schur = block(bottom, bottom)
+        schur -= x.conj().T @ x
+        del x
+        np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
-        return vals, None
-    if np.linalg.norm(h @ x - e0 * x) > RECONSTRUCTION_TOL * scale:
-        return vals, None
-    return vals, fix_phases(x[:, None])[:, 0]
+        return False
+    return True
 
 
 def svd(m) -> SVDResult:

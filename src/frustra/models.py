@@ -31,16 +31,18 @@ from .errors import (
     NonHermitianTermError,
 )
 from .linalg import (
-    RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, eigvalsh, ground_eig,
-    hermitian_eig, tol_scale,
+    RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, GroundState, eigvalsh,
+    ground_eig, hermitian_eig, tol_scale,
 )
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "FRUSTRA_DIM_CAP"
 # SpinModel.ground uses linalg.ground_eig from this dimension on.  Below it the
-# full eigh is cheaper (0.04 against 0.10 ms at d = 8, 0.16 against 0.28 ms at
-# d = 32; 0.61 against 0.45 ms at d = 64, 2 vCPUs, OpenBLAS), and the tier
-# would move saturate's ground vector, hence its reports, at the 1e-12 level.
+# full eigh gives the ground state, so the reports of small models, saturate's
+# among them, keep the digits of the full decomposition.  Medians of hermitian_eig against ground_eig on transverse
+# chains, 2 vCPUs, OpenBLAS: 0.34 against 1.5 ms at d = 64, 1.8 against 2.6 ms
+# at d = 128, 6.9 against 6.5 ms at d = 256 (0.17 against 0.06 s at d = 1024).
+# The 80 Lanczos steps cost a fixed ~1.5 ms, so the tier pays off from d ~ 200.
 GROUND_TIER_MIN_DIM = 64
 
 PAULI = {
@@ -170,20 +172,22 @@ class SpinModel:
         return dec
 
     @cached_property
-    def ground(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ascending eigenvalues of H, ground vector), both read-only.
+    def ground(self) -> GroundState:
+        """E0, a read-only ground vector, the tolerance scale and the degeneracy flag of H.
 
         From dimension GROUND_TIER_MIN_DIM on, this is linalg.ground_eig,
         which skips the full decomposition; below it, and whenever
-        ground_eig gives no vector (a degenerate ground level, a failed solve
-        or residual guard), it is read from ``spectrum``.
+        ground_eig certifies no state (a degenerate ground level, an
+        unconverged Lanczos run or a failed factorization), it is read from
+        ``spectrum``.
         """
         if self.dimension >= GROUND_TIER_MIN_DIM:
-            vals, vec = ground_eig(build_dense(self))
-            if vec is not None:
-                return _read_only(vals), _read_only(vec)
+            g = ground_eig(build_dense(self))
+            if g is not None:
+                _read_only(g.vector)
+                return g
         dec = self.spectrum
-        return dec.eigenvalues, dec.eigenvectors[:, 0]
+        return GroundState.of(dec.eigenvalues, dec.eigenvectors[:, 0])
 
     @cached_property
     def entanglement_memo(self) -> dict:

@@ -43,7 +43,7 @@ def _require_bipartite(model: SpinModel) -> None:
 
 
 def _ground_schmidt(model: SpinModel):
-    psi = ent.PureState(model.ground[1], model.dims)
+    psi = ent.PureState(model.ground.vector, model.dims)
     sd = ent.schmidt(psi, ((0,), (1,)))
     coeffs = sd.coefficients
     degenerate = bool(coeffs.size > 1 and coeffs[0] - coeffs[1] <= STRUCTURAL_TOL)

@@ -402,6 +402,14 @@ def test_analyze_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
+def test_analyze_byte_identical_reruns_on_the_ground_tier(capsys):
+    """Dimension 1024: Lanczos and its certificate, not the full decomposition."""
+    path = str(Path(__file__).parent / "data" / "transverse_chain10_model.json")
+    _, out1, _ = run_cli(capsys, "analyze", "--model", path)
+    _, out2, _ = run_cli(capsys, "analyze", "--model", path)
+    assert out1 == out2
+
+
 def test_sweep_determinism_and_jobs(capsys):
     _, out1, _ = run_cli(capsys, "sweep", "--grid", "0.2:2:5")
     _, out2, _ = run_cli(capsys, "sweep", "--grid", "0.2:2:5")

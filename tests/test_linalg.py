@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from frustra import linalg
 from frustra.errors import NotHermitianError
 from frustra.linalg import (
     RECONSTRUCTION_TOL,
@@ -189,7 +190,7 @@ def test_diagonal_shortcut_keeps_the_hermitian_rule():
 
 
 # ---------------------------------------------------------------------------
-# ground_eig: every eigenvalue, and the ground vector by inverse iteration
+# ground_eig: Lanczos and its certificate
 
 
 def _with_spectrum(rng, n, complex_, gap_factor):
@@ -205,56 +206,82 @@ def _with_spectrum(rng, n, complex_, gap_factor):
     return (vecs * vals) @ vecs.conj().T
 
 
-@given(st.integers(0, 10_000), st.integers(2, 96), st.booleans(),
-       st.sampled_from([None, 10.0, 1000.0]))
-def test_ground_eig_matches_hermitian_eig(seed, n, complex_, gap_factor):
-    m = _with_spectrum(np.random.default_rng(seed), n, complex_, gap_factor)
+def _counting(monkeypatch, name):
+    """Shapes of the matrices passed to np.linalg.<name>, in call order."""
+    seen = []
+    solver = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return seen
+
+
+def _assert_certified_ground(m, g):
+    """g agrees with the full decomposition: E0 within its residual r, the vector within about r / gap."""
     dec = hermitian_eig(m)
-    vals, vec = ground_eig(m)
-    scale = tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
-    assert np.max(np.abs(vals - dec.eigenvalues)) <= ROUNDOFF_TOL * scale
-    assert vec is not None  # every gap here is at least 10 * STRUCTURAL_TOL * scale
-    gap = dec.eigenvalues[1] - dec.eigenvalues[0]
-    ref = dec.eigenvectors[:, 0]
-    assert vec.dtype == ref.dtype
-    assert 1.0 - abs(np.vdot(ref, vec)) <= ROUNDOFF_TOL * scale / gap
-    assert np.linalg.norm(vec - ref) <= ROUNDOFF_TOL * scale / gap  # the same phase convention
-    assert np.linalg.norm(m @ vec - vals[0] * vec) <= RECONSTRUCTION_TOL * scale
+    vals, ref = dec.eigenvalues, dec.eigenvectors[:, 0]
+    full_scale = tol_scale(vals[0], vals[-1])
+    assert g.scale <= full_scale * (1.0 + ROUNDOFF_TOL)  # theta_max <= lam_max, up to round-off
+    assert not g.degenerate and vals[1] - vals[0] > STRUCTURAL_TOL * g.scale
+    r = np.linalg.norm(m @ g.vector - g.energy * g.vector)
+    assert r <= RECONSTRUCTION_TOL * g.scale
+    assert abs(g.energy - vals[0]) <= r + ROUNDOFF_TOL * full_scale
+    assert g.vector.dtype == ref.dtype
+    # the reference vector itself carries round-off of order ROUNDOFF_TOL * scale / gap
+    bound = (r + ROUNDOFF_TOL * full_scale) / (vals[1] - vals[0] - r)
+    assert np.linalg.norm(g.vector - np.vdot(ref, g.vector) * ref) <= bound  # sin(theta)
+    assert np.linalg.norm(g.vector - ref) <= bound * (1.0 + np.sqrt(m.shape[0]))  # the same phase convention
+
+
+@given(st.integers(0, 10_000), st.integers(2, 96), st.booleans(),
+       st.sampled_from([None, 1.5, 10.0, 1000.0]))
+def test_ground_eig_matches_hermitian_eig(seed, n, complex_, gap_factor):
+    """Certified and right, or no state at all: a wrong E0 never comes back."""
+    m = _with_spectrum(np.random.default_rng(seed), n, complex_, gap_factor)
+    g = ground_eig(m)
+    if n <= 80:  # Lanczos spans the whole space, so every gap here is certified
+        assert g is not None
+    if g is not None:
+        _assert_certified_ground(m, g)
 
 
 @pytest.mark.parametrize("gap_factor", [1.5, 10.0, 1000.0, None])
 @pytest.mark.parametrize("complex_", [False, True])
 def test_ground_eig_takes_at_most_four_solves(monkeypatch, gap_factor, complex_):
-    solves = []
-    solve = np.linalg.solve
-
-    def counting(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    """The tier's only O(d^3) work on H is the certificate: one block solve and two Cholesky factors."""
     m = _with_spectrum(np.random.default_rng(11), 80, complex_, gap_factor)
-    assert ground_eig(m)[1] is not None
-    assert len(solves) <= (4 if gap_factor == 1.5 else 3)
+    solves = _counting(monkeypatch, "solve")
+    factors = _counting(monkeypatch, "cholesky")
+    eigvalsh_calls = _counting(monkeypatch, "eigvalsh")
+    eigh_calls = _counting(monkeypatch, "eigh")
+    assert ground_eig(m) is not None
+    assert solves == [(40, 40)] and factors == [(40, 40), (40, 40)]
+    assert eigvalsh_calls == [] and eigh_calls == [(80, 80)]  # the 80-step tridiagonal, not H
 
 
-def test_ground_eig_degenerate_gives_no_vector():
+def test_ground_eig_degenerate_gives_no_vector(monkeypatch):
+    """The two lowest Ritz values resolve both levels, so no factorization is tried."""
+    factors = _counting(monkeypatch, "cholesky")
     rng = np.random.default_rng(3)
     for gap_factor in (0.0, 0.5):
         for complex_ in (False, True):
-            vals, vec = ground_eig(_with_spectrum(rng, 24, complex_, gap_factor))
-            assert vec is None and vals.size == 24
-    vals, vec = ground_eig(np.diag([2.0, -1.0, 0.5, -1.0]))  # diagonal and degenerate
-    assert vec is None and np.array_equal(vals, [-1.0, -1.0, 0.5, 2.0])
+            assert ground_eig(_with_spectrum(rng, 24, complex_, gap_factor)) is None
+    assert ground_eig(np.diag([2.0, -1.0, 0.5, -1.0])) is None  # diagonal and degenerate
+    assert factors == []
 
 
 def test_ground_eig_diagonal_is_the_eigh_unit_vector():
     d = np.random.default_rng(8).normal(size=70)
     for m in (np.diag(d), np.diag(d).astype(complex)):
-        vals, vec = ground_eig(m)
+        g = ground_eig(m)
         dec = hermitian_eig(m)
-        assert np.array_equal(vals, dec.eigenvalues)
-        assert np.array_equal(vec, dec.eigenvectors[:, 0]) and vec.dtype == dec.eigenvectors.dtype
+        assert g.energy == dec.eigenvalues[0] and not g.degenerate
+        assert g.scale == tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
+        assert np.array_equal(g.vector, dec.eigenvectors[:, 0])
+        assert g.vector.dtype == dec.eigenvectors.dtype
 
 
 def test_ground_eig_rejects_non_hermitian():
@@ -265,18 +292,54 @@ def test_ground_eig_rejects_non_hermitian():
 
 
 def test_ground_eig_failed_solve_gives_no_vector(monkeypatch):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def not_positive_definite(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    vals, vec = ground_eig(build_dense(transverse_chain(4)))
-    assert vec is None and vals.size == 16
+    h = build_dense(transverse_chain(6))
+    assert ground_eig(h) is not None
+    for failing in ("cholesky", "solve"):  # either step of the block factorization
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, failing, not_positive_definite)
+            assert ground_eig(h) is None
 
 
 def test_ground_eig_failed_residual_guard_gives_no_vector(monkeypatch):
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: b)  # iterates agree, but not on psi_0
-    vals, vec = ground_eig(build_dense(transverse_chain(4)))
-    assert vec is None and vals.size == 16
+    """80 Lanczos steps cannot resolve a ground level 1/400 of the spectrum's width below the next."""
+    factors = _counting(monkeypatch, "cholesky")
+    rng = np.random.default_rng(5)
+    vecs = np.linalg.qr(rng.normal(size=(400, 400)))[0]
+    m = (vecs * np.linspace(0.0, 1.0, 400)) @ vecs.T
+    assert ground_eig(m) is None
+    assert factors == []
+
+
+def test_certificate_rejects_a_lanczos_run_that_missed_the_ground_level(monkeypatch):
+    """A start orthogonal to the ground vector converges to a higher level; the factorization rejects it.
+
+    No vector means the caller reads the full decomposition, as
+    test_models::test_failed_certificate_falls_back_to_the_spectrum checks.
+    """
+    rng = np.random.default_rng(12)
+    # block diagonal: the ground level lives in the first block, and a start
+    # confined to the second never leaves it, round-off included
+    first = _with_spectrum(rng, 20, False, None) - 20.0 * np.eye(20)
+    second = _with_spectrum(rng, 60, False, None)
+    m = np.zeros((80, 80))
+    m[:20, :20], m[20:, 20:] = first, second
+    dec = hermitian_eig(m)
+    start = np.concatenate([np.zeros(20), rng.normal(size=60)])
+    assert abs(np.vdot(dec.eigenvectors[:, 0], start)) == 0.0
+
+    psi, ritz = linalg._lanczos(m, start)
+    e = np.vdot(psi, m @ psi)
+    assert np.linalg.norm(m @ psi - e * psi) <= RECONSTRUCTION_TOL  # converged, but not to E0
+    assert e - dec.eigenvalues[0] > 1.0
+
+    factors = _counting(monkeypatch, "cholesky")
+    assert linalg._ground_eig(m, start) is None
+    assert factors  # the residual and the Ritz gap passed; the factorization said no
+    g = ground_eig(m)  # the seeded start finds the ground level
+    _assert_certified_ground(m, g)
 
 
 # ---------------------------------------------------------------------------

@@ -246,37 +246,56 @@ def test_splitting_keeps_its_local_spectrum():
 def test_ground_below_the_tier_reads_the_spectrum():
     m = transverse_chain(5)
     assert m.dimension < GROUND_TIER_MIN_DIM
-    vals, vec = m.ground
-    assert vals is m.spectrum.eigenvalues
-    np.testing.assert_array_equal(vec, m.spectrum.eigenvectors[:, 0])
+    g = m.ground
+    vals = m.spectrum.eigenvalues
+    assert g.energy == vals[0] and g.scale == tol_scale(vals[0], vals[-1]) and not g.degenerate
+    np.testing.assert_array_equal(g.vector, m.spectrum.eigenvectors[:, 0])
 
 
 def test_ground_tier_skips_the_full_decomposition():
     m = transverse_chain(6)
     assert m.dimension == GROUND_TIER_MIN_DIM
-    vals, vec = m.ground
+    g = m.ground
     assert "spectrum" not in m.__dict__
-    assert m.ground[1] is vec  # cached
-    assert not vals.flags.writeable and not vec.flags.writeable
+    assert m.ground is g  # cached
+    assert not g.vector.flags.writeable and not g.degenerate
     dec = m.spectrum
     scale = tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
-    assert np.max(np.abs(vals - dec.eigenvalues)) <= ROUNDOFF_TOL * scale
-    assert np.linalg.norm(vec - dec.eigenvectors[:, 0]) <= ROUNDOFF_TOL * scale
+    assert g.scale <= scale * (1.0 + ROUNDOFF_TOL)  # theta_max <= lam_max, up to round-off
+    assert abs(g.energy - dec.eigenvalues[0]) <= ROUNDOFF_TOL * scale
+    assert np.linalg.norm(g.vector - dec.eigenvectors[:, 0]) <= ROUNDOFF_TOL * scale
 
 
 def test_degenerate_ground_falls_back_to_the_spectrum():
     zz = SpinModel("zz6", (2,) * 6, tuple(OperatorTerm(-1.0, [(i, "Z"), (i + 1, "Z")])
                                           for i in range(5)))
-    vals, vec = zz.ground
-    assert vals is zz.spectrum.eigenvalues
-    np.testing.assert_array_equal(vec, zz.spectrum.eigenvectors[:, 0])
+    g = zz.ground
+    assert g.degenerate and g.energy == zz.spectrum.eigenvalues[0]
+    np.testing.assert_array_equal(g.vector, zz.spectrum.eigenvectors[:, 0])
 
 
-def test_analyze_solves_only_what_it_uses(solver_sizes):
+def test_failed_certificate_falls_back_to_the_spectrum(monkeypatch):
+    def not_positive_definite(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    m = transverse_chain(6)
+    g = m.ground
+    assert "spectrum" in m.__dict__ and not g.degenerate
+    assert g.energy == m.spectrum.eigenvalues[0]
+    np.testing.assert_array_equal(g.vector, m.spectrum.eigenvectors[:, 0])
+
+
+def test_analyze_solves_only_what_it_uses(solver_sizes, monkeypatch):
+    factors = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(len(a)) or cholesky(a))
     report = analyze_ground(split(transverse_chain(7)))
     assert report.degenerate_ground is False
-    assert set(solver_sizes["eigh"]) == {2}  # the per-site local spectra, no full eigh of H
-    assert solver_sizes["eigvalsh"] == [128]  # H once; the ZZ bonds make H_I diagonal
+    # the per-site local spectra and Lanczos's 80 x 80 tridiagonal; no eigh of H
+    assert set(solver_sizes["eigh"]) == {2, 80}
+    assert solver_sizes["eigvalsh"] == []  # no eigenvalues of H; the ZZ bonds make H_I diagonal
+    assert factors == [64, 64]  # the certificate's two blocks
 
 
 # ---------------------------------------------------------------------------
