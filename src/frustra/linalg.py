@@ -11,12 +11,12 @@ these few operations.
 The eigenvalues-only solver returns the sorted diagonal of a matrix whose
 off-diagonal entries are all exactly zero, which is what LAPACK returns
 for it.  The ground variant computes no full spectrum: Lanczos gives E0
-and the ground vector, and one block Cholesky factorization of a shifted,
-rank-1-lifted H certifies, by interlacing, that E0 is the lowest
-eigenvalue and that the next one lies more than STRUCTURAL_TOL * scale
-above it.  It gives nothing when the ground level is degenerate or the
-certificate fails, and the caller then falls back to the full
-decomposition.
+and a ground vector whose residual is at round-off, and one block
+Cholesky factorization of a shifted, rank-1-lifted H certifies, by
+interlacing, that E0 is the lowest eigenvalue and that the next one lies
+more than STRUCTURAL_TOL * scale above it.  It gives nothing when the
+ground level is degenerate or the certificate fails, and the caller then
+falls back to the full decomposition.
 
 All functions are pure and deterministic for identical input: eigenvalues
 come back ascending, singular values descending, and every returned
@@ -39,8 +39,8 @@ from .errors import NoConvergenceError, NotHermitianError
 # Every tolerance of the package.  A relative one multiplies tol_scale(...) of the
 # quantities it guards; sized for double precision up to the dimension cap (4096).
 STRUCTURAL_TOL = 1e-9  # the Hermitian check; degeneracy, gap, cut and pairing tests; bound-chain slack
-RECONSTRUCTION_TOL = 1e-10  # projectors, state normalization, imported dense H, ground residual
-ROUNDOFF_TOL = 1e-12  # exact identities: factor Hermiticity, A = B + C, norm orders; Lanczos breakdown
+RECONSTRUCTION_TOL = 1e-10  # projectors, state normalization, imported dense H
+ROUNDOFF_TOL = 1e-12  # exact identities: factor Hermiticity, A = B + C, norm orders; Lanczos breakdown and residual
 CLOSED_MARGIN_TOL = 1e-12  # an excited-state bound whose denominator is this small is absent
 ZERO_NORM = 1e-12  # absolute: a truncated ground-state component of smaller norm is empty
 TIE_TOL = 1e-15  # absolute: delta_j_ent prefers a later varying site only by more than this
@@ -247,17 +247,23 @@ def ground_eig(m) -> GroundState | None:
     A diagonal matrix gets the unit vector at its smallest entry, as
     hermitian_eig gives it.  Otherwise Lanczos runs min(d, LANCZOS_STEPS)
     steps from a fixed seeded start with full reorthogonalization; psi is
-    the lowest Ritz vector, E0 its Rayleigh quotient, r = ||H psi - E0 psi||
-    and scale = tol_scale(E0, theta_max), theta_max the top Ritz value.
-    theta_max never exceeds lam_max beyond round-off, so the Hermitian rule
-    at this scale is never looser than hermitian_eig's.  The state is certified when
-    r <= RECONSTRUCTION_TOL * scale and
+    the lowest Ritz vector, E0 its Rayleigh quotient and
+    r = ||H psi - E0 psi||.  The Hermitian rule and r <= ROUNDOFF_TOL * s
+    are checked at s = tol_scale(E0, theta_max), theta_max the top Ritz
+    value: theta_max never exceeds lam_max beyond round-off, so neither is
+    looser than at hermitian_eig's scale.  The returned scale is
+    tol_scale(E0 - r, g), g the Gershgorin bound
+    max_i (Re H_ii + sum_{j != i} |H_ij|) >= lam_max, so it is never below
+    hermitian_eig's, and the degeneracy margin and every gate read from it
+    are never looser.  The state is certified when
     H + (theta_max - E0) psi psi^dag - sigma I, sigma = E0 + r + STRUCTURAL_TOL * scale,
     is positive definite.  The rank-1 term lifts one eigenvalue, so by
-    interlacing E1 > sigma: E0 is then within r of the ground energy and
-    E1 - E0 > STRUCTURAL_TOL * scale.  None is returned, and the caller must
-    fall back to hermitian_eig, when the ground level of a diagonal matrix
-    is degenerate, when the residual is too large, when the two lowest Ritz
+    interlacing E1 > sigma: E0 is then within r of the ground energy,
+    E1 - E0 > STRUCTURAL_TOL * scale, and psi is within r / (E1 - E0) of
+    the ground vector (Davis-Kahan), the round-off / gap of a full
+    decomposition.  None is returned, and the caller must fall back to
+    hermitian_eig, when the ground level of a diagonal matrix is
+    degenerate, when the residual is too large, when the two lowest Ritz
     values already fail the gap test, or when the factorization fails.
     """
     a = _square(m)
@@ -278,12 +284,18 @@ def _ground_eig(a: np.ndarray, start: np.ndarray) -> GroundState | None:
     e0 = float(np.vdot(psi, h_psi).real)
     r = float(np.linalg.norm(h_psi - e0 * psi))
     _check_hermitian(asym, (e0, ritz[-1]))
-    scale = tol_scale(e0, ritz[-1])
+    scale = tol_scale(e0 - r, _gershgorin_top(h))  # the ground energy lies in [E0 - r, E0]
     margin = STRUCTURAL_TOL * scale
-    if (r > RECONSTRUCTION_TOL * scale or (ritz.size > 1 and ritz[1] - ritz[0] <= margin)
+    if (r > ROUNDOFF_TOL * tol_scale(e0, ritz[-1]) or (ritz.size > 1 and ritz[1] - ritz[0] <= margin)
             or not _positive_definite(h, psi, ritz[-1] - e0, e0 + r + margin)):
         return None
     return GroundState(e0, fix_phases(psi[:, None])[:, 0], scale, False)
+
+
+def _gershgorin_top(h: np.ndarray) -> float:
+    """max_i (Re h_ii + sum_{j != i} |h_ij|), an upper bound on every eigenvalue of a Hermitian h."""
+    diag = np.diagonal(h)
+    return float(np.max(np.abs(h).sum(axis=1) - np.abs(diag) + diag.real))
 
 
 def _lanczos(h: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

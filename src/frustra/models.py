@@ -37,13 +37,13 @@ from .linalg import (
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "FRUSTRA_DIM_CAP"
-# SpinModel.ground uses linalg.ground_eig from this dimension on.  Below it the
-# full eigh gives the ground state, so the reports of small models, saturate's
-# among them, keep the digits of the full decomposition.  Medians of hermitian_eig against ground_eig on transverse
-# chains, 2 vCPUs, OpenBLAS: 0.34 against 1.5 ms at d = 64, 1.8 against 2.6 ms
-# at d = 128, 6.9 against 6.5 ms at d = 256 (0.17 against 0.06 s at d = 1024).
-# The 80 Lanczos steps cost a fixed ~1.5 ms, so the tier pays off from d ~ 200.
-GROUND_TIER_MIN_DIM = 64
+# SpinModel.ground uses linalg.ground_eig from this dimension on; below it the
+# full eigh gives the ground state.  The 80 Lanczos steps cost a fixed ~2 ms, so
+# the tier pays off from about here.  Medians of hermitian_eig against
+# ground_eig on transverse chains, 2 vCPUs, OpenBLAS: 0.6 against 2.6 ms at
+# d = 64, 2.2 against 4.0 ms at d = 128, 6.8 against 6.3 ms at d = 256, 38
+# against 19 ms at d = 512.
+GROUND_TIER_MIN_DIM = 256
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

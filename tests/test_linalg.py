@@ -194,15 +194,21 @@ def test_diagonal_shortcut_keeps_the_hermitian_rule():
 
 
 def _with_spectrum(rng, n, complex_, gap_factor):
-    """A random Hermitian matrix; with gap_factor, E1 - E0 = gap_factor * STRUCTURAL_TOL * scale."""
+    """A random Hermitian matrix; with gap_factor, E1 - E0 = gap_factor * STRUCTURAL_TOL * scale.
+
+    scale is the ground tier's, tol_scale(E0, Gershgorin bound), which is
+    never below the full decomposition's tol_scale(E0, lam_max).
+    """
     h = random_hermitian(rng, n)
     if not complex_:
         h = h.real
     if gap_factor is None:
         return h
     vals = np.sort(rng.uniform(-5.0, 5.0, size=n))
-    vals[1] = vals[0] + gap_factor * STRUCTURAL_TOL * tol_scale(vals[0], vals[-1])
     vecs = np.linalg.eigh(h)[1]  # a random orthonormal basis of the right type
+    vals[1] = vals[0]  # the bound moves by about the gap, far below the margin's precision
+    scale = tol_scale(vals[0], linalg._gershgorin_top((vecs * vals) @ vecs.conj().T))
+    vals[1] = vals[0] + gap_factor * STRUCTURAL_TOL * scale
     return (vecs * vals) @ vecs.conj().T
 
 
@@ -220,20 +226,18 @@ def _counting(monkeypatch, name):
 
 
 def _assert_certified_ground(m, g):
-    """g agrees with the full decomposition: E0 within its residual r, the vector within about r / gap."""
+    """g agrees with the full decomposition: E0 and the vector to round-off / gap."""
     dec = hermitian_eig(m)
     vals, ref = dec.eigenvalues, dec.eigenvectors[:, 0]
-    full_scale = tol_scale(vals[0], vals[-1])
-    assert g.scale <= full_scale * (1.0 + ROUNDOFF_TOL)  # theta_max <= lam_max, up to round-off
+    scale = tol_scale(vals[0], vals[-1])
+    assert g.scale >= scale * (1.0 - ROUNDOFF_TOL)  # the Gershgorin bound is at least lam_max, up to round-off
     assert not g.degenerate and vals[1] - vals[0] > STRUCTURAL_TOL * g.scale
-    r = np.linalg.norm(m @ g.vector - g.energy * g.vector)
-    assert r <= RECONSTRUCTION_TOL * g.scale
-    assert abs(g.energy - vals[0]) <= r + ROUNDOFF_TOL * full_scale
+    assert np.linalg.norm(m @ g.vector - g.energy * g.vector) <= ROUNDOFF_TOL * scale * (1.0 + ROUNDOFF_TOL)
+    assert abs(g.energy - vals[0]) <= ROUNDOFF_TOL * scale
     assert g.vector.dtype == ref.dtype
-    # the reference vector itself carries round-off of order ROUNDOFF_TOL * scale / gap
-    bound = (r + ROUNDOFF_TOL * full_scale) / (vals[1] - vals[0] - r)
-    assert np.linalg.norm(g.vector - np.vdot(ref, g.vector) * ref) <= bound  # sin(theta)
-    assert np.linalg.norm(g.vector - ref) <= bound * (1.0 + np.sqrt(m.shape[0]))  # the same phase convention
+    gap = vals[1] - vals[0]
+    assert 1.0 - abs(np.vdot(ref, g.vector)) <= ROUNDOFF_TOL * scale / gap
+    assert np.linalg.norm(g.vector - ref) <= ROUNDOFF_TOL * scale / gap  # the same phase convention
 
 
 @given(st.integers(0, 10_000), st.integers(2, 96), st.booleans(),
@@ -251,7 +255,10 @@ def test_ground_eig_matches_hermitian_eig(seed, n, complex_, gap_factor):
 @pytest.mark.parametrize("gap_factor", [1.5, 10.0, 1000.0, None])
 @pytest.mark.parametrize("complex_", [False, True])
 def test_ground_eig_takes_at_most_four_solves(monkeypatch, gap_factor, complex_):
-    """The tier's only O(d^3) work on H is the certificate: one block solve and two Cholesky factors."""
+    """The tier's only O(d^3) work on H is the certificate: one block solve and two Cholesky factors.
+
+    One solve is within the four of the name, which inverse iteration needed at most.
+    """
     m = _with_spectrum(np.random.default_rng(11), 80, complex_, gap_factor)
     solves = _counting(monkeypatch, "solve")
     factors = _counting(monkeypatch, "cholesky")
@@ -340,6 +347,32 @@ def test_certificate_rejects_a_lanczos_run_that_missed_the_ground_level(monkeypa
     assert factors  # the residual and the Ritz gap passed; the factorization said no
     g = ground_eig(m)  # the seeded start finds the ground level
     _assert_certified_ground(m, g)
+
+
+def test_residual_rejects_an_unsplit_near_degenerate_pair(monkeypatch):
+    """A Ritz vector that keeps 5 % of a level 1.5 * STRUCTURAL_TOL above the ground one is refused.
+
+    Nothing makes 80 Lanczos steps split such a pair (the Kaniel-Paige
+    bound promises no progress at this gap), so the run here stops with
+    the start's mix.  Its Ritz gap and its factorization both pass; only
+    the residual, about 0.05 * gap, shows that the vector is 5 % off.
+    """
+    gap = 1.5 * STRUCTURAL_TOL  # at scale 1: the spectrum and the Gershgorin bound lie in [-1, 1]
+    vals = np.concatenate([[-1.0, -1.0 + gap], np.linspace(0.0, 1.0, 98)])
+    vecs = np.eye(100)
+    vecs[:2, :2] = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)  # so m is not diagonal
+    m = (vecs * vals) @ vecs.T
+    mixed = np.sqrt(1.0 - 0.05**2) * vecs[:, 0] + 0.05 * vecs[:, 1]
+    e = np.vdot(mixed, m @ mixed)
+    ritz = np.concatenate([[e], vals[2:]])  # the pair is one Ritz value
+    monkeypatch.setattr(linalg, "_lanczos", lambda h, start: (start, ritz))
+
+    r = np.linalg.norm(m @ mixed - e * mixed)
+    assert 10 * ROUNDOFF_TOL < r <= RECONSTRUCTION_TOL
+    assert linalg._positive_definite(m, mixed, ritz[-1] - e, e + r + STRUCTURAL_TOL)
+    factors = _counting(monkeypatch, "cholesky")
+    assert linalg._ground_eig(m, mixed) is None
+    assert factors == []  # the residual refused it before the factorization
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def test_splitting_keeps_its_local_spectrum():
 
 
 def test_ground_below_the_tier_reads_the_spectrum():
-    m = transverse_chain(5)
+    m = transverse_chain(7)
     assert m.dimension < GROUND_TIER_MIN_DIM
     g = m.ground
     vals = m.spectrum.eigenvalues
@@ -253,7 +253,7 @@ def test_ground_below_the_tier_reads_the_spectrum():
 
 
 def test_ground_tier_skips_the_full_decomposition():
-    m = transverse_chain(6)
+    m = transverse_chain(8)
     assert m.dimension == GROUND_TIER_MIN_DIM
     g = m.ground
     assert "spectrum" not in m.__dict__
@@ -261,7 +261,7 @@ def test_ground_tier_skips_the_full_decomposition():
     assert not g.vector.flags.writeable and not g.degenerate
     dec = m.spectrum
     scale = tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
-    assert g.scale <= scale * (1.0 + ROUNDOFF_TOL)  # theta_max <= lam_max, up to round-off
+    assert g.scale >= scale  # from the Gershgorin bound, which is at least lam_max
     assert abs(g.energy - dec.eigenvalues[0]) <= ROUNDOFF_TOL * scale
     assert np.linalg.norm(g.vector - dec.eigenvectors[:, 0]) <= ROUNDOFF_TOL * scale
 
@@ -279,7 +279,7 @@ def test_failed_certificate_falls_back_to_the_spectrum(monkeypatch):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
-    m = transverse_chain(6)
+    m = transverse_chain(8)
     g = m.ground
     assert "spectrum" in m.__dict__ and not g.degenerate
     assert g.energy == m.spectrum.eigenvalues[0]
@@ -290,12 +290,12 @@ def test_analyze_solves_only_what_it_uses(solver_sizes, monkeypatch):
     factors = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(len(a)) or cholesky(a))
-    report = analyze_ground(split(transverse_chain(7)))
+    report = analyze_ground(split(transverse_chain(8)))
     assert report.degenerate_ground is False
     # the per-site local spectra and Lanczos's 80 x 80 tridiagonal; no eigh of H
     assert set(solver_sizes["eigh"]) == {2, 80}
     assert solver_sizes["eigvalsh"] == []  # no eigenvalues of H; the ZZ bonds make H_I diagonal
-    assert factors == [64, 64]  # the certificate's two blocks
+    assert factors == [128, 128]  # the certificate's two blocks
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 analyze_transverse_chain10.json is a 10-qubit transverse-field chain
 (dimension 1024, like the ground-1024 benchmark), whose ground vector comes
-from inverse iteration.  analyze_zz_chain6.json is a classical ZZ chain
+from the certified Lanczos tier.  analyze_zz_chain6.json is a classical ZZ chain
 (dimension 64, a two-fold ground level), which falls back to the full
 decomposition.  Both were written by the full-decomposition solver that the
 ground tier replaced.  Strings and bools must match exactly, floats
