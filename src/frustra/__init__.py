@@ -63,8 +63,6 @@ from .perturbation import (
 )
 from .saturation import (
     ExcessDecomposition,
-    SaturationSweep,
-    SchmidtSplit,
     excess_decomposition,
     saturation_sweep,
     schmidt_splitting,

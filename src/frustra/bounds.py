@@ -431,12 +431,12 @@ def _excited_report(j: int, setup, res: ent.GeometricMeasureResult) -> ExcitedBo
     outside = np.ones(spec.dimension, dtype=bool)
     outside[[spec.flat_of_config(m) for m in subspace.members]] = False
     delta_kperp = float(np.min(np.abs(e_j - spec.energies[outside])))
-    radius = h_norm  # Hermitian interaction: operator norm equals spectral radius
 
     margin_tol = CLOSED_MARGIN_TOL * scale
-    precondition = delta_j > radius
-    bound_29 = h_norm**2 / (delta_j - radius) ** 2 if delta_j - radius > margin_tol else None
-    bound_30 = h_norm**2 / (delta_j - h_norm) ** 2 if delta_j - h_norm > margin_tol else None
+    precondition = delta_j > h_norm
+    # bounds 29 and 30 coincide: for a Hermitian interaction the spectral
+    # radius in 29 is the operator norm in 30
+    bound_29 = h_norm**2 / (delta_j - h_norm) ** 2 if delta_j - h_norm > margin_tol else None
     bound_exact = h_norm**2 / delta_kperp**2 if delta_kperp > margin_tol else None
 
     alpha = local_coefficients(spec, vec_j)
@@ -453,9 +453,9 @@ def _excited_report(j: int, setup, res: ent.GeometricMeasureResult) -> ExcitedBo
         delta_j_Kperp=delta_kperp,
         h_i_norm=h_norm,
         e_i_max_eigenvalue=e_i_max,
-        e_i_spectral_radius=radius,
+        e_i_spectral_radius=h_norm,
         bound_29=bound_29,
-        bound_30=bound_30,
+        bound_30=bound_29,
         bound_exact_gap=bound_exact,
         entanglement=res.value,
         entanglement_method=res.method,

@@ -8,7 +8,8 @@ seeded subcommands take --seed.  The sweep's rows come from
 ``verify.ising_sweep_row``.  An --out path that cannot be opened exits 2
 before any work.  Exit codes: 0 success (an undefined bound is a
 reported outcome, not an error), 1 a failed property suite, 2
-configuration error (a dimension-cap error included), 3 computation error.
+configuration error (a dimension-cap or two-party error included), 3
+computation error.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import numpy as np
 from . import entanglement as ent
 from . import verify
 from .bounds import EntanglementOptions, analyze_excited_many, analyze_ground
-from .errors import DimensionCapError, FrustraError, InvalidAssignmentError, InvalidBipartitionError
-from .models import BUILTIN_MODELS, SpinModel, dim_cap, load_model, make_builtin, regroup, split
+from .errors import (DimensionCapError, FrustraError, InvalidAssignmentError,
+                     InvalidBipartitionError, NotBipartiteError)
+from .models import (BUILTIN_MODELS, SpinModel, builtin_params, dim_cap, load_model, make_builtin,
+                     regroup, split)
 from .saturation import saturation_sweep, schmidt_splitting, validate_gammas
 
 CONFIG_ERROR = 2
@@ -59,7 +62,9 @@ def _write_json(payload, out_path: str | None) -> None:
     _write_text(json.dumps(payload, indent=2) + "\n", out_path)
 
 
-def _csv_table(rows: list[dict], columns: list[str]) -> str:
+def _csv_table(rows: list[dict], columns: list[str] | None = None) -> str:
+    """Rows as CSV under one header row; the columns default to the first row's keys."""
+    columns = list(rows[0]) if columns is None else columns
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
@@ -134,12 +139,6 @@ def _load_parties(args) -> SpinModel:
         raise ConfigError(f"bad --bipartition {args.bipartition!r}: {exc}") from exc
 
 
-def _require_two_parties(model: SpinModel) -> None:
-    if model.num_sites != 2:
-        raise ConfigError(f"model has {model.num_sites} sites; "
-                          "pass --bipartition to form two parties")
-
-
 def _build_splitting(args):
     model = _load_parties(args)
     spec = args.split or "default"
@@ -165,8 +164,7 @@ def _build_splitting(args):
             raise ConfigError(f"bad schmidt gamma in {spec!r}") from None
         if not 0 < gamma < np.inf:
             raise ConfigError(f"schmidt gamma must be positive and finite, got {spec!r}")
-        _require_two_parties(model)
-        return schmidt_splitting(model, gamma).splitting
+        return schmidt_splitting(model, gamma)
     raise ConfigError(f"unknown --split value {spec!r}")
 
 
@@ -178,18 +176,10 @@ def _ent_opts(args) -> EntanglementOptions:
 # subcommands
 
 
-ANALYZE_COLUMNS = [
-    "model", "E0", "E0_L", "E0_I", "E_f", "delta_e_ent", "entanglement",
-    "entanglement_method", "ef_bound", "ef_bound_reason", "ratio_bound",
-    "ratio_bound_reason", "E_I_max", "E_I_tot", "local_frustration",
-    "interaction_frustration", "degenerate_ground",
-]
-
-
 def cmd_analyze(args) -> int:
     report = analyze_ground(_build_splitting(args), _ent_opts(args))
     if args.format == "csv":
-        _write_text(_csv_table([report.to_dict(include_state=False)], ANALYZE_COLUMNS), args.out)
+        _write_text(_csv_table([report.to_dict(include_state=False)]), args.out)
     else:
         _write_json(report.to_dict(), args.out)
     return 0
@@ -206,19 +196,12 @@ def _parse_grid(spec: str):
     return np.linspace(lo, hi, count)
 
 
-SWEEP_COLUMNS = [
-    "g", "entanglement", "ef_bound_symmetric", "ef_bound_asymmetric",
-    "closed_form_gse", "closed_form_fb", "closed_form_fb2",
-    "dev_entanglement", "dev_ef_symmetric", "dev_ef_asymmetric",
-]
-
-
 def cmd_sweep(args) -> int:
     if args.model not in (None, "ising2"):
         raise ConfigError("sweep reproduces the two-spin transverse Ising figures; "
                           "only --model ising2 is supported")
     rows = [verify.ising_sweep_row(float(g)) for g in _parse_grid(args.grid)]
-    _write_text(_csv_table(rows, SWEEP_COLUMNS), args.out)
+    _write_text(_csv_table(rows), args.out)
     return 0
 
 
@@ -242,14 +225,6 @@ def _parse_j_list(spec: str, dimension: int):
     return out
 
 
-EXCITED_COLUMNS = [
-    "j", "E_j", "local_config", "E_L_j", "delta_j_ent", "delta_j_Kperp",
-    "h_i_norm", "e_i_max_eigenvalue", "e_i_spectral_radius", "bound_29",
-    "bound_30", "bound_exact_gap", "entanglement", "entanglement_method",
-    "precondition_met", "pairing_flag",
-]
-
-
 def cmd_excited(args) -> int:
     splitting = _build_splitting(args)
     js = _parse_j_list(args.j, splitting.model.dimension)
@@ -258,7 +233,8 @@ def cmd_excited(args) -> int:
     if args.format == "csv":
         for rep in reports:
             rep["local_config"] = ";".join(str(c) for c in rep["local_config"])
-        _write_text(_csv_table(reports, EXCITED_COLUMNS), args.out)
+            del rep["chosen_subspace"]
+        _write_text(_csv_table(reports), args.out)
     else:
         _write_json(reports, args.out)
     return 0
@@ -272,12 +248,11 @@ SATURATE_COLUMNS = [
 
 def cmd_saturate(args) -> int:
     model = _load_parties(args)
-    _require_two_parties(model)
     try:
         gammas = validate_gammas(args.gammas.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --gammas list {args.gammas!r}: {exc}") from None
-    sweep = saturation_sweep(model, gammas)
+    records = saturation_sweep(model, gammas)
     rows = [
         {
             "gamma": r.gamma,
@@ -286,7 +261,7 @@ def cmd_saturate(args) -> int:
             "unreliable": r.unreliable,
             "report": r.report.to_dict(include_state=False),
         }
-        for r in sweep.records
+        for r in records
     ]
     if args.format == "json":
         _write_json(rows, args.out)
@@ -338,9 +313,9 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_list_models(_args) -> int:
-    for name, spec in sorted(BUILTIN_MODELS.items()):
-        params = ", ".join(f"{k}={v:g}" for k, v in spec.params.items())
-        print(f"{name}({params}): {spec.doc}")
+    for name, (_factory, doc) in sorted(BUILTIN_MODELS.items()):
+        params = ", ".join(f"{k}={v:g}" for k, v in builtin_params(name).items())
+        print(f"{name}({params}): {doc}")
     return 0
 
 
@@ -446,7 +421,7 @@ def main(argv=None) -> int:
             # fail before any work; appending nothing leaves an existing file as it is
             _write_text("", args.out, "a")
         return args.func(args)
-    except (ConfigError, DimensionCapError) as exc:  # the cap is configuration
+    except (ConfigError, DimensionCapError, NotBipartiteError) as exc:  # cap and two-party rule too
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except FrustraError as exc:

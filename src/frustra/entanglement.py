@@ -131,11 +131,10 @@ class GeometricMeasureResult:
     converged: bool
     restarts: int = 0
     iterations: int = 0
-    traces: tuple = ()
 
 
 def _result(psi: PureState, vectors, method: str, converged: bool,
-            restarts: int = 0, iterations: int = 0, traces=()) -> GeometricMeasureResult:
+            restarts: int = 0, iterations: int = 0) -> GeometricMeasureResult:
     # recompute from the ansatz so value and overlap_sq are exactly consistent
     vecs = tuple(fix_phases(np.asarray(v, dtype=complex).reshape(-1, 1))[:, 0] for v in vectors)
     ov = min(abs(overlap_with_product(psi, vecs)) ** 2, 1.0)
@@ -147,7 +146,6 @@ def _result(psi: PureState, vectors, method: str, converged: bool,
         converged=converged,
         restarts=restarts,
         iterations=iterations,
-        traces=tuple(traces),
     )
 
 
@@ -209,8 +207,8 @@ def _initial_vectors(psis: Sequence[PureState], restarts: int,
     return inits
 
 
-def _alternating(psis: Sequence[PureState], inits, tol: float, max_iters: int,
-                 record_trace: bool) -> list[GeometricMeasureResult]:
+def _alternating(psis: Sequence[PureState], inits, tol: float,
+                 max_iters: int) -> list[GeometricMeasureResult]:
     """Alternating maximization of every state from each of its initializations, in lockstep.
 
     ``inits[s]`` lists the runs of ``psis[s]``; all states share their dims
@@ -248,7 +246,6 @@ def _alternating(psis: Sequence[PureState], inits, tol: float, max_iters: int,
     final_overlap = np.zeros(total)
     sweeps = np.zeros(total, dtype=int)
     converged = np.zeros(total, dtype=bool)
-    traces = [[] for _ in range(total)] if record_trace else []
 
     for sweep in range(1, max_iters + 1):
         for i in range(n):
@@ -267,12 +264,8 @@ def _alternating(psis: Sequence[PureState], inits, tol: float, max_iters: int,
                                    w.conj() / np.where(zero, 1.0, nrm)[:, None])
             else:
                 phis[i] = w.conj() / nrm[:, None]
-        current = nrm
-        if record_trace:
-            for r, value in zip(active, current):
-                traces[r].append(float(value))
-        done = current - overlap < tol
-        overlap = current
+        done = nrm - overlap < tol
+        overlap = nrm
         stop = done | (sweep == max_iters)
         if stop.any():
             ids = active[stop]
@@ -296,8 +289,7 @@ def _alternating(psis: Sequence[PureState], inits, tol: float, max_iters: int,
         best = s * runs + int(np.argmax(final_overlap[own]))  # first maximum: ties go to the earliest run
         results.append(_result(psi, [p[best] for p in final_phis], method="alternating",
                                converged=bool(converged[best]), restarts=runs - 1,
-                               iterations=int(sweeps[own].sum()),
-                               traces=[tuple(t) for t in traces[own]]))
+                               iterations=int(sweeps[own].sum())))
     return results
 
 
@@ -307,7 +299,6 @@ def geometric_measures_multipartite(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     seed: int = DEFAULT_SEED,
-    record_trace: bool = False,
 ) -> list[GeometricMeasureResult]:
     """geometric_measure_multipartite of each state, all runs of all states in one lockstep optimizer.
 
@@ -327,8 +318,7 @@ def geometric_measures_multipartite(
     group = max(1, _STACK_BYTES_CAP // per_state)
     results = []
     for lo in range(0, len(psis), group):
-        results += _alternating(psis[lo:lo + group], inits[lo:lo + group], tol, max_iters,
-                                record_trace)
+        results += _alternating(psis[lo:lo + group], inits[lo:lo + group], tol, max_iters)
     return results
 
 
@@ -338,7 +328,6 @@ def geometric_measure_multipartite(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     seed: int = DEFAULT_SEED,
-    record_trace: bool = False,
 ) -> GeometricMeasureResult:
     """Geometric measure by alternating optimization over per-site vectors.
 
@@ -348,7 +337,7 @@ def geometric_measure_multipartite(
     ``tol`` before ``max_iters`` sweeps; ``iterations`` counts the sweeps
     of all runs.
     """
-    return geometric_measures_multipartite([psi], restarts, tol, max_iters, seed, record_trace)[0]
+    return geometric_measures_multipartite([psi], restarts, tol, max_iters, seed)[0]
 
 
 def _bloch_vectors(thetas: np.ndarray, phases: np.ndarray):

@@ -16,6 +16,7 @@ eigenvalue is repeated.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass, field
@@ -587,34 +588,26 @@ def transverse_chain(n: int, g: float = 1.0, j: float = 1.0) -> SpinModel:
     return SpinModel(f"chain{n}", (2,) * n, tuple(terms))
 
 
-@dataclass(frozen=True)
-class BuiltinSpec:
-    factory: object
-    params: dict = field(default_factory=dict)
-    doc: str = ""
-
-
-BUILTIN_MODELS = {
-    "ising2": BuiltinSpec(ising2, {"g": 1.0}, "two-spin transverse Ising model"),
-    "triangle": BuiltinSpec(triangle, {"J": 1.0}, "frustrated antiferromagnetic triangle"),
-    "chain3": BuiltinSpec(
-        chain3,
-        {"ga": 1.0, "gb": 1.0, "gc": 1.0, "jab": 1.0, "jbc": 1.0},
-        "three-spin chain, per-site field strengths and X-X couplings",
-    ),
+BUILTIN_MODELS = {  # name: (factory, description)
+    "ising2": (ising2, "two-spin transverse Ising model"),
+    "triangle": (triangle, "frustrated antiferromagnetic triangle"),
+    "chain3": (chain3, "three-spin chain, per-site field strengths and X-X couplings"),
 }
 
 
+def builtin_params(name: str) -> dict:
+    """The built-in model's parameter names and defaults, read from its factory."""
+    factory = BUILTIN_MODELS[name][0]
+    return {p.name: p.default for p in inspect.signature(factory).parameters.values()}
+
+
 def make_builtin(name: str, **params) -> SpinModel:
-    spec = BUILTIN_MODELS.get(name)
-    if spec is None:
+    if name not in BUILTIN_MODELS:
         raise KeyError(f"unknown built-in model {name!r}; known: {sorted(BUILTIN_MODELS)}")
-    unknown = set(params) - set(spec.params)
+    unknown = set(params) - set(builtin_params(name))
     if unknown:
         raise KeyError(f"unknown parameter(s) {sorted(unknown)} for model {name!r}")
-    kwargs = dict(spec.params)
-    kwargs.update(params)
-    return spec.factory(**kwargs)
+    return BUILTIN_MODELS[name][0](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +656,11 @@ def _op_from_json(op):
     for row in op:
         entries = []
         for entry in row:
-            if isinstance(entry, (int, float)):
-                entries.append(complex(entry))
-            else:
+            if isinstance(entry, list):
                 re, im = entry
-                entries.append(complex(re, im))
+                entries.append(complex(_json_number(re, "op entry"), _json_number(im, "op entry")))
+            else:
+                entries.append(complex(_json_number(entry, "op entry")))
         rows.append(entries)
     return np.array(rows, dtype=complex)
 

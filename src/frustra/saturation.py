@@ -7,7 +7,9 @@ entanglement exactly, so the bound's excess over the entanglement reduces
 to the interaction frustration divided by gamma, which is O(gamma).
 Sweeping gamma downward therefore drives the bound toward the ground-state
 entanglement from above; exact saturation is impossible away from the
-extreme values, so the excess stays strictly positive.
+extreme values, so the excess stays strictly positive.  A tie at the
+largest Schmidt coefficient is not flagged: the construction holds for any
+choice of a0, and the first Schmidt vector is used.
 """
 
 from __future__ import annotations
@@ -24,17 +26,6 @@ from .linalg import MIN_GAP, STRUCTURAL_TOL, tol_scale
 from .models import OperatorTerm, SpinModel, Splitting
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtSplit:
-    """Splitting with H_L = -gamma |a0><a0| x I, plus the data that chose a0."""
-
-    splitting: Splitting
-    gamma: float
-    a0: np.ndarray
-    schmidt_coefficients: np.ndarray
-    degenerate_top: bool  # largest Schmidt coefficient ties; a0 is then one valid choice
-
-
 def _require_bipartite(model: SpinModel) -> None:
     if model.num_sites != 2:
         raise NotBipartiteError(
@@ -42,27 +33,24 @@ def _require_bipartite(model: SpinModel) -> None:
         )
 
 
-def _ground_schmidt(model: SpinModel):
+def _ground_projector(model: SpinModel) -> np.ndarray:
+    """|a0><a0|, a0 the ground state's first left Schmidt vector."""
+    _require_bipartite(model)
     psi = ent.PureState(model.ground.vector, model.dims)
-    sd = ent.schmidt(psi, ((0,), (1,)))
-    coeffs = sd.coefficients
-    degenerate = bool(coeffs.size > 1 and coeffs[0] - coeffs[1] <= STRUCTURAL_TOL)
-    return sd.left_vectors[:, 0], coeffs, degenerate
+    a0 = ent.schmidt(psi, ((0,), (1,))).left_vectors[:, 0]
+    return np.outer(a0, a0.conj())
 
 
-def schmidt_splitting(model: SpinModel, gamma: float) -> SchmidtSplit:
+def schmidt_splitting(model: SpinModel, gamma: float) -> Splitting:
     """Build the rank-1 local splitting from the ground state's Schmidt form.
 
     The per-site gaps are (gamma, 0), so delta_e_ent equals gamma by
-    construction.  A tie at the largest Schmidt coefficient is flagged; the
-    first index is used, and the construction stays valid for any choice.
+    construction.  A tie at the largest Schmidt coefficient is not flagged;
+    the first index is used, and the construction stays valid for any choice.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    _require_bipartite(model)
-    a0, coeffs, degenerate = _ground_schmidt(model)
-    splitting = _rank1_splitting(model, np.outer(a0, a0.conj()), gamma)
-    return SchmidtSplit(splitting, float(gamma), a0, coeffs, degenerate)
+    return _rank1_splitting(model, _ground_projector(model), gamma)
 
 
 def _rank1_splitting(model: SpinModel, projector: np.ndarray, gamma: float) -> Splitting:
@@ -78,18 +66,6 @@ class SweepRecord:
     unreliable: bool
 
 
-@dataclass(frozen=True, eq=False)
-class SaturationSweep:
-    gammas: tuple[float, ...]
-    records: tuple[SweepRecord, ...]
-    degenerate_top: bool
-
-    @property
-    def entanglement_spread(self) -> float:
-        values = [r.report.entanglement for r in self.records]
-        return float(max(values) - min(values)) if values else 0.0
-
-
 def validate_gammas(gammas: Sequence[float]) -> list[float]:
     """The gammas as floats; ValueError unless finite, positive, strictly descending and >= MIN_GAP."""
     gs = [float(g) for g in gammas]
@@ -102,7 +78,7 @@ def validate_gammas(gammas: Sequence[float]) -> list[float]:
     return gs
 
 
-def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> SaturationSweep:
+def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRecord, ...]:
     """Frustration reports for a descending list of gammas.
 
     Gammas below MIN_GAP are rejected: delta_e_ent = gamma would amplify
@@ -113,9 +89,7 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> SaturationSwe
     kept by the model) serve every record.
     """
     gs = validate_gammas(gammas)
-    _require_bipartite(model)
-    a0, coeffs, degenerate = _ground_schmidt(model)
-    projector = np.outer(a0, a0.conj())
+    projector = _ground_projector(model)
 
     records = []
     for gamma in gs:
@@ -128,7 +102,7 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> SaturationSwe
         interaction_term = report.interaction_frustration / report.delta_e_ent
         unreliable = report.E_f < STRUCTURAL_TOL * e_scale
         records.append(SweepRecord(gamma, report, excess, interaction_term, unreliable))
-    return SaturationSweep(tuple(gs), tuple(records), degenerate)
+    return tuple(records)
 
 
 @dataclass(frozen=True, eq=False)

@@ -198,14 +198,14 @@ def saturation_suite(instances: int = 50, seed: int = 77,
         rng = np.random.default_rng([seed, i])
         h = gaussian_hermitian(rng, d * d)
         model = dense_bipartite_model(h, (d, d), name=f"gue(d={d},i={i})")
-        sweep = saturation_sweep(model, gammas)
-        ex = [r.excess for r in sweep.records]
+        records = saturation_sweep(model, gammas)
+        ex = [r.excess for r in records]
         if any(not np.isfinite(e) or e <= 0.0 for e in ex):
             failures += 1
             continue
         decompositions = [
-            excess_decomposition(schmidt_splitting(model, r.gamma).splitting, r.report)
-            for r in sweep.records
+            excess_decomposition(schmidt_splitting(model, r.gamma), r.report)
+            for r in records
         ]
         if any(abs(dec.identity_residual) > STRUCTURAL_TOL * tol_scale(dec.ef_bound)
                for dec in decompositions):
@@ -213,7 +213,7 @@ def saturation_suite(instances: int = 50, seed: int = 77,
             continue
         if ex[-1] <= 0.3 * ex[-2]:
             decay_ok += 1
-        e_val = sweep.records[-1].report.entanglement
+        e_val = records[-1].report.entanglement
         if e_val >= 0.05:
             ratios.append(ex[-1] / e_val)
     decay_fraction = decay_ok / instances

@@ -98,7 +98,7 @@ def test_bound_depends_on_splitting_entanglement_does_not():
     reports = [
         analyze_ground(split(model)),
         analyze_ground(split(model, local=[0])),
-        analyze_ground(schmidt_splitting(model, 0.05).splitting),
+        analyze_ground(schmidt_splitting(model, 0.05)),
     ]
     ents = [r.entanglement for r in reports]
     assert max(ents) - min(ents) < 1e-8

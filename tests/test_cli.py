@@ -261,6 +261,10 @@ BAD_FILES = {
     "model float factor site": ("model", _ising2_doc(
         lambda d: d["terms"][0]["factors"][0].update(site=0.7))),
     "model bool coeff": ("model", _ising2_doc(lambda d: d["terms"][0].update(coeff=True))),
+    "model bool op entry": ("model", _ising2_doc(
+        lambda d: d["terms"][0]["factors"][0].update(op=[[True, False], [False, False]]))),
+    "model bool imaginary part": ("model", _ising2_doc(
+        lambda d: d["terms"][0]["factors"][0].update(op=[[[1.0, False], 0], [0, 0]]))),
     "model duplicate labels": ("model", _ising2_doc(lambda d: d.update(labels=["A", "A"]))),
     "model label with bar": ("model", _ising2_doc(lambda d: d.update(labels=["A|B", "C"]))),
     "model label with comma": ("model", _ising2_doc(lambda d: d.update(labels=["A,B", "C"]))),
@@ -483,5 +487,50 @@ def test_selftest_quick(capsys):
 def test_list_models(capsys):
     code, out, _ = run_cli(capsys, "list-models")
     assert code == 0
-    for name in ("ising2", "triangle", "chain3"):
-        assert name in out
+    assert out == (
+        "chain3(ga=1, gb=1, gc=1, jab=1, jbc=1): "
+        "three-spin chain, per-site field strengths and X-X couplings\n"
+        "ising2(g=1): two-spin transverse Ising model\n"
+        "triangle(J=1): frustrated antiferromagnetic triangle\n"
+    )
+
+
+CSV_HEADERS = {
+    "analyze": (["analyze", "--model", "chain3", "--format", "csv"], [
+        "model", "E0", "E0_L", "E0_I", "E_f", "delta_e_ent", "entanglement",
+        "entanglement_method", "ef_bound", "ef_bound_reason", "ratio_bound",
+        "ratio_bound_reason", "E_I_max", "E_I_tot", "local_frustration",
+        "interaction_frustration", "degenerate_ground",
+    ]),
+    "excited": (["excited", "--model", "ising2", "--j", "0..1", "--format", "csv"], [
+        "j", "E_j", "local_config", "E_L_j", "delta_j_ent", "delta_j_Kperp",
+        "h_i_norm", "e_i_max_eigenvalue", "e_i_spectral_radius", "bound_29",
+        "bound_30", "bound_exact_gap", "entanglement", "entanglement_method",
+        "precondition_met", "pairing_flag",
+    ]),
+    "sweep": (["sweep", "--grid", "0.5:1.5:2"], [
+        "g", "entanglement", "ef_bound_symmetric", "ef_bound_asymmetric",
+        "closed_form_gse", "closed_form_fb", "closed_form_fb2",
+        "dev_entanglement", "dev_ef_symmetric", "dev_ef_asymmetric",
+    ]),
+}
+
+
+@pytest.mark.parametrize("argv, columns", CSV_HEADERS.values(), ids=CSV_HEADERS.keys())
+def test_csv_header_rows(capsys, argv, columns):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == ",".join(columns)
+    assert rows and all(len(next(csv.reader([row]))) == len(columns) for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["saturate", "--model", "chain3", "--gammas", "1e-1,1e-2"],
+    ["analyze", "--model", "chain3", "--split", "schmidt:0.1"],
+], ids=" ".join)
+def test_schmidt_routes_need_two_parties(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: model has 3 sites")

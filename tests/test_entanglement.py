@@ -170,28 +170,21 @@ def test_multipartite_seed_determinism():
 
 
 def test_monotone_overlap_within_run():
+    # one run, cut off after 1, 2, ... sweeps: no sweep lowers its overlap
     psi = random_state(np.random.default_rng(42), (2, 2, 2))
-    res = geometric_measure_multipartite(psi, restarts=4, record_trace=True)
-    assert res.overlap_sq <= 1.0
-    for trace in res.traces:
-        diffs = np.diff(np.asarray(trace))
-        assert np.all(diffs >= -1e-12)
+    overlaps = [geometric_measure_multipartite(psi, restarts=0, max_iters=k).overlap_sq
+                for k in range(1, 31)]
+    assert overlaps[-1] <= 1.0
+    assert np.all(np.diff(overlaps) >= -1e-12)
 
 
 def test_converged_means_the_best_run_converged():
     # the amplitude run stops at the W state's product-basis fixed point after
     # 2 sweeps; the random runs beat it but are cut off at max_iters
-    res = geometric_measure_multipartite(W3, restarts=4, max_iters=3, record_trace=True)
+    res = geometric_measure_multipartite(W3, restarts=4, max_iters=3)
     assert res.value < 1.0 - 1.0 / 3.0  # a random run won
-    assert any(len(trace) < 3 for trace in res.traces)  # some run converged
+    assert res.iterations < 5 * 3  # some run converged before max_iters
     assert not res.converged
-
-
-def test_traces_only_on_request():
-    assert geometric_measure_multipartite(W3, restarts=2).traces == ()
-    res = geometric_measure_multipartite(W3, restarts=2, record_trace=True)
-    assert len(res.traces) == 3
-    assert sum(len(trace) for trace in res.traces) == res.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +253,7 @@ def test_lockstep_matches_serial_reference(name, max_iters):
     inits = [reset_init(psi)] + _initial_vectors([psi], 6, seed=11)[0] + [reset_init(psi)]
     value, total, conv, resets = serial_reference(psi, inits, DEFAULT_TOL, max_iters)
     assert resets > 0
-    res = _alternating([psi], [inits], DEFAULT_TOL, max_iters, record_trace=False)[0]
+    res = _alternating([psi], [inits], DEFAULT_TOL, max_iters)[0]
     assert res.iterations == total
     assert res.converged == conv
     assert abs(res.value - value) < 1e-12
@@ -269,7 +262,7 @@ def test_lockstep_matches_serial_reference(name, max_iters):
 def assert_same_result(got, want):
     assert got.value == want.value and got.overlap_sq == want.overlap_sq
     assert got.converged == want.converged and got.iterations == want.iterations
-    assert got.restarts == want.restarts and got.traces == want.traces
+    assert got.restarts == want.restarts
     assert len(got.maximizer) == len(want.maximizer)
     for a, b in zip(got.maximizer, want.maximizer):
         np.testing.assert_array_equal(a, b)
@@ -281,7 +274,7 @@ def assert_same_result(got, want):
 def test_batch_matches_single_calls(dims, draws, restarts, max_iters):
     psis = [with_zero_slice(dims, seed) if zero else random_state(np.random.default_rng(seed), dims)
             for seed, zero in draws]
-    kwargs = dict(restarts=restarts, max_iters=max_iters, seed=7, record_trace=True)
+    kwargs = dict(restarts=restarts, max_iters=max_iters, seed=7)
     batch = geometric_measures_multipartite(psis, **kwargs)
     assert len(batch) == len(psis)
     for psi, got in zip(psis, batch):
@@ -290,17 +283,17 @@ def test_batch_matches_single_calls(dims, draws, restarts, max_iters):
     inits = _initial_vectors(psis, restarts, seed=7)
     inits = [[reset_init(psi)] + runs[1:] if zero else runs
              for psi, runs, (_, zero) in zip(psis, inits, draws)]
-    stacked = _alternating(psis, inits, DEFAULT_TOL, max_iters, record_trace=True)
+    stacked = _alternating(psis, inits, DEFAULT_TOL, max_iters)
     for psi, runs, got in zip(psis, inits, stacked):
-        assert_same_result(got, _alternating([psi], [runs], DEFAULT_TOL, max_iters, True)[0])
+        assert_same_result(got, _alternating([psi], [runs], DEFAULT_TOL, max_iters)[0])
 
 
 def test_batch_groups_match_one_group(monkeypatch):
     psis = [random_state(np.random.default_rng(seed), (2, 2, 2)) for seed in range(5)]
-    whole = geometric_measures_multipartite(psis, restarts=4, record_trace=True)
+    whole = geometric_measures_multipartite(psis, restarts=4)
     per_state = 16 * 5 * 3 * 8  # bytes of one state's per-run matrices
     monkeypatch.setattr(frustra.entanglement, "_STACK_BYTES_CAP", 2 * per_state)
-    for got, want in zip(geometric_measures_multipartite(psis, restarts=4, record_trace=True), whole):
+    for got, want in zip(geometric_measures_multipartite(psis, restarts=4), whole):
         assert_same_result(got, want)
 
 

@@ -333,7 +333,7 @@ def test_per_site_local_embeds_to_dense_local():
     from frustra.saturation import schmidt_splitting
 
     for s in (split(ising2(1.3)), split(ising2(1.3), local=[0]),
-              schmidt_splitting(ising2(1.3), 0.2).splitting):
+              schmidt_splitting(ising2(1.3), 0.2)):
         dims = s.model.dims
         embedded = np.zeros((4, 4), dtype=complex)
         for site, h in enumerate(s.per_site_local):

@@ -6,6 +6,7 @@ import pytest
 
 import frustra.verify
 from frustra.bounds import analyze_ground
+from frustra.entanglement import PureState, schmidt
 from frustra.errors import NotBipartiteError, UndefinedBoundError
 from frustra.models import (
     OperatorTerm,
@@ -32,12 +33,16 @@ GAMMAS = (1e-1, 1e-2, 1e-3)
 DATA = Path(__file__).parent / "data"
 
 
+def ground_schmidt(model):
+    return schmidt(PureState(model.ground.vector, model.dims), ((0,), (1,)))
+
+
 def test_schmidt_splitting_ising_picks_plus():
     ss = schmidt_splitting(ising2(1.0), 0.5)
-    s = 1 / np.sqrt(2)
-    np.testing.assert_allclose(ss.a0, [s, s], atol=1e-12)
-    assert not ss.degenerate_top
-    assert ss.splitting.per_site_local[1].max() == 0.0
+    (term,) = ss.local_terms
+    assert term.coeff == -0.5
+    np.testing.assert_allclose(term.factors[0][1], np.full((2, 2), 0.5), atol=1e-12)
+    assert ss.per_site_local[1].max() == 0.0
 
 
 def test_schmidt_splitting_rebuild_random():
@@ -45,8 +50,8 @@ def test_schmidt_splitting_rebuild_random():
     h = gaussian_hermitian(rng, 9)
     model = dense_bipartite_model(h, (3, 3))
     ss = schmidt_splitting(model, 0.2)
-    total = ss.splitting.dense_local() + ss.splitting.dense_interaction()
-    np.testing.assert_allclose(total, build_dense(ss.splitting.model), atol=1e-12 * max(1.0, np.abs(h).max()))
+    total = ss.dense_local() + ss.dense_interaction()
+    np.testing.assert_allclose(total, build_dense(ss.model), atol=1e-12 * max(1.0, np.abs(h).max()))
 
 
 @pytest.mark.parametrize("model", [
@@ -58,15 +63,16 @@ def test_schmidt_interaction_matches_compensated_build(model):
     # reference: every model term plus a compensator +gamma P on party 0
     for gamma in (0.5, 1e-3):
         ss = schmidt_splitting(model, gamma)
-        compensator = OperatorTerm(gamma, [(0, np.outer(ss.a0, ss.a0.conj()))])
+        a0 = ground_schmidt(model).left_vectors[:, 0]
+        compensator = OperatorTerm(gamma, [(0, np.outer(a0, a0.conj()))])
         reference = dense_terms(model.terms + (compensator,), model.dims)
-        assert ss.splitting.dense_interaction().dtype == reference.dtype
-        np.testing.assert_array_equal(ss.splitting.dense_interaction(), reference)
+        assert ss.dense_interaction().dtype == reference.dtype
+        np.testing.assert_array_equal(ss.dense_interaction(), reference)
 
 
 def test_schmidt_splitting_gap_identity():
     ss = schmidt_splitting(ising2(1.0), 0.037)
-    spec = local_spectrum(ss.splitting)
+    spec = local_spectrum(ss)
     assert abs(spec.delta_e_ent - 0.037) <= 1e-12
     np.testing.assert_allclose(sorted(spec.gaps), [0.0, 0.037], atol=1e-12)
 
@@ -76,7 +82,7 @@ def test_schmidt_splitting_requires_two_parties():
         schmidt_splitting(triangle(1.0), 0.1)
     # but regrouping makes it bipartite
     ss = schmidt_splitting(regroup(triangle(1.0), ((0,), (1, 2))), 0.1)
-    assert ss.splitting.model.dims == (2, 4)
+    assert ss.model.dims == (2, 4)
 
 
 def test_gamma_validation():
@@ -91,16 +97,17 @@ def test_gamma_validation():
 
 
 def test_sweep_ising_excess_decays():
-    sweep = saturation_sweep(ising2(1.0), GAMMAS)
-    ex = [r.excess for r in sweep.records]
+    records = saturation_sweep(ising2(1.0), GAMMAS)
+    ex = [r.excess for r in records]
     assert all(e > 0 for e in ex)
     assert ex[1] < ex[0] and ex[2] < ex[1]
     assert ex[2] <= 0.3 * ex[1]
-    assert sweep.entanglement_spread <= 1e-8
-    assert not any(r.unreliable for r in sweep.records)
+    ents = [r.report.entanglement for r in records]
+    assert max(ents) - min(ents) <= 1e-8
+    assert not any(r.unreliable for r in records)
     # with this construction the local overshoot vanishes, so the excess
     # is exactly the interaction term
-    for r in sweep.records:
+    for r in records:
         assert abs(r.excess - r.interaction_term) < 1e-9
 
 
@@ -109,11 +116,11 @@ def test_sweep_maximally_entangled_ground():
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     h = -np.outer(phi, phi.conj())
     model = dense_bipartite_model(h, (2, 2), name="bell-projector")
-    sweep = saturation_sweep(model, GAMMAS)
-    assert sweep.degenerate_top  # both Schmidt coefficients are 1/sqrt(2)
-    for r in sweep.records:
+    np.testing.assert_allclose(ground_schmidt(model).coefficients, [2 ** -0.5] * 2, atol=1e-12)
+    records = saturation_sweep(model, GAMMAS)  # the tie takes the first Schmidt vector
+    for r in records:
         assert abs(r.report.entanglement - 0.5) < 1e-9
-    assert abs(sweep.records[-1].report.ef_bound - 0.5) < 5e-3  # approaches 1/2
+    assert abs(records[-1].report.ef_bound - 0.5) < 5e-3  # approaches 1/2
 
 
 def test_sweep_product_ground_state():
@@ -122,8 +129,7 @@ def test_sweep_product_ground_state():
         OperatorTerm(-1.0, [(1, "Z")]),
         OperatorTerm(-1.0, [(0, "Z"), (1, "Z")]),
     ))
-    sweep = saturation_sweep(model, GAMMAS)
-    for r in sweep.records:
+    for r in saturation_sweep(model, GAMMAS):
         assert abs(r.report.entanglement) <= 1e-12
         assert abs(r.report.ef_bound) <= 1e-9
 
@@ -144,8 +150,7 @@ def test_excess_decomposition_symmetric_ising():
 
 
 def test_excess_decomposition_schmidt_small_gamma():
-    ss = schmidt_splitting(ising2(1.0), 1e-3)
-    dec = decompose(ss.splitting)
+    dec = decompose(schmidt_splitting(ising2(1.0), 1e-3))
     assert abs(dec.overshoot_local) <= 1e-9
     assert abs(dec.entanglement_gap) <= 1e-9
     assert abs(dec.identity_residual) < 1e-9
@@ -186,8 +191,8 @@ def test_strict_positivity_of_excess():
     for _ in range(5):
         h = gaussian_hermitian(rng, 4)
         model = dense_bipartite_model(h, (2, 2))
-        sweep = saturation_sweep(model, GAMMAS)
-        e_val = sweep.records[0].report.entanglement
+        records = saturation_sweep(model, GAMMAS)
+        e_val = records[0].report.entanglement
         if 1e-6 < e_val < 0.5 - 1e-6:
-            for r in sweep.records:
+            for r in records:
                 assert r.excess > 1e-12
