@@ -96,8 +96,7 @@ class FrustrationReport:
     entanglement_method: str
     ef_bound: float | None
     ef_bound_reason: str | None
-    ratio_bound: float | None
-    ratio_bound_reason: str | None
+    ratio_bound: float | None  # both bounds share one delta_e_ent gate, so one reason
     E_I_max: float
     E_I_tot: float
     local_frustration: float
@@ -117,7 +116,7 @@ class FrustrationReport:
             "ef_bound": self.ef_bound,
             "ef_bound_reason": self.ef_bound_reason,
             "ratio_bound": self.ratio_bound,
-            "ratio_bound_reason": self.ratio_bound_reason,
+            "ratio_bound_reason": self.ef_bound_reason,
             "E_I_max": self.E_I_max,
             "E_I_tot": self.E_I_tot,
             "local_frustration": self.local_frustration,
@@ -146,43 +145,29 @@ def cut_expansion(spec: LocalSpectrum, report: FrustrationReport):
     return below, alpha, float(np.sum(np.abs(alpha[below]) ** 2))
 
 
-def analyze_ground(splitting: Splitting,
-                   ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> FrustrationReport:
-    """Full frustration report for one splitting.
-
-    With a degenerate ground level the solver's first eigenvector is used
-    and flagged; the bounds hold for any ground state, so no minimization
-    over the ground space is attempted.
+def ground_report(model: SpinModel, e0_l: float, delta: float, e0_i: float, e_i_max: float,
+                  exp_l: float, exp_i: float,
+                  ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> FrustrationReport:
+    """The ground-state report from what a splitting gives: E0_L, delta_e_ent,
+    the extremes of H_I, <H_L> and <H_I>.  Every formula of the report lives
+    here.  A degenerate ground level takes the solver's first eigenvector and
+    is flagged; the bounds hold for any ground state, so no minimization over
+    the ground space is attempted.
     """
-    g = splitting.model.ground
-    ground, scale, e0 = g.vector, g.scale, g.energy
-    psi = ent.PureState(ground, splitting.model.dims)
-
-    spec = splitting.local
-    e0_l = float(np.sum([v[0] for v in spec.site_eigenvalues]))
-    e0_i, e_i_max, e_i_tot = interaction_extremes(splitting)
-    e_f = e0 - e0_l - e0_i
-
-    hl = splitting.dense_local()
-    hi = splitting.dense_interaction()
-    exp_l = float(np.real(ground.conj() @ (hl @ ground)))
-    exp_i = float(np.real(ground.conj() @ (hi @ ground)))
-
-    value, method = ground_entanglement(splitting.model, ent_opts)
-
-    delta = spec.delta_e_ent
-    if delta > STRUCTURAL_TOL * scale:
-        ef_bound, ef_reason = e_f / delta, None
-        ratio_bound, ratio_reason = e_i_tot / delta, None
+    g = model.ground
+    e_f = g.energy - e0_l - e0_i
+    e_i_tot = e_i_max - e0_i
+    value, method = ground_entanglement(model, ent_opts)
+    if delta > STRUCTURAL_TOL * g.scale:
+        ef_bound, ratio_bound, reason = e_f / delta, e_i_tot / delta, None
     else:
-        reason = f"delta_e_ent = {delta:g}"
         ef_bound = ratio_bound = None
-        ef_reason = ratio_reason = reason
+        reason = f"delta_e_ent = {delta:g}"
 
     return FrustrationReport(
-        model=splitting.model.name,
-        E0=e0,
-        ground_state=psi,
+        model=model.name,
+        E0=g.energy,
+        ground_state=ent.PureState(g.vector, model.dims),
         E0_L=e0_l,
         E0_I=e0_i,
         E_f=e_f,
@@ -190,15 +175,26 @@ def analyze_ground(splitting: Splitting,
         entanglement=value,
         entanglement_method=method,
         ef_bound=ef_bound,
-        ef_bound_reason=ef_reason,
+        ef_bound_reason=reason,
         ratio_bound=ratio_bound,
-        ratio_bound_reason=ratio_reason,
         E_I_max=e_i_max,
         E_I_tot=e_i_tot,
         local_frustration=exp_l - e0_l,
         interaction_frustration=exp_i - e0_i,
         degenerate_ground=g.degenerate,
     )
+
+
+def analyze_ground(splitting: Splitting,
+                   ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> FrustrationReport:
+    """Full frustration report for one splitting, through ground_report."""
+    psi = splitting.model.ground.vector
+    spec = splitting.local
+    e0_i, e_i_max = interaction_extremes(splitting)
+    exp_l = float(np.real(psi.conj() @ (splitting.dense_local() @ psi)))
+    exp_i = float(np.real(psi.conj() @ (splitting.dense_interaction() @ psi)))
+    return ground_report(splitting.model, float(np.sum([v[0] for v in spec.site_eigenvalues])),
+                         spec.delta_e_ent, e0_i, e_i_max, exp_l, exp_i, ent_opts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +334,7 @@ def _eigenstate_setup(splitting: Splitting, j: int):
     dimension = dec.eigenvalues.size
     if j < 0 or j >= dimension:
         raise IndexError(f"eigenstate index {j} out of range for dimension {dimension}")
-    e_i_0, e_i_max, _ = interaction_extremes(splitting)
+    e_i_0, e_i_max = interaction_extremes(splitting)
     return (scale, float(dec.eigenvalues[j]), dec.eigenvectors[:, j], splitting.local,
             e_i_max, max(abs(e_i_0), abs(e_i_max)))
 
@@ -434,10 +430,9 @@ def _excited_report(j: int, setup, res: ent.GeometricMeasureResult) -> ExcitedBo
 
     margin_tol = CLOSED_MARGIN_TOL * scale
     precondition = delta_j > h_norm
-    # bounds 29 and 30 coincide: for a Hermitian interaction the spectral
-    # radius in 29 is the operator norm in 30
-    bound_29 = h_norm**2 / (delta_j - h_norm) ** 2 if delta_j - h_norm > margin_tol else None
-    bound_exact = h_norm**2 / delta_kperp**2 if delta_kperp > margin_tol else None
+    margin = delta_j - h_norm
+    bound_29 = h_norm * h_norm / (margin * margin) if margin > margin_tol else None
+    bound_exact = h_norm * h_norm / (delta_kperp * delta_kperp) if delta_kperp > margin_tol else None
 
     alpha = local_coefficients(spec, vec_j)
     top_flat = int(np.argmax(np.abs(alpha)))

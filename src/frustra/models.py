@@ -423,11 +423,10 @@ def local_spectrum(splitting: Splitting) -> LocalSpectrum:
     )
 
 
-def interaction_extremes(splitting: Splitting) -> tuple[float, float, float]:
-    """(E^I_0, E^I_max, E^I_tot): extreme eigenvalues of H_I and their spread."""
+def interaction_extremes(splitting: Splitting) -> tuple[float, float]:
+    """(E^I_0, E^I_max): the extreme eigenvalues of H_I."""
     ev = splitting.interaction_eigenvalues
-    e0, emax = float(ev[0]), float(ev[-1])
-    return e0, emax, emax - e0
+    return float(ev[0]), float(ev[-1])
 
 
 # ---------------------------------------------------------------------------

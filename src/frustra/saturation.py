@@ -10,6 +10,10 @@ entanglement from above; exact saturation is impossible away from the
 extreme values, so the excess stays strictly positive.  A tie at the
 largest Schmidt coefficient is not flagged: the construction holds for any
 choice of a0, and the first Schmidt vector is used.
+
+For every gamma the local side is closed form, with P = |a0><a0|:
+E0_L = -gamma, delta_e_ent = gamma and <H_L> = -gamma <P x I>.  Only the
+eigenvalues of H_I = H + gamma P x I and <H_I> change with gamma.
 """
 
 from __future__ import annotations
@@ -20,22 +24,18 @@ from typing import Sequence
 import numpy as np
 
 from . import entanglement as ent
-from .bounds import FrustrationReport, analyze_ground, cut_expansion
+from .bounds import FrustrationReport, cut_expansion, ground_report
 from .errors import NotBipartiteError, UndefinedBoundError
-from .linalg import MIN_GAP, STRUCTURAL_TOL, tol_scale
-from .models import OperatorTerm, SpinModel, Splitting
-
-
-def _require_bipartite(model: SpinModel) -> None:
-    if model.num_sites != 2:
-        raise NotBipartiteError(
-            f"model has {model.num_sites} sites; regroup it into two parties first"
-        )
+from .linalg import MIN_GAP, STRUCTURAL_TOL, eigvalsh, tol_scale
+from .models import OperatorTerm, SpinModel, Splitting, build_dense, dense_terms
 
 
 def _ground_projector(model: SpinModel) -> np.ndarray:
     """|a0><a0|, a0 the ground state's first left Schmidt vector."""
-    _require_bipartite(model)
+    if model.num_sites != 2:
+        raise NotBipartiteError(
+            f"model has {model.num_sites} sites; regroup it into two parties first"
+        )
     psi = ent.PureState(model.ground.vector, model.dims)
     a0 = ent.schmidt(psi, ((0,), (1,))).left_vectors[:, 0]
     return np.outer(a0, a0.conj())
@@ -50,11 +50,7 @@ def schmidt_splitting(model: SpinModel, gamma: float) -> Splitting:
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return _rank1_splitting(model, _ground_projector(model), gamma)
-
-
-def _rank1_splitting(model: SpinModel, projector: np.ndarray, gamma: float) -> Splitting:
-    return Splitting(model, (OperatorTerm(-gamma, [(0, projector)]),))
+    return Splitting(model, (OperatorTerm(-gamma, [(0, _ground_projector(model))]),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,21 +75,27 @@ def validate_gammas(gammas: Sequence[float]) -> list[float]:
 
 
 def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRecord, ...]:
-    """Frustration reports for a descending list of gammas.
+    """Frustration reports of schmidt_splitting(model, gamma) for a descending list of gammas.
 
     Gammas below MIN_GAP are rejected: delta_e_ent = gamma would amplify
     eigensolver noise in E_f / gamma beyond double precision.  Records where
     E_f is produced by cancellation below STRUCTURAL_TOL * scale are flagged
-    unreliable instead of silently reported.  H does not depend on gamma,
-    so its one eigendecomposition and its ground-state entanglement (both
-    kept by the model) serve every record.
+    unreliable instead of silently reported.  No splitting is built: each
+    gamma adds H_I = H + gamma P x I to what the model keeps and solves it
+    for eigenvalues only.
     """
     gs = validate_gammas(gammas)
-    projector = _ground_projector(model)
+    psi = model.ground.vector
+    h = build_dense(model)
+    p_i = dense_terms((OperatorTerm(1.0, [(0, _ground_projector(model))]),), model.dims)
+    w = float(np.real(psi.conj() @ (p_i @ psi)))
 
     records = []
     for gamma in gs:
-        report = analyze_ground(_rank1_splitting(model, projector, gamma))
+        h_i = h + gamma * p_i
+        ev = eigvalsh(h_i)
+        exp_i = float(np.real(psi.conj() @ (h_i @ psi)))
+        report = ground_report(model, -gamma, gamma, float(ev[0]), float(ev[-1]), -gamma * w, exp_i)
         e_scale = tol_scale(report.E0, report.E0_L, report.E0_I)
         if report.ef_bound is None:
             records.append(SweepRecord(gamma, report, float("nan"), float("nan"), True))

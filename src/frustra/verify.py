@@ -186,7 +186,9 @@ def saturation_suite(instances: int = 50, seed: int = 77,
     An instance fails when the excess over the entanglement is not strictly
     positive at every gamma, or when a record breaks the exact identity of
     ``saturation.excess_decomposition`` by more than
-    STRUCTURAL_TOL * max(1, |ef_bound|).  The suite also needs the excess to
+    STRUCTURAL_TOL * max(1, |ef_bound|), or when its leftover weight differs
+    from the entanglement (``entanglement_gap``) by more than STRUCTURAL_TOL,
+    which the construction makes exact.  The suite also needs the excess to
     decay like the smallest gamma for most instances, and to be negligible
     against the entanglement at gamma = 1e-3.
     """
@@ -208,7 +210,7 @@ def saturation_suite(instances: int = 50, seed: int = 77,
             for r in records
         ]
         if any(abs(dec.identity_residual) > STRUCTURAL_TOL * tol_scale(dec.ef_bound)
-               for dec in decompositions):
+               or abs(dec.entanglement_gap) > STRUCTURAL_TOL for dec in decompositions):
             failures += 1
             continue
         if ex[-1] <= 0.3 * ex[-2]:

@@ -54,6 +54,7 @@ def test_ising_symmetric_report():
     assert abs(r.entanglement - 0.0527864) < 1e-7
     assert not r.degenerate_ground
     # ratio bound: E_I_tot = 2, delta = 2
+    assert abs(r.E_I_tot - 2.0) < 1e-12
     assert abs(r.ratio_bound - 1.0) < 1e-12
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import frustra.entanglement
 import frustra.models
+import frustra.saturation
 import frustra.verify
 from frustra.cli import main
 from frustra.models import model_to_dict, chain3, save_model
@@ -120,13 +121,19 @@ def test_saturate_decomposes_the_ground_state_twice(capsys, monkeypatch):
     assert len(calls) == 2
 
 
-def test_saturate_builds_one_local_part_per_gamma(capsys, monkeypatch):
-    # H once for the model, then only H_L = -gamma P x I for each gamma
-    calls = count_calls(monkeypatch, frustra.models, "dense_terms")
-    gammas = "0.5,0.2,0.1,0.05,0.02,1e-2,5e-3,1e-3"
-    code, _, _ = run_cli(capsys, "saturate", "--model", "ising2", "--gammas", gammas)
-    assert code == 0
-    assert len(calls) == 8 + 1
+def test_saturate_builds_nothing_per_gamma(capsys, monkeypatch):
+    # H and P x I once per call, however many gammas, and no local spectrum
+    spectra = count_calls(monkeypatch, frustra.models, "local_spectrum")
+    builds = count_calls(monkeypatch, frustra.models, "dense_terms")
+    monkeypatch.setattr(frustra.saturation, "dense_terms", frustra.models.dense_terms)
+    per_call = []
+    for gammas in ("0.5,1e-3", "0.5,0.2,0.1,0.05,0.02,1e-2,5e-3,1e-3"):
+        before = len(builds)
+        code, _, _ = run_cli(capsys, "saturate", "--model", "ising2", "--gammas", gammas)
+        assert code == 0
+        per_call.append(len(builds) - before)
+    assert per_call == [2, 2]
+    assert spectra == []
 
 
 def _labelled_chain(tmp_path, labels):
@@ -441,6 +448,14 @@ def test_excited_reports(capsys):
     assert reports[0]["precondition_met"] is True
     code, _, _ = run_cli(capsys, "excited", "--model", "ising2", "--j", "9")
     assert code == 2
+
+
+def test_excited_squares_a_huge_margin_without_overflow(capsys):
+    # (delta_j - ||H_I||)^2 overflows to inf, so bound_29 is 0.0 instead of an error
+    code, out, _ = run_cli(capsys, "excited", "--model", "ising2",
+                           "--param", "g=1e300", "--j", "0..3")
+    assert code == 0
+    assert json.loads(out)[0]["bound_29"] == 0.0
 
 
 def test_saturate_csv(capsys):

@@ -368,19 +368,19 @@ def test_ground_energy_superadditive(seed, d):
 
 
 def test_interaction_extremes_coupling_only():
-    e0, emax, etot = interaction_extremes(split(ising2(1.0)))
-    np.testing.assert_allclose([e0, emax, etot], [-1.0, 1.0, 2.0], atol=1e-12)
+    e0, emax = interaction_extremes(split(ising2(1.0)))
+    np.testing.assert_allclose([e0, emax], [-1.0, 1.0], atol=1e-12)
 
 
 def test_interaction_extremes_zero():
     model = SpinModel("local-only", (2, 2),
                       (OperatorTerm(1.0, [(0, "Z")]), OperatorTerm(1.0, [(1, "Z")])))
-    e0, emax, etot = interaction_extremes(split(model))
-    assert e0 == emax == etot == 0.0
+    e0, emax = interaction_extremes(split(model))
+    assert e0 == emax == 0.0
 
 
 def test_interaction_extremes_asymmetric_ising():
-    e0, _, _ = interaction_extremes(split(ising2(1.0), local=[0]))
+    e0, _ = interaction_extremes(split(ising2(1.0), local=[0]))
     assert abs(e0 - (-np.sqrt(2.0))) < 1e-12
 
 

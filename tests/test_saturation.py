@@ -28,6 +28,7 @@ from frustra.saturation import (
     schmidt_splitting,
 )
 from frustra.verify import gaussian_hermitian, saturation_suite
+from test_entanglement import assert_close_json
 
 GAMMAS = (1e-1, 1e-2, 1e-3)
 DATA = Path(__file__).parent / "data"
@@ -94,6 +95,27 @@ def test_gamma_validation():
         saturation_sweep(ising2(1.0), [1e-3, 1e-8])  # below the floor
     with pytest.raises(ValueError):
         saturation_sweep(ising2(1.0), [])
+
+
+Y_COUPLED = SpinModel("y-coupled", (2, 2), (
+    OperatorTerm(0.7, [(0, "Y"), (1, "Y")]),
+    OperatorTerm(0.5, [(0, "X"), (1, "Z")]),
+    OperatorTerm(0.3, [(0, "X")]),
+    OperatorTerm(-0.4, [(1, "Z")]),
+))
+
+
+@pytest.mark.parametrize("model", [
+    ising2(1.0),
+    regroup(chain3(), ((1,), (0, 2))),
+    load_model(DATA / "saturate_qutrit_model.json"),
+    Y_COUPLED,
+], ids=["ising2", "chain3-B|AC", "qutrit", "y-coupled"])
+def test_sweep_reports_match_the_schmidt_splitting(model):
+    # reference: the general report of the splitting the sweep never builds
+    for r in saturation_sweep(model, (0.5,) + GAMMAS):
+        want = analyze_ground(schmidt_splitting(model, r.gamma)).to_dict()
+        assert_close_json(r.report.to_dict(), want)
 
 
 def test_sweep_ising_excess_decays():
@@ -173,15 +195,26 @@ def test_excess_decomposition_undefined():
         decompose(split(triangle(1.0)))
 
 
-def test_saturation_suite_counts_a_broken_excess_identity(monkeypatch):
+def suite_with_shifted_decomposition(monkeypatch, **shift):
     real = frustra.verify.excess_decomposition
 
     def broken(splitting, report):
         dec = real(splitting, report)
-        return dataclasses.replace(dec, entanglement_gap=dec.entanglement_gap + 1e-6)
+        return dataclasses.replace(dec, **{k: getattr(dec, k) + v for k, v in shift.items()})
 
     monkeypatch.setattr(frustra.verify, "excess_decomposition", broken)
-    result = saturation_suite(instances=4)
+    return saturation_suite(instances=4)
+
+
+def test_saturation_suite_counts_a_broken_excess_identity(monkeypatch):
+    result = suite_with_shifted_decomposition(monkeypatch, overshoot_local=1e-6)
+    assert result.trials == 4 and result.failures == 4 and not result.ok
+
+
+def test_saturation_suite_counts_a_leftover_weight_off_the_entanglement(monkeypatch):
+    # the excess identity still holds; the leftover weight no longer equals E
+    result = suite_with_shifted_decomposition(monkeypatch, overshoot_local=-1e-6,
+                                              entanglement_gap=1e-6)
     assert result.trials == 4 and result.failures == 4 and not result.ok
 
 
