@@ -59,14 +59,13 @@ def state_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_E
 def ground_entanglement(model: SpinModel, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
     """(value, method) of the model's ground state, computed once per options.
 
-    The ground state is the one the model keeps (``model.ground``), so the
-    result depends only on (model, opts); it is kept in
+    The ground state is the one the model keeps (``model.ground_state``), so
+    the result depends only on (model, opts); it is kept in
     ``model.entanglement_memo`` and shared by every splitting of the model.
     """
     memo = model.entanglement_memo
     if opts not in memo:
-        psi = ent.PureState(model.ground.vector, model.dims)
-        memo[opts] = state_entanglement(psi, opts)
+        memo[opts] = state_entanglement(model.ground_state, opts)
     return memo[opts]
 
 
@@ -167,7 +166,7 @@ def ground_report(model: SpinModel, e0_l: float, delta: float, e0_i: float, e_i_
     return FrustrationReport(
         model=model.name,
         E0=g.energy,
-        ground_state=ent.PureState(g.vector, model.dims),
+        ground_state=model.ground_state,
         E0_L=e0_l,
         E0_I=e0_i,
         E_f=e_f,

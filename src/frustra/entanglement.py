@@ -11,11 +11,12 @@ Three routes are provided:
 * alternating optimization for the multipartite case: cycling over sites,
   the optimal vector at one site given the others is a normalized partial
   contraction, so every update increases the overlap.  All restarts run in
-  lockstep, one stacked contraction per site update, and each keeps its own
-  stopping rule, so a run does the same sweeps as it would alone.  A batch
-  of states with equal dims runs in one such optimizer, every run against
-  its own state, with the seeded starts drawn once for the batch; each
-  state's result is bit for bit that of a call for it alone;
+  lockstep: each site update is one GEMM per state, its matrix against one
+  column per run, and each run keeps its own stopping rule, so it does the
+  same sweeps as it would alone.  A batch of states with equal dims runs in
+  one such optimizer, with the seeded starts drawn once for the batch; a
+  state's GEMMs have the same shape alone or in a batch, so its result is
+  bit for bit that of a call for it alone;
 * a brute-force Bloch-sphere grid oracle for small all-qubit states, used
   to validate the optimizer.
 
@@ -42,7 +43,7 @@ DEFAULT_MAX_ITERS = 1000
 DEFAULT_SEED = 0x5EED
 
 _ORACLE_WORK_CAP = 4_000_000  # grid points evaluated in one coarse pass
-_STACK_BYTES_CAP = 16 * 2**20  # per-run copies of the state matrices in one batched optimizer
+_STACK_BYTES_CAP = 16 * 2**20  # per-site state matrices and per-run krons of one batched optimizer
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,89 +208,80 @@ def _initial_vectors(psis: Sequence[PureState], restarts: int,
     return inits
 
 
+def _site_matrices(conj: np.ndarray) -> list[np.ndarray]:
+    """Per site i, the (states, d_i, D/d_i) stack of each conjugate state tensor with site i first."""
+    return [np.moveaxis(conj, i, 1).reshape(len(conj), conj.shape[i], -1) for i in range(1, conj.ndim)]
+
+
 def _alternating(psis: Sequence[PureState], inits, tol: float,
                  max_iters: int) -> list[GeometricMeasureResult]:
     """Alternating maximization of every state from each of its initializations, in lockstep.
 
     ``inits[s]`` lists the runs of ``psis[s]``; all states share their dims
-    and number of runs.  Each site update contracts every active run's
-    state with the run's other site vectors in one stacked product.  A run
-    leaves the active set when its sweep gains less than ``tol``
-    (converged) or after ``max_iters`` sweeps, so it does exactly the
-    sweeps it would do alone.
+    and number of runs, held as a (states, runs, d_i) stack per site.  Each
+    site update is one stacked matmul: per state, one GEMM of its matrix
+    with the Kronecker products of the other sites' vectors, one per run.
+    Its shape is the same alone or in a batch, so a batch gives each state
+    its single-call result bit for bit.  A run's result is recorded at the
+    sweep where it gains less than ``tol`` (converged) or reaches
+    ``max_iters``; a stopped run stays in the stack, its later iterates
+    discarded, until all runs of its state have stopped.
     """
     dims = psis[0].dims
     n = len(dims)
     runs = len(inits[0])
-    mats = []  # per state, per site: the state contracted along every other site
-    for psi in psis:
-        tensor_conj = psi.amplitudes.conj().reshape(dims)
-        mats.append([np.moveaxis(tensor_conj, i, 0).reshape(dims[i], -1) for i in range(n)])
-    stacked = len(psis) > 1
-    if stacked:
-        # one copy of its state's matrix per run, in the memory order of the
-        # state's own matrix (the last site's is a transposed view), so that
-        # matmul makes the BLAS call that broadcasting one matrix makes
-        flip = [not mats[0][i].flags.c_contiguous for i in range(n)]
-        run_mats = [np.repeat(np.stack([m[i].T if flip[i] else m[i] for m in mats]), runs, axis=0)
-                    for i in range(n)]
-    else:
-        flip = [False] * n
-        run_mats = mats[0]  # broadcast over the runs
+    conj = np.stack([psi.amplitudes.conj().reshape(dims) for psi in psis])
+    mats = _site_matrices(conj)
     resets = [np.ones(d, dtype=complex) / np.sqrt(d) for d in dims]
 
-    total = len(psis) * runs
-    phis = [np.array([run[i] for state in inits for run in state]) for i in range(n)]  # rows: active runs
-    active = np.arange(total)
-    overlap = np.zeros(total)
+    phis = [np.array([[run[i] for run in state] for state in inits]) for i in range(n)]
+    live = np.arange(len(psis))  # the states in the stack
+    overlap = np.zeros((len(psis), runs))
     final_phis = [p.copy() for p in phis]
-    final_overlap = np.zeros(total)
-    sweeps = np.zeros(total, dtype=int)
-    converged = np.zeros(total, dtype=bool)
+    final_overlap = np.zeros((len(psis), runs))
+    sweeps = np.zeros((len(psis), runs), dtype=int)  # 0 while a run goes on
+    converged = np.zeros((len(psis), runs), dtype=bool)
 
     for sweep in range(1, max_iters + 1):
         for i in range(n):
             others = [phis[k] for k in range(n) if k != i]
             rest = others[0]
             for p in others[1:]:  # row-wise kron, in site order
-                rest = (rest[:, :, None] * p[:, None, :]).reshape(active.size, -1)
-            a = run_mats[i].transpose(0, 2, 1) if flip[i] else run_mats[i]
-            w = np.matmul(a, rest[:, :, None])[:, :, 0]
+                rest = (rest[..., :, None] * p[..., None, :]).reshape(live.size, runs, -1)
+            w = np.matmul(rest, mats[i].transpose(0, 2, 1))
             nrm = np.sqrt(np.vecdot(w, w).real)
             zero = nrm == 0.0
             if zero.any():
                 # a zero contraction means the run's overlap is still zero
                 # (updates never lower it), whatever phi_i is; reset the direction
-                phis[i] = np.where(zero[:, None], resets[i],
-                                   w.conj() / np.where(zero, 1.0, nrm)[:, None])
+                phis[i] = np.where(zero[..., None], resets[i],
+                                   w.conj() / np.where(zero, 1.0, nrm)[..., None])
             else:
-                phis[i] = w.conj() / nrm[:, None]
+                phis[i] = w.conj() / nrm[..., None]
         done = nrm - overlap < tol
         overlap = nrm
-        stop = done | (sweep == max_iters)
+        stop = (sweeps[live] == 0) & (done | (sweep == max_iters))
         if stop.any():
-            ids = active[stop]
+            s, r = np.nonzero(stop)
             for k in range(n):
-                final_phis[k][ids] = phis[k][stop]
-            final_overlap[ids] = overlap[stop]
-            sweeps[ids] = sweep
-            converged[ids] = done[stop]
-            keep = ~stop
-            active, overlap = active[keep], overlap[keep]
-            phis = [p[keep] for p in phis]
-            if stacked:
-                for k in range(n):  # one site at a time keeps the transient copy small
-                    run_mats[k] = run_mats[k][keep]
-            if not active.size:
+                final_phis[k][live[s], r] = phis[k][s, r]
+            final_overlap[live[s], r] = overlap[s, r]
+            sweeps[live[s], r] = sweep
+            converged[live[s], r] = done[s, r]
+            keep = (sweeps[live] == 0).any(axis=1)
+            if not keep.any():
                 break
+            if not keep.all():
+                live, overlap, conj = live[keep], overlap[keep], conj[keep]
+                phis = [p[keep] for p in phis]
+                mats = _site_matrices(conj)
 
     results = []
     for s, psi in enumerate(psis):
-        own = slice(s * runs, (s + 1) * runs)
-        best = s * runs + int(np.argmax(final_overlap[own]))  # first maximum: ties go to the earliest run
-        results.append(_result(psi, [p[best] for p in final_phis], method="alternating",
-                               converged=bool(converged[best]), restarts=runs - 1,
-                               iterations=int(sweeps[own].sum())))
+        best = int(np.argmax(final_overlap[s]))  # first maximum: ties go to the earliest run
+        results.append(_result(psi, [p[s, best] for p in final_phis], method="alternating",
+                               converged=bool(converged[s, best]), restarts=runs - 1,
+                               iterations=int(sweeps[s].sum())))
     return results
 
 
@@ -303,8 +295,10 @@ def geometric_measures_multipartite(
     """geometric_measure_multipartite of each state, all runs of all states in one lockstep optimizer.
 
     The states must share their dims.  Each result is bit for bit what a
-    call for its state alone returns.  States are batched in groups whose
-    per-run copies of the state matrices fit in _STACK_BYTES_CAP.
+    call for its state alone returns.  A state holds about 16 (runs + n) d
+    bytes in the stack (its n site matrices and one Kronecker product of
+    the other sites' vectors per run), so states are batched in groups
+    that fit in _STACK_BYTES_CAP.
     """
     if not psis:
         return []
@@ -314,7 +308,7 @@ def geometric_measures_multipartite(
     if len(dims) < 2:
         raise ValueError("multipartite measure requires at least 2 parties")
     inits = _initial_vectors(psis, restarts, seed)
-    per_state = 16 * (restarts + 1) * len(dims) * psis[0].amplitudes.size  # complex128 bytes
+    per_state = 16 * (restarts + 1 + len(dims)) * psis[0].amplitudes.size  # complex128 bytes
     group = max(1, _STACK_BYTES_CAP // per_state)
     results = []
     for lo in range(0, len(psis), group):

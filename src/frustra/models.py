@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .entanglement import PureState
 from .errors import (
     DimensionCapError,
     InvalidAssignmentError,
@@ -189,6 +190,11 @@ class SpinModel:
                 return g
         dec = self.spectrum
         return GroundState.of(dec.eigenvalues, dec.eigenvectors[:, 0])
+
+    @cached_property
+    def ground_state(self) -> PureState:
+        """The ground vector as a read-only PureState, built once and shared by every report."""
+        return PureState(_read_only(self.ground.vector.astype(complex)), self.dims)
 
     @cached_property
     def entanglement_memo(self) -> dict:

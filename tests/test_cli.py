@@ -122,17 +122,18 @@ def test_saturate_decomposes_the_ground_state_twice(capsys, monkeypatch):
 
 
 def test_saturate_builds_nothing_per_gamma(capsys, monkeypatch):
-    # H and P x I once per call, however many gammas, and no local spectrum
+    # H and P x I once per call, however many gammas, no local spectrum and one ground PureState
     spectra = count_calls(monkeypatch, frustra.models, "local_spectrum")
     builds = count_calls(monkeypatch, frustra.models, "dense_terms")
+    states = count_calls(monkeypatch, frustra.entanglement.PureState, "__post_init__")
     monkeypatch.setattr(frustra.saturation, "dense_terms", frustra.models.dense_terms)
     per_call = []
     for gammas in ("0.5,1e-3", "0.5,0.2,0.1,0.05,0.02,1e-2,5e-3,1e-3"):
-        before = len(builds)
+        before = len(builds), len(states)
         code, _, _ = run_cli(capsys, "saturate", "--model", "ising2", "--gammas", gammas)
         assert code == 0
-        per_call.append(len(builds) - before)
-    assert per_call == [2, 2]
+        per_call.append((len(builds) - before[0], len(states) - before[1]))
+    assert per_call == [(2, 1), (2, 1)]
     assert spectra == []
 
 
@@ -234,14 +235,18 @@ def test_config_errors_exit_2(capsys, argv):
         assert err.startswith("error: cannot write")
 
 
+def _src_env(**extra):
+    src = str(Path(frustra.models.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_loads_no_scipy():
     """Importing scipy.linalg costs about 0.2 s and 28 MiB at start-up; the CLI needs none of it."""
-    src = str(Path(frustra.models.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, frustra.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          check=True)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), check=True)
     assert done.stdout.strip() == "[]"
 
 
@@ -419,6 +424,18 @@ def test_analyze_byte_identical_reruns_on_the_ground_tier(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "--model", path)
     _, out2, _ = run_cli(capsys, "analyze", "--model", path)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", str(Path(__file__).parent / "data" / "transverse_chain10_model.json")],
+    ["excited", "--model", "chain3", "--j", "0..7"],
+], ids=lambda argv: argv[0])
+def test_stdout_does_not_depend_on_blas_threads(argv):
+    # the optimizer's per-state GEMMs and the dense solvers must round alike on 1 and 2 threads
+    outs = [subprocess.run([sys.executable, "-m", "frustra.cli", *argv], capture_output=True,
+                           env=_src_env(OPENBLAS_NUM_THREADS=threads), check=True).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1]
 
 
 def test_sweep_determinism_and_jobs(capsys):

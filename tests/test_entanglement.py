@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -291,10 +292,22 @@ def test_batch_matches_single_calls(dims, draws, restarts, max_iters):
 def test_batch_groups_match_one_group(monkeypatch):
     psis = [random_state(np.random.default_rng(seed), (2, 2, 2)) for seed in range(5)]
     whole = geometric_measures_multipartite(psis, restarts=4)
-    per_state = 16 * 5 * 3 * 8  # bytes of one state's per-run matrices
+    per_state = 16 * (5 + 3) * 8  # bytes of one state in the stack: 5 runs' krons, 3 site matrices
     monkeypatch.setattr(frustra.entanglement, "_STACK_BYTES_CAP", 2 * per_state)
     for got, want in zip(geometric_measures_multipartite(psis, restarts=4), whole):
         assert_same_result(got, want)
+
+
+def test_batch_holds_no_per_run_copy_of_the_state():
+    # two 10-qubit states: their site matrices take 0.3 MiB, a copy per run would take 10 MiB
+    psis = [random_state(np.random.default_rng(seed), (2,) * 10) for seed in range(2)]
+    tracemalloc.start()
+    try:
+        geometric_measures_multipartite(psis, max_iters=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_batch_rejects_mixed_dims():
