@@ -8,15 +8,13 @@ Three routes are provided:
 
 * exact, for any bipartition, via the Schmidt decomposition (the optimal
   overlap is the largest Schmidt coefficient);
-* alternating optimization for the multipartite case: cycling over sites,
-  the optimal vector at one site given the others is a normalized partial
-  contraction, so every update increases the overlap.  All restarts run in
-  lockstep: each site update is one GEMM per state, its matrix against one
-  column per run, and each run keeps its own stopping rule, so it does the
-  same sweeps as it would alone.  A batch of states with equal dims runs in
-  one such optimizer, with the seeded starts drawn once for the batch; a
-  state's GEMMs have the same shape alone or in a batch, so its result is
-  bit for bit that of a call for it alone;
+* alternating optimization (rank-1 ALS) for the multipartite case: the
+  optimal vector at one site given the others is a normalized partial
+  contraction.  A sweep caches, as DMRG caches environments, the right
+  products of the old vectors and a left contraction with the new ones:
+  O(runs d) flops and O(n) numpy calls.  All restarts, and a batch of
+  states with equal dims, run in lockstep, each run with its own stopping
+  rule, and a state's result is bit for bit that of a call for it alone;
 * a brute-force Bloch-sphere grid oracle for small all-qubit states, used
   to validate the optimizer.
 
@@ -43,7 +41,8 @@ DEFAULT_MAX_ITERS = 1000
 DEFAULT_SEED = 0x5EED
 
 _ORACLE_WORK_CAP = 4_000_000  # grid points evaluated in one coarse pass
-_STACK_BYTES_CAP = 16 * 2**20  # per-site state matrices and per-run krons of one batched optimizer
+# per state: d amplitudes; per run: right products (< 2 d/d_0 if all d_i >= 2), left contraction (d/d_0)
+_STACK_BYTES_CAP = 16 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,17 +187,17 @@ def _initial_vectors(psis: Sequence[PureState], restarts: int,
                      seed: int) -> list[list[list[np.ndarray]]]:
     """Each state's per-run start vectors: its dominant product-basis amplitude, then seeded draws.
 
-    Run r's draw comes from default_rng([seed, r]) and depends only on
-    (dims, restarts, seed), so the draws are made once and shared by all
-    states.
+    Run r's draw is one normal draw from default_rng([seed, r]), per site d
+    real then d imaginary parts; it depends only on (dims, restarts, seed),
+    so the draws are made once and shared by all states.
     """
     dims = psis[0].dims
     seeded = []
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
+        x = np.random.default_rng([seed, r]).normal(size=2 * sum(dims))
         vecs = []
         for d in dims:
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v, x = x[:d] + 1j * x[d:2 * d], x[2 * d:]
             vecs.append(v / np.linalg.norm(v))
         seeded.append(vecs)
     inits = []
@@ -208,9 +207,14 @@ def _initial_vectors(psis: Sequence[PureState], restarts: int,
     return inits
 
 
-def _site_matrices(conj: np.ndarray) -> list[np.ndarray]:
-    """Per site i, the (states, d_i, D/d_i) stack of each conjugate state tensor with site i first."""
-    return [np.moveaxis(conj, i, 1).reshape(len(conj), conj.shape[i], -1) for i in range(1, conj.ndim)]
+def _normalized(w: np.ndarray, reset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per run, conj(w) / |w| and |w|; a run whose w is zero gets the reset direction instead."""
+    nrm = np.sqrt(np.vecdot(w, w).real)
+    zero = nrm == 0.0
+    if zero.any():
+        # a zero contraction: the run's overlap is still zero (updates never lower it); reset the direction
+        return np.where(zero[..., None], reset, w.conj() / np.where(zero, 1.0, nrm)[..., None]), nrm
+    return w.conj() / nrm[..., None], nrm
 
 
 def _alternating(psis: Sequence[PureState], inits, tol: float,
@@ -218,20 +222,18 @@ def _alternating(psis: Sequence[PureState], inits, tol: float,
     """Alternating maximization of every state from each of its initializations, in lockstep.
 
     ``inits[s]`` lists the runs of ``psis[s]``; all states share their dims
-    and number of runs, held as a (states, runs, d_i) stack per site.  Each
-    site update is one stacked matmul: per state, one GEMM of its matrix
-    with the Kronecker products of the other sites' vectors, one per run.
-    Its shape is the same alone or in a batch, so a batch gives each state
-    its single-call result bit for bit.  A run's result is recorded at the
-    sweep where it gains less than ``tol`` (converged) or reaches
-    ``max_iters``; a stopped run stays in the stack, its later iterates
-    discarded, until all runs of its state have stopped.
+    and number of runs, held as a (states, runs, d_i) stack per site.  A
+    sweep builds K_i = phi_{i+1} x ... x phi_{n-1} of the old vectors from
+    right to left.  Site 0's update is one GEMM per state against K_0, one
+    column per run; site i's is L_i K_i, one product per run, L_i the left
+    contraction.  A run's result is recorded at the sweep where it gains
+    less than ``tol`` (converged) or reaches ``max_iters``; a stopped run
+    stays in the stack until all runs of its state have stopped.
     """
     dims = psis[0].dims
     n = len(dims)
     runs = len(inits[0])
-    conj = np.stack([psi.amplitudes.conj().reshape(dims) for psi in psis])
-    mats = _site_matrices(conj)
+    conj = np.stack([psi.amplitudes.conj() for psi in psis]).reshape(len(psis), dims[0], -1)
     resets = [np.ones(d, dtype=complex) / np.sqrt(d) for d in dims]
 
     phis = [np.array([[run[i] for run in state] for state in inits]) for i in range(n)]
@@ -243,21 +245,16 @@ def _alternating(psis: Sequence[PureState], inits, tol: float,
     converged = np.zeros((len(psis), runs), dtype=bool)
 
     for sweep in range(1, max_iters + 1):
-        for i in range(n):
-            others = [phis[k] for k in range(n) if k != i]
-            rest = others[0]
-            for p in others[1:]:  # row-wise kron, in site order
-                rest = (rest[..., :, None] * p[..., None, :]).reshape(live.size, runs, -1)
-            w = np.matmul(rest, mats[i].transpose(0, 2, 1))
-            nrm = np.sqrt(np.vecdot(w, w).real)
-            zero = nrm == 0.0
-            if zero.any():
-                # a zero contraction means the run's overlap is still zero
-                # (updates never lower it), whatever phi_i is; reset the direction
-                phis[i] = np.where(zero[..., None], resets[i],
-                                   w.conj() / np.where(zero, 1.0, nrm)[..., None])
-            else:
-                phis[i] = w.conj() / nrm[..., None]
+        right = [phis[-1]]  # right[i] = K_i, row-wise krons of the old vectors
+        for p in phis[-2:0:-1]:
+            right.insert(0, (p[..., :, None] * right[0][..., None, :]).reshape(live.size, runs, -1))
+        phis[0], nrm = _normalized(np.matmul(right[0], conj.transpose(0, 2, 1)), resets[0])
+        left = np.matmul(phis[0], conj)  # the state contracted with the new phi_0 ... phi_{i-1}
+        for i in range(1, n):
+            left = left.reshape(live.size, runs, dims[i], -1)
+            w = np.matmul(left, right[i][..., None])[..., 0] if i < n - 1 else left[..., 0]
+            phis[i], nrm = _normalized(w, resets[i])
+            left = np.matmul(phis[i][..., None, :], left)
         done = nrm - overlap < tol
         overlap = nrm
         stop = (sweeps[live] == 0) & (done | (sweep == max_iters))
@@ -274,7 +271,6 @@ def _alternating(psis: Sequence[PureState], inits, tol: float,
             if not keep.all():
                 live, overlap, conj = live[keep], overlap[keep], conj[keep]
                 phis = [p[keep] for p in phis]
-                mats = _site_matrices(conj)
 
     results = []
     for s, psi in enumerate(psis):
@@ -295,11 +291,13 @@ def geometric_measures_multipartite(
     """geometric_measure_multipartite of each state, all runs of all states in one lockstep optimizer.
 
     The states must share their dims.  Each result is bit for bit what a
-    call for its state alone returns.  A state holds about 16 (runs + n) d
-    bytes in the stack (its n site matrices and one Kronecker product of
-    the other sites' vectors per run), so states are batched in groups
-    that fit in _STACK_BYTES_CAP.
+    call for its state alone returns.  A state and its sweep caches (right
+    products and a left contraction, O(runs d) flops a sweep) hold about
+    16 (1 + runs (1 + 1/d_0)) d bytes, so states are batched in groups that
+    fit in _STACK_BYTES_CAP.  ValueError unless restarts >= 0, max_iters >= 1, 0 < tol < inf.
     """
+    if restarts < 0 or max_iters < 1 or not 0 < tol < np.inf:  # NaN fails every comparison
+        raise ValueError(f"need restarts >= 0, max_iters >= 1, 0 < tol < inf: {restarts}, {max_iters}, {tol}")
     if not psis:
         return []
     dims = psis[0].dims
@@ -308,8 +306,8 @@ def geometric_measures_multipartite(
     if len(dims) < 2:
         raise ValueError("multipartite measure requires at least 2 parties")
     inits = _initial_vectors(psis, restarts, seed)
-    per_state = 16 * (restarts + 1 + len(dims)) * psis[0].amplitudes.size  # complex128 bytes
-    group = max(1, _STACK_BYTES_CAP // per_state)
+    per_state = 16 * psis[0].amplitudes.size * (1 + (restarts + 1) * (1 + 1 / dims[0]))  # bytes
+    group = max(1, int(_STACK_BYTES_CAP // per_state))
     results = []
     for lo in range(0, len(psis), group):
         results += _alternating(psis[lo:lo + group], inits[lo:lo + group], tol, max_iters)

@@ -193,24 +193,35 @@ def test_converged_means_the_best_run_converged():
 
 
 def serial_reference(psi, inits, tol, max_iters):
-    """(value, total sweeps, best run converged, zero-norm resets), one run at a time."""
+    """(value, total sweeps, best run converged, zero-norm resets), one run at a time.
+
+    Each sweep contracts in the optimizer's order: site i's update is the
+    state contracted with the new phi_0 .. phi_{i-1} on the left and the
+    old phi_{i+1} x .. x phi_{n-1}, built from the right, on the right.
+    """
     dims, n = psi.dims, psi.num_sites
-    tensor_conj = psi.amplitudes.conj().reshape(dims)
-    mats = [np.moveaxis(tensor_conj, i, 0).reshape(dims[i], -1) for i in range(n)]
+    mat = psi.amplitudes.conj().reshape(dims[0], -1)
     best, best_vecs, best_conv, total, resets = -1.0, None, False, 0, 0
     for init in inits:
         phis = [v.copy() for v in init]
         overlap, conv, sweeps = 0.0, False, 0
         for sweeps in range(1, max_iters + 1):
             current = overlap
+            right = [phis[-1]]
+            for k in range(n - 2, 0, -1):
+                right.insert(0, np.kron(phis[k], right[0]))
+            right.append(np.ones(1))
+            left = mat
             for i in range(n):
-                w = mats[i] @ reduce(np.kron, [phis[k] for k in range(n) if k != i])
+                left = left.reshape(dims[i], -1)
+                w = left @ right[i]
                 nrm = float(np.linalg.norm(w))
                 if nrm == 0.0:
                     phis[i] = np.ones(dims[i], dtype=complex) / np.sqrt(dims[i])
                     resets += 1
-                    continue
-                phis[i], current = w.conj() / nrm, nrm
+                else:
+                    phis[i], current = w.conj() / nrm, nrm
+                left = phis[i] @ left
             conv = current - overlap < tol
             overlap = current
             if conv:
@@ -260,6 +271,53 @@ def test_lockstep_matches_serial_reference(name, max_iters):
     assert abs(res.value - value) < 1e-12
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2,) * 6])
+def test_cached_contractions_match_kron_reference(dims, monkeypatch):
+    # one sweep of two states from random per-run vectors: site i's cached
+    # contraction is the state's matrix against the kron of the new vectors
+    # left of i and the old ones right of i
+    rng = np.random.default_rng(len(dims) + dims[0])
+    psis = [random_state(rng, dims) for _ in range(2)]
+    inits = [[[v / np.linalg.norm(v) for v in (rng.normal(size=(d,)) + 1j * rng.normal(size=(d,))
+                                                for d in dims)] for _ in range(5)] for _ in psis]
+    seen = []
+    normalized = frustra.entanglement._normalized
+    monkeypatch.setattr(frustra.entanglement, "_normalized",
+                        lambda w, reset: seen.append(w.copy()) or normalized(w, reset))
+    _alternating(psis, inits, DEFAULT_TOL, max_iters=1)
+    assert len(seen) == len(dims)
+    for s, psi in enumerate(psis):
+        tensor_conj = psi.amplitudes.conj().reshape(dims)
+        for r, init in enumerate(inits[s]):
+            phis = list(init)
+            for i, w in enumerate(seen):
+                mat = np.moveaxis(tensor_conj, i, 0).reshape(dims[i], -1)
+                want = mat @ reduce(np.kron, [phis[k] for k in range(len(dims)) if k != i])
+                assert np.linalg.norm(w[s, r] - want) <= 1e-13 * np.linalg.norm(want)
+                phis[i] = want.conj() / np.linalg.norm(want)
+
+
+def test_seeded_starts_are_per_site_normal_draws():
+    dims = (3, 2, 4)
+    inits = _initial_vectors([random_state(np.random.default_rng(0), dims)], 3, seed=19)[0]
+    for r, run in enumerate(inits[1:]):
+        rng = np.random.default_rng([19, r])
+        for d, got in zip(dims, run):
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            np.testing.assert_array_equal(got, v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("kwargs", [dict(max_iters=0), dict(max_iters=-2), dict(restarts=-1),
+                                    dict(tol=float("nan")), dict(tol=0.0), dict(tol=-1e-10),
+                                    dict(tol=float("inf"))])
+def test_multipartite_rejects_bad_options(kwargs):
+    uniform = PureState(np.full(8, 1 / np.sqrt(8)), (2, 2, 2))
+    with pytest.raises(ValueError):
+        geometric_measure_multipartite(uniform, **kwargs)
+    with pytest.raises(ValueError):
+        geometric_measures_multipartite([], **kwargs)
+
+
 def assert_same_result(got, want):
     assert got.value == want.value and got.overlap_sq == want.overlap_sq
     assert got.converged == want.converged and got.iterations == want.iterations
@@ -292,7 +350,7 @@ def test_batch_matches_single_calls(dims, draws, restarts, max_iters):
 def test_batch_groups_match_one_group(monkeypatch):
     psis = [random_state(np.random.default_rng(seed), (2, 2, 2)) for seed in range(5)]
     whole = geometric_measures_multipartite(psis, restarts=4)
-    per_state = 16 * (5 + 3) * 8  # bytes of one state in the stack: 5 runs' krons, 3 site matrices
+    per_state = 16 * (8 + 5 * (8 + 4))  # bytes of one state in the stack: d = 8, 5 runs, d_0 = 2
     monkeypatch.setattr(frustra.entanglement, "_STACK_BYTES_CAP", 2 * per_state)
     for got, want in zip(geometric_measures_multipartite(psis, restarts=4), whole):
         assert_same_result(got, want)

@@ -134,6 +134,33 @@ def test_hermitian_check_never_looser_than_svd_rule(seed, n, log_scale, log_nois
         assert accepted[0]  # noise well below tolerance is still accepted
 
 
+def _hermitian_part_reference(a):
+    """The Hermitian part and ||M - M^dag||_F from the full adjoint."""
+    adj = a.conj().T
+    asym = float(np.linalg.norm(a - adj))
+    return (a if asym == 0 else (a + adj) / 2.0), asym
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_exact_hermitian_test_matches_the_full_adjoint(n):
+    rng = np.random.default_rng(n)
+    h = random_hermitian(rng, n)
+    cases = [h, h.real]
+    for i, j in [(0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0), (n // 2, n // 3), (n // 3, n // 2)]:
+        for m, bump in [(h.copy(), 1e-12), (h.copy(), 1e-12j), (h.real.copy(), 1.0)]:
+            m[i, j] += bump
+            cases.append(m)
+        m = h.copy()  # not Hermitian, but ||M - M^dag||_F underflows to 0
+        m[i, j], m[j, i] = (1e-200, 0.0) if i != j else (1e-200j, 1e-200j)
+        cases.append(m)
+    s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    cases.append(s + s.T)  # complex symmetric: equal to its transpose, not to its adjoint
+    for m in cases:
+        got, want = linalg._hermitian_part(m), _hermitian_part_reference(m)
+        assert got[1] == want[1] and np.array_equal(got[0], want[0])
+        assert (got[0] is m) == (want[0] is m)
+
+
 def test_real_path_matches_complex_eigh():
     h = build_dense(transverse_chain(6))
     assert h.dtype == np.float64
