@@ -17,12 +17,18 @@ For excited eigenstates the route is different: each local product state
 sits in "product subspaces" (sets of H_L eigenstates differing at a single
 site, whose superpositions stay unentangled), and a subspace-perturbation
 argument turns the local spectrum plus the interaction strength into an
-upper bound on the eigenstate's entanglement.
+upper bound on the eigenstate's entanglement.  The members of a product
+subspace are found by index arithmetic: in row-major order the states that
+differ from flat index f at site s only are base + stride * arange(d_s),
+with stride = prod(dims[s+1:]).
+
+Every report's dict keys are its dataclass fields, in declaration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,13 +86,22 @@ def local_coefficients(spec: LocalSpectrum, vector: np.ndarray) -> np.ndarray:
     return t.reshape(-1)
 
 
+def _fields_dict(report) -> dict:
+    """A report's fields by name, in declaration order; tuples become lists, a subspace its dict."""
+    def plain(value):
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return _fields_dict(value) if isinstance(value, ProductSubspace) else value
+
+    return {f.name: plain(getattr(report, f.name)) for f in fields(report)}
+
+
 @dataclass(frozen=True, eq=False)
 class FrustrationReport:
     """Ground-state energies, frustration split, entanglement, and bounds."""
 
     model: str
     E0: float
-    ground_state: ent.PureState
     E0_L: float
     E0_I: float
     E_f: float
@@ -95,37 +110,22 @@ class FrustrationReport:
     entanglement_method: str
     ef_bound: float | None
     ef_bound_reason: str | None
-    ratio_bound: float | None  # both bounds share one delta_e_ent gate, so one reason
+    ratio_bound: float | None
+    ratio_bound_reason: str | None
     E_I_max: float
     E_I_tot: float
     local_frustration: float
     interaction_frustration: float
     degenerate_ground: bool
+    ground_state: ent.PureState
 
     def to_dict(self, include_state: bool = True) -> dict:
-        out = {
-            "model": self.model,
-            "E0": self.E0,
-            "E0_L": self.E0_L,
-            "E0_I": self.E0_I,
-            "E_f": self.E_f,
-            "delta_e_ent": self.delta_e_ent,
-            "entanglement": self.entanglement,
-            "entanglement_method": self.entanglement_method,
-            "ef_bound": self.ef_bound,
-            "ef_bound_reason": self.ef_bound_reason,
-            "ratio_bound": self.ratio_bound,
-            "ratio_bound_reason": self.ef_bound_reason,
-            "E_I_max": self.E_I_max,
-            "E_I_tot": self.E_I_tot,
-            "local_frustration": self.local_frustration,
-            "interaction_frustration": self.interaction_frustration,
-            "degenerate_ground": self.degenerate_ground,
-        }
+        out = _fields_dict(self)
+        psi = out.pop("ground_state")
         if include_state:
             out["ground_state"] = {
-                "dims": list(self.ground_state.dims),
-                "amplitudes": [[float(a.real), float(a.imag)] for a in self.ground_state.amplitudes],
+                "dims": list(psi.dims),
+                "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
             }
         return out
 
@@ -157,6 +157,7 @@ def ground_report(model: SpinModel, e0_l: float, delta: float, e0_i: float, e_i_
     e_f = g.energy - e0_l - e0_i
     e_i_tot = e_i_max - e0_i
     value, method = ground_entanglement(model, ent_opts)
+    # both bounds share one delta_e_ent gate, so one reason
     if delta > STRUCTURAL_TOL * g.scale:
         ef_bound, ratio_bound, reason = e_f / delta, e_i_tot / delta, None
     else:
@@ -166,7 +167,6 @@ def ground_report(model: SpinModel, e0_l: float, delta: float, e0_i: float, e_i_
     return FrustrationReport(
         model=model.name,
         E0=g.energy,
-        ground_state=model.ground_state,
         E0_L=e0_l,
         E0_I=e0_i,
         E_f=e_f,
@@ -176,11 +176,13 @@ def ground_report(model: SpinModel, e0_l: float, delta: float, e0_i: float, e_i_
         ef_bound=ef_bound,
         ef_bound_reason=reason,
         ratio_bound=ratio_bound,
+        ratio_bound_reason=reason,
         E_I_max=e_i_max,
         E_I_tot=e_i_tot,
         local_frustration=exp_l - e0_l,
         interaction_frustration=exp_i - e0_i,
         degenerate_ground=g.degenerate,
+        ground_state=model.ground_state,
     )
 
 
@@ -268,29 +270,19 @@ class ProductSubspace:
     """
 
     varying_site: int
-    fixed_config: tuple[int | None, ...]  # None marks the varying site
+    fixed_configuration: tuple[int | None, ...]  # None marks the varying site
     members: tuple[tuple[int, ...], ...]
     member_energies: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "varying_site": self.varying_site,
-            "fixed_configuration": [c for c in self.fixed_config],
-            "members": [list(m) for m in self.members],
-            "member_energies": list(self.member_energies),
-        }
+        return _fields_dict(self)
 
 
-def _subspace(spec: LocalSpectrum, varying: int, config) -> ProductSubspace:
-    members = []
-    energies = []
-    for level in range(spec.dims[varying]):
-        c = list(config)
-        c[varying] = level
-        members.append(tuple(c))
-        energies.append(float(spec.energies[spec.flat_of_config(c)]))
-    fixed = tuple(None if s == varying else int(config[s]) for s in range(len(spec.dims)))
-    return ProductSubspace(varying, fixed, tuple(members), tuple(energies))
+def _site_members(dims, flat: int, site: int) -> np.ndarray:
+    """Flat indices of the product states equal to ``flat`` except at ``site``, by level."""
+    stride = math.prod(dims[site + 1:])
+    base = flat - (flat // stride % dims[site]) * stride
+    return base + stride * np.arange(dims[site])
 
 
 def delta_j_ent(spec: LocalSpectrum, config) -> tuple[float, ProductSubspace]:
@@ -299,43 +291,24 @@ def delta_j_ent(spec: LocalSpectrum, config) -> tuple[float, ProductSubspace]:
     Over the subspaces containing the state (one per varying site), returns
     the largest minimal energy distance to the states outside, i.e. the cost
     of exciting or de-exciting at least two subsystems; ties break toward
-    the lowest varying-site index.
+    the lowest varying-site index.  The subspace varying site s holds the
+    d_s flat indices base + stride * arange(d_s) (``_site_members``), so
+    each site's outside energies are one ``np.delete`` of the product
+    energies.
     """
     config = tuple(int(c) for c in config)
-    n = len(spec.dims)
-    flat_all = np.arange(spec.dimension)
-    coords = np.stack(np.unravel_index(flat_all, spec.dims), axis=1)
-    e_j = float(spec.energies[spec.flat_of_config(config)])
-    eq = coords == np.array(config)
-
-    best_delta = -np.inf
-    best_site = 0
-    for s in range(n):
-        others = [t for t in range(n) if t != s]
-        in_subspace = np.all(eq[:, others], axis=1)
-        outside = spec.energies[~in_subspace]
-        delta = float(np.min(np.abs(e_j - outside))) if outside.size else np.inf
+    flat = spec.flat_of_config(config)
+    e_j = float(spec.energies[flat])
+    best_delta, best_site = -np.inf, 0
+    for s in range(len(spec.dims)):
+        outside = np.delete(spec.energies, _site_members(spec.dims, flat, s))
+        delta = float(np.min(np.abs(e_j - outside)))
         if delta > best_delta + TIE_TOL:
-            best_delta = delta
-            best_site = s
-    return best_delta, _subspace(spec, best_site, config)
-
-
-def _eigenstate_setup(splitting: Splitting, j: int):
-    """(scale, E_j, |E_j>, local spectrum, max eigenvalue of H_I, ||H_I||).
-
-    The j-th eigenstate of H comes from the decomposition the model keeps;
-    ||H_I|| is the spectral radius, which equals the operator norm of the
-    Hermitian interaction.
-    """
-    dec = splitting.model.spectrum
-    scale = tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
-    dimension = dec.eigenvalues.size
-    if j < 0 or j >= dimension:
-        raise IndexError(f"eigenstate index {j} out of range for dimension {dimension}")
-    e_i_0, e_i_max = interaction_extremes(splitting)
-    return (scale, float(dec.eigenvalues[j]), dec.eigenvectors[:, j], splitting.local,
-            e_i_max, max(abs(e_i_0), abs(e_i_max)))
+            best_delta, best_site = delta, s
+    members = _site_members(spec.dims, flat, best_site)
+    fixed = tuple(None if s == best_site else c for s, c in enumerate(config))
+    return best_delta, ProductSubspace(best_site, fixed, tuple(spec.config_of_flat(m) for m in members),
+                                       tuple(float(e) for e in spec.energies[members]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,41 +341,69 @@ class ExcitedBoundReport:
     pairing_flag: bool
 
     def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "E_j": self.E_j,
-            "local_config": list(self.local_config),
-            "E_L_j": self.E_L_j,
-            "chosen_subspace": self.chosen_subspace.to_dict(),
-            "delta_j_ent": self.delta_j_ent,
-            "delta_j_Kperp": self.delta_j_Kperp,
-            "h_i_norm": self.h_i_norm,
-            "e_i_max_eigenvalue": self.e_i_max_eigenvalue,
-            "e_i_spectral_radius": self.e_i_spectral_radius,
-            "bound_29": self.bound_29,
-            "bound_30": self.bound_30,
-            "bound_exact_gap": self.bound_exact_gap,
-            "entanglement": self.entanglement,
-            "entanglement_method": self.entanglement_method,
-            "precondition_met": self.precondition_met,
-            "pairing_flag": self.pairing_flag,
-        }
+        return _fields_dict(self)
 
 
 def analyze_excited_many(splitting: Splitting, js,
                          ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> list[ExcitedBoundReport]:
     """Bound reports for the listed eigenstates, in order (see analyze_excited).
 
-    The entanglement of every listed eigenstate comes from one batched
-    optimizer call; each value is the one a call for that state alone gives.
+    The spectrum of H, the local spectrum, the tolerance scale and the
+    extremes of H_I are read once per call.  ||H_I|| is the spectral radius,
+    which equals the operator norm of the Hermitian interaction.  The
+    entanglement of every listed eigenstate comes from one batched optimizer
+    call; each value is the one a call for that state alone gives.
     """
-    setups = [_eigenstate_setup(splitting, j) for j in js]
+    dec = splitting.model.spectrum
+    dimension = dec.eigenvalues.size
+    for j in js:
+        if j < 0 or j >= dimension:
+            raise IndexError(f"eigenstate index {j} out of range for dimension {dimension}")
+    scale = tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
+    margin_tol = CLOSED_MARGIN_TOL * scale
+    e_i_0, e_i_max = interaction_extremes(splitting)
+    h_norm = max(abs(e_i_0), abs(e_i_max))
+    spec = splitting.local
     results = ent.geometric_measures_multipartite(
-        [ent.PureState(setup[2], splitting.model.dims) for setup in setups],
+        [ent.PureState(dec.eigenvectors[:, j], splitting.model.dims) for j in js],
         restarts=ent_opts.restarts, tol=ent_opts.tol, max_iters=ent_opts.max_iters,
         seed=ent_opts.seed,
     )
-    return [_excited_report(j, setup, res) for j, setup, res in zip(js, setups, results)]
+
+    reports = []
+    for j, res in zip(js, results):
+        e_j = float(dec.eigenvalues[j])
+        flat_j = int(spec.order[j])
+        e_l_j = float(spec.energies[flat_j])
+        config_j = spec.config_of_flat(flat_j)
+        delta_j, subspace = delta_j_ent(spec, config_j)
+        # delta_j_Kperp: distance from E_j to the local energies outside the subspace
+        outside = np.delete(spec.energies, _site_members(spec.dims, flat_j, subspace.varying_site))
+        delta_kperp = float(np.min(np.abs(e_j - outside)))
+        margin = delta_j - h_norm
+        bound_29 = h_norm * h_norm / (margin * margin) if margin > margin_tol else None
+        bound_exact = h_norm * h_norm / (delta_kperp * delta_kperp) if delta_kperp > margin_tol else None
+        top_flat = int(np.argmax(np.abs(local_coefficients(spec, dec.eigenvectors[:, j]))))
+        reports.append(ExcitedBoundReport(
+            j=j,
+            E_j=e_j,
+            local_config=config_j,
+            E_L_j=e_l_j,
+            chosen_subspace=subspace,
+            delta_j_ent=delta_j,
+            delta_j_Kperp=delta_kperp,
+            h_i_norm=h_norm,
+            e_i_max_eigenvalue=e_i_max,
+            e_i_spectral_radius=h_norm,
+            bound_29=bound_29,
+            bound_30=bound_29,
+            bound_exact_gap=bound_exact,
+            entanglement=res.value,
+            entanglement_method=res.method,
+            precondition_met=delta_j > h_norm,
+            pairing_flag=abs(float(spec.energies[top_flat]) - e_l_j) > STRUCTURAL_TOL * scale,
+        ))
+    return reports
 
 
 def analyze_excited(splitting: Splitting, j: int,
@@ -414,45 +415,3 @@ def analyze_excited(splitting: Splitting, j: int,
     flagged (``pairing_flag``) rather than silently reassociated.
     """
     return analyze_excited_many(splitting, [j], ent_opts)[0]
-
-
-def _excited_report(j: int, setup, res: ent.GeometricMeasureResult) -> ExcitedBoundReport:
-    scale, e_j, vec_j, spec, e_i_max, h_norm = setup
-    config_j = spec.sorted_config(j)
-    e_l_j = float(spec.energies[spec.flat_of_config(config_j)])
-
-    delta_j, subspace = delta_j_ent(spec, config_j)
-    # delta_j_Kperp: distance from E_j to the local energies outside the subspace
-    outside = np.ones(spec.dimension, dtype=bool)
-    outside[[spec.flat_of_config(m) for m in subspace.members]] = False
-    delta_kperp = float(np.min(np.abs(e_j - spec.energies[outside])))
-
-    margin_tol = CLOSED_MARGIN_TOL * scale
-    precondition = delta_j > h_norm
-    margin = delta_j - h_norm
-    bound_29 = h_norm * h_norm / (margin * margin) if margin > margin_tol else None
-    bound_exact = h_norm * h_norm / (delta_kperp * delta_kperp) if delta_kperp > margin_tol else None
-
-    alpha = local_coefficients(spec, vec_j)
-    top_flat = int(np.argmax(np.abs(alpha)))
-    pairing_flag = abs(float(spec.energies[top_flat]) - e_l_j) > STRUCTURAL_TOL * scale
-
-    return ExcitedBoundReport(
-        j=j,
-        E_j=e_j,
-        local_config=config_j,
-        E_L_j=e_l_j,
-        chosen_subspace=subspace,
-        delta_j_ent=delta_j,
-        delta_j_Kperp=delta_kperp,
-        h_i_norm=h_norm,
-        e_i_max_eigenvalue=e_i_max,
-        e_i_spectral_radius=h_norm,
-        bound_29=bound_29,
-        bound_30=bound_29,
-        bound_exact_gap=bound_exact,
-        entanglement=res.value,
-        entanglement_method=res.method,
-        precondition_met=precondition,
-        pairing_flag=pairing_flag,
-    )

@@ -215,13 +215,13 @@ def _parse_j_list(spec: str, dimension: int):
         raise ConfigError(f"--j expects indices like 0..3 or 0,2,5, got {spec!r}") from None
     out = []
     for lo, hi in ranges:
+        if hi < lo:
+            raise ConfigError(f"--j range {lo}..{hi} is reversed, got {spec!r}")
         # check the ends before expanding, so a huge range is rejected, not built
-        if lo <= hi and (lo < 0 or hi >= dimension):
+        if lo < 0 or hi >= dimension:
             j = lo if lo < 0 else max(lo, dimension)  # the first index out of range
             raise ConfigError(f"eigenstate index {j} out of range (dimension {dimension})")
         out.extend(range(lo, hi + 1))
-    if not out:
-        raise ConfigError(f"--j selects no eigenstate, got {spec!r}")
     return out
 
 

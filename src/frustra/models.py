@@ -381,12 +381,6 @@ class LocalSpectrum:
     def flat_of_config(self, config: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(int(c) for c in config), self.dims))
 
-    def sorted_config(self, rank: int) -> tuple[int, ...]:
-        """Configuration of the rank-th product state by ascending energy."""
-        if rank < 0 or rank >= self.dimension:
-            raise IndexError(f"rank {rank} out of range for dimension {self.dimension}")
-        return self.config_of_flat(int(self.order[rank]))
-
     def product_vector(self, config: Sequence[int]) -> np.ndarray:
         vec = np.array([1.0 + 0.0j])
         for site, level in enumerate(config):

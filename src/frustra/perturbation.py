@@ -25,7 +25,7 @@ PSD_MARGIN_TOL in the PSD order and STRUCTURAL_TOL in the norm chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -123,16 +123,11 @@ class PerturbationCheckReport:
         return self.op_ineq_holds and self.dominance_ok and self.norm_chain_ok
 
     def to_dict(self) -> dict:
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         return {
-            "op_ineq_margin": self.op_ineq_margin,
-            "op_ineq_holds": self.op_ineq_holds,
-            "dominance_ok": self.dominance_ok,
-            "norm_chain": {
-                kind.value: list(chain) for kind, chain in self.norm_chain.items()
-            },
-            "norm_chain_ok": self.norm_chain_ok,
+            **out,
+            "norm_chain": {kind.value: list(chain) for kind, chain in self.norm_chain.items()},
             "canonical_cosines": [float(x) for x in self.canonical_cosines],
-            "delta_a": self.delta_a,
             "all_ok": self.all_ok,
         }
 

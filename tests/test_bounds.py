@@ -9,6 +9,7 @@ import frustra.verify
 from frustra.bounds import (
     EntanglementOptions,
     analyze_excited,
+    analyze_excited_many,
     analyze_ground,
     delta_j_ent,
     local_coefficients,
@@ -20,6 +21,7 @@ from frustra.errors import UndefinedBoundError
 from frustra.models import (
     OperatorTerm,
     SpinModel,
+    build_dense,
     ising2,
     local_spectrum,
     split,
@@ -27,7 +29,9 @@ from frustra.models import (
     triangle,
 )
 from frustra.saturation import schmidt_splitting
-from frustra.verify import bound_property_suite, random_two_site_model, random_weak_chain
+from frustra.verify import (
+    bound_property_suite, gaussian_hermitian, random_two_site_model, random_weak_chain,
+)
 
 FAST = EntanglementOptions(restarts=8)
 
@@ -192,7 +196,7 @@ def test_subspace_superpositions_are_product(rng):
     model = random_two_site_model(rng, 3)
     spec = local_spectrum(split(model))
     for rank in range(3):
-        _, sub = delta_j_ent(spec, spec.sorted_config(rank))
+        _, sub = delta_j_ent(spec, spec.config_of_flat(spec.order[rank]))
         weights = rng.normal(size=len(sub.members)) + 1j * rng.normal(size=len(sub.members))
         vec = np.zeros(spec.dimension, dtype=complex)
         for w, member in zip(weights, sub.members):
@@ -214,29 +218,50 @@ def test_delta_j_ent_ising_ground():
     assert sub.members == ((0, 0), (1, 0))
 
 
-def test_delta_j_ent_brute_force_oracle():
-    # three qubits with distinct per-site gaps; oracle enumerates all
-    # subspaces containing the state and all outside energies directly
-    model = SpinModel("gaps", (2, 2, 2), (
-        OperatorTerm(0.5, [(0, "Z")]),
-        OperatorTerm(1.0, [(1, "Z")]),
-        OperatorTerm(1.5, [(2, "Z")]),
-    ))
-    spec = local_spectrum(split(model))
-    np.testing.assert_allclose(sorted(spec.gaps), [1.0, 2.0, 3.0])
-    for config in itertools.product((0, 1), repeat=3):
-        e_j = sum(spec.site_eigenvalues[i][c] for i, c in enumerate(config))
-        best = -np.inf
-        for s in range(3):
-            outside = []
-            for other in itertools.product((0, 1), repeat=3):
-                differs = [i for i in range(3) if other[i] != config[i]]
-                if differs != [s] and differs != []:
-                    e_k = sum(spec.site_eigenvalues[i][c] for i, c in enumerate(other))
-                    outside.append(abs(e_j - e_k))
-            best = max(best, min(outside))
-        delta, _ = delta_j_ent(spec, config)
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 3)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_delta_j_ent_brute_force_oracle(dims):
+    # random per-site fields and a weak coupling, so E_j leaves the local
+    # levels; the oracle enumerates every configuration, every subspace
+    # containing it and every energy outside, with energies summed per site
+    rng = np.random.default_rng(17)
+    terms = [OperatorTerm(1.0, [(i, gaussian_hermitian(rng, d))]) for i, d in enumerate(dims)]
+    terms.append(OperatorTerm(0.1, [(0, gaussian_hermitian(rng, dims[0], norm=1.0)),
+                                    (1, gaussian_hermitian(rng, dims[1], norm=1.0))]))
+    s = split(SpinModel("fields", dims, tuple(terms)))
+    spec = s.local
+    configs = list(itertools.product(*map(range, dims)))
+    energy = {c: sum(spec.site_eigenvalues[i][c[i]] for i in range(len(dims))) for c in configs}
+
+    def members(config, site):
+        return tuple(config[:site] + (level,) + config[site + 1:] for level in range(dims[site]))
+
+    def distance_outside(e, config, site):
+        return min(abs(e - energy[k]) for k in configs if k not in members(config, site))
+
+    def chosen_site(config):
+        dists = [distance_outside(energy[config], config, i) for i in range(len(dims))]
+        return next(i for i, d in enumerate(dists) if d >= max(dists) - 1e-12), max(dists)
+
+    for config in configs:
+        site, best = chosen_site(config)
+        delta, sub = delta_j_ent(spec, config)
         assert abs(delta - best) < 1e-12
+        assert sub.varying_site == site
+        assert sub.members == members(config, site)
+        np.testing.assert_allclose(sub.member_energies, [energy[m] for m in sub.members],
+                                   rtol=0, atol=1e-12)
+        assert sub.fixed_configuration == tuple(None if i == site else c
+                                                for i, c in enumerate(config))
+
+    e_h = np.linalg.eigvalsh(build_dense(s.model))
+    ranked = sorted(configs, key=energy.get)
+    reports = analyze_excited_many(s, list(range(spec.dimension)),
+                                   EntanglementOptions(restarts=0, max_iters=1))
+    for j, r in enumerate(reports):
+        assert r.local_config == ranked[j]
+        kperp = distance_outside(e_h[j], ranked[j], chosen_site(ranked[j])[0])
+        assert abs(r.delta_j_Kperp - kperp) < 1e-10
 
 
 def test_delta_j_ent_zero_local():

@@ -1,11 +1,9 @@
 """Cross-module checks at sizes and shapes the unit tests do not reach."""
 
-import itertools
-
 import numpy as np
 import pytest
 
-from frustra.bounds import EntanglementOptions, analyze_ground, delta_j_ent
+from frustra.bounds import EntanglementOptions, analyze_ground
 from frustra.errors import DimensionCapError
 from frustra.models import (
     OperatorTerm,
@@ -48,28 +46,6 @@ def test_mixed_dimension_sites():
     assert r.entanglement <= 0.5 + 1e-12  # bipartite cap 1 - 1/min(d)
     spec = local_spectrum(split(model))
     assert spec.dimension == 6
-
-
-def test_delta_j_ent_oracle_qutrit_pair():
-    rng = np.random.default_rng(17)
-    model = SpinModel("qutrits", (3, 3), (
-        OperatorTerm(1.0, [(0, gaussian_hermitian(rng, 3))]),
-        OperatorTerm(1.0, [(1, gaussian_hermitian(rng, 3))]),
-    ))
-    spec = local_spectrum(split(model))
-    for config in itertools.product(range(3), range(3)):
-        e_j = sum(spec.site_eigenvalues[i][c] for i, c in enumerate(config))
-        best = -np.inf
-        for s in range(2):
-            outside = []
-            for other in itertools.product(range(3), range(3)):
-                differs = [i for i in range(2) if other[i] != config[i]]
-                if differs not in ([s], []):
-                    e_k = sum(spec.site_eigenvalues[i][c] for i, c in enumerate(other))
-                    outside.append(abs(e_j - e_k))
-            best = max(best, min(outside))
-        delta, _ = delta_j_ent(spec, config)
-        assert abs(delta - best) < 1e-12
 
 
 def test_saturation_sweep_grouped_chain():

@@ -346,10 +346,8 @@ def test_per_site_local_embeds_to_dense_local():
 def test_sorted_config_stable_ties():
     spec = local_spectrum(split(ising2(1.0)))
     # energies -2, 0, 0, 2; the two middle states tie and keep lex order
-    assert spec.sorted_config(0) == (0, 0)
-    assert spec.sorted_config(1) == (0, 1)
-    assert spec.sorted_config(2) == (1, 0)
-    assert spec.sorted_config(3) == (1, 1)
+    ranked = [spec.config_of_flat(flat) for flat in spec.order]
+    assert ranked == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 @given(st.integers(0, 5_000), st.sampled_from([2, 3]))
