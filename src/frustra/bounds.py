@@ -232,9 +232,12 @@ def proof_step_check(splitting: Splitting, report: FrustrationReport,
         raise UndefinedBoundError(f"delta_e_ent = {delta:g} leaves the bound undefined")
 
     below, alpha, sum_alpha_sq = cut_expansion(spec, report)
-    truncated = np.zeros(spec.dimension, dtype=complex)
-    for flat in below:
-        truncated += alpha[flat] * spec.product_vector(spec.config_of_flat(int(flat)))
+    truncated = np.zeros_like(alpha)
+    truncated[below] = alpha[below]
+    truncated = truncated.reshape(spec.dims)
+    for vecs in spec.site_eigenvectors:  # the inverse of local_coefficients
+        truncated = np.tensordot(truncated, vecs, axes=([0], [1]))
+    truncated = truncated.reshape(-1)
     tnorm = float(np.linalg.norm(truncated))
     if tnorm > ZERO_NORM:
         tpsi = ent.PureState.normalized(truncated, splitting.model.dims)
@@ -350,9 +353,10 @@ def analyze_excited_many(splitting: Splitting, js,
 
     The spectrum of H, the local spectrum, the tolerance scale and the
     extremes of H_I are read once per call.  ||H_I|| is the spectral radius,
-    which equals the operator norm of the Hermitian interaction.  The
-    entanglement of every listed eigenstate comes from one batched optimizer
-    call; each value is the one a call for that state alone gives.
+    which equals the operator norm of the Hermitian interaction.  A two-party
+    eigenstate's entanglement takes the exact route of ``state_entanglement``;
+    those of more parties come from one batched optimizer call, each value
+    the one a call for that state alone gives.
     """
     dec = splitting.model.spectrum
     dimension = dec.eigenvalues.size
@@ -364,14 +368,16 @@ def analyze_excited_many(splitting: Splitting, js,
     e_i_0, e_i_max = interaction_extremes(splitting)
     h_norm = max(abs(e_i_0), abs(e_i_max))
     spec = splitting.local
-    results = ent.geometric_measures_multipartite(
-        [ent.PureState(dec.eigenvectors[:, j], splitting.model.dims) for j in js],
-        restarts=ent_opts.restarts, tol=ent_opts.tol, max_iters=ent_opts.max_iters,
-        seed=ent_opts.seed,
-    )
+    psis = [ent.PureState(dec.eigenvectors[:, j], splitting.model.dims) for j in js]
+    if splitting.model.num_sites == 2:
+        measured = [state_entanglement(psi, ent_opts) for psi in psis]
+    else:
+        measured = [(res.value, res.method) for res in ent.geometric_measures_multipartite(
+            psis, restarts=ent_opts.restarts, tol=ent_opts.tol, max_iters=ent_opts.max_iters,
+            seed=ent_opts.seed)]
 
     reports = []
-    for j, res in zip(js, results):
+    for j, (value, method) in zip(js, measured):
         e_j = float(dec.eigenvalues[j])
         flat_j = int(spec.order[j])
         e_l_j = float(spec.energies[flat_j])
@@ -398,8 +404,8 @@ def analyze_excited_many(splitting: Splitting, js,
             bound_29=bound_29,
             bound_30=bound_29,
             bound_exact_gap=bound_exact,
-            entanglement=res.value,
-            entanglement_method=res.method,
+            entanglement=value,
+            entanglement_method=method,
             precondition_met=delta_j > h_norm,
             pairing_flag=abs(float(spec.energies[top_flat]) - e_l_j) > STRUCTURAL_TOL * scale,
         ))

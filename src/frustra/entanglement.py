@@ -6,8 +6,9 @@ exactly on product states and at most 1 - 1/d for a d x d bipartite pair.
 
 Three routes are provided:
 
-* exact, for any bipartition, via the Schmidt decomposition (the optimal
-  overlap is the largest Schmidt coefficient);
+* exact, for two parties, via the Schmidt decomposition (the optimal
+  overlap is the largest Schmidt coefficient; a larger model is cut into
+  two parties by ``models.regroup`` first);
 * alternating optimization (rank-1 ALS) for the multipartite case: the
   optimal vector at one site given the others is a normalized partial
   contraction.  A sweep caches, as DMRG caches environments, the right
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidBipartitionError, OracleScaleError
+from .errors import NotBipartiteError, OracleScaleError
 from .linalg import OPTIMIZER_TOL, RECONSTRUCTION_TOL, STRUCTURAL_TOL, fix_phases, svd
 
 DEFAULT_RESTARTS = 32
@@ -81,11 +82,11 @@ class PureState:
         return self.amplitudes.reshape(self.dims)
 
 
-def product_state(vectors: Sequence[np.ndarray], dims=None) -> PureState:
+def product_state(vectors: Sequence[np.ndarray]) -> PureState:
     """Tensor product of per-site unit vectors."""
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     amps = reduce(np.kron, vecs)
-    return PureState.normalized(amps, dims or tuple(v.size for v in vecs))
+    return PureState.normalized(amps, tuple(v.size for v in vecs))
 
 
 def overlap_with_product(psi: PureState, vectors: Sequence[np.ndarray]) -> complex:
@@ -96,16 +97,6 @@ def overlap_with_product(psi: PureState, vectors: Sequence[np.ndarray]) -> compl
     for v in vectors:
         out = np.tensordot(out, np.asarray(v, dtype=complex), axes=([0], [0]))
     return complex(out)
-
-
-def regroup_state(psi: PureState, parts: Sequence[Sequence[int]]) -> PureState:
-    """View a state with sites merged into parties (amplitudes permuted)."""
-    flat = [int(i) for part in parts for i in part]
-    if sorted(flat) != list(range(psi.num_sites)):
-        raise InvalidBipartitionError(f"parts {parts} do not partition the sites")
-    tensor = psi.tensor().transpose(flat)
-    dims = tuple(int(np.prod([psi.dims[i] for i in part])) for part in parts)
-    return PureState(tensor.reshape(-1), dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,16 +140,11 @@ def _result(psi: PureState, vectors, method: str, converged: bool,
     )
 
 
-def schmidt(psi: PureState, bipartition: tuple[Sequence[int], Sequence[int]]) -> SchmidtDecomposition:
-    """Schmidt decomposition along a bipartition of the sites."""
-    left = tuple(int(i) for i in bipartition[0])
-    right = tuple(int(i) for i in bipartition[1])
-    if sorted(left + right) != list(range(psi.num_sites)):
-        raise InvalidBipartitionError(
-            f"bipartition {left}|{right} does not cover sites 0..{psi.num_sites - 1} exactly once"
-        )
-    d_left = int(np.prod([psi.dims[i] for i in left]))
-    matrix = psi.tensor().transpose(left + right).reshape(d_left, -1)
+def schmidt(psi: PureState) -> SchmidtDecomposition:
+    """Schmidt decomposition of a two-party state: one SVD of its d_0 x d_1 amplitude matrix."""
+    if psi.num_sites != 2:
+        raise NotBipartiteError(f"Schmidt decomposition needs two parties, not {psi.num_sites}")
+    matrix = psi.tensor()
     dec = svd(matrix)
     resid = float(np.max(np.abs(dec.reconstruct() - matrix)))
     if resid > STRUCTURAL_TOL:
@@ -166,45 +152,36 @@ def schmidt(psi: PureState, bipartition: tuple[Sequence[int], Sequence[int]]) ->
     return SchmidtDecomposition(dec.singular_values, dec.left, dec.right.conj())
 
 
-def geometric_measure_bipartite(
-    psi: PureState, bipartition: tuple[Sequence[int], Sequence[int]] | None = None
-) -> GeometricMeasureResult:
-    """Exact geometric measure across a bipartition: 1 - lambda_0^2."""
-    if bipartition is None:
-        if psi.num_sites != 2:
-            raise InvalidBipartitionError("state has more than two sites; pass a bipartition")
-        bipartition = ((0,), (1,))
-    if psi.num_sites == 2 and tuple(bipartition[0]) == (0,) and tuple(bipartition[1]) == (1,):
-        grouped = psi
-    else:
-        grouped = regroup_state(psi, bipartition)
-    dec = schmidt(grouped, ((0,), (1,)))
-    return _result(grouped, (dec.left_vectors[:, 0], dec.right_vectors[:, 0]),
+def geometric_measure_bipartite(psi: PureState) -> GeometricMeasureResult:
+    """Exact geometric measure of a two-party state: 1 - lambda_0^2."""
+    dec = schmidt(psi)
+    return _result(psi, (dec.left_vectors[:, 0], dec.right_vectors[:, 0]),
                    method="schmidt_exact", converged=True)
 
 
-def _initial_vectors(psis: Sequence[PureState], restarts: int,
-                     seed: int) -> list[list[list[np.ndarray]]]:
-    """Each state's per-run start vectors: its dominant product-basis amplitude, then seeded draws.
+def _initial_vectors(psis: Sequence[PureState], restarts: int, seed: int) -> list[np.ndarray]:
+    """Per site, the (states, runs, d_i) stack of start vectors: each state's
+    dominant product-basis amplitude, then seeded draws.
 
     Run r's draw is one normal draw from default_rng([seed, r]), per site d
     real then d imaginary parts; it depends only on (dims, restarts, seed),
     so the draws are made once and shared by all states.
     """
     dims = psis[0].dims
-    seeded = []
-    for r in range(restarts):
-        x = np.random.default_rng([seed, r]).normal(size=2 * sum(dims))
-        vecs = []
-        for d in dims:
-            v, x = x[:d] + 1j * x[d:2 * d], x[2 * d:]
-            vecs.append(v / np.linalg.norm(v))
-        seeded.append(vecs)
-    inits = []
-    for psi in psis:
-        top = np.unravel_index(int(np.argmax(np.abs(psi.amplitudes))), dims)
-        inits.append([[np.eye(d, dtype=complex)[top[i]] for i, d in enumerate(dims)]] + seeded)
-    return inits
+    # the explicit shape keeps restarts = 0 a (0, 2 sum(dims)) draw
+    draws = np.array([np.random.default_rng([seed, r]).normal(size=2 * sum(dims))
+                      for r in range(restarts)]).reshape(restarts, 2 * sum(dims))
+    tops = np.unravel_index(np.argmax(np.abs([psi.amplitudes for psi in psis]), axis=1), dims)
+    stacks, lo = [], 0
+    for d, top in zip(dims, tops):
+        v = draws[:, lo:lo + d] + 1j * draws[:, lo + d:lo + 2 * d]
+        lo += 2 * d
+        stack = np.empty((len(psis), restarts + 1, d), dtype=complex)
+        stack[:, 0] = np.eye(d)[top]
+        # the bits of np.linalg.norm on each row
+        stack[:, 1:] = v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+        stacks.append(stack)
+    return stacks
 
 
 def _normalized(w: np.ndarray, reset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,26 +194,26 @@ def _normalized(w: np.ndarray, reset: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return w.conj() / nrm[..., None], nrm
 
 
-def _alternating(psis: Sequence[PureState], inits, tol: float,
+def _alternating(psis: Sequence[PureState], inits: Sequence[np.ndarray], tol: float,
                  max_iters: int) -> list[GeometricMeasureResult]:
     """Alternating maximization of every state from each of its initializations, in lockstep.
 
-    ``inits[s]`` lists the runs of ``psis[s]``; all states share their dims
-    and number of runs, held as a (states, runs, d_i) stack per site.  A
-    sweep builds K_i = phi_{i+1} x ... x phi_{n-1} of the old vectors from
-    right to left.  Site 0's update is one GEMM per state against K_0, one
-    column per run; site i's is L_i K_i, one product per run, L_i the left
-    contraction.  A run's result is recorded at the sweep where it gains
-    less than ``tol`` (converged) or reaches ``max_iters``; a stopped run
-    stays in the stack until all runs of its state have stopped.
+    ``inits[i]`` is site i's (states, runs, d_i) stack of start vectors; all
+    states share their dims and number of runs.  A sweep builds
+    K_i = phi_{i+1} x ... x phi_{n-1} of the old vectors from right to left.
+    Site 0's update is one GEMM per state against K_0, one column per run;
+    site i's is L_i K_i, one product per run, L_i the left contraction.
+    A run's result is recorded at the sweep where it gains less than ``tol``
+    (converged) or reaches ``max_iters``; a stopped run stays in the stack
+    until all runs of its state have stopped.
     """
     dims = psis[0].dims
     n = len(dims)
-    runs = len(inits[0])
+    runs = inits[0].shape[1]
     conj = np.stack([psi.amplitudes.conj() for psi in psis]).reshape(len(psis), dims[0], -1)
     resets = [np.ones(d, dtype=complex) / np.sqrt(d) for d in dims]
 
-    phis = [np.array([[run[i] for run in state] for state in inits]) for i in range(n)]
+    phis = list(inits)
     live = np.arange(len(psis))  # the states in the stack
     overlap = np.zeros((len(psis), runs))
     final_phis = [p.copy() for p in phis]
@@ -310,7 +287,7 @@ def geometric_measures_multipartite(
     group = max(1, int(_STACK_BYTES_CAP // per_state))
     results = []
     for lo in range(0, len(psis), group):
-        results += _alternating(psis[lo:lo + group], inits[lo:lo + group], tol, max_iters)
+        results += _alternating(psis[lo:lo + group], [p[lo:lo + group] for p in inits], tol, max_iters)
     return results
 
 

@@ -36,7 +36,7 @@ def _ground_projector(model: SpinModel) -> np.ndarray:
         raise NotBipartiteError(
             f"model has {model.num_sites} sites; regroup it into two parties first"
         )
-    a0 = ent.schmidt(model.ground_state, ((0,), (1,))).left_vectors[:, 0]
+    a0 = ent.schmidt(model.ground_state).left_vectors[:, 0]
     return np.outer(a0, a0.conj())
 
 

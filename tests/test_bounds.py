@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import frustra.bounds
 import frustra.verify
 from frustra.bounds import (
     EntanglementOptions,
     analyze_excited,
     analyze_excited_many,
     analyze_ground,
+    cut_expansion,
     delta_j_ent,
     local_coefficients,
     proof_step_check,
@@ -220,7 +222,7 @@ def test_delta_j_ent_ising_ground():
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 3)],
                          ids=lambda dims: "x".join(map(str, dims)))
-def test_delta_j_ent_brute_force_oracle(dims):
+def test_delta_j_ent_brute_force_oracle(dims, monkeypatch):
     # random per-site fields and a weak coupling, so E_j leaves the local
     # levels; the oracle enumerates every configuration, every subspace
     # containing it and every energy outside, with energies summed per site
@@ -262,6 +264,19 @@ def test_delta_j_ent_brute_force_oracle(dims):
         assert r.local_config == ranked[j]
         kperp = distance_outside(e_h[j], ranked[j], chosen_site(ranked[j])[0])
         assert abs(r.delta_j_Kperp - kperp) < 1e-10
+
+    # the truncated ground component against sum_f alpha_f |f>, one Kronecker chain per kept member
+    ground = analyze_ground(s)
+    below, alpha, _ = cut_expansion(spec, ground)
+    ref = sum(alpha[f] * spec.product_vector(spec.config_of_flat(f)) for f in below)
+    ref_value, _ = state_entanglement(PureState.normalized(ref, dims))
+    measured = []
+    monkeypatch.setattr(frustra.bounds, "state_entanglement",
+                        lambda psi, opts: measured.append(psi) or state_entanglement(psi, opts))
+    diag = proof_step_check(s, ground)
+    np.testing.assert_allclose(measured[0].amplitudes, ref / np.linalg.norm(ref), rtol=0, atol=1e-12)
+    assert abs(diag.truncated_norm - np.linalg.norm(ref)) < 1e-12
+    assert abs(diag.truncated_entanglement - ref_value) < 1e-12
 
 
 def test_delta_j_ent_zero_local():

@@ -51,6 +51,22 @@ def test_analyze_chain3_bipartition(capsys):
     assert report["entanglement"] <= report["ratio_bound"] + 1e-6
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "ising2", "--param", "g=0.3"),
+    ("--model", "ising2", "--param", "g=2"),
+    ("--model", str(Path(__file__).parent / "data" / "saturate_qutrit_model.json")),
+    ("--model", "chain3", "--bipartition", "B|AC"),
+], ids=["ising2-g0.3", "ising2-g2", "qutrit", "chain3-B|AC"])
+def test_excited_ground_matches_analyze_on_two_parties(capsys, argv):
+    # a two-party eigenstate takes the exact route in both subcommands
+    _, ground, _ = run_cli(capsys, "analyze", *argv)
+    code, excited, _ = run_cli(capsys, "excited", *argv, "--j", "0")
+    assert code == 0
+    ground, (first,) = json.loads(ground), json.loads(excited)
+    assert first["entanglement_method"] == ground["entanglement_method"] == "schmidt_exact"
+    assert first["entanglement"] == ground["entanglement"]
+
+
 def test_saved_model_keeps_labels_for_bipartition(tmp_path, capsys):
     path = str(tmp_path / "chain3.json")
     save_model(chain3(gb=10.0), path)

@@ -21,12 +21,11 @@ from frustra.entanglement import (
     geometric_measures_multipartite,
     overlap_with_product,
     product_state,
-    regroup_state,
     schmidt,
 )
-from frustra.errors import InvalidBipartitionError, OracleScaleError
+from frustra.errors import InvalidBipartitionError, NotBipartiteError, OracleScaleError
 from frustra.linalg import haar_unitary
-from frustra.models import build_dense, ising2
+from frustra.models import build_dense, chain3, ising2, regroup
 from frustra.verify import random_state
 
 BELL = PureState.normalized(np.array([1, 0, 0, 1], dtype=complex), (2, 2))
@@ -60,8 +59,18 @@ def test_pure_state_validation():
 
 
 def test_regroup_state_partition_check():
+    # a three-site state reaches the two-party routes through models.regroup,
+    # which keeps the partition check the state-level regrouping had
+    model = chain3(0.7, 2.0, 1.3)
     with pytest.raises(InvalidBipartitionError):
-        regroup_state(GHZ3, ((0, 1), (1, 2)))
+        regroup(model, ((0, 1), (1, 2)))
+    _, vecs = np.linalg.eigh(build_dense(model))
+    _, grouped_vecs = np.linalg.eigh(build_dense(regroup(model, ((1,), (0, 2)))))
+    # the B|AC cut of the original ground state, by transposing its tensor
+    cut = vecs[:, 0].reshape(2, 2, 2).transpose(1, 0, 2).reshape(2, 4)
+    want = np.linalg.svd(cut, compute_uv=False)
+    got = schmidt(PureState.normalized(grouped_vecs[:, 0], (2, 4))).coefficients
+    np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -69,32 +78,34 @@ def test_regroup_state_partition_check():
 
 
 def test_schmidt_bell():
-    dec = schmidt(BELL, ((0,), (1,)))
+    dec = schmidt(BELL)
     np.testing.assert_allclose(dec.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_schmidt_product_state():
     plus = np.array([1, 1]) / np.sqrt(2)
     psi = product_state([np.array([1, 0]), plus])
-    dec = schmidt(psi, ((0,), (1,)))
+    dec = schmidt(psi)
     np.testing.assert_allclose(dec.coefficients, [1.0, 0.0], atol=1e-12)
 
 
 def test_schmidt_ising_ground_top_coefficient():
     # lambda_0^2 = 1/2 + g / sqrt(1 + 4 g^2) at g = 1
-    dec = schmidt(ising_ground(1.0), ((0,), (1,)))
+    dec = schmidt(ising_ground(1.0))
     assert abs(dec.coefficients[0] ** 2 - (0.5 + 1 / np.sqrt(5.0))) < 1e-12
 
 
 def test_schmidt_bad_bipartition():
-    with pytest.raises(InvalidBipartitionError):
-        schmidt(BELL, ((0,), (0,)))
+    # a larger state is cut into two parties by regrouping its model, not here
+    for route in (schmidt, geometric_measure_bipartite):
+        with pytest.raises(NotBipartiteError):
+            route(GHZ3)
 
 
 @given(st.integers(0, 5_000))
 def test_schmidt_weights_and_reconstruction(seed):
     psi = random_state(np.random.default_rng(seed), (2, 3))
-    dec = schmidt(psi, ((0,), (1,)))
+    dec = schmidt(psi)
     assert abs(np.sum(dec.coefficients**2) - 1.0) < 1e-10
     matrix = psi.tensor().reshape(2, 3)
     np.testing.assert_allclose(dec.reconstruct(), matrix, atol=1e-9)
@@ -233,6 +244,46 @@ def serial_reference(psi, inits, tol, max_iters):
     return value, total, best_conv, resets
 
 
+def reference_starts(psis, restarts, seed):
+    """Each state's per-run start vectors, one run at a time: the dominant
+    product-basis amplitude, then per-site normal draws from default_rng([seed, r])."""
+    dims = psis[0].dims
+    seeded = []
+    for r in range(restarts):
+        x = np.random.default_rng([seed, r]).normal(size=2 * sum(dims))
+        vecs = []
+        for d in dims:
+            v, x = x[:d] + 1j * x[d:2 * d], x[2 * d:]
+            vecs.append(v / np.linalg.norm(v))
+        seeded.append(vecs)
+    inits = []
+    for psi in psis:
+        top = np.unravel_index(int(np.argmax(np.abs(psi.amplitudes))), dims)
+        inits.append([[np.eye(d, dtype=complex)[top[i]] for i, d in enumerate(dims)]] + seeded)
+    return inits
+
+
+def site_stacks(inits):
+    """The optimizer's per-site (states, runs, d_i) stacks of nested [state][run][site] vectors."""
+    return [np.array([[run[i] for run in runs] for runs in inits]) for i in range(len(inits[0][0]))]
+
+
+@pytest.mark.parametrize("restarts", [0, 3, 32])
+@pytest.mark.parametrize("dims", [(3, 2, 4), (3, 3), (2,) * 10])
+def test_initial_vectors_match_per_run_reference(dims, restarts):
+    # two states whose dominant amplitudes sit at the first and the last configuration
+    rng = np.random.default_rng(len(dims))
+    d = int(np.prod(dims))
+    psis = [PureState.normalized(random_state(rng, dims).amplitudes + 2 * np.eye(d)[top], dims)
+            for top in (0, d - 1)]
+    got = _initial_vectors(psis, restarts, seed=19)
+    want = site_stacks(reference_starts(psis, restarts, seed=19))
+    assert len(got) == len(dims)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
 def reset_init(psi):
     """Basis vectors whose contraction with psi vanishes at site 0's first update."""
     t = psi.tensor()
@@ -262,10 +313,10 @@ EQUIVALENCE_STATES = {
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_STATES))
 def test_lockstep_matches_serial_reference(name, max_iters):
     psi = EQUIVALENCE_STATES[name]
-    inits = [reset_init(psi)] + _initial_vectors([psi], 6, seed=11)[0] + [reset_init(psi)]
+    inits = [reset_init(psi)] + reference_starts([psi], 6, seed=11)[0] + [reset_init(psi)]
     value, total, conv, resets = serial_reference(psi, inits, DEFAULT_TOL, max_iters)
     assert resets > 0
-    res = _alternating([psi], [inits], DEFAULT_TOL, max_iters)[0]
+    res = _alternating([psi], site_stacks([inits]), DEFAULT_TOL, max_iters)[0]
     assert res.iterations == total
     assert res.converged == conv
     assert abs(res.value - value) < 1e-12
@@ -284,7 +335,7 @@ def test_cached_contractions_match_kron_reference(dims, monkeypatch):
     normalized = frustra.entanglement._normalized
     monkeypatch.setattr(frustra.entanglement, "_normalized",
                         lambda w, reset: seen.append(w.copy()) or normalized(w, reset))
-    _alternating(psis, inits, DEFAULT_TOL, max_iters=1)
+    _alternating(psis, site_stacks(inits), DEFAULT_TOL, max_iters=1)
     assert len(seen) == len(dims)
     for s, psi in enumerate(psis):
         tensor_conj = psi.amplitudes.conj().reshape(dims)
@@ -299,12 +350,12 @@ def test_cached_contractions_match_kron_reference(dims, monkeypatch):
 
 def test_seeded_starts_are_per_site_normal_draws():
     dims = (3, 2, 4)
-    inits = _initial_vectors([random_state(np.random.default_rng(0), dims)], 3, seed=19)[0]
-    for r, run in enumerate(inits[1:]):
+    stacks = _initial_vectors([random_state(np.random.default_rng(0), dims)], 3, seed=19)
+    for r in range(3):
         rng = np.random.default_rng([19, r])
-        for d, got in zip(dims, run):
+        for d, stack in zip(dims, stacks):
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            np.testing.assert_array_equal(got, v / np.linalg.norm(v))
+            np.testing.assert_array_equal(stack[0, r + 1], v / np.linalg.norm(v))
 
 
 @pytest.mark.parametrize("kwargs", [dict(max_iters=0), dict(max_iters=-2), dict(restarts=-1),
@@ -339,12 +390,12 @@ def test_batch_matches_single_calls(dims, draws, restarts, max_iters):
     for psi, got in zip(psis, batch):
         assert_same_result(got, geometric_measure_multipartite(psi, **kwargs))
     # a zero-slice state's first run starts where its site-0 contraction vanishes (a reset)
-    inits = _initial_vectors(psis, restarts, seed=7)
+    inits = reference_starts(psis, restarts, seed=7)
     inits = [[reset_init(psi)] + runs[1:] if zero else runs
              for psi, runs, (_, zero) in zip(psis, inits, draws)]
-    stacked = _alternating(psis, inits, DEFAULT_TOL, max_iters)
+    stacked = _alternating(psis, site_stacks(inits), DEFAULT_TOL, max_iters)
     for psi, runs, got in zip(psis, inits, stacked):
-        assert_same_result(got, _alternating([psi], [runs], DEFAULT_TOL, max_iters)[0])
+        assert_same_result(got, _alternating([psi], site_stacks([runs]), DEFAULT_TOL, max_iters)[0])
 
 
 def test_batch_groups_match_one_group(monkeypatch):

@@ -35,7 +35,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def ground_schmidt(model):
-    return schmidt(PureState(model.ground.vector, model.dims), ((0,), (1,)))
+    return schmidt(PureState(model.ground.vector, model.dims))
 
 
 def test_schmidt_splitting_ising_picks_plus():
