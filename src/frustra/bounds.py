@@ -318,11 +318,12 @@ def delta_j_ent(spec: LocalSpectrum, config) -> tuple[float, ProductSubspace]:
 class ExcitedBoundReport:
     """Entanglement bounds for the j-th eigenstate of H (ascending energy).
 
-    ``bound_29`` uses the spectral radius of H_I in the denominator margin,
-    ``bound_30`` the operator norm; for Hermitian interactions the two
-    coincide.  ``bound_exact_gap`` is the sharper variant computed from the
-    exact eigenvalue's distance to the local spectrum outside the chosen
-    subspace.  Bounds are absent (None) where their margins close.
+    ``h_i_norm`` is the operator norm of H_I, which for a Hermitian H_I is
+    also its spectral radius.  ``bound_29`` uses the spectral radius in the
+    denominator margin, ``bound_30`` the operator norm, so the two coincide.
+    ``bound_exact_gap`` is the sharper variant computed from the exact
+    eigenvalue's distance to the local spectrum outside the chosen subspace.
+    Bounds are absent (None) where their margins close.
     """
 
     j: int
@@ -334,7 +335,6 @@ class ExcitedBoundReport:
     delta_j_Kperp: float
     h_i_norm: float
     e_i_max_eigenvalue: float
-    e_i_spectral_radius: float
     bound_29: float | None
     bound_30: float | None
     bound_exact_gap: float | None
@@ -400,7 +400,6 @@ def analyze_excited_many(splitting: Splitting, js,
             delta_j_Kperp=delta_kperp,
             h_i_norm=h_norm,
             e_i_max_eigenvalue=e_i_max,
-            e_i_spectral_radius=h_norm,
             bound_29=bound_29,
             bound_30=bound_29,
             bound_exact_gap=bound_exact,

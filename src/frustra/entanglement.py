@@ -17,7 +17,8 @@ Three routes are provided:
   states with equal dims, run in lockstep, each run with its own stopping
   rule, and a state's result is bit for bit that of a call for it alone;
 * a brute-force Bloch-sphere grid oracle for small all-qubit states, used
-  to validate the optimizer.
+  to validate the optimizer: it grids every site but the last two and
+  solves those two by the top singular pair of the contracted matrix.
 
 The alternating route returns a certified lower bound on the overlap
 (hence an upper bound on E); with restarts plus an initialization from the
@@ -41,7 +42,7 @@ DEFAULT_TOL = OPTIMIZER_TOL
 DEFAULT_MAX_ITERS = 1000
 DEFAULT_SEED = 0x5EED
 
-_ORACLE_WORK_CAP = 4_000_000  # grid points evaluated in one coarse pass
+_ORACLE_WORK_CAP = 4_000_000  # coarse-pass grid points: (2**grid_depth)**2 per gridded site, n - 2 sites
 # per state: d amplitudes; per run: right products (< 2 d/d_0 if all d_i >= 2), left contraction (d/d_0)
 _STACK_BYTES_CAP = 16 * 2**20
 
@@ -320,28 +321,31 @@ def _bloch_vectors(thetas: np.ndarray, phases: np.ndarray):
 def _grid_pass(tensor_conj, candidate_sets):
     """Best overlap over the cross product of per-site candidate vectors.
 
-    The last site is not gridded: given the others, its optimal vector is the
-    normalized partial contraction, so it is solved in closed form.  This can
-    only raise the overlap relative to gridding it too.
+    The last two sites are not gridded: given the others, the best pair for
+    them is the top singular pair of the contracted d_{n-2} x d_{n-1} matrix
+    (Eckart & Young, Psychometrika 1, 211, 1936), so one stacked SVD solves
+    them at every grid point.  This can only raise the overlap relative to
+    gridding them too.  Returns the overlap, the best point's candidate
+    indices and the two solved vectors.
     """
     x = tensor_conj  # shape (d_0, ..., d_{n-1})
     for k, (cands, _, _) in enumerate(candidate_sets):
         # x: (c_0..c_{k-1}, d_k, d_{k+1}..) -> contract d_k against candidates
         x = np.moveaxis(np.tensordot(cands, x, axes=([1], [k])), 0, k)
-    norms = np.linalg.norm(x, axis=-1)
-    idx = np.unravel_index(int(np.argmax(norms)), norms.shape)
-    w = x[idx]
-    nrm = float(np.linalg.norm(w))
-    return nrm, idx, w.conj() / nrm
+    tops = np.linalg.svd(x, compute_uv=False)[..., 0]
+    idx = np.unravel_index(int(np.argmax(tops)), tops.shape)
+    u, s, vh = np.linalg.svd(x[idx])
+    return float(s[0]), idx, (u[:, 0].conj(), vh[0].conj())
 
 
 def brute_force_geometric_measure(psi: PureState, grid_depth: int = 5) -> GeometricMeasureResult:
     """Grid-search oracle for small all-qubit states.
 
-    All sites but the last sweep a Bloch-sphere (theta, phi) grid with
-    2**grid_depth points per angle; the last site is optimized in closed
-    form.  Three local refinement rounds around the best cell halve the step
-    each time, leaving an O(step^2) error in the reported value.
+    All sites but the last two sweep a Bloch-sphere (theta, phi) grid with
+    2**grid_depth points per angle; the last two take the top singular pair
+    of the contracted matrix, so a two-qubit state is solved exactly.  Three
+    local refinement rounds around the best cell halve the step each time,
+    leaving an O(step^2) error in the reported value.
     """
     dims = psi.dims
     if psi.amplitudes.size > 64 or any(d != 2 for d in dims):
@@ -352,34 +356,26 @@ def brute_force_geometric_measure(psi: PureState, grid_depth: int = 5) -> Geomet
     m = 2 ** int(grid_depth)
     if m < 2:
         raise OracleScaleError("grid_depth must be at least 1")
-    if float(m * m) ** (n - 1) > _ORACLE_WORK_CAP:
+    if float(m * m) ** (n - 2) > _ORACLE_WORK_CAP:
         raise OracleScaleError(
-            f"grid of {(m * m) ** (n - 1)} points exceeds the work cap; lower grid_depth"
+            f"grid of {(m * m) ** (n - 2)} points exceeds the work cap; lower grid_depth"
         )
     tensor_conj = psi.amplitudes.conj().reshape(dims)
-    thetas = np.linspace(0.0, np.pi, m)
-    phases = np.arange(m) * (2.0 * np.pi / m)
-
-    coarse = [_bloch_vectors(thetas, phases) for _ in range(n - 1)]
-    best_overlap, idx, last_vec = _grid_pass(tensor_conj, coarse)
-    centers = [(coarse[s][1][idx[s]], coarse[s][2][idx[s]]) for s in range(n - 1)]
-    best_vectors = [coarse[s][0][idx[s]] for s in range(n - 1)] + [last_vec]
-
     theta_step = np.pi / (m - 1)
     phi_step = 2.0 * np.pi / m
-    for round_idx in range(1, 4):
-        half = 0.5 ** round_idx
-        cand_sets = []
-        for s in range(n - 1):
-            th = np.clip(np.linspace(centers[s][0] - theta_step * half * 2,
-                                     centers[s][0] + theta_step * half * 2, 5), 0.0, np.pi)
-            ph = np.mod(np.linspace(centers[s][1] - phi_step * half * 2,
-                                    centers[s][1] + phi_step * half * 2, 5), 2.0 * np.pi)
-            cand_sets.append(_bloch_vectors(th, ph))
-        overlap, idx, last_vec = _grid_pass(tensor_conj, cand_sets)
+    cand_sets = [_bloch_vectors(np.linspace(0.0, np.pi, m), np.arange(m) * phi_step)] * (n - 2)
+    best_overlap = -1.0
+    for round_idx in range(4):  # the coarse pass, then three refinements
+        if round_idx:
+            span = 0.5 ** (round_idx - 1)  # five points over +-span steps around the best point
+            cand_sets = [_bloch_vectors(
+                np.clip(np.linspace(th - theta_step * span, th + theta_step * span, 5), 0.0, np.pi),
+                np.mod(np.linspace(ph - phi_step * span, ph + phi_step * span, 5), 2.0 * np.pi),
+            ) for th, ph in centers]
+        overlap, idx, pair = _grid_pass(tensor_conj, cand_sets)
         if overlap > best_overlap:
             best_overlap = overlap
-            centers = [(cand_sets[s][1][idx[s]], cand_sets[s][2][idx[s]]) for s in range(n - 1)]
-            best_vectors = [cand_sets[s][0][idx[s]] for s in range(n - 1)] + [last_vec]
+            centers = [(c[1][i], c[2][i]) for c, i in zip(cand_sets, idx)]
+            best_vectors = [c[0][i] for c, i in zip(cand_sets, idx)] + list(pair)
 
     return _result(psi, best_vectors, method="brute_force", converged=True)

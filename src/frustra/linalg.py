@@ -51,7 +51,7 @@ MIN_GAP = 1e-6  # smallest trusted local gap: saturate's gamma floor, the bound 
 ORACLE_EXACT_TOL = 1e-6  # absolute: optimizer against the Schmidt value, and GHZ against 1/2
 ORACLE_W_TOL = 1e-4  # absolute: optimizer on the W state against 5/9
 ORACLE_GRID_TOL = 1e-3  # absolute: optimizer against the Bloch-grid oracle
-ZERO_COEFF = 1e-300  # absolute: dense_bipartite_model drops smaller expansion coefficients
+ZERO_COEFF = 1e-300  # absolute: dense_bipartite_model drops smaller operator-Schmidt coefficients
 
 
 def tol_scale(*values) -> float:

@@ -33,8 +33,8 @@ from .errors import (
     NonHermitianTermError,
 )
 from .linalg import (
-    RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, GroundState, eigvalsh,
-    ground_eig, hermitian_eig, tol_scale,
+    RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, GroundState, _as_matrix,
+    eigvalsh, ground_eig, hermitian_eig, tol_scale,
 )
 
 DEFAULT_DIM_CAP = 4096
@@ -482,48 +482,43 @@ def regroup(model: SpinModel, parts: tuple[Sequence[int], Sequence[int]], name: 
     )
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    basis = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
-    for k in range(d):
-        for l in range(k + 1, d):
-            s = np.zeros((d, d), dtype=complex)
-            s[k, l] = s[l, k] = 1.0 / np.sqrt(2.0)
-            basis.append(s)
-            a = np.zeros((d, d), dtype=complex)
-            a[k, l] = 1j / np.sqrt(2.0)
-            a[l, k] = -1j / np.sqrt(2.0)
-            basis.append(a)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """An orthonormal Hilbert-Schmidt basis of the d x d Hermitian matrices, as one (d^2, d, d) array."""
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    k = np.arange(d)
+    basis[k, k, k] = 1.0
+    rows, cols = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(rows.size)
+    basis[sym, rows, cols] = basis[sym, cols, rows] = 1.0 / np.sqrt(2.0)
+    basis[sym + 1, rows, cols] = 1j / np.sqrt(2.0)
+    basis[sym + 1, cols, rows] = -1j / np.sqrt(2.0)
     return basis
 
 
 def dense_bipartite_model(h: np.ndarray, dims: tuple[int, int], name: str = "dense") -> SpinModel:
     """Express an arbitrary two-party Hermitian matrix as operator strings.
 
-    Expands H in an orthonormal (Hilbert-Schmidt) product basis of Hermitian
-    matrices, one term per basis pair, so the rebuilt dense matrix matches H
-    to round-off.
+    The real coefficients c_ab = tr((E_a x E_b) H) in orthonormal Hermitian
+    bases {E_a}, {E_b} are one d_a^2 x d_b^2 matrix, and its SVD
+    c = U S V^T gives the operator-Schmidt decomposition
+    H = sum_k s_k A_k x B_k, A_k = sum_a U_ak E_a and B_k = sum_b V_bk E_b
+    Hermitian (Nielsen et al., PRA 67, 052301, 2003).  So the model has at
+    most min(d_a^2, d_b^2) terms, and the rebuilt dense matrix matches H to
+    round-off.
     """
     da, db = int(dims[0]), int(dims[1])
-    h = np.asarray(h, dtype=complex)
+    h = _as_matrix(h)
     if h.shape != (da * db, da * db):
         raise ValueError(f"matrix shape {h.shape} does not match dims {dims}")
     if np.max(np.abs(h - h.conj().T)) > RECONSTRUCTION_TOL * tol_scale(np.max(np.abs(h))):
         raise NonHermitianTermError("input matrix is not Hermitian")
-    basis_a = _hermitian_basis(da)
-    basis_b = _hermitian_basis(db)
-    terms = []
-    for ea in basis_a:
-        for eb in basis_b:
-            c = np.trace(np.kron(ea, eb) @ h)
-            coeff = float(c.real)
-            if abs(coeff) < ZERO_COEFF:
-                continue
-            terms.append(OperatorTerm(coeff, [(0, ea), (1, eb)]))
-    return SpinModel(name=name, dims=(da, db), terms=tuple(terms))
+    basis_a, basis_b = _hermitian_basis(da), _hermitian_basis(db)
+    coeffs = np.einsum("aji,blk,ikjl->ab", basis_a, basis_b, h.reshape(da, db, da, db)).real
+    u, s, vt = np.linalg.svd(coeffs, full_matrices=False)
+    ops_a = np.tensordot(u.T, basis_a, axes=1)
+    ops_b = np.tensordot(vt, basis_b, axes=1)
+    terms = tuple(OperatorTerm(c, [(0, a), (1, b)]) for c, a, b in zip(s, ops_a, ops_b) if c >= ZERO_COEFF)
+    return SpinModel(name=name, dims=(da, db), terms=terms)
 
 
 # ---------------------------------------------------------------------------

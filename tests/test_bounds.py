@@ -294,7 +294,6 @@ def test_excited_ising_g2():
     r = analyze_excited(split(ising2(2.0)), 0)
     assert abs(r.delta_j_ent - 4.0) < 1e-12
     assert abs(r.e_i_max_eigenvalue - 1.0) < 1e-12
-    assert abs(r.e_i_spectral_radius - 1.0) < 1e-12
     assert abs(r.h_i_norm - 1.0) < 1e-12
     assert abs(r.bound_29 - 1.0 / 9.0) < 1e-12
     assert abs(r.entanglement - (0.5 - 2 / np.sqrt(17.0))) < 1e-8

@@ -551,9 +551,8 @@ CSV_HEADERS = {
     ]),
     "excited": (["excited", "--model", "ising2", "--j", "0..1", "--format", "csv"], [
         "j", "E_j", "local_config", "E_L_j", "delta_j_ent", "delta_j_Kperp",
-        "h_i_norm", "e_i_max_eigenvalue", "e_i_spectral_radius", "bound_29",
-        "bound_30", "bound_exact_gap", "entanglement", "entanglement_method",
-        "precondition_met", "pairing_flag",
+        "h_i_norm", "e_i_max_eigenvalue", "bound_29", "bound_30", "bound_exact_gap",
+        "entanglement", "entanglement_method", "precondition_met", "pairing_flag",
     ]),
     "saturate": (["saturate", "--model", "ising2", "--gammas", "1e-1,1e-2"], [
         "gamma", "E0", "E0_L", "E0_I", "E_f", "delta_e_ent",

@@ -412,12 +412,22 @@ def test_regroup_errors():
         regroup(model, ((0, 1, 2), ()))
 
 
-def test_dense_bipartite_model_roundtrip(rng):
-    d = 3
-    z = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+@pytest.mark.parametrize("da, db", [(2, 2), (3, 3), (2, 3), (3, 2)], ids=["2x2", "3x3", "2x3", "3x2"])
+def test_dense_bipartite_model_roundtrip(rng, da, db):
+    d = da * db
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (z + z.conj().T) / 2
-    model = dense_bipartite_model(h, (d, d))
+    model = dense_bipartite_model(h, (da, db))
     np.testing.assert_allclose(build_dense(model), h, atol=1e-12 * max(1.0, op_norm(h)))
+    assert len(model.terms) <= min(da * da, db * db)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_bipartite_model_rejects_non_finite_input(bad):
+    h = np.eye(4, dtype=complex)
+    h[1, 2] = h[2, 1] = bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        dense_bipartite_model(h, (2, 2))
 
 
 # ---------------------------------------------------------------------------
