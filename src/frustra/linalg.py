@@ -11,12 +11,14 @@ these few operations.
 The eigenvalues-only solver returns the sorted diagonal of a matrix whose
 off-diagonal entries are all exactly zero, which is what LAPACK returns
 for it.  The ground variant computes no full spectrum: Lanczos gives E0
-and a ground vector whose residual is at round-off, and one block
-Cholesky factorization of a shifted, rank-1-lifted H certifies, by
-interlacing, that E0 is the lowest eigenvalue and that the next one lies
-more than STRUCTURAL_TOL * scale above it.  It gives nothing when the
-ground level is degenerate or the certificate fails, and the caller then
-falls back to the full decomposition.
+and a ground vector whose residual is at round-off, and a proof that a
+shifted, rank-1-lifted H is positive definite certifies, by interlacing,
+that E0 is the lowest eigenvalue and that the next one lies more than
+STRUCTURAL_TOL * scale above it: a recursive block Cholesky with
+128-row LAPACK leaves and GEMM updates, of the matrix shifted down by a
+further CERTIFICATE_SHIFT, whose a posteriori rounding bound stays below
+that shift.  It gives nothing when the ground level is degenerate or the
+proof fails, and the caller then falls back to the full decomposition.
 
 All functions are pure and deterministic for identical input: eigenvalues
 come back ascending, singular values descending, and every returned
@@ -45,6 +47,7 @@ CLOSED_MARGIN_TOL = 1e-12  # an excited-state bound whose denominator is this sm
 ZERO_NORM = 1e-12  # absolute: a truncated ground-state component of smaller norm is empty
 TIE_TOL = 1e-15  # absolute: delta_j_ent prefers a later varying site only by more than this
 PSD_MARGIN_TOL = 1e-8  # PSD margin of |P_a Q| <= |P_a C Q| / delta_a in check_theorem
+CERTIFICATE_SHIFT = 1e-10  # relative: the ground certificate's diagonal shift, which its rounding bound must stay below
 OPTIMIZER_TOL = 1e-10  # default --tol: an optimizer run stops on a smaller per-sweep gain
 TOL_ENT = 1e-6  # absolute slack on optimizer-derived entanglement against a bound
 MIN_GAP = 1e-6  # smallest trusted local gap: saturate's gamma floor, the bound suite's delta_e_ent
@@ -224,6 +227,8 @@ def eigvalsh(m) -> np.ndarray:
 
 
 LANCZOS_STEPS = 80  # ground_eig's Krylov dimension (all of it when d is smaller)
+CERTIFICATE_LEAF = 128  # _positive_definite factors a block of at most this many rows with LAPACK
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,14 +264,16 @@ def ground_eig(m) -> GroundState | None:
     hermitian_eig's, and the degeneracy margin and every gate read from it
     are never looser.  The state is certified when
     H + (theta_max - E0) psi psi^dag - sigma I, sigma = E0 + r + STRUCTURAL_TOL * scale,
-    is positive definite.  The rank-1 term lifts one eigenvalue, so by
-    interlacing E1 > sigma: E0 is then within r of the ground energy,
-    E1 - E0 > STRUCTURAL_TOL * scale, and psi is within r / (E1 - E0) of
-    the ground vector (Davis-Kahan), the round-off / gap of a full
-    decomposition.  None is returned, and the caller must fall back to
-    hermitian_eig, when the ground level of a diagonal matrix is
+    is proved positive definite (_positive_definite: Rump's shifted
+    Cholesky test, by a recursive block Cholesky with 128-row leaves and an
+    a posteriori rounding bound after Higham).  The rank-1 term lifts one
+    eigenvalue, so by interlacing E1 > sigma: E0 is then within r of the
+    ground energy, E1 - E0 > STRUCTURAL_TOL * scale, and psi is within
+    r / (E1 - E0) of the ground vector (Davis-Kahan), the round-off / gap of
+    a full decomposition.  None is returned, and the caller must fall back
+    to hermitian_eig, when the ground level of a diagonal matrix is
     degenerate, when the residual is too large, when the two lowest Ritz
-    values already fail the gap test, or when the factorization fails.
+    values already fail the gap test, or when the proof fails.
     """
     a = _square(m)
     return _ground_eig(a, np.random.default_rng(0).standard_normal(a.shape[0]))
@@ -337,34 +344,128 @@ def _lanczos(h: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _positive_definite(h: np.ndarray, psi: np.ndarray, c: float, sigma: float) -> bool:
-    """Whether M = h + c psi psi^dag - sigma I is positive definite.
+    """Whether M = h + c psi psi^dag - sigma I is proved positive definite.
 
-    M = [[A, B], [B^dag, C]] is factored by blocks: M is positive definite
-    iff A is and so is C - X^dag X, with X = L_A^-1 B and A = L_A L_A^dag.
-    Each block is built from a slice of h and freed once spent, so no d x d
-    copy of M is ever held.
+    M - s I, s = CERTIFICATE_SHIFT * tol_scale(c, sigma), is factored by
+    _factor; its top-level blocks are built from slices of h, so no d x d
+    copy of M is ever held.  With L the computed factor, M = L L^dag + s I - E,
+    so M is positive definite once ||E||_2 < s: Rump's shifted Cholesky test
+    (BIT Numer. Math. 46, 433, 2006), with _Rounding's a posteriori bound on
+    ||E||_2 in place of his a priori gamma_{d+1} tr(M), several times larger
+    at d = 1024.  A leaf that fails to factor, or a bound that reaches s,
+    gives False.
     """
     k = h.shape[0] // 2
     top, bottom = slice(None, k), slice(k, None)
+    shift = CERTIFICATE_SHIFT * tol_scale(c, sigma)
+    rounding = _Rounding(h, abs(c) + abs(sigma) + shift)
 
     def block(rows, cols):
         out = np.multiply.outer(psi[rows], c * psi[cols].conj())
         out += h[rows, cols]
         if rows == cols:
-            out.flat[:: out.shape[0] + 1] -= sigma
+            out.flat[:: out.shape[0] + 1] -= sigma + shift
+        rounding.formed_sq += (1 if rows == cols else 2) * np.vdot(out, out).real
         return out
 
     try:
-        l_a = np.linalg.cholesky(block(top, top))
-        x = np.linalg.solve(l_a, block(top, bottom))
-        del l_a
+        x = block(top, bottom)
+        _solve(_factor(block(top, top), True, rounding), x, rounding)
         schur = block(bottom, bottom)
         schur -= x.conj().T @ x
         del x
-        np.linalg.cholesky(schur)
+        _factor(schur, False, rounding)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(rounding.total() < shift)
+
+
+def _factor(n: np.ndarray, invert: bool, rounding: _Rounding):
+    """The Cholesky factor L of the Hermitian block n, as a tree for _solve; overwrites n.
+
+    A block of at most CERTIFICATE_LEAF rows is a leaf: np.linalg.cholesky,
+    then, if invert, Z = np.linalg.solve(L, I) (see _Rounding.leaf).  A
+    larger one, [[N11, N12], [N12^dag, N22]], factors N11, overwrites N12
+    with X = L11^-1 N12 and recurses on N22 - X^dag X, so every update is a
+    GEMM; its node is (left tree, X, right tree).  Raises LinAlgError.
+    """
+    if len(n) <= CERTIFICATE_LEAF:
+        return rounding.leaf(np.linalg.cholesky(n), invert)
+    k = len(n) // 2
+    left = _factor(n[:k, :k], True, rounding)
+    x = n[:k, k:]
+    _solve(left, x, rounding)
+    n[k:, k:] -= x.conj().T @ x
+    return left, x, _factor(n[k:, k:], invert, rounding)
+
+
+def _solve(tree: tuple, p: np.ndarray, rounding: _Rounding) -> None:
+    """p <- L^-1 p in place, for the factor L whose tree _factor returned."""
+    if len(tree) == 3:
+        left, x, right = tree
+        _solve(left, p[: len(x)], rounding)
+        p[len(x):] -= x.conj().T @ p[: len(x)]
+        _solve(right, p[len(x):], rounding)
+        return
+    inverse, weight = tree
+    rounding.products_sq += (weight * np.linalg.norm(p)) ** 2
+    p[...] = inverse @ p
+    rounding.x_abs += _abs_norm_sq(p)
+
+
+def _abs_norm_sq(a: np.ndarray) -> float:
+    """||a||_1 ||a||_inf, an upper bound on || |a| ||_2^2."""
+    m = np.abs(a)
+    return float(m.sum(axis=0).max() * m.sum(axis=1).max())
+
+
+class _Rounding:
+    """A running a posteriori bound on ||E||_2, E = L L^dag - (M - s I), for _positive_definite.
+
+    From Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.,
+    2002), with gamma_n = n u / (1 - n u), n two larger for complex data
+    (Lemma 3.5), and || |A| ||_2^2 <= ||A||_1 ||A||_inf:
+    - forming M - s I and the Schur updates, each entry an inner product of
+      at most d terms in some order (ch. 3): gamma_{d+6} (|c| + |sigma| + s
+      + 2 ||M||_F + the sum of || |X| ||_2^2 over the solved blocks X);
+    - each leaf's Cholesky, |L L^dag - S| <= gamma_{b+1} |L| |L^dag|
+      (Theorem 10.3), block-diagonal in E, so the largest counts;
+    - each X = fl(Z P), which leaves L X - P = (L Z - I) P + L dG in an
+      off-diagonal block of E, |dG| <= gamma_b |Z| |P| (ch. 3); L Z - I is
+      measured, within gamma_b |L| |Z| (ch. 8), so ||L X - P|| <= w ||P||_F.
+      These blocks and their adjoints add 2 (sum of w^2 ||P||_F^2)^(1/2).
+    The total is doubled, for second-order terms and the rounding of the bound itself.
+    """
+
+    def __init__(self, h: np.ndarray, scalars: float):
+        self.extra = 2 if np.iscomplexobj(h) else 0
+        self.dim = h.shape[0]
+        self.scalars = scalars  # |c| + |sigma| + s
+        self.formed_sq = 0.0  # ||M - s I||_F^2, as formed
+        self.x_abs = 0.0
+        self.leaves = 0.0
+        self.products_sq = 0.0
+
+    def gamma(self, n: int) -> float:
+        n += self.extra
+        return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+    def leaf(self, factor: np.ndarray, invert: bool) -> tuple | None:
+        """Account for a leaf's Cholesky factor L; (Z, w) if invert, else None."""
+        b = len(factor)
+        factor_abs = _abs_norm_sq(factor)
+        self.leaves = max(self.leaves, self.gamma(b + 1) * factor_abs)
+        if not invert:
+            return None
+        inverse = np.linalg.solve(factor, np.eye(b, dtype=factor.dtype))
+        residual = factor @ inverse
+        residual.flat[:: b + 1] -= 1.0
+        return inverse, float(np.linalg.norm(residual)) + 2.0 * self.gamma(b) * np.sqrt(
+            factor_abs * _abs_norm_sq(inverse))
+
+    def total(self) -> float:
+        schur = self.gamma(self.dim + 6) * (self.scalars + 2.0 * np.sqrt(self.formed_sq) + self.x_abs)
+        return 2.0 * (schur + self.leaves + 2.0 * np.sqrt(self.products_sq))
 
 
 def svd(m) -> SVDResult:

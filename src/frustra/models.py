@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg import (
     RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, GroundState, _as_matrix,
-    eigvalsh, ground_eig, hermitian_eig, tol_scale,
+    _diagonal_eigvals, eigvalsh, ground_eig, hermitian_eig, tol_scale,
 )
 
 DEFAULT_DIM_CAP = 4096
@@ -42,9 +42,9 @@ DIM_CAP_ENV = "FRUSTRA_DIM_CAP"
 # SpinModel.ground uses linalg.ground_eig from this dimension on; below it the
 # full eigh gives the ground state.  The 80 Lanczos steps cost a fixed ~2 ms, so
 # the tier pays off from about here.  Medians of hermitian_eig against
-# ground_eig on transverse chains, 2 vCPUs, OpenBLAS: 0.6 against 2.6 ms at
-# d = 64, 2.2 against 4.0 ms at d = 128, 6.8 against 6.3 ms at d = 256, 38
-# against 19 ms at d = 512.
+# ground_eig on transverse chains, 2 vCPUs, OpenBLAS: 0.5 against 3.0 ms at
+# d = 64, 2.0 against 3.8 ms at d = 128, 8.0 against 6.2 ms at d = 256, 36
+# against 19 ms at d = 512, 185 against 55 ms at d = 1024.
 GROUND_TIER_MIN_DIM = 256
 
 PAULI = {
@@ -290,9 +290,12 @@ class Splitting:
     rebuilds H by construction.  Construction raises InvalidAssignmentError
     on a local term of degree > 1.
 
-    The dense H_L is built once, at construction; H_I, the eigenvalues of
-    H_I and the local spectrum are computed on first use.  All are kept
-    read-only; the dense H and its eigendecomposition live on the model.
+    The dense H_L is built once, at construction; the eigenvalues of H_I
+    and the local spectrum are computed on first use.  When H and H_L agree
+    off the diagonal (interaction terms with diagonal factors only), H_I is
+    read from diag(H) - diag(H_L), bit for bit the diagonal of H - H_L;
+    otherwise the dense H_I is built on first use.  All are kept read-only;
+    the dense H and its eigendecomposition live on the model.
     """
 
     model: SpinModel
@@ -323,9 +326,23 @@ class Splitting:
         return _read_only(build_dense(self.model) - self._h_local)
 
     @cached_property
+    def _interaction_diagonal(self) -> np.ndarray | None:
+        """diag(H) - diag(H_L) when H == H_L off the diagonal, so that H_I is diagonal; else None."""
+        h = build_dense(self.model)
+        same = h == self._h_local
+        np.fill_diagonal(same, True)
+        return _read_only(np.diagonal(h) - np.diagonal(self._h_local)) if same.all() else None
+
+    @cached_property
     def interaction_eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of H_I; no eigenvectors, since only extremes are used."""
-        return _read_only(eigvalsh(self._h_interaction))
+        d = self._interaction_diagonal
+        return _read_only(eigvalsh(self._h_interaction) if d is None else _diagonal_eigvals(d))
+
+    def interaction_expectation(self, psi: np.ndarray) -> float:
+        """<psi| H_I |psi> for a unit vector psi."""
+        d = self._interaction_diagonal
+        return float(np.real(psi.conj() @ (self._h_interaction @ psi if d is None else d * psi)))
 
     @cached_property
     def local(self) -> LocalSpectrum:

@@ -30,7 +30,7 @@ from .linalg import MIN_GAP, STRUCTURAL_TOL, eigvalsh, tol_scale
 from .models import OperatorTerm, SpinModel, Splitting, build_dense, dense_terms
 
 
-def _ground_projector(model: SpinModel) -> np.ndarray:
+def ground_projector(model: SpinModel) -> np.ndarray:
     """|a0><a0|, a0 the ground state's first left Schmidt vector."""
     if model.num_sites != 2:
         raise NotBipartiteError(
@@ -40,16 +40,19 @@ def _ground_projector(model: SpinModel) -> np.ndarray:
     return np.outer(a0, a0.conj())
 
 
-def schmidt_splitting(model: SpinModel, gamma: float) -> Splitting:
+def schmidt_splitting(model: SpinModel, gamma: float, projector: np.ndarray | None = None) -> Splitting:
     """Build the rank-1 local splitting from the ground state's Schmidt form.
 
     The per-site gaps are (gamma, 0), so delta_e_ent equals gamma by
     construction.  A tie at the largest Schmidt coefficient is not flagged;
     the first index is used, and the construction stays valid for any choice.
+    A caller that splits one model at several gammas passes its
+    ground_projector once built.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return Splitting(model, (OperatorTerm(-gamma, [(0, _ground_projector(model))]),))
+    p = ground_projector(model) if projector is None else projector
+    return Splitting(model, (OperatorTerm(-gamma, [(0, p)]),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +76,8 @@ def validate_gammas(gammas: Sequence[float]) -> list[float]:
     return gs
 
 
-def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRecord, ...]:
+def saturation_sweep(model: SpinModel, gammas: Sequence[float],
+                     projector: np.ndarray | None = None) -> tuple[SweepRecord, ...]:
     """Frustration reports of schmidt_splitting(model, gamma) for a descending list of gammas.
 
     Gammas below MIN_GAP are rejected: delta_e_ent = gamma would amplify
@@ -81,12 +85,13 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRe
     E_f is produced by cancellation below STRUCTURAL_TOL * scale are flagged
     unreliable instead of silently reported.  No splitting is built: each
     gamma adds H_I = H + gamma P x I to what the model keeps and solves it
-    for eigenvalues only.
+    for eigenvalues only.  projector is ground_projector(model), if the caller holds it.
     """
     gs = validate_gammas(gammas)
     psi = model.ground.vector
     h = build_dense(model)
-    p_i = dense_terms((OperatorTerm(1.0, [(0, _ground_projector(model))]),), model.dims)
+    p = ground_projector(model) if projector is None else projector
+    p_i = dense_terms((OperatorTerm(1.0, [(0, p)]),), model.dims)
     w = float(np.real(psi.conj() @ (p_i @ psi)))
 
     records = []

@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +26,7 @@ from frustra.linalg import (
     tol_scale,
     ui_norm,
 )
-from frustra.models import build_dense, transverse_chain
+from frustra.models import build_dense, load_model, transverse_chain
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -400,6 +403,56 @@ def test_residual_rejects_an_unsplit_near_degenerate_pair(monkeypatch):
     factors = _counting(monkeypatch, "cholesky")
     assert linalg._ground_eig(m, mixed) is None
     assert factors == []  # the residual refused it before the factorization
+
+
+def _certificate_inputs(m, psi):
+    """(c, E0 + r) for a unit vector psi: a lift c >= lam_max - E0, and sigma without its margin."""
+    h_psi = m @ psi
+    e0 = np.vdot(psi, h_psi).real
+    return linalg._gershgorin_top(m) - e0, e0 + np.linalg.norm(h_psi - e0 * psi)
+
+
+@pytest.mark.parametrize("n, seeds", [(256, range(20)), (1024, range(3))], ids=["d256", "d1024"])
+def test_certificate_refuses_sigma_at_the_first_excited_level(n, seeds):
+    """At sigma = the computed E1, M is singular to round-off: no shifted factorization may pass.
+
+    The unshifted block Cholesky accepted 25 of these 40 matrices at d = 256 and 1 of 3 at d = 1024.
+    """
+    for seed in seeds:
+        m = random_hermitian(np.random.default_rng(seed), n)
+        for h in (m, m.real.copy()) if n == 256 else (m.real.copy(),):
+            vals, vecs = np.linalg.eigh(h)
+            assert not linalg._positive_definite(h, vecs[:, 0], vals[-1] - vals[0], vals[1])
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_certificate_proves_planted_gaps(n, complex_):
+    """A gap of 10 or 1000 margins is certified; one of 0.9 margins, where M is indefinite, is not."""
+    rng = np.random.default_rng(n)
+    basis = haar_unitary(n, rng) if complex_ else np.linalg.qr(rng.normal(size=(n, n)))[0]
+    vals = np.sort(rng.uniform(-5.0, 5.0, size=n))
+    for gap_factor, certified in ((1000.0, True), (10.0, True), (0.9, False)):
+        vals[1] = vals[0]
+        scale = tol_scale(vals[0], linalg._gershgorin_top((basis * vals) @ basis.conj().T))
+        vals[1] = vals[0] + gap_factor * STRUCTURAL_TOL * scale
+        m = (basis * vals) @ basis.conj().T
+        c, sigma = _certificate_inputs(m, basis[:, 0])
+        assert linalg._positive_definite(m, basis[:, 0], c, sigma + STRUCTURAL_TOL * scale) is certified
+
+
+def test_certificate_memory_stays_within_its_blocks():
+    """At d = 1024 the certificate holds its three top-level blocks and their factors, never a d x d copy of M."""
+    h = build_dense(load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json"))
+    psi = linalg._lanczos(h, np.random.default_rng(0).standard_normal(len(h)))[0]
+    c, sigma = _certificate_inputs(h, psi)
+    tracemalloc.start()
+    try:
+        assert linalg._positive_definite(h, psi, c, sigma + STRUCTURAL_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20  # M would take 8 MiB on its own
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from frustra.errors import (
     InvalidBipartitionError,
     NonHermitianTermError,
 )
-from frustra.linalg import ROUNDOFF_TOL, hermitian_eig, op_norm, tol_scale
+from frustra.linalg import ROUNDOFF_TOL, eigvalsh, hermitian_eig, op_norm, tol_scale
 from frustra.bounds import analyze_ground
 from frustra.models import (
     GROUND_TIER_MIN_DIM,
@@ -37,6 +38,7 @@ from frustra.models import (
     transverse_chain,
     triangle,
 )
+from frustra.saturation import schmidt_splitting
 from frustra.verify import random_two_site_model
 
 
@@ -231,6 +233,38 @@ def test_interaction_is_complement_random(seed, dims):
         hi = dense_terms(_complement(s), model.dims)
         resid = np.max(np.abs(s.dense_interaction() - hi))
         assert resid <= ROUNDOFF_TOL * tol_scale(np.max(np.abs(build_dense(model))))
+
+
+@given(st.integers(0, 10_000), st.integers(2, 6))
+def test_diagonal_interaction_matches_the_dense_route(seed, n):
+    """Diagonal bonds under X, Y or Z fields: H_I read from the diagonal equals H - H_L bit for bit."""
+    rng = np.random.default_rng(seed)
+    terms = [OperatorTerm(rng.normal(), [(i, PAULI["XYZ"[rng.integers(3)]])]) for i in range(n)]
+    terms += [OperatorTerm(rng.normal(), [(i, np.diag(rng.normal(size=2))), (i + 1, PAULI["Z"])])
+              for i in range(n - 1)]
+    model = SpinModel("diagonal-bonds", (2,) * n, tuple(terms))
+    s = split(model)
+    assert s._interaction_diagonal is not None
+    z = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    for psi in (model.ground.vector, z / np.linalg.norm(z)):
+        assert s.interaction_expectation(psi) == float(np.real(psi.conj() @ (s.dense_interaction() @ psi)))
+    assert np.array_equal(s.interaction_eigenvalues, eigvalsh(s.dense_interaction()))
+
+
+def test_diagonal_interaction_is_never_built_dense():
+    s = split(load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json"))
+    analyze_ground(s)
+    assert "_h_interaction" not in s.__dict__
+
+
+@pytest.mark.parametrize("s", [
+    split(chain3()),
+    split(transverse_chain(4), local=[1, 2, 3]),
+    schmidt_splitting(ising2(1.3), 0.2),
+], ids=["xx-bonds", "x-field-in-h_i", "schmidt"])
+def test_off_diagonal_interaction_takes_the_dense_route(s):
+    analyze_ground(s)
+    assert s._interaction_diagonal is None and "_h_interaction" in s.__dict__
 
 
 def test_splitting_keeps_its_local_spectrum():

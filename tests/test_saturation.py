@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frustra.entanglement
 import frustra.verify
 from frustra.bounds import analyze_ground
 from frustra.entanglement import PureState, schmidt
@@ -216,6 +217,17 @@ def test_saturation_suite_counts_a_leftover_weight_off_the_entanglement(monkeypa
     result = suite_with_shifted_decomposition(monkeypatch, overshoot_local=-1e-6,
                                               entanglement_gap=1e-6)
     assert result.trials == 4 and result.failures == 4 and not result.ok
+
+
+def test_saturation_suite_decomposes_each_ground_state_twice(monkeypatch):
+    """One Schmidt decomposition for the model's ground projector, one for its entanglement, whatever the gammas."""
+    calls = []
+    real = frustra.entanglement.schmidt
+    monkeypatch.setattr(frustra.entanglement, "schmidt", lambda psi: calls.append(psi.dims) or real(psi))
+    for gammas in (GAMMAS, (0.5,) + GAMMAS):
+        calls.clear()
+        assert saturation_suite(instances=4, gammas=gammas).ok
+        assert len(calls) == 2 * 4
 
 
 def test_strict_positivity_of_excess():
