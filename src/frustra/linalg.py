@@ -47,7 +47,7 @@ CLOSED_MARGIN_TOL = 1e-12  # an excited-state bound whose denominator is this sm
 ZERO_NORM = 1e-12  # absolute: a truncated ground-state component of smaller norm is empty
 TIE_TOL = 1e-15  # absolute: delta_j_ent prefers a later varying site only by more than this
 PSD_MARGIN_TOL = 1e-8  # PSD margin of |P_a Q| <= |P_a C Q| / delta_a in check_theorem
-CERTIFICATE_SHIFT = 1e-10  # relative: the ground certificate's diagonal shift, which its rounding bound must stay below
+CERTIFICATE_SHIFT = 1e-10  # relative: the ground certificate's diagonal shift; its rounding bound must stay below it
 OPTIMIZER_TOL = 1e-10  # default --tol: an optimizer run stops on a smaller per-sweep gain
 TOL_ENT = 1e-6  # absolute slack on optimizer-derived entanglement against a bound
 MIN_GAP = 1e-6  # smallest trusted local gap: saturate's gamma floor, the bound suite's delta_e_ent
@@ -384,13 +384,15 @@ def _factor(n: np.ndarray, invert: bool, rounding: _Rounding):
     """The Cholesky factor L of the Hermitian block n, as a tree for _solve; overwrites n.
 
     A block of at most CERTIFICATE_LEAF rows is a leaf: np.linalg.cholesky,
-    then, if invert, Z = np.linalg.solve(L, I) (see _Rounding.leaf).  A
+    then, if invert, Z = np.linalg.solve(L, I), as (Z, _Rounding.leaf's w).  A
     larger one, [[N11, N12], [N12^dag, N22]], factors N11, overwrites N12
     with X = L11^-1 N12 and recurses on N22 - X^dag X, so every update is a
     GEMM; its node is (left tree, X, right tree).  Raises LinAlgError.
     """
     if len(n) <= CERTIFICATE_LEAF:
-        return rounding.leaf(np.linalg.cholesky(n), invert)
+        factor = np.linalg.cholesky(n)
+        inverse = np.linalg.solve(factor, np.eye(len(n), dtype=factor.dtype)) if invert else None
+        return rounding.leaf(factor, inverse)
     k = len(n) // 2
     left = _factor(n[:k, :k], True, rounding)
     x = n[:k, k:]
@@ -450,14 +452,13 @@ class _Rounding:
         n += self.extra
         return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
-    def leaf(self, factor: np.ndarray, invert: bool) -> tuple | None:
-        """Account for a leaf's Cholesky factor L; (Z, w) if invert, else None."""
+    def leaf(self, factor: np.ndarray, inverse: np.ndarray | None) -> tuple | None:
+        """Account for a leaf's Cholesky factor L and its inverse Z, if any; returns (Z, w) or None."""
         b = len(factor)
         factor_abs = _abs_norm_sq(factor)
         self.leaves = max(self.leaves, self.gamma(b + 1) * factor_abs)
-        if not invert:
+        if inverse is None:
             return None
-        inverse = np.linalg.solve(factor, np.eye(b, dtype=factor.dtype))
         residual = factor @ inverse
         residual.flat[:: b + 1] -= 1.0
         return inverse, float(np.linalg.norm(residual)) + 2.0 * self.gamma(b) * np.sqrt(
