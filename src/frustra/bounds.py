@@ -192,10 +192,9 @@ def analyze_ground(splitting: Splitting,
     psi = splitting.model.ground.vector
     spec = splitting.local
     e0_i, e_i_max = interaction_extremes(splitting)
-    exp_l = float(np.real(psi.conj() @ (splitting.dense_local() @ psi)))
-    exp_i = splitting.interaction_expectation(psi)
     return ground_report(splitting.model, float(np.sum([v[0] for v in spec.site_eigenvalues])),
-                         spec.delta_e_ent, e0_i, e_i_max, exp_l, exp_i, ent_opts)
+                         spec.delta_e_ent, e0_i, e_i_max, splitting.local_expectation(psi),
+                         splitting.interaction_expectation(psi), ent_opts)
 
 
 @dataclass(frozen=True, eq=False)

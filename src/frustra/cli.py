@@ -141,6 +141,8 @@ def _load_parties(args) -> SpinModel:
 
 def _build_splitting(args):
     model = _load_parties(args)
+    if model.num_sites < 2:  # checked before any eigensolve: delta_e_ent is a second-smallest gap
+        raise ConfigError(f"model has {model.num_sites} site; analyze and excited need at least 2")
     spec = args.split or "default"
     if spec == "default":
         return split(model)

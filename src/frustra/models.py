@@ -4,20 +4,22 @@ A model is a list of sites (local dimensions) plus terms of the form
 coeff * (op on site i) * (op on site j) * ..., each factor Hermitian and the
 coefficient real.  Dense Hamiltonians are built by tensor-product embedding.
 
-A splitting is fixed by its local terms: H_L collects them and
-H_I = H - H_L is whatever they leave.  The split is not unique: the default
-policy sends every degree<=1 term to H_L, but any subset may be left in H_I
-term by term, and the Schmidt-based construction in the saturation module
-installs a local term that appears in no physical term list at all.  A
-splitting keeps its local spectrum, computed once.  Per-site gaps are taken in
-the degenerate-aware sense: the gap of H_j is zero whenever its lowest
-eigenvalue is repeated.
+A splitting is fixed by its local terms: H_L collects them and H_I is
+built from the terms they leave, so H_L + H_I equals H to round-off, bit for
+bit where the two write disjoint entries.  The split is not unique: the
+default policy sends every degree<=1 term to H_L, but any subset may be left
+in H_I term by term, and the Schmidt-based construction in the saturation
+module installs a local term that appears in no physical term list at all.
+A splitting keeps its local spectrum, computed once.  Per-site gaps are
+taken in the degenerate-aware sense: the gap of H_j is zero whenever its
+lowest eigenvalue is repeated.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .linalg import (
     RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, GroundState, _as_matrix,
-    _diagonal_eigvals, eigvalsh, ground_eig, hermitian_eig, tol_scale,
+    eigvalsh, ground_eig, hermitian_eig, tol_scale,
 )
 
 DEFAULT_DIM_CAP = 4096
@@ -286,22 +288,19 @@ class Splitting:
     Every local term acts on at most one site and is attributed to exactly
     one site's H_j (degree-0 constants go to site 0, where they shift all
     levels equally and leave gaps untouched), so sum_j H_j embedded equals
-    H_L.  H_I = H - H_L is whatever the local terms leave, so H_L + H_I
-    rebuilds H by construction.  Construction raises InvalidAssignmentError
-    on a local term of degree > 1.
-
-    The dense H_L is built once, at construction; the eigenvalues of H_I
-    and the local spectrum are computed on first use.  When H and H_L agree
-    off the diagonal (interaction terms with diagonal factors only), H_I is
-    read from diag(H) - diag(H_L), bit for bit the diagonal of H - H_L;
-    otherwise the dense H_I is built on first use.  All are kept read-only;
-    the dense H and its eigendecomposition live on the model.
+    H_L.  H_I is built from the model's terms, each local term removing one
+    occurrence of itself; a local term that is no model term (the Schmidt
+    projector) is added with its coefficient negated.  So H_L + H_I equals
+    H to round-off, bit for bit where local and interaction terms write
+    disjoint entries.  A local term of degree > 1 raises
+    InvalidAssignmentError.  H_I is the only dense operator a splitting
+    builds; it, its eigenvalues and the local spectrum are computed on first
+    use and kept read-only.
     """
 
     model: SpinModel
     local_terms: tuple[OperatorTerm, ...]
     per_site_local: tuple[np.ndarray, ...] = field(init=False)
-    _h_local: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.model.dims
@@ -313,36 +312,34 @@ class Splitting:
             site, op = term.factors[0] if term.degree else (0, np.eye(dims[0]))
             per_site[site] += term.coeff * op
         object.__setattr__(self, "per_site_local", tuple(per_site))
-        object.__setattr__(self, "_h_local", _read_only(dense_terms(self.local_terms, dims)))
-
-    def dense_local(self) -> np.ndarray:
-        return self._h_local
 
     def dense_interaction(self) -> np.ndarray:
         return self._h_interaction
 
     @cached_property
     def _h_interaction(self) -> np.ndarray:
-        return _read_only(build_dense(self.model) - self._h_local)
-
-    @cached_property
-    def _interaction_diagonal(self) -> np.ndarray | None:
-        """diag(H) - diag(H_L) when H == H_L off the diagonal, so that H_I is diagonal; else None."""
-        h = build_dense(self.model)
-        same = h == self._h_local
-        np.fill_diagonal(same, True)
-        return _read_only(np.diagonal(h) - np.diagonal(self._h_local)) if same.all() else None
+        terms = list(self.model.terms)
+        for local in self.local_terms:  # OperatorTerm has eq=False: `in` and remove() match by identity
+            if local in terms:
+                terms.remove(local)
+            else:
+                terms.append(OperatorTerm(-local.coeff, local.factors))
+        return _read_only(dense_terms(terms, self.model.dims))
 
     @cached_property
     def interaction_eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of H_I; no eigenvectors, since only extremes are used."""
-        d = self._interaction_diagonal
-        return _read_only(eigvalsh(self._h_interaction) if d is None else _diagonal_eigvals(d))
+        return _read_only(eigvalsh(self._h_interaction))
 
     def interaction_expectation(self, psi: np.ndarray) -> float:
         """<psi| H_I |psi> for a unit vector psi."""
-        d = self._interaction_diagonal
-        return float(np.real(psi.conj() @ (self._h_interaction @ psi if d is None else d * psi)))
+        return float(np.real(psi.conj() @ (self._h_interaction @ psi)))
+
+    def local_expectation(self, psi: np.ndarray) -> float:
+        """<psi| H_L |psi> for a unit vector psi: sum_j Re <psi| H_j |psi>, one contraction per site."""
+        dims = self.model.dims
+        sites = (psi.reshape(math.prod(dims[:j]), d, -1) for j, d in enumerate(dims))
+        return sum(float(np.vdot(x, h @ x).real) for x, h in zip(sites, self.per_site_local))
 
     @cached_property
     def local(self) -> LocalSpectrum:

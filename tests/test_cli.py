@@ -104,7 +104,7 @@ def test_analyze_builds_each_operator_once(capsys, monkeypatch):
     monkeypatch.setattr(frustra.models, "dense_terms", counting)
     code, _, _ = run_cli(capsys, "analyze", "--model", "chain3")
     assert code == 0
-    assert len(calls) == 2  # H and H_L; H_I = H - H_L
+    assert len(calls) == 2  # H and H_I, each from its own terms; H_L stays per site
 
 
 def count_calls(monkeypatch, module, name):
@@ -584,3 +584,14 @@ def test_schmidt_routes_need_two_parties(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: model has 3 sites")
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["excited", "--j", "0"]], ids=lambda c: c[0])
+def test_one_site_model_is_a_config_error(tmp_path, capsys, solver_sizes, command):
+    path = tmp_path / "one_site.json"
+    path.write_text(json.dumps({"name": "one", "sites": [2],
+                                "terms": [{"coeff": 1.0, "factors": [{"site": 0, "op": "X"}]}]}))
+    code, out, err = run_cli(capsys, *command, "--model", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: model has 1 site;")
+    assert solver_sizes == {"eigh": [], "eigvalsh": []}  # rejected before any eigensolve

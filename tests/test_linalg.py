@@ -455,6 +455,23 @@ def test_certificate_memory_stays_within_its_blocks():
     assert peak <= 8 * 2**20  # M would take 8 MiB on its own
 
 
+@pytest.mark.parametrize("n", [100, 1024])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_gershgorin_by_tiles_matches_the_full_row_sums(n, complex_):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0.0)
+    h = (a + a.conj().T) / 2.0
+    diag = np.diagonal(h)
+    assert linalg._gershgorin_top(h) == float(np.max(np.abs(h).sum(axis=1) - np.abs(diag) + diag.real))
+    tracemalloc.start()
+    try:
+        linalg._gershgorin_top(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20  # np.abs(h) would take 8 MiB at n = 1024
+
+
 # ---------------------------------------------------------------------------
 # svd
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from frustra.errors import (
     InvalidBipartitionError,
     NonHermitianTermError,
 )
-from frustra.linalg import ROUNDOFF_TOL, eigvalsh, hermitian_eig, op_norm, tol_scale
+from frustra.linalg import ROUNDOFF_TOL, hermitian_eig, op_norm, tol_scale
 from frustra.bounds import analyze_ground
 from frustra.models import (
     GROUND_TIER_MIN_DIM,
@@ -40,6 +41,8 @@ from frustra.models import (
 )
 from frustra.saturation import schmidt_splitting
 from frustra.verify import random_two_site_model
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_ising2_dense_ground_energy():
@@ -93,7 +96,7 @@ def test_dense_build_is_shared_and_read_only():
     assert h.dtype == np.float64 and build_dense(model) is h
     s = split(model)
     assert s.dense_interaction() is s.dense_interaction()
-    for mat in (h, s.dense_local(), s.dense_interaction()):
+    for mat in (h, s.dense_interaction()):
         assert not mat.flags.writeable
     assert build_dense(SpinModel("y", (2,), (OperatorTerm(1.0, [(0, PAULI["Y"])]),))).dtype == complex
 
@@ -142,9 +145,8 @@ def test_default_split_ising():
     m = ising2(1.0)
     s = split(m)
     assert s.local_terms == m.terms[:2]
-    np.testing.assert_allclose(s.dense_local(), build_dense(
-        SpinModel("hl", (2, 2), (OperatorTerm(-1.0, [(0, "X")]), OperatorTerm(-1.0, [(1, "X")])))
-    ))
+    for h_j in s.per_site_local:
+        np.testing.assert_array_equal(h_j, -PAULI["X"])
     np.testing.assert_array_equal(s.dense_interaction(), -np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
@@ -172,7 +174,8 @@ def test_splitting_checks_itself():
     m = ising2(1.0)
     s = Splitting(m, m.terms[:2])
     np.testing.assert_array_equal(s.per_site_local[0], -PAULI["X"])
-    np.testing.assert_array_equal(s.dense_local() + s.dense_interaction(), build_dense(m))
+    np.testing.assert_array_equal(dense_terms(s.local_terms, m.dims) + s.dense_interaction(),
+                                  build_dense(m))
     with pytest.raises(InvalidAssignmentError, match="degree"):
         Splitting(m, m.terms)
 
@@ -180,7 +183,7 @@ def test_splitting_checks_itself():
 def test_all_interaction_split():
     s = split(triangle(1.0))
     assert len(s.local_terms) == 0
-    assert np.max(np.abs(s.dense_local())) == 0.0
+    assert not any(h_j.any() for h_j in s.per_site_local)
     spec = local_spectrum(s)
     np.testing.assert_array_equal(spec.gaps, [0.0, 0.0, 0.0])
     assert spec.delta_e_ent == 0.0
@@ -191,7 +194,7 @@ def test_rebuild_identity_random(seed, d):
     model = random_two_site_model(np.random.default_rng(seed), d)
     h = build_dense(model)
     for s in (split(model), split(model, local=[0]), split(model, local=[])):
-        resid = np.max(np.abs(s.dense_local() + s.dense_interaction() - h))
+        resid = np.max(np.abs(dense_terms(s.local_terms, model.dims) + s.dense_interaction() - h))
         assert resid <= 1e-12 * max(1.0, np.max(np.abs(h)))
 
 
@@ -235,36 +238,66 @@ def test_interaction_is_complement_random(seed, dims):
         assert resid <= ROUNDOFF_TOL * tol_scale(np.max(np.abs(build_dense(model))))
 
 
+def _twice_listed():
+    field = OperatorTerm(0.7, [(0, "X")])  # one term object, listed twice
+    return SpinModel("twice", (2, 2), (field, OperatorTerm(-1.0, [(0, "Z"), (1, "Z")]), field))
+
+
+def _with_constant():
+    return SpinModel("constant", (2, 2), (OperatorTerm(1.5, []), OperatorTerm(-0.4, [(1, "Z")]),
+                                          OperatorTerm(0.9, [(0, "X"), (1, "Y")])))
+
+
+SPLITS = {
+    "default": lambda: split(random_two_site_model(np.random.default_rng(5), 3)),
+    "explicit": lambda: split(random_two_site_model(np.random.default_rng(6), 3), local=[1]),
+    "schmidt": lambda: schmidt_splitting(load_model(DATA / "saturate_qutrit_model.json"), 0.2),
+    "twice-both-local": lambda: split(_twice_listed()),
+    "twice-one-local": lambda: split(_twice_listed(), local=[0]),
+    "constant": lambda: split(_with_constant()),
+}
+
+
+@pytest.mark.parametrize("make", SPLITS.values(), ids=SPLITS.keys())
+def test_interaction_from_its_terms_is_h_minus_h_l(make):
+    s = make()
+    h, h_l = build_dense(s.model), dense_terms(s.local_terms, s.model.dims)
+    tol = ROUNDOFF_TOL * tol_scale(np.max(np.abs(h)), np.max(np.abs(h_l)))
+    assert np.max(np.abs(s.dense_interaction() - (h - h_l))) <= tol
+    z = np.array([1.0, 1j]) @ np.random.default_rng(1).normal(size=(2, s.model.dimension))
+    for psi in (s.model.ground.vector, z / np.linalg.norm(z)):
+        assert abs(s.local_expectation(psi) - float(np.real(psi.conj() @ (h_l @ psi)))) <= tol
+
+
+def test_split_builds_no_dense_operator():
+    m = load_model(DATA / "transverse_chain10_model.json")
+    tracemalloc.start()
+    try:
+        s = split(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 and "_h_interaction" not in s.__dict__  # a dense H_L would take 8 MiB
+
+
 @given(st.integers(0, 10_000), st.integers(2, 6))
 def test_diagonal_interaction_matches_the_dense_route(seed, n):
-    """Diagonal bonds under X, Y or Z fields: H_I read from the diagonal equals H - H_L bit for bit."""
+    """Diagonal bonds under X, Y or Z fields: H_I from its terms is diagonal and is H - H_L to round-off;
+    its eigenvalues (eigvalsh's diagonal shortcut) are what LAPACK gives."""
     rng = np.random.default_rng(seed)
     terms = [OperatorTerm(rng.normal(), [(i, PAULI["XYZ"[rng.integers(3)]])]) for i in range(n)]
     terms += [OperatorTerm(rng.normal(), [(i, np.diag(rng.normal(size=2))), (i + 1, PAULI["Z"])])
               for i in range(n - 1)]
     model = SpinModel("diagonal-bonds", (2,) * n, tuple(terms))
     s = split(model)
-    assert s._interaction_diagonal is not None
+    hi, h = s.dense_interaction(), build_dense(model)
+    assert np.count_nonzero(hi) == np.count_nonzero(np.diagonal(hi))
+    assert np.max(np.abs(hi - (h - dense_terms(s.local_terms, model.dims)))) <= ROUNDOFF_TOL * tol_scale(
+        np.max(np.abs(h)))
+    assert np.array_equal(s.interaction_eigenvalues, np.linalg.eigvalsh(hi))
     z = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     for psi in (model.ground.vector, z / np.linalg.norm(z)):
-        assert s.interaction_expectation(psi) == float(np.real(psi.conj() @ (s.dense_interaction() @ psi)))
-    assert np.array_equal(s.interaction_eigenvalues, eigvalsh(s.dense_interaction()))
-
-
-def test_diagonal_interaction_is_never_built_dense():
-    s = split(load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json"))
-    analyze_ground(s)
-    assert "_h_interaction" not in s.__dict__
-
-
-@pytest.mark.parametrize("s", [
-    split(chain3()),
-    split(transverse_chain(4), local=[1, 2, 3]),
-    schmidt_splitting(ising2(1.3), 0.2),
-], ids=["xx-bonds", "x-field-in-h_i", "schmidt"])
-def test_off_diagonal_interaction_takes_the_dense_route(s):
-    analyze_ground(s)
-    assert s._interaction_diagonal is None and "_h_interaction" in s.__dict__
+        assert s.interaction_expectation(psi) == float(np.real(psi.conj() @ (hi @ psi)))
 
 
 def test_splitting_keeps_its_local_spectrum():
@@ -374,7 +407,7 @@ def test_per_site_local_embeds_to_dense_local():
             ops = [np.eye(d) for d in dims]
             ops[site] = h
             embedded += np.kron(ops[0], ops[1])
-        np.testing.assert_allclose(embedded, s.dense_local(), atol=1e-14)
+        np.testing.assert_allclose(embedded, dense_terms(s.local_terms, dims), atol=1e-14)
 
 
 def test_sorted_config_stable_ties():
@@ -390,7 +423,7 @@ def test_ground_energy_superadditive(seed, d):
     model = random_two_site_model(np.random.default_rng(seed), d)
     s = split(model)
     e0 = np.linalg.eigvalsh(build_dense(model))[0]
-    e0_l = np.linalg.eigvalsh(s.dense_local())[0]
+    e0_l = np.linalg.eigvalsh(dense_terms(s.local_terms, model.dims))[0]
     e0_i = np.linalg.eigvalsh(s.dense_interaction())[0]
     assert e0 >= e0_l + e0_i - 1e-9 * max(1.0, abs(e0))
 

@@ -52,7 +52,7 @@ def test_schmidt_splitting_rebuild_random():
     h = gaussian_hermitian(rng, 9)
     model = dense_bipartite_model(h, (3, 3))
     ss = schmidt_splitting(model, 0.2)
-    total = ss.dense_local() + ss.dense_interaction()
+    total = dense_terms(ss.local_terms, model.dims) + ss.dense_interaction()
     np.testing.assert_allclose(total, build_dense(ss.model), atol=1e-12 * max(1.0, np.abs(h).max()))
 
 
@@ -70,6 +70,17 @@ def test_schmidt_interaction_matches_compensated_build(model):
         reference = dense_terms(model.terms + (compensator,), model.dims)
         assert ss.dense_interaction().dtype == reference.dtype
         np.testing.assert_array_equal(ss.dense_interaction(), reference)
+
+
+@pytest.mark.parametrize("model", [load_model(DATA / "saturate_qutrit_model.json"), ising2(1.3)],
+                         ids=["qutrit", "ising2"])
+def test_schmidt_routes_agree(model):
+    # the splitting's H_I, built from its terms, is the sweep's H + gamma P x I bit for bit
+    for gamma in (0.3, 0.01, 0.0015):
+        direct = analyze_ground(schmidt_splitting(model, gamma))
+        swept = saturation_sweep(model, [gamma])[0].report
+        for key in ("E0", "E0_I", "E_I_max", "interaction_frustration"):
+            assert getattr(direct, key) == getattr(swept, key), (gamma, key)
 
 
 def test_schmidt_splitting_gap_identity():
