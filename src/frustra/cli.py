@@ -426,10 +426,7 @@ def main(argv=None) -> int:
     except (ConfigError, DimensionCapError, NotBipartiteError) as exc:  # cap and two-party rule too
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except FrustraError as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return COMPUTE_ERROR
-    except (ValueError, IndexError, ArithmeticError) as exc:
+    except (FrustraError, ValueError, IndexError, ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
 

@@ -10,7 +10,8 @@ these few operations.
 
 The eigenvalues-only solver returns the sorted diagonal of a matrix whose
 off-diagonal entries are all exactly zero, which is what LAPACK returns
-for it.  The ground variant computes no full spectrum: Lanczos gives E0
+for it; it is the only diagonal shortcut.  The ground variant computes no
+full spectrum, and takes one route whatever the matrix: Lanczos gives E0
 and a ground vector whose residual is at round-off, and a proof that a
 shifted, rank-1-lifted H is positive definite certifies, by interlacing,
 that E0 is the lowest eigenvalue and that the next one lies more than
@@ -195,13 +196,6 @@ def hermitian_eig(m) -> EigenDecomposition:
     return EigenDecomposition(vals, fix_phases(vecs))
 
 
-def _diagonal_eigvals(d: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the matrix with diagonal d and zeros elsewhere, under the Hermitian rule."""
-    vals = np.sort(d.real)
-    _check_hermitian(2.0 * float(np.linalg.norm(d.imag)), vals)
-    return vals
-
-
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a matrix from _square, under the Hermitian rule.
 
@@ -211,7 +205,9 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """
     d = _diagonal(a)
     if d is not None:
-        return _diagonal_eigvals(d)
+        vals = np.sort(d.real)
+        _check_hermitian(2.0 * float(np.linalg.norm(d.imag)), vals)
+        return vals
     h, asym = _hermitian_part(a)
     try:
         vals = np.linalg.eigvalsh(h)
@@ -251,11 +247,10 @@ class GroundState:
 def ground_eig(m) -> GroundState | None:
     """The certified, non-degenerate ground state of a Hermitian matrix, or None.
 
-    A diagonal matrix gets the unit vector at its smallest entry, as
-    hermitian_eig gives it.  Otherwise Lanczos runs min(d, LANCZOS_STEPS)
-    steps from a fixed seeded start with full reorthogonalization; psi is
-    the lowest Ritz vector, E0 its Rayleigh quotient and
-    r = ||H psi - E0 psi||.  The Hermitian rule and r <= ROUNDOFF_TOL * s
+    Every matrix, diagonal or not, takes one route.  Lanczos runs
+    min(d, LANCZOS_STEPS) steps from a fixed seeded start with full
+    reorthogonalization; psi is the lowest Ritz vector, E0 its Rayleigh
+    quotient and r = ||H psi - E0 psi||.  The Hermitian rule and r <= ROUNDOFF_TOL * s
     are checked at s = tol_scale(E0, theta_max), theta_max the top Ritz
     value: theta_max never exceeds lam_max beyond round-off, so neither is
     looser than at hermitian_eig's scale.  The returned scale is
@@ -271,9 +266,10 @@ def ground_eig(m) -> GroundState | None:
     ground energy, E1 - E0 > STRUCTURAL_TOL * scale, and psi is within
     r / (E1 - E0) of the ground vector (Davis-Kahan), the round-off / gap of
     a full decomposition.  None is returned, and the caller must fall back
-    to hermitian_eig, when the ground level of a diagonal matrix is
-    degenerate, when the residual is too large, when the two lowest Ritz
-    values already fail the gap test, or when the proof fails.
+    to hermitian_eig, when the residual is too large, when the two lowest
+    Ritz values already fail the gap test, when the proof fails (a
+    degenerate ground level, diagonal or not), or for a 1 x 1 matrix, which
+    has no eigenvalue to lift: M = -r - STRUCTURAL_TOL * scale < 0.
     """
     a = _square(m)
     return _ground_eig(a, np.random.default_rng(0).standard_normal(a.shape[0]))
@@ -281,12 +277,6 @@ def ground_eig(m) -> GroundState | None:
 
 def _ground_eig(a: np.ndarray, start: np.ndarray) -> GroundState | None:
     """ground_eig of a matrix from _square, with the Lanczos start vector given."""
-    d = _diagonal(a)
-    if d is not None:
-        vec = np.zeros(a.shape[0], dtype=a.dtype)
-        vec[np.argmin(d.real)] = 1.0
-        g = GroundState.of(_diagonal_eigvals(d), vec)
-        return None if g.degenerate else g
     h, asym = _hermitian_part(a)
     psi, ritz = _lanczos(h, start)
     h_psi = h @ psi
@@ -417,9 +407,9 @@ def _solve(tree: tuple, p: np.ndarray, rounding: _Rounding) -> None:
 
 
 def _abs_norm_sq(a: np.ndarray) -> float:
-    """||a||_1 ||a||_inf, an upper bound on || |a| ||_2^2."""
+    """||a||_1 ||a||_inf, an upper bound on || |a| ||_2^2; 0 for an empty a (the top block of a 1 x 1 H)."""
     m = np.abs(a)
-    return float(m.sum(axis=0).max() * m.sum(axis=1).max())
+    return float(m.sum(axis=0).max(initial=0.0) * m.sum(axis=1).max(initial=0.0))
 
 
 class _Rounding:

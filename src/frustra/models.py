@@ -447,7 +447,7 @@ def interaction_extremes(splitting: Splitting) -> tuple[float, float]:
 # regrouping and dense-matrix import
 
 
-def regroup(model: SpinModel, parts: tuple[Sequence[int], Sequence[int]], name: str | None = None) -> SpinModel:
+def regroup(model: SpinModel, parts: tuple[Sequence[int], Sequence[int]]) -> SpinModel:
     """Two-party view of a model: each part becomes one composite site.
 
     Parts must partition the sites.  Each operator string factors across the
@@ -464,13 +464,10 @@ def regroup(model: SpinModel, parts: tuple[Sequence[int], Sequence[int]], name: 
         raise InvalidBipartitionError("both parts must be non-empty")
 
     def party_op(term: OperatorTerm, sites: tuple[int, ...]):
-        ops = {site: op for site, op in term.factors if site in sites}
-        if not ops:
+        factors = [(sites.index(site), op) for site, op in term.factors if site in sites]
+        if not factors:
             return None
-        out = np.array([[1.0 + 0.0j]])
-        for site in sites:
-            out = np.kron(out, ops.get(site, np.eye(model.dims[site])))
-        return out
+        return dense_terms((OperatorTerm(1.0, factors),), [model.dims[site] for site in sites])
 
     new_terms = []
     for term in model.terms:
@@ -489,7 +486,7 @@ def regroup(model: SpinModel, parts: tuple[Sequence[int], Sequence[int]], name: 
         "".join(model.site_labels[i] for i in part_b),
     )
     return SpinModel(
-        name=name or f"{model.name}[{labels[0]}|{labels[1]}]",
+        name=f"{model.name}[{labels[0]}|{labels[1]}]",
         dims=dims,
         terms=tuple(new_terms),
         site_labels=labels,

@@ -49,8 +49,8 @@ def schmidt_splitting(model: SpinModel, gamma: float, projector: np.ndarray | No
     A caller that splits one model at several gammas passes its
     ground_projector once built.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:  # NaN fails every comparison
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     p = ground_projector(model) if projector is None else projector
     return Splitting(model, (OperatorTerm(-gamma, [(0, p)]),))
 

@@ -104,8 +104,8 @@ def test_criterion_5_saturation():
 
 
 def test_criterion_6_perturbation_theorem():
-    result = verify.perturbation_suite(trials=500, dims=(4, 8, 16),
-                                       c_norms=(0.01, 0.1, 1.0), seed=1)
+    assert verify.PERTURBATION_C_NORMS == (0.01, 0.1, 1.0)
+    result = verify.perturbation_suite(trials=500, dims=(4, 8, 16), seed=1)
     detail = (f"worst margin={result.stats['worst_psd_margin']:.2e}, "
               f"sharpness={result.stats['sharpness_ratio']:.4f}")
     report_line(6, "perturbation inequalities and norm chains", result.ok, detail)

@@ -14,7 +14,8 @@ import frustra.models
 import frustra.saturation
 import frustra.verify
 from frustra.cli import main
-from frustra.models import model_to_dict, chain3, save_model
+from frustra.linalg import STRUCTURAL_TOL, TOL_ENT, ground_eig
+from frustra.models import build_dense, chain3, load_model, model_to_dict, save_model
 
 
 def run_cli(capsys, *argv):
@@ -441,6 +442,19 @@ def test_analyze_byte_identical_reruns_on_the_ground_tier(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "--model", path)
     _, out2, _ = run_cli(capsys, "analyze", "--model", path)
     assert out1 == out2
+
+
+def test_analyze_classical_chain_on_the_ground_tier(capsys):
+    """A diagonal H at d = 256 takes the one ground route; H_L and H_I share its classical ground state."""
+    path = str(Path(__file__).parent / "data" / "classical_chain8_model.json")
+    g = ground_eig(build_dense(load_model(path)))
+    assert g is not None and not g.degenerate
+    code, out, _ = run_cli(capsys, "analyze", "--model", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["E0"] == g.energy and report["degenerate_ground"] is False
+    assert abs(report["E_f"]) <= STRUCTURAL_TOL * g.scale
+    assert report["entanglement"] <= TOL_ENT
 
 
 @pytest.mark.parametrize("argv", [

@@ -306,19 +306,45 @@ def test_ground_eig_degenerate_gives_no_vector(monkeypatch):
     for gap_factor in (0.0, 0.5):
         for complex_ in (False, True):
             assert ground_eig(_with_spectrum(rng, 24, complex_, gap_factor)) is None
-    assert ground_eig(np.diag([2.0, -1.0, 0.5, -1.0])) is None  # diagonal and degenerate
     assert factors == []
 
 
-def test_ground_eig_diagonal_is_the_eigh_unit_vector():
-    d = np.random.default_rng(8).normal(size=70)
+@pytest.mark.parametrize("n", [70, 256])
+def test_ground_eig_certifies_a_diagonal_matrix(n):
+    """A diagonal H takes the one ground route: E0 at its smallest entry, psi near that unit vector."""
+    d = np.random.default_rng(8).normal(size=n)
+    low, next_ = np.sort(d)[:2]
+    unit = np.zeros(n)
+    unit[np.argmin(d)] = 1.0
     for m in (np.diag(d), np.diag(d).astype(complex)):
         g = ground_eig(m)
-        dec = hermitian_eig(m)
-        assert g.energy == dec.eigenvalues[0] and not g.degenerate
-        assert g.scale == tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
-        assert np.array_equal(g.vector, dec.eigenvectors[:, 0])
-        assert g.vector.dtype == dec.eigenvectors.dtype
+        assert g is not None and not g.degenerate
+        assert abs(g.energy - low) <= ROUNDOFF_TOL * g.scale
+        r = np.linalg.norm(m @ g.vector - g.energy * g.vector)
+        assert np.linalg.norm(g.vector - unit) <= r / (next_ - g.energy)  # Davis-Kahan
+        assert g.vector.dtype == hermitian_eig(m).eigenvectors.dtype
+
+
+def test_ground_eig_refuses_a_degenerate_diagonal_matrix(monkeypatch):
+    """The certificate, not a diagonal test, refuses a repeated smallest entry."""
+    factors = _counting(monkeypatch, "cholesky")
+    assert ground_eig(np.diag([2.0, -1.0, 0.5, -1.0])) is None
+    assert factors  # the Ritz gap passed and the proof said no
+
+
+def test_ground_eig_of_a_one_by_one_matrix_gives_no_vector():
+    """Nothing can be lifted: M = -r - margin < 0, so the caller falls back."""
+    for m in (np.array([[2.5]]), np.array([[2.5 + 0.0j]]), np.array([[-1.0 + 1e-12j]])):
+        assert ground_eig(m) is None
+
+
+def test_ground_eig_does_not_scan_for_diagonality(monkeypatch):
+    def scanned(a):
+        raise AssertionError("ground_eig tested its input for diagonality")
+
+    monkeypatch.setattr(linalg, "_diagonal", scanned)
+    h = build_dense(load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json"))
+    assert ground_eig(h) is not None
 
 
 def test_ground_eig_rejects_non_hermitian():

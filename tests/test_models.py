@@ -353,6 +353,17 @@ def test_failed_certificate_falls_back_to_the_spectrum(monkeypatch):
     np.testing.assert_array_equal(g.vector, m.spectrum.eigenvectors[:, 0])
 
 
+def test_degenerate_diagonal_model_falls_back_to_the_spectrum():
+    """A ZZ chain without fields has two ground states; the certificate refuses its diagonal H."""
+    zz = SpinModel("zz8", (2,) * 8, tuple(
+        OperatorTerm(-1.0, [(i, PAULI["Z"]), (i + 1, PAULI["Z"])]) for i in range(7)))
+    assert zz.dimension >= GROUND_TIER_MIN_DIM
+    g = zz.ground
+    assert "spectrum" in zz.__dict__ and g.degenerate
+    assert g.energy == zz.spectrum.eigenvalues[0]
+    np.testing.assert_array_equal(g.vector, zz.spectrum.eigenvectors[:, 0])
+
+
 def test_analyze_solves_only_what_it_uses(solver_sizes, monkeypatch):
     factors = []
     cholesky = np.linalg.cholesky

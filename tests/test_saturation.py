@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,15 @@ def test_gamma_validation():
         saturation_sweep(ising2(1.0), [1e-3, 1e-8])  # below the floor
     with pytest.raises(ValueError):
         saturation_sweep(ising2(1.0), [])
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf], ids=["nan", "inf"])
+def test_schmidt_splitting_rejects_a_non_finite_gamma(gamma):
+    """Refused up front, naming gamma, before any splitting arithmetic can warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            schmidt_splitting(ising2(1.0), gamma)
 
 
 Y_COUPLED = SpinModel("y-coupled", (2, 2), (
