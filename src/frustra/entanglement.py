@@ -228,11 +228,11 @@ def _alternating(psis: Sequence[PureState], inits: Sequence[np.ndarray], tol: fl
             right.insert(0, (p[..., :, None] * right[0][..., None, :]).reshape(live.size, runs, -1))
         phis[0], nrm = _normalized(np.matmul(right[0], conj.transpose(0, 2, 1)), resets[0])
         left = np.matmul(phis[0], conj)  # the state contracted with the new phi_0 ... phi_{i-1}
-        for i in range(1, n):
+        for i in range(1, n - 1):
             left = left.reshape(live.size, runs, dims[i], -1)
-            w = np.matmul(left, right[i][..., None])[..., 0] if i < n - 1 else left[..., 0]
-            phis[i], nrm = _normalized(w, resets[i])
+            phis[i], nrm = _normalized(np.matmul(left, right[i][..., None])[..., 0], resets[i])
             left = np.matmul(phis[i][..., None, :], left)
+        phis[-1], nrm = _normalized(left.reshape(live.size, runs, dims[-1]), resets[-1])
         done = nrm - overlap < tol
         overlap = nrm
         stop = (sweeps[live] == 0) & (done | (sweep == max_iters))

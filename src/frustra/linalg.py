@@ -11,15 +11,15 @@ these few operations.
 The eigenvalues-only solver returns the sorted diagonal of a matrix whose
 off-diagonal entries are all exactly zero, which is what LAPACK returns
 for it; it is the only diagonal shortcut.  The ground variant computes no
-full spectrum, and takes one route whatever the matrix: Lanczos gives E0
-and a ground vector whose residual is at round-off, and a proof that a
+full spectrum, and takes one route whatever the matrix: a proof that a
 shifted, rank-1-lifted H is positive definite certifies, by interlacing,
-that E0 is the lowest eigenvalue and that the next one lies more than
-STRUCTURAL_TOL * scale above it: a recursive block Cholesky with
-128-row LAPACK leaves and GEMM updates, of the matrix shifted down by a
-further CERTIFICATE_SHIFT, whose a posteriori rounding bound stays below
-that shift.  It gives nothing when the ground level is degenerate or the
-proof fails, and the caller then falls back to the full decomposition.
+that the next eigenvalue lies above a rough Lanczos vector's E0 + r +
+STRUCTURAL_TOL * scale (a recursive block Cholesky with LAPACK leaves and
+GEMM updates, whose a posteriori rounding bound stays below a further
+CERTIFICATE_SHIFT), and Rayleigh-Ritz steps through that factor take the
+vector's residual to round-off.  It gives nothing when the ground level is
+degenerate or the proof fails, and the caller then falls back to the full
+decomposition.
 
 All functions are pure and deterministic for identical input: eigenvalues
 come back ascending, singular values descending, and every returned
@@ -222,8 +222,9 @@ def eigvalsh(m) -> np.ndarray:
     return _eigvalsh(_square(m))
 
 
-LANCZOS_STEPS = 80  # ground_eig's Krylov dimension (all of it when d is smaller)
-CERTIFICATE_LEAF = 128  # _positive_definite factors a block of at most this many rows with LAPACK
+LANCZOS_STEPS = 80  # ground_eig's Krylov dimension (all of it when d is smaller); it first tries half as many
+REFINE_STEPS = 4  # at most this many Rayleigh-Ritz steps bring a certified vector past the residual gate
+CERTIFICATE_LEAF = 64  # _positive_definite factors a real block of at most this many rows with LAPACK
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -248,28 +249,27 @@ def ground_eig(m) -> GroundState | None:
     """The certified, non-degenerate ground state of a Hermitian matrix, or None.
 
     Every matrix, diagonal or not, takes one route.  Lanczos runs
-    min(d, LANCZOS_STEPS) steps from a fixed seeded start with full
-    reorthogonalization; psi is the lowest Ritz vector, E0 its Rayleigh
-    quotient and r = ||H psi - E0 psi||.  The Hermitian rule and r <= ROUNDOFF_TOL * s
-    are checked at s = tol_scale(E0, theta_max), theta_max the top Ritz
-    value: theta_max never exceeds lam_max beyond round-off, so neither is
-    looser than at hermitian_eig's scale.  The returned scale is
-    tol_scale(E0 - r, g), g the Gershgorin bound
-    max_i (Re H_ii + sum_{j != i} |H_ij|) >= lam_max, so it is never below
-    hermitian_eig's, and the degeneracy margin and every gate read from it
-    are never looser.  The state is certified when
-    H + (theta_max - E0) psi psi^dag - sigma I, sigma = E0 + r + STRUCTURAL_TOL * scale,
-    is proved positive definite (_positive_definite: Rump's shifted
-    Cholesky test, by a recursive block Cholesky with 128-row leaves and an
-    a posteriori rounding bound after Higham).  The rank-1 term lifts one
-    eigenvalue, so by interlacing E1 > sigma: E0 is then within r of the
-    ground energy, E1 - E0 > STRUCTURAL_TOL * scale, and psi is within
-    r / (E1 - E0) of the ground vector (Davis-Kahan), the round-off / gap of
-    a full decomposition.  None is returned, and the caller must fall back
-    to hermitian_eig, when the residual is too large, when the two lowest
-    Ritz values already fail the gap test, when the proof fails (a
-    degenerate ground level, diagonal or not), or for a 1 x 1 matrix, which
-    has no eigenvalue to lift: M = -r - STRUCTURAL_TOL * scale < 0.
+    min(d, LANCZOS_STEPS // 2) steps from a fixed seeded start with full
+    reorthogonalization: psi0 is the lowest Ritz vector, e0 its Rayleigh
+    quotient and r0 = ||H psi0 - e0 psi0||.  _positive_definite proves
+    H + (theta_max - e0) psi0 psi0^dag - sigma0 I positive definite, with
+    theta_max the top Ritz value, sigma0 = e0 + r0 + STRUCTURAL_TOL *
+    tol_scale(e0 - r0, g) and g = max_i (Re H_ii + sum_{j != i} |H_ij|) >=
+    lam_max.  The rank-1 term lifts one eigenvalue, so by interlacing
+    E1 > sigma0, whatever psi0 is.  _refine takes psi0 to psi, with Rayleigh
+    quotient E0 and residual r, through the proof's factor.  The state is
+    certified when r <= ROUNDOFF_TOL * tol_scale(E0, theta_max) and
+    E0 + r + STRUCTURAL_TOL * scale <= sigma0, scale = tol_scale(E0 - r, g):
+    E0 is then within r of the ground energy, E1 - E0 > sigma0 - E0 >=
+    STRUCTURAL_TOL * scale, and psi is within r / (sigma0 - E0) of the ground
+    vector (Davis-Kahan).  theta_max <= lam_max <= g up to round-off, so no
+    gate, nor the Hermitian rule at the residual's scale, is looser than at
+    hermitian_eig's scale.  Otherwise Lanczos resumes to min(d, LANCZOS_STEPS)
+    steps, whose vector must meet the residual gate as it comes, with no
+    refinement step.  None is returned, and the caller must fall back to
+    hermitian_eig, when that fails too: when theta_1 <= sigma0 (theta_1 >= E1,
+    so no proof can pass), when the proof fails (a degenerate ground level,
+    diagonal or not), or for a 1 x 1 matrix, which has no eigenvalue to lift.
     """
     a = _square(m)
     return _ground_eig(a, np.random.default_rng(0).standard_normal(a.shape[0]))
@@ -278,17 +278,20 @@ def ground_eig(m) -> GroundState | None:
 def _ground_eig(a: np.ndarray, start: np.ndarray) -> GroundState | None:
     """ground_eig of a matrix from _square, with the Lanczos start vector given."""
     h, asym = _hermitian_part(a)
-    psi, ritz = _lanczos(h, start)
-    h_psi = h @ psi
-    e0 = float(np.vdot(psi, h_psi).real)
-    r = float(np.linalg.norm(h_psi - e0 * psi))
-    _check_hermitian(asym, (e0, ritz[-1]))
-    scale = tol_scale(e0 - r, _gershgorin_top(h))  # the ground energy lies in [E0 - r, E0]
-    margin = STRUCTURAL_TOL * scale
-    if (r > ROUNDOFF_TOL * tol_scale(e0, ritz[-1]) or (ritz.size > 1 and ritz[1] - ritz[0] <= margin)
-            or not _positive_definite(h, psi, ritz[-1] - e0, e0 + r + margin)):
-        return None
-    return GroundState(e0, fix_phases(psi[:, None])[:, 0], scale, False)
+    top = _gershgorin_top(h)
+    for rough, (psi, ritz) in zip((True, False), _lanczos(h, start)):
+        h_psi = h @ psi
+        e0 = float(np.vdot(psi, h_psi).real)
+        r0 = float(np.linalg.norm(h_psi - e0 * psi))
+        _check_hermitian(asym, (e0, ritz[-1]))
+        sigma = e0 + r0 + STRUCTURAL_TOL * tol_scale(e0 - r0, top)  # the ground energy lies in [e0 - r0, e0]
+        if ((rough or r0 <= ROUNDOFF_TOL * tol_scale(e0, ritz[-1])) and (ritz.size < 2 or ritz[1] > sigma)
+                and (tree := _positive_definite(h, psi, ritz[-1] - e0, sigma)) is not None):
+            psi, e, r = _refine(h, tree, psi, h_psi, ritz[-1])
+            scale = tol_scale(e - r, top)
+            if r <= ROUNDOFF_TOL * tol_scale(e, ritz[-1]) and e + r + STRUCTURAL_TOL * scale <= sigma:
+                return GroundState(e, fix_phases(psi[:, None])[:, 0], scale, False)
+    return None
 
 
 def _gershgorin_top(h: np.ndarray) -> float:
@@ -298,13 +301,14 @@ def _gershgorin_top(h: np.ndarray) -> float:
     return float(np.max(rows - np.abs(diag) + diag.real))
 
 
-def _lanczos(h: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(unit lowest Ritz vector, ascending Ritz values) of min(d, LANCZOS_STEPS) Lanczos steps.
+def _lanczos(h: np.ndarray, start: np.ndarray):
+    """Yields (unit lowest Ritz vector, ascending Ritz values) at LANCZOS_STEPS // 2 and min(d, LANCZOS_STEPS) steps.
 
     Every new direction is orthogonalized twice against all previous ones,
-    so the basis stays orthonormal.  The run ends early when that leaves
-    less than ROUNDOFF_TOL * tol_scale(||H v||) of H v: the basis then spans
-    an invariant subspace, and a further direction would be round-off.
+    so the basis stays orthonormal; a resumed run is the uninterrupted one.
+    The run ends early, with one last yield, when that leaves less than
+    ROUNDOFF_TOL * tol_scale(||H v||) of H v: the basis then spans an
+    invariant subspace, and a further direction would be round-off.
     """
     n = h.shape[0]
     steps = min(n, LANCZOS_STEPS)
@@ -316,26 +320,49 @@ def _lanczos(h: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         basis[j] = v
         w = h @ v
         alpha[j] = np.vdot(v, w).real
-        if j + 1 == steps:
-            break
-        floor = ROUNDOFF_TOL * tol_scale(np.linalg.norm(w))
-        q = basis[: j + 1]
-        for _ in range(2):
-            w -= (q @ w.conj()).conj() @ q
-        b = float(np.linalg.norm(w))
-        if b <= floor:  # the basis spans an invariant subspace, to round-off
-            steps = j + 1
-            break
-        beta[j] = b
-        v = w / b
-    t = np.diag(alpha[:steps]) + np.diag(beta[: steps - 1], 1) + np.diag(beta[: steps - 1], -1)
-    ritz, s = np.linalg.eigh(t)
-    psi = s[:, 0] @ basis[:steps]
-    return psi / np.linalg.norm(psi), ritz
+        if j + 1 < steps:
+            floor = ROUNDOFF_TOL * tol_scale(np.linalg.norm(w))
+            q = basis[: j + 1]
+            for _ in range(2):
+                w -= (q @ w.conj()).conj() @ q
+            beta[j] = float(np.linalg.norm(w))
+        end = j + 1 == steps or beta[j] <= floor  # the basis spans an invariant subspace, to round-off
+        if end or j + 1 == LANCZOS_STEPS // 2:
+            ritz, s = np.linalg.eigh(np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1))
+            psi = s[:, 0] @ basis[: j + 1]
+            yield psi / np.linalg.norm(psi), ritz
+        if end:
+            return
+        v = w / beta[j]
 
 
-def _positive_definite(h: np.ndarray, psi: np.ndarray, c: float, sigma: float) -> bool:
-    """Whether M = h + c psi psi^dag - sigma I is proved positive definite.
+def _refine(h: np.ndarray, tree: tuple, psi: np.ndarray, h_psi: np.ndarray, theta_max: float):
+    """(psi, E0, r) after Rayleigh-Ritz steps on span{psi, (L L^dag)^-1 (H psi - E0 psi)}, L the tree's factor.
+
+    A psi with r <= ROUNDOFF_TOL * tol_scale(E0, theta_max) takes no step, any other one step past that gate, at
+    most REFINE_STEPS; E0 never rises (Knyazev & Neymeyr, Linear Algebra Appl. 358, 95, 2003).
+    """
+    past = False
+    for step in range(REFINE_STEPS + 1):
+        e = float(np.vdot(psi, h_psi).real)
+        t = h_psi - e * psi
+        r = float(np.linalg.norm(t))
+        gate = r <= ROUNDOFF_TOL * tol_scale(e, theta_max)
+        if past or step == REFINE_STEPS or gate and (step == 0 or r == 0.0):
+            return psi, e, r
+        past = gate
+        _solve(tree, t)
+        _solve(tree, t, adjoint=True)
+        t -= np.vdot(psi, t) * psi
+        t /= np.linalg.norm(t)
+        h_t = h @ t  # H psi is kept as the same combination of matvecs as psi
+        off = np.vdot(psi, h_t)
+        s = np.linalg.eigh(np.array([[e, off], [np.conj(off), np.vdot(t, h_t).real]]))[1][:, 0]
+        psi, h_psi = s[0] * psi + s[1] * t, s[0] * h_psi + s[1] * h_t
+
+
+def _positive_definite(h: np.ndarray, psi: np.ndarray, c: float, sigma: float) -> tuple | None:
+    """_factor's tree for M - s I if M = h + c psi psi^dag - sigma I is proved positive definite, else None.
 
     M - s I, s = CERTIFICATE_SHIFT * tol_scale(c, sigma), is factored by
     _factor; its top-level blocks are built from slices of h, so no d x d
@@ -344,7 +371,7 @@ def _positive_definite(h: np.ndarray, psi: np.ndarray, c: float, sigma: float) -
     (BIT Numer. Math. 46, 433, 2006), with _Rounding's a posteriori bound on
     ||E||_2 in place of his a priori gamma_{d+1} tr(M), several times larger
     at d = 1024.  A leaf that fails to factor, or a bound that reaches s,
-    gives False.
+    gives None.
     """
     k = h.shape[0] // 2
     top, bottom = slice(None, k), slice(k, None)
@@ -361,49 +388,59 @@ def _positive_definite(h: np.ndarray, psi: np.ndarray, c: float, sigma: float) -
 
     try:
         x = block(top, bottom)
-        _solve(_factor(block(top, top), True, rounding), x, rounding)
+        left = _factor(block(top, top), rounding)
+        _solve(left, x, rounding)
         schur = block(bottom, bottom)
-        schur -= x.conj().T @ x
-        del x
-        _factor(schur, False, rounding)
+        for lo in range(0, len(schur), CERTIFICATE_LEAF):  # by row panels: no second d/2 x d/2 array
+            schur[lo:lo + CERTIFICATE_LEAF] -= x[:, lo:lo + CERTIFICATE_LEAF].conj().T @ x
+        tree = left, x, _factor(schur, rounding)
     except np.linalg.LinAlgError:
-        return False
-    return bool(rounding.total() < shift)
+        return None
+    return tree if rounding.total() < shift else None
 
 
-def _factor(n: np.ndarray, invert: bool, rounding: _Rounding):
+def _factor(n: np.ndarray, rounding: _Rounding):
     """The Cholesky factor L of the Hermitian block n, as a tree for _solve; overwrites n.
 
-    A block of at most CERTIFICATE_LEAF rows is a leaf: np.linalg.cholesky,
-    then, if invert, Z = np.linalg.solve(L, I), as (Z, _Rounding.leaf's w).  A
-    larger one, [[N11, N12], [N12^dag, N22]], factors N11, overwrites N12
-    with X = L11^-1 N12 and recurses on N22 - X^dag X, so every update is a
-    GEMM; its node is (left tree, X, right tree).  Raises LinAlgError.
+    A block of at most CERTIFICATE_LEAF rows, half as many if complex, is a
+    leaf: np.linalg.cholesky, then Z = np.linalg.solve(L, I), as (Z,
+    _Rounding.leaf's w).  OpenBLAS factors such a block on one thread, so for
+    a power-of-two d the tree, and a vector refined through it, do not
+    depend on the BLAS thread count.  A larger one, [[N11, N12], [N12^dag,
+    N22]], factors N11, overwrites N12 with X = L11^-1 N12 and recurses on
+    N22 - X^dag X, so every update is a GEMM; its node is (left tree, X,
+    right tree).  Raises LinAlgError.
     """
-    if len(n) <= CERTIFICATE_LEAF:
+    if len(n) <= (CERTIFICATE_LEAF // 2 if np.iscomplexobj(n) else CERTIFICATE_LEAF):
         factor = np.linalg.cholesky(n)
-        inverse = np.linalg.solve(factor, np.eye(len(n), dtype=factor.dtype)) if invert else None
-        return rounding.leaf(factor, inverse)
+        return rounding.leaf(factor, np.linalg.solve(factor, np.eye(len(n), dtype=factor.dtype)))
     k = len(n) // 2
-    left = _factor(n[:k, :k], True, rounding)
+    left = _factor(n[:k, :k], rounding)
     x = n[:k, k:]
     _solve(left, x, rounding)
     n[k:, k:] -= x.conj().T @ x
-    return left, x, _factor(n[k:, k:], invert, rounding)
+    return left, x, _factor(n[k:, k:], rounding)
 
 
-def _solve(tree: tuple, p: np.ndarray, rounding: _Rounding) -> None:
-    """p <- L^-1 p in place, for the factor L whose tree _factor returned."""
+def _solve(tree: tuple, p: np.ndarray, rounding: _Rounding | None = None, adjoint: bool = False) -> None:
+    """p <- L^-1 p, or L^-dag p if adjoint, in place, for a tree's factor L = [[L11, 0], [X^dag, L22]].
+
+    Only the certificate's own solves pass a rounding to account for.
+    """
     if len(tree) == 3:
         left, x, right = tree
-        _solve(left, p[: len(x)], rounding)
-        p[len(x):] -= x.conj().T @ p[: len(x)]
-        _solve(right, p[len(x):], rounding)
+        head, tail = p[: len(x)], p[len(x):]
+        (first, a), (second, b) = ((right, tail), (left, head)) if adjoint else ((left, head), (right, tail))
+        _solve(first, a, rounding, adjoint)
+        b -= (x if adjoint else x.conj().T) @ a
+        _solve(second, b, rounding, adjoint)
         return
     inverse, weight = tree
-    rounding.products_sq += (weight * np.linalg.norm(p)) ** 2
-    p[...] = inverse @ p
-    rounding.x_abs += _abs_norm_sq(p)
+    if rounding is not None:
+        rounding.products_sq += (weight * np.linalg.norm(p)) ** 2
+    p[...] = (inverse.conj().T if adjoint else inverse) @ p
+    if rounding is not None:
+        rounding.x_abs += _abs_norm_sq(p)
 
 
 def _abs_norm_sq(a: np.ndarray) -> float:
@@ -443,13 +480,11 @@ class _Rounding:
         n += self.extra
         return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
-    def leaf(self, factor: np.ndarray, inverse: np.ndarray | None) -> tuple | None:
-        """Account for a leaf's Cholesky factor L and its inverse Z, if any; returns (Z, w) or None."""
+    def leaf(self, factor: np.ndarray, inverse: np.ndarray) -> tuple:
+        """Account for a leaf's Cholesky factor L and its inverse Z; returns (Z, w)."""
         b = len(factor)
         factor_abs = _abs_norm_sq(factor)
         self.leaves = max(self.leaves, self.gamma(b + 1) * factor_abs)
-        if inverse is None:
-            return None
         residual = factor @ inverse
         residual.flat[:: b + 1] -= 1.0
         return inverse, float(np.linalg.norm(residual)) + 2.0 * self.gamma(b) * np.sqrt(

@@ -42,11 +42,9 @@ from .linalg import (
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "FRUSTRA_DIM_CAP"
 # SpinModel.ground uses linalg.ground_eig from this dimension on; below it the
-# full eigh gives the ground state.  The 80 Lanczos steps cost a fixed ~2 ms, so
-# the tier pays off from about here.  Medians of hermitian_eig against
-# ground_eig on transverse chains, 2 vCPUs, OpenBLAS: 0.5 against 3.0 ms at
-# d = 64, 2.0 against 3.8 ms at d = 128, 8.0 against 6.2 ms at d = 256, 36
-# against 19 ms at d = 512, 185 against 55 ms at d = 1024.
+# full eigh gives the ground state.  Medians of hermitian_eig against ground_eig
+# on transverse chains, 2 vCPUs, OpenBLAS: 2.2 against 2.3 ms at d = 128, 8.0
+# against 5.2 ms at d = 256, 37 against 14 ms at d = 512, 183 against 43 ms at d = 1024.
 GROUND_TIER_MIN_DIM = 256
 
 PAULI = {

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from frustra import linalg
 from frustra.errors import NotHermitianError
 from frustra.linalg import (
+    CERTIFICATE_SHIFT,
+    LANCZOS_STEPS,
     RECONSTRUCTION_TOL,
     ROUNDOFF_TOL,
     STRUCTURAL_TOL,
@@ -26,7 +28,7 @@ from frustra.linalg import (
     tol_scale,
     ui_norm,
 )
-from frustra.models import build_dense, load_model, transverse_chain
+from frustra.models import OperatorTerm, SpinModel, build_dense, load_model, transverse_chain
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -285,9 +287,13 @@ def test_ground_eig_matches_hermitian_eig(seed, n, complex_, gap_factor):
 @pytest.mark.parametrize("gap_factor", [1.5, 10.0, 1000.0, None])
 @pytest.mark.parametrize("complex_", [False, True])
 def test_ground_eig_takes_at_most_four_solves(monkeypatch, gap_factor, complex_):
-    """The tier's only O(d^3) work on H is the certificate: one block solve and two Cholesky factors.
+    """The tier's only O(d^3) work on H is its certificates: at most four leaf solves each, one per leaf.
 
-    One solve is within the four of the name, which inverse iteration needed at most.
+    At d = 80 a certificate has two 40-row leaves, or four 20-row ones when
+    complex.  A planted gap of at most 1000 margins refuses the 40-step
+    vector (by the Ritz values or by the proof), and the resumed run takes
+    one more certificate and no refinement; a wide gap takes one
+    certificate and Rayleigh-Ritz steps of 2 x 2.
     """
     m = _with_spectrum(np.random.default_rng(11), 80, complex_, gap_factor)
     solves = _counting(monkeypatch, "solve")
@@ -295,8 +301,15 @@ def test_ground_eig_takes_at_most_four_solves(monkeypatch, gap_factor, complex_)
     eigvalsh_calls = _counting(monkeypatch, "eigvalsh")
     eigh_calls = _counting(monkeypatch, "eigh")
     assert ground_eig(m) is not None
-    assert solves == [(40, 40)] and factors == [(40, 40), (40, 40)]
-    assert eigvalsh_calls == [] and eigh_calls == [(80, 80)]  # the 80-step tridiagonal, not H
+    leaf, per_certificate = ((20, 20), 4) if complex_ else ((40, 40), 2)
+    assert set(solves) == set(factors) == {leaf} and len(solves) <= len(factors)
+    if gap_factor is None:
+        assert solves == factors == [leaf] * per_certificate
+        assert eigh_calls[0] == (40, 40) and set(eigh_calls[1:]) == {(2, 2)}  # the tridiagonal, not H
+    else:  # the resumed run's certificate is whole, after at most a part of one at 40 steps
+        assert per_certificate <= len(solves) <= len(factors) <= 2 * per_certificate
+        assert eigh_calls == [(40, 40), (80, 80)]  # the two tridiagonals, not H
+    assert eigvalsh_calls == []
 
 
 def test_ground_eig_degenerate_gives_no_vector(monkeypatch):
@@ -393,25 +406,27 @@ def test_certificate_rejects_a_lanczos_run_that_missed_the_ground_level(monkeypa
     start = np.concatenate([np.zeros(20), rng.normal(size=60)])
     assert abs(np.vdot(dec.eigenvectors[:, 0], start)) == 0.0
 
-    psi, ritz = linalg._lanczos(m, start)
+    psi, ritz = list(linalg._lanczos(m, start))[-1]  # the resumed run's vector
     e = np.vdot(psi, m @ psi)
     assert np.linalg.norm(m @ psi - e * psi) <= RECONSTRUCTION_TOL  # converged, but not to E0
     assert e - dec.eigenvalues[0] > 1.0
 
     factors = _counting(monkeypatch, "cholesky")
     assert linalg._ground_eig(m, start) is None
-    assert factors  # the residual and the Ritz gap passed; the factorization said no
+    assert factors  # the residual and the Ritz gap passed; the factorization said no, at 40 and at 80 steps
     g = ground_eig(m)  # the seeded start finds the ground level
     _assert_certified_ground(m, g)
 
 
 def test_residual_rejects_an_unsplit_near_degenerate_pair(monkeypatch):
-    """A Ritz vector that keeps 5 % of a level 1.5 * STRUCTURAL_TOL above the ground one is refused.
+    """A Ritz vector that keeps 5 % of a level 1.5 * STRUCTURAL_TOL above the ground one is never returned.
 
     Nothing makes 80 Lanczos steps split such a pair (the Kaniel-Paige
     bound promises no progress at this gap), so the run here stops with
     the start's mix.  Its Ritz gap and its factorization both pass; only
-    the residual, about 0.05 * gap, shows that the vector is 5 % off.
+    the residual, about 0.05 * gap, shows that the vector is 5 % off.  At
+    the resumed run that residual refuses it before any factorization; at
+    40 steps the proof holds, and the refinement splits the pair.
     """
     gap = 1.5 * STRUCTURAL_TOL  # at scale 1: the spectrum and the Gershgorin bound lie in [-1, 1]
     vals = np.concatenate([[-1.0, -1.0 + gap], np.linspace(0.0, 1.0, 98)])
@@ -421,14 +436,21 @@ def test_residual_rejects_an_unsplit_near_degenerate_pair(monkeypatch):
     mixed = np.sqrt(1.0 - 0.05**2) * vecs[:, 0] + 0.05 * vecs[:, 1]
     e = np.vdot(mixed, m @ mixed)
     ritz = np.concatenate([[e], vals[2:]])  # the pair is one Ritz value
-    monkeypatch.setattr(linalg, "_lanczos", lambda h, start: (start, ritz))
-
     r = np.linalg.norm(m @ mixed - e * mixed)
     assert 10 * ROUNDOFF_TOL < r <= RECONSTRUCTION_TOL
     assert linalg._positive_definite(m, mixed, ritz[-1] - e, e + r + STRUCTURAL_TOL)
     factors = _counting(monkeypatch, "cholesky")
+    low = np.concatenate([[e, e], vals[2:]])  # a 40-step run whose Ritz values do not split, then the resumed one
+    monkeypatch.setattr(linalg, "_lanczos", lambda h, start: iter([(start, low), (start, ritz)]))
     assert linalg._ground_eig(m, mixed) is None
     assert factors == []  # the residual refused it before the factorization
+
+    monkeypatch.setattr(linalg, "_lanczos", lambda h, start: iter([(start, ritz)]))
+    g = linalg._ground_eig(m, mixed)
+    sigma = e + r + STRUCTURAL_TOL
+    assert factors and g.energy + 1.0 <= ROUNDOFF_TOL  # E0 = -1
+    r = np.linalg.norm(m @ g.vector - g.energy * g.vector)
+    assert np.linalg.norm(g.vector - vecs[:, 0]) <= r / (sigma - g.energy) < 1e-6  # Davis-Kahan, not 5 %
 
 
 def _certificate_inputs(m, psi):
@@ -464,13 +486,139 @@ def test_certificate_proves_planted_gaps(n, complex_):
         vals[1] = vals[0] + gap_factor * STRUCTURAL_TOL * scale
         m = (basis * vals) @ basis.conj().T
         c, sigma = _certificate_inputs(m, basis[:, 0])
-        assert linalg._positive_definite(m, basis[:, 0], c, sigma + STRUCTURAL_TOL * scale) is certified
+        assert (linalg._positive_definite(m, basis[:, 0], c, sigma + STRUCTURAL_TOL * scale) is not None) is certified
+
+
+def _fixture():
+    return build_dense(load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json"))
+
+
+def _seeded_start(h):
+    return np.random.default_rng(0).standard_normal(len(h))
+
+
+@pytest.mark.parametrize("case", ["transverse_chain10", "complex_d256"])
+def test_refined_ground_vector_is_certified(monkeypatch, case):
+    """The 40-step vector is proved and refined: E0 to round-off, psi within r / (sigma0 - E0) of eigh's."""
+    h = _fixture() if case == "transverse_chain10" else random_hermitian(np.random.default_rng(256), 256)
+    refined = []
+    refine = linalg._refine
+    monkeypatch.setattr(linalg, "_refine", lambda *args: refined.append(args[2]) or refine(*args))
+    g = ground_eig(h)
+    _assert_certified_ground(h, g)
+
+    psi0, ritz = next(linalg._lanczos(h, _seeded_start(h)))
+    assert len(refined) == 1 and np.array_equal(refined[0], psi0)  # only the 40-step vector was refined
+    e0 = np.vdot(psi0, h @ psi0).real
+    r0 = np.linalg.norm(h @ psi0 - e0 * psi0)
+    assert r0 > 1e3 * ROUNDOFF_TOL * g.scale  # far from the residual gate before its refinement
+    sigma = e0 + r0 + STRUCTURAL_TOL * tol_scale(e0 - r0, linalg._gershgorin_top(h))
+    dec = hermitian_eig(h)
+    r = np.linalg.norm(h @ g.vector - g.energy * g.vector)
+    assert abs(g.energy - dec.eigenvalues[0]) <= ROUNDOFF_TOL * tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
+    assert np.linalg.norm(g.vector - dec.eigenvectors[:, 0]) <= r / (sigma - g.energy)  # Davis-Kahan
+
+
+def _g_grid():
+    """Transverse chains over a grid of fields, down to a gap of 2e-7, and four random-field chains."""
+    for n in (8, 10):
+        for field in (0.2, 0.3, 0.45, 0.6, 0.8, 1.0, 1.5):
+            yield f"chain{n} g={field}", transverse_chain(n, field)
+    rng = np.random.default_rng(7)
+    for k in range(4):
+        fields, bonds = rng.uniform(0.5, 2.0, 10), rng.uniform(0.5, 1.5, 9)
+        terms = [OperatorTerm(-fields[i], [(i, "X")]) for i in range(10)]
+        terms += [OperatorTerm(-bonds[i], [(i, "Z"), (i + 1, "Z")]) for i in range(9)]
+        yield f"random{k}", SpinModel(f"random{k}", (2,) * 10, tuple(terms))
+
+
+def test_every_g_grid_chain_keeps_its_certificate(monkeypatch):
+    """The 40-step vector certifies every chain but the two deep-ordered ones, which resume to 80 steps.
+
+    A resumed run takes no refinement step: its vector is the 80-step Lanczos vector as it comes.
+    """
+    yields = []
+    lanczos = linalg._lanczos
+
+    def counting(h, start):
+        for psi, ritz in lanczos(h, start):
+            yields.append(len(ritz))
+            yield psi, ritz
+
+    monkeypatch.setattr(linalg, "_lanczos", counting)
+    resumed = set()
+    for name, model in _g_grid():
+        yields.clear()
+        h = build_dense(model)
+        g = ground_eig(h)
+        assert g is not None, name
+        if model.dimension == 256:
+            _assert_certified_ground(h, g)
+        if yields == [40, 80]:
+            resumed.add(name)
+            psi = list(lanczos(h, _seeded_start(h)))[-1][0]
+            assert np.array_equal(g.vector, linalg.fix_phases(psi[:, None])[:, 0])
+        else:
+            assert yields == [40], name
+    assert resumed == {"chain10 g=0.2", "chain10 g=0.3"}
+
+
+def test_fixture_is_certified_in_fewer_matvecs_than_lanczos_steps():
+    matvecs = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            if np.ndim(other) == 1:
+                matvecs.append(len(self))
+            return np.asarray(self) @ other
+
+    h = _fixture()
+    g = linalg._ground_eig(h.view(Counting), _seeded_start(h))
+    assert g is not None and np.array_equal(g.vector, ground_eig(h).vector)
+    assert set(matvecs) == {1024} and len(matvecs) < LANCZOS_STEPS  # 40 Lanczos steps, psi0 and each refinement
+
+
+def test_refinement_past_sigma_gives_no_vector(monkeypatch):
+    """A refinement that lands on the first excited level, above sigma0, is refused; the model falls back to eigh."""
+    model = transverse_chain(8)
+    h = build_dense(model)
+    dec = hermitian_eig(h)
+    excited = dec.eigenvectors[:, 1]
+    r = float(np.linalg.norm(h @ excited - dec.eigenvalues[1] * excited))
+    calls = []
+    monkeypatch.setattr(linalg, "_refine", lambda *args: calls.append(1) or (excited, float(dec.eigenvalues[1]), r))
+    assert r <= ROUNDOFF_TOL * tol_scale(dec.eigenvalues[1], dec.eigenvalues[-1])  # it meets the residual gate
+    assert ground_eig(h) is None
+    assert len(calls) == 2  # the 40-step vector and the resumed one were both proved
+    g = model.ground
+    assert "spectrum" in model.__dict__ and not g.degenerate
+    assert g.energy == model.spectrum.eigenvalues[0]
+    np.testing.assert_array_equal(g.vector, model.spectrum.eigenvectors[:, 0])
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_tree_solves_invert_the_factored_matrix(complex_):
+    """A forward and an adjoint solve through the certificate's tree apply (M - s I)^-1, the refinement's step."""
+    rng = np.random.default_rng(30)
+    h = random_hermitian(rng, 200)
+    h = h if complex_ else h.real.copy()
+    vals, vecs = np.linalg.eigh(h)
+    c, sigma = vals[-1] - vals[0], (vals[0] + vals[1]) / 2.0
+    tree = linalg._positive_definite(h, vecs[:, 0], c, sigma)
+    assert tree is not None
+    shift = sigma + CERTIFICATE_SHIFT * tol_scale(c, sigma)
+    m = h + c * np.outer(vecs[:, 0], vecs[:, 0].conj()) - shift * np.eye(200)
+    p = rng.normal(size=200) + (1j * rng.normal(size=200) if complex_ else 0.0)
+    q = p.copy()
+    linalg._solve(tree, q)
+    linalg._solve(tree, q, adjoint=True)
+    assert np.linalg.norm(m @ q - p) <= 1e-10 * np.linalg.norm(p)
 
 
 def test_certificate_memory_stays_within_its_blocks():
     """At d = 1024 the certificate holds its three top-level blocks and their factors, never a d x d copy of M."""
     h = build_dense(load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json"))
-    psi = linalg._lanczos(h, np.random.default_rng(0).standard_normal(len(h)))[0]
+    psi = list(linalg._lanczos(h, np.random.default_rng(0).standard_normal(len(h))))[-1][0]
     c, sigma = _certificate_inputs(h, psi)
     tracemalloc.start()
     try:

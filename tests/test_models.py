@@ -370,10 +370,10 @@ def test_analyze_solves_only_what_it_uses(solver_sizes, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(len(a)) or cholesky(a))
     report = analyze_ground(split(transverse_chain(8)))
     assert report.degenerate_ground is False
-    # the per-site local spectra and Lanczos's 80 x 80 tridiagonal; no eigh of H
-    assert set(solver_sizes["eigh"]) == {2, 80}
+    # the per-site local spectra, Lanczos's 40 x 40 tridiagonal and the refinement's 2 x 2; no eigh of H
+    assert set(solver_sizes["eigh"]) == {2, 40}
     assert solver_sizes["eigvalsh"] == []  # no eigenvalues of H; the ZZ bonds make H_I diagonal
-    assert factors == [128, 128]  # the certificate's two blocks
+    assert factors == [64] * 4  # the certificate's four leaves
 
 
 # ---------------------------------------------------------------------------
