@@ -13,13 +13,13 @@ off-diagonal entries are all exactly zero, which is what LAPACK returns
 for it; it is the only diagonal shortcut.  The ground variant computes no
 full spectrum, and takes one route whatever the matrix: a proof that a
 shifted, rank-1-lifted H is positive definite certifies, by interlacing,
-that the next eigenvalue lies above a rough Lanczos vector's E0 + r +
-STRUCTURAL_TOL * scale (a recursive block Cholesky with LAPACK leaves and
-GEMM updates, whose a posteriori rounding bound stays below a further
-CERTIFICATE_SHIFT), and Rayleigh-Ritz steps through that factor take the
-vector's residual to round-off.  It gives nothing when the ground level is
-degenerate or the proof fails, and the caller then falls back to the full
-decomposition.
+that the next eigenvalue lies above a LANCZOS_STEPS-step Lanczos vector's
+E0 + r + STRUCTURAL_TOL * scale (a recursive block Cholesky with LAPACK
+leaves and GEMM updates, whose a posteriori rounding bound stays below a
+further CERTIFICATE_SHIFT), and Rayleigh-Ritz steps through that factor
+take the vector's residual to round-off.  Any refusal (a degenerate or
+unresolved ground level, a failed proof or refinement) gives nothing, and
+the caller then falls back to the full decomposition.
 
 All functions are pure and deterministic for identical input: eigenvalues
 come back ascending, singular values descending, and every returned
@@ -32,6 +32,7 @@ is several times faster than the complex one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -165,7 +166,9 @@ def _diagonal(a: np.ndarray) -> np.ndarray | None:
 
 
 def _check_hermitian(asym: float, eigenvalues: np.ndarray) -> None:
-    """The Hermitian rule: ||M - M^dag||_F <= STRUCTURAL_TOL * tol_scale(max |eigenvalue|)."""
+    """The Hermitian rule: ||M - M^dag||_F <= STRUCTURAL_TOL * tol_scale(max |eigenvalue|), for finite extremes."""
+    if not math.isfinite(eigenvalues[0]) or not math.isfinite(eigenvalues[-1]):
+        raise OverflowError(f"eigenvalues {eigenvalues[0]} to {eigenvalues[-1]} are not finite")
     scale = tol_scale(eigenvalues[0], eigenvalues[-1])
     if asym > STRUCTURAL_TOL * scale:
         raise NotHermitianError(
@@ -222,7 +225,7 @@ def eigvalsh(m) -> np.ndarray:
     return _eigvalsh(_square(m))
 
 
-LANCZOS_STEPS = 80  # ground_eig's Krylov dimension (all of it when d is smaller); it first tries half as many
+LANCZOS_STEPS = 40  # ground_eig's Krylov dimension (all of it when d is smaller)
 REFINE_STEPS = 4  # at most this many Rayleigh-Ritz steps bring a certified vector past the residual gate
 CERTIFICATE_LEAF = 64  # _positive_definite factors a real block of at most this many rows with LAPACK
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
@@ -249,7 +252,7 @@ def ground_eig(m) -> GroundState | None:
     """The certified, non-degenerate ground state of a Hermitian matrix, or None.
 
     Every matrix, diagonal or not, takes one route.  Lanczos runs
-    min(d, LANCZOS_STEPS // 2) steps from a fixed seeded start with full
+    min(d, LANCZOS_STEPS) steps from a fixed seeded start with full
     reorthogonalization: psi0 is the lowest Ritz vector, e0 its Rayleigh
     quotient and r0 = ||H psi0 - e0 psi0||.  _positive_definite proves
     H + (theta_max - e0) psi0 psi0^dag - sigma0 I positive definite, with
@@ -264,12 +267,10 @@ def ground_eig(m) -> GroundState | None:
     STRUCTURAL_TOL * scale, and psi is within r / (sigma0 - E0) of the ground
     vector (Davis-Kahan).  theta_max <= lam_max <= g up to round-off, so no
     gate, nor the Hermitian rule at the residual's scale, is looser than at
-    hermitian_eig's scale.  Otherwise Lanczos resumes to min(d, LANCZOS_STEPS)
-    steps, whose vector must meet the residual gate as it comes, with no
-    refinement step.  None is returned, and the caller must fall back to
-    hermitian_eig, when that fails too: when theta_1 <= sigma0 (theta_1 >= E1,
-    so no proof can pass), when the proof fails (a degenerate ground level,
-    diagonal or not), or for a 1 x 1 matrix, which has no eigenvalue to lift.
+    hermitian_eig's scale.  Otherwise None is returned and the caller falls
+    back to hermitian_eig: when theta_1 <= sigma0 (theta_1 >= E1, so no proof
+    can pass), when the proof fails (a degenerate ground level, diagonal or
+    not), when the refined psi misses a gate, or for a 1 x 1 matrix.
     """
     a = _square(m)
     return _ground_eig(a, np.random.default_rng(0).standard_normal(a.shape[0]))
@@ -279,18 +280,17 @@ def _ground_eig(a: np.ndarray, start: np.ndarray) -> GroundState | None:
     """ground_eig of a matrix from _square, with the Lanczos start vector given."""
     h, asym = _hermitian_part(a)
     top = _gershgorin_top(h)
-    for rough, (psi, ritz) in zip((True, False), _lanczos(h, start)):
-        h_psi = h @ psi
-        e0 = float(np.vdot(psi, h_psi).real)
-        r0 = float(np.linalg.norm(h_psi - e0 * psi))
-        _check_hermitian(asym, (e0, ritz[-1]))
-        sigma = e0 + r0 + STRUCTURAL_TOL * tol_scale(e0 - r0, top)  # the ground energy lies in [e0 - r0, e0]
-        if ((rough or r0 <= ROUNDOFF_TOL * tol_scale(e0, ritz[-1])) and (ritz.size < 2 or ritz[1] > sigma)
-                and (tree := _positive_definite(h, psi, ritz[-1] - e0, sigma)) is not None):
-            psi, e, r = _refine(h, tree, psi, h_psi, ritz[-1])
-            scale = tol_scale(e - r, top)
-            if r <= ROUNDOFF_TOL * tol_scale(e, ritz[-1]) and e + r + STRUCTURAL_TOL * scale <= sigma:
-                return GroundState(e, fix_phases(psi[:, None])[:, 0], scale, False)
+    psi, ritz = _lanczos(h, start)
+    h_psi = h @ psi
+    e0 = float(np.vdot(psi, h_psi).real)
+    r0 = float(np.linalg.norm(h_psi - e0 * psi))
+    _check_hermitian(asym, (e0, ritz[-1]))
+    sigma = e0 + r0 + STRUCTURAL_TOL * tol_scale(e0 - r0, top)  # the ground energy lies in [e0 - r0, e0]
+    if (ritz.size < 2 or ritz[1] > sigma) and (tree := _positive_definite(h, psi, ritz[-1] - e0, sigma)) is not None:
+        psi, e, r = _refine(h, tree, psi, h_psi, ritz[-1])
+        scale = tol_scale(e - r, top)
+        if r <= ROUNDOFF_TOL * tol_scale(e, ritz[-1]) and e + r + STRUCTURAL_TOL * scale <= sigma:
+            return GroundState(e, fix_phases(psi[:, None])[:, 0], scale, False)
     return None
 
 
@@ -301,39 +301,34 @@ def _gershgorin_top(h: np.ndarray) -> float:
     return float(np.max(rows - np.abs(diag) + diag.real))
 
 
-def _lanczos(h: np.ndarray, start: np.ndarray):
-    """Yields (unit lowest Ritz vector, ascending Ritz values) at LANCZOS_STEPS // 2 and min(d, LANCZOS_STEPS) steps.
+def _lanczos(h: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unit lowest Ritz vector, ascending Ritz values) after min(d, LANCZOS_STEPS) steps.
 
     Every new direction is orthogonalized twice against all previous ones,
-    so the basis stays orthonormal; a resumed run is the uninterrupted one.
-    The run ends early, with one last yield, when that leaves less than
-    ROUNDOFF_TOL * tol_scale(||H v||) of H v: the basis then spans an
-    invariant subspace, and a further direction would be round-off.
+    so the basis stays orthonormal.  The run ends early when that leaves
+    less than ROUNDOFF_TOL * tol_scale(||H v||) of H v: the basis then spans
+    an invariant subspace, and a further direction would be round-off.
     """
     n = h.shape[0]
     steps = min(n, LANCZOS_STEPS)
     basis = np.empty((steps, n), dtype=h.dtype)
     alpha = np.empty(steps)
-    beta = np.empty(steps - 1)
+    beta = np.empty(steps)
     v = start / np.linalg.norm(start)
     for j in range(steps):
         basis[j] = v
         w = h @ v
         alpha[j] = np.vdot(v, w).real
-        if j + 1 < steps:
-            floor = ROUNDOFF_TOL * tol_scale(np.linalg.norm(w))
-            q = basis[: j + 1]
-            for _ in range(2):
-                w -= (q @ w.conj()).conj() @ q
-            beta[j] = float(np.linalg.norm(w))
-        end = j + 1 == steps or beta[j] <= floor  # the basis spans an invariant subspace, to round-off
-        if end or j + 1 == LANCZOS_STEPS // 2:
-            ritz, s = np.linalg.eigh(np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1))
-            psi = s[:, 0] @ basis[: j + 1]
-            yield psi / np.linalg.norm(psi), ritz
-        if end:
-            return
+        floor = ROUNDOFF_TOL * tol_scale(np.linalg.norm(w))
+        for _ in range(2):
+            w -= (basis[: j + 1] @ w.conj()).conj() @ basis[: j + 1]
+        beta[j] = float(np.linalg.norm(w))
+        if j + 1 == steps or beta[j] <= floor:  # the last step, or the basis spans an invariant subspace
+            break
         v = w / beta[j]
+    ritz, s = np.linalg.eigh(np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1))
+    psi = s[:, 0] @ basis[: j + 1]
+    return psi / np.linalg.norm(psi), ritz
 
 
 def _refine(h: np.ndarray, tree: tuple, psi: np.ndarray, h_psi: np.ndarray, theta_max: float):

@@ -661,9 +661,9 @@ def _op_from_json(op):
         for entry in row:
             if isinstance(entry, list):
                 re, im = entry
-                entries.append(complex(_json_number(re, "op entry"), _json_number(im, "op entry")))
+                entries.append(complex(_json_value(re, "op entry"), _json_value(im, "op entry")))
             else:
-                entries.append(complex(_json_number(entry, "op entry")))
+                entries.append(complex(_json_value(entry, "op entry")))
         rows.append(entries)
     return np.array(rows, dtype=complex)
 
@@ -683,10 +683,10 @@ def model_to_dict(model: SpinModel) -> dict:
     }
 
 
-def _json_number(value, what: str, kinds=(int, float)):
-    """The value if it is a JSON number of the given kinds; int() and float() would take 2.5 or true."""
+def _json_value(value, what: str, kinds=(int, float)):
+    """The value if it is a JSON value of the given kinds: int() would take 2.5 or true, a loop "AB" or {}."""
     if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if kinds is int else "a number"
+        kind = {int: "an integer", list: "a list"}.get(kinds, "a number")
         raise ValueError(f"{what} must be {kind}, got {value!r}")
     return value
 
@@ -694,16 +694,16 @@ def _json_number(value, what: str, kinds=(int, float)):
 def model_from_dict(data: dict) -> SpinModel:
     try:
         name = str(data["name"])
-        dims = tuple(_json_number(d, "site dimension", int) for d in data["sites"])
+        dims = tuple(_json_value(d, "site dimension", int) for d in _json_value(data["sites"], "sites", list))
         terms = tuple(
             OperatorTerm(
-                _json_number(t["coeff"], "coeff"),
-                [(_json_number(f["site"], "factor site", int), _op_from_json(f["op"]))
-                 for f in t.get("factors", [])],
+                _json_value(t["coeff"], "coeff"),
+                [(_json_value(f["site"], "factor site", int), _op_from_json(f["op"]))
+                 for f in _json_value(t.get("factors", []), "factors", list)],
             )
-            for t in data["terms"]
+            for t in _json_value(data["terms"], "terms", list)
         )
-        labels = tuple(str(label) for label in data.get("labels", ()))
+        labels = tuple(str(label) for label in _json_value(data.get("labels", []), "labels", list))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     return SpinModel(name=name, dims=dims, terms=terms, site_labels=labels)

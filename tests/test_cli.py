@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,8 @@ BAD_FILES = {
     "model duplicate labels": ("model", _ising2_doc(lambda d: d.update(labels=["A", "A"]))),
     "model label with bar": ("model", _ising2_doc(lambda d: d.update(labels=["A|B", "C"]))),
     "model label with comma": ("model", _ising2_doc(lambda d: d.update(labels=["A,B", "C"]))),
+    "model labels string": ("model", _ising2_doc(lambda d: d.update(labels="AB"))),
+    "model factors object": ("model", _ising2_doc(lambda d: d["terms"][0].update(factors={}))),
 }
 
 
@@ -504,6 +507,21 @@ def test_excited_squares_a_huge_margin_without_overflow(capsys):
                            "--param", "g=1e300", "--j", "0..3")
     assert code == 0
     assert json.loads(out)[0]["bound_29"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--model", "ising2", "--param", "g=1e308"),
+    ("excited", "--model", "ising2", "--param", "g=1e308", "--j", "0..3"),
+    ("saturate", "--model", "ising2", "--param", "g=1e308", "--gammas", "1e-1,1e-2"),
+    ("sweep", "--grid", "1e308:1e308:1"),
+], ids=["analyze", "excited", "saturate", "sweep"])
+def test_an_overflowed_spectrum_exits_3(capsys, argv):
+    # H's eigenvalues overflow to -inf and inf: no -Infinity or NaN reaches stdout, and no RuntimeWarning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "not finite" in err
 
 
 def test_saturate_csv(capsys):

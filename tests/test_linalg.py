@@ -11,6 +11,7 @@ from frustra.linalg import (
     CERTIFICATE_SHIFT,
     LANCZOS_STEPS,
     RECONSTRUCTION_TOL,
+    REFINE_STEPS,
     ROUNDOFF_TOL,
     STRUCTURAL_TOL,
     NormKind,
@@ -87,6 +88,14 @@ def test_eig_rejects_non_hermitian():
 def test_eig_rejects_non_finite():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_overflowed_eigenvalues_raise():
+    """Finite entries whose eigenvalues overflow, here [0, inf], raise instead of returning inf."""
+    m = np.full((2, 2), 1e308)
+    for solve in (hermitian_eig, eigvalsh):
+        with pytest.raises(OverflowError):
+            solve(m)
 
 
 def test_eig_deterministic():
@@ -278,7 +287,7 @@ def test_ground_eig_matches_hermitian_eig(seed, n, complex_, gap_factor):
     """Certified and right, or no state at all: a wrong E0 never comes back."""
     m = _with_spectrum(np.random.default_rng(seed), n, complex_, gap_factor)
     g = ground_eig(m)
-    if n <= 80:  # Lanczos spans the whole space, so every gap here is certified
+    if n <= LANCZOS_STEPS:  # Lanczos spans the whole space, so every gap here is certified
         assert g is not None
     if g is not None:
         _assert_certified_ground(m, g)
@@ -287,28 +296,27 @@ def test_ground_eig_matches_hermitian_eig(seed, n, complex_, gap_factor):
 @pytest.mark.parametrize("gap_factor", [1.5, 10.0, 1000.0, None])
 @pytest.mark.parametrize("complex_", [False, True])
 def test_ground_eig_takes_at_most_four_solves(monkeypatch, gap_factor, complex_):
-    """The tier's only O(d^3) work on H is its certificates: at most four leaf solves each, one per leaf.
+    """The tier's only O(d^3) work on H is its one certificate: at most four leaf solves, one per leaf.
 
     At d = 80 a certificate has two 40-row leaves, or four 20-row ones when
-    complex.  A planted gap of at most 1000 margins refuses the 40-step
-    vector (by the Ritz values or by the proof), and the resumed run takes
-    one more certificate and no refinement; a wide gap takes one
-    certificate and Rayleigh-Ritz steps of 2 x 2.
+    complex.  A wide gap takes the certificate and Rayleigh-Ritz steps of
+    2 x 2.  40 Lanczos steps do not resolve a planted gap of at most 1000
+    margins: the vector is refused, by the Ritz values or by the proof, and
+    the caller falls back to hermitian_eig.
     """
     m = _with_spectrum(np.random.default_rng(11), 80, complex_, gap_factor)
     solves = _counting(monkeypatch, "solve")
     factors = _counting(monkeypatch, "cholesky")
     eigvalsh_calls = _counting(monkeypatch, "eigvalsh")
     eigh_calls = _counting(monkeypatch, "eigh")
-    assert ground_eig(m) is not None
+    assert (ground_eig(m) is not None) is (gap_factor is None)
     leaf, per_certificate = ((20, 20), 4) if complex_ else ((40, 40), 2)
-    assert set(solves) == set(factors) == {leaf} and len(solves) <= len(factors)
+    assert set(solves) | set(factors) <= {leaf} and len(solves) <= len(factors) <= per_certificate
     if gap_factor is None:
         assert solves == factors == [leaf] * per_certificate
         assert eigh_calls[0] == (40, 40) and set(eigh_calls[1:]) == {(2, 2)}  # the tridiagonal, not H
-    else:  # the resumed run's certificate is whole, after at most a part of one at 40 steps
-        assert per_certificate <= len(solves) <= len(factors) <= 2 * per_certificate
-        assert eigh_calls == [(40, 40), (80, 80)]  # the two tridiagonals, not H
+    else:
+        assert eigh_calls == [(40, 40)]  # the tridiagonal, not H
     assert eigvalsh_calls == []
 
 
@@ -380,7 +388,7 @@ def test_ground_eig_failed_solve_gives_no_vector(monkeypatch):
 
 
 def test_ground_eig_failed_residual_guard_gives_no_vector(monkeypatch):
-    """80 Lanczos steps cannot resolve a ground level 1/400 of the spectrum's width below the next."""
+    """40 Lanczos steps cannot resolve a ground level 1/400 of the spectrum's width below the next."""
     factors = _counting(monkeypatch, "cholesky")
     rng = np.random.default_rng(5)
     vecs = np.linalg.qr(rng.normal(size=(400, 400)))[0]
@@ -397,23 +405,23 @@ def test_certificate_rejects_a_lanczos_run_that_missed_the_ground_level(monkeypa
     """
     rng = np.random.default_rng(12)
     # block diagonal: the ground level lives in the first block, and a start
-    # confined to the second never leaves it, round-off included
+    # confined to the second never leaves it, round-off included; 40 steps span the second block
     first = _with_spectrum(rng, 20, False, None) - 20.0 * np.eye(20)
-    second = _with_spectrum(rng, 60, False, None)
-    m = np.zeros((80, 80))
+    second = _with_spectrum(rng, LANCZOS_STEPS, False, None)
+    m = np.zeros((20 + LANCZOS_STEPS, 20 + LANCZOS_STEPS))
     m[:20, :20], m[20:, 20:] = first, second
     dec = hermitian_eig(m)
-    start = np.concatenate([np.zeros(20), rng.normal(size=60)])
+    start = np.concatenate([np.zeros(20), rng.normal(size=LANCZOS_STEPS)])
     assert abs(np.vdot(dec.eigenvectors[:, 0], start)) == 0.0
 
-    psi, ritz = list(linalg._lanczos(m, start))[-1]  # the resumed run's vector
+    psi, ritz = linalg._lanczos(m, start)
     e = np.vdot(psi, m @ psi)
     assert np.linalg.norm(m @ psi - e * psi) <= RECONSTRUCTION_TOL  # converged, but not to E0
     assert e - dec.eigenvalues[0] > 1.0
 
     factors = _counting(monkeypatch, "cholesky")
     assert linalg._ground_eig(m, start) is None
-    assert factors  # the residual and the Ritz gap passed; the factorization said no, at 40 and at 80 steps
+    assert factors  # the residual was round-off and the Ritz gap passed; the factorization said no
     g = ground_eig(m)  # the seeded start finds the ground level
     _assert_certified_ground(m, g)
 
@@ -421,12 +429,12 @@ def test_certificate_rejects_a_lanczos_run_that_missed_the_ground_level(monkeypa
 def test_residual_rejects_an_unsplit_near_degenerate_pair(monkeypatch):
     """A Ritz vector that keeps 5 % of a level 1.5 * STRUCTURAL_TOL above the ground one is never returned.
 
-    Nothing makes 80 Lanczos steps split such a pair (the Kaniel-Paige
+    Nothing makes 40 Lanczos steps split such a pair (the Kaniel-Paige
     bound promises no progress at this gap), so the run here stops with
     the start's mix.  Its Ritz gap and its factorization both pass; only
-    the residual, about 0.05 * gap, shows that the vector is 5 % off.  At
-    the resumed run that residual refuses it before any factorization; at
-    40 steps the proof holds, and the refinement splits the pair.
+    the residual, about 0.05 * gap, shows that the vector is 5 % off, and
+    the refinement through the proof's factor splits the pair.  A run whose
+    Ritz values do not split the pair is refused before any factorization.
     """
     gap = 1.5 * STRUCTURAL_TOL  # at scale 1: the spectrum and the Gershgorin bound lie in [-1, 1]
     vals = np.concatenate([[-1.0, -1.0 + gap], np.linspace(0.0, 1.0, 98)])
@@ -440,12 +448,12 @@ def test_residual_rejects_an_unsplit_near_degenerate_pair(monkeypatch):
     assert 10 * ROUNDOFF_TOL < r <= RECONSTRUCTION_TOL
     assert linalg._positive_definite(m, mixed, ritz[-1] - e, e + r + STRUCTURAL_TOL)
     factors = _counting(monkeypatch, "cholesky")
-    low = np.concatenate([[e, e], vals[2:]])  # a 40-step run whose Ritz values do not split, then the resumed one
-    monkeypatch.setattr(linalg, "_lanczos", lambda h, start: iter([(start, low), (start, ritz)]))
+    low = np.concatenate([[e, e], vals[2:]])  # a run whose Ritz values do not split
+    monkeypatch.setattr(linalg, "_lanczos", lambda h, start: (start, low))
     assert linalg._ground_eig(m, mixed) is None
-    assert factors == []  # the residual refused it before the factorization
+    assert factors == []  # theta_1 <= sigma0 refused it before the factorization
 
-    monkeypatch.setattr(linalg, "_lanczos", lambda h, start: iter([(start, ritz)]))
+    monkeypatch.setattr(linalg, "_lanczos", lambda h, start: (start, ritz))
     g = linalg._ground_eig(m, mixed)
     sigma = e + r + STRUCTURAL_TOL
     assert factors and g.energy + 1.0 <= ROUNDOFF_TOL  # E0 = -1
@@ -507,7 +515,7 @@ def test_refined_ground_vector_is_certified(monkeypatch, case):
     g = ground_eig(h)
     _assert_certified_ground(h, g)
 
-    psi0, ritz = next(linalg._lanczos(h, _seeded_start(h)))
+    psi0, ritz = linalg._lanczos(h, _seeded_start(h))
     assert len(refined) == 1 and np.array_equal(refined[0], psi0)  # only the 40-step vector was refined
     e0 = np.vdot(psi0, h @ psi0).real
     r0 = np.linalg.norm(h @ psi0 - e0 * psi0)
@@ -532,38 +540,27 @@ def _g_grid():
         yield f"random{k}", SpinModel(f"random{k}", (2,) * 10, tuple(terms))
 
 
-def test_every_g_grid_chain_keeps_its_certificate(monkeypatch):
-    """The 40-step vector certifies every chain but the two deep-ordered ones, which resume to 80 steps.
+def test_g_grid_chains_are_certified_or_read_the_spectrum():
+    """The 40-step vector certifies every chain but the two deep-ordered ones, which read the full spectrum.
 
-    A resumed run takes no refinement step: its vector is the 80-step Lanczos vector as it comes.
+    Those two get no vector from the tier, and SpinModel.ground is then column 0 of eigh's, bit for bit.
     """
-    yields = []
-    lanczos = linalg._lanczos
-
-    def counting(h, start):
-        for psi, ritz in lanczos(h, start):
-            yields.append(len(ritz))
-            yield psi, ritz
-
-    monkeypatch.setattr(linalg, "_lanczos", counting)
-    resumed = set()
+    refused = set()
     for name, model in _g_grid():
-        yields.clear()
         h = build_dense(model)
         g = ground_eig(h)
-        assert g is not None, name
-        if model.dimension == 256:
+        if g is None:
+            refused.add(name)
+            ground = model.ground
+            assert "spectrum" in model.__dict__ and not ground.degenerate
+            assert ground.energy == model.spectrum.eigenvalues[0]
+            np.testing.assert_array_equal(ground.vector, model.spectrum.eigenvectors[:, 0])
+        elif model.dimension == 256:
             _assert_certified_ground(h, g)
-        if yields == [40, 80]:
-            resumed.add(name)
-            psi = list(lanczos(h, _seeded_start(h)))[-1][0]
-            assert np.array_equal(g.vector, linalg.fix_phases(psi[:, None])[:, 0])
-        else:
-            assert yields == [40], name
-    assert resumed == {"chain10 g=0.2", "chain10 g=0.3"}
+    assert refused == {"chain10 g=0.2", "chain10 g=0.3"}
 
 
-def test_fixture_is_certified_in_fewer_matvecs_than_lanczos_steps():
+def test_fixture_is_certified_in_one_lanczos_run_and_its_refinement():
     matvecs = []
 
     class Counting(np.ndarray):
@@ -575,7 +572,8 @@ def test_fixture_is_certified_in_fewer_matvecs_than_lanczos_steps():
     h = _fixture()
     g = linalg._ground_eig(h.view(Counting), _seeded_start(h))
     assert g is not None and np.array_equal(g.vector, ground_eig(h).vector)
-    assert set(matvecs) == {1024} and len(matvecs) < LANCZOS_STEPS  # 40 Lanczos steps, psi0 and each refinement
+    # one Lanczos run, H psi0 and one per refinement step; the fixture takes three
+    assert set(matvecs) == {1024} and LANCZOS_STEPS < len(matvecs) <= LANCZOS_STEPS + 1 + REFINE_STEPS
 
 
 def test_refinement_past_sigma_gives_no_vector(monkeypatch):
@@ -589,7 +587,7 @@ def test_refinement_past_sigma_gives_no_vector(monkeypatch):
     monkeypatch.setattr(linalg, "_refine", lambda *args: calls.append(1) or (excited, float(dec.eigenvalues[1]), r))
     assert r <= ROUNDOFF_TOL * tol_scale(dec.eigenvalues[1], dec.eigenvalues[-1])  # it meets the residual gate
     assert ground_eig(h) is None
-    assert len(calls) == 2  # the 40-step vector and the resumed one were both proved
+    assert len(calls) == 1  # the 40-step vector was proved and refined once
     g = model.ground
     assert "spectrum" in model.__dict__ and not g.degenerate
     assert g.energy == model.spectrum.eigenvalues[0]
@@ -618,7 +616,7 @@ def test_tree_solves_invert_the_factored_matrix(complex_):
 def test_certificate_memory_stays_within_its_blocks():
     """At d = 1024 the certificate holds its three top-level blocks and their factors, never a d x d copy of M."""
     h = build_dense(load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json"))
-    psi = list(linalg._lanczos(h, np.random.default_rng(0).standard_normal(len(h))))[-1][0]
+    psi = linalg._lanczos(h, np.random.default_rng(0).standard_normal(len(h)))[0]
     c, sigma = _certificate_inputs(h, psi)
     tracemalloc.start()
     try:
