@@ -15,6 +15,7 @@ from .bounds import (
     analyze_excited_many,
     analyze_ground,
     delta_j_ent,
+    json_values,
     proof_step_check,
 )
 from .entanglement import (

@@ -22,13 +22,14 @@ subspace are found by index arithmetic: in row-major order the states that
 differ from flat index f at site s only are base + stride * arange(d_s),
 with stride = prod(dims[s+1:]).
 
-Every report's dict keys are its dataclass fields, in declaration order.
+Every report's JSON keys are its dataclass fields, in declaration order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from enum import Enum
 
 import numpy as np
 
@@ -86,14 +87,34 @@ def local_coefficients(spec: LocalSpectrum, vector: np.ndarray) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _fields_dict(report) -> dict:
-    """A report's fields by name, in declaration order; tuples become lists, a subspace its dict."""
-    def plain(value):
-        if isinstance(value, tuple):
-            return [plain(v) for v in value]
-        return _fields_dict(value) if isinstance(value, ProductSubspace) else value
+_SCALARS = (float, int, str, type(None))  # bool is an int, numpy's float64 a float
 
-    return {f.name: plain(getattr(report, f.name)) for f in fields(report)}
+
+def json_values(value, states: bool = True):
+    """A report as JSON values, the one shape of every JSON report and CSV row.
+
+    A dataclass becomes its fields in declaration order, a tuple or list a list, an array its
+    tolist(), an enum key its value, and a PureState {"dims", "amplitudes": [[re, im], ...]}.
+    states=False leaves every PureState field out.
+    """
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [json_values(v, states) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k.value if isinstance(k, Enum) else k: json_values(v, states) for k, v in value.items()}
+    if isinstance(value, ent.PureState):
+        return {"dims": list(value.dims), "amplitudes": [[a.real, a.imag] for a in value.amplitudes.tolist()]}
+    out = {}
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if isinstance(v, _SCALARS):  # most fields: no call
+            out[f.name] = v
+        elif states or not isinstance(v, ent.PureState):
+            out[f.name] = json_values(v, states)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,16 +139,6 @@ class FrustrationReport:
     interaction_frustration: float
     degenerate_ground: bool
     ground_state: ent.PureState
-
-    def to_dict(self, include_state: bool = True) -> dict:
-        out = _fields_dict(self)
-        psi = out.pop("ground_state")
-        if include_state:
-            out["ground_state"] = {
-                "dims": list(psi.dims),
-                "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
-            }
-        return out
 
 
 def cut_expansion(spec: LocalSpectrum, report: FrustrationReport):
@@ -276,9 +287,6 @@ class ProductSubspace:
     members: tuple[tuple[int, ...], ...]
     member_energies: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return _fields_dict(self)
-
 
 def _site_members(dims, flat: int, site: int) -> np.ndarray:
     """Flat indices of the product states equal to ``flat`` except at ``site``, by level."""
@@ -341,9 +349,6 @@ class ExcitedBoundReport:
     entanglement_method: str
     precondition_met: bool
     pairing_flag: bool
-
-    def to_dict(self) -> dict:
-        return _fields_dict(self)
 
 
 def analyze_excited_many(splitting: Splitting, js,

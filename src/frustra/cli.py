@@ -24,7 +24,7 @@ import numpy as np
 
 from . import entanglement as ent
 from . import verify
-from .bounds import EntanglementOptions, analyze_excited_many, analyze_ground
+from .bounds import EntanglementOptions, analyze_excited_many, analyze_ground, json_values
 from .errors import (DimensionCapError, FrustraError, InvalidAssignmentError,
                      InvalidBipartitionError, NotBipartiteError)
 from .models import (BUILTIN_MODELS, SpinModel, builtin_params, dim_cap, load_model, make_builtin,
@@ -44,6 +44,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return format(value, ".17g")
+    if isinstance(value, list):
+        return ";".join(_fmt(v) for v in value)
     return str(value)
 
 
@@ -63,8 +65,10 @@ def _write_json(payload, out_path: str | None) -> None:
 
 
 def _csv_table(rows: list[dict], columns: list[str] | None = None) -> str:
-    """Rows as CSV under one header row; the columns default to the first row's keys."""
-    columns = list(rows[0]) if columns is None else columns
+    """Rows as CSV under one header row; the columns default to the first row's keys.
+    A nested object is not a column, and a list is written joined by ';'."""
+    if columns is None:
+        columns = [key for key, value in rows[0].items() if not isinstance(value, dict)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
@@ -181,9 +185,9 @@ def _ent_opts(args) -> EntanglementOptions:
 def cmd_analyze(args) -> int:
     report = analyze_ground(_build_splitting(args), _ent_opts(args))
     if args.format == "csv":
-        _write_text(_csv_table([report.to_dict(include_state=False)]), args.out)
+        _write_text(_csv_table([json_values(report, states=False)]), args.out)
     else:
-        _write_json(report.to_dict(), args.out)
+        _write_json(json_values(report), args.out)
     return 0
 
 
@@ -202,7 +206,7 @@ def cmd_sweep(args) -> int:
     if args.model not in (None, "ising2"):
         raise ConfigError("sweep reproduces the two-spin transverse Ising figures; "
                           "only --model ising2 is supported")
-    rows = [verify.ising_sweep_row(float(g)) for g in _parse_grid(args.grid)]
+    rows = [verify.ising_sweep_row(g) for g in _parse_grid(args.grid)]
     _write_text(_csv_table(rows), args.out)
     return 0
 
@@ -230,12 +234,8 @@ def _parse_j_list(spec: str, dimension: int):
 def cmd_excited(args) -> int:
     splitting = _build_splitting(args)
     js = _parse_j_list(args.j, splitting.model.dimension)
-    opts = _ent_opts(args)
-    reports = [r.to_dict() for r in analyze_excited_many(splitting, js, opts)]
+    reports = json_values(analyze_excited_many(splitting, js, _ent_opts(args)))
     if args.format == "csv":
-        for rep in reports:
-            rep["local_config"] = ";".join(str(c) for c in rep["local_config"])
-            del rep["chosen_subspace"]
         _write_text(_csv_table(reports), args.out)
     else:
         _write_json(reports, args.out)
@@ -254,17 +254,7 @@ def cmd_saturate(args) -> int:
         gammas = validate_gammas(args.gammas.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --gammas list {args.gammas!r}: {exc}") from None
-    records = saturation_sweep(model, gammas)
-    rows = [
-        {
-            "gamma": r.gamma,
-            "excess": r.excess,
-            "overshoot_interaction": r.interaction_term,
-            "unreliable": r.unreliable,
-            "report": r.report.to_dict(include_state=False),
-        }
-        for r in records
-    ]
+    rows = json_values(saturation_sweep(model, gammas), states=False)
     if args.format == "json":
         _write_json(rows, args.out)
     else:
@@ -284,16 +274,10 @@ def cmd_perturb(args) -> int:
     cap = dim_cap()
     if max(dims) > cap:
         raise ConfigError(f"--dims must be at most the dimension cap {cap}, got {args.dims!r}")
-    lines = []
-
-    def collect(index, report):
-        entry = {"trial": index, **report.to_dict()}
-        lines.append(json.dumps(entry))
-
+    reports = []
     result = verify.perturbation_suite(trials=args.trials, dims=dims, seed=args.seed,
-                                       collect=collect)
-    body = "\n".join(lines) + "\n" if lines else ""
-    _write_text(body, args.out)
+                                       collect=lambda trial, report: reports.append((trial, report)))
+    _write_text("".join(json.dumps({"trial": t, **json_values(r)}) + "\n" for t, r in reports), args.out)
     print(
         f"perturb: {result.trials} trials, {result.failures} failures, "
         f"worst PSD margin {result.stats['worst_psd_margin']:.3e}, "

@@ -270,7 +270,8 @@ def ground_eig(m) -> GroundState | None:
     hermitian_eig's scale.  Otherwise None is returned and the caller falls
     back to hermitian_eig: when theta_1 <= sigma0 (theta_1 >= E1, so no proof
     can pass), when the proof fails (a degenerate ground level, diagonal or
-    not), when the refined psi misses a gate, or for a 1 x 1 matrix.
+    not), when the refined psi misses a gate, for a 1 x 1 matrix, or when g
+    overflows (then before any Lanczos step, and without a RuntimeWarning).
     """
     a = _square(m)
     return _ground_eig(a, np.random.default_rng(0).standard_normal(a.shape[0]))
@@ -279,7 +280,10 @@ def ground_eig(m) -> GroundState | None:
 def _ground_eig(a: np.ndarray, start: np.ndarray) -> GroundState | None:
     """ground_eig of a matrix from _square, with the Lanczos start vector given."""
     h, asym = _hermitian_part(a)
-    top = _gershgorin_top(h)
+    with np.errstate(over="ignore"):
+        top = _gershgorin_top(h)
+    if not math.isfinite(top):  # hermitian_eig raises if H's eigenvalues overflow too
+        return None
     psi, ritz = _lanczos(h, start)
     h_psi = h @ psi
     e0 = float(np.vdot(psi, h_psi).real)

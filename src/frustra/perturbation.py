@@ -25,7 +25,7 @@ PSD_MARGIN_TOL in the PSD order and STRUCTURAL_TOL in the norm chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -117,19 +117,7 @@ class PerturbationCheckReport:
     norm_chain_ok: bool
     canonical_cosines: np.ndarray
     delta_a: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.op_ineq_holds and self.dominance_ok and self.norm_chain_ok
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {
-            **out,
-            "norm_chain": {kind.value: list(chain) for kind, chain in self.norm_chain.items()},
-            "canonical_cosines": [float(x) for x in self.canonical_cosines],
-            "all_ok": self.all_ok,
-        }
+    all_ok: bool  # op_ineq_holds and dominance_ok and norm_chain_ok
 
 
 def check_theorem(inst: PerturbationInstance) -> PerturbationCheckReport:
@@ -179,4 +167,5 @@ def check_theorem(inst: PerturbationInstance) -> PerturbationCheckReport:
         norm_chain_ok=chain_ok,
         canonical_cosines=cosines,
         delta_a=inst.delta_a,
+        all_ok=holds and dominance and chain_ok,
     )

@@ -58,10 +58,10 @@ def schmidt_splitting(model: SpinModel, gamma: float, projector: np.ndarray | No
 @dataclass(frozen=True, eq=False)
 class SweepRecord:
     gamma: float
-    report: FrustrationReport
     excess: float  # ef_bound - entanglement
-    interaction_term: float  # interaction frustration / delta_e_ent, O(gamma)
+    overshoot_interaction: float  # interaction frustration / delta_e_ent, O(gamma)
     unreliable: bool
+    report: FrustrationReport
 
 
 def validate_gammas(gammas: Sequence[float]) -> list[float]:
@@ -102,12 +102,12 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float],
         report = ground_report(model, -gamma, gamma, float(ev[0]), float(ev[-1]), -gamma * w, exp_i)
         e_scale = tol_scale(report.E0, report.E0_L, report.E0_I)
         if report.ef_bound is None:
-            records.append(SweepRecord(gamma, report, float("nan"), float("nan"), True))
+            records.append(SweepRecord(gamma, float("nan"), float("nan"), True, report))
             continue
         excess = report.ef_bound - report.entanglement
-        interaction_term = report.interaction_frustration / report.delta_e_ent
+        overshoot = report.interaction_frustration / report.delta_e_ent
         unreliable = report.E_f < STRUCTURAL_TOL * e_scale
-        records.append(SweepRecord(gamma, report, excess, interaction_term, unreliable))
+        records.append(SweepRecord(gamma, excess, overshoot, unreliable, report))
     return tuple(records)
 
 

@@ -102,6 +102,9 @@ def random_weak_chain(rng: np.random.Generator) -> SpinModel:
 
 def ising_sweep_row(g: float) -> dict:
     """One comparison row: numeric analysis against closed forms at field g."""
+    g = float(g)  # a numpy scalar would warn, not give inf, where 4 g^2 overflows
+    if not np.isfinite(1.0 + 4.0 * g * g):  # the closed forms' sqrt(1 + 4 g^2), past |g| ~ 6.7e153
+        raise OverflowError(f"1 + 4 g^2 at g = {g:g} is not finite")
     model = ising2(g)
     sym = analyze_ground(split(model))
     asym = analyze_ground(split(model, local=[0]))
@@ -109,7 +112,7 @@ def ising_sweep_row(g: float) -> dict:
     fb = ising2_exact_bound_symmetric(g)
     fb2 = ising2_exact_bound_asymmetric(g)
     return {
-        "g": float(g),
+        "g": g,
         "entanglement": sym.entanglement,
         "ef_bound_symmetric": sym.ef_bound,
         "ef_bound_asymmetric": asym.ef_bound,

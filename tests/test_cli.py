@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frustra.bounds
 import frustra.entanglement
 import frustra.models
 import frustra.saturation
 import frustra.verify
-from frustra.cli import main
-from frustra.linalg import STRUCTURAL_TOL, TOL_ENT, ground_eig
+from frustra import json_values
+from frustra.cli import _csv_table, main
+from frustra.linalg import STRUCTURAL_TOL, TOL_ENT, NormKind, ground_eig
 from frustra.models import build_dense, chain3, load_model, model_to_dict, save_model
 
 
@@ -514,12 +517,34 @@ def test_excited_squares_a_huge_margin_without_overflow(capsys):
     ("excited", "--model", "ising2", "--param", "g=1e308", "--j", "0..3"),
     ("saturate", "--model", "ising2", "--param", "g=1e308", "--gammas", "1e-1,1e-2"),
     ("sweep", "--grid", "1e308:1e308:1"),
-], ids=["analyze", "excited", "saturate", "sweep"])
+    ("sweep", "--grid", "1e200:1e200:1"),
+], ids=["analyze", "excited", "saturate", "sweep", "sweep-closed-forms"])
 def test_an_overflowed_spectrum_exits_3(capsys, argv):
-    # H's eigenvalues overflow to -inf and inf: no -Infinity or NaN reaches stdout, and no RuntimeWarning comes first
+    # H's eigenvalues overflow to -inf and inf: no -Infinity or NaN reaches stdout, and no RuntimeWarning comes first;
+    # at g = 1e200 H is finite but the sweep's closed forms overflow in 1 + 4 g^2
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("g", [1e200, np.float64(1e200)], ids=["float", "numpy"])
+def test_sweep_row_raises_where_the_closed_forms_overflow(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match="not finite"):
+            frustra.verify.ising_sweep_row(g)
+        assert frustra.verify.ising_sweep_row(np.float64(1e150))["closed_form_gse"] == 0.0
+
+
+def test_an_overflowed_ground_tier_model_exits_3(tmp_path, capsys):
+    # d = 256 reaches the ground tier, whose Gershgorin row sums overflow: it falls back to the full spectrum
+    path = str(tmp_path / "chain8.json")
+    save_model(frustra.models.transverse_chain(8, 1e308), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "analyze", "--model", path)
     assert code == 3 and out == ""
     assert "not finite" in err
 
@@ -605,6 +630,61 @@ def test_csv_header_rows(capsys, argv, columns):
     header, *rows = out.splitlines()
     assert header == ",".join(columns)
     assert rows and all(len(next(csv.reader([row]))) == len(columns) for row in rows)
+
+
+def _excited():
+    return frustra.bounds.analyze_excited(frustra.models.split(chain3()), 1)
+
+
+# each report type, built on demand, with the fields that hold a nested object
+REPORTS = {
+    "FrustrationReport": (lambda: frustra.bounds.analyze_ground(frustra.models.split(chain3())),
+                          {"ground_state"}),
+    "ExcitedBoundReport": (_excited, {"chosen_subspace"}),
+    "ProductSubspace": (lambda: _excited().chosen_subspace, set()),
+    "SweepRecord": (lambda: frustra.saturation.saturation_sweep(frustra.models.ising2(), (0.1,))[0],
+                    {"report"}),
+    "PerturbationCheckReport": (lambda: frustra.verify.perturbation_trial(7, 0), {"norm_chain"}),
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_report_keys_are_its_fields(name):
+    # one converter shapes every JSON report and CSV row
+    build, nested = REPORTS[name]
+    report = build()
+    assert type(report).__name__ == name
+    names = [f.name for f in dataclasses.fields(report)]
+    row = json_values(report)
+    assert list(row) == names
+    assert {n for n in names if dataclasses.is_dataclass(getattr(report, n))
+            or isinstance(getattr(report, n), dict)} == nested
+    assert json.loads(json.dumps(row)) == row
+    header = _csv_table([row]).splitlines()[0]
+    assert header == ",".join(n for n in names if n not in nested)
+
+
+def test_converter_writes_states_enums_and_arrays():
+    report = frustra.bounds.analyze_ground(frustra.models.split(frustra.models.ising2()))
+    psi = report.ground_state
+    row = json_values(report)
+    assert row["ground_state"] == {"dims": [2, 2],
+                                   "amplitudes": [[a.real, a.imag] for a in psi.amplitudes.tolist()]}
+    assert "ground_state" not in json_values(report, states=False)
+    record = frustra.saturation.saturation_sweep(frustra.models.ising2(), (0.1,))[0]
+    assert list(json_values(record, states=False)["report"]) == list(row)[:-1]
+    check = frustra.verify.perturbation_trial(7, 0)
+    values = json_values(check)
+    assert list(values["norm_chain"]) == [kind.value for kind in check.norm_chain]
+    assert values["norm_chain"]["operator"] == list(check.norm_chain[NormKind.OPERATOR])
+    assert values["canonical_cosines"] == check.canonical_cosines.tolist()
+    assert values["all_ok"] is (check.op_ineq_holds and check.dominance_ok and check.norm_chain_ok)
+
+
+def test_csv_joins_lists_and_drops_nested_objects():
+    rows = [{"a": 1.5, "b": [1, 2.25, None], "c": {"x": 1}, "d": None},
+            {"a": 2, "b": [], "c": {}, "d": "s"}]
+    assert _csv_table(rows).splitlines() == ["a,b,d", "1.5,1;2.25;,", "2,,s"]
 
 
 @pytest.mark.parametrize("argv", [

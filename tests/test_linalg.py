@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,17 @@ def test_ground_eig_does_not_scan_for_diagonality(monkeypatch):
     monkeypatch.setattr(linalg, "_diagonal", scanned)
     h = build_dense(load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json"))
     assert ground_eig(h) is not None
+
+
+def test_ground_eig_of_an_overflowing_matrix_gives_no_vector(monkeypatch):
+    """Finite entries whose row sums overflow: no warning, and no Lanczos step, before the fallback."""
+    h = build_dense(transverse_chain(8, 1e308))
+    monkeypatch.setattr(linalg, "_lanczos", lambda *a: pytest.fail("Lanczos ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert ground_eig(h) is None
+        with pytest.raises(OverflowError):
+            hermitian_eig(h)
 
 
 def test_ground_eig_rejects_non_hermitian():

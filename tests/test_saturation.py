@@ -7,7 +7,7 @@ import pytest
 
 import frustra.entanglement
 import frustra.verify
-from frustra.bounds import analyze_ground
+from frustra.bounds import analyze_ground, json_values
 from frustra.entanglement import PureState, schmidt
 from frustra.errors import NotBipartiteError, UndefinedBoundError
 from frustra.models import (
@@ -136,8 +136,8 @@ Y_COUPLED = SpinModel("y-coupled", (2, 2), (
 def test_sweep_reports_match_the_schmidt_splitting(model):
     # reference: the general report of the splitting the sweep never builds
     for r in saturation_sweep(model, (0.5,) + GAMMAS):
-        want = analyze_ground(schmidt_splitting(model, r.gamma)).to_dict()
-        assert_close_json(r.report.to_dict(), want)
+        want = json_values(analyze_ground(schmidt_splitting(model, r.gamma)))
+        assert_close_json(json_values(r.report), want)
 
 
 def test_sweep_ising_excess_decays():
@@ -152,7 +152,7 @@ def test_sweep_ising_excess_decays():
     # with this construction the local overshoot vanishes, so the excess
     # is exactly the interaction term
     for r in records:
-        assert abs(r.excess - r.interaction_term) < 1e-9
+        assert abs(r.excess - r.overshoot_interaction) < 1e-9
 
 
 def test_sweep_maximally_entangled_ground():
