@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -61,7 +62,18 @@ def _write_text(text: str, out_path: str | None, mode: str = "w") -> None:
 
 
 def _write_json(payload, out_path: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2) + "\n", out_path)
+    """json.dumps(payload, indent=2) and a newline, byte for byte; each state's amplitudes are spliced in."""
+    blocks = []
+    def hold(value):  # json indents in pure Python, so a state's [[re, im], ...] of finite floats waits as null
+        if isinstance(value, dict):
+            return {k: blocks.append(v) if k == "amplitudes" else hold(v) for k, v in value.items()}
+        return [hold(v) for v in value] if isinstance(value, list) else value
+    text = json.dumps(hold(payload), indent=2).split('"amplitudes": null')  # json alone writes a key unescaped
+    for i, pairs in enumerate(blocks, 1):
+        pad = " " * (len(text[i - 1]) - text[i - 1].rfind("\n") + 1)  # the key's indent, plus 2
+        body = f",\n{pad}".join([f"[\n{pad}  {re!r},\n{pad}  {im!r}\n{pad}]" for re, im in pairs])  # json's floats
+        text[i] = f'"amplitudes": [\n{pad}{body}\n{pad[2:]}]{text[i]}'
+    _write_text("".join(text) + "\n", out_path)
 
 
 def _csv_table(rows: list[dict], columns: list[str] | None = None) -> str:
@@ -330,6 +342,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frustra",
@@ -397,9 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return CONFIG_ERROR if exc.code not in (0, None) else 0
     try:

@@ -8,17 +8,17 @@ dominance between two lists of singular values.  Everything downstream
 (local spectra, frustration energies, the perturbation checks) is built on
 these few operations.
 
-The eigenvalues-only solver returns the sorted diagonal of a matrix whose
-off-diagonal entries are all exactly zero, which is what LAPACK returns
-for it; it is the only diagonal shortcut.  The ground variant computes no
-full spectrum, and takes one route whatever the matrix: a proof that a
-shifted, rank-1-lifted H is positive definite certifies, by interlacing,
-that the next eigenvalue lies above a LANCZOS_STEPS-step Lanczos vector's
-E0 + r + STRUCTURAL_TOL * scale (a recursive block Cholesky with LAPACK
-leaves and GEMM updates, whose a posteriori rounding bound stays below a
-further CERTIFICATE_SHIFT), and Rayleigh-Ritz steps through that factor
-take the vector's residual to round-off.  Any refusal (a degenerate or
-unresolved ground level, a failed proof or refinement) gives nothing, and
+The eigenvalues-only solver returns the sorted diagonal of a diagonal
+matrix, as LAPACK would, found in its first pass (the only diagonal
+shortcut).  The ground variant finds a NaN or inf in its Gershgorin row
+sums, computes no full spectrum, and takes one route whatever the matrix: a
+proof that a shifted, rank-1-lifted H is positive definite certifies, by
+interlacing, that the next eigenvalue lies above a LANCZOS_STEPS-step
+Lanczos vector's E0 + r + STRUCTURAL_TOL * scale (a recursive block Cholesky
+with LAPACK leaves and GEMM updates, whose a posteriori rounding bound stays
+below a further CERTIFICATE_SHIFT), and Rayleigh-Ritz steps through that
+factor take the vector's residual to round-off.  Any refusal (a degenerate
+or unresolved ground level, a failed proof or refinement) gives nothing, and
 the caller then falls back to the full decomposition.
 
 All functions are pure and deterministic for identical input: eigenvalues
@@ -96,11 +96,11 @@ class SVDResult:
         return (self.left * self.singular_values) @ self.right.conj().T
 
 
-def _as_matrix(m, dtype=complex) -> np.ndarray:
+def _as_matrix(m, dtype=complex, finite: bool = True) -> np.ndarray:
     a = np.asarray(m, dtype=dtype)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if finite and not np.all(np.isfinite(a)):  # _as_matrix(a, a.dtype) is the test alone
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -137,12 +137,13 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return v * _pivot_phases(v).conj()
 
 
-def _square(m) -> np.ndarray:
-    """A finite square matrix, in float64 when it has no imaginary part."""
+def _square(m, finite: bool = True) -> np.ndarray:
+    """A square matrix, in float64 when it has no imaginary part; finite=False leaves its finiteness to the caller."""
     a = np.asarray(m)
     real = not np.iscomplexobj(a) or not a.imag.any()
-    a = _as_matrix(a.real if real else a, dtype=float if real else complex)
+    a = _as_matrix(a.real if real else a, dtype=float if real else complex, finite=finite)
     if a.shape[0] != a.shape[1]:
+        _as_matrix(a, a.dtype)  # a non-finite entry is reported first, as with finite=True
         raise NotHermitianError(f"matrix is not square: shape {a.shape}")
     return a
 
@@ -150,9 +151,10 @@ def _square(m) -> np.ndarray:
 def _hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float]:
     """(Hermitian part, Frobenius norm of M - M^dag) of a matrix from _square.
 
-    An exactly Hermitian matrix (found by tiles, no copy of M^dag) is its own Hermitian part, bit for bit.
+    An exactly Hermitian matrix (found by 128-row square tiles, no copy of M^dag) is its own Hermitian part.
     """
-    if all((a[lo:lo + 64, lo:] == a[lo:, lo:lo + 64].conj().T).all() for lo in range(0, len(a), 64)):
+    if all((a[i:i + 128, j:j + 128] == a[j:j + 128, i:i + 128].conj().T).all()
+           for i in range(0, len(a), 128) for j in range(i, len(a), 128)):
         return a, 0.0
     adj = a.conj().T
     asym = float(np.linalg.norm(a - adj))
@@ -160,9 +162,9 @@ def _hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray | None:
-    """The diagonal of a matrix whose off-diagonal entries are all exactly 0, else None."""
-    d = np.diagonal(a)
-    return d if np.count_nonzero(a) == np.count_nonzero(d) else None
+    """The diagonal of a matrix whose off-diagonal entries are all exactly 0 (a NaN is not), else None."""
+    off = a.reshape(-1)[1:].reshape(len(a) - 1, len(a) + 1)[:, :-1]  # past entry 0, rows of d + 1 end on the diagonal
+    return None if any(off[lo:lo + 64].any() for lo in range(0, len(off), 64)) else np.diagonal(a)
 
 
 def _check_hermitian(asym: float, eigenvalues: np.ndarray) -> None:
@@ -200,13 +202,13 @@ def hermitian_eig(m) -> EigenDecomposition:
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a matrix from _square, under the Hermitian rule.
+    """Ascending eigenvalues of a matrix from _square(m, finite=False), under the Hermitian rule.
 
-    A diagonal matrix has Hermitian part diag(Re d) and ||M - M^dag||_F =
-    2 ||Im d||, so its eigenvalues are its sorted real diagonal: exactly what
-    LAPACK returns for it, without the O(d^3) solve.
+    A diagonal matrix is found first and costs one pass: it is finite if its diagonal is, and its eigenvalues are
+    its sorted real diagonal, what LAPACK returns, with ||M - M^dag||_F = 2 ||Im d|| and no O(d^3) solve.
     """
-    d = _diagonal(a)
+    d = _diagonal(a)  # 64-row panels, up to the first nonzero
+    _as_matrix(a if d is None else d[None], a.dtype)  # finite: M, or the diagonal that is all it holds
     if d is not None:
         vals = np.sort(d.real)
         _check_hermitian(2.0 * float(np.linalg.norm(d.imag)), vals)
@@ -222,7 +224,7 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 
 def eigvalsh(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, under hermitian_eig's check."""
-    return _eigvalsh(_square(m))
+    return _eigvalsh(_square(m, finite=False))
 
 
 LANCZOS_STEPS = 40  # ground_eig's Krylov dimension (all of it when d is smaller)
@@ -273,17 +275,18 @@ def ground_eig(m) -> GroundState | None:
     not), when the refined psi misses a gate, for a 1 x 1 matrix, or when g
     overflows (then before any Lanczos step, and without a RuntimeWarning).
     """
-    a = _square(m)
+    a = _square(m, finite=False)
     return _ground_eig(a, np.random.default_rng(0).standard_normal(a.shape[0]))
 
 
 def _ground_eig(a: np.ndarray, start: np.ndarray) -> GroundState | None:
-    """ground_eig of a matrix from _square, with the Lanczos start vector given."""
-    h, asym = _hermitian_part(a)
-    with np.errstate(over="ignore"):
+    """ground_eig of a matrix from _square(m, finite=False), with the Lanczos start vector given."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, asym = _hermitian_part(a)
         top = _gershgorin_top(h)
-    if not math.isfinite(top):  # hermitian_eig raises if H's eigenvalues overflow too
-        return None
+    if not math.isfinite(top):  # a non-finite entry (no pass of its own finds it) or an overflowed row sum
+        _as_matrix(a, a.dtype)
+        return None  # hermitian_eig raises if H's eigenvalues overflow too
     psi, ritz = _lanczos(h, start)
     h_psi = h @ psi
     e0 = float(np.vdot(psi, h_psi).real)

@@ -311,9 +311,6 @@ class Splitting:
             per_site[site] += term.coeff * op
         object.__setattr__(self, "per_site_local", tuple(per_site))
 
-    def dense_interaction(self) -> np.ndarray:
-        return self._h_interaction
-
     @cached_property
     def _h_interaction(self) -> np.ndarray:
         terms = list(self.model.terms)
@@ -392,12 +389,6 @@ class LocalSpectrum:
 
     def flat_of_config(self, config: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(int(c) for c in config), self.dims))
-
-    def product_vector(self, config: Sequence[int]) -> np.ndarray:
-        vec = np.array([1.0 + 0.0j])
-        for site, level in enumerate(config):
-            vec = np.kron(vec, self.site_eigenvectors[site][:, int(level)])
-        return vec
 
 
 def local_spectrum(splitting: Splitting) -> LocalSpectrum:
@@ -622,23 +613,23 @@ def ising2_exact_energy(g: float) -> float:
     return -float(np.sqrt(1.0 + 4.0 * g * g))
 
 def ising2_exact_entanglement(g: float) -> float:
-    """Ground-state geometric entanglement 1/2 - g / sqrt(1 + 4 g^2)."""
-    return 0.5 - g / float(np.sqrt(1.0 + 4.0 * g * g))
+    """Ground-state geometric entanglement 1/2 - |g| / sqrt(1 + 4 g^2), even in g: H(-g) = (Z x Z) H(g) (Z x Z)."""
+    return 0.5 - abs(g) / float(np.sqrt(1.0 + 4.0 * g * g))
 
 
 def ising2_exact_bound_symmetric(g: float) -> float:
-    """Frustration bound for the field/coupling split: (1 + 2g - sqrt(1+4g^2)) / 2g."""
+    """Frustration bound for the field/coupling split: (1 + 2|g| - sqrt(1+4g^2)) / 2|g|, even in g."""
     if g == 0.0:
         return 1.0  # continuous limit
-    return (1.0 + 2.0 * g - float(np.sqrt(1.0 + 4.0 * g * g))) / (2.0 * g)
+    return (1.0 + 2.0 * abs(g) - float(np.sqrt(1.0 + 4.0 * g * g))) / (2.0 * abs(g))
 
 
 def ising2_exact_bound_asymmetric(g: float) -> float:
-    """Frustration bound with only site 1's field local:
-    1/2 - (sqrt(1+4g^2) - sqrt(1+g^2)) / 2g."""
+    """Frustration bound with only site 1's field local, even in g:
+    1/2 - (sqrt(1+4g^2) - sqrt(1+g^2)) / 2|g|."""
     if g == 0.0:
         return 0.5  # continuous limit
-    return 0.5 - (float(np.sqrt(1.0 + 4.0 * g * g)) - float(np.sqrt(1.0 + g * g))) / (2.0 * g)
+    return 0.5 - (float(np.sqrt(1.0 + 4.0 * g * g)) - float(np.sqrt(1.0 + g * g))) / (2.0 * abs(g))
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +703,3 @@ def model_from_dict(data: dict) -> SpinModel:
 def load_model(path: str) -> SpinModel:
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
-
-
-def save_model(model: SpinModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from frustra.models import model_to_dict
 
 settings.register_profile(
     "frustra",
@@ -30,3 +34,23 @@ def solver_sizes(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     return sizes
+
+
+def save_model(model, path) -> None:
+    """Write a model file that load_model reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(model_to_dict(model), fh, indent=2)
+        fh.write("\n")
+
+
+def product_vector(spec, config) -> np.ndarray:
+    """The product eigenvector of H_L of a local spectrum at one configuration of per-site levels."""
+    vec = np.array([1.0 + 0.0j])
+    for site, level in enumerate(config):
+        vec = np.kron(vec, spec.site_eigenvectors[site][:, int(level)])
+    return vec
+
+
+def dense_interaction(splitting) -> np.ndarray:
+    """The splitting's dense H_I, the array its interaction eigenvalues come from."""
+    return splitting._h_interaction

@@ -34,6 +34,7 @@ from frustra.saturation import schmidt_splitting
 from frustra.verify import (
     bound_property_suite, gaussian_hermitian, random_two_site_model, random_weak_chain,
 )
+from conftest import product_vector
 
 FAST = EntanglementOptions(restarts=8)
 
@@ -202,7 +203,7 @@ def test_subspace_superpositions_are_product(rng):
         weights = rng.normal(size=len(sub.members)) + 1j * rng.normal(size=len(sub.members))
         vec = np.zeros(spec.dimension, dtype=complex)
         for w, member in zip(weights, sub.members):
-            vec += w * spec.product_vector(member)
+            vec += w * product_vector(spec, member)
         psi = PureState.normalized(vec, spec.dims)
         res = geometric_measure_multipartite(psi, restarts=4)
         assert res.value <= 1e-9
@@ -268,7 +269,7 @@ def test_delta_j_ent_brute_force_oracle(dims, monkeypatch):
     # the truncated ground component against sum_f alpha_f |f>, one Kronecker chain per kept member
     ground = analyze_ground(s)
     below, alpha, _ = cut_expansion(spec, ground)
-    ref = sum(alpha[f] * spec.product_vector(spec.config_of_flat(f)) for f in below)
+    ref = sum(alpha[f] * product_vector(spec, spec.config_of_flat(f)) for f in below)
     ref_value, _ = state_entanglement(PureState.normalized(ref, dims))
     measured = []
     monkeypatch.setattr(frustra.bounds, "state_entanglement",
@@ -354,7 +355,7 @@ def test_local_coefficients_match_direct_overlaps(rng):
     vec /= np.linalg.norm(vec)
     alpha = local_coefficients(spec, vec)
     for flat in range(9):
-        direct = np.vdot(spec.product_vector(spec.config_of_flat(flat)), vec)
+        direct = np.vdot(product_vector(spec, spec.config_of_flat(flat)), vec)
         assert abs(alpha[flat] - direct) < 1e-12
 
 

@@ -19,7 +19,8 @@ import frustra.verify
 from frustra import json_values
 from frustra.cli import _csv_table, main
 from frustra.linalg import STRUCTURAL_TOL, TOL_ENT, NormKind, ground_eig
-from frustra.models import build_dense, chain3, load_model, model_to_dict, save_model
+from frustra.models import build_dense, chain3, load_model, model_to_dict
+from conftest import save_model
 
 
 def run_cli(capsys, *argv):
@@ -475,6 +476,19 @@ def test_stdout_does_not_depend_on_blas_threads(argv):
     assert outs[0] == outs[1]
 
 
+def test_sweep_is_even_in_the_field(capsys):
+    """H(-g) = (Z x Z) H(g) (Z x Z): the closed forms take |g|, and the numeric columns follow."""
+    _, out, _ = run_cli(capsys, "sweep", "--grid", "-3:3:13")
+    rows = parse_csv(out)
+    for neg, pos in zip(rows[:6], rows[:6:-1]):
+        assert float(neg["g"]) == -float(pos["g"]) < 0
+        for key in ("closed_form_gse", "closed_form_fb", "closed_form_fb2"):
+            assert neg[key] == pos[key]
+        for key in ("entanglement", "ef_bound_symmetric", "ef_bound_asymmetric", "dev_entanglement"):
+            assert abs(float(neg[key]) - float(pos[key])) <= 1e-12 * max(1.0, abs(float(pos[key])))
+        assert float(neg["dev_entanglement"]) < 1e-10
+
+
 def test_sweep_determinism_and_jobs(capsys):
     _, out1, _ = run_cli(capsys, "sweep", "--grid", "0.2:2:5")
     _, out2, _ = run_cli(capsys, "sweep", "--grid", "0.2:2:5")
@@ -707,3 +721,62 @@ def test_one_site_model_is_a_config_error(tmp_path, capsys, solver_sizes, comman
     assert code == 2 and out == ""
     assert err.startswith("error: model has 1 site;")
     assert solver_sizes == {"eigh": [], "eigvalsh": []}  # rejected before any eigensolve
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the reused parser
+
+
+def _recording(monkeypatch):
+    """The payloads the CLI hands to its JSON writer, in call order."""
+    payloads = []
+
+    def recorded(*args, **kwargs):
+        payloads.append(json_values(*args, **kwargs))
+        return payloads[-1]
+
+    monkeypatch.setattr(frustra.cli, "json_values", recorded)
+    return payloads
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data").glob("*_model.json")), ids=lambda p: p.stem)
+def test_analyze_writes_what_the_json_module_writes(capsys, monkeypatch, path):
+    payloads = _recording(monkeypatch)
+    code, out, _ = run_cli(capsys, "analyze", "--model", str(path))
+    assert code == 0 and out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+def test_spliced_amplitudes_are_the_json_modules_bytes(capsys):
+    """Signed zeros, subnormals, long reprs and exponents; several states at several depths."""
+    state = {"dims": [5], "amplitudes": [[-0.0, 5e-324], [1 / 3, 0.1], [1e16, -1e-300], [0.0, 1.0], [2.5, 1e22]]}
+    name = '"amplitudes": null'
+    payload = [{"model": name, "state": state, "nested": {"amplitudes": [[1.0, -0.0]], "x": [name]}},
+               {"amplitudes": [[0.1, 0.2]]}, name]
+    frustra.cli._write_json(payload, None)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ['"amplitudes": null', "amplitudes", 'x"amplitudes', '"amplitudes": [\n'])
+def test_a_model_name_is_never_spliced(tmp_path, capsys, monkeypatch, name):
+    doc = model_to_dict(frustra.models.ising2())
+    doc["name"] = name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    payloads = _recording(monkeypatch)
+    code, out, _ = run_cli(capsys, "analyze", "--model", str(path))
+    assert code == 0 and json.loads(out)["model"] == name
+    assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("calls", [
+    [["analyze", "--model", "ising2", "--param", "g=2"], ["analyze", "--model", "ising2"]],
+    [["excited", "--model", "chain3", "--j", "0..2"], ["analyze", "--model", "chain3"]],
+    [["analyze", "--model", "ising2", "--format", "xml"], ["analyze", "--model", "ising2", "--format", "csv"]],
+], ids=["param-then-none", "excited-then-analyze", "usage-error-then-good"])
+def test_consecutive_calls_match_fresh_processes(capsys, calls):
+    """One parser serves every main call of a process; an append action or an error leaves nothing behind."""
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    fresh = [subprocess.run([sys.executable, "-m", "frustra.cli", *argv], capture_output=True, env=_src_env())
+             for argv in calls]
+    assert [(code, out) for code, out, _ in in_process] == [(done.returncode, done.stdout.decode()) for done in fresh]
+    assert in_process[0][0] == (2 if "xml" in calls[0] else 0)

@@ -156,7 +156,7 @@ def _hermitian_part_reference(a):
     return (a if asym == 0 else (a + adj) / 2.0), asym
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 200, 300])
 def test_exact_hermitian_test_matches_the_full_adjoint(n):
     rng = np.random.default_rng(n)
     h = random_hermitian(rng, n)
@@ -219,6 +219,32 @@ def test_diagonal_shortcut_skips_lapack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     assert np.array_equal(eigvalsh(np.diag([3.0, -1.0, 2.0, -1.0])), [-1.0, -1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 130])
+def test_diagonal_scan_finds_every_off_diagonal_entry(monkeypatch, n):
+    """A non-finite diagonal entry or off-diagonal NaN is rejected; an off-diagonal pair anywhere takes LAPACK."""
+    rng = np.random.default_rng(n)
+    d = rng.normal(size=n)
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.diag(d)
+        m[n // 2, n // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            eigvalsh(m)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j] if n <= 5 else [
+        (0, n - 1), (n - 1, 0), (n - 1, n - 2), (n - 2, n - 1), (63, min(64, n - 1)), (min(64, n - 1), 63), (1, 0)]
+    for i, j in [(i, j) for i, j in pairs if i != j]:
+        for m in (np.diag(d), np.diag(d + 0j)):
+            m[i, j] = m[j, i] = 0.5
+            assert np.array_equal(eigvalsh(m), np.linalg.eigvalsh(m))
+            m[i, j] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                eigvalsh(m)
+    m = np.diag(d)
+    if n > 1:
+        m[0, n - 1] = m[n - 1, 0] = -0.0  # a signed zero is zero
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("LAPACK called on a diagonal matrix"))
+    assert np.array_equal(eigvalsh(m), np.sort(d))
 
 
 def test_diagonal_shortcut_keeps_the_hermitian_rule():
@@ -378,6 +404,21 @@ def test_ground_eig_of_an_overflowing_matrix_gives_no_vector(monkeypatch):
         assert ground_eig(h) is None
         with pytest.raises(OverflowError):
             hermitian_eig(h)
+
+
+@pytest.mark.parametrize("n", [3, 129, 300])
+def test_ground_eig_rejects_non_finite(n):
+    """A NaN or inf entry, Hermitian or not, raises the ValueError it always raised, with no RuntimeWarning."""
+    h = build_dense(transverse_chain(8))[:n, :n] if n <= 256 else random_hermitian(np.random.default_rng(n), n)
+    for i, j in [(0, 0), (n - 1, n - 1), (0, n - 1), (n // 2, n // 3)]:
+        for bad in (np.nan, np.inf, -np.inf, complex(np.inf, 1.0)):
+            for mirror in (True, False):
+                m = h.astype(complex if isinstance(bad, complex) else h.dtype)
+                m[i, j] = bad
+                if mirror:
+                    m[j, i] = np.conj(bad)
+                with pytest.raises(ValueError, match="finite"):
+                    ground_eig(m)
 
 
 def test_ground_eig_rejects_non_hermitian():

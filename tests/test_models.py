@@ -34,13 +34,13 @@ from frustra.models import (
     model_from_dict,
     model_to_dict,
     regroup,
-    save_model,
     split,
     transverse_chain,
     triangle,
 )
 from frustra.saturation import schmidt_splitting
 from frustra.verify import random_two_site_model
+from conftest import dense_interaction, product_vector, save_model
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,8 +95,8 @@ def test_dense_build_is_shared_and_read_only():
     h = build_dense(model)
     assert h.dtype == np.float64 and build_dense(model) is h
     s = split(model)
-    assert s.dense_interaction() is s.dense_interaction()
-    for mat in (h, s.dense_interaction()):
+    assert dense_interaction(s) is dense_interaction(s)
+    for mat in (h, dense_interaction(s)):
         assert not mat.flags.writeable
     assert build_dense(SpinModel("y", (2,), (OperatorTerm(1.0, [(0, PAULI["Y"])]),))).dtype == complex
 
@@ -147,7 +147,7 @@ def test_default_split_ising():
     assert s.local_terms == m.terms[:2]
     for h_j in s.per_site_local:
         np.testing.assert_array_equal(h_j, -PAULI["X"])
-    np.testing.assert_array_equal(s.dense_interaction(), -np.diag([1.0, -1.0, -1.0, 1.0]))
+    np.testing.assert_array_equal(dense_interaction(s), -np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_explicit_split_single_site_local():
@@ -155,7 +155,7 @@ def test_explicit_split_single_site_local():
     s = split(m, local=[0])
     assert s.local_terms == m.terms[:1]
     # interaction = -g X2 - Z1 Z2
-    hi = s.dense_interaction()
+    hi = dense_interaction(s)
     vals = np.linalg.eigvalsh(hi)
     np.testing.assert_allclose(vals, [-np.sqrt(2), -np.sqrt(2), np.sqrt(2), np.sqrt(2)], atol=1e-12)
 
@@ -174,7 +174,7 @@ def test_splitting_checks_itself():
     m = ising2(1.0)
     s = Splitting(m, m.terms[:2])
     np.testing.assert_array_equal(s.per_site_local[0], -PAULI["X"])
-    np.testing.assert_array_equal(dense_terms(s.local_terms, m.dims) + s.dense_interaction(),
+    np.testing.assert_array_equal(dense_terms(s.local_terms, m.dims) + dense_interaction(s),
                                   build_dense(m))
     with pytest.raises(InvalidAssignmentError, match="degree"):
         Splitting(m, m.terms)
@@ -194,7 +194,7 @@ def test_rebuild_identity_random(seed, d):
     model = random_two_site_model(np.random.default_rng(seed), d)
     h = build_dense(model)
     for s in (split(model), split(model, local=[0]), split(model, local=[])):
-        resid = np.max(np.abs(dense_terms(s.local_terms, model.dims) + s.dense_interaction() - h))
+        resid = np.max(np.abs(dense_terms(s.local_terms, model.dims) + dense_interaction(s) - h))
         assert resid <= 1e-12 * max(1.0, np.max(np.abs(h)))
 
 
@@ -213,8 +213,8 @@ def _complement(s):
 def test_interaction_is_complement_bitwise(s):
     # where local and interaction terms write disjoint entries, H - H_L is exact
     hi = dense_terms(_complement(s), s.model.dims)
-    assert s.dense_interaction().dtype == hi.dtype
-    np.testing.assert_array_equal(s.dense_interaction(), hi)
+    assert dense_interaction(s).dtype == hi.dtype
+    np.testing.assert_array_equal(dense_interaction(s), hi)
 
 
 @given(st.integers(0, 10_000), st.lists(st.integers(2, 3), min_size=2, max_size=3))
@@ -234,7 +234,7 @@ def test_interaction_is_complement_random(seed, dims):
     local = [i for i in candidates if rng.integers(2)]
     for s in (split(model), split(model, local=local)):
         hi = dense_terms(_complement(s), model.dims)
-        resid = np.max(np.abs(s.dense_interaction() - hi))
+        resid = np.max(np.abs(dense_interaction(s) - hi))
         assert resid <= ROUNDOFF_TOL * tol_scale(np.max(np.abs(build_dense(model))))
 
 
@@ -263,7 +263,7 @@ def test_interaction_from_its_terms_is_h_minus_h_l(make):
     s = make()
     h, h_l = build_dense(s.model), dense_terms(s.local_terms, s.model.dims)
     tol = ROUNDOFF_TOL * tol_scale(np.max(np.abs(h)), np.max(np.abs(h_l)))
-    assert np.max(np.abs(s.dense_interaction() - (h - h_l))) <= tol
+    assert np.max(np.abs(dense_interaction(s) - (h - h_l))) <= tol
     z = np.array([1.0, 1j]) @ np.random.default_rng(1).normal(size=(2, s.model.dimension))
     for psi in (s.model.ground.vector, z / np.linalg.norm(z)):
         assert abs(s.local_expectation(psi) - float(np.real(psi.conj() @ (h_l @ psi)))) <= tol
@@ -290,7 +290,7 @@ def test_diagonal_interaction_matches_the_dense_route(seed, n):
               for i in range(n - 1)]
     model = SpinModel("diagonal-bonds", (2,) * n, tuple(terms))
     s = split(model)
-    hi, h = s.dense_interaction(), build_dense(model)
+    hi, h = dense_interaction(s), build_dense(model)
     assert np.count_nonzero(hi) == np.count_nonzero(np.diagonal(hi))
     assert np.max(np.abs(hi - (h - dense_terms(s.local_terms, model.dims)))) <= ROUNDOFF_TOL * tol_scale(
         np.max(np.abs(h)))
@@ -398,7 +398,7 @@ def test_product_basis_completeness_and_additivity(rng):
     spec = local_spectrum(split(model))
     assert spec.dimension == 9
     configs = [spec.config_of_flat(flat) for flat in range(spec.dimension)]
-    vectors = np.stack([spec.product_vector(config) for config in configs], axis=1)
+    vectors = np.stack([product_vector(spec, config) for config in configs], axis=1)
     gram = vectors.conj().T @ vectors
     assert np.max(np.abs(gram - np.eye(9))) < 1e-10
     for config, energy in zip(configs, spec.energies):
@@ -435,7 +435,7 @@ def test_ground_energy_superadditive(seed, d):
     s = split(model)
     e0 = np.linalg.eigvalsh(build_dense(model))[0]
     e0_l = np.linalg.eigvalsh(dense_terms(s.local_terms, model.dims))[0]
-    e0_i = np.linalg.eigvalsh(s.dense_interaction())[0]
+    e0_i = np.linalg.eigvalsh(dense_interaction(s))[0]
     assert e0 >= e0_l + e0_i - 1e-9 * max(1.0, abs(e0))
 
 

@@ -30,6 +30,7 @@ from frustra.saturation import (
     schmidt_splitting,
 )
 from frustra.verify import gaussian_hermitian, saturation_suite
+from conftest import dense_interaction
 from test_entanglement import assert_close_json
 
 GAMMAS = (1e-1, 1e-2, 1e-3)
@@ -53,7 +54,7 @@ def test_schmidt_splitting_rebuild_random():
     h = gaussian_hermitian(rng, 9)
     model = dense_bipartite_model(h, (3, 3))
     ss = schmidt_splitting(model, 0.2)
-    total = dense_terms(ss.local_terms, model.dims) + ss.dense_interaction()
+    total = dense_terms(ss.local_terms, model.dims) + dense_interaction(ss)
     np.testing.assert_allclose(total, build_dense(ss.model), atol=1e-12 * max(1.0, np.abs(h).max()))
 
 
@@ -69,8 +70,8 @@ def test_schmidt_interaction_matches_compensated_build(model):
         a0 = ground_schmidt(model).left_vectors[:, 0]
         compensator = OperatorTerm(gamma, [(0, np.outer(a0, a0.conj()))])
         reference = dense_terms(model.terms + (compensator,), model.dims)
-        assert ss.dense_interaction().dtype == reference.dtype
-        np.testing.assert_array_equal(ss.dense_interaction(), reference)
+        assert dense_interaction(ss).dtype == reference.dtype
+        np.testing.assert_array_equal(dense_interaction(ss), reference)
 
 
 @pytest.mark.parametrize("model", [load_model(DATA / "saturate_qutrit_model.json"), ising2(1.3)],
