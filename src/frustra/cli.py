@@ -215,9 +215,6 @@ def _parse_grid(spec: str):
 
 
 def cmd_sweep(args) -> int:
-    if args.model not in (None, "ising2"):
-        raise ConfigError("sweep reproduces the two-spin transverse Ising figures; "
-                          "only --model ising2 is supported")
     rows = [verify.ising_sweep_row(g) for g in _parse_grid(args.grid)]
     _write_text(_csv_table(rows), args.out)
     return 0
@@ -374,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="transverse-Ising comparison sweep (CSV)")
-    p.add_argument("--model", help="must be ising2 (the default)")
     p.add_argument("--grid", default="0.01:5:200", metavar="MIN:MAX:N",
                    help="field grid, default 0.01:5:200")
     p.add_argument("--out", help="write the CSV here instead of stdout")

@@ -49,13 +49,13 @@ _STACK_BYTES_CAP = 16 * 2**20
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector over the product basis of listed site dims."""
+    """Normalized state vector over the product basis of listed site dims; it keeps a read-only copy."""
 
     amplitudes: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(np.reshape(self.amplitudes, -1), dtype=complex)
         dims = tuple(int(d) for d in self.dims)
         if amps.size != int(np.prod(dims)):
             raise ValueError(f"{amps.size} amplitudes incompatible with dims {dims}")
@@ -64,6 +64,7 @@ class PureState:
             raise ValueError("state amplitudes must be finite")
         if abs(nrm - 1.0) > RECONSTRUCTION_TOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
 

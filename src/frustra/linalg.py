@@ -201,12 +201,13 @@ def hermitian_eig(m) -> EigenDecomposition:
     return EigenDecomposition(vals, fix_phases(vecs))
 
 
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a matrix from _square(m, finite=False), under the Hermitian rule.
+def eigvalsh(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, under hermitian_eig's check.
 
     A diagonal matrix is found first and costs one pass: it is finite if its diagonal is, and its eigenvalues are
     its sorted real diagonal, what LAPACK returns, with ||M - M^dag||_F = 2 ||Im d|| and no O(d^3) solve.
     """
+    a = _square(m, finite=False)
     d = _diagonal(a)  # 64-row panels, up to the first nonzero
     _as_matrix(a if d is None else d[None], a.dtype)  # finite: M, or the diagonal that is all it holds
     if d is not None:
@@ -220,11 +221,6 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         raise NoConvergenceError(str(exc)) from exc
     _check_hermitian(asym, vals)
     return vals
-
-
-def eigvalsh(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, under hermitian_eig's check."""
-    return _eigvalsh(_square(m, finite=False))
 
 
 LANCZOS_STEPS = 40  # ground_eig's Krylov dimension (all of it when d is smaller)
@@ -531,7 +527,7 @@ def _require_hermitian(m) -> None:
     """
     a = _square(m)
     if np.linalg.norm(a - a.conj().T) > STRUCTURAL_TOL:
-        _eigvalsh(a)
+        eigvalsh(a)
 
 
 def psd_leq(s, t, tol: float = STRUCTURAL_TOL) -> tuple[bool, float]:

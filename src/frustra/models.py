@@ -2,7 +2,9 @@
 
 A model is a list of sites (local dimensions) plus terms of the form
 coeff * (op on site i) * (op on site j) * ..., each factor Hermitian and the
-coefficient real.  Dense Hamiltonians are built by tensor-product embedding.
+coefficient real.  A term checks each factor once, where it is made, and keeps
+it read-only; a model checks only where factors sit.  Dense Hamiltonians are
+built by tensor-product embedding.
 
 A splitting is fixed by its local terms: H_L collects them and H_I is
 built from the terms they leave, so H_L + H_I equals H to round-off, bit for
@@ -27,12 +29,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entanglement import PureState
+from . import entanglement as ent
 from .errors import (
     DimensionCapError,
     InvalidAssignmentError,
     InvalidBipartitionError,
     NonHermitianTermError,
+    NotBipartiteError,
 )
 from .linalg import (
     RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, GroundState, _as_matrix,
@@ -47,11 +50,14 @@ DIM_CAP_ENV = "FRUSTRA_DIM_CAP"
 # against 5.2 ms at d = 256, 37 against 14 ms at d = 512, 183 against 43 ms at d = 1024.
 GROUND_TIER_MIN_DIM = 256
 
-PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+PAULI = {letter: _read_only(np.array(m, dtype=complex)) for letter, m in
+         {"X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]]}.items()}
 
 
 def dim_cap() -> int:
@@ -68,16 +74,21 @@ def dim_cap() -> int:
     return value
 
 
-def _resolve_op(op) -> np.ndarray:
+def _resolve_op(site: int, op) -> np.ndarray:
+    """A Pauli constant, or a read-only complex copy of an explicit matrix checked square, finite and Hermitian."""
     if isinstance(op, str):
         try:
             return PAULI[op]
         except KeyError:
-            raise NonHermitianTermError(f"unknown operator letter {op!r}") from None
-    a = np.asarray(op, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonHermitianTermError(f"factor must be a square matrix, got shape {a.shape}")
-    return a
+            raise NonHermitianTermError(f"unknown operator letter {op!r} on site {site}") from None
+    a = np.array(op, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise NonHermitianTermError(f"factor on site {site} must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonHermitianTermError(f"factor on site {site} has non-finite entries")
+    if np.max(np.abs(a - a.conj().T)) > ROUNDOFF_TOL * tol_scale(np.max(np.abs(a))):
+        raise NonHermitianTermError(f"factor on site {site} not Hermitian")
+    return _read_only(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +96,8 @@ class OperatorTerm:
     """One weighted operator string: coeff * prod_i op_i acting on listed sites.
 
     Factors may be given as Pauli letters "X"/"Y"/"Z" (qubit sites) or as
-    explicit Hermitian matrices.  Terms of degree <= 1 are "local",
+    explicit Hermitian matrices, checked here and kept as read-only copies
+    (NonHermitianTermError names the site).  Terms of degree <= 1 are "local",
     degree >= 2 "interaction" under the default splitting policy.
     """
 
@@ -94,8 +106,7 @@ class OperatorTerm:
 
     def __init__(self, coeff: float, factors: Iterable[tuple[int, object]]):
         object.__setattr__(self, "coeff", float(coeff))
-        resolved = tuple((int(site), _resolve_op(op)) for site, op in factors)
-        object.__setattr__(self, "factors", resolved)
+        object.__setattr__(self, "factors", tuple((int(site), _resolve_op(site, op)) for site, op in factors))
 
     @property
     def degree(self) -> int:
@@ -111,7 +122,8 @@ class SpinModel:
     """An n-body Hamiltonian as a list of operator strings on labeled sites.
 
     Immutable after construction; total dimension is checked against the
-    dimension cap because everything downstream is dense.
+    dimension cap because everything downstream is dense, and each term's
+    sites, shapes and coefficient here (the term checked its own factors).
     """
 
     name: str
@@ -138,23 +150,16 @@ class SpinModel:
             raise ValueError(f"site_labels must be distinct, got {self.site_labels}")
         object.__setattr__(self, "terms", tuple(self.terms))
         for t, term in enumerate(self.terms):
-            seen = set()
-            for site, op in term.factors:
+            sites = term.sites
+            for k, (site, op) in enumerate(term.factors):
                 if site < 0 or site >= len(dims):
                     raise InvalidAssignmentError(f"term {t} references invalid site {site}")
-                if site in seen:
+                if site in sites[:k]:
                     raise InvalidAssignmentError(f"term {t} references site {site} twice")
-                seen.add(site)
                 if op.shape != (dims[site], dims[site]):
-                    raise NonHermitianTermError(
-                        f"term {t}: factor on site {site} has shape {op.shape}, "
-                        f"expected {(dims[site], dims[site])}"
-                    )
-                if not np.all(np.isfinite(op)):
-                    raise NonHermitianTermError(f"term {t}: non-finite factor entries")
-                if np.max(np.abs(op - op.conj().T)) > ROUNDOFF_TOL * tol_scale(np.max(np.abs(op))):
-                    raise NonHermitianTermError(f"term {t}: factor on site {site} not Hermitian")
-            if not np.isfinite(term.coeff):
+                    raise NonHermitianTermError(f"term {t}: factor on site {site} has shape {op.shape}, "
+                                                f"expected {(dims[site], dims[site])}")
+            if not math.isfinite(term.coeff):
                 raise NonHermitianTermError(f"term {t}: coefficient must be finite")
 
     @cached_property
@@ -192,9 +197,19 @@ class SpinModel:
         return GroundState.of(dec.eigenvalues, dec.eigenvectors[:, 0])
 
     @cached_property
-    def ground_state(self) -> PureState:
+    def ground_state(self) -> ent.PureState:
         """The ground vector as a read-only PureState, built once and shared by every report."""
-        return PureState(_read_only(self.ground.vector.astype(complex)), self.dims)
+        return ent.PureState(self.ground.vector, self.dims)
+
+    @cached_property
+    def ground_schmidt(self) -> ent.SchmidtDecomposition:
+        """The Schmidt decomposition of a two-site model's ground state, read-only, computed once."""
+        if self.num_sites != 2:  # before any solve
+            raise NotBipartiteError(f"model has {self.num_sites} sites; regroup it into two parties first")
+        dec = ent.schmidt(self.ground_state)
+        for a in (dec.coefficients, dec.left_vectors, dec.right_vectors):
+            _read_only(a)
+        return dec
 
     @cached_property
     def entanglement_memo(self) -> dict:
@@ -221,11 +236,6 @@ class SpinModel:
             raise InvalidBipartitionError(
                 f"unknown site label {label!r}; known: {self.site_labels}"
             ) from None
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _add_term(h: np.ndarray, term: OperatorTerm, dims: Sequence[int]) -> None:
@@ -261,7 +271,7 @@ def dense_terms(terms: Iterable[OperatorTerm], dims: Sequence[int]) -> np.ndarra
     Pauli X/Z model), complex otherwise.
     """
     terms = tuple(terms)
-    real = not any(np.iscomplexobj(op) and op.imag.any() for term in terms for _, op in term.factors)
+    real = not any(op.imag.any() for term in terms for _, op in term.factors)
     total = int(np.prod(dims))
     h = np.zeros((total, total), dtype=float if real else complex)
     for term in terms:

@@ -9,7 +9,7 @@ Sweeping gamma downward therefore drives the bound toward the ground-state
 entanglement from above; exact saturation is impossible away from the
 extreme values, so the excess stays strictly positive.  A tie at the
 largest Schmidt coefficient is not flagged: the construction holds for any
-choice of a0, and the first Schmidt vector is used.
+choice of a0, and the first vector of the model's ``ground_schmidt`` is used.
 
 For every gamma the local side is closed form, with P = |a0><a0|:
 E0_L = -gamma, delta_e_ent = gamma and <H_L> = -gamma <P x I>.  Only the
@@ -23,36 +23,28 @@ from typing import Sequence
 
 import numpy as np
 
-from . import entanglement as ent
 from .bounds import FrustrationReport, cut_expansion, ground_report
-from .errors import NotBipartiteError, UndefinedBoundError
+from .errors import UndefinedBoundError
 from .linalg import MIN_GAP, STRUCTURAL_TOL, eigvalsh, tol_scale
 from .models import OperatorTerm, SpinModel, Splitting, build_dense, dense_terms
 
 
 def ground_projector(model: SpinModel) -> np.ndarray:
-    """|a0><a0|, a0 the ground state's first left Schmidt vector."""
-    if model.num_sites != 2:
-        raise NotBipartiteError(
-            f"model has {model.num_sites} sites; regroup it into two parties first"
-        )
-    a0 = ent.schmidt(model.ground_state).left_vectors[:, 0]
+    """|a0><a0|, a0 the first left vector of the model's ground Schmidt decomposition."""
+    a0 = model.ground_schmidt.left_vectors[:, 0]
     return np.outer(a0, a0.conj())
 
 
-def schmidt_splitting(model: SpinModel, gamma: float, projector: np.ndarray | None = None) -> Splitting:
+def schmidt_splitting(model: SpinModel, gamma: float) -> Splitting:
     """Build the rank-1 local splitting from the ground state's Schmidt form.
 
     The per-site gaps are (gamma, 0), so delta_e_ent equals gamma by
     construction.  A tie at the largest Schmidt coefficient is not flagged;
     the first index is used, and the construction stays valid for any choice.
-    A caller that splits one model at several gammas passes its
-    ground_projector once built.
     """
     if not 0 < gamma < np.inf:  # NaN fails every comparison
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    p = ground_projector(model) if projector is None else projector
-    return Splitting(model, (OperatorTerm(-gamma, [(0, p)]),))
+    return Splitting(model, (OperatorTerm(-gamma, [(0, ground_projector(model))]),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +68,7 @@ def validate_gammas(gammas: Sequence[float]) -> list[float]:
     return gs
 
 
-def saturation_sweep(model: SpinModel, gammas: Sequence[float],
-                     projector: np.ndarray | None = None) -> tuple[SweepRecord, ...]:
+def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRecord, ...]:
     """Frustration reports of schmidt_splitting(model, gamma) for a descending list of gammas.
 
     Gammas below MIN_GAP are rejected: delta_e_ent = gamma would amplify
@@ -85,13 +76,12 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float],
     E_f is produced by cancellation below STRUCTURAL_TOL * scale are flagged
     unreliable instead of silently reported.  No splitting is built: each
     gamma adds H_I = H + gamma P x I to what the model keeps and solves it
-    for eigenvalues only.  projector is ground_projector(model), if the caller holds it.
+    for eigenvalues only.
     """
     gs = validate_gammas(gammas)
     psi = model.ground.vector
     h = build_dense(model)
-    p = ground_projector(model) if projector is None else projector
-    p_i = dense_terms((OperatorTerm(1.0, [(0, p)]),), model.dims)
+    p_i = dense_terms((OperatorTerm(1.0, [(0, ground_projector(model))]),), model.dims)
     w = float(np.real(psi.conj() @ (p_i @ psi)))
 
     records = []

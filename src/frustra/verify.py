@@ -34,7 +34,7 @@ from .models import (
     split,
 )
 from .perturbation import check_theorem, hermitian_instance
-from .saturation import excess_decomposition, ground_projector, saturation_sweep, schmidt_splitting
+from .saturation import excess_decomposition, saturation_sweep, schmidt_splitting
 
 # ---------------------------------------------------------------------------
 # ensembles
@@ -203,14 +203,13 @@ def saturation_suite(instances: int = 50, seed: int = 77,
         rng = np.random.default_rng([seed, i])
         h = gaussian_hermitian(rng, d * d)
         model = dense_bipartite_model(h, (d, d), name=f"gue(d={d},i={i})")
-        projector = ground_projector(model)
-        records = saturation_sweep(model, gammas, projector)
+        records = saturation_sweep(model, gammas)
         ex = [r.excess for r in records]
         if any(not np.isfinite(e) or e <= 0.0 for e in ex):
             failures += 1
             continue
         decompositions = [
-            excess_decomposition(schmidt_splitting(model, r.gamma, projector), r.report)
+            excess_decomposition(schmidt_splitting(model, r.gamma), r.report)
             for r in records
         ]
         if any(abs(dec.identity_residual) > STRUCTURAL_TOL * tol_scale(dec.ef_bound)

@@ -58,6 +58,16 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 0.0]), (2, 2))  # wrong size
 
 
+def test_pure_state_keeps_its_amplitudes():
+    a = np.array([1, 0, 0, 0], dtype=complex)
+    psi = PureState(a, (2, 2))
+    a[:] = [3, 0, 0, 4]
+    assert np.linalg.norm(psi.amplitudes) == 1.0 and not psi.amplitudes.flags.writeable
+    assert geometric_measure_bipartite(psi).value == 0.0
+    with pytest.raises(ValueError):
+        psi.amplitudes[0] = 0.5
+
+
 def test_regroup_state_partition_check():
     # a three-site state reaches the two-party routes through models.regroup,
     # which keeps the partition check the state-level regrouping had

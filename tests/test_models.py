@@ -90,6 +90,30 @@ def test_dense_terms_matches_kron_reference(seed, dims):
     np.testing.assert_array_equal(h, _kron_reference(terms, dims))
 
 
+def test_terms_keep_their_factors():
+    """A term copies each explicit factor, so changing the caller's array later changes no model."""
+    y = np.array([[0, -1j], [1j, 0]])
+    z = np.array([[1.0, 0.0], [0.0, -1.0]])
+    model = SpinModel("m", (2, 2), (OperatorTerm(0.5, [(0, y), (1, z)]), OperatorTerm(-1.0, [(1, "X")])))
+    want = build_dense(SpinModel("m", (2, 2), (OperatorTerm(0.5, [(0, "Y"), (1, "Z")]),
+                                              OperatorTerm(-1.0, [(1, "X")]))))
+    y[0, 1], z[1, 1] = 7.0, 3.0
+    h = build_dense(model)
+    np.testing.assert_array_equal(h, want)
+    np.testing.assert_array_equal(h, h.conj().T)
+    for term in model.terms:
+        for _, op in term.factors:
+            assert op.dtype == complex and not op.flags.writeable
+    for op in PAULI.values():
+        assert not op.flags.writeable
+
+
+@pytest.mark.parametrize("op", [[[0, 1], [0, 0]], [[np.nan, 0], [0, 1]]], ids=["non-hermitian", "nan"])
+def test_term_checks_its_factor_when_made(op):
+    with pytest.raises(NonHermitianTermError, match="site 0"):
+        OperatorTerm(1.0, [(0, op)])
+
+
 def test_dense_build_is_shared_and_read_only():
     model = chain3()
     h = build_dense(model)

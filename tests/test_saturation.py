@@ -252,6 +252,20 @@ def test_saturation_suite_decomposes_each_ground_state_twice(monkeypatch):
         assert len(calls) == 2 * 4
 
 
+def test_schmidt_splittings_read_the_model_s_decomposition(monkeypatch):
+    """The projector's decomposition is the model's: a sweep and three splittings take two in all, one for the entanglement."""
+    calls = []
+    real = frustra.entanglement.schmidt
+    monkeypatch.setattr(frustra.entanglement, "schmidt", lambda psi: calls.append(psi.dims) or real(psi))
+    model = ising2(1.3)
+    saturation_sweep(model, GAMMAS)
+    for gamma in GAMMAS:
+        schmidt_splitting(model, gamma)
+    assert len(calls) == 2
+    dec = model.ground_schmidt
+    assert not any(a.flags.writeable for a in (dec.coefficients, dec.left_vectors, dec.right_vectors))
+
+
 def test_strict_positivity_of_excess():
     # instances with 0 < E < max never reach the bound exactly
     rng = np.random.default_rng(3)
