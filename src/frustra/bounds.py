@@ -30,13 +30,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from . import entanglement as ent
 from .errors import UndefinedBoundError
-from .linalg import CLOSED_MARGIN_TOL, STRUCTURAL_TOL, TIE_TOL, TOL_ENT, ZERO_NORM, tol_scale
-from .models import LocalSpectrum, SpinModel, Splitting, interaction_extremes
+from .linalg import (CLOSED_MARGIN_TOL, STRUCTURAL_TOL, TIE_TOL, TOL_ENT, ZERO_NORM, GroundState, eigvalsh,
+                     hermitian_eig, tol_scale)
+from .models import (GROUND_TIER_MIN_DIM, LocalSpectrum, SpinModel, Splitting, dense_terms, interaction_extremes,
+                     local_expectation, site_operators, split)
 
 
 @dataclass(frozen=True)
@@ -52,15 +55,26 @@ class EntanglementOptions:
 DEFAULT_ENT_OPTS = EntanglementOptions()
 
 
-def state_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
-    """(value, method): exact Schmidt route for two parties, alternating otherwise."""
+def state_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_ENT_OPTS, dec=None):
+    """(value, method): exact Schmidt route for two parties (from dec, psi's decomposition, when given), alternating
+    otherwise."""
     if psi.num_sites == 2:
-        res = ent.geometric_measure_bipartite(psi)
+        res = ent.geometric_measure_bipartite(psi, dec)
     else:
         res = ent.geometric_measure_multipartite(
             psi, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed
         )
     return res.value, res.method
+
+
+def states_entanglement(psis: Sequence[ent.PureState], opts: EntanglementOptions = DEFAULT_ENT_OPTS):
+    """state_entanglement of each state, in one batched call, each value bit for bit; the states share their dims."""
+    if psis and psis[0].num_sites == 2:
+        results = ent.geometric_measures_bipartite(psis)
+    else:
+        results = ent.geometric_measures_multipartite(
+            psis, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
+    return [(res.value, res.method) for res in results]
 
 
 def ground_entanglement(model: SpinModel, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
@@ -69,10 +83,13 @@ def ground_entanglement(model: SpinModel, opts: EntanglementOptions = DEFAULT_EN
     The ground state is the one the model keeps (``model.ground_state``), so
     the result depends only on (model, opts); it is kept in
     ``model.entanglement_memo`` and shared by every splitting of the model.
+    A two-site model's comes from the decomposition it keeps
+    (``model.ground_schmidt``), so its ground state is decomposed once.
     """
     memo = model.entanglement_memo
     if opts not in memo:
-        memo[opts] = state_entanglement(model.ground_state, opts)
+        dec = model.ground_schmidt if model.num_sites == 2 else None
+        memo[opts] = state_entanglement(model.ground_state, opts, dec)
     return memo[opts]
 
 
@@ -155,19 +172,19 @@ def cut_expansion(spec: LocalSpectrum, report: FrustrationReport):
     return below, alpha, float(np.sum(np.abs(alpha[below]) ** 2))
 
 
-def ground_report(model: SpinModel, e0_l: float, delta: float, e0_i: float, e_i_max: float,
-                  exp_l: float, exp_i: float,
-                  ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> FrustrationReport:
-    """The ground-state report from what a splitting gives: E0_L, delta_e_ent,
-    the extremes of H_I, <H_L> and <H_I>.  Every formula of the report lives
-    here.  A degenerate ground level takes the solver's first eigenvector and
-    is flagged; the bounds hold for any ground state, so no minimization over
-    the ground space is attempted.
+def ground_report(name: str, g: GroundState, state: ent.PureState, measured: tuple[float, str],
+                  e0_l: float, delta: float, e0_i: float, e_i_max: float,
+                  exp_l: float, exp_i: float) -> FrustrationReport:
+    """The report of model ``name`` from its ground state g, the same state as
+    a PureState, its entanglement (value, method), and what a splitting
+    gives: E0_L, delta_e_ent, the extremes of H_I, <H_L> and <H_I>.  Every
+    formula of the report lives here.  A degenerate ground level takes the
+    solver's first eigenvector and is flagged; the bounds hold for any
+    ground state, so no minimization over the ground space is attempted.
     """
-    g = model.ground
     e_f = g.energy - e0_l - e0_i
     e_i_tot = e_i_max - e0_i
-    value, method = ground_entanglement(model, ent_opts)
+    value, method = measured
     # both bounds share one delta_e_ent gate, so one reason
     if delta > STRUCTURAL_TOL * g.scale:
         ef_bound, ratio_bound, reason = e_f / delta, e_i_tot / delta, None
@@ -176,7 +193,7 @@ def ground_report(model: SpinModel, e0_l: float, delta: float, e0_i: float, e_i_
         reason = f"delta_e_ent = {delta:g}"
 
     return FrustrationReport(
-        model=model.name,
+        model=name,
         E0=g.energy,
         E0_L=e0_l,
         E0_I=e0_i,
@@ -193,19 +210,59 @@ def ground_report(model: SpinModel, e0_l: float, delta: float, e0_i: float, e_i_
         local_frustration=exp_l - e0_l,
         interaction_frustration=exp_i - e0_i,
         degenerate_ground=g.degenerate,
-        ground_state=model.ground_state,
+        ground_state=state,
     )
 
 
 def analyze_ground(splitting: Splitting,
                    ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> FrustrationReport:
     """Full frustration report for one splitting, through ground_report."""
-    psi = splitting.model.ground.vector
+    model = splitting.model
+    psi = model.ground.vector
     spec = splitting.local
     e0_i, e_i_max = interaction_extremes(splitting)
-    return ground_report(splitting.model, float(np.sum([v[0] for v in spec.site_eigenvalues])),
-                         spec.delta_e_ent, e0_i, e_i_max, splitting.local_expectation(psi),
-                         splitting.interaction_expectation(psi), ent_opts)
+    return ground_report(model.name, model.ground, model.ground_state, ground_entanglement(model, ent_opts),
+                         float(np.sum([v[0] for v in spec.site_eigenvalues])), spec.delta_e_ent, e0_i, e_i_max,
+                         splitting.local_expectation(psi), splitting.interaction_expectation(psi))
+
+
+def analyze_ground_family(models: Sequence[SpinModel],
+                          splits: Sequence[Sequence[int] | None]) -> list[list[FrustrationReport]]:
+    """[[analyze_ground(split(model, local)) for model in models] for local in splits], bit for bit.
+
+    The models are a family below GROUND_TIER_MIN_DIM: equal dims and terms that differ only in coefficients (ising2(g)
+    over a grid of g).  So H, each split's H_I and its per-site H_j are one (k, d, d) build and one stacked solve
+    each, and the entanglement is one batched call; each report comes from ground_report.
+    """
+    def layout(model):  # the dims, and each term's sites and factor bits
+        return model.dims, [[(site, op.tobytes()) for site, op in t.factors] for t in model.terms]
+    if not models:
+        return [[] for _ in splits]
+    if models[0].dimension >= GROUND_TIER_MIN_DIM or any(layout(m) != layout(models[0]) for m in models):
+        raise ValueError("a family shares its dims, sites and factors, below the ground tier")
+    terms, dims = models[0].terms, models[0].dims
+    coeffs = np.array([[t.coeff for t in m.terms] for m in models])
+    dec = hermitian_eig(dense_terms(terms, dims, coeffs))
+    grounds = [GroundState.of(vals, vecs[:, 0]) for vals, vecs in zip(dec.eigenvalues, dec.eigenvectors)]
+    states = [ent.PureState(g.vector, dims) for g in grounds]
+    measured = states_entanglement(states)
+    reports = []
+    for local in splits:  # None is split's default policy: every term of degree <= 1
+        split(models[0], local)  # split's checks of an explicit list
+        local = sorted(t for t, term in enumerate(terms) if term.degree <= 1) if local is None else sorted(local)
+        rest = [t for t in range(len(terms)) if t not in local]
+        h_i = dense_terms([terms[t] for t in rest], dims, coeffs[:, rest])
+        e_i = eigvalsh(h_i)
+        per_site = site_operators([terms[t] for t in local], dims, coeffs[:, local])
+        site_vals = [hermitian_eig(h).eigenvalues for h in per_site]
+        e0_l = np.sum(np.stack([v[:, 0] for v in site_vals], axis=-1), axis=-1)  # each member's np.sum, bit for bit
+        deltas = np.sort([v[:, 1] - v[:, 0] for v in site_vals], axis=0)[1]  # local_spectrum's delta_e_ent
+        exp_l = local_expectation(per_site, dec.eigenvectors[:, :, 0])
+        reports.append([ground_report(
+            m.name, g, psi, ms, float(e0_l[i]), float(deltas[i]), float(e_i[i, 0]), float(e_i[i, -1]), exp_l[i],
+            float(np.real(g.vector.conj() @ (h_i[i] @ g.vector))))
+            for i, (m, g, psi, ms) in enumerate(zip(models, grounds, states, measured))])
+    return reports
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,10 +414,9 @@ def analyze_excited_many(splitting: Splitting, js,
 
     The spectrum of H, the local spectrum, the tolerance scale and the
     extremes of H_I are read once per call.  ||H_I|| is the spectral radius,
-    which equals the operator norm of the Hermitian interaction.  A two-party
-    eigenstate's entanglement takes the exact route of ``state_entanglement``;
-    those of more parties come from one batched optimizer call, each value
-    the one a call for that state alone gives.
+    which equals the operator norm of the Hermitian interaction.  The
+    eigenstates' entanglement is one batched call (``states_entanglement``),
+    each value the one a call for that state alone gives.
     """
     dec = splitting.model.spectrum
     dimension = dec.eigenvalues.size
@@ -373,12 +429,7 @@ def analyze_excited_many(splitting: Splitting, js,
     h_norm = max(abs(e_i_0), abs(e_i_max))
     spec = splitting.local
     psis = [ent.PureState(dec.eigenvectors[:, j], splitting.model.dims) for j in js]
-    if splitting.model.num_sites == 2:
-        measured = [state_entanglement(psi, ent_opts) for psi in psis]
-    else:
-        measured = [(res.value, res.method) for res in ent.geometric_measures_multipartite(
-            psis, restarts=ent_opts.restarts, tol=ent_opts.tol, max_iters=ent_opts.max_iters,
-            seed=ent_opts.seed)]
+    measured = states_entanglement(psis, ent_opts)
 
     reports = []
     for j, (value, method) in zip(js, measured):

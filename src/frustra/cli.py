@@ -4,8 +4,8 @@ Subcommands: analyze, sweep, excited, saturate, perturb, selftest,
 list-models.  Reports go to stdout (or --out) as JSON, or as CSV with one
 header row and floats at 17 significant digits (sweep, saturate, and
 --format csv).  Every run is fully determined by its arguments; the
-seeded subcommands take --seed.  The sweep's rows come from
-``verify.ising_sweep_row``.  An --out path that cannot be opened exits 2
+seeded subcommands take --seed.  The sweep's rows come from one call of
+``verify.ising_sweep_rows``.  An --out path that cannot be opened exits 2
 before any work.  Exit codes: 0 success (an undefined bound is a
 reported outcome, not an error), 1 a failed property suite, 2
 configuration error (a dimension-cap or two-party error included), 3
@@ -215,7 +215,7 @@ def _parse_grid(spec: str):
 
 
 def cmd_sweep(args) -> int:
-    rows = [verify.ising_sweep_row(g) for g in _parse_grid(args.grid)]
+    rows = verify.ising_sweep_rows(_parse_grid(args.grid))
     _write_text(_csv_table(rows), args.out)
     return 0
 

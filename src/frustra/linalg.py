@@ -21,6 +21,10 @@ factor take the vector's residual to round-off.  Any refusal (a degenerate
 or unresolved ground level, a failed proof or refinement) gives nothing, and
 the caller then falls back to the full decomposition.
 
+hermitian_eig, eigvalsh, svd and fix_phases also take a (k, d, d) stack: every check runs per member, LAPACK
+takes one call per kind of member (real or complex), and each member gets, bit for bit, what a call on it alone
+gets (a real member's eigenvectors upcast exactly when the stack mixes kinds).
+
 All functions are pure and deterministic for identical input: eigenvalues
 come back ascending, singular values descending, and every returned
 eigen/singular vector carries a fixed phase convention (largest-magnitude
@@ -81,7 +85,7 @@ class EigenDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +97,22 @@ class SVDResult:
     right: np.ndarray  # columns; matrix = left @ diag(s) @ right.conj().T
 
     def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.conj().T
+        return (self.left * self.singular_values[..., None, :]) @ self.right.conj().swapaxes(-1, -2)
 
 
-def _as_matrix(m, dtype=complex, finite: bool = True) -> np.ndarray:
+def _as_matrix(m, dtype=complex, finite: bool = True, stack: bool = False) -> np.ndarray:
+    """m as a 2-d array of dtype, or with stack=True also a (k, d, d) stack, checked non-empty and finite."""
     a = np.asarray(m, dtype=dtype)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    if finite and not np.all(np.isfinite(a)):  # _as_matrix(a, a.dtype) is the test alone
-        raise ValueError("matrix entries must be finite")
+    if a.ndim not in ((2, 3) if stack else (2,)) or 0 in a.shape:
+        raise ValueError(f"expected a 2-d matrix{' or a stack of them' if stack else ''}, got shape {a.shape}")
+    if finite:
+        _require_finite(a)
     return a
+
+
+def _require_finite(*arrays) -> None:
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ValueError("matrix entries must be finite")
 
 
 def op_norm(m) -> float:
@@ -112,16 +122,16 @@ def op_norm(m) -> float:
 
 
 def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
-    """Unit phase of each column's largest-magnitude entry (1 for a zero column).
+    """Unit phase of each column's largest-magnitude entry (1 for a zero column), per member of a stack.
 
     Ties in magnitude resolve to the lowest row index.
     """
-    mags = np.abs(vectors)
-    rows = np.argmax(mags, axis=0)
-    cols = np.arange(vectors.shape[1])
-    size = mags[rows, cols]
+    v = vectors.reshape((-1,) + vectors.shape[-2:])
+    mags = np.abs(v)
+    pick = np.arange(len(v))[:, None], np.argmax(mags, axis=1), np.arange(v.shape[2])
+    size = mags[pick]
     nonzero = size > 0
-    return np.where(nonzero, vectors[rows, cols] / np.where(nonzero, size, 1.0), 1.0)
+    return np.where(nonzero, v[pick] / np.where(nonzero, size, 1.0), 1.0).reshape(vectors.shape[:-2] + (-1,))
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -134,25 +144,38 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     v = np.asarray(vectors)
     if v.dtype != np.float64:
         v = v.astype(complex)
-    return v * _pivot_phases(v).conj()
+    return v * _pivot_phases(v).conj()[..., None, :]
 
 
-def _square(m, finite: bool = True) -> np.ndarray:
-    """A square matrix, in float64 when it has no imaginary part; finite=False leaves its finiteness to the caller."""
-    a = np.asarray(m)
-    real = not np.iscomplexobj(a) or not a.imag.any()
-    a = _as_matrix(a.real if real else a, dtype=float if real else complex, finite=finite)
-    if a.shape[0] != a.shape[1]:
-        _as_matrix(a, a.dtype)  # a non-finite entry is reported first, as with finite=True
-        raise NotHermitianError(f"matrix is not square: shape {a.shape}")
-    return a
+def _square(m, finite: bool = True, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(square matrix or stack, mask of its members with no imaginary part), float64 when every member has none.
 
-
-def _hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """(Hermitian part, Frobenius norm of M - M^dag) of a matrix from _square.
-
-    An exactly Hermitian matrix (found by 128-row square tiles, no copy of M^dag) is its own Hermitian part.
+    finite=False leaves finiteness to the caller.
     """
+    a = np.asarray(m)
+    complex_ = np.iscomplexobj(a)
+    a = _as_matrix(a, complex if complex_ else float, finite, stack)
+    if a.shape[-2] != a.shape[-1]:
+        _require_finite(a)  # a non-finite entry is reported first, as with finite=True
+        raise NotHermitianError(f"matrix is not square: shape {a.shape}")
+    if not complex_:
+        return a, np.ones(a.shape[:-2], bool)
+    real = ~a.imag.any(axis=(1, 2)) if a.ndim == 3 else np.bool_(not a.imag.any())
+    return (a.real if real.all() else a), real
+
+
+def _hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """(Hermitian part, Frobenius norm of M - M^dag) of a matrix from _square; of each member of a stack.
+
+    An exactly Hermitian member is its own Hermitian part; a matrix is tested by 128-row square tiles, with no copy
+    of M^dag.
+    """
+    if a.ndim == 3:  # up to d = 128 one tile holds a member: every member is tested at once, the others alone
+        exact = (a == a.conj().swapaxes(1, 2)).all(axis=(1, 2)) if a.shape[-1] <= 128 else np.zeros(len(a), bool)
+        if exact.all():
+            return a, np.zeros(len(a))
+        parts = [(x, 0.0) if e else _hermitian_part(x) for x, e in zip(a, exact)]
+        return np.stack([h for h, _ in parts]), np.array([asym for _, asym in parts])
     if all((a[i:i + 128, j:j + 128] == a[j:j + 128, i:i + 128].conj().T).all()
            for i in range(0, len(a), 128) for j in range(i, len(a), 128)):
         return a, 0.0
@@ -161,21 +184,50 @@ def _hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float]:
     return (a if asym == 0 else (a + adj) / 2.0), asym
 
 
-def _diagonal(a: np.ndarray) -> np.ndarray | None:
-    """The diagonal of a matrix whose off-diagonal entries are all exactly 0 (a NaN is not), else None."""
-    off = a.reshape(-1)[1:].reshape(len(a) - 1, len(a) + 1)[:, :-1]  # past entry 0, rows of d + 1 end on the diagonal
-    return None if any(off[lo:lo + 64].any() for lo in range(0, len(off), 64)) else np.diagonal(a)
+def _diagonal(s: np.ndarray) -> np.ndarray:
+    """Mask of the members of a (k, d, d) stack whose off-diagonal entries are all exactly 0 (a NaN is not)."""
+    k, d = s.shape[:2]
+    off = s.reshape(k, -1)[:, 1:].reshape(k, d - 1, d + 1)[:, :, :-1]  # past entry 0, rows of d + 1 end on the diagonal
+    diagonal = np.ones(k, bool)
+    for lo in range(0, d - 1, 64):
+        diagonal &= ~off[:, lo:lo + 64].any(axis=(1, 2))
+        if not diagonal.any():
+            break
+    return diagonal
 
 
-def _check_hermitian(asym: float, eigenvalues: np.ndarray) -> None:
-    """The Hermitian rule: ||M - M^dag||_F <= STRUCTURAL_TOL * tol_scale(max |eigenvalue|), for finite extremes."""
+def _check_hermitian(asym, eigenvalues) -> None:
+    """The Hermitian rule: ||M - M^dag||_F <= STRUCTURAL_TOL * tol_scale(max |eigenvalue|), for finite extremes.
+
+    A stack's members are tested at once, and the first that breaks the rule raises.
+    """
+    if np.ndim(eigenvalues) == 2:
+        lo, hi = eigenvalues[:, 0], eigenvalues[:, -1]
+        with np.errstate(invalid="ignore"):
+            scale = np.maximum(1.0, np.maximum(abs(lo), abs(hi)))  # tol_scale's, for finite extremes
+            bad = ~(np.isfinite(lo) & np.isfinite(hi)) | (asym > STRUCTURAL_TOL * scale)
+        for m in np.flatnonzero(bad)[:1]:
+            _check_hermitian(asym[m], eigenvalues[m])
+        return
     if not math.isfinite(eigenvalues[0]) or not math.isfinite(eigenvalues[-1]):
         raise OverflowError(f"eigenvalues {eigenvalues[0]} to {eigenvalues[-1]} are not finite")
     scale = tol_scale(eigenvalues[0], eigenvalues[-1])
     if asym > STRUCTURAL_TOL * scale:
-        raise NotHermitianError(
-            f"matrix asymmetry {asym:.3e} exceeds {STRUCTURAL_TOL:.1e} * {scale:.3e}"
-        )
+        raise NotHermitianError(f"matrix asymmetry {asym:.3e} exceeds {STRUCTURAL_TOL:.1e} * {scale:.3e}")
+
+
+def _lapack(solve, h: np.ndarray, real: np.ndarray) -> tuple:
+    """solve(h)'s arrays, the members with no imaginary part solved in float64: one call per kind, in member order."""
+    try:
+        if real.ndim == 0 or real.all() or not real.any():  # one kind, in h's dtype (_square's choice)
+            return solve(h)
+        parts = solve(h[real].real), solve(h[~real])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+    out = tuple(np.empty(real.shape + r.shape[1:], np.result_type(r, c)) for r, c in zip(*parts))
+    for x, r, c in zip(out, *parts):
+        x[real], x[~real] = r, c
+    return out
 
 
 def hermitian_eig(m) -> EigenDecomposition:
@@ -192,35 +244,39 @@ def hermitian_eig(m) -> EigenDecomposition:
     eigenvectors are orthonormal columns paired with ascending eigenvalues.
     Reconstruction holds to RECONSTRUCTION_TOL * max(1, ||M||).
     """
-    h, asym = _hermitian_part(_square(m))
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
+    a, real = _square(m, stack=True)
+    h, asym = _hermitian_part(a)
+    vals, vecs = _lapack(_phase_fixed_eigh, h, real)
     _check_hermitian(asym, vals)
-    return EigenDecomposition(vals, fix_phases(vecs))
+    return EigenDecomposition(vals, vecs)
+
+
+def _phase_fixed_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    vals, vecs = np.linalg.eigh(h)
+    return vals, fix_phases(vecs)  # per kind, so a real member's vectors are its own in a mixed stack
 
 
 def eigvalsh(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, under hermitian_eig's check.
+    """Ascending eigenvalues of a Hermitian matrix, or of each member of a stack, under hermitian_eig's check.
 
-    A diagonal matrix is found first and costs one pass: it is finite if its diagonal is, and its eigenvalues are
+    A diagonal member is found first and costs one pass: it is finite if its diagonal is, and its eigenvalues are
     its sorted real diagonal, what LAPACK returns, with ||M - M^dag||_F = 2 ||Im d|| and no O(d^3) solve.
     """
-    a = _square(m, finite=False)
-    d = _diagonal(a)  # 64-row panels, up to the first nonzero
-    _as_matrix(a if d is None else d[None], a.dtype)  # finite: M, or the diagonal that is all it holds
-    if d is not None:
-        vals = np.sort(d.real)
-        _check_hermitian(2.0 * float(np.linalg.norm(d.imag)), vals)
-        return vals
-    h, asym = _hermitian_part(a)
-    try:
-        vals = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
+    a, real = _square(m, finite=False, stack=True)
+    s, real = (a, real) if a.ndim == 3 else (a[None], real.reshape(1))
+    diagonal = _diagonal(s)  # 64-row panels, up to the first nonzero
+    rest, d = (s if not diagonal.any() else s[~diagonal]), np.diagonal(s, axis1=1, axis2=2)[diagonal]
+    _require_finite(d, rest)  # the diagonal is all a diagonal member holds
+    vals, asym = np.empty(s.shape[:2]), np.zeros(len(s))
+    vals[diagonal] = np.sort(d.real)
+    if np.iscomplexobj(d):
+        asym[diagonal] = [2.0 * float(np.linalg.norm(x.imag)) for x in d]
+    if len(rest):
+        h, asym[~diagonal] = _hermitian_part(rest if a.ndim == 3 else a)  # a matrix keeps its own path: no copy
+        vals[~diagonal] = _lapack(lambda x: (np.linalg.eigvalsh(x),), h.real if real[~diagonal].all() else h,
+                                  real[~diagonal])[0]
     _check_hermitian(asym, vals)
-    return vals
+    return vals.reshape(a.shape[:-1])
 
 
 LANCZOS_STEPS = 40  # ground_eig's Krylov dimension (all of it when d is smaller)
@@ -271,7 +327,7 @@ def ground_eig(m) -> GroundState | None:
     not), when the refined psi misses a gate, for a 1 x 1 matrix, or when g
     overflows (then before any Lanczos step, and without a RuntimeWarning).
     """
-    a = _square(m, finite=False)
+    a, _ = _square(m, finite=False)
     return _ground_eig(a, np.random.default_rng(0).standard_normal(a.shape[0]))
 
 
@@ -281,7 +337,7 @@ def _ground_eig(a: np.ndarray, start: np.ndarray) -> GroundState | None:
         h, asym = _hermitian_part(a)
         top = _gershgorin_top(h)
     if not math.isfinite(top):  # a non-finite entry (no pass of its own finds it) or an overflowed row sum
-        _as_matrix(a, a.dtype)
+        _require_finite(a)
         return None  # hermitian_eig raises if H's eigenvalues overflow too
     psi, ritz = _lanczos(h, start)
     h_psi = h @ psi
@@ -499,13 +555,13 @@ def svd(m) -> SVDResult:
     Left singular vectors are phase-fixed; the compensating phase moves to
     the right vectors, so reconstruction is unaffected.
     """
-    a = _as_matrix(m)
+    a = _as_matrix(m, stack=True)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     phases = _pivot_phases(u)
-    return SVDResult(s, u * phases.conj(), (vh * phases[:, None]).conj().T)
+    return SVDResult(s, u * phases.conj()[..., None, :], (vh * phases[..., :, None]).conj().swapaxes(-1, -2))
 
 
 def singular_values(m) -> np.ndarray:
@@ -525,7 +581,7 @@ def _require_hermitian(m) -> None:
     The rule's scale is at least 1, so ||M - M^dag||_F <= STRUCTURAL_TOL
     passes it whatever the eigenvalues are.
     """
-    a = _square(m)
+    a, _ = _square(m)
     if np.linalg.norm(a - a.conj().T) > STRUCTURAL_TOL:
         eigvalsh(a)
 

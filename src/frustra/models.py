@@ -238,45 +238,48 @@ class SpinModel:
             ) from None
 
 
-def _add_term(h: np.ndarray, term: OperatorTerm, dims: Sequence[int]) -> None:
-    """h += the tensor-product embedding of one term, in place.
+def _add_term(h: np.ndarray, term: OperatorTerm, dims: Sequence[int], coeffs: np.ndarray) -> None:
+    """h[m] += the tensor-product embedding of the term with coefficient coeffs[m], in place, for a (k, D, D) h.
 
     The embedding is I_left x core x I_right, where the core runs from the
     term's first to its last site, so only the block diagonal over the
     untouched outer sites is written.  Every entry is the same product, in
-    the same site order, that the full Kronecker chain would give.
+    the same site order ((c a) b ...), that the full Kronecker chain would give.
     """
     ops = {site: (op.real if h.dtype == float else op) for site, op in term.factors}
     lo, hi = min(ops, default=0), max(ops, default=-1)
-    core = np.array([[term.coeff]], dtype=h.dtype)
+    core = coeffs.astype(h.dtype).reshape(-1, 1, 1)
     for site in range(lo, hi + 1):
         b = ops.get(site, np.eye(dims[site]))
-        # np.kron(core, b): the same single products, without its overhead
-        core = (core[:, None, :, None] * b[None, :, None, :]).reshape(
-            core.shape[0] * b.shape[0], core.shape[1] * b.shape[1])
-    left, c = int(np.prod(dims[:lo])), core.shape[0]
-    right = h.shape[0] // (left * c)
-    h6 = h.reshape(left, c, right, left, c, right)
-    st = h6.strides
-    # distinct (l, r, a, b) address distinct entries h6[l, a, r, l, b, r]
+        # np.kron(core, b) per member: the same single products, without its overhead
+        core = (core[:, :, None, :, None] * b[None, None, :, None, :]).reshape(
+            len(core), core.shape[1] * b.shape[0], core.shape[2] * b.shape[1])
+    left, c = int(np.prod(dims[:lo])), core.shape[1]
+    right = h.shape[1] // (left * c)
+    h7 = h.reshape(len(h), left, c, right, left, c, right)
+    st = h7.strides
+    # distinct (m, l, r, a, b) address distinct entries h7[m, l, a, r, l, b, r]
     block = np.lib.stride_tricks.as_strided(
-        h6, (left, right, c, c), (st[0] + st[3], st[2] + st[5], st[1], st[4]))
-    block += core
+        h7, (len(h), left, right, c, c), (st[0], st[1] + st[4], st[3] + st[6], st[2], st[5]))
+    block += core[:, None, None]
 
 
-def dense_terms(terms: Iterable[OperatorTerm], dims: Sequence[int]) -> np.ndarray:
+def dense_terms(terms: Iterable[OperatorTerm], dims: Sequence[int], coeffs=None) -> np.ndarray:
     """Sum of tensor-product embeddings; identity on untouched sites.
 
     The result is float64 when no factor has an imaginary part (every
-    Pauli X/Z model), complex otherwise.
+    Pauli X/Z model), complex otherwise.  Given a (k, T) table of
+    coefficients, it is the (k, D, D) stack whose member m, bit for bit,
+    is the sum of the terms weighted by coeffs[m] instead.
     """
     terms = tuple(terms)
+    table = np.array([[term.coeff for term in terms]] if coeffs is None else coeffs, dtype=float)
     real = not any(op.imag.any() for term in terms for _, op in term.factors)
     total = int(np.prod(dims))
-    h = np.zeros((total, total), dtype=float if real else complex)
-    for term in terms:
-        _add_term(h, term, dims)
-    return h
+    h = np.zeros((len(table), total, total), dtype=float if real else complex)
+    for t, term in enumerate(terms):
+        _add_term(h, term, dims, table[:, t])
+    return h[0] if coeffs is None else h
 
 
 def build_dense(model: SpinModel) -> np.ndarray:
@@ -311,15 +314,8 @@ class Splitting:
     per_site_local: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
-        dims = self.model.dims
-        per_site = [np.zeros((d, d), dtype=complex) for d in dims]
-        for term in self.local_terms:
-            if term.degree > 1:
-                raise InvalidAssignmentError(
-                    f"local term on sites {term.sites} has degree {term.degree} > 1")
-            site, op = term.factors[0] if term.degree else (0, np.eye(dims[0]))
-            per_site[site] += term.coeff * op
-        object.__setattr__(self, "per_site_local", tuple(per_site))
+        coeffs = np.array([term.coeff for term in self.local_terms])
+        object.__setattr__(self, "per_site_local", site_operators(self.local_terms, self.model.dims, coeffs))
 
     @cached_property
     def _h_interaction(self) -> np.ndarray:
@@ -341,15 +337,37 @@ class Splitting:
         return float(np.real(psi.conj() @ (self._h_interaction @ psi)))
 
     def local_expectation(self, psi: np.ndarray) -> float:
-        """<psi| H_L |psi> for a unit vector psi: sum_j Re <psi| H_j |psi>, one contraction per site."""
-        dims = self.model.dims
-        sites = (psi.reshape(math.prod(dims[:j]), d, -1) for j, d in enumerate(dims))
-        return sum(float(np.vdot(x, h @ x).real) for x, h in zip(sites, self.per_site_local))
+        """<psi| H_L |psi> for a unit vector psi (see local_expectation)."""
+        return local_expectation(self.per_site_local, psi)
 
     @cached_property
     def local(self) -> LocalSpectrum:
         """Per-site spectra of H_L, computed on first use and shared by every report."""
         return local_spectrum(self)
+
+
+def site_operators(local_terms: Sequence[OperatorTerm], dims: Sequence[int], coeffs: np.ndarray) -> tuple:
+    """Per-site H_j (complex; a degree-0 constant on site 0) of local terms weighted by coeffs, shape (..., T): a (k, T)
+    table gives a family's (k, d_j, d_j) stacks.  A term of degree > 1 raises InvalidAssignmentError."""
+    per_site = [np.zeros(coeffs.shape[:-1] + (d, d), dtype=complex) for d in dims]
+    for t, term in enumerate(local_terms):
+        if term.degree > 1:
+            raise InvalidAssignmentError(
+                f"local term on sites {term.sites} has degree {term.degree} > 1")
+        site, op = term.factors[0] if term.degree else (0, np.eye(dims[0]))
+        per_site[site] += coeffs[..., t, None, None] * op
+    return tuple(per_site)
+
+
+def local_expectation(per_site: Sequence[np.ndarray], psi: np.ndarray):
+    """<psi| H_L |psi> for a unit vector psi: sum_j Re <psi| H_j |psi>, one contraction per site; for a (k, D) stack
+    of vectors and (k, d_j, d_j) stacks of H_j, the list of the k values, each bit for bit its member's own."""
+    dims = [h.shape[-1] for h in per_site]
+    sites = [psi.reshape(psi.shape[:-1] + (math.prod(dims[:j]), d, -1)) for j, d in enumerate(dims)]
+    pairs = [(x, h[..., None, :, :] @ x) for x, h in zip(sites, per_site)]
+    if psi.ndim == 1:
+        return sum(float(np.vdot(x, hx).real) for x, hx in pairs)
+    return [sum(float(np.vdot(x[m], hx[m]).real) for x, hx in pairs) for m in range(len(psi))]
 
 
 def split(model: SpinModel, local: Iterable[int] | None = None) -> Splitting:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import FrustrationReport, cut_expansion, ground_report
+from .bounds import FrustrationReport, cut_expansion, ground_entanglement, ground_report
 from .errors import UndefinedBoundError
 from .linalg import MIN_GAP, STRUCTURAL_TOL, eigvalsh, tol_scale
 from .models import OperatorTerm, SpinModel, Splitting, build_dense, dense_terms
@@ -74,22 +74,23 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRe
     Gammas below MIN_GAP are rejected: delta_e_ent = gamma would amplify
     eigensolver noise in E_f / gamma beyond double precision.  Records where
     E_f is produced by cancellation below STRUCTURAL_TOL * scale are flagged
-    unreliable instead of silently reported.  No splitting is built: each
-    gamma adds H_I = H + gamma P x I to what the model keeps and solves it
-    for eigenvalues only.
+    unreliable instead of silently reported.  No splitting is built: the
+    stack of H_I = H + gamma P x I, one member per gamma, is added to what
+    the model keeps and solved for eigenvalues only, in one call.
     """
     gs = validate_gammas(gammas)
     psi = model.ground.vector
     h = build_dense(model)
     p_i = dense_terms((OperatorTerm(1.0, [(0, ground_projector(model))]),), model.dims)
     w = float(np.real(psi.conj() @ (p_i @ psi)))
+    measured = ground_entanglement(model)
+    h_i = h + np.array(gs)[:, None, None] * p_i  # each member h + gamma * p_i, bit for bit
 
     records = []
-    for gamma in gs:
-        h_i = h + gamma * p_i
-        ev = eigvalsh(h_i)
-        exp_i = float(np.real(psi.conj() @ (h_i @ psi)))
-        report = ground_report(model, -gamma, gamma, float(ev[0]), float(ev[-1]), -gamma * w, exp_i)
+    for gamma, h_gamma, ev in zip(gs, h_i, eigvalsh(h_i)):
+        exp_i = float(np.real(psi.conj() @ (h_gamma @ psi)))
+        report = ground_report(model.name, model.ground, model.ground_state, measured, -gamma, gamma,
+                               float(ev[0]), float(ev[-1]), -gamma * w, exp_i)
         e_scale = tol_scale(report.E0, report.E0_L, report.E0_I)
         if report.ef_bound is None:
             records.append(SweepRecord(gamma, float("nan"), float("nan"), True, report))

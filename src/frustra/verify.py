@@ -4,9 +4,9 @@ and the transverse-Ising comparison against closed forms.
 Each suite replays a seeded ensemble of random instances against the
 package's inequalities and reports failure counts plus worst margins.
 The same runners back the command-line selftest and the acceptance tests,
-so trial counts are parameters rather than constants.  ``ising_sweep_row``
-compares the numeric two-spin analysis with the closed forms at one field;
-the ``sweep`` subcommand prints one row per grid point.
+so trial counts are parameters rather than constants.  ``ising_sweep_rows``
+compares the numeric two-spin analysis with the closed forms, one row per
+field of a grid solved as one family; the ``sweep`` subcommand prints them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entanglement as ent
-from .bounds import analyze_ground, proof_step_check
+from .bounds import analyze_ground, analyze_ground_family, proof_step_check
 from .errors import DegenerateSeparationError
 from .linalg import (
     MIN_GAP, ORACLE_EXACT_TOL, ORACLE_GRID_TOL, ORACLE_W_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, TOL_ENT,
@@ -100,29 +100,33 @@ def random_weak_chain(rng: np.random.Generator) -> SpinModel:
 # closed-form comparison
 
 
-def ising_sweep_row(g: float) -> dict:
-    """One comparison row: numeric analysis against closed forms at field g."""
-    g = float(g)  # a numpy scalar would warn, not give inf, where 4 g^2 overflows
-    if not np.isfinite(1.0 + 4.0 * g * g):  # the closed forms' sqrt(1 + 4 g^2), past |g| ~ 6.7e153
-        raise OverflowError(f"1 + 4 g^2 at g = {g:g} is not finite")
-    model = ising2(g)
-    sym = analyze_ground(split(model))
-    asym = analyze_ground(split(model, local=[0]))
-    gse = ising2_exact_entanglement(g)
-    fb = ising2_exact_bound_symmetric(g)
-    fb2 = ising2_exact_bound_asymmetric(g)
-    return {
-        "g": g,
-        "entanglement": sym.entanglement,
-        "ef_bound_symmetric": sym.ef_bound,
-        "ef_bound_asymmetric": asym.ef_bound,
-        "closed_form_gse": gse,
-        "closed_form_fb": fb,
-        "closed_form_fb2": fb2,
-        "dev_entanglement": abs(sym.entanglement - gse),
-        "dev_ef_symmetric": abs(sym.ef_bound - fb) if sym.ef_bound is not None else None,
-        "dev_ef_asymmetric": abs(asym.ef_bound - fb2) if asym.ef_bound is not None else None,
-    }
+def ising_sweep_rows(gs) -> list[dict]:
+    """One comparison row per field g: numeric analysis against closed forms.
+
+    The models ising2(g) are one family (bounds.analyze_ground_family), split
+    by the default policy (both fields local) and with site 0's field alone
+    local; each row is what the two analyze_ground reports of its model give.
+    """
+    gs = [float(g) for g in gs]  # a numpy scalar would warn, not give inf, where 4 g^2 overflows
+    for g in gs:
+        if not np.isfinite(1.0 + 4.0 * g * g):  # the closed forms' sqrt(1 + 4 g^2), past |g| ~ 6.7e153
+            raise OverflowError(f"1 + 4 g^2 at g = {g:g} is not finite")
+    rows = []
+    for g, sym, asym in zip(gs, *analyze_ground_family([ising2(g) for g in gs], (None, [0]))):
+        gse, fb, fb2 = ising2_exact_entanglement(g), ising2_exact_bound_symmetric(g), ising2_exact_bound_asymmetric(g)
+        rows.append({
+            "g": g,
+            "entanglement": sym.entanglement,
+            "ef_bound_symmetric": sym.ef_bound,
+            "ef_bound_asymmetric": asym.ef_bound,
+            "closed_form_gse": gse,
+            "closed_form_fb": fb,
+            "closed_form_fb2": fb2,
+            "dev_entanglement": abs(sym.entanglement - gse),
+            "dev_ef_symmetric": abs(sym.ef_bound - fb) if sym.ef_bound is not None else None,
+            "dev_ef_asymmetric": abs(asym.ef_bound - fb2) if asym.ef_bound is not None else None,
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from frustra.bounds import (
     analyze_excited,
     analyze_excited_many,
     analyze_ground,
+    analyze_ground_family,
+    json_values,
     cut_expansion,
     delta_j_ent,
     local_coefficients,
@@ -19,11 +22,12 @@ from frustra.bounds import (
     state_entanglement,
 )
 from frustra.entanglement import PureState, geometric_measure_multipartite
-from frustra.errors import UndefinedBoundError
+from frustra.errors import InvalidAssignmentError, UndefinedBoundError
 from frustra.models import (
     OperatorTerm,
     SpinModel,
     build_dense,
+    chain3,
     ising2,
     local_spectrum,
     split,
@@ -32,7 +36,7 @@ from frustra.models import (
 )
 from frustra.saturation import schmidt_splitting
 from frustra.verify import (
-    bound_property_suite, gaussian_hermitian, random_two_site_model, random_weak_chain,
+    bound_property_suite, gaussian_hermitian, ising_sweep_rows, random_two_site_model, random_weak_chain,
 )
 from conftest import product_vector
 
@@ -371,3 +375,50 @@ def test_ground_entanglement_is_kept_per_options():
         values.append(want)
     assert values[0] != values[1]  # the options matter for this state
     assert len(model.entanglement_memo) == 2
+
+
+# ---------------------------------------------------------------------------
+# families: one stacked solve, each report bit for bit its model's own
+
+
+def _bits(report):
+    return json.dumps(json_values(report))  # float repr: every bit, the sign of zero included
+
+
+@pytest.mark.parametrize("gs", [[0.0], [-1.5], [0.7], list(np.linspace(-3, 3, 13)), [1e150, -2.5, 0.0, 3e-300]],
+                         ids=["zero", "negative", "single", "grid", "extremes"])
+def test_sweep_rows_are_the_per_point_reports(gs):
+    sym, asym = analyze_ground_family([ising2(g) for g in gs], (None, [0]))
+    for g, row, s, a in zip(gs, ising_sweep_rows(gs), sym, asym):
+        model = ising2(g)
+        want_s, want_a = analyze_ground(split(model)), analyze_ground(split(model, local=[0]))
+        assert _bits(s) == _bits(want_s) and _bits(a) == _bits(want_a)
+        assert (row["g"], row["entanglement"], row["ef_bound_symmetric"], row["ef_bound_asymmetric"]) == (
+            g, want_s.entanglement, want_s.ef_bound, want_a.ef_bound)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: chain3(ga=x, jbc=1.0 - x),
+    lambda x: SpinModel("qutrits", (3, 3), tuple(OperatorTerm(c * x, t.factors) for c, t in zip(
+        (1.0, -0.5, 2.0), random_two_site_model(np.random.default_rng(4), 3).terms[1:4]))),
+], ids=["chain3", "qutrits"])
+def test_family_reports_are_each_model_s_own(make):
+    xs = [-0.4, 0.0, 0.3, 1.2]
+    models = [make(x) for x in xs]
+    splits = (None, [0], [])
+    reports = analyze_ground_family(models, splits)
+    for local, row in zip(splits, reports):
+        for model, report in zip(models, row):
+            fresh = make(xs[models.index(model)])
+            assert _bits(report) == _bits(analyze_ground(split(fresh, local)))
+
+
+def test_a_family_shares_its_factors():
+    with pytest.raises(ValueError, match="family"):
+        analyze_ground_family([ising2(1.0), triangle(1.0)], (None,))
+    with pytest.raises(ValueError, match="family"):
+        analyze_ground_family([transverse_chain(8), transverse_chain(8, 2.0)], (None,))  # the ground tier
+    for bad in ([0, 0], [3], [2]):  # a repeat, out of range, an interaction term: split's own errors
+        with pytest.raises(InvalidAssignmentError):
+            analyze_ground_family([ising2(1.0)], (bad,))
+    assert analyze_ground_family([], (None, [0])) == [[], []]

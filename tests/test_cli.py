@@ -127,20 +127,23 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_sweep_measures_each_model_once(capsys, monkeypatch):
-    # the symmetric and the asymmetric split of one grid point share its ground state
-    calls = count_calls(monkeypatch, frustra.entanglement, "geometric_measure_bipartite")
+    # the symmetric and the asymmetric split of one grid point share its ground state: one batched call holds each once
+    states = []
+    batch = frustra.entanglement.geometric_measures_bipartite
+    monkeypatch.setattr(frustra.entanglement, "geometric_measures_bipartite",
+                        lambda psis, *args: states.append(list(psis)) or batch(psis, *args))
     code, out, _ = run_cli(capsys, "sweep", "--grid", "0.1:2:7")
     assert code == 0 and len(out.splitlines()) == 8
-    assert len(calls) == 7
+    assert len(states) == 1 and len(states[0]) == 7 and len(set(map(id, states[0]))) == 7
 
 
-def test_saturate_decomposes_the_ground_state_twice(capsys, monkeypatch):
-    # once to choose a0, once for the entanglement every gamma shares
+def test_saturate_decomposes_the_ground_state_once(capsys, monkeypatch):
+    # a0 and the entanglement every gamma shares come from one decomposition
     calls = count_calls(monkeypatch, frustra.entanglement, "schmidt")
     gammas = "0.5,0.2,0.1,0.05,0.02,1e-2,5e-3,1e-3"
     code, out, _ = run_cli(capsys, "saturate", "--model", "ising2", "--gammas", gammas)
     assert code == 0 and len(out.splitlines()) == 9
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_saturate_builds_nothing_per_gamma(capsys, monkeypatch):
@@ -467,6 +470,9 @@ def test_analyze_classical_chain_on_the_ground_tier(capsys):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--model", str(Path(__file__).parent / "data" / "transverse_chain10_model.json")],
     ["excited", "--model", "chain3", "--j", "0..7"],
+    ["sweep", "--grid", "0.01:5:48"],
+    ["saturate", "--model", str(Path(__file__).parent / "data" / "saturate_qutrit_model.json"),
+     "--gammas", "1e-1,1e-2,1e-3"],
 ], ids=lambda argv: argv[0])
 def test_stdout_does_not_depend_on_blas_threads(argv):
     # the optimizer's per-state GEMMs and the dense solvers must round alike on 1 and 2 threads
@@ -548,8 +554,8 @@ def test_sweep_row_raises_where_the_closed_forms_overflow(g):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(OverflowError, match="not finite"):
-            frustra.verify.ising_sweep_row(g)
-        assert frustra.verify.ising_sweep_row(np.float64(1e150))["closed_form_gse"] == 0.0
+            frustra.verify.ising_sweep_rows([g])
+        assert frustra.verify.ising_sweep_rows([np.float64(1e150)])[0]["closed_form_gse"] == 0.0
 
 
 def test_an_overflowed_ground_tier_model_exits_3(tmp_path, capsys):

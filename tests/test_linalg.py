@@ -893,3 +893,106 @@ def test_appendix_norm_check_cases():
     assert appendix_norm_check(np.eye(2))  # 1 <= sqrt(2) <= 2
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     assert appendix_norm_check(m)
+
+
+# ---------------------------------------------------------------------------
+# stacks: each member gets, bit for bit, what a call on it alone gets
+
+STACK_KINDS = ("real", "complex", "diagonal", "roundoff", "complex-diagonal")
+
+
+def _stack_member(rng, d, kind):
+    """A Hermitian d x d matrix of one kind; "roundoff" is complex with an asymmetry far below the rule's."""
+    if kind in ("diagonal", "complex-diagonal"):
+        m = np.diag(rng.normal(size=d))
+        return m + 0j if kind == "complex-diagonal" else m
+    h = random_hermitian(rng, d)
+    if kind == "real":
+        return h.real.copy()
+    if kind == "roundoff":
+        h[0, d - 1] += 1e-14 * (1 + 1j)
+    return h
+
+
+def _same(stacked, solo):
+    """Bit for bit, a real solo value upcast exactly when the stack's array is complex."""
+    return stacked.tobytes() == np.asarray(solo, dtype=stacked.dtype).tobytes()
+
+
+def _stacks():
+    for k in (1, 2, 7):
+        for d in (1, 2, 3, 16):
+            for offset in range(len(STACK_KINDS) if k < len(STACK_KINDS) else 1):
+                rng = np.random.default_rng([k, d, offset])
+                yield [_stack_member(rng, d, STACK_KINDS[(offset + m) % len(STACK_KINDS)]) for m in range(k)]
+
+
+def test_hermitian_eig_of_a_stack_is_each_member_s_own():
+    for members in _stacks():
+        stacked = hermitian_eig(np.stack(members))
+        solos = [hermitian_eig(m) for m in members]
+        assert stacked.eigenvectors.dtype == np.result_type(*(s.eigenvectors for s in solos))
+        for m, solo in enumerate(solos):
+            assert _same(stacked.eigenvalues[m], solo.eigenvalues)
+            assert _same(stacked.eigenvectors[m], solo.eigenvectors)
+
+
+def test_eigvalsh_of_a_stack_is_each_member_s_own():
+    for members in _stacks():
+        stacked = eigvalsh(np.stack(members))
+        assert stacked.dtype == np.float64
+        for m, member in enumerate(members):
+            assert _same(stacked[m], eigvalsh(member))
+
+
+def test_svd_of_a_stack_is_each_member_s_own():
+    for members in _stacks():
+        rows = np.stack(members)[:, :, : max(1, members[0].shape[0] - 1)]  # not square: U and V differ in shape
+        stacked = svd(rows)
+        for m, member in enumerate(rows):
+            solo = svd(member)
+            for got, want in ((stacked.singular_values, solo.singular_values), (stacked.left, solo.left),
+                              (stacked.right, solo.right)):
+                assert got[m].dtype == want.dtype and _same(got[m], want)
+
+
+@pytest.mark.parametrize("solver", [hermitian_eig, eigvalsh], ids=["hermitian_eig", "eigvalsh"])
+@pytest.mark.parametrize("bad", ["nan", "non-hermitian", "overflow"])
+def test_a_bad_member_raises_its_solo_error(solver, bad):
+    rng = np.random.default_rng(5)
+    members = [_stack_member(rng, 3, kind) for kind in ("real", "complex", "diagonal")]
+    broken = members[1].copy()
+    if bad == "nan":
+        broken[2, 0] = np.nan
+    elif bad == "non-hermitian":
+        broken[2, 0] += 1e-3
+    else:
+        broken = np.full((3, 3), 1e308)  # eigenvalues 0, 0 and inf
+    with pytest.raises(Exception) as solo:
+        solver(broken)
+    with pytest.raises(type(solo.value)) as stacked:
+        solver(np.stack([members[0], broken, members[2]]))
+    assert str(stacked.value) == str(solo.value)
+
+
+def test_stack_solvers_take_no_new_d_by_d_temporary():
+    """At d = 1024 the solvers hold at most what they held before they took stacks."""
+    rng = np.random.default_rng(1024)
+    a = rng.normal(size=(1024, 1024))
+    exact = (a + a.T) / 2.0
+    roundoff = exact.copy()
+    roundoff[0, 1] += 1e-13
+    matrix = 8 * 2**20
+    limits = {(eigvalsh, 0): 1.25 * 2**20,  # the finiteness mask
+              (eigvalsh, 1): matrix + 0.25 * 2**20,  # M - M^dag, then the Hermitian part
+              (hermitian_eig, 0): 3 * matrix + 0.25 * 2**20,  # the vectors, |vectors| and the phase-fixed copy
+              (hermitian_eig, 1): 4 * matrix + 0.25 * 2**20}
+    for (solver, asym), limit in limits.items():
+        m = roundoff if asym else exact
+        tracemalloc.start()
+        try:
+            solver(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, (solver.__name__, asym, peak / 2**20)

@@ -90,6 +90,29 @@ def test_dense_terms_matches_kron_reference(seed, dims):
     np.testing.assert_array_equal(h, _kron_reference(terms, dims))
 
 
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_a_family_build_is_each_member_s_own(k, real):
+    """A (k, T) table of coefficients: member m is bit for bit the build of terms weighted by row m."""
+    rng = np.random.default_rng([k, real])
+    dims = (2, 3, 2)
+    terms = [OperatorTerm(1.0, [])]  # a constant
+    for sites in ((0,), (1,), (0, 1), (1, 2), (0, 2), (0, 1, 2)):
+        factors = []
+        for site in sites:
+            z = rng.normal(size=(dims[site],) * 2) + (0 if real else 1j * rng.normal(size=(dims[site],) * 2))
+            factors.append((site, (z + z.conj().T) / 2))
+        terms.append(OperatorTerm(1.0, factors))
+    coeffs = rng.normal(size=(k, len(terms)))
+    coeffs[0, 1] = 0.0  # a member whose term vanishes
+    family = dense_terms(terms, dims, coeffs)
+    assert family.shape == (k, 12, 12) and family.dtype == (np.float64 if real else np.complex128)
+    for m in range(k):
+        own = dense_terms([OperatorTerm(c, t.factors) for c, t in zip(coeffs[m], terms)], dims)
+        assert family[m].tobytes() == own.tobytes()
+    assert dense_terms(terms, dims).tobytes() == dense_terms(terms, dims, np.ones((1, len(terms))))[0].tobytes()
+
+
 def test_terms_keep_their_factors():
     """A term copies each explicit factor, so changing the caller's array later changes no model."""
     y = np.array([[0, -1j], [1j, 0]])

@@ -241,19 +241,19 @@ def test_saturation_suite_counts_a_leftover_weight_off_the_entanglement(monkeypa
     assert result.trials == 4 and result.failures == 4 and not result.ok
 
 
-def test_saturation_suite_decomposes_each_ground_state_twice(monkeypatch):
-    """One Schmidt decomposition for the model's ground projector, one for its entanglement, whatever the gammas."""
+def test_saturation_suite_decomposes_each_ground_state_once(monkeypatch):
+    """One Schmidt decomposition gives the model's ground projector and its entanglement, whatever the gammas."""
     calls = []
     real = frustra.entanglement.schmidt
     monkeypatch.setattr(frustra.entanglement, "schmidt", lambda psi: calls.append(psi.dims) or real(psi))
     for gammas in (GAMMAS, (0.5,) + GAMMAS):
         calls.clear()
         assert saturation_suite(instances=4, gammas=gammas).ok
-        assert len(calls) == 2 * 4
+        assert len(calls) == 4
 
 
 def test_schmidt_splittings_read_the_model_s_decomposition(monkeypatch):
-    """The projector's decomposition is the model's: a sweep and three splittings take two in all, one for the entanglement."""
+    """The projector's decomposition is the model's: a sweep and three splittings take one in all, for the entanglement too."""
     calls = []
     real = frustra.entanglement.schmidt
     monkeypatch.setattr(frustra.entanglement, "schmidt", lambda psi: calls.append(psi.dims) or real(psi))
@@ -261,7 +261,7 @@ def test_schmidt_splittings_read_the_model_s_decomposition(monkeypatch):
     saturation_sweep(model, GAMMAS)
     for gamma in GAMMAS:
         schmidt_splitting(model, gamma)
-    assert len(calls) == 2
+    assert len(calls) == 1
     dec = model.ground_schmidt
     assert not any(a.flags.writeable for a in (dec.coefficients, dec.left_vectors, dec.right_vectors))
 
