@@ -36,10 +36,8 @@ import numpy as np
 
 from . import entanglement as ent
 from .errors import UndefinedBoundError
-from .linalg import (CLOSED_MARGIN_TOL, STRUCTURAL_TOL, TIE_TOL, TOL_ENT, ZERO_NORM, GroundState, eigvalsh,
-                     hermitian_eig, tol_scale)
-from .models import (GROUND_TIER_MIN_DIM, LocalSpectrum, SpinModel, Splitting, dense_terms, interaction_extremes,
-                     local_expectation, site_operators, split)
+from .linalg import CLOSED_MARGIN_TOL, STRUCTURAL_TOL, TIE_TOL, TOL_ENT, ZERO_NORM, GroundState, tol_scale
+from .models import Family, LocalSpectrum, SpinModel, Splitting, interaction_extremes
 
 
 @dataclass(frozen=True)
@@ -55,11 +53,10 @@ class EntanglementOptions:
 DEFAULT_ENT_OPTS = EntanglementOptions()
 
 
-def state_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_ENT_OPTS, dec=None):
-    """(value, method): exact Schmidt route for two parties (from dec, psi's decomposition, when given), alternating
-    otherwise."""
+def state_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
+    """(value, method): exact Schmidt route for two parties, alternating otherwise."""
     if psi.num_sites == 2:
-        res = ent.geometric_measure_bipartite(psi, dec)
+        res = ent.geometric_measure_bipartite(psi)
     else:
         res = ent.geometric_measure_multipartite(
             psi, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed
@@ -88,8 +85,13 @@ def ground_entanglement(model: SpinModel, opts: EntanglementOptions = DEFAULT_EN
     """
     memo = model.entanglement_memo
     if opts not in memo:
-        dec = model.ground_schmidt if model.num_sites == 2 else None
-        memo[opts] = state_entanglement(model.ground_state, opts, dec)
+        if model.num_sites == 2:
+            dec = model.ground_schmidt
+            stacked = ent.SchmidtDecomposition(dec.coefficients[None], dec.left_vectors[None], dec.right_vectors[None])
+            res = ent.geometric_measures_bipartite([model.ground_state], stacked)[0]
+            memo[opts] = res.value, res.method
+        else:
+            memo[opts] = state_entanglement(model.ground_state, opts)
     return memo[opts]
 
 
@@ -222,7 +224,7 @@ def analyze_ground(splitting: Splitting,
     spec = splitting.local
     e0_i, e_i_max = interaction_extremes(splitting)
     return ground_report(model.name, model.ground, model.ground_state, ground_entanglement(model, ent_opts),
-                         float(np.sum([v[0] for v in spec.site_eigenvalues])), spec.delta_e_ent, e0_i, e_i_max,
+                         spec.e0, spec.delta_e_ent, e0_i, e_i_max,
                          splitting.local_expectation(psi), splitting.interaction_expectation(psi))
 
 
@@ -230,39 +232,17 @@ def analyze_ground_family(models: Sequence[SpinModel],
                           splits: Sequence[Sequence[int] | None]) -> list[list[FrustrationReport]]:
     """[[analyze_ground(split(model, local)) for model in models] for local in splits], bit for bit.
 
-    The models are a family below GROUND_TIER_MIN_DIM: equal dims and terms that differ only in coefficients (ising2(g)
-    over a grid of g).  So H, each split's H_I and its per-site H_j are one (k, d, d) build and one stacked solve
-    each, and the entanglement is one batched call; each report comes from ground_report.
+    The models are a models.Family, solved as stacks, and the entanglement is
+    one batched call; each report comes from ground_report.
     """
-    def layout(model):  # the dims, and each term's sites and factor bits
-        return model.dims, [[(site, op.tobytes()) for site, op in t.factors] for t in model.terms]
     if not models:
         return [[] for _ in splits]
-    if models[0].dimension >= GROUND_TIER_MIN_DIM or any(layout(m) != layout(models[0]) for m in models):
-        raise ValueError("a family shares its dims, sites and factors, below the ground tier")
-    terms, dims = models[0].terms, models[0].dims
-    coeffs = np.array([[t.coeff for t in m.terms] for m in models])
-    dec = hermitian_eig(dense_terms(terms, dims, coeffs))
-    grounds = [GroundState.of(vals, vecs[:, 0]) for vals, vecs in zip(dec.eigenvalues, dec.eigenvectors)]
-    states = [ent.PureState(g.vector, dims) for g in grounds]
+    family = Family(models)
+    states = [ent.PureState(g.vector, models[0].dims) for g in family.grounds]
     measured = states_entanglement(states)
-    reports = []
-    for local in splits:  # None is split's default policy: every term of degree <= 1
-        split(models[0], local)  # split's checks of an explicit list
-        local = sorted(t for t, term in enumerate(terms) if term.degree <= 1) if local is None else sorted(local)
-        rest = [t for t in range(len(terms)) if t not in local]
-        h_i = dense_terms([terms[t] for t in rest], dims, coeffs[:, rest])
-        e_i = eigvalsh(h_i)
-        per_site = site_operators([terms[t] for t in local], dims, coeffs[:, local])
-        site_vals = [hermitian_eig(h).eigenvalues for h in per_site]
-        e0_l = np.sum(np.stack([v[:, 0] for v in site_vals], axis=-1), axis=-1)  # each member's np.sum, bit for bit
-        deltas = np.sort([v[:, 1] - v[:, 0] for v in site_vals], axis=0)[1]  # local_spectrum's delta_e_ent
-        exp_l = local_expectation(per_site, dec.eigenvectors[:, :, 0])
-        reports.append([ground_report(
-            m.name, g, psi, ms, float(e0_l[i]), float(deltas[i]), float(e_i[i, 0]), float(e_i[i, -1]), exp_l[i],
-            float(np.real(g.vector.conj() @ (h_i[i] @ g.vector))))
-            for i, (m, g, psi, ms) in enumerate(zip(models, grounds, states, measured))])
-    return reports
+    return [[ground_report(m.name, g, psi, ms, *given)
+             for m, g, psi, ms, given in zip(models, family.grounds, states, measured, family.split(local))]
+            for local in splits]
 
 
 @dataclass(frozen=True, eq=False)

@@ -106,14 +106,14 @@ def overlap_with_product(psi: PureState, vectors: Sequence[np.ndarray]) -> compl
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """coefficients descending (squares sum to 1); left/right orthonormal columns."""
+    """coefficients descending (squares sum to 1); left/right orthonormal columns; or stacks of them."""
 
     coefficients: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.coefficients) @ self.right_vectors.T
+        return (self.left_vectors * self.coefficients[..., None, :]) @ self.right_vectors.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +145,18 @@ def _result(psi: PureState, vectors, method: str, converged: bool,
     )
 
 
-def _schmidt_stack(psis: Sequence[PureState]) -> SchmidtDecomposition:
-    """The Schmidt decompositions of two-party states with equal dims, stacked: one SVD of their amplitude matrices."""
-    for psi in psis:
-        if psi.num_sites != 2:
-            raise NotBipartiteError(f"Schmidt decomposition needs two parties, not {psi.num_sites}")
-    matrix = np.stack([psi.tensor() for psi in psis])  # ValueError unless the dims are equal
+def schmidt(psi: PureState | Sequence[PureState]) -> SchmidtDecomposition:
+    """Schmidt decomposition of a two-party state: one SVD of its d_0 x d_1 amplitude matrix.
+
+    Given a sequence of two-party states with equal dims, their
+    decompositions stacked along a leading axis, from one SVD, each member
+    bit for bit what a call for its state alone gives.
+    """
+    psis = (psi,) if isinstance(psi, PureState) else tuple(psi)
+    for p in psis:
+        if p.num_sites != 2:
+            raise NotBipartiteError(f"Schmidt decomposition needs two parties, not {p.num_sites}")
+    matrix = psi.tensor() if isinstance(psi, PureState) else np.stack([p.tensor() for p in psis])  # equal dims
     dec = svd(matrix)
     resid = float(np.max(np.abs(dec.reconstruct() - matrix)))
     if resid > STRUCTURAL_TOL:
@@ -158,18 +164,12 @@ def _schmidt_stack(psis: Sequence[PureState]) -> SchmidtDecomposition:
     return SchmidtDecomposition(dec.singular_values, dec.left, dec.right.conj())
 
 
-def schmidt(psi: PureState) -> SchmidtDecomposition:
-    """Schmidt decomposition of a two-party state: one SVD of its d_0 x d_1 amplitude matrix."""
-    dec = _schmidt_stack([psi])
-    return SchmidtDecomposition(dec.coefficients[0], dec.left_vectors[0], dec.right_vectors[0])
-
-
 def geometric_measures_bipartite(psis: Sequence[PureState],
                                  dec: SchmidtDecomposition | None = None) -> list[GeometricMeasureResult]:
     """Exact geometric measure 1 - lambda_0^2 of two-party states with equal dims, from one SVD for all (or their
     stacked decomposition dec): _result's maximizer and overlap, each bit for bit what a call for its state alone gives.
     """
-    dec = _schmidt_stack(psis) if dec is None else dec
+    dec = schmidt(psis) if dec is None else dec
     left, right = (fix_phases(v[..., :1])[..., 0] for v in (dec.left_vectors, dec.right_vectors))
     conj = np.stack([psi.amplitudes.conj().reshape(psi.dims) for psi in psis])
     overlaps = np.matmul(np.matmul(left[:, None, :], conj), right[:, :, None])[:, 0, 0]  # overlap_with_product's bits
@@ -178,11 +178,9 @@ def geometric_measures_bipartite(psis: Sequence[PureState],
             for a, b, ov in zip(left, right, (min(abs(complex(o)) ** 2, 1.0) for o in overlaps))]
 
 
-def geometric_measure_bipartite(psi: PureState, dec: SchmidtDecomposition | None = None) -> GeometricMeasureResult:
-    """Exact geometric measure of a two-party state: 1 - lambda_0^2, from its decomposition dec when given."""
-    stacked = None if dec is None else SchmidtDecomposition(
-        dec.coefficients[None], dec.left_vectors[None], dec.right_vectors[None])
-    return geometric_measures_bipartite([psi], stacked)[0]
+def geometric_measure_bipartite(psi: PureState) -> GeometricMeasureResult:
+    """Exact geometric measure of a two-party state: 1 - lambda_0^2."""
+    return geometric_measures_bipartite([psi])[0]
 
 
 def _initial_vectors(psis: Sequence[PureState], restarts: int, seed: int) -> list[np.ndarray]:

@@ -170,6 +170,9 @@ def _hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     An exactly Hermitian member is its own Hermitian part; a matrix is tested by 128-row square tiles, with no copy
     of M^dag.
     """
+    if a.ndim == 3 and len(a) == 1:  # a stack of one is its matrix, with no copy
+        h, asym = _hermitian_part(a[0])
+        return h[None], np.array([asym])
     if a.ndim == 3:  # up to d = 128 one tile holds a member: every member is tested at once, the others alone
         exact = (a == a.conj().swapaxes(1, 2)).all(axis=(1, 2)) if a.shape[-1] <= 128 else np.zeros(len(a), bool)
         if exact.all():

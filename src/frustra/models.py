@@ -14,7 +14,8 @@ in H_I term by term, and the Schmidt-based construction in the saturation
 module installs a local term that appears in no physical term list at all.
 A splitting keeps its local spectrum, computed once.  Per-site gaps are
 taken in the degenerate-aware sense: the gap of H_j is zero whenever its
-lowest eigenvalue is repeated.
+lowest eigenvalue is repeated.  A Family of models that differ only in
+coefficients is solved as stacks, by the rules a single model follows.
 """
 
 from __future__ import annotations
@@ -319,13 +320,7 @@ class Splitting:
 
     @cached_property
     def _h_interaction(self) -> np.ndarray:
-        terms = list(self.model.terms)
-        for local in self.local_terms:  # OperatorTerm has eq=False: `in` and remove() match by identity
-            if local in terms:
-                terms.remove(local)
-            else:
-                terms.append(OperatorTerm(-local.coeff, local.factors))
-        return _read_only(dense_terms(terms, self.model.dims))
+        return _read_only(dense_terms(_interaction_terms(self.model.terms, self.local_terms), self.model.dims))
 
     @cached_property
     def interaction_eigenvalues(self) -> np.ndarray:
@@ -334,7 +329,7 @@ class Splitting:
 
     def interaction_expectation(self, psi: np.ndarray) -> float:
         """<psi| H_I |psi> for a unit vector psi."""
-        return float(np.real(psi.conj() @ (self._h_interaction @ psi)))
+        return _expectation(self._h_interaction, psi)
 
     def local_expectation(self, psi: np.ndarray) -> float:
         """<psi| H_L |psi> for a unit vector psi (see local_expectation)."""
@@ -344,6 +339,22 @@ class Splitting:
     def local(self) -> LocalSpectrum:
         """Per-site spectra of H_L, computed on first use and shared by every report."""
         return local_spectrum(self)
+
+
+def _interaction_terms(terms: Sequence[OperatorTerm], local_terms: Sequence[OperatorTerm]) -> list[OperatorTerm]:
+    """The terms of H_I: the model's, each local term removing one occurrence of itself, and a local term that is no
+    model term added with its coefficient negated."""
+    terms = list(terms)
+    for local in local_terms:  # OperatorTerm has eq=False: `in` and remove() match by identity
+        if local in terms:
+            terms.remove(local)
+        else:
+            terms.append(OperatorTerm(-local.coeff, local.factors))
+    return terms
+
+
+def _expectation(h: np.ndarray, psi: np.ndarray) -> float:
+    return float(np.real(psi.conj() @ (h @ psi)))
 
 
 def site_operators(local_terms: Sequence[OperatorTerm], dims: Sequence[int], coeffs: np.ndarray) -> tuple:
@@ -378,16 +389,20 @@ def split(model: SpinModel, local: Iterable[int] | None = None) -> Splitting:
     (they must be distinct, in range and of degree <= 1).  H_I is the rest
     of H, including degree-1 terms left off the list.
     """
+    return Splitting(model, tuple(model.terms[i] for i in _local_indices(model, local)))
+
+
+def _local_indices(model: SpinModel, local: Iterable[int] | None) -> list[int]:
+    """split's choice of local terms, as sorted term indices."""
     if local is None:
-        local_idx = [i for i, t in enumerate(model.terms) if t.degree <= 1]
-    else:
-        local_idx = [int(i) for i in local]
-        if len(set(local_idx)) != len(local_idx):
-            raise InvalidAssignmentError("duplicate term index in explicit assignment")
-        for i in local_idx:
-            if i < 0 or i >= len(model.terms):
-                raise InvalidAssignmentError(f"term index {i} out of range")
-    return Splitting(model, tuple(model.terms[i] for i in sorted(local_idx)))
+        return [i for i, t in enumerate(model.terms) if t.degree <= 1]
+    local_idx = [int(i) for i in local]
+    if len(set(local_idx)) != len(local_idx):
+        raise InvalidAssignmentError("duplicate term index in explicit assignment")
+    for i in local_idx:
+        if i < 0 or i >= len(model.terms):
+            raise InvalidAssignmentError(f"term index {i} out of range")
+    return sorted(local_idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,6 +420,7 @@ class LocalSpectrum:
     site_eigenvectors: tuple[np.ndarray, ...]
     gaps: np.ndarray
     delta_e_ent: float
+    e0: float  # E0_L, the sum of the per-site minima
     energies: np.ndarray  # product-basis energies, configuration (lex) order
     order: np.ndarray  # argsort of energies, stable
 
@@ -429,35 +445,84 @@ def local_spectrum(splitting: Splitting) -> LocalSpectrum:
     dims = splitting.model.dims
     if len(dims) < 2:
         raise ValueError("local spectrum requires at least 2 sites")
-    vals, vecs, gaps = [], [], []
-    for h in splitting.per_site_local:
-        dec = hermitian_eig(h)
-        vals.append(dec.eigenvalues)
-        vecs.append(dec.eigenvectors)
-        gaps.append(float(dec.eigenvalues[1] - dec.eigenvalues[0]))
+    decs, gaps, delta_e_ent, e0 = _site_spectra(splitting.per_site_local)
+    vals = [dec.eigenvalues for dec in decs]
     energies = np.zeros(dims, dtype=float)
     for site, ev in enumerate(vals):
         shape = [1] * len(dims)
         shape[site] = dims[site]
         energies = energies + ev.reshape(shape)
     energies = energies.reshape(-1)
-    gaps = np.array(gaps)
-    delta_e_ent = float(np.sort(gaps)[1])
     return LocalSpectrum(
         dims=dims,
         site_eigenvalues=tuple(vals),
-        site_eigenvectors=tuple(vecs),
+        site_eigenvectors=tuple(dec.eigenvectors for dec in decs),
         gaps=gaps,
-        delta_e_ent=delta_e_ent,
+        delta_e_ent=float(delta_e_ent),
+        e0=float(e0),
         energies=energies,
         order=np.argsort(energies, kind="stable"),
     )
+
+
+def _site_spectra(per_site: Sequence[np.ndarray]) -> tuple:
+    """(decompositions, gaps, delta_e_ent, E0_L) of the per-site H_j, or of (k, d_j, d_j) stacks of them, member m of
+    each bit for bit its own.  delta_e_ent is the second smallest gap and E0_L the sum of the per-site minima."""
+    decs = [hermitian_eig(h) for h in per_site]
+    gaps = np.array([dec.eigenvalues[..., 1] - dec.eigenvalues[..., 0] for dec in decs])
+    e0 = np.sum(np.stack([dec.eigenvalues[..., 0] for dec in decs], axis=-1), axis=-1)
+    return decs, gaps, np.sort(gaps, axis=0)[1], e0
 
 
 def interaction_extremes(splitting: Splitting) -> tuple[float, float]:
     """(E^I_0, E^I_max): the extreme eigenvalues of H_I."""
     ev = splitting.interaction_eigenvalues
     return float(ev[0]), float(ev[-1])
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """Models that differ only in coefficients (ising2(g) over a grid of g), solved as stacks.
+
+    The models share their dims and their terms' sites and factors, below
+    GROUND_TIER_MIN_DIM, so H is one (k, D, D) build from the (k, T) table
+    of coefficients and one stacked eigh, and so is each splitting's H_I.
+    Member m of every result is, bit for bit, what models[m] alone gives.
+    """
+
+    models: Sequence[SpinModel]
+    coeffs: np.ndarray = field(init=False)
+    spectrum: EigenDecomposition = field(init=False)  # each model's, stacked
+
+    def __post_init__(self):
+        first = self.models[0]
+
+        def layout(model):  # the dims, and each term's sites and factor bits
+            return model.dims, [[(site, op.tobytes()) for site, op in t.factors] for t in model.terms]
+        if first.dimension >= GROUND_TIER_MIN_DIM or any(layout(m) != layout(first) for m in self.models):
+            raise ValueError("a family is models that share their dims, sites and factors, below the ground tier")
+        coeffs = np.array([[t.coeff for t in m.terms] for m in self.models])
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "spectrum", hermitian_eig(dense_terms(first.terms, first.dims, coeffs)))
+
+    @cached_property
+    def grounds(self) -> list[GroundState]:
+        """Each model's ground: below the ground tier, read from its spectrum."""
+        dec = self.spectrum
+        return [GroundState.of(vals, vecs[:, 0]) for vals, vecs in zip(dec.eigenvalues, dec.eigenvectors)]
+
+    def split(self, local: Iterable[int] | None = None) -> list[tuple[float, ...]]:
+        """What split(model, local) gives each model's ground report, with split's policy and errors: E0_L,
+        delta_e_ent, the extremes of H_I, and <H_L> and <H_I> at the ground vector."""
+        first = self.models[0]
+        idx = _local_indices(first, local)
+        terms = [_interaction_terms(m.terms, [m.terms[i] for i in idx]) for m in self.models]
+        h_i = dense_terms(terms[0], first.dims, np.array([[t.coeff for t in ts] for ts in terms]))
+        per_site = site_operators([first.terms[i] for i in idx], first.dims, self.coeffs[:, idx])
+        _, _, delta_e_ent, e0 = _site_spectra(per_site)
+        vectors = self.spectrum.eigenvectors[:, :, 0]
+        return [(float(e0[m]), float(delta_e_ent[m]), float(ev[0]), float(ev[-1]), exp_l, _expectation(h_i[m], psi))
+                for m, (ev, exp_l, psi) in enumerate(zip(eigvalsh(h_i), local_expectation(per_site, vectors), vectors))]
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,9 @@ class SweepRecord:
     report: FrustrationReport
 
 
+STACK_ENTRIES = 2**16  # saturation_sweep's H_I per eigvalsh call: 1 MiB of complex entries, one H_I from d = 256 on
+
+
 def validate_gammas(gammas: Sequence[float]) -> list[float]:
     """The gammas as floats; ValueError unless finite, positive, strictly descending and >= MIN_GAP."""
     gs = [float(g) for g in gammas]
@@ -74,9 +77,10 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRe
     Gammas below MIN_GAP are rejected: delta_e_ent = gamma would amplify
     eigensolver noise in E_f / gamma beyond double precision.  Records where
     E_f is produced by cancellation below STRUCTURAL_TOL * scale are flagged
-    unreliable instead of silently reported.  No splitting is built: the
-    stack of H_I = H + gamma P x I, one member per gamma, is added to what
-    the model keeps and solved for eigenvalues only, in one call.
+    unreliable instead of silently reported.  No splitting is built: each
+    H_I = H + gamma P x I is added to what the model keeps and solved for
+    eigenvalues only, the gammas in stacks of at most STACK_ENTRIES matrix
+    entries: many small H_I take one call, and a large one is solved alone.
     """
     gs = validate_gammas(gammas)
     psi = model.ground.vector
@@ -84,13 +88,18 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRe
     p_i = dense_terms((OperatorTerm(1.0, [(0, ground_projector(model))]),), model.dims)
     w = float(np.real(psi.conj() @ (p_i @ psi)))
     measured = ground_entanglement(model)
-    h_i = h + np.array(gs)[:, None, None] * p_i  # each member h + gamma * p_i, bit for bit
+    solved = []  # (E0_I, E_I_max, <H_I>) per gamma
+    per = max(1, STACK_ENTRIES // h.size)
+    for lo in range(0, len(gs), per):
+        h_i = np.multiply(np.array(gs[lo:lo + per])[:, None, None], p_i, dtype=np.result_type(h, p_i))
+        h_i += h  # each member h + gamma * p_i, bit for bit, with no second stack
+        solved += [(float(ev[0]), float(ev[-1]), float(np.real(psi.conj() @ (h_gamma @ psi))))
+                   for h_gamma, ev in zip(h_i, eigvalsh(h_i))]
 
     records = []
-    for gamma, h_gamma, ev in zip(gs, h_i, eigvalsh(h_i)):
-        exp_i = float(np.real(psi.conj() @ (h_gamma @ psi)))
+    for gamma, (e0_i, e_i_max, exp_i) in zip(gs, solved):
         report = ground_report(model.name, model.ground, model.ground_state, measured, -gamma, gamma,
-                               float(ev[0]), float(ev[-1]), -gamma * w, exp_i)
+                               e0_i, e_i_max, -gamma * w, exp_i)
         e_scale = tol_scale(report.E0, report.E0_L, report.E0_I)
         if report.ef_bound is None:
             records.append(SweepRecord(gamma, float("nan"), float("nan"), True, report))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -245,7 +246,7 @@ def test_saturation_suite_decomposes_each_ground_state_once(monkeypatch):
     """One Schmidt decomposition gives the model's ground projector and its entanglement, whatever the gammas."""
     calls = []
     real = frustra.entanglement.schmidt
-    monkeypatch.setattr(frustra.entanglement, "schmidt", lambda psi: calls.append(psi.dims) or real(psi))
+    monkeypatch.setattr(frustra.entanglement, "schmidt", lambda psi: calls.append(psi) or real(psi))
     for gammas in (GAMMAS, (0.5,) + GAMMAS):
         calls.clear()
         assert saturation_suite(instances=4, gammas=gammas).ok
@@ -256,7 +257,7 @@ def test_schmidt_splittings_read_the_model_s_decomposition(monkeypatch):
     """The projector's decomposition is the model's: a sweep and three splittings take one in all, for the entanglement too."""
     calls = []
     real = frustra.entanglement.schmidt
-    monkeypatch.setattr(frustra.entanglement, "schmidt", lambda psi: calls.append(psi.dims) or real(psi))
+    monkeypatch.setattr(frustra.entanglement, "schmidt", lambda psi: calls.append(psi) or real(psi))
     model = ising2(1.3)
     saturation_sweep(model, GAMMAS)
     for gamma in GAMMAS:
@@ -264,6 +265,27 @@ def test_schmidt_splittings_read_the_model_s_decomposition(monkeypatch):
     assert len(calls) == 1
     dec = model.ground_schmidt
     assert not any(a.flags.writeable for a in (dec.coefficients, dec.left_vectors, dec.right_vectors))
+
+
+def test_a_large_saturate_holds_one_gamma_s_matrices_at_a_time():
+    """At d = 1024 each H_I is solved alone: seven gammas peak where one gamma alone did, at three d x d matrices."""
+    rng = np.random.default_rng(1024)
+
+    def symmetric(d):
+        a = rng.normal(size=(d, d))
+        return (a + a.T) / 2.0
+    model = SpinModel("d1024", (32, 32), (OperatorTerm(1.0, [(0, symmetric(32)), (1, symmetric(32))]),
+                                          OperatorTerm(0.5, [(0, symmetric(32))]),
+                                          OperatorTerm(0.7, [(1, symmetric(32))])))
+    saturation_sweep(model, GAMMAS[:1])  # the model's ground state, H and decomposition
+    tracemalloc.start()
+    try:
+        records = saturation_sweep(model, (0.5, 0.2) + GAMMAS + (5e-4, 1e-4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 7
+    assert peak <= 3 * 8 * 2**20 + 2**18, peak / 2**20
 
 
 def test_strict_positivity_of_excess():
