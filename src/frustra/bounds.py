@@ -37,7 +37,7 @@ import numpy as np
 from . import entanglement as ent
 from .errors import UndefinedBoundError
 from .linalg import CLOSED_MARGIN_TOL, STRUCTURAL_TOL, TIE_TOL, TOL_ENT, ZERO_NORM, GroundState, tol_scale
-from .models import Family, LocalSpectrum, SpinModel, Splitting, interaction_extremes
+from .models import LocalSpectrum, SpinModel, Splitting, interaction_extremes
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def states_entanglement(psis: Sequence[ent.PureState], opts: EntanglementOptions
     return [(res.value, res.method) for res in results]
 
 
-def ground_entanglement(model: SpinModel, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
+def ground_entanglement(model: SpinModel | Sequence[SpinModel], opts: EntanglementOptions = DEFAULT_ENT_OPTS):
     """(value, method) of the model's ground state, computed once per options.
 
     The ground state is the one the model keeps (``model.ground_state``), so
@@ -82,7 +82,16 @@ def ground_entanglement(model: SpinModel, opts: EntanglementOptions = DEFAULT_EN
     ``model.entanglement_memo`` and shared by every splitting of the model.
     A two-site model's comes from the decomposition it keeps
     (``model.ground_schmidt``), so its ground state is decomposed once.
+    Given a sequence of models with equal dims, the list of their results;
+    those not yet kept come from one states_entanglement call.
     """
+    if not isinstance(model, SpinModel):
+        memos = [m.entanglement_memo for m in model]
+        results = [memo.get(opts) for memo in memos]
+        unmeasured = [i for i, res in enumerate(results) if res is None]
+        for i, res in zip(unmeasured, states_entanglement([model[i].ground_state for i in unmeasured], opts)):
+            results[i] = memos[i][opts] = res
+        return results
     memo = model.entanglement_memo
     if opts not in memo:
         if model.num_sites == 2:
@@ -216,33 +225,26 @@ def ground_report(name: str, g: GroundState, state: ent.PureState, measured: tup
     )
 
 
-def analyze_ground(splitting: Splitting,
-                   ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> FrustrationReport:
-    """Full frustration report for one splitting, through ground_report."""
-    model = splitting.model
-    psi = model.ground.vector
+def analyze_ground(splitting: Splitting, ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS):
+    """Full frustration report for one splitting, through ground_report.
+
+    A family's splitting (models.split of a sequence) gives the list of its
+    members' reports, read from its stacked arrays and one batched
+    entanglement call, each bit for bit what its model's own splitting gives.
+    """
+    one = isinstance(splitting.model, SpinModel)
+    models = (splitting.model,) if one else splitting.model
+    # a family's ground vectors as columns of its stacked eigenvectors: strided as one model's, so the products
+    # below take the same loops and each member's expectations are bit for bit its own
+    psi = models[0].ground.vector if one else np.array([m.spectrum.eigenvectors for m in models])[:, :, 0]
     spec = splitting.local
     e0_i, e_i_max = interaction_extremes(splitting)
-    return ground_report(model.name, model.ground, model.ground_state, ground_entanglement(model, ent_opts),
-                         spec.e0, spec.delta_e_ent, e0_i, e_i_max,
-                         splitting.local_expectation(psi), splitting.interaction_expectation(psi))
-
-
-def analyze_ground_family(models: Sequence[SpinModel],
-                          splits: Sequence[Sequence[int] | None]) -> list[list[FrustrationReport]]:
-    """[[analyze_ground(split(model, local)) for model in models] for local in splits], bit for bit.
-
-    The models are a models.Family, solved as stacks, and the entanglement is
-    one batched call; each report comes from ground_report.
-    """
-    if not models:
-        return [[] for _ in splits]
-    family = Family(models)
-    states = [ent.PureState(g.vector, models[0].dims) for g in family.grounds]
-    measured = states_entanglement(states)
-    return [[ground_report(m.name, g, psi, ms, *given)
-             for m, g, psi, ms, given in zip(models, family.grounds, states, measured, family.split(local))]
-            for local in splits]
+    measured = ground_entanglement(splitting.model, ent_opts)
+    given = (spec.e0, spec.delta_e_ent, e0_i, e_i_max,
+             splitting.local_expectation(psi), splitting.interaction_expectation(psi))
+    reports = [ground_report(m.name, m.ground, m.ground_state, ms, *values) for m, ms, values in
+               zip(models, [measured] if one else measured, zip(*(np.reshape(x, -1).tolist() for x in given)))]
+    return reports[0] if one else reports
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,8 +14,9 @@ in H_I term by term, and the Schmidt-based construction in the saturation
 module installs a local term that appears in no physical term list at all.
 A splitting keeps its local spectrum, computed once.  Per-site gaps are
 taken in the degenerate-aware sense: the gap of H_j is zero whenever its
-lowest eigenvalue is repeated.  A Family of models that differ only in
-coefficients is solved as stacks, by the rules a single model follows.
+lowest eigenvalue is repeated.  A family, models that differ only in
+coefficients, is split as one: its arrays are stacks by the rules a single
+model follows, and each member's is bit for bit that model's own.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ class SpinModel:
 
     @property
     def dimension(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def label_index(self, label: str) -> int:
         try:
@@ -307,32 +308,42 @@ class Splitting:
     disjoint entries.  A local term of degree > 1 raises
     InvalidAssignmentError.  H_I is the only dense operator a splitting
     builds; it, its eigenvalues and the local spectrum are computed on first
-    use and kept read-only.
+    use and kept read-only.  A family's splitting (see split) holds the tuple
+    of its models and one tuple of local terms per member, and every array
+    it gives has a leading member axis.
     """
 
-    model: SpinModel
-    local_terms: tuple[OperatorTerm, ...]
+    model: SpinModel | tuple[SpinModel, ...]
+    local_terms: tuple
     per_site_local: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
-        coeffs = np.array([term.coeff for term in self.local_terms])
-        object.__setattr__(self, "per_site_local", site_operators(self.local_terms, self.model.dims, coeffs))
+        object.__setattr__(self, "per_site_local", site_operators(*self._stacked(lambda model, local: local)))
+
+    def _stacked(self, terms_of) -> tuple:
+        """dense_terms' and site_operators' arguments for terms_of(model, local terms): the terms and dims, and for a
+        family the first member's terms with the (k, T) table of every member's coefficients."""
+        if isinstance(self.model, SpinModel):
+            return terms_of(self.model, self.local_terms), self.model.dims
+        rows = [terms_of(model, local) for model, local in zip(self.model, self.local_terms)]
+        return rows[0], self.model[0].dims, np.array([[t.coeff for t in terms] for terms in rows])
 
     @cached_property
     def _h_interaction(self) -> np.ndarray:
-        return _read_only(dense_terms(_interaction_terms(self.model.terms, self.local_terms), self.model.dims))
+        return _read_only(dense_terms(*self._stacked(lambda model, local: _interaction_terms(model.terms, local))))
 
     @cached_property
     def interaction_eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of H_I; no eigenvectors, since only extremes are used."""
         return _read_only(eigvalsh(self._h_interaction))
 
-    def interaction_expectation(self, psi: np.ndarray) -> float:
-        """<psi| H_I |psi> for a unit vector psi."""
-        return _expectation(self._h_interaction, psi)
+    def interaction_expectation(self, psi: np.ndarray):
+        """<psi| H_I |psi> for a unit vector psi; for a family's (k, D) stack of vectors, the list of the k values,
+        each from the same two products as its member's own."""
+        return np.real(psi.conj()[..., None, :] @ (self._h_interaction @ psi[..., None]))[..., 0, 0].tolist()
 
-    def local_expectation(self, psi: np.ndarray) -> float:
-        """<psi| H_L |psi> for a unit vector psi (see local_expectation)."""
+    def local_expectation(self, psi: np.ndarray):
+        """<psi| H_L |psi> for a unit vector psi, or the list for a family's stack of them (see local_expectation)."""
         return local_expectation(self.per_site_local, psi)
 
     @cached_property
@@ -353,13 +364,11 @@ def _interaction_terms(terms: Sequence[OperatorTerm], local_terms: Sequence[Oper
     return terms
 
 
-def _expectation(h: np.ndarray, psi: np.ndarray) -> float:
-    return float(np.real(psi.conj() @ (h @ psi)))
-
-
-def site_operators(local_terms: Sequence[OperatorTerm], dims: Sequence[int], coeffs: np.ndarray) -> tuple:
-    """Per-site H_j (complex; a degree-0 constant on site 0) of local terms weighted by coeffs, shape (..., T): a (k, T)
-    table gives a family's (k, d_j, d_j) stacks.  A term of degree > 1 raises InvalidAssignmentError."""
+def site_operators(local_terms: Sequence[OperatorTerm], dims: Sequence[int], coeffs: np.ndarray | None = None) -> tuple:
+    """Per-site H_j (complex; a degree-0 constant on site 0) of local terms, weighted by coeffs of shape (..., T) if
+    given: a (k, T) table gives a family's (k, d_j, d_j) stacks.  A term of degree > 1 raises InvalidAssignmentError."""
+    if coeffs is None:
+        coeffs = np.array([term.coeff for term in local_terms])
     per_site = [np.zeros(coeffs.shape[:-1] + (d, d), dtype=complex) for d in dims]
     for t, term in enumerate(local_terms):
         if term.degree > 1:
@@ -373,23 +382,48 @@ def site_operators(local_terms: Sequence[OperatorTerm], dims: Sequence[int], coe
 def local_expectation(per_site: Sequence[np.ndarray], psi: np.ndarray):
     """<psi| H_L |psi> for a unit vector psi: sum_j Re <psi| H_j |psi>, one contraction per site; for a (k, D) stack
     of vectors and (k, d_j, d_j) stacks of H_j, the list of the k values, each bit for bit its member's own."""
-    dims = [h.shape[-1] for h in per_site]
-    sites = [psi.reshape(psi.shape[:-1] + (math.prod(dims[:j]), d, -1)) for j, d in enumerate(dims)]
-    pairs = [(x, h[..., None, :, :] @ x) for x, h in zip(sites, per_site)]
-    if psi.ndim == 1:
-        return sum(float(np.vdot(x, hx).real) for x, hx in pairs)
-    return [sum(float(np.vdot(x[m], hx[m]).real) for x, hx in pairs) for m in range(len(psi))]
+    dims, lead = [h.shape[-1] for h in per_site], psi.shape[:-1]
+    values = []
+    for j, (d, h) in enumerate(zip(dims, per_site)):
+        x = psi.reshape(lead + (math.prod(dims[:j]), d, -1))
+        # np.vdot of each member, in one call: the same loop on the same unit-stride copy that vdot flattens x to
+        values.append(np.vecdot(np.ascontiguousarray(x).reshape(lead + (-1,)),
+                                (h[..., None, :, :] @ x).reshape(lead + (-1,))).real.tolist())
+    return sum(values) if not lead else [sum(v) for v in zip(*values)]
 
 
-def split(model: SpinModel, local: Iterable[int] | None = None) -> Splitting:
+def split(model: SpinModel | Sequence[SpinModel], local: Iterable[int] | None = None) -> Splitting:
     """Split the model into local and interaction parts by choosing the local terms.
 
     With ``local=None`` (default policy) every term of degree <= 1 goes to
     H_L.  Passing explicit term indices makes exactly those terms local
     (they must be distinct, in range and of degree <= 1).  H_I is the rest
     of H, including degree-1 terms left off the list.
+
+    A sequence of models that differ only in coefficients (a family: equal
+    dims, the same sites and factor bits in each term, below
+    GROUND_TIER_MIN_DIM; ValueError otherwise) is split as one, member m
+    bit for bit split(models[m], local).  H of the members not yet solved
+    is one stacked solve that fills each model's own ``spectrum``.
     """
-    return Splitting(model, tuple(model.terms[i] for i in _local_indices(model, local)))
+    if isinstance(model, SpinModel):
+        return Splitting(model, tuple(model.terms[i] for i in _local_indices(model, local)))
+    models = tuple(model)
+
+    def layout(m):  # the dims, each term's degree, and each factor's site and bits
+        return m.dims, [len(t.factors) for t in m.terms], [(i, op.tobytes()) for t in m.terms for i, op in t.factors]
+    first = layout(models[0]) if models else None
+    if not models or models[0].dimension >= GROUND_TIER_MIN_DIM or any(layout(m) != first for m in models[1:]):
+        raise ValueError("a family is models that share their dims, sites and factors, below the ground tier")
+    idx = _local_indices(models[0], local)
+    splitting = Splitting(models, tuple(tuple([m.terms[i] for i in idx]) for m in models))
+    unsolved = [m for m in models if "spectrum" not in vars(m)]
+    if unsolved:
+        coeffs = [[t.coeff for t in m.terms] for m in unsolved]
+        dec = hermitian_eig(dense_terms(models[0].terms, models[0].dims, coeffs))
+        for m, vals, vecs in zip(unsolved, _read_only(dec.eigenvalues), _read_only(dec.eigenvectors)):
+            vars(m)["spectrum"] = EigenDecomposition(vals, vecs)  # the cached_property's slot
+    return splitting
 
 
 def _local_indices(model: SpinModel, local: Iterable[int] | None) -> list[int]:
@@ -412,21 +446,22 @@ class LocalSpectrum:
     Product-basis configurations are indexed in row-major (site-0 major)
     order, matching the tensor-product embedding, with per-site levels in
     the eigensolver's ascending order.  ``order`` sorts configurations by
-    local energy (stable, so ties resolve in configuration order).
+    local energy (stable, so ties resolve in configuration order).  A
+    family's has a leading member axis on every array, delta_e_ent and e0 too.
     """
 
     dims: tuple[int, ...]
     site_eigenvalues: tuple[np.ndarray, ...]
     site_eigenvectors: tuple[np.ndarray, ...]
     gaps: np.ndarray
-    delta_e_ent: float
-    e0: float  # E0_L, the sum of the per-site minima
+    delta_e_ent: float | np.ndarray
+    e0: float | np.ndarray  # E0_L, the sum of the per-site minima
     energies: np.ndarray  # product-basis energies, configuration (lex) order
     order: np.ndarray  # argsort of energies, stable
 
     @property
     def dimension(self) -> int:
-        return int(self.energies.size)
+        return int(self.energies.shape[-1])
 
     def config_of_flat(self, flat: int) -> tuple[int, ...]:
         return tuple(int(c) for c in np.unravel_index(int(flat), self.dims))
@@ -440,89 +475,41 @@ def local_spectrum(splitting: Splitting) -> LocalSpectrum:
 
     Sites with no local term carry H_j = 0, hence a vanishing gap.  The
     headline scale delta_e_ent is the second smallest per-site gap: the
-    least energy that forces excitations in two distinct subsystems.
+    least energy that forces excitations in two distinct subsystems.  A
+    family's per-site stacks are solved at once, member m bit for bit its own.
     """
-    dims = splitting.model.dims
+    dims = tuple(h.shape[-1] for h in splitting.per_site_local)
     if len(dims) < 2:
         raise ValueError("local spectrum requires at least 2 sites")
-    decs, gaps, delta_e_ent, e0 = _site_spectra(splitting.per_site_local)
+    decs = [hermitian_eig(h) for h in splitting.per_site_local]
     vals = [dec.eigenvalues for dec in decs]
-    energies = np.zeros(dims, dtype=float)
+    gaps = np.stack([ev[..., 1] - ev[..., 0] for ev in vals], axis=-1)
+    delta_e_ent = np.sort(gaps, axis=-1)[..., 1]
+    e0 = np.sum(np.stack([ev[..., 0] for ev in vals], axis=-1), axis=-1)
+    lead = vals[0].shape[:-1]  # (k,) for a family
+    energies = np.zeros(lead + dims, dtype=float)
     for site, ev in enumerate(vals):
         shape = [1] * len(dims)
         shape[site] = dims[site]
-        energies = energies + ev.reshape(shape)
-    energies = energies.reshape(-1)
+        energies = energies + ev.reshape(lead + tuple(shape))
+    energies = energies.reshape(lead + (-1,))
     return LocalSpectrum(
         dims=dims,
         site_eigenvalues=tuple(vals),
         site_eigenvectors=tuple(dec.eigenvectors for dec in decs),
         gaps=gaps,
-        delta_e_ent=float(delta_e_ent),
-        e0=float(e0),
+        delta_e_ent=delta_e_ent if lead else float(delta_e_ent),
+        e0=e0 if lead else float(e0),
         energies=energies,
-        order=np.argsort(energies, kind="stable"),
+        order=np.argsort(energies, axis=-1, kind="stable"),
     )
 
 
-def _site_spectra(per_site: Sequence[np.ndarray]) -> tuple:
-    """(decompositions, gaps, delta_e_ent, E0_L) of the per-site H_j, or of (k, d_j, d_j) stacks of them, member m of
-    each bit for bit its own.  delta_e_ent is the second smallest gap and E0_L the sum of the per-site minima."""
-    decs = [hermitian_eig(h) for h in per_site]
-    gaps = np.array([dec.eigenvalues[..., 1] - dec.eigenvalues[..., 0] for dec in decs])
-    e0 = np.sum(np.stack([dec.eigenvalues[..., 0] for dec in decs], axis=-1), axis=-1)
-    return decs, gaps, np.sort(gaps, axis=0)[1], e0
-
-
-def interaction_extremes(splitting: Splitting) -> tuple[float, float]:
-    """(E^I_0, E^I_max): the extreme eigenvalues of H_I."""
+def interaction_extremes(splitting: Splitting):
+    """(E^I_0, E^I_max): the extreme eigenvalues of H_I; for a family, the arrays of the members' values."""
     ev = splitting.interaction_eigenvalues
-    return float(ev[0]), float(ev[-1])
-
-
-@dataclass(frozen=True, eq=False)
-class Family:
-    """Models that differ only in coefficients (ising2(g) over a grid of g), solved as stacks.
-
-    The models share their dims and their terms' sites and factors, below
-    GROUND_TIER_MIN_DIM, so H is one (k, D, D) build from the (k, T) table
-    of coefficients and one stacked eigh, and so is each splitting's H_I.
-    Member m of every result is, bit for bit, what models[m] alone gives.
-    """
-
-    models: Sequence[SpinModel]
-    coeffs: np.ndarray = field(init=False)
-    spectrum: EigenDecomposition = field(init=False)  # each model's, stacked
-
-    def __post_init__(self):
-        first = self.models[0]
-
-        def layout(model):  # the dims, and each term's sites and factor bits
-            return model.dims, [[(site, op.tobytes()) for site, op in t.factors] for t in model.terms]
-        if first.dimension >= GROUND_TIER_MIN_DIM or any(layout(m) != layout(first) for m in self.models):
-            raise ValueError("a family is models that share their dims, sites and factors, below the ground tier")
-        coeffs = np.array([[t.coeff for t in m.terms] for m in self.models])
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "spectrum", hermitian_eig(dense_terms(first.terms, first.dims, coeffs)))
-
-    @cached_property
-    def grounds(self) -> list[GroundState]:
-        """Each model's ground: below the ground tier, read from its spectrum."""
-        dec = self.spectrum
-        return [GroundState.of(vals, vecs[:, 0]) for vals, vecs in zip(dec.eigenvalues, dec.eigenvectors)]
-
-    def split(self, local: Iterable[int] | None = None) -> list[tuple[float, ...]]:
-        """What split(model, local) gives each model's ground report, with split's policy and errors: E0_L,
-        delta_e_ent, the extremes of H_I, and <H_L> and <H_I> at the ground vector."""
-        first = self.models[0]
-        idx = _local_indices(first, local)
-        terms = [_interaction_terms(m.terms, [m.terms[i] for i in idx]) for m in self.models]
-        h_i = dense_terms(terms[0], first.dims, np.array([[t.coeff for t in ts] for ts in terms]))
-        per_site = site_operators([first.terms[i] for i in idx], first.dims, self.coeffs[:, idx])
-        _, _, delta_e_ent, e0 = _site_spectra(per_site)
-        vectors = self.spectrum.eigenvectors[:, :, 0]
-        return [(float(e0[m]), float(delta_e_ent[m]), float(ev[0]), float(ev[-1]), exp_l, _expectation(h_i[m], psi))
-                for m, (ev, exp_l, psi) in enumerate(zip(eigvalsh(h_i), local_expectation(per_site, vectors), vectors))]
+    lo, hi = ev[..., 0], ev[..., -1]
+    return (lo, hi) if ev.ndim > 1 else (float(lo), float(hi))
 
 
 # ---------------------------------------------------------------------------

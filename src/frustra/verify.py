@@ -6,7 +6,7 @@ package's inequalities and reports failure counts plus worst margins.
 The same runners back the command-line selftest and the acceptance tests,
 so trial counts are parameters rather than constants.  ``ising_sweep_rows``
 compares the numeric two-spin analysis with the closed forms, one row per
-field of a grid solved as one family; the ``sweep`` subcommand prints them.
+field of a grid split as one family; the ``sweep`` subcommand prints them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entanglement as ent
-from .bounds import analyze_ground, analyze_ground_family, proof_step_check
+from .bounds import analyze_ground, proof_step_check
 from .errors import DegenerateSeparationError
 from .linalg import (
     MIN_GAP, ORACLE_EXACT_TOL, ORACLE_GRID_TOL, ORACLE_W_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, TOL_ENT,
@@ -103,16 +103,19 @@ def random_weak_chain(rng: np.random.Generator) -> SpinModel:
 def ising_sweep_rows(gs) -> list[dict]:
     """One comparison row per field g: numeric analysis against closed forms.
 
-    The models ising2(g) are one family (bounds.analyze_ground_family), split
-    by the default policy (both fields local) and with site 0's field alone
-    local; each row is what the two analyze_ground reports of its model give.
+    The models ising2(g) are split as one family by the default policy (both
+    fields local) and with site 0's field alone local; each row is what the
+    two analyze_ground reports of its model give.
     """
     gs = [float(g) for g in gs]  # a numpy scalar would warn, not give inf, where 4 g^2 overflows
     for g in gs:
         if not np.isfinite(1.0 + 4.0 * g * g):  # the closed forms' sqrt(1 + 4 g^2), past |g| ~ 6.7e153
             raise OverflowError(f"1 + 4 g^2 at g = {g:g} is not finite")
+    if not gs:
+        return []
+    models = [ising2(g) for g in gs]
     rows = []
-    for g, sym, asym in zip(gs, *analyze_ground_family([ising2(g) for g in gs], (None, [0]))):
+    for g, sym, asym in zip(gs, *(analyze_ground(split(models, local)) for local in (None, [0]))):
         gse, fb, fb2 = ising2_exact_entanglement(g), ising2_exact_bound_symmetric(g), ising2_exact_bound_asymmetric(g)
         rows.append({
             "g": g,

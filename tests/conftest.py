@@ -23,13 +23,13 @@ def rng():
 
 @pytest.fixture
 def solver_sizes(monkeypatch):
-    """Sizes of the matrices passed to np.linalg.eigh and np.linalg.eigvalsh, in call order."""
-    sizes = {"eigh": [], "eigvalsh": []}
+    """Shapes of the arrays passed to np.linalg.eigh, eigvalsh and svd, in call order: (k, d, d) for a stack."""
+    sizes = {"eigh": [], "eigvalsh": [], "svd": []}
     for name, seen in sizes.items():
         solver = getattr(np.linalg, name)
 
         def counting(a, *args, _solver=solver, _seen=seen, **kwargs):
-            _seen.append(np.shape(a)[0])
+            _seen.append(np.shape(a))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)

@@ -13,7 +13,6 @@ from frustra.bounds import (
     analyze_excited,
     analyze_excited_many,
     analyze_ground,
-    analyze_ground_family,
     json_values,
     cut_expansion,
     delta_j_ent,
@@ -388,7 +387,8 @@ def _bits(report):
 @pytest.mark.parametrize("gs", [[0.0], [-1.5], [0.7], list(np.linspace(-3, 3, 13)), [1e150, -2.5, 0.0, 3e-300]],
                          ids=["zero", "negative", "single", "grid", "extremes"])
 def test_sweep_rows_are_the_per_point_reports(gs):
-    sym, asym = analyze_ground_family([ising2(g) for g in gs], (None, [0]))
+    models = [ising2(g) for g in gs]
+    sym, asym = (analyze_ground(split(models, local)) for local in (None, [0]))
     for g, row, s, a in zip(gs, ising_sweep_rows(gs), sym, asym):
         model = ising2(g)
         want_s, want_a = analyze_ground(split(model)), analyze_ground(split(model, local=[0]))
@@ -406,7 +406,7 @@ def test_family_reports_are_each_model_s_own(make):
     xs = [-0.4, 0.0, 0.3, 1.2]
     models = [make(x) for x in xs]
     splits = (None, [0], [])
-    reports = analyze_ground_family(models, splits)
+    reports = [analyze_ground(split(models, local)) for local in splits]
     for local, row in zip(splits, reports):
         for model, report in zip(models, row):
             fresh = make(xs[models.index(model)])
@@ -415,10 +415,12 @@ def test_family_reports_are_each_model_s_own(make):
 
 def test_a_family_shares_its_factors():
     with pytest.raises(ValueError, match="family"):
-        analyze_ground_family([ising2(1.0), triangle(1.0)], (None,))
+        analyze_ground(split([ising2(1.0), triangle(1.0)], None))
     with pytest.raises(ValueError, match="family"):
-        analyze_ground_family([transverse_chain(8), transverse_chain(8, 2.0)], (None,))  # the ground tier
+        analyze_ground(split([transverse_chain(8), transverse_chain(8, 2.0)], None))  # the ground tier
     for bad in ([0, 0], [3], [2]):  # a repeat, out of range, an interaction term: split's own errors
         with pytest.raises(InvalidAssignmentError):
-            analyze_ground_family([ising2(1.0)], (bad,))
-    assert analyze_ground_family([], (None, [0])) == [[], []]
+            analyze_ground(split([ising2(1.0)], bad))
+    assert ising_sweep_rows([]) == []
+    with pytest.raises(ValueError, match="family"):
+        split([])

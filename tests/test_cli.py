@@ -86,9 +86,9 @@ def test_saved_model_keeps_labels_for_bipartition(tmp_path, capsys):
 def test_excited_decomposes_h_once(capsys, solver_sizes):
     code, out, _ = run_cli(capsys, "excited", "--model", "chain3", "--j", "0..7")
     assert code == 0 and len(json.loads(out)) == 8
-    assert solver_sizes["eigh"].count(8) == 1  # H, shared by every j
-    assert solver_sizes["eigh"].count(2) == 3  # one per site: the local spectrum is shared too
-    assert solver_sizes["eigvalsh"].count(8) == 1  # H_I, eigenvalues only
+    assert solver_sizes["eigh"].count((8, 8)) == 1  # H, shared by every j
+    assert solver_sizes["eigh"].count((2, 2)) == 3  # one per site: the local spectrum is shared too
+    assert solver_sizes["eigvalsh"].count((8, 8)) == 1  # H_I, eigenvalues only
 
 
 def test_excited_draws_the_seeded_starts_once(capsys, monkeypatch):
@@ -135,6 +135,16 @@ def test_sweep_measures_each_model_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "sweep", "--grid", "0.1:2:7")
     assert code == 0 and len(out.splitlines()) == 8
     assert len(states) == 1 and len(states[0]) == 7 and len(set(map(id, states[0]))) == 7
+
+
+def test_sweep_solves_its_grid_as_stacks(capsys, solver_sizes):
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "0.01:5:48")
+    assert code == 0 and len(out.splitlines()) == 49
+    assert solver_sizes == {
+        "eigh": [(48, 4, 4)] + [(48, 2, 2)] * 4,  # H, shared by both splits; then each split's two site spectra
+        "eigvalsh": [(48, 4, 4)],  # the asymmetric split's H_I; the default split's H_I = -ZZ is diagonal
+        "svd": [(48, 2, 2)],  # the ground states' Schmidt decompositions
+    }
 
 
 def test_saturate_decomposes_the_ground_state_once(capsys, monkeypatch):
@@ -726,7 +736,7 @@ def test_one_site_model_is_a_config_error(tmp_path, capsys, solver_sizes, comman
     code, out, err = run_cli(capsys, *command, "--model", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: model has 1 site;")
-    assert solver_sizes == {"eigh": [], "eigvalsh": []}  # rejected before any eigensolve
+    assert solver_sizes == {"eigh": [], "eigvalsh": [], "svd": []}  # rejected before any eigensolve
 
 
 # ---------------------------------------------------------------------------

@@ -783,11 +783,11 @@ def test_psd_leq_solves_only_the_difference(solver_sizes):
     skew = np.triu(np.ones((5, 5)), 1)  # ||skew - skew^T||_F = sqrt(20)
     psd_leq(s, t)
     psd_leq(s, t + 0.1 * STRUCTURAL_TOL * skew)
-    assert sizes == [5, 5]  # T - S only: asymmetry within STRUCTURAL_TOL passes at any scale
+    assert sizes == [(5, 5)] * 2  # T - S only: asymmetry within STRUCTURAL_TOL passes at any scale
     sizes.clear()
     big = 100.0 * t  # asymmetry above STRUCTURAL_TOL, within the scaled rule: T is solved
     assert psd_leq(s, big + 10.0 * STRUCTURAL_TOL * skew)[0] == psd_leq(s, big)[0]
-    assert sizes == [5, 5, 5]
+    assert sizes == [(5, 5)] * 3
 
 
 def test_psd_leq_rejects_non_hermitian():
