@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from frustra.bounds import EntanglementOptions, analyze_excited_many
+from frustra.bounds import EntanglementOptions, analyze_excited
 from frustra.models import ising2, split
 from frustra.verify import random_weak_chain
 
@@ -26,7 +26,7 @@ def main():
     print("two-spin transverse Ising, all eigenstates")
     print(f"{'g':>5} {'j':>2} {'E_j':>9} {'entanglement':>13} {'bound':>10} {'applies':>8}")
     for g in (0.5, 1.0, 2.0, 4.0):
-        for j, r in enumerate(analyze_excited_many(split(ising2(g)), range(4), opts)):
+        for j, r in enumerate(analyze_excited(split(ising2(g)), range(4), opts)):
             bound = f"{r.bound_29:.6f}" if r.bound_29 is not None else "-"
             print(f"{g:5.1f} {j:2d} {r.E_j:9.4f} {r.entanglement:13.8f} "
                   f"{bound:>10} {str(r.precondition_met):>8}")
@@ -37,7 +37,7 @@ def main():
     worst_ratio = 0.0
     for i in range(args.models):
         model = random_weak_chain(np.random.default_rng([args.seed, i]))
-        for r in analyze_excited_many(split(model), range(8), opts):
+        for r in analyze_excited(split(model), range(8), opts):
             total += 1
             if r.precondition_met and r.bound_29 is not None:
                 applicable += 1

@@ -12,7 +12,6 @@ from .bounds import (
     FrustrationReport,
     ProductSubspace,
     analyze_excited,
-    analyze_excited_many,
     analyze_ground,
     delta_j_ent,
     json_values,

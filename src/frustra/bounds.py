@@ -22,6 +22,9 @@ subspace are found by index arithmetic: in row-major order the states that
 differ from flat index f at site s only are base + stride * arange(d_s),
 with stride = prod(dims[s+1:]).
 
+``state_entanglement``, ``ground_entanglement``, ``analyze_ground`` and
+``analyze_excited`` take one input or a sequence (for analyze_ground, a
+family's splitting) and give one result or the list, each bit for bit its own.
 Every report's JSON keys are its dataclass fields, in declaration order.
 """
 
@@ -53,25 +56,17 @@ class EntanglementOptions:
 DEFAULT_ENT_OPTS = EntanglementOptions()
 
 
-def state_entanglement(psi: ent.PureState, opts: EntanglementOptions = DEFAULT_ENT_OPTS):
-    """(value, method): exact Schmidt route for two parties, alternating otherwise."""
-    if psi.num_sites == 2:
+def state_entanglement(psi: ent.PureState | Sequence[ent.PureState], opts: EntanglementOptions = DEFAULT_ENT_OPTS):
+    """(value, method): exact Schmidt route for two parties, alternating otherwise; for a sequence of states with
+    equal dims, the list of theirs from one batched call, each bit for bit what its state alone gives."""
+    one = isinstance(psi, ent.PureState)
+    psis = [psi] if one else psi
+    if psis and psis[0].num_sites == 2:
         res = ent.geometric_measure_bipartite(psi)
     else:
-        res = ent.geometric_measure_multipartite(
-            psi, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed
-        )
-    return res.value, res.method
-
-
-def states_entanglement(psis: Sequence[ent.PureState], opts: EntanglementOptions = DEFAULT_ENT_OPTS):
-    """state_entanglement of each state, in one batched call, each value bit for bit; the states share their dims."""
-    if psis and psis[0].num_sites == 2:
-        results = ent.geometric_measures_bipartite(psis)
-    else:
-        results = ent.geometric_measures_multipartite(
-            psis, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
-    return [(res.value, res.method) for res in results]
+        measure = ent.geometric_measure_multipartite if one else ent.geometric_measures_multipartite
+        res = measure(psi, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
+    return (res.value, res.method) if one else [(r.value, r.method) for r in res]
 
 
 def ground_entanglement(model: SpinModel | Sequence[SpinModel], opts: EntanglementOptions = DEFAULT_ENT_OPTS):
@@ -83,21 +78,19 @@ def ground_entanglement(model: SpinModel | Sequence[SpinModel], opts: Entangleme
     A two-site model's comes from the decomposition it keeps
     (``model.ground_schmidt``), so its ground state is decomposed once.
     Given a sequence of models with equal dims, the list of their results;
-    those not yet kept come from one states_entanglement call.
+    those not yet kept come from one state_entanglement call.
     """
     if not isinstance(model, SpinModel):
         memos = [m.entanglement_memo for m in model]
         results = [memo.get(opts) for memo in memos]
         unmeasured = [i for i, res in enumerate(results) if res is None]
-        for i, res in zip(unmeasured, states_entanglement([model[i].ground_state for i in unmeasured], opts)):
+        for i, res in zip(unmeasured, state_entanglement([model[i].ground_state for i in unmeasured], opts)):
             results[i] = memos[i][opts] = res
         return results
     memo = model.entanglement_memo
     if opts not in memo:
         if model.num_sites == 2:
-            dec = model.ground_schmidt
-            stacked = ent.SchmidtDecomposition(dec.coefficients[None], dec.left_vectors[None], dec.right_vectors[None])
-            res = ent.geometric_measures_bipartite([model.ground_state], stacked)[0]
+            res = ent.geometric_measure_bipartite(model.ground_state, model.ground_schmidt)
             memo[opts] = res.value, res.method
         else:
             memo[opts] = state_entanglement(model.ground_state, opts)
@@ -290,9 +283,8 @@ def proof_step_check(splitting: Splitting, report: FrustrationReport,
     tnorm = float(np.linalg.norm(truncated))
     if tnorm > ZERO_NORM:
         tpsi = ent.PureState.normalized(truncated, splitting.model.dims)
-        tval, _ = state_entanglement(tpsi, ent_opts)
-        truncated_entanglement = tval
-        is_product = tval <= STRUCTURAL_TOL
+        truncated_entanglement, _ = state_entanglement(tpsi, ent_opts)
+        is_product = truncated_entanglement <= STRUCTURAL_TOL
     else:
         truncated_entanglement = None
         is_product = True  # empty component: nothing to test
@@ -390,28 +382,32 @@ class ExcitedBoundReport:
     pairing_flag: bool
 
 
-def analyze_excited_many(splitting: Splitting, js,
-                         ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> list[ExcitedBoundReport]:
-    """Bound reports for the listed eigenstates, in order (see analyze_excited).
+def analyze_excited(splitting: Splitting, j, ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS):
+    """Bound report for the j-th eigenstate, paired with the j-th local level.
 
-    The spectrum of H, the local spectrum, the tolerance scale and the
-    extremes of H_I are read once per call.  ||H_I|| is the spectral radius,
-    which equals the operator norm of the Hermitian interaction.  The
-    eigenstates' entanglement is one batched call (``states_entanglement``),
-    each value the one a call for that state alone gives.
+    The pairing is by sorted index on both sides.  When the maximal-overlap
+    product state belongs to a different local energy level, the report is
+    flagged (``pairing_flag``) rather than silently reassociated.
+
+    Given a sequence of indices, the list of their reports, in order.  The
+    spectra of H and H_L, the tolerance scale and the extremes of H_I are
+    read once per call, and the eigenstates' entanglement is one batched
+    ``state_entanglement`` call, each value the one its state alone gives.
     """
+    one = isinstance(j, (int, np.integer))
+    js = [j] if one else j
     dec = splitting.model.spectrum
     dimension = dec.eigenvalues.size
-    for j in js:
-        if j < 0 or j >= dimension:
-            raise IndexError(f"eigenstate index {j} out of range for dimension {dimension}")
+    for i in js:
+        if i < 0 or i >= dimension:
+            raise IndexError(f"eigenstate index {i} out of range for dimension {dimension}")
     scale = tol_scale(dec.eigenvalues[0], dec.eigenvalues[-1])
     margin_tol = CLOSED_MARGIN_TOL * scale
     e_i_0, e_i_max = interaction_extremes(splitting)
     h_norm = max(abs(e_i_0), abs(e_i_max))
     spec = splitting.local
     psis = [ent.PureState(dec.eigenvectors[:, j], splitting.model.dims) for j in js]
-    measured = states_entanglement(psis, ent_opts)
+    measured = state_entanglement(psis, ent_opts)
 
     reports = []
     for j, (value, method) in zip(js, measured):
@@ -428,7 +424,7 @@ def analyze_excited_many(splitting: Splitting, js,
         bound_exact = h_norm * h_norm / (delta_kperp * delta_kperp) if delta_kperp > margin_tol else None
         top_flat = int(np.argmax(np.abs(local_coefficients(spec, dec.eigenvectors[:, j]))))
         reports.append(ExcitedBoundReport(
-            j=j,
+            j=int(j),
             E_j=e_j,
             local_config=config_j,
             E_L_j=e_l_j,
@@ -445,15 +441,4 @@ def analyze_excited_many(splitting: Splitting, js,
             precondition_met=delta_j > h_norm,
             pairing_flag=abs(float(spec.energies[top_flat]) - e_l_j) > STRUCTURAL_TOL * scale,
         ))
-    return reports
-
-
-def analyze_excited(splitting: Splitting, j: int,
-                    ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> ExcitedBoundReport:
-    """Bound report for the j-th eigenstate, paired with the j-th local level.
-
-    The pairing is by sorted index on both sides.  When the maximal-overlap
-    product state belongs to a different local energy level, the report is
-    flagged (``pairing_flag``) rather than silently reassociated.
-    """
-    return analyze_excited_many(splitting, [j], ent_opts)[0]
+    return reports[0] if one else reports

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import entanglement as ent
 from . import verify
-from .bounds import EntanglementOptions, analyze_excited_many, analyze_ground, json_values
+from .bounds import EntanglementOptions, analyze_excited, analyze_ground, json_values
 from .errors import (DimensionCapError, FrustraError, InvalidAssignmentError,
                      InvalidBipartitionError, NotBipartiteError)
 from .models import (BUILTIN_MODELS, SpinModel, builtin_params, dim_cap, load_model, make_builtin,
@@ -243,7 +243,7 @@ def _parse_j_list(spec: str, dimension: int):
 def cmd_excited(args) -> int:
     splitting = _build_splitting(args)
     js = _parse_j_list(args.j, splitting.model.dimension)
-    reports = json_values(analyze_excited_many(splitting, js, _ent_opts(args)))
+    reports = json_values(analyze_excited(splitting, js, _ent_opts(args)))
     if args.format == "csv":
         _write_text(_csv_table(reports), args.out)
     else:

@@ -343,8 +343,16 @@ class Splitting:
         return np.real(psi.conj()[..., None, :] @ (self._h_interaction @ psi[..., None]))[..., 0, 0].tolist()
 
     def local_expectation(self, psi: np.ndarray):
-        """<psi| H_L |psi> for a unit vector psi, or the list for a family's stack of them (see local_expectation)."""
-        return local_expectation(self.per_site_local, psi)
+        """<psi| H_L |psi> for a unit vector psi: sum_j Re <psi| H_j |psi>, one contraction per site; for a family's
+        (k, D) stack of vectors, the list of the k values, each bit for bit its member's own."""
+        dims, lead = [h.shape[-1] for h in self.per_site_local], psi.shape[:-1]
+        values = []
+        for j, (d, h) in enumerate(zip(dims, self.per_site_local)):
+            x = psi.reshape(lead + (math.prod(dims[:j]), d, -1))
+            # np.vdot of each member, in one call: the same loop on the same unit-stride copy that vdot flattens x to
+            values.append(np.vecdot(np.ascontiguousarray(x).reshape(lead + (-1,)),
+                                    (h[..., None, :, :] @ x).reshape(lead + (-1,))).real.tolist())
+        return sum(values) if not lead else [sum(v) for v in zip(*values)]
 
     @cached_property
     def local(self) -> LocalSpectrum:
@@ -379,19 +387,6 @@ def site_operators(local_terms: Sequence[OperatorTerm], dims: Sequence[int], coe
     return tuple(per_site)
 
 
-def local_expectation(per_site: Sequence[np.ndarray], psi: np.ndarray):
-    """<psi| H_L |psi> for a unit vector psi: sum_j Re <psi| H_j |psi>, one contraction per site; for a (k, D) stack
-    of vectors and (k, d_j, d_j) stacks of H_j, the list of the k values, each bit for bit its member's own."""
-    dims, lead = [h.shape[-1] for h in per_site], psi.shape[:-1]
-    values = []
-    for j, (d, h) in enumerate(zip(dims, per_site)):
-        x = psi.reshape(lead + (math.prod(dims[:j]), d, -1))
-        # np.vdot of each member, in one call: the same loop on the same unit-stride copy that vdot flattens x to
-        values.append(np.vecdot(np.ascontiguousarray(x).reshape(lead + (-1,)),
-                                (h[..., None, :, :] @ x).reshape(lead + (-1,))).real.tolist())
-    return sum(values) if not lead else [sum(v) for v in zip(*values)]
-
-
 def split(model: SpinModel | Sequence[SpinModel], local: Iterable[int] | None = None) -> Splitting:
     """Split the model into local and interaction parts by choosing the local terms.
 
@@ -410,10 +405,12 @@ def split(model: SpinModel | Sequence[SpinModel], local: Iterable[int] | None = 
         return Splitting(model, tuple(model.terms[i] for i in _local_indices(model, local)))
     models = tuple(model)
 
-    def layout(m):  # the dims, each term's degree, and each factor's site and bits
-        return m.dims, [len(t.factors) for t in m.terms], [(i, op.tobytes()) for t in m.terms for i, op in t.factors]
-    first = layout(models[0]) if models else None
-    if not models or models[0].dimension >= GROUND_TIER_MIN_DIM or any(layout(m) != first for m in models[1:]):
+    def layout(m, key):  # the dims, each term's degree, and each factor's site and key(matrix)
+        return m.dims, [len(t.factors) for t in m.terms], [(i, key(op)) for t in m.terms for i, op in t.factors]
+    ids, bits = (layout(models[0], key) for key in (id, np.ndarray.tobytes)) if models else (None, None)
+    # factors compare by identity (a sweep's share the PAULI constants), by bits when a member's are other objects
+    if not models or models[0].dimension >= GROUND_TIER_MIN_DIM or any(
+            layout(m, id) != ids and layout(m, np.ndarray.tobytes) != bits for m in models[1:]):
         raise ValueError("a family is models that share their dims, sites and factors, below the ground tier")
     idx = _local_indices(models[0], local)
     splitting = Splitting(models, tuple(tuple([m.terms[i] for i in idx]) for m in models))

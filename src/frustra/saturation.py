@@ -83,9 +83,10 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRe
     entries: many small H_I take one call, and a large one is solved alone.
     """
     gs = validate_gammas(gammas)
+    # the projector first: ground_schmidt refuses a model of more than two sites before any solve
+    p_i = dense_terms((OperatorTerm(1.0, [(0, ground_projector(model))]),), model.dims)
     psi = model.ground.vector
     h = build_dense(model)
-    p_i = dense_terms((OperatorTerm(1.0, [(0, ground_projector(model))]),), model.dims)
     w = float(np.real(psi.conj() @ (p_i @ psi)))
     measured = ground_entanglement(model)
     solved = []  # (E0_I, E_I_max, <H_I>) per gamma

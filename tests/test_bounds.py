@@ -11,7 +11,6 @@ import frustra.verify
 from frustra.bounds import (
     EntanglementOptions,
     analyze_excited,
-    analyze_excited_many,
     analyze_ground,
     json_values,
     cut_expansion,
@@ -35,7 +34,8 @@ from frustra.models import (
 )
 from frustra.saturation import schmidt_splitting
 from frustra.verify import (
-    bound_property_suite, gaussian_hermitian, ising_sweep_rows, random_two_site_model, random_weak_chain,
+    bound_property_suite, gaussian_hermitian, ising_sweep_rows, random_state, random_two_site_model,
+    random_weak_chain,
 )
 from conftest import product_vector
 
@@ -262,8 +262,8 @@ def test_delta_j_ent_brute_force_oracle(dims, monkeypatch):
 
     e_h = np.linalg.eigvalsh(build_dense(s.model))
     ranked = sorted(configs, key=energy.get)
-    reports = analyze_excited_many(s, list(range(spec.dimension)),
-                                   EntanglementOptions(restarts=0, max_iters=1))
+    reports = analyze_excited(s, list(range(spec.dimension)),
+                              EntanglementOptions(restarts=0, max_iters=1))
     for j, r in enumerate(reports):
         assert r.local_config == ranked[j]
         kperp = distance_outside(e_h[j], ranked[j], chosen_site(ranked[j])[0])
@@ -319,6 +319,29 @@ def test_excited_no_interaction():
 def test_excited_index_range():
     with pytest.raises(IndexError):
         analyze_excited(split(ising2(1.0)), 4)
+
+
+def test_excited_single_index_is_its_batch_member():
+    s = split(chain3())
+    batch = analyze_excited(s, range(8), FAST)
+    assert len(batch) == 8
+    for j, report in enumerate(batch):
+        assert json_values(analyze_excited(s, j, FAST)) == json_values(report)
+        assert json_values(analyze_excited(s, [j], FAST)[0]) == json_values(report)
+    one = analyze_excited(s, np.int64(3), FAST)  # a numpy integer is one index
+    assert one.j == 3 and type(one.j) is int
+    assert json_values(one) == json_values(batch[3])
+    with pytest.raises(IndexError):
+        analyze_excited(s, [0, 8], FAST)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)], ids=["two-party", "three-party"])
+def test_state_entanglement_single_is_its_batch_member(dims):
+    psis = [random_state(np.random.default_rng([17, seed]), dims) for seed in range(3)]
+    batch = state_entanglement(psis, FAST)
+    assert len(batch) == 3
+    assert [state_entanglement(psi, FAST) for psi in psis] == batch
+    assert state_entanglement(psis[:1], FAST) == batch[:1]
 
 
 def test_excited_weakly_coupled_sample():
@@ -424,3 +447,14 @@ def test_a_family_shares_its_factors():
     assert ising_sweep_rows([]) == []
     with pytest.raises(ValueError, match="family"):
         split([])
+
+
+def test_a_family_compares_other_factor_objects_by_their_bits():
+    model = ising2(1.0)
+
+    def rebuilt(scale):  # the same terms, each factor a new matrix object
+        return SpinModel("rebuilt", model.dims, tuple(
+            OperatorTerm(2 * t.coeff, [(i, np.array(op) * scale) for i, op in t.factors]) for t in model.terms))
+    assert len(analyze_ground(split([model, rebuilt(1.0)]))) == 2
+    with pytest.raises(ValueError, match="family"):
+        split([model, rebuilt(1 + 2**-52)])  # one ulp off in every nonzero entry

@@ -129,12 +129,33 @@ def count_calls(monkeypatch, module, name):
 def test_sweep_measures_each_model_once(capsys, monkeypatch):
     # the symmetric and the asymmetric split of one grid point share its ground state: one batched call holds each once
     states = []
-    batch = frustra.entanglement.geometric_measures_bipartite
-    monkeypatch.setattr(frustra.entanglement, "geometric_measures_bipartite",
+    batch = frustra.entanglement.geometric_measure_bipartite
+    monkeypatch.setattr(frustra.entanglement, "geometric_measure_bipartite",
                         lambda psis, *args: states.append(list(psis)) or batch(psis, *args))
     code, out, _ = run_cli(capsys, "sweep", "--grid", "0.1:2:7")
     assert code == 0 and len(out.splitlines()) == 8
     assert len(states) == 1 and len(states[0]) == 7 and len(set(map(id, states[0]))) == 7
+
+
+@pytest.mark.parametrize("model, sites", [("triangle", 3),
+                                          (str(Path(__file__).parent / "data" / "transverse_chain10_model.json"), 10)],
+                         ids=["triangle", "chain10"])
+def test_saturate_refuses_more_than_two_parties_before_any_solve(capsys, solver_sizes, model, sites):
+    code, out, err = run_cli(capsys, "saturate", "--model", model, "--gammas", "0.1")
+    assert code == 2 and out == ""
+    assert err == f"error: model has {sites} sites; regroup it into two parties first\n"
+    assert solver_sizes == {"eigh": [], "eigvalsh": [], "svd": []}
+
+
+def test_analyze_measures_a_lone_multipartite_state_through_the_single_form(capsys, monkeypatch):
+    # the benchmark's tracer binds this function's signature and reads .iterations from its result
+    seen = []
+    single = frustra.entanglement.geometric_measure_multipartite
+    monkeypatch.setattr(frustra.entanglement, "geometric_measure_multipartite",
+                        lambda psi, *args, **kwargs: seen.append(psi) or single(psi, *args, **kwargs))
+    code, _, _ = run_cli(capsys, "analyze", "--model", "chain3")
+    assert code == 0
+    assert len(seen) == 1 and isinstance(seen[0], frustra.entanglement.PureState)
 
 
 def test_sweep_solves_its_grid_as_stacks(capsys, solver_sizes):

@@ -437,6 +437,18 @@ def test_batch_rejects_mixed_dims():
     assert geometric_measures_multipartite([]) == []
 
 
+def test_bipartite_single_is_its_batch_member():
+    psis = [random_state(np.random.default_rng(seed), (2, 3)) for seed in range(4)]
+    batch = geometric_measure_bipartite(psis)
+    assert len(batch) == 4
+    for psi, got in zip(psis, batch):
+        assert_same_result(geometric_measure_bipartite(psi), got)
+        assert_same_result(geometric_measure_bipartite([psi])[0], got)
+        # a state's own decomposition, passed as it is
+        assert_same_result(geometric_measure_bipartite(psi, schmidt(psi)), got)
+    assert_same_result(geometric_measure_bipartite(psis, schmidt(psis))[2], batch[2])
+
+
 def assert_close_json(got, want, path="$"):
     """Strings, ints, bools and nulls equal; floats within 1e-12 * max(1, |v|)."""
     if isinstance(want, float):
