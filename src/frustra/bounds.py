@@ -382,7 +382,8 @@ class ExcitedBoundReport:
     pairing_flag: bool
 
 
-def analyze_excited(splitting: Splitting, j, ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS):
+def analyze_excited(splitting: Splitting, j: int | Sequence[int], ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS
+                    ) -> ExcitedBoundReport | list[ExcitedBoundReport]:
     """Bound report for the j-th eigenstate, paired with the j-th local level.
 
     The pairing is by sorted index on both sides.  When the maximal-overlap

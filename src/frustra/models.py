@@ -405,12 +405,10 @@ def split(model: SpinModel | Sequence[SpinModel], local: Iterable[int] | None = 
         return Splitting(model, tuple(model.terms[i] for i in _local_indices(model, local)))
     models = tuple(model)
 
-    def layout(m, key):  # the dims, each term's degree, and each factor's site and key(matrix)
-        return m.dims, [len(t.factors) for t in m.terms], [(i, key(op)) for t in m.terms for i, op in t.factors]
-    ids, bits = (layout(models[0], key) for key in (id, np.ndarray.tobytes)) if models else (None, None)
-    # factors compare by identity (a sweep's share the PAULI constants), by bits when a member's are other objects
-    if not models or models[0].dimension >= GROUND_TIER_MIN_DIM or any(
-            layout(m, id) != ids and layout(m, np.ndarray.tobytes) != bits for m in models[1:]):
+    def layout(m):  # the dims, each term's degree, and each factor's site and bits
+        return m.dims, [len(t.factors) for t in m.terms], [(i, op.tobytes()) for t in m.terms for i, op in t.factors]
+    first = layout(models[0]) if models else None
+    if not models or models[0].dimension >= GROUND_TIER_MIN_DIM or any(layout(m) != first for m in models[1:]):
         raise ValueError("a family is models that share their dims, sites and factors, below the ground tier")
     idx = _local_indices(models[0], local)
     splitting = Splitting(models, tuple(tuple([m.terms[i] for i in idx]) for m in models))

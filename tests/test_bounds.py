@@ -447,14 +447,11 @@ def test_a_family_shares_its_factors():
     assert ising_sweep_rows([]) == []
     with pytest.raises(ValueError, match="family"):
         split([])
-
-
-def test_a_family_compares_other_factor_objects_by_their_bits():
     model = ising2(1.0)
 
     def rebuilt(scale):  # the same terms, each factor a new matrix object
         return SpinModel("rebuilt", model.dims, tuple(
             OperatorTerm(2 * t.coeff, [(i, np.array(op) * scale) for i, op in t.factors]) for t in model.terms))
-    assert len(analyze_ground(split([model, rebuilt(1.0)]))) == 2
+    assert len(analyze_ground(split([model, rebuilt(1.0)]))) == 2  # equal bits: a family
     with pytest.raises(ValueError, match="family"):
         split([model, rebuilt(1 + 2**-52)])  # one ulp off in every nonzero entry
