@@ -268,6 +268,7 @@ class ProofStepDiagnostics:
 def proof_step_check(splitting: Splitting, report: FrustrationReport,
                      ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> ProofStepDiagnostics:
     """Recompute the cut expansion of the splitting's ground-state report and verify each step."""
+    model = splitting.one_model()
     spec = splitting.local
     delta = spec.delta_e_ent
     if report.ef_bound is None or delta <= 0:
@@ -282,7 +283,7 @@ def proof_step_check(splitting: Splitting, report: FrustrationReport,
     truncated = truncated.reshape(-1)
     tnorm = float(np.linalg.norm(truncated))
     if tnorm > ZERO_NORM:
-        tpsi = ent.PureState.normalized(truncated, splitting.model.dims)
+        tpsi = ent.PureState.normalized(truncated, model.dims)
         truncated_entanglement, _ = state_entanglement(tpsi, ent_opts)
         is_product = truncated_entanglement <= STRUCTURAL_TOL
     else:
@@ -397,7 +398,7 @@ def analyze_excited(splitting: Splitting, j: int | Sequence[int], ent_opts: Enta
     """
     one = isinstance(j, (int, np.integer))
     js = [j] if one else j
-    dec = splitting.model.spectrum
+    dec = splitting.one_model().spectrum
     dimension = dec.eigenvalues.size
     for i in js:
         if i < 0 or i >= dimension:

@@ -4,7 +4,8 @@ The measure is E(psi) = 1 - max |<psi|phi_1 x ... x phi_n>|^2, the maximal
 squared overlap with a full product state subtracted from one.  It is zero
 exactly on product states and at most 1 - 1/d for a d x d bipartite pair.
 
-Three routes are provided:
+Three routes are provided, all building their results in one batched pass
+(``_results``: one stacked ``fix_phases``, one matmul per site):
 
 * exact, for two parties, via the Schmidt decomposition (the optimal
   overlap is the largest Schmidt coefficient; a larger model is cut into
@@ -133,20 +134,19 @@ class GeometricMeasureResult:
     iterations: int = 0
 
 
-def _result(psi: PureState, vectors, method: str, converged: bool,
-            restarts: int = 0, iterations: int = 0) -> GeometricMeasureResult:
-    # recompute from the ansatz so value and overlap_sq are exactly consistent
-    vecs = tuple(fix_phases(np.asarray(v, dtype=complex).reshape(-1, 1))[:, 0] for v in vectors)
-    ov = min(abs(overlap_with_product(psi, vecs)) ** 2, 1.0)
-    return GeometricMeasureResult(
-        value=1.0 - ov,
-        overlap_sq=ov,
-        maximizer=vecs,
-        method=method,
-        converged=converged,
-        restarts=restarts,
-        iterations=iterations,
-    )
+def _results(psis: Sequence[PureState], vectors: Sequence[np.ndarray], method: str, converged: bool | np.ndarray = True,
+             restarts: int = 0, iterations: int | np.ndarray = 0) -> list[GeometricMeasureResult]:
+    """Each state's result from its ansatz, vectors[i] site i's (states, d_i) stack; converged and iterations are one
+    value or one per state.  Each overlap is bit for bit overlap_with_product of its state and phase-fixed vectors."""
+    vecs = [fix_phases(np.asarray(v, dtype=complex)[..., None])[..., 0] for v in vectors]
+    x = np.stack([p.amplitudes.conj() for p in psis])
+    for v in vecs:
+        x = np.matmul(v[:, None, :], x.reshape(len(psis), v.shape[-1], -1))
+    # Python's abs of each overlap: np.abs rounds some of them differently
+    ovs = [min(abs(o) ** 2, 1.0) for o in x.reshape(-1).tolist()]
+    k = len(psis)
+    return [GeometricMeasureResult(1.0 - ov, ov, tuple(v[s] for v in vecs), method, bool(c), restarts, int(it))
+            for s, ov, c, it in zip(range(k), ovs, np.broadcast_to(converged, k), np.broadcast_to(iterations, k))]
 
 
 def schmidt(psi: PureState | Sequence[PureState]) -> SchmidtDecomposition:
@@ -157,6 +157,8 @@ def schmidt(psi: PureState | Sequence[PureState]) -> SchmidtDecomposition:
     bit for bit what a call for its state alone gives.
     """
     psis = (psi,) if isinstance(psi, PureState) else tuple(psi)
+    if not psis:
+        raise ValueError("schmidt needs at least one state: a sequence gives one stacked decomposition")
     for p in psis:
         if p.num_sites != 2:
             raise NotBipartiteError(f"Schmidt decomposition needs two parties, not {p.num_sites}")
@@ -169,18 +171,15 @@ def schmidt(psi: PureState | Sequence[PureState]) -> SchmidtDecomposition:
 
 
 def geometric_measure_bipartite(psi: PureState | Sequence[PureState], dec: SchmidtDecomposition | None = None):
-    """Exact geometric measure 1 - lambda_0^2 of a two-party state, from its Schmidt decomposition dec if given,
-    with _result's maximizer and overlap; for a sequence of states with equal dims (and their stacked dec), the
-    list of theirs from one SVD for all, each bit for bit what a call for its state alone gives."""
+    """Exact geometric measure 1 - lambda_0^2 of a two-party state, from its Schmidt decomposition dec if given:
+    the maximizer is the top Schmidt pair.  For a sequence of states with equal dims (and their stacked dec), the
+    list of theirs from one SVD for all, each bit for bit what a call for its state alone gives; [] for []."""
     one = isinstance(psi, PureState)
-    psis = (psi,) if one else psi
+    if not one and not psi:
+        return []
     dec = schmidt(psi) if dec is None else dec
-    left, right = (fix_phases(v[..., :1]).reshape(-1, v.shape[-2]) for v in (dec.left_vectors, dec.right_vectors))
-    conj = np.stack([p.amplitudes.conj().reshape(p.dims) for p in psis])
-    overlaps = np.matmul(np.matmul(left[:, None, :], conj), right[:, :, None])[:, 0, 0]  # overlap_with_product's bits
-    # Python's abs of each overlap, as _result takes it: np.abs rounds some of them differently
-    results = [GeometricMeasureResult(1.0 - ov, ov, (a, b), "schmidt_exact", True)
-               for a, b, ov in zip(left, right, (min(abs(complex(o)) ** 2, 1.0) for o in overlaps))]
+    results = _results((psi,) if one else psi, [np.reshape(v[..., 0], (-1, v.shape[-2]))
+                                                for v in (dec.left_vectors, dec.right_vectors)], "schmidt_exact")
     return results[0] if one else results
 
 
@@ -274,13 +273,8 @@ def _alternating(psis: Sequence[PureState], inits: Sequence[np.ndarray], tol: fl
                 live, overlap, conj = live[keep], overlap[keep], conj[keep]
                 phis = [p[keep] for p in phis]
 
-    results = []
-    for s, psi in enumerate(psis):
-        best = int(np.argmax(final_overlap[s]))  # first maximum: ties go to the earliest run
-        results.append(_result(psi, [p[s, best] for p in final_phis], method="alternating",
-                               converged=bool(converged[s, best]), restarts=runs - 1,
-                               iterations=int(sweeps[s].sum())))
-    return results
+    best = np.arange(len(psis)), np.argmax(final_overlap, axis=1)  # first maximum: ties go to the earliest run
+    return _results(psis, [p[best] for p in final_phis], "alternating", converged[best], runs - 1, sweeps.sum(axis=1))
 
 
 def geometric_measures_multipartite(
@@ -402,4 +396,4 @@ def brute_force_geometric_measure(psi: PureState, grid_depth: int = 5) -> Geomet
             centers = [(c[1][i], c[2][i]) for c, i in zip(cand_sets, idx)]
             best_vectors = [c[0][i] for c, i in zip(cand_sets, idx)] + list(pair)
 
-    return _result(psi, best_vectors, method="brute_force", converged=True)
+    return _results([psi], [v[None] for v in best_vectors], "brute_force")[0]

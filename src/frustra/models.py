@@ -328,6 +328,12 @@ class Splitting:
         rows = [terms_of(model, local) for model, local in zip(self.model, self.local_terms)]
         return rows[0], self.model[0].dims, np.array([[t.coeff for t in terms] for terms in rows])
 
+    def one_model(self) -> SpinModel:
+        """The model of a one-model splitting; ValueError for a family's, which only bounds.analyze_ground reads."""
+        if not isinstance(self.model, SpinModel):
+            raise ValueError("a family's splitting is read by analyze_ground only: split one model")
+        return self.model
+
     @cached_property
     def _h_interaction(self) -> np.ndarray:
         return _read_only(dense_terms(*self._stacked(lambda model, local: _interaction_terms(model.terms, local))))
@@ -338,9 +344,8 @@ class Splitting:
         return _read_only(eigvalsh(self._h_interaction))
 
     def interaction_expectation(self, psi: np.ndarray):
-        """<psi| H_I |psi> for a unit vector psi; for a family's (k, D) stack of vectors, the list of the k values,
-        each from the same two products as its member's own."""
-        return np.real(psi.conj()[..., None, :] @ (self._h_interaction @ psi[..., None]))[..., 0, 0].tolist()
+        """<psi| H_I |psi> for a unit vector psi; for a family's (k, D) stack of vectors, the list of the k values."""
+        return expectation(self._h_interaction, psi).tolist()
 
     def local_expectation(self, psi: np.ndarray):
         """<psi| H_L |psi> for a unit vector psi: sum_j Re <psi| H_j |psi>, one contraction per site; for a family's
@@ -358,6 +363,11 @@ class Splitting:
     def local(self) -> LocalSpectrum:
         """Per-site spectra of H_L, computed on first use and shared by every report."""
         return local_spectrum(self)
+
+
+def expectation(h: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Re <psi| h |psi> over stacks of operators, unit vectors or both, each value its own psi.conj() @ (h @ psi)."""
+    return np.real(psi.conj()[..., None, :] @ (h @ psi[..., None]))[..., 0, 0]
 
 
 def _interaction_terms(terms: Sequence[OperatorTerm], local_terms: Sequence[OperatorTerm]) -> list[OperatorTerm]:

@@ -26,7 +26,7 @@ import numpy as np
 from .bounds import FrustrationReport, cut_expansion, ground_entanglement, ground_report
 from .errors import UndefinedBoundError
 from .linalg import MIN_GAP, STRUCTURAL_TOL, eigvalsh, tol_scale
-from .models import OperatorTerm, SpinModel, Splitting, build_dense, dense_terms
+from .models import OperatorTerm, SpinModel, Splitting, build_dense, dense_terms, expectation
 
 
 def ground_projector(model: SpinModel) -> np.ndarray:
@@ -87,28 +87,25 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRe
     p_i = dense_terms((OperatorTerm(1.0, [(0, ground_projector(model))]),), model.dims)
     psi = model.ground.vector
     h = build_dense(model)
-    w = float(np.real(psi.conj() @ (p_i @ psi)))
+    w = float(expectation(p_i, psi))
     measured = ground_entanglement(model)
-    solved = []  # (E0_I, E_I_max, <H_I>) per gamma
+    records = []
     per = max(1, STACK_ENTRIES // h.size)
     for lo in range(0, len(gs), per):
         h_i = np.multiply(np.array(gs[lo:lo + per])[:, None, None], p_i, dtype=np.result_type(h, p_i))
         h_i += h  # each member h + gamma * p_i, bit for bit, with no second stack
-        solved += [(float(ev[0]), float(ev[-1]), float(np.real(psi.conj() @ (h_gamma @ psi))))
-                   for h_gamma, ev in zip(h_i, eigvalsh(h_i))]
-
-    records = []
-    for gamma, (e0_i, e_i_max, exp_i) in zip(gs, solved):
-        report = ground_report(model.name, model.ground, model.ground_state, measured, -gamma, gamma,
-                               e0_i, e_i_max, -gamma * w, exp_i)
-        e_scale = tol_scale(report.E0, report.E0_L, report.E0_I)
-        if report.ef_bound is None:
-            records.append(SweepRecord(gamma, float("nan"), float("nan"), True, report))
-            continue
-        excess = report.ef_bound - report.entanglement
-        overshoot = report.interaction_frustration / report.delta_e_ent
-        unreliable = report.E_f < STRUCTURAL_TOL * e_scale
-        records.append(SweepRecord(gamma, excess, overshoot, unreliable, report))
+        ev = eigvalsh(h_i)
+        for gamma, e0_i, e_i_max, exp_i in zip(gs[lo:lo + per], ev[:, 0].tolist(), ev[:, -1].tolist(),
+                                                expectation(h_i, psi).tolist()):
+            report = ground_report(model.name, model.ground, model.ground_state, measured, -gamma, gamma,
+                                   e0_i, e_i_max, -gamma * w, exp_i)
+            if report.ef_bound is None:
+                records.append(SweepRecord(gamma, float("nan"), float("nan"), True, report))
+                continue
+            excess = report.ef_bound - report.entanglement
+            overshoot = report.interaction_frustration / report.delta_e_ent
+            unreliable = report.E_f < STRUCTURAL_TOL * tol_scale(report.E0, report.E0_L, report.E0_I)
+            records.append(SweepRecord(gamma, excess, overshoot, unreliable, report))
     return tuple(records)
 
 
@@ -144,6 +141,7 @@ class ExcessDecomposition:
 
 def excess_decomposition(splitting: Splitting, report: FrustrationReport) -> ExcessDecomposition:
     """Decompose ef_bound - entanglement of the splitting's ground-state report."""
+    splitting.one_model()
     if report.ef_bound is None:
         raise UndefinedBoundError(report.ef_bound_reason or "bound undefined")
     spec = splitting.local

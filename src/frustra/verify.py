@@ -160,10 +160,8 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
     failures = 0
     worst_ef = np.inf
     worst_slack = -np.inf
-    total = 0
     for d in (2, 3):
         for t in range(trials_per_kind):
-            total += 1
             rng = np.random.default_rng([seed, d, t])
             model = random_two_site_model(rng, d, name=f"random2(d={d},t={t})")
             splitting = split(model)
@@ -182,7 +180,7 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
                 failures += 1
     return SuiteResult(
         name="bound-properties",
-        trials=total,
+        trials=2 * trials_per_kind,
         failures=failures,
         ok=failures == 0,
         stats={"min_E_f": worst_ef, "worst_bound_slack": worst_slack},
@@ -310,16 +308,14 @@ def oracle_suite(two_qubit: int = 200, three_qubit: int = 50, seed: int = 5) -> 
     worst_tri = 0.0
     pairs = [random_state(np.random.default_rng([seed, 2, t]), (2, 2)) for t in range(two_qubit)]
     alts = ent.geometric_measures_multipartite(pairs)
-    for alt, exact in zip(alts, ent.geometric_measure_bipartite(pairs) if pairs else []):  # one SVD for all pairs
+    for alt, exact in zip(alts, ent.geometric_measure_bipartite(pairs)):  # one SVD for all pairs
         err = abs(alt.value - exact.value)
         worst_bi = max(worst_bi, err)
         if err > ORACLE_EXACT_TOL:
             failures += 1
 
-    ghz = ent.PureState.normalized(
-        np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex), (2, 2, 2))
-    w = ent.PureState.normalized(
-        np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex), (2, 2, 2))
+    ghz = ent.PureState.normalized([1, 0, 0, 0, 0, 0, 0, 1], (2, 2, 2))
+    w = ent.PureState.normalized([0, 1, 1, 0, 1, 0, 0, 0], (2, 2, 2))
     triples = [random_state(np.random.default_rng([seed, 3, t]), (2, 2, 2))
                for t in range(three_qubit)]
     *alts, ghz_res, w_res = ent.geometric_measures_multipartite(triples + [ghz, w])

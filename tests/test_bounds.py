@@ -15,11 +15,14 @@ from frustra.bounds import (
     json_values,
     cut_expansion,
     delta_j_ent,
+    ground_entanglement,
     local_coefficients,
     proof_step_check,
     state_entanglement,
 )
-from frustra.entanglement import PureState, geometric_measure_multipartite
+from frustra.entanglement import (
+    PureState, geometric_measure_bipartite, geometric_measure_multipartite, geometric_measures_multipartite, schmidt,
+)
 from frustra.errors import InvalidAssignmentError, UndefinedBoundError
 from frustra.models import (
     OperatorTerm,
@@ -32,7 +35,7 @@ from frustra.models import (
     transverse_chain,
     triangle,
 )
-from frustra.saturation import schmidt_splitting
+from frustra.saturation import excess_decomposition, schmidt_splitting
 from frustra.verify import (
     bound_property_suite, gaussian_hermitian, ising_sweep_rows, random_state, random_two_site_model,
     random_weak_chain,
@@ -455,3 +458,34 @@ def test_a_family_shares_its_factors():
     assert len(analyze_ground(split([model, rebuilt(1.0)]))) == 2  # equal bits: a family
     with pytest.raises(ValueError, match="family"):
         split([model, rebuilt(1 + 2**-52)])  # one ulp off in every nonzero entry
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: geometric_measure_bipartite([]), []),
+    (lambda: geometric_measures_multipartite([]), []),
+    (lambda: state_entanglement([]), []),
+    (lambda: ground_entanglement([]), []),
+    (lambda: analyze_excited(split(ising2(1.0)), []), []),
+    (lambda: schmidt([]), "at least one state"),  # one stacked decomposition: there is none of nothing
+    (lambda: split([]), "family"),  # one Splitting, likewise
+], ids=["geometric_measure_bipartite", "geometric_measures_multipartite", "state_entanglement",
+        "ground_entanglement", "analyze_excited", "schmidt", "split"])
+def test_an_empty_sequence_gives_an_empty_list_or_a_value_error(call, want):
+    if want == []:
+        assert call() == []
+    else:
+        with pytest.raises(ValueError, match=want):
+            call()
+
+
+@pytest.mark.parametrize("read", [
+    lambda s, report: analyze_excited(s, 0),
+    lambda s, report: proof_step_check(s, report),
+    lambda s, report: excess_decomposition(s, report),
+], ids=["analyze_excited", "proof_step_check", "excess_decomposition"])
+def test_a_family_s_splitting_is_read_by_analyze_ground_only(read):
+    family = split([ising2(1.0), ising2(2.0)])
+    report = analyze_ground(split(ising2(1.0)))
+    with pytest.raises(ValueError, match="analyze_ground"):
+        read(family, report)
+    assert "local" not in vars(family)  # refused before any local solve

@@ -1,17 +1,20 @@
 import itertools
 import json
+import math
 import tracemalloc
 from functools import reduce
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import frustra.entanglement
 from frustra.cli import main
 from frustra.entanglement import (
     DEFAULT_TOL,
+    GeometricMeasureResult,
     PureState,
     _alternating,
     _initial_vectors,
@@ -24,7 +27,7 @@ from frustra.entanglement import (
     schmidt,
 )
 from frustra.errors import InvalidBipartitionError, NotBipartiteError, OracleScaleError
-from frustra.linalg import haar_unitary
+from frustra.linalg import fix_phases, haar_unitary
 from frustra.models import build_dense, chain3, ising2, regroup
 from frustra.verify import random_state
 
@@ -147,6 +150,41 @@ def test_result_consistency_invariants():
     assert res.value == 1.0 - res.overlap_sq
     recomputed = abs(overlap_with_product(ising_ground(0.7), res.maximizer)) ** 2
     assert abs(recomputed - res.overlap_sq) < 1e-9
+
+
+def assert_per_state_results(call):
+    """Each result of call() is the per-state construction from the ansatz that its route gave the batched builder:
+    each vector phase-fixed, then overlap_with_product."""
+    with mock.patch.object(frustra.entanglement, "_results", wraps=frustra.entanglement._results) as spy:
+        got = call()
+    got = [got] if isinstance(got, GeometricMeasureResult) else got
+    ansatzes = [(psi, [v[s] for v in c.args[1]]) for c in spy.call_args_list for s, psi in enumerate(c.args[0])]
+    assert len(ansatzes) == len(got)
+    for (psi, vectors), res in zip(ansatzes, got):
+        vecs = [fix_phases(np.asarray(v, dtype=complex)[:, None])[:, 0] for v in vectors]
+        ov = min(abs(overlap_with_product(psi, vecs)) ** 2, 1.0)
+        assert res.overlap_sq == ov and res.value == 1.0 - ov
+        assert len(res.maximizer) == len(vecs)
+        for a, b in zip(res.maximizer, vecs):
+            np.testing.assert_array_equal(a, b)
+
+
+@given(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=7), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example([3] * 7, 4, False, 1)
+@example([2] * 5, 4, True, 2)
+@settings(max_examples=50)
+def test_every_route_builds_the_per_state_result(dims, k, real, seed):
+    rng = np.random.default_rng(seed)
+    size = math.prod(dims)
+    amps = rng.normal(size=(k, size)) + (0 if real else 1j * rng.normal(size=(k, size)))
+    psis = [PureState.normalized(a, dims) for a in amps]
+    cut = int(rng.integers(1, len(dims)))
+    pairs = [PureState(p.amplitudes, (math.prod(dims[:cut]), math.prod(dims[cut:]))) for p in psis]
+    assert_per_state_results(lambda: geometric_measure_bipartite(pairs))
+    assert_per_state_results(lambda: geometric_measures_multipartite(psis, restarts=2, max_iters=10))
+    if size <= 32 and set(dims) == {2}:  # the oracle takes up to 64; its refinements grow as 25^(n - 2)
+        assert_per_state_results(lambda: brute_force_geometric_measure(psis[0], grid_depth=1))
 
 
 # ---------------------------------------------------------------------------

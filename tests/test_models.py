@@ -25,6 +25,7 @@ from frustra.models import (
     chain3,
     dense_bipartite_model,
     dense_terms,
+    expectation,
     interaction_extremes,
     ising2,
     ising2_exact_energy,
@@ -327,6 +328,8 @@ def test_expectations_are_the_per_vector_products(make):
         assert s.local_expectation(psi) == sum(float(np.vdot(x, h[None] @ x).real)
                                                for x, h in zip(sites, s.per_site_local))
         assert s.interaction_expectation(psi) == float(np.real(psi.conj() @ (h_i @ psi)))
+        stack = np.array([0.5, 1.0, 3.0])[:, None, None] * h_i + build_dense(s.model)  # saturate's: one psi, a stack
+        assert expectation(stack, psi).tolist() == [float(np.real(psi.conj() @ (h @ psi))) for h in stack]
 
 
 def test_split_builds_no_dense_operator():
