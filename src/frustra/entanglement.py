@@ -50,7 +50,7 @@ DEFAULT_TOL = OPTIMIZER_TOL
 DEFAULT_MAX_ITERS = 1000
 DEFAULT_SEED = 0x5EED
 
-_ORACLE_WORK_CAP = 4_000_000  # coarse-pass grid points: (2**grid_depth)**2 per gridded site, n - 2 sites
+_ORACLE_WORK_CAP = 4_000_000  # grid points of all rounds: (4**grid_depth)**(n - 2) coarse, then 3 x 25**(n - 2)
 # per state: d amplitudes; per run: right products (< 2 d/d_0 if all d_i >= 2), left contraction (d/d_0)
 _STACK_BYTES_CAP = 16 * 2**20
 
@@ -361,9 +361,10 @@ def brute_force_geometric_measure(psi: PureState, grid_depth: int = 5) -> Geomet
 
     All sites but the last two sweep a Bloch-sphere (theta, phi) grid with
     2**grid_depth points per angle; the last two take the top singular pair
-    of the contracted matrix, so a two-qubit state is solved exactly.  Three
-    local refinement rounds around the best cell halve the step each time,
-    leaving an O(step^2) error in the reported value.
+    of the contracted matrix, so a two-qubit state is solved exactly, in one
+    pass.  Three local refinement rounds around the best cell halve the step
+    each time, leaving an O(step^2) error in the reported value.  The work
+    cap counts the grid points of every round.
     """
     dims = psi.dims
     if psi.amplitudes.size > 64 or any(d != 2 for d in dims):
@@ -374,16 +375,15 @@ def brute_force_geometric_measure(psi: PureState, grid_depth: int = 5) -> Geomet
     m = 2 ** int(grid_depth)
     if m < 2:
         raise OracleScaleError("grid_depth must be at least 1")
-    if float(m * m) ** (n - 2) > _ORACLE_WORK_CAP:
-        raise OracleScaleError(
-            f"grid of {(m * m) ** (n - 2)} points exceeds the work cap; lower grid_depth"
-        )
+    points = [(m * m) ** (n - 2)] + [25 ** (n - 2)] * 3 if n > 2 else [1]  # the coarse pass, then three refinements
+    if sum(points) > _ORACLE_WORK_CAP:
+        raise OracleScaleError(f"grids of {sum(points)} points in all exceed the work cap; lower grid_depth")
     tensor_conj = psi.amplitudes.conj().reshape(dims)
     theta_step = np.pi / (m - 1)
     phi_step = 2.0 * np.pi / m
-    cand_sets = [_bloch_vectors(np.linspace(0.0, np.pi, m), np.arange(m) * phi_step)] * (n - 2)
+    cand_sets = [_bloch_vectors(np.linspace(0.0, np.pi, m), np.arange(m) * phi_step) for _ in range(n - 2)]
     best_overlap = -1.0
-    for round_idx in range(4):  # the coarse pass, then three refinements
+    for round_idx in range(len(points)):
         if round_idx:
             span = 0.5 ** (round_idx - 1)  # five points over +-span steps around the best point
             cand_sets = [_bloch_vectors(

@@ -21,9 +21,9 @@ factor take the vector's residual to round-off.  Any refusal (a degenerate
 or unresolved ground level, a failed proof or refinement) gives nothing, and
 the caller then falls back to the full decomposition.
 
-hermitian_eig, eigvalsh, svd and fix_phases also take a (k, d, d) stack: every check runs per member, LAPACK
-takes one call per kind of member (real or complex), and each member gets, bit for bit, what a call on it alone
-gets (a real member's eigenvectors upcast exactly when the stack mixes kinds).
+hermitian_eig, eigvalsh, svd and fix_phases also take a (k, d, d) stack, and the Hermitian solvers see a matrix as
+a stack of one, a view: every check runs per member on that one path, LAPACK takes one call per kind of member,
+real or complex, and each member gets, bit for bit, what a call on it alone gets (upcast exactly in a mixed stack).
 
 All functions are pure and deterministic for identical input: eigenvalues
 come back ascending, singular values descending, and every returned
@@ -128,7 +128,7 @@ def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
     """
     v = vectors.reshape((-1,) + vectors.shape[-2:])
     mags = np.abs(v)
-    pick = np.arange(len(v))[:, None], np.argmax(mags, axis=1), np.arange(v.shape[2])
+    pick = np.arange(len(v))[:, None], mags.argmax(axis=1), np.arange(v.shape[2])
     size = mags[pick]
     nonzero = size > 0
     return np.where(nonzero, v[pick] / np.where(nonzero, size, 1.0), 1.0).reshape(vectors.shape[:-2] + (-1,))
@@ -148,9 +148,9 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def _square(m, finite: bool = True, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(square matrix or stack, mask of its members with no imaginary part), float64 when every member has none.
+    """(m as a (k, d, d) stack, mask of its members with no imaginary part); a matrix is a stack of one, as a view.
 
-    finite=False leaves finiteness to the caller.
+    The stack is float64 when every member has no imaginary part.  finite=False leaves finiteness to the caller.
     """
     a = np.asarray(m)
     complex_ = np.iscomplexobj(a)
@@ -158,33 +158,32 @@ def _square(m, finite: bool = True, stack: bool = False) -> tuple[np.ndarray, np
     if a.shape[-2] != a.shape[-1]:
         _require_finite(a)  # a non-finite entry is reported first, as with finite=True
         raise NotHermitianError(f"matrix is not square: shape {a.shape}")
+    s = a.reshape((-1,) + a.shape[-2:])
     if not complex_:
-        return a, np.ones(a.shape[:-2], bool)
-    real = ~a.imag.any(axis=(1, 2)) if a.ndim == 3 else np.bool_(not a.imag.any())
-    return (a.real if real.all() else a), real
+        return s, np.ones(len(s), bool)
+    real = ~s.imag.any(axis=(1, 2))
+    return (s.real if real.all() else s), real
 
 
-def _hermitian_part(a: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-    """(Hermitian part, Frobenius norm of M - M^dag) of a matrix from _square; of each member of a stack.
+def _hermitian_part(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Hermitian part, Frobenius norm of M - M^dag) of each member of a stack from _square.
 
-    An exactly Hermitian member is its own Hermitian part; a matrix is tested by 128-row square tiles, with no copy
-    of M^dag.
+    An exactly Hermitian member is its own Hermitian part, found with no copy of M^dag: up to d = 128 every member is
+    tested at once, a larger one by 128-row square tiles.
     """
-    if a.ndim == 3 and len(a) == 1:  # a stack of one is its matrix, with no copy
-        h, asym = _hermitian_part(a[0])
-        return h[None], np.array([asym])
-    if a.ndim == 3:  # up to d = 128 one tile holds a member: every member is tested at once, the others alone
-        exact = (a == a.conj().swapaxes(1, 2)).all(axis=(1, 2)) if a.shape[-1] <= 128 else np.zeros(len(a), bool)
-        if exact.all():
-            return a, np.zeros(len(a))
-        parts = [(x, 0.0) if e else _hermitian_part(x) for x, e in zip(a, exact)]
-        return np.stack([h for h, _ in parts]), np.array([asym for _, asym in parts])
-    if all((a[i:i + 128, j:j + 128] == a[j:j + 128, i:i + 128].conj().T).all()
-           for i in range(0, len(a), 128) for j in range(i, len(a), 128)):
-        return a, 0.0
-    adj = a.conj().T
-    asym = float(np.linalg.norm(a - adj))
-    return (a if asym == 0 else (a + adj) / 2.0), asym
+    exact = (s == s.conj().swapaxes(1, 2)).all(axis=(1, 2)) if s.shape[-1] <= 128 else np.array([all(
+        (x[i:i + 128, j:j + 128] == x[j:j + 128, i:i + 128].conj().T).all()
+        for i in range(0, len(x), 128) for j in range(i, len(x), 128)) for x in s])
+    asym = np.zeros(len(s))
+    if exact.all():
+        return s, asym
+    for m in (~exact).nonzero()[0]:
+        asym[m] = np.linalg.norm(s[m] - s[m].conj().T)
+    h = s.copy() if asym.any() else s
+    for m in asym.nonzero()[0]:
+        np.add(s[m], s[m].conj().T, out=h[m])  # (M + M^dag) / 2 in place: no second d x d temporary
+        h[m] /= 2.0
+    return h, asym
 
 
 def _diagonal(s: np.ndarray) -> np.ndarray:
@@ -199,30 +198,21 @@ def _diagonal(s: np.ndarray) -> np.ndarray:
     return diagonal
 
 
-def _check_hermitian(asym, eigenvalues) -> None:
-    """The Hermitian rule: ||M - M^dag||_F <= STRUCTURAL_TOL * tol_scale(max |eigenvalue|), for finite extremes.
-
-    A stack's members are tested at once, and the first that breaks the rule raises.
-    """
-    if np.ndim(eigenvalues) == 2:
-        lo, hi = eigenvalues[:, 0], eigenvalues[:, -1]
-        with np.errstate(invalid="ignore"):
-            scale = np.maximum(1.0, np.maximum(abs(lo), abs(hi)))  # tol_scale's, for finite extremes
-            bad = ~(np.isfinite(lo) & np.isfinite(hi)) | (asym > STRUCTURAL_TOL * scale)
-        for m in np.flatnonzero(bad)[:1]:
-            _check_hermitian(asym[m], eigenvalues[m])
-        return
-    if not math.isfinite(eigenvalues[0]) or not math.isfinite(eigenvalues[-1]):
-        raise OverflowError(f"eigenvalues {eigenvalues[0]} to {eigenvalues[-1]} are not finite")
-    scale = tol_scale(eigenvalues[0], eigenvalues[-1])
-    if asym > STRUCTURAL_TOL * scale:
-        raise NotHermitianError(f"matrix asymmetry {asym:.3e} exceeds {STRUCTURAL_TOL:.1e} * {scale:.3e}")
+def _check_hermitian(asym: np.ndarray, eigenvalues: np.ndarray) -> None:
+    """The Hermitian rule, member by member: ||M - M^dag||_F <= STRUCTURAL_TOL * tol_scale(max |eigenvalue|), finite."""
+    if asym.max() <= STRUCTURAL_TOL and np.isfinite(eigenvalues).all():
+        return  # the rule's scale is at least 1
+    for a, lo, hi in zip(asym, eigenvalues[:, 0], eigenvalues[:, -1]):
+        if not math.isfinite(lo) or not math.isfinite(hi):
+            raise OverflowError(f"eigenvalues {lo} to {hi} are not finite")
+        if a > STRUCTURAL_TOL * (scale := tol_scale(lo, hi)):
+            raise NotHermitianError(f"matrix asymmetry {a:.3e} exceeds {STRUCTURAL_TOL:.1e} * {scale:.3e}")
 
 
 def _lapack(solve, h: np.ndarray, real: np.ndarray) -> tuple:
     """solve(h)'s arrays, the members with no imaginary part solved in float64: one call per kind, in member order."""
     try:
-        if real.ndim == 0 or real.all() or not real.any():  # one kind, in h's dtype (_square's choice)
+        if h.dtype == np.float64 or not real.any():  # one kind, in h's dtype: float64 when every member is real
             return solve(h)
         parts = solve(h[real].real), solve(h[~real])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -247,11 +237,11 @@ def hermitian_eig(m) -> EigenDecomposition:
     eigenvectors are orthonormal columns paired with ascending eigenvalues.
     Reconstruction holds to RECONSTRUCTION_TOL * max(1, ||M||).
     """
-    a, real = _square(m, stack=True)
-    h, asym = _hermitian_part(a)
+    s, real = _square(m, stack=True)
+    h, asym = _hermitian_part(s)
     vals, vecs = _lapack(_phase_fixed_eigh, h, real)
     _check_hermitian(asym, vals)
-    return EigenDecomposition(vals, vecs)
+    return EigenDecomposition(vals.reshape(np.shape(m)[:-1]), vecs.reshape(np.shape(m)))
 
 
 def _phase_fixed_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,8 +255,7 @@ def eigvalsh(m) -> np.ndarray:
     A diagonal member is found first and costs one pass: it is finite if its diagonal is, and its eigenvalues are
     its sorted real diagonal, what LAPACK returns, with ||M - M^dag||_F = 2 ||Im d|| and no O(d^3) solve.
     """
-    a, real = _square(m, finite=False, stack=True)
-    s, real = (a, real) if a.ndim == 3 else (a[None], real.reshape(1))
+    s, real = _square(m, finite=False, stack=True)
     diagonal = _diagonal(s)  # 64-row panels, up to the first nonzero
     rest, d = (s if not diagonal.any() else s[~diagonal]), np.diagonal(s, axis1=1, axis2=2)[diagonal]
     _require_finite(d, rest)  # the diagonal is all a diagonal member holds
@@ -275,11 +264,11 @@ def eigvalsh(m) -> np.ndarray:
     if np.iscomplexobj(d):
         asym[diagonal] = [2.0 * float(np.linalg.norm(x.imag)) for x in d]
     if len(rest):
-        h, asym[~diagonal] = _hermitian_part(rest if a.ndim == 3 else a)  # a matrix keeps its own path: no copy
+        h, asym[~diagonal] = _hermitian_part(rest)
         vals[~diagonal] = _lapack(lambda x: (np.linalg.eigvalsh(x),), h.real if real[~diagonal].all() else h,
                                   real[~diagonal])[0]
     _check_hermitian(asym, vals)
-    return vals.reshape(a.shape[:-1])
+    return vals.reshape(np.shape(m)[:-1])
 
 
 LANCZOS_STEPS = 40  # ground_eig's Krylov dimension (all of it when d is smaller)
@@ -330,14 +319,14 @@ def ground_eig(m) -> GroundState | None:
     not), when the refined psi misses a gate, for a 1 x 1 matrix, or when g
     overflows (then before any Lanczos step, and without a RuntimeWarning).
     """
-    a, _ = _square(m, finite=False)
-    return _ground_eig(a, np.random.default_rng(0).standard_normal(a.shape[0]))
+    s, _ = _square(m, finite=False)
+    return _ground_eig(s[0], np.random.default_rng(0).standard_normal(s.shape[-1]))
 
 
 def _ground_eig(a: np.ndarray, start: np.ndarray) -> GroundState | None:
-    """ground_eig of a matrix from _square(m, finite=False), with the Lanczos start vector given."""
+    """ground_eig of the matrix in _square(m, finite=False)'s stack of one, with the Lanczos start vector given."""
     with np.errstate(over="ignore", invalid="ignore"):
-        h, asym = _hermitian_part(a)
+        (h,), asym = _hermitian_part(a[None])
         top = _gershgorin_top(h)
     if not math.isfinite(top):  # a non-finite entry (no pass of its own finds it) or an overflowed row sum
         _require_finite(a)
@@ -346,7 +335,7 @@ def _ground_eig(a: np.ndarray, start: np.ndarray) -> GroundState | None:
     h_psi = h @ psi
     e0 = float(np.vdot(psi, h_psi).real)
     r0 = float(np.linalg.norm(h_psi - e0 * psi))
-    _check_hermitian(asym, (e0, ritz[-1]))
+    _check_hermitian(asym, np.array([[e0, ritz[-1]]]))
     sigma = e0 + r0 + STRUCTURAL_TOL * tol_scale(e0 - r0, top)  # the ground energy lies in [e0 - r0, e0]
     if (ritz.size < 2 or ritz[1] > sigma) and (tree := _positive_definite(h, psi, ritz[-1] - e0, sigma)) is not None:
         psi, e, r = _refine(h, tree, psi, h_psi, ritz[-1])
@@ -581,12 +570,11 @@ def operator_abs(d: SVDResult) -> np.ndarray:
 def _require_hermitian(m) -> None:
     """hermitian_eig's Hermitian check, solving only when the asymmetry alone cannot settle it.
 
-    The rule's scale is at least 1, so ||M - M^dag||_F <= STRUCTURAL_TOL
-    passes it whatever the eigenvalues are.
+    The rule's scale is at least 1, so ||M - M^dag||_F <= STRUCTURAL_TOL passes it whatever the eigenvalues are.
     """
-    a, _ = _square(m)
-    if np.linalg.norm(a - a.conj().T) > STRUCTURAL_TOL:
-        eigvalsh(a)
+    s, _ = _square(m)
+    if np.linalg.norm(s[0] - s[0].conj().T) > STRUCTURAL_TOL:
+        eigvalsh(s)
 
 
 def psd_leq(s, t, tol: float = STRUCTURAL_TOL) -> tuple[bool, float]:

@@ -36,6 +36,11 @@ def solver_sizes(monkeypatch):
     return sizes
 
 
+def members(shapes, d) -> int:
+    """d x d matrices decomposed across the recorded solver calls: a (d, d) call is one, a (k, d, d) stack is k."""
+    return sum(shape[0] if len(shape) == 3 else 1 for shape in shapes if shape[-2:] == (d, d))
+
+
 def save_model(model, path) -> None:
     """Write a model file that load_model reads back."""
     with open(path, "w", encoding="utf-8") as fh:

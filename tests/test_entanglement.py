@@ -573,15 +573,15 @@ def test_oracle_ghz_cross_check():
 
 
 def test_oracle_matches_schmidt_on_two_qubits():
-    # no site is gridded: the pair is the top singular pair, so the oracle is exact
-    for seed in range(5):
+    # no site is gridded: the pair is the top singular pair, so the oracle is exact at any depth, with no grid built
+    for seed, grid_depth in itertools.product(range(5), (5, 40)):
         psi = random_state(np.random.default_rng(seed), (2, 2))
         exact = geometric_measure_bipartite(psi).value
-        oracle = brute_force_geometric_measure(psi, grid_depth=5).value
+        oracle = brute_force_geometric_measure(psi, grid_depth=grid_depth).value
         assert abs(exact - oracle) < 1e-12
 
 
-def test_oracle_scale_limits():
+def test_oracle_scale_limits(monkeypatch):
     qutrit = random_state(np.random.default_rng(0), (3, 3))
     with pytest.raises(OracleScaleError):
         brute_force_geometric_measure(qutrit)
@@ -592,3 +592,6 @@ def test_oracle_scale_limits():
     with pytest.raises(OracleScaleError):
         brute_force_geometric_measure(four, grid_depth=6)  # work cap: (64**2)**2 points, two gridded sites
     brute_force_geometric_measure(four, grid_depth=2)  # feasible at low depth
+    monkeypatch.setattr(frustra.entanglement, "_ORACLE_WORK_CAP", 1000)
+    with pytest.raises(OracleScaleError):
+        brute_force_geometric_measure(four, grid_depth=2)  # 256 coarse points, but 3 x 25**2 more in the refinements

@@ -31,6 +31,7 @@ from frustra.linalg import (
     ui_norm,
 )
 from frustra.models import OperatorTerm, SpinModel, build_dense, load_model, transverse_chain
+from conftest import members
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -171,9 +172,9 @@ def test_exact_hermitian_test_matches_the_full_adjoint(n):
     s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     cases.append(s + s.T)  # complex symmetric: equal to its transpose, not to its adjoint
     for m in cases:
-        got, want = linalg._hermitian_part(m), _hermitian_part_reference(m)
-        assert got[1] == want[1] and np.array_equal(got[0], want[0])
-        assert (got[0] is m) == (want[0] is m)
+        (got, got_asym), want = linalg._hermitian_part(m[None]), _hermitian_part_reference(m)
+        assert got_asym.shape == (1,) and got_asym[0] == want[1] and np.array_equal(got[0], want[0])
+        assert np.shares_memory(got, m) == (want[0] is m)
 
 
 def test_real_path_matches_complex_eigh():
@@ -426,6 +427,8 @@ def test_ground_eig_rejects_non_hermitian():
         ground_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitianError):
         ground_eig(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="2-d matrix"):
+        ground_eig(np.eye(2)[None])  # a stack of one is refused: the ground route certifies one matrix
 
 
 def test_ground_eig_failed_solve_gives_no_vector(monkeypatch):
@@ -783,11 +786,11 @@ def test_psd_leq_solves_only_the_difference(solver_sizes):
     skew = np.triu(np.ones((5, 5)), 1)  # ||skew - skew^T||_F = sqrt(20)
     psd_leq(s, t)
     psd_leq(s, t + 0.1 * STRUCTURAL_TOL * skew)
-    assert sizes == [(5, 5)] * 2  # T - S only: asymmetry within STRUCTURAL_TOL passes at any scale
+    assert members(sizes, 5) == 2  # T - S only: asymmetry within STRUCTURAL_TOL passes at any scale
     sizes.clear()
     big = 100.0 * t  # asymmetry above STRUCTURAL_TOL, within the scaled rule: T is solved
     assert psd_leq(s, big + 10.0 * STRUCTURAL_TOL * skew)[0] == psd_leq(s, big)[0]
-    assert sizes == [(5, 5)] * 3
+    assert members(sizes, 5) == 3
 
 
 def test_psd_leq_rejects_non_hermitian():
@@ -921,7 +924,7 @@ def _same(stacked, solo):
 
 def _stacks():
     for k in (1, 2, 7):
-        for d in (1, 2, 3, 16):
+        for d in (1, 2, 3, 16, 130):  # 130: past one 128-row tile, each member takes the tiled exactness test
             for offset in range(len(STACK_KINDS) if k < len(STACK_KINDS) else 1):
                 rng = np.random.default_rng([k, d, offset])
                 yield [_stack_member(rng, d, STACK_KINDS[(offset + m) % len(STACK_KINDS)]) for m in range(k)]
