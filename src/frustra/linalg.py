@@ -8,9 +8,9 @@ dominance between two lists of singular values.  Everything downstream
 (local spectra, frustration energies, the perturbation checks) is built on
 these few operations.
 
-The eigenvalues-only solver returns the sorted diagonal of a diagonal
-matrix, as LAPACK would, found in its first pass (the only diagonal
-shortcut).  The ground variant finds a NaN or inf in its Gershgorin row
+The eigenvalues-only solver returns the sorted diagonals, as LAPACK would, when every member of the call is
+diagonal, decided once per call in its first pass (the only diagonal shortcut); the PSD-order test converts and
+checks each input once.  The ground variant finds a NaN or inf in its Gershgorin row
 sums, computes no full spectrum, and takes one route whatever the matrix: a
 proof that a shifted, rank-1-lifted H is positive definite certifies, by
 interlacing, that the next eigenvalue lies above a LANCZOS_STEPS-step
@@ -117,8 +117,7 @@ def _require_finite(*arrays) -> None:
 
 def op_norm(m) -> float:
     """Operator (spectral) norm: the largest singular value."""
-    a = _as_matrix(m)
-    return float(np.linalg.norm(a, 2))
+    return float(singular_values(m)[0])
 
 
 def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
@@ -186,16 +185,14 @@ def _hermitian_part(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, asym
 
 
-def _diagonal(s: np.ndarray) -> np.ndarray:
-    """Mask of the members of a (k, d, d) stack whose off-diagonal entries are all exactly 0 (a NaN is not)."""
+def _diagonal(s: np.ndarray) -> bool:
+    """True when every member of a (k, d, d) stack has all off-diagonal entries exactly 0 (a NaN is not).
+
+    All members are scanned at once, by 64-row panels, up to the first panel that holds a nonzero.
+    """
     k, d = s.shape[:2]
     off = s.reshape(k, -1)[:, 1:].reshape(k, d - 1, d + 1)[:, :, :-1]  # past entry 0, rows of d + 1 end on the diagonal
-    diagonal = np.ones(k, bool)
-    for lo in range(0, d - 1, 64):
-        diagonal &= ~off[:, lo:lo + 64].any(axis=(1, 2))
-        if not diagonal.any():
-            break
-    return diagonal
+    return not any(off[:, lo:lo + 64].any() for lo in range(0, d - 1, 64))
 
 
 def _check_hermitian(asym: np.ndarray, eigenvalues: np.ndarray) -> None:
@@ -252,21 +249,20 @@ def _phase_fixed_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def eigvalsh(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each member of a stack, under hermitian_eig's check.
 
-    A diagonal member is found first and costs one pass: it is finite if its diagonal is, and its eigenvalues are
-    its sorted real diagonal, what LAPACK returns, with ||M - M^dag||_F = 2 ||Im d|| and no O(d^3) solve.
+    When every member is diagonal, which _diagonal decides once per call, the call costs one pass: the stack is finite
+    if its diagonals are, and each member's eigenvalues are its sorted real diagonal, what LAPACK returns, with
+    ||M - M^dag||_F = 2 ||Im d|| and no O(d^3) solve.  Any other stack goes to LAPACK whole, a diagonal member too.
     """
     s, real = _square(m, finite=False, stack=True)
-    diagonal = _diagonal(s)  # 64-row panels, up to the first nonzero
-    rest, d = (s if not diagonal.any() else s[~diagonal]), np.diagonal(s, axis1=1, axis2=2)[diagonal]
-    _require_finite(d, rest)  # the diagonal is all a diagonal member holds
-    vals, asym = np.empty(s.shape[:2]), np.zeros(len(s))
-    vals[diagonal] = np.sort(d.real)
-    if np.iscomplexobj(d):
-        asym[diagonal] = [2.0 * float(np.linalg.norm(x.imag)) for x in d]
-    if len(rest):
-        h, asym[~diagonal] = _hermitian_part(rest)
-        vals[~diagonal] = _lapack(lambda x: (np.linalg.eigvalsh(x),), h.real if real[~diagonal].all() else h,
-                                  real[~diagonal])[0]
+    if _diagonal(s):
+        d = np.diagonal(s, axis1=1, axis2=2).copy()  # contiguous: a strided view sorts and tests slower at d = 1024
+        _require_finite(d)
+        vals = np.sort(d.real)
+        asym = 2.0 * np.linalg.norm(d.imag, axis=1)
+    else:
+        _require_finite(s)
+        h, asym = _hermitian_part(s)
+        vals = _lapack(lambda x: (np.linalg.eigvalsh(x),), h, real)[0]
     _check_hermitian(asym, vals)
     return vals.reshape(np.shape(m)[:-1])
 
@@ -567,30 +563,21 @@ def operator_abs(d: SVDResult) -> np.ndarray:
     return (d.left * d.singular_values) @ d.left.conj().T
 
 
-def _require_hermitian(m) -> None:
-    """hermitian_eig's Hermitian check, solving only when the asymmetry alone cannot settle it.
-
-    The rule's scale is at least 1, so ||M - M^dag||_F <= STRUCTURAL_TOL passes it whatever the eigenvalues are.
-    """
-    s, _ = _square(m)
-    if np.linalg.norm(s[0] - s[0].conj().T) > STRUCTURAL_TOL:
-        eigvalsh(s)
-
-
 def psd_leq(s, t, tol: float = STRUCTURAL_TOL) -> tuple[bool, float]:
     """Test S <= T in the PSD order; returns (holds, margin).
 
-    S and T must each pass hermitian_eig's Hermitian check.  margin is the
-    smallest eigenvalue of T - S; the order holds when
-    margin >= -tol * max(1, ||T - S||), the norm taken as the largest
-    eigenvalue magnitude of the Hermitian part of T - S.
+    S and T must each pass hermitian_eig's Hermitian check.  Each is converted and tested for finiteness once, and
+    the rule's scale is at least 1, so only an input with ||M - M^dag||_F > STRUCTURAL_TOL goes on through eigvalsh.
+    margin is the smallest eigenvalue of T - S; the order holds when margin >= -tol * max(1, ||T - S||), the norm
+    taken as the largest eigenvalue magnitude of the Hermitian part of T - S.
     """
     a = _as_matrix(s)
     b = _as_matrix(t)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"incompatible shapes {a.shape} vs {b.shape}")
-    _require_hermitian(a)
-    _require_hermitian(b)
+    for x in (a, b):
+        if np.linalg.norm(x - x.conj().T) > STRUCTURAL_TOL:
+            eigvalsh(x)
     diff = b - a
     diff = (diff + diff.conj().T) / 2.0
     vals = np.linalg.eigvalsh(diff)

@@ -308,9 +308,9 @@ class Splitting:
     disjoint entries.  A local term of degree > 1 raises
     InvalidAssignmentError.  H_I is the only dense operator a splitting
     builds; it, its eigenvalues and the local spectrum are computed on first
-    use and kept read-only.  A family's splitting (see split) holds the tuple
-    of its models and one tuple of local terms per member, and every array
-    it gives has a leading member axis.
+    use, and they and the per-site H_j are read-only.  A family's splitting
+    (see split) holds the tuple of its models and one tuple of local terms
+    per member, and every array it gives has a leading member axis.
     """
 
     model: SpinModel | tuple[SpinModel, ...]
@@ -318,7 +318,8 @@ class Splitting:
     per_site_local: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "per_site_local", site_operators(*self._stacked(lambda model, local: local)))
+        per_site = site_operators(*self._stacked(lambda model, local: local))
+        object.__setattr__(self, "per_site_local", tuple(_read_only(h) for h in per_site))
 
     def _stacked(self, terms_of) -> tuple:
         """dense_terms' and site_operators' arguments for terms_of(model, local terms): the terms and dims, and for a
@@ -500,13 +501,13 @@ def local_spectrum(splitting: Splitting) -> LocalSpectrum:
     energies = energies.reshape(lead + (-1,))
     return LocalSpectrum(
         dims=dims,
-        site_eigenvalues=tuple(vals),
-        site_eigenvectors=tuple(dec.eigenvectors for dec in decs),
-        gaps=gaps,
-        delta_e_ent=delta_e_ent if lead else float(delta_e_ent),
-        e0=e0 if lead else float(e0),
-        energies=energies,
-        order=np.argsort(energies, axis=-1, kind="stable"),
+        site_eigenvalues=tuple(_read_only(ev) for ev in vals),
+        site_eigenvectors=tuple(_read_only(dec.eigenvectors) for dec in decs),
+        gaps=_read_only(gaps),
+        delta_e_ent=_read_only(delta_e_ent) if lead else float(delta_e_ent),
+        e0=_read_only(e0) if lead else float(e0),
+        energies=_read_only(energies),
+        order=_read_only(np.argsort(energies, axis=-1, kind="stable")),
     )
 
 

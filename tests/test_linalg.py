@@ -204,14 +204,18 @@ def test_eigvalsh_rejects_non_hermitian():
 # the diagonal shortcut of eigvalsh
 
 
-@given(st.integers(0, 10_000), st.integers(1, 64), st.booleans())
+@given(st.integers(0, 10_000), st.integers(1, 256), st.booleans())
 def test_diagonal_shortcut_equals_lapack(seed, n, repeated):
+    """The sorted diagonal is LAPACK's, bit for bit, past one 128-row tile too: in a stack that is not all diagonal
+    a diagonal member takes LAPACK and still gets its solo values."""
     rng = np.random.default_rng(seed)
     d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
     if repeated:
         d = rng.choice(d[: max(1, n // 3)], size=n)  # repeated entries
+    other = random_hermitian(rng, n)
     for m in (np.diag(d), np.diag(d).astype(complex)):  # complex type, zero imaginary part
         assert np.array_equal(eigvalsh(m), np.linalg.eigvalsh(m))
+        assert np.array_equal(eigvalsh(np.stack([m, other]))[0], eigvalsh(m))
 
 
 def test_diagonal_shortcut_skips_lapack(monkeypatch):
@@ -779,12 +783,15 @@ def test_psd_leq_trivial_cases():
     assert not holds and abs(margin + 1.0) < 1e-14
 
 
-def test_psd_leq_solves_only_the_difference(solver_sizes):
+def test_psd_leq_solves_only_the_difference(solver_sizes, monkeypatch):
     sizes = solver_sizes["eigvalsh"]
+    converted, as_matrix = [], linalg._as_matrix
+    monkeypatch.setattr(linalg, "_as_matrix", lambda m, *a, **k: converted.append(np.shape(m)) or as_matrix(m, *a, **k))
     rng = np.random.default_rng(3)
     s, t = random_hermitian(rng, 5), random_hermitian(rng, 5)
     skew = np.triu(np.ones((5, 5)), 1)  # ||skew - skew^T||_F = sqrt(20)
     psd_leq(s, t)
+    assert converted == [(5, 5), (5, 5)]  # each input converted and checked once
     psd_leq(s, t + 0.1 * STRUCTURAL_TOL * skew)
     assert members(sizes, 5) == 2  # T - S only: asymmetry within STRUCTURAL_TOL passes at any scale
     sizes.clear()

@@ -149,6 +149,17 @@ def test_dense_build_is_shared_and_read_only():
     assert build_dense(SpinModel("y", (2,), (OperatorTerm(1.0, [(0, PAULI["Y"])]),))).dtype == complex
 
 
+@pytest.mark.parametrize("family", [False, True], ids=["model", "family"])
+def test_splitting_arrays_are_read_only(family):
+    """Assigning into a per-site H_j or any local-spectrum array raises, so no caller can move E0_L."""
+    s = split([ising2(1.0), ising2(0.5)] if family else ising2(1.0))
+    spec = s.local
+    arrays = [*s.per_site_local, *spec.site_eigenvalues, *spec.site_eigenvectors, spec.gaps, spec.energies, spec.order]
+    for a in arrays + ([spec.delta_e_ent, spec.e0] if family else []):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 5.0
+
+
 def test_triangle_matches_classical_enumeration():
     # oracle: energies of the 8 classical configurations, z = +1 for |0>
     h = build_dense(triangle(1.0))

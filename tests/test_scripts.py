@@ -22,3 +22,14 @@ def test_reproduce_figures_matches_cli_bytes(tmp_path):
                  "--gammas", "1e-1,1e-2,1e-3", "--out", str(saturation)]) == 0
     assert (tmp_path / "figs" / "ising_sweep.csv").read_bytes() == sweep.read_bytes()
     assert (tmp_path / "figs" / "ising_saturation.csv").read_bytes() == saturation.read_bytes()
+
+
+def test_readme_library_example_runs():
+    """The python block under the README's Library heading runs as written, RuntimeWarnings raised as errors."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "analyze_ground" in block
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", block],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
