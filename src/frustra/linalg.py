@@ -21,9 +21,9 @@ factor take the vector's residual to round-off.  Any refusal (a degenerate
 or unresolved ground level, a failed proof or refinement) gives nothing, and
 the caller then falls back to the full decomposition.
 
-hermitian_eig, eigvalsh, svd and fix_phases also take a (k, d, d) stack, and the Hermitian solvers see a matrix as
-a stack of one, a view: every check runs per member on that one path, LAPACK takes one call per kind of member,
-real or complex, and each member gets, bit for bit, what a call on it alone gets (upcast exactly in a mixed stack).
+hermitian_eig, eigvalsh, svd, singular_values, op_norm, frobenius_norm, psd_leq and fix_phases also take a (k, d, d)
+stack, and the Hermitian solvers see a matrix as a stack of one, a view: every check runs per member on one path, LAPACK
+takes one call per kind of member, real or complex, and each member gets, bit for bit, what a call on it alone gets.
 
 All functions are pure and deterministic for identical input: eigenvalues
 come back ascending, singular values descending, and every returned
@@ -36,6 +36,7 @@ is several times faster than the complex one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -63,8 +64,11 @@ ORACLE_GRID_TOL = 1e-3  # absolute: optimizer against the Bloch-grid oracle
 ZERO_COEFF = 1e-300  # absolute: dense_bipartite_model drops smaller operator-Schmidt coefficients
 
 
-def tol_scale(*values) -> float:
-    """max(1, |v| for every value), the scale of a relative tolerance; max() skips a NaN after 1.0."""
+def tol_scale(*values) -> float | np.ndarray:
+    """max(1, |v| for every value), the scale of a relative tolerance, member by member when a value is an array;
+    a NaN is skipped, as max() skips one after 1.0."""
+    if any(getattr(v, "ndim", 0) for v in values):
+        return functools.reduce(np.fmax, map(np.abs, values), 1.0)
     return float(max(1.0, *(abs(v) for v in values)))
 
 
@@ -115,9 +119,16 @@ def _require_finite(*arrays) -> None:
         raise ValueError("matrix entries must be finite")
 
 
-def op_norm(m) -> float:
-    """Operator (spectral) norm: the largest singular value."""
-    return float(singular_values(m)[0])
+def op_norm(m) -> float | np.ndarray:
+    """Operator (spectral) norm: the largest singular value, of a matrix or of each member of a stack."""
+    top = singular_values(m)[..., 0]
+    return float(top) if top.ndim == 0 else top
+
+
+def frobenius_norm(m) -> np.ndarray:
+    """Frobenius norm of a matrix or of each member of a stack, with np.linalg.norm's bits on each row-major one."""
+    flat = np.ascontiguousarray(m).reshape(np.shape(m)[:-2] + (-1,))  # np.linalg.norm sums a contiguous copy
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
@@ -553,52 +564,53 @@ def svd(m) -> SVDResult:
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values, descending."""
-    a = _as_matrix(m)
-    return np.linalg.svd(a, compute_uv=False)
+    """Singular values, descending, of a matrix or of each member of a stack."""
+    return np.linalg.svd(_as_matrix(m, stack=True), compute_uv=False)
 
 
 def operator_abs(d: SVDResult) -> np.ndarray:
-    """Operator absolute value sqrt(S S^dag), a Hermitian PSD matrix, from the SVD of S."""
-    return (d.left * d.singular_values) @ d.left.conj().T
+    """Operator absolute value sqrt(S S^dag), a Hermitian PSD matrix, from the SVD of S (or of each member)."""
+    return (d.left * d.singular_values[..., None, :]) @ d.left.conj().swapaxes(-1, -2)
 
 
-def psd_leq(s, t, tol: float = STRUCTURAL_TOL) -> tuple[bool, float]:
-    """Test S <= T in the PSD order; returns (holds, margin).
+def psd_leq(s, t, tol: float = STRUCTURAL_TOL) -> tuple[bool, float] | tuple[np.ndarray, np.ndarray]:
+    """Test S <= T in the PSD order, of two matrices or member by member of two stacks; returns (holds, margin).
 
     S and T must each pass hermitian_eig's Hermitian check.  Each is converted and tested for finiteness once, and
-    the rule's scale is at least 1, so only an input with ||M - M^dag||_F > STRUCTURAL_TOL goes on through eigvalsh.
+    the rule's scale is at least 1, so only a member with ||M - M^dag||_F > STRUCTURAL_TOL goes on to the rule.
     margin is the smallest eigenvalue of T - S; the order holds when margin >= -tol * max(1, ||T - S||), the norm
     taken as the largest eigenvalue magnitude of the Hermitian part of T - S.
     """
-    a = _as_matrix(s)
-    b = _as_matrix(t)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+    a, b = _as_matrix(s, stack=True), _as_matrix(t, stack=True)
+    if a.shape != b.shape or a.shape[-2] != a.shape[-1]:
         raise NotHermitianError(f"incompatible shapes {a.shape} vs {b.shape}")
     for x in (a, b):
-        if np.linalg.norm(x - x.conj().T) > STRUCTURAL_TOL:
-            eigvalsh(x)
+        if (past := frobenius_norm(x - x.conj().swapaxes(-1, -2)) > STRUCTURAL_TOL).any():
+            h, asym = _hermitian_part(x.reshape((-1,) + x.shape[-2:])[past.reshape(-1)])
+            _check_hermitian(asym, np.linalg.eigvalsh(h))
     diff = b - a
-    diff = (diff + diff.conj().T) / 2.0
+    diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
     vals = np.linalg.eigvalsh(diff)
-    margin = float(vals[0])
-    holds = margin >= -tol * tol_scale(margin, vals[-1])
-    return holds, margin
+    margin, top = vals[..., 0], vals[..., -1]
+    holds = margin >= -tol * tol_scale(margin, top)
+    return (bool(holds), float(margin)) if a.ndim == 2 else (holds, margin)
 
 
-def sv_norm(sv: np.ndarray, kind: NormKind) -> float:
-    """Normalized unitarily invariant norm from descending singular values.
+def sv_norm(sv: np.ndarray, kind: NormKind) -> float | np.ndarray:
+    """Normalized unitarily invariant norm from descending singular values, or of each row of a stack of them.
 
     OPERATOR: largest singular value; HILBERT_SCHMIDT: sqrt of the sum of
     squared singular values; TRACE: sum of singular values.
     """
     if kind is NormKind.OPERATOR:
-        return float(sv[0]) if sv.size else 0.0
-    if kind is NormKind.HILBERT_SCHMIDT:
-        return float(np.sqrt(np.sum(sv * sv)))
-    if kind is NormKind.TRACE:
-        return float(np.sum(sv))
-    raise ValueError(f"unknown norm kind: {kind!r}")
+        norm = sv[..., 0] if sv.shape[-1] else np.zeros(sv.shape[:-1])
+    elif kind is NormKind.HILBERT_SCHMIDT:
+        norm = np.sqrt(np.sum(sv * sv, axis=-1))
+    elif kind is NormKind.TRACE:
+        norm = np.sum(sv, axis=-1)
+    else:
+        raise ValueError(f"unknown norm kind: {kind!r}")
+    return float(norm) if np.ndim(norm) == 0 else norm
 
 
 def ui_norm(s, kind: NormKind) -> float:
@@ -606,15 +618,16 @@ def ui_norm(s, kind: NormKind) -> float:
     return sv_norm(singular_values(s), kind)
 
 
-def sv_dominance(sv_s: np.ndarray, sv_t: np.ndarray, tol: float) -> bool:
-    """True iff sv_s[k] <= sv_t[k] + tol for all k (both descending, same length).
+def sv_dominance(sv_s: np.ndarray, sv_t: np.ndarray, tol) -> bool | np.ndarray:
+    """True iff sv_s[k] <= sv_t[k] + tol for all k (both descending, same length), or per row of stacks, tol per row.
 
     For the singular values of S and T this is the checkable certificate for
     the existential statement "there is a unitary U with |S| <= U |T| U^dag":
     sorted singular-value dominance is necessary (Weyl ordering under the PSD
     order) and sufficient (align the eigenbases).
     """
-    return bool(np.all(sv_s <= sv_t + tol))
+    holds = np.all(sv_s <= sv_t + np.asarray(tol)[..., None], axis=-1)
+    return bool(holds) if holds.ndim == 0 else holds
 
 
 def appendix_norm_check(s) -> bool:

@@ -35,10 +35,11 @@ from frustra.models import (
     transverse_chain,
     triangle,
 )
+from frustra.perturbation import hermitian_instance
 from frustra.saturation import excess_decomposition, schmidt_splitting
 from frustra.verify import (
-    bound_property_suite, gaussian_hermitian, ising_sweep_rows, random_state, random_two_site_model,
-    random_weak_chain,
+    bound_property_suite, gaussian_hermitian, ising_sweep_rows, perturbation_trial, random_state,
+    random_two_site_model, random_weak_chain,
 )
 from conftest import product_vector
 
@@ -468,8 +469,10 @@ def test_a_family_shares_its_factors():
     (lambda: analyze_excited(split(ising2(1.0)), []), []),
     (lambda: schmidt([]), "at least one state"),  # one stacked decomposition: there is none of nothing
     (lambda: split([]), "family"),  # one Splitting, likewise
+    (lambda: perturbation_trial(1, []), []),
+    (lambda: hermitian_instance(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), [1]), "stack"),  # one stacked instance
 ], ids=["geometric_measure_bipartite", "geometric_measures_multipartite", "state_entanglement",
-        "ground_entanglement", "analyze_excited", "schmidt", "split"])
+        "ground_entanglement", "analyze_excited", "schmidt", "split", "perturbation_trial", "hermitian_instance"])
 def test_an_empty_sequence_gives_an_empty_list_or_a_value_error(call, want):
     if want == []:
         assert call() == []

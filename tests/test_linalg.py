@@ -26,6 +26,7 @@ from frustra.linalg import (
     psd_leq,
     singular_values,
     sv_dominance,
+    sv_norm,
     svd,
     tol_scale,
     ui_norm,
@@ -772,6 +773,49 @@ def test_operator_abs_matches_singular_values():
     np.testing.assert_allclose(ev, singular_values(s), atol=1e-10)
 
 
+def test_tol_scale_of_arrays_is_each_member_alone():
+    lo = np.array([0.5, -3.0, np.nan, 2.0, np.nan])
+    hi = np.array([-0.25, 1.0, 4.0, np.nan, np.nan])
+    scale = tol_scale(lo, hi, -2.5)
+    assert isinstance(tol_scale(lo[1], hi[1]), float) and isinstance(tol_scale(np.float64(2.0)), float)
+    assert scale.tolist() == [tol_scale(x, y, -2.5) for x, y in zip(lo, hi)] == [2.5, 3.0, 4.0, 2.5, 2.5]
+    assert tol_scale(np.array([np.nan, 0.5])).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_operator_abs_of_a_stack_is_each_member_alone(k):
+    # a (4, 4, 4) stack once broadcast the singular values across members instead of columns
+    rng = np.random.default_rng(k)
+    stack = rng.normal(size=(k, 4, 4)) + 1j * rng.normal(size=(k, 4, 4))
+    together = operator_abs(svd(stack))
+    for m in range(k):
+        assert np.array_equal(together[m], operator_abs(svd(stack[m])))
+
+
+def test_singular_value_functions_of_a_stack_are_each_member_alone():
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    values, norms = singular_values(stack), op_norm(stack)
+    assert isinstance(op_norm(stack[0]), float)
+    for m in range(5):
+        assert np.array_equal(values[m], singular_values(stack[m]))
+        assert norms[m] == op_norm(stack[m])
+    for kind in NormKind:
+        assert sv_norm(values, kind).tolist() == [sv_norm(v, kind) for v in values]
+    tol = np.array([0.0, 10.0, 0.0, 10.0, 0.0])
+    dominated = sv_dominance(values, values[::-1], tol)
+    assert dominated.tolist() == [sv_dominance(s, t, x) for s, t, x in zip(values, values[::-1], tol)]
+    assert dominated[1] and dominated[3] and dominated[2]
+
+
+def test_frobenius_norm_has_numpys_bits():
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(4, 7, 7)) + 1j * rng.normal(size=(4, 7, 7))
+    for x in (stack, stack.real):
+        norms = linalg.frobenius_norm(x)
+        assert [linalg.frobenius_norm(m[None])[0] for m in x] == [np.linalg.norm(m) for m in x] == norms.tolist()
+
+
 # ---------------------------------------------------------------------------
 # psd_leq
 
@@ -798,6 +842,32 @@ def test_psd_leq_solves_only_the_difference(solver_sizes, monkeypatch):
     big = 100.0 * t  # asymmetry above STRUCTURAL_TOL, within the scaled rule: T is solved
     assert psd_leq(s, big + 10.0 * STRUCTURAL_TOL * skew)[0] == psd_leq(s, big)[0]
     assert members(sizes, 5) == 3
+
+
+def test_psd_leq_converts_an_input_past_the_gate_once(solver_sizes, monkeypatch):
+    # ||M - M^dag||_F just above STRUCTURAL_TOL: the Hermitian rule is checked on the array already converted
+    sizes = solver_sizes["eigvalsh"]
+    converted, as_matrix = [], linalg._as_matrix
+    monkeypatch.setattr(linalg, "_as_matrix", lambda m, *a, **k: converted.append(np.shape(m)) or as_matrix(m, *a, **k))
+    monkeypatch.setattr(linalg, "_square", lambda *a, **k: pytest.fail("an input was converted again"))
+    rng = np.random.default_rng(4)
+    s, t = random_hermitian(rng, 5), random_hermitian(rng, 5)
+    past = t + 1.01 * STRUCTURAL_TOL / np.sqrt(20.0) * np.triu(np.ones((5, 5)), 1)
+    assert STRUCTURAL_TOL < np.linalg.norm(past - past.conj().T) < 1.02 * STRUCTURAL_TOL
+    assert psd_leq(s, past)[0] == psd_leq(s, t)[0]
+    assert converted == [(5, 5)] * 4  # two calls, each input converted once
+    assert members(sizes, 5) == 3  # T's Hermitian check, then T - S in each call
+    with pytest.raises(NotHermitianError, match="asymmetry"):
+        psd_leq(s, t + 0.01 * np.triu(np.ones((5, 5)), 1))
+
+
+def test_psd_leq_of_stacks_is_each_pair_alone():
+    rng = np.random.default_rng(6)
+    s = np.array([random_hermitian(rng, 4) for _ in range(5)])
+    t = s + np.array([0.1 * random_hermitian(rng, 4) + (m - 2) * np.eye(4) for m in range(5)])
+    holds, margin = psd_leq(s, t)
+    assert holds.dtype == bool and holds.tolist() == [False, False, False, True, True]
+    assert list(zip(holds.tolist(), margin.tolist())) == [psd_leq(a, b) for a, b in zip(s, t)]
 
 
 def test_psd_leq_rejects_non_hermitian():

@@ -1,11 +1,15 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import frustra.verify
-from frustra.errors import DegenerateSeparationError, NotProjectorError
+from frustra.bounds import json_values
+from frustra.errors import DegenerateSeparationError, NotHermitianError, NotProjectorError
 from frustra.linalg import NormKind, haar_unitary
 from frustra.perturbation import PerturbationInstance, check_theorem, hermitian_instance
-from frustra.verify import perturbation_trial, sharpness_witness
+from frustra.verify import perturbation_suite, perturbation_trial, sharpness_witness
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -114,6 +118,13 @@ def test_instance_validation():
     )
     with pytest.raises(ValueError):
         bad.validate()
+    # a stack raises when any member fails: here member 1's P_a is not idempotent
+    pair = hermitian_instance(np.stack([good.b_matrix] * 2), np.stack([good.c_matrix] * 2), [1])
+    pair.validate()
+    p_a = pair.p_a.copy()
+    p_a[1] *= 2.0
+    with pytest.raises(NotProjectorError, match="P_a is not idempotent"):
+        dataclasses.replace(pair, p_a=p_a).validate()
 
 
 def test_trial_decomposes_each_matrix_once(monkeypatch):
@@ -153,6 +164,84 @@ def test_trial_decomposes_each_matrix_once(monkeypatch):
         assert perturbation_trial(5, index).all_ok
     assert counts["check_theorem"] == [3, 3, 3]
     assert counts["hermitian_instance"] and max(counts["hermitian_instance"]) <= 1
+
+
+# ---------------------------------------------------------------------------
+# stacked trials: one solve per dimension and redraw round
+
+
+def _json(report) -> str:
+    return json.dumps(json_values(report))
+
+
+@pytest.mark.parametrize("dims, seed", [((4, 8, 16), 3), ((2, 3), 72)])
+def test_suite_reports_are_each_trial_alone(dims, seed):
+    reports = []
+    perturbation_suite(trials=13, dims=dims, seed=seed, collect=lambda t, r: reports.append((t, _json(r))))
+    assert [t for t, _ in reports] == list(range(13))
+    assert [r for _, r in reports] == [_json(perturbation_trial(seed, t, dims)) for t in range(13)]
+    assert list(map(_json, perturbation_trial(seed, [12, 3, 3], dims))) == [reports[i][1] for i in (12, 3, 3)]
+
+
+def test_a_stack_holds_at_most_its_entries(monkeypatch):
+    # 48 entries: three 4x4 trials a stack, the seventh alone, and one 8x8 trial a stack
+    whole = list(map(_json, perturbation_trial(3, range(13), (4, 8))))
+    sizes, stack = [], frustra.verify._trial_stack
+
+    def spy(seed, trials, attempt, dims):  # the stacks of the first round
+        sizes.extend([] if attempt else [len(trials)])
+        return stack(seed, trials, attempt, dims)
+
+    monkeypatch.setattr(frustra.verify, "PERTURBATION_STACK_ENTRIES", 48)
+    monkeypatch.setattr(frustra.verify, "_trial_stack", spy)
+    assert list(map(_json, perturbation_trial(3, range(13), (4, 8)))) == whole
+    assert sizes == [3, 3, 1] + [1] * 6
+    assert whole == [_json(perturbation_trial(3, t, (4, 8))) for t in range(13)]
+
+
+def test_stacked_instance_members_are_each_pair_alone():
+    rng = np.random.default_rng(21)
+    b = np.array([frustra.verify.gaussian_hermitian(rng, 6, norm=1.0) for _ in range(4)])
+    c = np.array([frustra.verify.gaussian_hermitian(rng, 6, norm=0.1) for _ in range(4)])
+    stacked = hermitian_instance(b, c, [3, 4, 5])
+    assert stacked.a_matrix.shape == (4, 6, 6) and stacked.beta_values.shape == (4, 3)
+    reports = check_theorem(stacked)
+    for m in range(4):
+        alone = hermitian_instance(b[m], c[m], [3, 4, 5])
+        for name in ("a_matrix", "p_a", "q"):
+            assert np.array_equal(getattr(stacked, name)[m], getattr(alone, name))
+        assert complex(stacked.a_value[m]) == alone.a_value and stacked.scale[m] == alone.scale
+        assert tuple(stacked.beta_values[m]) == alone.beta_values and stacked.delta_a[m] == alone.delta_a
+        assert _json(reports[m]) == _json(check_theorem(alone))
+
+
+def test_seed_72_redraws_trial_4(monkeypatch):
+    seeds, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: seeds.append(list(s)) or default_rng(s))
+    perturbation_suite(trials=12, dims=(2, 3), seed=72)
+    assert [s for s in seeds if len(s) == 3 and s[2] > 0] == [[72, 4, 1]]
+
+
+def test_an_error_is_raised_for_the_lowest_trial(monkeypatch):
+    # trial 5 draws zeros (ValueError) at once; trial 2, in the same dimension's stack, first draws
+    # B = C = I (delta_a = 0.01, a redraw), then a matrix far from Hermitian (NotHermitianError)
+    draw = frustra.verify.gaussian_hermitian
+
+    def failing(rng, n, norm=None):
+        _, trial, attempt = rng.bit_generator.seed_seq.entropy
+        h = draw(rng, n, norm)
+        if trial == 2:
+            return h + np.triu(np.ones((n, n)), 1) if attempt else np.eye(n, dtype=complex)
+        return np.zeros_like(h) if trial == 5 else h
+
+    monkeypatch.setattr(frustra.verify, "gaussian_hermitian", failing)
+    with pytest.raises(NotHermitianError, match="asymmetry"):
+        perturbation_suite(trials=8)
+    with pytest.raises(NotHermitianError, match="asymmetry"):
+        perturbation_trial(1, [5, 2, 0])
+    with pytest.raises(ValueError, match="zero draw"):
+        perturbation_trial(1, [0, 1, 3, 4, 5, 6])
+    assert perturbation_trial(1, 4).all_ok
 
 
 def test_projector_residuals_use_frobenius_norm():

@@ -2,7 +2,8 @@
 ``frustra.linalg``, and every relative scale goes through ``linalg.tol_scale``.
 
 These tests read the package source with ``ast``, so a bare tolerance
-literal or a hand-written ``max(1.0, ...)`` scale anywhere else fails them.
+literal or a hand-written ``max(1.0, ...)`` scale (or ``np.fmax`` / ``np.maximum``
+of 1.0) anywhere else fails them.
 """
 
 import ast
@@ -63,8 +64,9 @@ def test_every_scale_goes_through_tol_scale():
     for path, tree in _sources():
         lo, hi = _function_lines(tree, "tol_scale") if path.name == "linalg.py" else (0, -1)
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "max" and node.args
+            func = node.func if isinstance(node, ast.Call) else None
+            name = getattr(func, "id", getattr(func, "attr", None))  # max, or np.fmax
+            if (isinstance(node, ast.Call) and name in ("max", "fmax", "maximum") and node.args
                     and isinstance(node.args[0], ast.Constant)
                     and type(node.args[0].value) is float and node.args[0].value == 1.0
                     and not lo <= node.lineno <= hi):
