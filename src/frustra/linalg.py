@@ -22,8 +22,10 @@ or unresolved ground level, a failed proof or refinement) gives nothing, and
 the caller then falls back to the full decomposition.
 
 hermitian_eig, eigvalsh, svd, singular_values, op_norm, frobenius_norm, psd_leq and fix_phases also take a (k, d, d)
-stack, and the Hermitian solvers see a matrix as a stack of one, a view: every check runs per member on one path, LAPACK
-takes one call per kind of member, real or complex, and each member gets, bit for bit, what a call on it alone gets.
+stack, and the Hermitian solvers see a matrix as a stack of one, a view: every check runs per member on one path, and
+LAPACK takes one call in one kind, float64 when no member has an imaginary part and complex otherwise.  Each member of
+a one-kind stack gets, bit for bit, what a call on it alone gets; in a stack that mixes kinds a member without an
+imaginary part is solved in complex, and matches its own call to round-off.
 
 All functions are pure and deterministic for identical input: eigenvalues
 come back ascending, singular values descending, and every returned
@@ -128,7 +130,9 @@ def op_norm(m) -> float | np.ndarray:
 def frobenius_norm(m) -> np.ndarray:
     """Frobenius norm of a matrix or of each member of a stack, with np.linalg.norm's bits on each row-major one."""
     flat = np.ascontiguousarray(m).reshape(np.shape(m)[:-2] + (-1,))  # np.linalg.norm sums a contiguous copy
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    if np.iscomplexobj(flat):
+        return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return np.sqrt(np.vecdot(flat, flat))  # no zero imaginary copy
 
 
 def _pivot_phases(vectors: np.ndarray) -> np.ndarray:
@@ -157,10 +161,10 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return v * _pivot_phases(v).conj()[..., None, :]
 
 
-def _square(m, finite: bool = True, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(m as a (k, d, d) stack, mask of its members with no imaginary part); a matrix is a stack of one, as a view.
+def _square(m, finite: bool = True, stack: bool = False) -> np.ndarray:
+    """m as a (k, d, d) stack, a matrix as a stack of one (a view); float64 when no member has an imaginary part.
 
-    The stack is float64 when every member has no imaginary part.  finite=False leaves finiteness to the caller.
+    finite=False leaves finiteness to the caller.
     """
     a = np.asarray(m)
     complex_ = np.iscomplexobj(a)
@@ -169,30 +173,26 @@ def _square(m, finite: bool = True, stack: bool = False) -> tuple[np.ndarray, np
         _require_finite(a)  # a non-finite entry is reported first, as with finite=True
         raise NotHermitianError(f"matrix is not square: shape {a.shape}")
     s = a.reshape((-1,) + a.shape[-2:])
-    if not complex_:
-        return s, np.ones(len(s), bool)
-    real = ~s.imag.any(axis=(1, 2))
-    return (s.real if real.all() else s), real
+    return s.real if complex_ and not s.imag.any() else s
 
 
 def _hermitian_part(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Hermitian part, Frobenius norm of M - M^dag) of each member of a stack from _square.
 
     An exactly Hermitian member is its own Hermitian part, found with no copy of M^dag: up to d = 128 every member is
-    tested at once, a larger one by 128-row square tiles.
+    tested at once, a larger one by 128-row square tiles.  So is a member whose asymmetry underflows to 0.
     """
     exact = (s == s.conj().swapaxes(1, 2)).all(axis=(1, 2)) if s.shape[-1] <= 128 else np.array([all(
         (x[i:i + 128, j:j + 128] == x[j:j + 128, i:i + 128].conj().T).all()
         for i in range(0, len(x), 128) for j in range(i, len(x), 128)) for x in s])
-    asym = np.zeros(len(s))
-    if exact.all():
+    asym = np.zeros(len(s)) if exact.all() else frobenius_norm(s - s.conj().swapaxes(1, 2))
+    if not asym.any():
         return s, asym
-    for m in (~exact).nonzero()[0]:
-        asym[m] = np.linalg.norm(s[m] - s[m].conj().T)
-    h = s.copy() if asym.any() else s
-    for m in asym.nonzero()[0]:
-        np.add(s[m], s[m].conj().T, out=h[m])  # (M + M^dag) / 2 in place: no second d x d temporary
-        h[m] /= 2.0
+    half = (asym != 0)[:, None, None]
+    h = s.copy()  # (M + M^dag) / 2 in place on the members with an asymmetry: no second stack temporary
+    np.conjugate(s.swapaxes(1, 2), out=h, where=half)
+    np.add(h, s, out=h, where=half)
+    np.divide(h, 2.0, out=h, where=half)
     return h, asym
 
 
@@ -217,18 +217,12 @@ def _check_hermitian(asym: np.ndarray, eigenvalues: np.ndarray) -> None:
             raise NotHermitianError(f"matrix asymmetry {a:.3e} exceeds {STRUCTURAL_TOL:.1e} * {scale:.3e}")
 
 
-def _lapack(solve, h: np.ndarray, real: np.ndarray) -> tuple:
-    """solve(h)'s arrays, the members with no imaginary part solved in float64: one call per kind, in member order."""
+def _lapack(solve, *args, **kwargs):
+    """solve(*args, **kwargs), a LAPACK failure raised as NoConvergenceError."""
     try:
-        if h.dtype == np.float64 or not real.any():  # one kind, in h's dtype: float64 when every member is real
-            return solve(h)
-        parts = solve(h[real].real), solve(h[~real])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        return solve(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-    out = tuple(np.empty(real.shape + r.shape[1:], np.result_type(r, c)) for r, c in zip(*parts))
-    for x, r, c in zip(out, *parts):
-        x[real], x[~real] = r, c
-    return out
 
 
 def hermitian_eig(m) -> EigenDecomposition:
@@ -240,21 +234,17 @@ def hermitian_eig(m) -> EigenDecomposition:
     is at least the operator norm and |lam|_max is at most ||M||, so the
     rule never accepts what STRUCTURAL_TOL * max(1, ||M||) in the operator
     norm would reject.  Raises NoConvergenceError if the underlying
-    iteration fails.  A matrix without imaginary part is
-    decomposed in float64 and gets real eigenvectors.  The returned
+    iteration fails.  A call with no imaginary part in any member is
+    decomposed in float64 and gets real eigenvectors, any other in complex:
+    a real member of a mixed stack matches its own call to round-off.  The returned
     eigenvectors are orthonormal columns paired with ascending eigenvalues.
     Reconstruction holds to RECONSTRUCTION_TOL * max(1, ||M||).
     """
-    s, real = _square(m, stack=True)
+    s = _square(m, stack=True)
     h, asym = _hermitian_part(s)
-    vals, vecs = _lapack(_phase_fixed_eigh, h, real)
+    vals, vecs = _lapack(np.linalg.eigh, h)
     _check_hermitian(asym, vals)
-    return EigenDecomposition(vals.reshape(np.shape(m)[:-1]), vecs.reshape(np.shape(m)))
-
-
-def _phase_fixed_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(h)
-    return vals, fix_phases(vecs)  # per kind, so a real member's vectors are its own in a mixed stack
+    return EigenDecomposition(vals.reshape(np.shape(m)[:-1]), fix_phases(vecs).reshape(np.shape(m)))
 
 
 def eigvalsh(m) -> np.ndarray:
@@ -264,7 +254,7 @@ def eigvalsh(m) -> np.ndarray:
     if its diagonals are, and each member's eigenvalues are its sorted real diagonal, what LAPACK returns, with
     ||M - M^dag||_F = 2 ||Im d|| and no O(d^3) solve.  Any other stack goes to LAPACK whole, a diagonal member too.
     """
-    s, real = _square(m, finite=False, stack=True)
+    s = _square(m, finite=False, stack=True)
     if _diagonal(s):
         d = np.diagonal(s, axis1=1, axis2=2).copy()  # contiguous: a strided view sorts and tests slower at d = 1024
         _require_finite(d)
@@ -273,7 +263,7 @@ def eigvalsh(m) -> np.ndarray:
     else:
         _require_finite(s)
         h, asym = _hermitian_part(s)
-        vals = _lapack(lambda x: (np.linalg.eigvalsh(x),), h, real)[0]
+        vals = _lapack(np.linalg.eigvalsh, h)
     _check_hermitian(asym, vals)
     return vals.reshape(np.shape(m)[:-1])
 
@@ -326,7 +316,7 @@ def ground_eig(m) -> GroundState | None:
     not), when the refined psi misses a gate, for a 1 x 1 matrix, or when g
     overflows (then before any Lanczos step, and without a RuntimeWarning).
     """
-    s, _ = _square(m, finite=False)
+    s = _square(m, finite=False)
     return _ground_eig(s[0], np.random.default_rng(0).standard_normal(s.shape[-1]))
 
 
@@ -554,11 +544,7 @@ def svd(m) -> SVDResult:
     Left singular vectors are phase-fixed; the compensating phase moves to
     the right vectors, so reconstruction is unaffected.
     """
-    a = _as_matrix(m, stack=True)
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
+    u, s, vh = _lapack(np.linalg.svd, _as_matrix(m, stack=True), full_matrices=False)
     phases = _pivot_phases(u)
     return SVDResult(s, u * phases.conj()[..., None, :], (vh * phases[..., :, None]).conj().swapaxes(-1, -2))
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frustra import linalg
-from frustra.errors import NotHermitianError
+from frustra.cli import main
+from frustra.errors import NoConvergenceError, NotHermitianError
 from frustra.linalg import (
     CERTIFICATE_SHIFT,
     LANCZOS_STEPS,
@@ -176,6 +177,14 @@ def test_exact_hermitian_test_matches_the_full_adjoint(n):
         (got, got_asym), want = linalg._hermitian_part(m[None]), _hermitian_part_reference(m)
         assert got_asym.shape == (1,) and got_asym[0] == want[1] and np.array_equal(got[0], want[0])
         assert np.shares_memory(got, m) == (want[0] is m)
+    for dtype in (complex, float):  # one stack of mixed exactness: each member is its own, bit for bit
+        same = [m for m in cases if m.dtype == dtype]
+        got, got_asym = linalg._hermitian_part(np.stack(same))
+        for m, part, asym in zip(same, got, got_asym):
+            want, want_asym = _hermitian_part_reference(m)
+            assert asym == want_asym and part.tobytes() == want.tobytes()
+            if asym == 0:  # exact, or an asymmetry that underflows: the member keeps its entries
+                assert part.tobytes() == m.tobytes()
 
 
 def test_real_path_matches_complex_eigh():
@@ -192,6 +201,21 @@ def test_real_path_matches_complex_eigh():
         pivot = ground[int(np.argmax(np.abs(ground)))]
         ground = ground * (pivot.conjugate() / abs(pivot))
         assert np.max(np.abs(dec.eigenvectors[:, 0] - ground)) <= 1e-10
+
+
+def test_a_lapack_failure_is_no_convergence(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    m = random_hermitian(np.random.default_rng(6), 3)  # not diagonal: eigvalsh takes LAPACK
+    for solve in (hermitian_eig, eigvalsh, svd):
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            solve(m)
+    assert main(["analyze", "--model", "chain3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "did not converge" in err
 
 
 def test_eigvalsh_rejects_non_hermitian():
@@ -816,6 +840,17 @@ def test_frobenius_norm_has_numpys_bits():
         assert [linalg.frobenius_norm(m[None])[0] for m in x] == [np.linalg.norm(m) for m in x] == norms.tolist()
 
 
+def test_frobenius_norm_of_a_real_matrix_takes_no_copy():
+    a = np.random.default_rng(13).normal(size=(1024, 1024))
+    tracemalloc.start()
+    try:
+        norm = linalg.frobenius_norm(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm == np.linalg.norm(a) and peak <= 2**16, peak  # no zero imaginary part of 8 MiB
+
+
 # ---------------------------------------------------------------------------
 # psd_leq
 
@@ -999,12 +1034,16 @@ def _same(stacked, solo):
     return stacked.tobytes() == np.asarray(solo, dtype=stacked.dtype).tobytes()
 
 
-def _stacks():
+def _stacks(mixed=False):
+    """Stacks of one kind, every member with an imaginary part or none; with mixed=True, the stacks that hold both."""
     for k in (1, 2, 7):
         for d in (1, 2, 3, 16, 130):  # 130: past one 128-row tile, each member takes the tiled exactness test
-            for offset in range(len(STACK_KINDS) if k < len(STACK_KINDS) else 1):
-                rng = np.random.default_rng([k, d, offset])
-                yield [_stack_member(rng, d, STACK_KINDS[(offset + m) % len(STACK_KINDS)]) for m in range(k)]
+            for kinds in [STACK_KINDS] if mixed else [("real", "diagonal", "complex-diagonal"), ("complex", "roundoff")]:
+                for offset in range(len(kinds) if k < len(kinds) else 1):
+                    rng = np.random.default_rng([k, d, offset])
+                    members = [_stack_member(rng, d, kinds[(offset + m) % len(kinds)]) for m in range(k)]
+                    if len({bool(np.imag(m).any()) for m in members}) == 1 + mixed:  # a 1 x 1 "complex" is real
+                        yield members
 
 
 def test_hermitian_eig_of_a_stack_is_each_member_s_own():
@@ -1025,8 +1064,25 @@ def test_eigvalsh_of_a_stack_is_each_member_s_own():
             assert _same(stacked[m], eigvalsh(member))
 
 
+def test_a_stack_that_mixes_kinds_is_solved_in_complex():
+    """A member with an imaginary part gets its own call's bits; one without is solved in complex with it, and
+    matches its own float64 call to round-off."""
+    for members in _stacks(mixed=True):
+        stacked, values = hermitian_eig(np.stack(members)), eigvalsh(np.stack(members))
+        assert stacked.eigenvectors.dtype == complex
+        for m, member in enumerate(members):
+            solo = hermitian_eig(member)
+            got = (stacked.eigenvalues[m], stacked.eigenvectors[m], values[m])
+            want = (solo.eigenvalues, solo.eigenvectors, eigvalsh(member))
+            if np.imag(member).any():
+                assert all(_same(x, y) for x, y in zip(got, want))
+            else:
+                scale = tol_scale(solo.eigenvalues[0], solo.eigenvalues[-1])
+                assert all(np.abs(x - y).max() <= RECONSTRUCTION_TOL * scale for x, y in zip(got, want))
+
+
 def test_svd_of_a_stack_is_each_member_s_own():
-    for members in _stacks():
+    for members in (*_stacks(), *_stacks(mixed=True)):
         rows = np.stack(members)[:, :, : max(1, members[0].shape[0] - 1)]  # not square: U and V differ in shape
         stacked = svd(rows)
         for m, member in enumerate(rows):
