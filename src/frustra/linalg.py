@@ -157,7 +157,7 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(vectors)
     if v.dtype != np.float64:
-        v = v.astype(complex)
+        v = v.astype(complex, copy=False)  # the phase product below makes the output
     return v * _pivot_phases(v).conj()[..., None, :]
 
 
@@ -374,7 +374,7 @@ def _lanczos(h: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if j + 1 == steps or beta[j] <= floor:  # the last step, or the basis spans an invariant subspace
             break
         v = w / beta[j]
-    ritz, s = np.linalg.eigh(np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1))
+    ritz, s = _lapack(np.linalg.eigh, np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1))
     psi = s[:, 0] @ basis[: j + 1]
     return psi / np.linalg.norm(psi), ritz
 
@@ -400,7 +400,7 @@ def _refine(h: np.ndarray, tree: tuple, psi: np.ndarray, h_psi: np.ndarray, thet
         t /= np.linalg.norm(t)
         h_t = h @ t  # H psi is kept as the same combination of matvecs as psi
         off = np.vdot(psi, h_t)
-        s = np.linalg.eigh(np.array([[e, off], [np.conj(off), np.vdot(t, h_t).real]]))[1][:, 0]
+        s = _lapack(np.linalg.eigh, np.array([[e, off], [np.conj(off), np.vdot(t, h_t).real]]))[1][:, 0]
         psi, h_psi = s[0] * psi + s[1] * t, s[0] * h_psi + s[1] * h_t
 
 
@@ -551,7 +551,7 @@ def svd(m) -> SVDResult:
 
 def singular_values(m) -> np.ndarray:
     """Singular values, descending, of a matrix or of each member of a stack."""
-    return np.linalg.svd(_as_matrix(m, stack=True), compute_uv=False)
+    return _lapack(np.linalg.svd, _as_matrix(m, stack=True), compute_uv=False)
 
 
 def operator_abs(d: SVDResult) -> np.ndarray:
@@ -573,10 +573,10 @@ def psd_leq(s, t, tol: float = STRUCTURAL_TOL) -> tuple[bool, float] | tuple[np.
     for x in (a, b):
         if (past := frobenius_norm(x - x.conj().swapaxes(-1, -2)) > STRUCTURAL_TOL).any():
             h, asym = _hermitian_part(x.reshape((-1,) + x.shape[-2:])[past.reshape(-1)])
-            _check_hermitian(asym, np.linalg.eigvalsh(h))
+            _check_hermitian(asym, _lapack(np.linalg.eigvalsh, h))
     diff = b - a
     diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
-    vals = np.linalg.eigvalsh(diff)
+    vals = _lapack(np.linalg.eigvalsh, diff)
     margin, top = vals[..., 0], vals[..., -1]
     holds = margin >= -tol * tol_scale(margin, top)
     return (bool(holds), float(margin)) if a.ndim == 2 else (holds, margin)

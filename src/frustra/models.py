@@ -14,9 +14,9 @@ in H_I term by term, and the Schmidt-based construction in the saturation
 module installs a local term that appears in no physical term list at all.
 A splitting keeps its local spectrum, computed once.  Per-site gaps are
 taken in the degenerate-aware sense: the gap of H_j is zero whenever its
-lowest eigenvalue is repeated.  A family, models that differ only in
-coefficients, is split as one: its arrays are stacks by the rules a single
-model follows, and each member's is bit for bit that model's own.
+lowest eigenvalue is repeated.  A family, models with equal dims and term
+sites, is split as one from its members' own terms: its arrays are stacks by
+a single model's rules, each member's bit for bit its own in the family's kind.
 """
 
 from __future__ import annotations
@@ -109,14 +109,11 @@ class OperatorTerm:
     def __init__(self, coeff: float, factors: Iterable[tuple[int, object]]):
         object.__setattr__(self, "coeff", float(coeff))
         object.__setattr__(self, "factors", tuple((int(site), _resolve_op(site, op)) for site, op in factors))
+        object.__setattr__(self, "sites", tuple(site for site, _ in self.factors))
 
     @property
     def degree(self) -> int:
         return len(self.factors)
-
-    @property
-    def sites(self) -> tuple[int, ...]:
-        return tuple(site for site, _ in self.factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,22 +237,35 @@ class SpinModel:
             ) from None
 
 
-def _add_term(h: np.ndarray, term: OperatorTerm, dims: Sequence[int], coeffs: np.ndarray) -> None:
-    """h[m] += the tensor-product embedding of the term with coefficient coeffs[m], in place, for a (k, D, D) h.
+def _columns(terms: Sequence) -> tuple[bool, int, list]:
+    """(one, k, columns) of one term list (k = 1) or of one list per member: term t of every member as its (k,)
+    coefficients and {site: the (k, d, d) stack of the members' factors, or the (1, d, d) view of one they all hold}."""
+    one = not terms or isinstance(terms[0], OperatorTerm)
+    rows = [terms] if one else terms
+    columns = []
+    for column in zip(*rows, strict=True):
+        factors = [[op for _, op in pairs] for pairs in zip(*(term.factors for term in column), strict=True)]
+        ops = {site: f[0][None] if all(x is f[0] for x in f) else np.stack(f)
+               for site, f in zip(column[0].sites, factors)}
+        columns.append((np.array([term.coeff for term in column]), ops))
+    return one, len(rows), columns
+
+
+def _add_term(h: np.ndarray, coeffs: np.ndarray, ops: dict, dims: Sequence[int]) -> None:
+    """h[m] += coeffs[m] times the embedding of member m's factors ops[site][m], in place, for a (k, D, D) h.
 
     The embedding is I_left x core x I_right, where the core runs from the
     term's first to its last site, so only the block diagonal over the
     untouched outer sites is written.  Every entry is the same product, in
     the same site order ((c a) b ...), that the full Kronecker chain would give.
     """
-    ops = {site: (op.real if h.dtype == float else op) for site, op in term.factors}
     lo, hi = min(ops, default=0), max(ops, default=-1)
     core = coeffs.astype(h.dtype).reshape(-1, 1, 1)
     for site in range(lo, hi + 1):
-        b = ops.get(site, np.eye(dims[site]))
-        # np.kron(core, b) per member: the same single products, without its overhead
-        core = (core[:, :, None, :, None] * b[None, None, :, None, :]).reshape(
-            len(core), core.shape[1] * b.shape[0], core.shape[2] * b.shape[1])
+        b = ops.get(site, np.eye(dims[site])[None])
+        # np.kron(core[m], b[m]) per member: the same single products, without its overhead
+        core = (core[:, :, None, :, None] * b[:, None, :, None, :]).reshape(
+            len(core), core.shape[1] * b.shape[1], core.shape[2] * b.shape[2])
     left, c = int(np.prod(dims[:lo])), core.shape[1]
     right = h.shape[1] // (left * c)
     h7 = h.reshape(len(h), left, c, right, left, c, right)
@@ -266,22 +276,21 @@ def _add_term(h: np.ndarray, term: OperatorTerm, dims: Sequence[int], coeffs: np
     block += core[:, None, None]
 
 
-def dense_terms(terms: Iterable[OperatorTerm], dims: Sequence[int], coeffs=None) -> np.ndarray:
+def dense_terms(terms: Sequence, dims: Sequence[int]) -> np.ndarray:
     """Sum of tensor-product embeddings; identity on untouched sites.
 
     The result is float64 when no factor has an imaginary part (every
-    Pauli X/Z model), complex otherwise.  Given a (k, T) table of
-    coefficients, it is the (k, D, D) stack whose member m, bit for bit,
-    is the sum of the terms weighted by coeffs[m] instead.
+    Pauli X/Z model), complex otherwise.  Given one term list per member,
+    term t on the same sites in each, it is the (k, D, D) stack of their
+    builds, each bit for bit its own if it is of the stack's kind.
     """
-    terms = tuple(terms)
-    table = np.array([[term.coeff for term in terms]] if coeffs is None else coeffs, dtype=float)
-    real = not any(op.imag.any() for term in terms for _, op in term.factors)
+    one, k, columns = _columns(terms)
+    real = not any(op.imag.any() for _, ops in columns for op in ops.values())
     total = int(np.prod(dims))
-    h = np.zeros((len(table), total, total), dtype=float if real else complex)
-    for t, term in enumerate(terms):
-        _add_term(h, term, dims, table[:, t])
-    return h[0] if coeffs is None else h
+    h = np.zeros((k, total, total), dtype=float if real else complex)
+    for coeffs, ops in columns:
+        _add_term(h, coeffs, {site: op.real if real else op for site, op in ops.items()}, dims)
+    return h[0] if one else h
 
 
 def build_dense(model: SpinModel) -> np.ndarray:
@@ -318,16 +327,9 @@ class Splitting:
     per_site_local: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
-        per_site = site_operators(*self._stacked(lambda model, local: local))
+        dims = (self.model if isinstance(self.model, SpinModel) else self.model[0]).dims
+        per_site = site_operators(self.local_terms, dims)
         object.__setattr__(self, "per_site_local", tuple(_read_only(h) for h in per_site))
-
-    def _stacked(self, terms_of) -> tuple:
-        """dense_terms' and site_operators' arguments for terms_of(model, local terms): the terms and dims, and for a
-        family the first member's terms with the (k, T) table of every member's coefficients."""
-        if isinstance(self.model, SpinModel):
-            return terms_of(self.model, self.local_terms), self.model.dims
-        rows = [terms_of(model, local) for model, local in zip(self.model, self.local_terms)]
-        return rows[0], self.model[0].dims, np.array([[t.coeff for t in terms] for terms in rows])
 
     def one_model(self) -> SpinModel:
         """The model of a one-model splitting; ValueError for a family's, which only bounds.analyze_ground reads."""
@@ -337,7 +339,10 @@ class Splitting:
 
     @cached_property
     def _h_interaction(self) -> np.ndarray:
-        return _read_only(dense_terms(*self._stacked(lambda model, local: _interaction_terms(model.terms, local))))
+        if isinstance(self.model, SpinModel):
+            return _read_only(dense_terms(_interaction_terms(self.model.terms, self.local_terms), self.model.dims))
+        rows = [_interaction_terms(model.terms, local) for model, local in zip(self.model, self.local_terms)]
+        return _read_only(dense_terms(rows, self.model[0].dims))
 
     @cached_property
     def interaction_eigenvalues(self) -> np.ndarray:
@@ -383,19 +388,17 @@ def _interaction_terms(terms: Sequence[OperatorTerm], local_terms: Sequence[Oper
     return terms
 
 
-def site_operators(local_terms: Sequence[OperatorTerm], dims: Sequence[int], coeffs: np.ndarray | None = None) -> tuple:
-    """Per-site H_j (complex; a degree-0 constant on site 0) of local terms, weighted by coeffs of shape (..., T) if
-    given: a (k, T) table gives a family's (k, d_j, d_j) stacks.  A term of degree > 1 raises InvalidAssignmentError."""
-    if coeffs is None:
-        coeffs = np.array([term.coeff for term in local_terms])
-    per_site = [np.zeros(coeffs.shape[:-1] + (d, d), dtype=complex) for d in dims]
-    for t, term in enumerate(local_terms):
-        if term.degree > 1:
-            raise InvalidAssignmentError(
-                f"local term on sites {term.sites} has degree {term.degree} > 1")
-        site, op = term.factors[0] if term.degree else (0, np.eye(dims[0]))
-        per_site[site] += coeffs[..., t, None, None] * op
-    return tuple(per_site)
+def site_operators(local_terms: Sequence, dims: Sequence[int]) -> tuple:
+    """Per-site H_j (complex; a degree-0 constant on site 0) of local terms, or a family's (k, d_j, d_j) stacks of one
+    term list per member (term t on the same site in each).  A term of degree > 1 raises InvalidAssignmentError."""
+    one, k, columns = _columns(local_terms)
+    per_site = [np.zeros((k, d, d), dtype=complex) for d in dims]
+    for coeffs, ops in columns:
+        if len(ops) > 1:
+            raise InvalidAssignmentError(f"local term on sites {tuple(ops)} has degree {len(ops)} > 1")
+        site, op = next(iter(ops.items()), (0, np.eye(dims[0])))
+        per_site[site] += coeffs[:, None, None] * op
+    return tuple(h[0] if one else h for h in per_site)
 
 
 def split(model: SpinModel | Sequence[SpinModel], local: Iterable[int] | None = None) -> Splitting:
@@ -406,27 +409,22 @@ def split(model: SpinModel | Sequence[SpinModel], local: Iterable[int] | None = 
     (they must be distinct, in range and of degree <= 1).  H_I is the rest
     of H, including degree-1 terms left off the list.
 
-    A sequence of models that differ only in coefficients (a family: equal
-    dims, the same sites and factor bits in each term, below
-    GROUND_TIER_MIN_DIM; ValueError otherwise) is split as one, member m
-    bit for bit split(models[m], local).  H of the members not yet solved
-    is one stacked solve that fills each model's own ``spectrum``.
+    A sequence of models with equal dims and the same sites in each term (a
+    family, below GROUND_TIER_MIN_DIM; ValueError otherwise) is split as one,
+    member m bit for bit split(models[m], local) if it is of the family's kind
+    (real or complex), else to round-off.  H of the members not yet solved is
+    one stacked solve that fills each model's own ``spectrum``.
     """
     if isinstance(model, SpinModel):
         return Splitting(model, tuple(model.terms[i] for i in _local_indices(model, local)))
     models = tuple(model)
-
-    def layout(m):  # the dims, each term's degree, and each factor's site and bits
-        return m.dims, [len(t.factors) for t in m.terms], [(i, op.tobytes()) for t in m.terms for i, op in t.factors]
-    first = layout(models[0]) if models else None
-    if not models or models[0].dimension >= GROUND_TIER_MIN_DIM or any(layout(m) != first for m in models[1:]):
-        raise ValueError("a family is models that share their dims, sites and factors, below the ground tier")
+    if len({(m.dims, *[t.sites for t in m.terms]) for m in models}) != 1 or models[0].dimension >= GROUND_TIER_MIN_DIM:
+        raise ValueError("a family is models that share their dims and term sites, below the ground tier")
     idx = _local_indices(models[0], local)
     splitting = Splitting(models, tuple(tuple([m.terms[i] for i in idx]) for m in models))
     unsolved = [m for m in models if "spectrum" not in vars(m)]
     if unsolved:
-        coeffs = [[t.coeff for t in m.terms] for m in unsolved]
-        dec = hermitian_eig(dense_terms(models[0].terms, models[0].dims, coeffs))
+        dec = hermitian_eig(dense_terms([m.terms for m in unsolved], models[0].dims))
         for m, vals, vecs in zip(unsolved, _read_only(dec.eigenvalues), _read_only(dec.eigenvectors)):
             vars(m)["spectrum"] = EigenDecomposition(vals, vecs)  # the cached_property's slot
     return splitting

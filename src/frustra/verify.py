@@ -157,30 +157,32 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
 
     Checks E_f >= -STRUCTURAL_TOL * scale, E_f <= E_I_tot + STRUCTURAL_TOL * scale,
     and, when delta_e_ent > MIN_GAP, entanglement <= both bounds + TOL_ENT and
-    every step of the bound's proof (``bounds.proof_step_check`` on the
-    model's report).  A trial fails when any check fails.
+    every step of the bound's proof (``bounds.proof_step_check`` on the model's
+    own splitting and report).  A trial fails when any check fails.  The models
+    go to analyze_ground in families of PERTURBATION_STACK_ENTRIES // d^4 models.
     """
     failures = 0
     worst_ef = np.inf
     worst_slack = -np.inf
     for d in (2, 3):
-        for t in range(trials_per_kind):
-            rng = np.random.default_rng([seed, d, t])
-            model = random_two_site_model(rng, d, name=f"random2(d={d},t={t})")
-            splitting = split(model)
-            report = analyze_ground(splitting)
-            scale = tol_scale(report.E0, report.E0_L, report.E0_I, report.E_I_tot)
-            ok = report.E_f >= -STRUCTURAL_TOL * scale
-            ok = ok and report.E_f <= report.E_I_tot + STRUCTURAL_TOL * scale
-            worst_ef = min(worst_ef, report.E_f)
-            if report.delta_e_ent > MIN_GAP:
-                slack = max(report.entanglement - report.ef_bound,
-                            report.entanglement - report.ratio_bound)
-                worst_slack = max(worst_slack, slack)
-                proof_ok = proof_step_check(splitting, report).all_ok
-                ok = ok and slack <= TOL_ENT and proof_ok
-            if not ok:
-                failures += 1
+        size = max(1, PERTURBATION_STACK_ENTRIES // d**4)
+        for lo in range(0, trials_per_kind, size):
+            models = [random_two_site_model(np.random.default_rng([seed, d, t]), d, name=f"random2(d={d},t={t})")
+                      for t in range(lo, min(lo + size, trials_per_kind))]
+            for model, report in zip(models, analyze_ground(split(models))):
+                scale = tol_scale(report.E0, report.E0_L, report.E0_I, report.E_I_tot)
+                ok = report.E_f >= -STRUCTURAL_TOL * scale
+                ok = ok and report.E_f <= report.E_I_tot + STRUCTURAL_TOL * scale
+                worst_ef = min(worst_ef, report.E_f)
+                if report.delta_e_ent > MIN_GAP:
+                    slack = max(report.entanglement - report.ef_bound,
+                                report.entanglement - report.ratio_bound)
+                    worst_slack = max(worst_slack, slack)
+                    proof_ok = proof_step_check(split(model), report).all_ok
+                    ok = ok and slack <= TOL_ENT and proof_ok
+                if not ok:
+                    failures += 1
+            del models  # so that two families are never held at once
     return SuiteResult(
         name="bound-properties",
         trials=2 * trials_per_kind,
@@ -242,7 +244,7 @@ def saturation_suite(instances: int = 50, seed: int = 77,
 
 
 PERTURBATION_C_NORMS = (0.01, 0.1, 1.0)  # ||C|| of the trials, one per cycle through dims
-PERTURBATION_STACK_ENTRIES = 2**14  # matrix entries (trials x d x d) of a stack; from d = 128 a trial is its own
+PERTURBATION_STACK_ENTRIES = 2**14  # matrix entries (trials x d x d) of a stack, also of a bound-properties family
 
 
 def perturbation_trial(seed: int, index, dims=(4, 8, 16)):

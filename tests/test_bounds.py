@@ -199,6 +199,22 @@ def test_bound_suite_counts_a_failed_proof_step(monkeypatch):
     assert result.trials == 4 and result.failures == 4 and not result.ok
 
 
+def test_bound_suite_draws_its_families_in_chunks(monkeypatch):
+    """At 2 * 81 entries a family, 13 trials a kind are two-qubit families of 10 and 3 and two-qutrit ones of 2 (six
+    times) and 1, with the stats of one family a kind."""
+    whole = json.dumps(dataclasses.asdict(bound_property_suite(trials_per_kind=13, seed=5)))
+    families, split_ = [], frustra.verify.split
+
+    def spy(model, local=None):
+        families.extend([] if isinstance(model, SpinModel) else [len(model)])
+        return split_(model, local)
+
+    monkeypatch.setattr(frustra.verify, "split", spy)
+    monkeypatch.setattr(frustra.verify, "PERTURBATION_STACK_ENTRIES", 2 * 81)
+    assert json.dumps(dataclasses.asdict(bound_property_suite(trials_per_kind=13, seed=5))) == whole
+    assert families == [10, 3] + [2] * 6 + [1]
+
+
 # ---------------------------------------------------------------------------
 # product subspaces
 
@@ -412,6 +428,18 @@ def _bits(report):
     return json.dumps(json_values(report))  # float repr: every bit, the sign of zero included
 
 
+def _close(got, want):
+    """json_values trees equal but for floats, which agree to RECONSTRUCTION_TOL * max(1, |want|)."""
+    if isinstance(want, float):
+        assert abs(got - want) <= RECONSTRUCTION_TOL * max(1.0, abs(want))
+    elif isinstance(want, (list, dict)):
+        assert len(got) == len(want)
+        for g, w in (zip(got.values(), want.values()) if isinstance(want, dict) else zip(got, want)):
+            _close(g, w)
+    else:
+        assert got == want
+
+
 @pytest.mark.parametrize("gs", [[0.0], [-1.5], [0.7], list(np.linspace(-3, 3, 13)), [1e150, -2.5, 0.0, 3e-300]],
                          ids=["zero", "negative", "single", "grid", "extremes"])
 def test_sweep_rows_are_the_per_point_reports(gs):
@@ -447,16 +475,6 @@ def test_a_family_whose_y_field_crosses_zero_is_solved_in_complex():
     def make(y):
         return SpinModel("y-field", (2, 2), ising2(0.7).terms + (OperatorTerm(y, [(1, "Y")]),))
 
-    def close(got, want):
-        if isinstance(want, float):
-            assert abs(got - want) <= RECONSTRUCTION_TOL * max(1.0, abs(want))
-        elif isinstance(want, (list, dict)):
-            assert len(got) == len(want)
-            for g, w in (zip(got.values(), want.values()) if isinstance(want, dict) else zip(got, want)):
-                close(g, w)
-        else:
-            assert got == want
-
     ys = [-0.6, 0.0, 0.5]
     for local in (None, [0], []):
         for y, report in zip(ys, analyze_ground(split([make(y) for y in ys], local))):
@@ -464,28 +482,56 @@ def test_a_family_whose_y_field_crosses_zero_is_solved_in_complex():
             if y:
                 assert _bits(report) == _bits(want)
             else:
-                close(json_values(report), json_values(want))
+                _close(json_values(report), json_values(want))
 
 
-def test_a_family_shares_its_factors():
+def test_a_family_of_real_and_complex_members_is_solved_in_complex():
+    """Members whose factors are all real, and members with complex ones, on the same sites: the family's stacks are
+    complex, so a real member's report matches its own to round-off and a complex member's is its own bit for bit."""
+    def make(t, real):
+        model = random_two_site_model(np.random.default_rng([31, t]), 2)
+        if not real:
+            return model
+        return SpinModel(model.name, model.dims, tuple(
+            OperatorTerm(term.coeff, [(i, op.real) for i, op in term.factors]) for term in model.terms))
+
+    kinds = [True, False, False, True, False]
+    assert [build_dense(make(t, real)).dtype for t, real in enumerate(kinds)] == [
+        np.float64 if real else np.complex128 for real in kinds]
+    for local in (None, [0], []):
+        family = analyze_ground(split([make(t, real) for t, real in enumerate(kinds)], local))
+        for t, (real, report) in enumerate(zip(kinds, family)):
+            want = analyze_ground(split(make(t, real), local))
+            if real:
+                _close(json_values(report), json_values(want))
+            else:
+                assert _bits(report) == _bits(want)
+
+
+def test_a_family_shares_its_dims_and_term_sites():
     with pytest.raises(ValueError, match="family"):
         analyze_ground(split([ising2(1.0), triangle(1.0)], None))
     with pytest.raises(ValueError, match="family"):
         analyze_ground(split([transverse_chain(8), transverse_chain(8, 2.0)], None))  # the ground tier
+    with pytest.raises(ValueError, match="family"):  # equal dims, but the coupling on other sites
+        split([ising2(1.0), SpinModel("moved", (2, 2), ising2(1.0).terms[:2] + (OperatorTerm(-1.0, [(1, "Z")]),))])
     for bad in ([0, 0], [3], [2]):  # a repeat, out of range, an interaction term: split's own errors
         with pytest.raises(InvalidAssignmentError):
             analyze_ground(split([ising2(1.0)], bad))
     assert ising_sweep_rows([]) == []
     with pytest.raises(ValueError, match="family"):
         split([])
-    model = ising2(1.0)
 
-    def rebuilt(scale):  # the same terms, each factor a new matrix object
-        return SpinModel("rebuilt", model.dims, tuple(
-            OperatorTerm(2 * t.coeff, [(i, np.array(op) * scale) for i, op in t.factors]) for t in model.terms))
-    assert len(analyze_ground(split([model, rebuilt(1.0)]))) == 2  # equal bits: a family
-    with pytest.raises(ValueError, match="family"):
-        split([model, rebuilt(1 + 2**-52)])  # one ulp off in every nonzero entry
+    def rebuilt(scale):  # ising2(1.0)'s terms at twice the coefficients, each factor a new matrix times scale
+        return SpinModel(f"rebuilt({scale!r})", (2, 2), tuple(
+            OperatorTerm(2 * t.coeff, [(i, np.array(op) * scale) for i, op in t.factors]) for t in ising2(1.0).terms))
+
+    scales = [1.0, 1 + 2**-52, 1.5]  # the second one ulp off in every nonzero entry
+    for local in (None, [0], []):
+        family = analyze_ground(split([ising2(1.0)] + [rebuilt(x) for x in scales], local))
+        assert _bits(family[0]) == _bits(analyze_ground(split(ising2(1.0), local)))
+        for x, report in zip(scales, family[1:]):
+            assert _bits(report) == _bits(analyze_ground(split(rebuilt(x), local)))
 
 
 @pytest.mark.parametrize("call, want", [

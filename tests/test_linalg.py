@@ -123,6 +123,23 @@ def test_eig_phase_convention_and_orthonormality(seed, n):
         assert abs(pivot.imag) < 1e-12 and pivot.real > 0
 
 
+def test_fix_phases_copies_complex_input_once():
+    """A complex128 input is read in place: the output is the one new 1024 x 1024 array, and the input is kept."""
+    rng = np.random.default_rng(1024)
+    v = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+    kept = v.copy()
+    tracemalloc.start()
+    try:
+        out = linalg.fix_phases(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * v.nbytes  # v.astype(complex) took a second 16 MiB copy
+    np.testing.assert_array_equal(v, kept)
+    pivots = out[np.abs(out).argmax(axis=0), np.arange(1024)]
+    assert np.all(np.abs(pivots.imag) < 1e-12) and np.all(pivots.real > 0)
+
+
 def _svd_rule_accepts(m, tol=STRUCTURAL_TOL):
     """The operator-norm acceptance rule: ||M - M^dag||_2 <= tol * max(1, ||M||_2)."""
     asym = np.linalg.norm(m - m.conj().T, 2)
@@ -207,12 +224,29 @@ def test_a_lapack_failure_is_no_convergence(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
+    rng = np.random.default_rng(6)
+    m = random_hermitian(rng, 3)  # not diagonal: eigvalsh takes LAPACK
+    past = m + np.array([[0, 1e-8, 0], [0, 0, 0], [0, 0, 0]])  # past STRUCTURAL_TOL: psd_leq's own Hermitian rule
+    big = random_hermitian(rng, 300)  # ground_eig's Lanczos run, its proof and _refine's 2 x 2 Rayleigh-Ritz steps
+    psi = linalg._lanczos(big, rng.standard_normal(300))[0]
+    c, lowest = linalg._gershgorin_top(big) - np.vdot(psi, big @ psi).real, np.linalg.eigvalsh(big)[0]
+    assert linalg._positive_definite(big, psi, c, lowest - 1.0) is not None
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as patch:  # only _refine's 2 x 2 solves fail
+        patch.setattr(np.linalg, "eigh", lambda a, *args: fail() if a.shape == (2, 2) else eigh(a, *args))
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            ground_eig(big)
+    with monkeypatch.context() as patch:  # a failed factorization refuses the proof: it is no error
+        patch.setattr(np.linalg, "cholesky", fail)
+        assert linalg._positive_definite(big, psi, c, lowest - 1.0) is None
+
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, fail)
-    m = random_hermitian(np.random.default_rng(6), 3)  # not diagonal: eigvalsh takes LAPACK
-    for solve in (hermitian_eig, eigvalsh, svd):
+    solvers = (hermitian_eig, eigvalsh, svd, singular_values, op_norm, ground_eig,
+               lambda x: psd_leq(x, 2 * x), lambda x: psd_leq(past, x))
+    for solve in solvers:
         with pytest.raises(NoConvergenceError, match="did not converge"):
-            solve(m)
+            solve(big if solve is ground_eig else m)
     assert main(["analyze", "--model", "chain3"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "did not converge" in err

@@ -35,6 +35,7 @@ from frustra.models import (
     model_from_dict,
     model_to_dict,
     regroup,
+    site_operators,
     split,
     transverse_chain,
     triangle,
@@ -94,24 +95,33 @@ def test_dense_terms_matches_kron_reference(seed, dims):
 @pytest.mark.parametrize("k", [1, 2, 7])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_a_family_build_is_each_member_s_own(k, real):
-    """A (k, T) table of coefficients: member m is bit for bit the build of terms weighted by row m."""
+    """One term list per member, each with its own factors and coefficients: member m of dense_terms and of
+    site_operators is bit for bit the build of member m's terms alone."""
     rng = np.random.default_rng([k, real])
     dims = (2, 3, 2)
-    terms = [OperatorTerm(1.0, [])]  # a constant
-    for sites in ((0,), (1,), (0, 1), (1, 2), (0, 2), (0, 1, 2)):
-        factors = []
-        for site in sites:
-            z = rng.normal(size=(dims[site],) * 2) + (0 if real else 1j * rng.normal(size=(dims[site],) * 2))
-            factors.append((site, (z + z.conj().T) / 2))
-        terms.append(OperatorTerm(1.0, factors))
-    coeffs = rng.normal(size=(k, len(terms)))
-    coeffs[0, 1] = 0.0  # a member whose term vanishes
-    family = dense_terms(terms, dims, coeffs)
+
+    def factor(site):
+        z = rng.normal(size=(dims[site],) * 2) + (0 if real else 1j * rng.normal(size=(dims[site],) * 2))
+        return site, (z + z.conj().T) / 2
+
+    rows = []
+    for _ in range(k):
+        terms = [OperatorTerm(rng.normal(), [])]  # a constant
+        for sites in ((0,), (1,), (0, 1), (1, 2), (0, 2), (0, 1, 2)):
+            terms.append(OperatorTerm(rng.normal(), [factor(site) for site in sites]))
+        terms.append(OperatorTerm(rng.normal(), [factor(1), (2, "Z" if real else "Y")]))  # one array in all members
+        rows.append(terms)
+    rows[0][2] = OperatorTerm(0.0, rows[0][2].factors)  # a member whose term vanishes
+    family = dense_terms(rows, dims)
     assert family.shape == (k, 12, 12) and family.dtype == (np.float64 if real else np.complex128)
-    for m in range(k):
-        own = dense_terms([OperatorTerm(c, t.factors) for c, t in zip(coeffs[m], terms)], dims)
-        assert family[m].tobytes() == own.tobytes()
-    assert dense_terms(terms, dims).tobytes() == dense_terms(terms, dims, np.ones((1, len(terms))))[0].tobytes()
+    per_site = site_operators([row[:3] for row in rows], dims)  # the constant and the two one-site terms
+    for m, row in enumerate(rows):
+        assert family[m].tobytes() == dense_terms(row, dims).tobytes()
+        for stack, own in zip(per_site, site_operators(row[:3], dims), strict=True):
+            assert stack.shape == (k,) + own.shape and stack[m].tobytes() == own.tobytes()
+    assert dense_terms(rows[:1], dims).shape == (1, 12, 12)  # a family of one is a stack of one
+    with pytest.raises(InvalidAssignmentError, match="degree 2"):
+        site_operators([row[3:4] for row in rows], dims)
 
 
 def test_terms_keep_their_factors():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import frustra.entanglement
+import frustra.saturation
 import frustra.verify
 from frustra.bounds import analyze_ground, json_values
 from frustra.entanglement import PureState, schmidt
@@ -140,6 +142,28 @@ def test_sweep_reports_match_the_schmidt_splitting(model):
     for r in saturation_sweep(model, (0.5,) + GAMMAS):
         want = json_values(analyze_ground(schmidt_splitting(model, r.gamma)))
         assert_close_json(json_values(r.report), want)
+
+
+def test_a_gamma_stack_holds_at_most_its_entries(monkeypatch):
+    """The qutrit fixture's H_I has 81 entries: at 2 * 81 entries a stack its 5 gammas are solved in stacks of 2, 2
+    and 1, at 81 one gamma a stack, and every record keeps the bytes of the one-stack run."""
+    def records():  # of a fresh model, so that nothing is cached from the run before
+        model = load_model(DATA / "saturate_qutrit_model.json")
+        return json.dumps(json_values(saturation_sweep(model, (1e-1, 3e-2, 1e-2, 3e-3, 1e-3))))
+
+    whole = records()
+    sizes, solve = [], frustra.saturation.eigvalsh
+
+    def spy(h):
+        sizes.append(len(h))
+        return solve(h)
+
+    monkeypatch.setattr(frustra.saturation, "eigvalsh", spy)
+    for entries, stacks in ((2 * 81, [2, 2, 1]), (81, [1] * 5)):
+        monkeypatch.setattr(frustra.saturation, "STACK_ENTRIES", entries)
+        sizes.clear()
+        assert records() == whole
+        assert sizes == stacks
 
 
 def test_sweep_ising_excess_decays():
