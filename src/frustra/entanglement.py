@@ -209,13 +209,13 @@ def _initial_vectors(psis: Sequence[PureState], restarts: int, seed: int) -> lis
 
 
 def _normalized(w: np.ndarray, reset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per run, conj(w) / |w| and |w|; a run whose w is zero gets the reset direction instead."""
+    """Per run, conj(w) / |w| in place in w, a fresh contraction, and |w|; a zero w gets the reset direction instead."""
     nrm = np.sqrt(np.vecdot(w, w).real)
+    if nrm.all():
+        return np.divide(np.conjugate(w, out=w), nrm[..., None], out=w), nrm
+    # a zero contraction: the run's overlap is still zero (updates never lower it); reset the direction
     zero = nrm == 0.0
-    if zero.any():
-        # a zero contraction: the run's overlap is still zero (updates never lower it); reset the direction
-        return np.where(zero[..., None], reset, w.conj() / np.where(zero, 1.0, nrm)[..., None]), nrm
-    return w.conj() / nrm[..., None], nrm
+    return np.where(zero[..., None], reset, w.conj() / np.where(zero, 1.0, nrm)[..., None]), nrm
 
 
 def _alternating(psis: Sequence[PureState], inits: Sequence[np.ndarray], tol: float,

@@ -8,9 +8,7 @@ dominance between two lists of singular values.  Everything downstream
 (local spectra, frustration energies, the perturbation checks) is built on
 these few operations.
 
-The eigenvalues-only solver returns the sorted diagonals, as LAPACK would, when every member of the call is
-diagonal, decided once per call in its first pass (the only diagonal shortcut); the PSD-order test converts and
-checks each input once.  The ground variant finds a NaN or inf in its Gershgorin row
+The PSD-order test converts and checks each input once.  The ground variant finds a NaN or inf in its Gershgorin row
 sums, computes no full spectrum, and takes one route whatever the matrix: a
 proof that a shifted, rank-1-lifted H is positive definite certifies, by
 interlacing, that the next eigenvalue lies above a LANCZOS_STEPS-step
@@ -196,16 +194,6 @@ def _hermitian_part(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, asym
 
 
-def _diagonal(s: np.ndarray) -> bool:
-    """True when every member of a (k, d, d) stack has all off-diagonal entries exactly 0 (a NaN is not).
-
-    All members are scanned at once, by 64-row panels, up to the first panel that holds a nonzero.
-    """
-    k, d = s.shape[:2]
-    off = s.reshape(k, -1)[:, 1:].reshape(k, d - 1, d + 1)[:, :, :-1]  # past entry 0, rows of d + 1 end on the diagonal
-    return not any(off[:, lo:lo + 64].any() for lo in range(0, d - 1, 64))
-
-
 def _check_hermitian(asym: np.ndarray, eigenvalues: np.ndarray) -> None:
     """The Hermitian rule, member by member: ||M - M^dag||_F <= STRUCTURAL_TOL * tol_scale(max |eigenvalue|), finite."""
     if asym.max() <= STRUCTURAL_TOL and np.isfinite(eigenvalues).all():
@@ -248,22 +236,10 @@ def hermitian_eig(m) -> EigenDecomposition:
 
 
 def eigvalsh(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, or of each member of a stack, under hermitian_eig's check.
-
-    When every member is diagonal, which _diagonal decides once per call, the call costs one pass: the stack is finite
-    if its diagonals are, and each member's eigenvalues are its sorted real diagonal, what LAPACK returns, with
-    ||M - M^dag||_F = 2 ||Im d|| and no O(d^3) solve.  Any other stack goes to LAPACK whole, a diagonal member too.
-    """
-    s = _square(m, finite=False, stack=True)
-    if _diagonal(s):
-        d = np.diagonal(s, axis1=1, axis2=2).copy()  # contiguous: a strided view sorts and tests slower at d = 1024
-        _require_finite(d)
-        vals = np.sort(d.real)
-        asym = 2.0 * np.linalg.norm(d.imag, axis=1)
-    else:
-        _require_finite(s)
-        h, asym = _hermitian_part(s)
-        vals = _lapack(np.linalg.eigvalsh, h)
+    """Ascending eigenvalues of a Hermitian matrix, or of each member of a stack, under hermitian_eig's check."""
+    s = _square(m, stack=True)
+    h, asym = _hermitian_part(s)
+    vals = _lapack(np.linalg.eigvalsh, h)
     _check_hermitian(asym, vals)
     return vals.reshape(np.shape(m)[:-1])
 

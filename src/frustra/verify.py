@@ -40,10 +40,12 @@ from .saturation import excess_decomposition, saturation_sweep, schmidt_splittin
 # ensembles
 
 
-def gaussian_hermitian(rng: np.random.Generator, n: int, norm: float | None = None) -> np.ndarray:
-    """Hermitian matrix with Gaussian entries; optionally rescaled in operator norm."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = (z + z.conj().T) / 2.0
+def gaussian_hermitian(rng: np.random.Generator, n: int, norm: float | None = None, lead: tuple = ()) -> np.ndarray:
+    """Hermitian matrix with Gaussian entries, or a lead-shaped stack of them from one draw, each matrix's bits
+    those of one call per matrix; optionally rescaled in operator norm."""
+    x = rng.normal(size=(*lead, 2, n, n))
+    z = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    h = (z + z.conj().swapaxes(-1, -2)) / 2.0
     return h if norm is None else _normalized(h, norm)
 
 
@@ -276,8 +278,7 @@ def _trial_stack(seed: int, trials: list, attempt: int, dims) -> dict:
     if not trials or attempt == 64:
         return {t: DegenerateSeparationError(f"no well-separated draw for trial {t}") for t in trials}
     n = dims[trials[0] % len(dims)]
-    draws = np.array([[gaussian_hermitian(rng, n), gaussian_hermitian(rng, n)]
-                      for rng in (np.random.default_rng([seed, t, attempt]) for t in trials)])
+    draws = np.array([gaussian_hermitian(np.random.default_rng([seed, t, attempt]), n, lead=(2,)) for t in trials])
     norms = np.array([[1.0, PERTURBATION_C_NORMS[(t // len(dims)) % len(PERTURBATION_C_NORMS)]] for t in trials])
     try:
         b, c = _normalized(draws, norms).swapaxes(0, 1)

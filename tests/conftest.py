@@ -57,5 +57,5 @@ def product_vector(spec, config) -> np.ndarray:
 
 
 def dense_interaction(splitting) -> np.ndarray:
-    """The splitting's dense H_I, the array its interaction eigenvalues come from."""
+    """The splitting's dense H_I, built from its terms; a diagonal H_I's eigenvalues come from its diagonal instead."""
     return splitting._h_interaction

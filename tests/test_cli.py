@@ -113,6 +113,16 @@ def test_analyze_builds_each_operator_once(capsys, monkeypatch):
     assert len(calls) == 2  # H and H_I, each from its own terms; H_L stays per site
 
 
+def test_analyze_holds_a_diagonal_interaction_as_its_diagonal(capsys, monkeypatch):
+    """The 10-qubit chain's ZZ bonds make H_I diagonal: H is the only dense build, and H_I is never built dense."""
+    calls = count_calls(monkeypatch, frustra.models, "dense_terms")
+    monkeypatch.setattr(frustra.models.Splitting, "_h_interaction",
+                        property(lambda self: pytest.fail("H_I was built dense")))
+    path = Path(__file__).parent / "data" / "transverse_chain10_model.json"
+    code, _, _ = run_cli(capsys, "analyze", "--model", str(path))
+    assert code == 0 and len(calls) == 1
+
+
 def count_calls(monkeypatch, module, name):
     """Replace module.name with a wrapper that appends to the returned list."""
     calls = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from frustra import linalg
+from frustra import linalg, models
 from frustra.cli import main
 from frustra.errors import NoConvergenceError, NotHermitianError
 from frustra.linalg import (
@@ -32,8 +32,8 @@ from frustra.linalg import (
     tol_scale,
     ui_norm,
 )
-from frustra.models import OperatorTerm, SpinModel, build_dense, load_model, transverse_chain
-from conftest import members
+from frustra.models import OperatorTerm, SpinModel, build_dense, dense_terms, load_model, split, transverse_chain
+from conftest import dense_interaction, members
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -260,36 +260,51 @@ def test_eigvalsh_rejects_non_hermitian():
 
 
 # ---------------------------------------------------------------------------
-# the diagonal shortcut of eigvalsh
+# the diagonal route: a splitting's H_I of real diagonal factors is held as its diagonal, never built dense
 
 
 @given(st.integers(0, 10_000), st.integers(1, 256), st.booleans())
 def test_diagonal_shortcut_equals_lapack(seed, n, repeated):
-    """The sorted diagonal is LAPACK's, bit for bit, past one 128-row tile too: in a stack that is not all diagonal
-    a diagonal member takes LAPACK and still gets its solo values."""
+    """The sorted diagonal, what the diagonal route returns, is LAPACK's, bit for bit, past one 128-row tile too, and
+    a diagonal member of a stack gets the same values."""
     rng = np.random.default_rng(seed)
     d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
     if repeated:
         d = rng.choice(d[: max(1, n // 3)], size=n)  # repeated entries
     other = random_hermitian(rng, n)
     for m in (np.diag(d), np.diag(d).astype(complex)):  # complex type, zero imaginary part
-        assert np.array_equal(eigvalsh(m), np.linalg.eigvalsh(m))
-        assert np.array_equal(eigvalsh(np.stack([m, other]))[0], eigvalsh(m))
+        assert np.array_equal(eigvalsh(m), np.sort(d))
+        assert np.array_equal(eigvalsh(np.stack([m, other]))[0], np.sort(d))
+
+
+def _bonded(factor, n=3):
+    """An n-site chain whose bonds are factor x Z and whose fields are Z: H_I is the bonds under the default split."""
+    d = factor.shape[0]
+    terms = [OperatorTerm(0.5, [(i, np.diag(np.arange(d, dtype=float)))]) for i in range(n)]
+    terms += [OperatorTerm(-1.0, [(i, factor), (i + 1, np.diag(np.linspace(-1.0, 1.0, d)))]) for i in range(n - 1)]
+    return SpinModel("bonded", (d,) * n, tuple(terms))
 
 
 def test_diagonal_shortcut_skips_lapack(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("LAPACK called on a diagonal matrix")
+        raise AssertionError("LAPACK called on a diagonal H_I")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    assert np.array_equal(eigvalsh(np.diag([3.0, -1.0, 2.0, -1.0])), [-1.0, -1.0, 2.0, 3.0])
+    s = split(_bonded(np.diag([3.0, -1.0, 2.0, -1.0])))
+    h_i = np.diagonal(dense_terms(s._interaction[0], s.model.dims))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    assert np.array_equal(s.interaction_eigenvalues, np.sort(h_i))
+    assert "_h_interaction" not in vars(s)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 130])
-def test_diagonal_scan_finds_every_off_diagonal_entry(monkeypatch, n):
-    """A non-finite diagonal entry or off-diagonal NaN is rejected; an off-diagonal pair anywhere takes LAPACK."""
-    rng = np.random.default_rng(n)
-    d = rng.normal(size=n)
+def test_diagonal_scan_finds_every_off_diagonal_entry(n):
+    """A factor is diagonal when every off-diagonal entry is 0 (a signed zero too) and it is real; one off-diagonal
+    pair anywhere, or an imaginary part on the diagonal, sends its H_I to the dense build.  eigvalsh, which scans for
+    no diagonal, rejects a non-finite entry on or off the diagonal."""
+    d = np.random.default_rng(n).normal(size=n)
+    for m in (np.diag(d), np.diag(d + 0j), np.diag(d) + np.diag(np.full(n - 1, -0.0), 1)):
+        assert OperatorTerm(1.0, [(0, m)]).diagonal
     for bad in (np.nan, np.inf, -np.inf):
         m = np.diag(d)
         m[n // 2, n // 2] = bad
@@ -298,17 +313,32 @@ def test_diagonal_scan_finds_every_off_diagonal_entry(monkeypatch, n):
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j] if n <= 5 else [
         (0, n - 1), (n - 1, 0), (n - 1, n - 2), (n - 2, n - 1), (63, min(64, n - 1)), (min(64, n - 1), 63), (1, 0)]
     for i, j in [(i, j) for i, j in pairs if i != j]:
-        for m in (np.diag(d), np.diag(d + 0j)):
-            m[i, j] = m[j, i] = 0.5
-            assert np.array_equal(eigvalsh(m), np.linalg.eigvalsh(m))
-            m[i, j] = np.nan
-            with pytest.raises(ValueError, match="finite"):
-                eigvalsh(m)
-    m = np.diag(d)
-    if n > 1:
-        m[0, n - 1] = m[n - 1, 0] = -0.0  # a signed zero is zero
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: pytest.fail("LAPACK called on a diagonal matrix"))
-    assert np.array_equal(eigvalsh(m), np.sort(d))
+        m = np.diag(d + 0j)
+        m[i, j] = m[j, i] = 0.5
+        assert not OperatorTerm(1.0, [(0, m)]).diagonal
+        m[i, j] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            eigvalsh(m)
+    complex_ = np.diag(d + 1e-14j * (np.arange(n) == n // 2))  # Hermitian to round-off, not real
+    assert not OperatorTerm(1.0, [(0, complex_)]).diagonal
+    if 2 <= n <= 5:
+        m = np.diag(d)
+        m[0, n - 1] = m[n - 1, 0] = 0.5
+        for factor, diagonal in ((np.diag(d), True), (m, False), (complex_, False)):
+            s = split(_bonded(factor))
+            assert (s._interaction[2] is not None) == diagonal
+            assert np.array_equal(s.interaction_eigenvalues, eigvalsh(dense_interaction(s)))
+
+
+def test_a_held_diagonal_that_overflows_is_rejected_as_the_dense_build_is():
+    """Finite factors whose bond sum overflows: the held diagonal and the dense H_I both fail the finiteness check."""
+    s = split(_bonded(np.diag([1e308, -1e308])))  # two bonds of 1e308 meet on site 1
+    with np.errstate(over="ignore"):  # both builds overflow alike
+        held, dense = s._interaction[2], dense_interaction(s)
+    assert held is not None and not np.isfinite(held).all()
+    for eigenvalues in (lambda: s.interaction_eigenvalues, lambda: eigvalsh(dense)):
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues()
 
 
 def test_diagonal_shortcut_keeps_the_hermitian_rule():
@@ -451,12 +481,13 @@ def test_ground_eig_of_a_one_by_one_matrix_gives_no_vector():
 
 
 def test_ground_eig_does_not_scan_for_diagonality(monkeypatch):
-    def scanned(a):
-        raise AssertionError("ground_eig tested its input for diagonality")
-
-    monkeypatch.setattr(linalg, "_diagonal", scanned)
-    h = build_dense(load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json"))
-    assert ground_eig(h) is not None
+    """The 10-qubit chain's H takes the ground tier, and its ZZ H_I is decided diagonal from its terms: no eigvalsh
+    call, and no scan of a dense matrix for diagonality."""
+    monkeypatch.setattr(models, "eigvalsh", lambda *a: pytest.fail("eigvalsh called"))
+    model = load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json")
+    assert ground_eig(build_dense(model)) is not None
+    s = split(model)
+    assert s.interaction_eigenvalues[[0, -1]].tolist() == [-9.0, 9.0] and "_h_interaction" not in vars(s)
 
 
 def test_ground_eig_of_an_overflowing_matrix_gives_no_vector(monkeypatch):

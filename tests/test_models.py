@@ -13,7 +13,7 @@ from frustra.errors import (
     InvalidBipartitionError,
     NonHermitianTermError,
 )
-from frustra.linalg import ROUNDOFF_TOL, hermitian_eig, op_norm, tol_scale
+from frustra.linalg import ROUNDOFF_TOL, eigvalsh, hermitian_eig, op_norm, tol_scale
 from frustra.bounds import analyze_ground
 from frustra.models import (
     GROUND_TIER_MIN_DIM,
@@ -364,24 +364,52 @@ def test_split_builds_no_dense_operator():
     assert peak < 2**20 and "_h_interaction" not in s.__dict__  # a dense H_L would take 8 MiB
 
 
-@given(st.integers(0, 10_000), st.integers(2, 6))
-def test_diagonal_interaction_matches_the_dense_route(seed, n):
-    """Diagonal bonds under X, Y or Z fields: H_I from its terms is diagonal and is H - H_L to round-off;
-    its eigenvalues (eigvalsh's diagonal shortcut) are what LAPACK gives."""
+@given(st.integers(0, 10_000), st.integers(2, 6), st.booleans())
+def test_diagonal_interaction_matches_the_dense_route(seed, n, complex_typed):
+    """Real diagonal bonds under X, Y or Z fields, as float or complex-typed factors: H_I is held as its diagonal,
+    which is the dense build's bit for bit and H - H_L to round-off; its eigenvalues and expectations are the dense
+    route's, bit for bit, for one model and for a family."""
     rng = np.random.default_rng(seed)
-    terms = [OperatorTerm(rng.normal(), [(i, PAULI["XYZ"[rng.integers(3)]])]) for i in range(n)]
-    terms += [OperatorTerm(rng.normal(), [(i, np.diag(rng.normal(size=2))), (i + 1, PAULI["Z"])])
-              for i in range(n - 1)]
-    model = SpinModel("diagonal-bonds", (2,) * n, tuple(terms))
-    s = split(model)
-    hi, h = dense_interaction(s), build_dense(model)
-    assert np.count_nonzero(hi) == np.count_nonzero(np.diagonal(hi))
-    assert np.max(np.abs(hi - (h - dense_terms(s.local_terms, model.dims)))) <= ROUNDOFF_TOL * tol_scale(
-        np.max(np.abs(h)))
-    assert np.array_equal(s.interaction_eigenvalues, np.linalg.eigvalsh(hi))
-    z = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    for psi in (model.ground.vector, z / np.linalg.norm(z)):
-        assert s.interaction_expectation(psi) == float(np.real(psi.conj() @ (hi @ psi)))
+    kind = complex if complex_typed else float
+    fields = ["XYZ"[rng.integers(3)] for _ in range(n)]
+
+    def member():
+        terms = [OperatorTerm(rng.normal(), [(i, PAULI[f])]) for i, f in enumerate(fields)]
+        terms += [OperatorTerm(rng.normal(), [(i, np.diag(rng.normal(size=2)).astype(kind)), (i + 1, PAULI["Z"])])
+                  for i in range(n - 1)]
+        return SpinModel("diagonal-bonds", (2,) * n, tuple(terms))
+
+    model = member()
+    family = [member() for _ in range(3)] if n <= 4 else []
+    for s in [split(model)] + ([split(family)] if family else []):
+        hi = dense_interaction(s)
+        held = s._interaction[2]
+        assert held is not None and held.tobytes() == np.ascontiguousarray(np.diagonal(hi, 0, -2, -1)).tobytes()
+        assert np.array_equal(s.interaction_eigenvalues, eigvalsh(hi))
+        assert np.array_equal(s.interaction_eigenvalues, np.linalg.eigvalsh(hi))
+        lead = hi.shape[:-2]
+        z = rng.normal(size=lead + (2**n,)) + 1j * rng.normal(size=lead + (2**n,))
+        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        ground = (model.ground.vector if s.model is model else  # analyze_ground's strided columns
+                  np.array([m.spectrum.eigenvectors for m in family])[:, :, 0])
+        for psi in (ground, z, z.real / np.linalg.norm(z.real, axis=-1, keepdims=True)):
+            assert s.interaction_expectation(psi) == expectation(hi, psi).tolist()
+    s, h = split(model), build_dense(model)
+    h_l = dense_terms(s.local_terms, model.dims)
+    assert np.max(np.abs(dense_interaction(s) - (h - h_l))) <= ROUNDOFF_TOL * tol_scale(np.max(np.abs(h)))
+
+
+def test_one_non_diagonal_factor_builds_the_dense_interaction():
+    """A family is held as its diagonal only when every member's every factor is real and diagonal."""
+    bonds = [np.diag([1.0, -2.0]), np.array([[1.0, 0.5], [0.5, -2.0]]), np.diag([1.0, -2.0 + 1e-14j])]
+    members = [SpinModel("m", (2, 2), (OperatorTerm(-1.0, [(0, "X")]), OperatorTerm(0.7, [(0, b), (1, "Z")])))
+               for b in bonds]
+    assert [split(m)._interaction[2] is None for m in members] == [False, True, True]
+    assert split(members[:1] * 2)._interaction[2] is not None
+    for family in (members[:2], members[::2]):
+        s = split(family)
+        assert s._interaction[2] is None
+        assert np.array_equal(s.interaction_eigenvalues, eigvalsh(dense_interaction(s)))
 
 
 def test_splitting_keeps_its_local_spectrum():

@@ -215,6 +215,21 @@ def test_stacked_instance_members_are_each_pair_alone():
         assert _json(reports[m]) == _json(check_theorem(alone))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_a_stacked_draw_is_its_calls_bit_for_bit(n):
+    """gaussian_hermitian's lead-shaped stack is one normal draw with the bits of one call per matrix, each the real
+    then the imaginary parts: a trial's B and C are the two draws they were."""
+    def one(rng):
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return (z + z.conj().T) / 2.0
+
+    for seed in range(20):
+        stacked = frustra.verify.gaussian_hermitian(np.random.default_rng(seed), n, lead=(2,))
+        rng = np.random.default_rng(seed)
+        assert stacked.tobytes() == np.array([one(rng), one(rng)]).tobytes()
+        assert frustra.verify.gaussian_hermitian(np.random.default_rng(seed), n).tobytes() == stacked[0].tobytes()
+
+
 def test_seed_72_redraws_trial_4(monkeypatch):
     seeds, default_rng = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda s: seeds.append(list(s)) or default_rng(s))
@@ -227,11 +242,11 @@ def test_an_error_is_raised_for_the_lowest_trial(monkeypatch):
     # B = C = I (delta_a = 0.01, a redraw), then a matrix far from Hermitian (NotHermitianError)
     draw = frustra.verify.gaussian_hermitian
 
-    def failing(rng, n, norm=None):
+    def failing(rng, n, norm=None, lead=()):
         _, trial, attempt = rng.bit_generator.seed_seq.entropy
-        h = draw(rng, n, norm)
+        h = draw(rng, n, norm, lead)  # B and C of a trial, from one draw
         if trial == 2:
-            return h + np.triu(np.ones((n, n)), 1) if attempt else np.eye(n, dtype=complex)
+            return h + np.triu(np.ones((n, n)), 1) if attempt else np.zeros_like(h) + np.eye(n)
         return np.zeros_like(h) if trial == 5 else h
 
     monkeypatch.setattr(frustra.verify, "gaussian_hermitian", failing)
