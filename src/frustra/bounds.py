@@ -31,7 +31,7 @@ Every report's JSON keys are its dataclass fields, in declaration order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import entanglement as ent
 from .errors import UndefinedBoundError
-from .linalg import CLOSED_MARGIN_TOL, STRUCTURAL_TOL, TIE_TOL, TOL_ENT, ZERO_NORM, GroundState, tol_scale
+from .linalg import CLOSED_MARGIN_TOL, STRUCTURAL_TOL, TIE_TOL, TOL_ENT, ZERO_NORM, tol_scale
 from .models import LocalSpectrum, SpinModel, Splitting, interaction_extremes
 
 
@@ -114,8 +114,8 @@ _SCALARS = (float, int, str, type(None))  # bool is an int, numpy's float64 a fl
 def json_values(value, states: bool = True):
     """A report as JSON values, the one shape of every JSON report and CSV row.
 
-    A dataclass becomes its fields in declaration order, a tuple or list a list, an array its
-    tolist(), an enum key its value, and a PureState {"dims", "amplitudes": [[re, im], ...]}.
+    A report becomes its own attributes (a dataclass's fields, in declaration order), a tuple or list
+    a list, an array its tolist(), an enum key its value, and a PureState {"dims", "amplitudes": [[re, im], ...]}.
     states=False leaves every PureState field out.
     """
     if isinstance(value, _SCALARS):
@@ -129,12 +129,11 @@ def json_values(value, states: bool = True):
     if isinstance(value, ent.PureState):
         return {"dims": list(value.dims), "amplitudes": [[a.real, a.imag] for a in value.amplitudes.tolist()]}
     out = {}
-    for f in fields(value):
-        v = getattr(value, f.name)
+    for name, v in vars(value).items():  # a report's fields, in declaration order
         if isinstance(v, _SCALARS):  # most fields: no call
-            out[f.name] = v
+            out[name] = v
         elif states or not isinstance(v, ent.PureState):
-            out[f.name] = json_values(v, states)
+            out[name] = json_values(v, states)
     return out
 
 
@@ -176,16 +175,16 @@ def cut_expansion(spec: LocalSpectrum, report: FrustrationReport):
     return below, alpha, float(np.sum(np.abs(alpha[below]) ** 2))
 
 
-def ground_report(name: str, g: GroundState, state: ent.PureState, measured: tuple[float, str],
-                  e0_l: float, delta: float, e0_i: float, e_i_max: float,
-                  exp_l: float, exp_i: float) -> FrustrationReport:
-    """The report of model ``name`` from its ground state g, the same state as
-    a PureState, its entanglement (value, method), and what a splitting
+def ground_report(model: SpinModel, measured: tuple[float, str], e0_l: float, delta: float, e0_i: float,
+                  e_i_max: float, exp_l: float, exp_i: float) -> FrustrationReport:
+    """The report of a model, read with its ground level and state from the
+    model, from its entanglement (value, method) and what a splitting
     gives: E0_L, delta_e_ent, the extremes of H_I, <H_L> and <H_I>.  Every
     formula of the report lives here.  A degenerate ground level takes the
     solver's first eigenvector and is flagged; the bounds hold for any
     ground state, so no minimization over the ground space is attempted.
     """
+    g = model.ground
     e_f = g.energy - e0_l - e0_i
     e_i_tot = e_i_max - e0_i
     value, method = measured
@@ -197,7 +196,7 @@ def ground_report(name: str, g: GroundState, state: ent.PureState, measured: tup
         reason = f"delta_e_ent = {delta:g}"
 
     return FrustrationReport(
-        model=name,
+        model=model.name,
         E0=g.energy,
         E0_L=e0_l,
         E0_I=e0_i,
@@ -214,7 +213,7 @@ def ground_report(name: str, g: GroundState, state: ent.PureState, measured: tup
         local_frustration=exp_l - e0_l,
         interaction_frustration=exp_i - e0_i,
         degenerate_ground=g.degenerate,
-        ground_state=state,
+        ground_state=model.ground_state,
     )
 
 
@@ -235,7 +234,7 @@ def analyze_ground(splitting: Splitting, ent_opts: EntanglementOptions = DEFAULT
     measured = ground_entanglement(splitting.model, ent_opts)
     given = (spec.e0, spec.delta_e_ent, e0_i, e_i_max,
              splitting.local_expectation(psi), splitting.interaction_expectation(psi))
-    reports = [ground_report(m.name, m.ground, m.ground_state, ms, *values) for m, ms, values in
+    reports = [ground_report(m, ms, *values) for m, ms, values in
                zip(models, [measured] if one else measured, zip(*(np.reshape(x, -1).tolist() for x in given)))]
     return reports[0] if one else reports
 

@@ -194,13 +194,20 @@ def _ent_opts(args) -> EntanglementOptions:
 # subcommands
 
 
+def _emit(args, values, columns: list[str] | None = None) -> int:
+    """Write the JSON values of a report, or of a list of them, as --format asks: JSON, or CSV with one row a
+    report, a sweep record's row holding its report's fields too."""
+    if args.format == "json":
+        _write_json(values, args.out)
+    else:
+        rows = values if isinstance(values, list) else [values]
+        _write_text(_csv_table([{**row.get("report", {}), **row} for row in rows], columns), args.out)
+    return 0
+
+
 def cmd_analyze(args) -> int:
     report = analyze_ground(_build_splitting(args), _ent_opts(args))
-    if args.format == "csv":
-        _write_text(_csv_table([json_values(report, states=False)]), args.out)
-    else:
-        _write_json(json_values(report), args.out)
-    return 0
+    return _emit(args, json_values(report, states=args.format == "json"))  # a CSV row has no state column
 
 
 def _parse_grid(spec: str):
@@ -243,12 +250,7 @@ def _parse_j_list(spec: str, dimension: int):
 def cmd_excited(args) -> int:
     splitting = _build_splitting(args)
     js = _parse_j_list(args.j, splitting.model.dimension)
-    reports = json_values(analyze_excited(splitting, js, _ent_opts(args)))
-    if args.format == "csv":
-        _write_text(_csv_table(reports), args.out)
-    else:
-        _write_json(reports, args.out)
-    return 0
+    return _emit(args, json_values(analyze_excited(splitting, js, _ent_opts(args))))
 
 
 SATURATE_COLUMNS = [
@@ -263,13 +265,7 @@ def cmd_saturate(args) -> int:
         gammas = validate_gammas(args.gammas.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --gammas list {args.gammas!r}: {exc}") from None
-    rows = json_values(saturation_sweep(model, gammas), states=False)
-    if args.format == "json":
-        _write_json(rows, args.out)
-    else:
-        flat = [{**row["report"], **row} for row in rows]
-        _write_text(_csv_table(flat, SATURATE_COLUMNS), args.out)
-    return 0
+    return _emit(args, json_values(saturation_sweep(model, gammas), states=False), SATURATE_COLUMNS)
 
 
 def cmd_perturb(args) -> int:

@@ -62,6 +62,7 @@ ORACLE_EXACT_TOL = 1e-6  # absolute: optimizer against the Schmidt value, and GH
 ORACLE_W_TOL = 1e-4  # absolute: optimizer on the W state against 5/9
 ORACLE_GRID_TOL = 1e-3  # absolute: optimizer against the Bloch-grid oracle
 ZERO_COEFF = 1e-300  # absolute: dense_bipartite_model drops smaller operator-Schmidt coefficients
+STACK_ENTRIES = 2**14  # matrix entries (members x d x d) of a stacked solve (at least one member), 256 KiB complex
 
 
 def tol_scale(*values) -> float | np.ndarray:
@@ -595,8 +596,6 @@ def sv_dominance(sv_s: np.ndarray, sv_t: np.ndarray, tol) -> bool | np.ndarray:
 def appendix_norm_check(s) -> bool:
     """Operator norm <= Hilbert-Schmidt norm <= trace norm, within ROUNDOFF_TOL * max(1, trace norm)."""
     sv = singular_values(s)
-    if sv.size == 0:
-        return True
     op, hs, tr = (sv_norm(sv, kind) for kind in NormKind)
     slack = ROUNDOFF_TOL * tol_scale(tr)
     return op <= hs + slack and hs <= tr + slack

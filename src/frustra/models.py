@@ -348,32 +348,29 @@ class Splitting:
         return self.model
 
     @cached_property
-    def _interaction(self) -> tuple[list, tuple[int, ...], np.ndarray | None]:
-        """(H_I's terms, or a family's one list per member; the dims; when every factor of every term is diagonal,
-        H_I's read-only (..., D) diagonal, else None)."""
+    def _interaction(self) -> tuple[bool, np.ndarray]:
+        """H_I as it is kept, read-only: (True, its (..., D) diagonal) when every factor of every term is diagonal,
+        else (False, its dense build); a family's from one term list per member."""
         one = isinstance(self.model, SpinModel)
         models, local = ((self.model,), (self.local_terms,)) if one else (self.model, self.local_terms)
         rows = [_interaction_terms(m.terms, terms) for m, terms in zip(models, local)]
         terms, dims = rows[0] if one else rows, models[0].dims
-        diagonal = all(t.diagonal for row in rows for t in row)
-        return terms, dims, _read_only(_sum_terms(terms, dims, dense=False)) if diagonal else None
-
-    @cached_property
-    def _h_interaction(self) -> np.ndarray:
-        return _read_only(dense_terms(*self._interaction[:2]))
+        if all(t.diagonal for row in rows for t in row):
+            return True, _read_only(_sum_terms(terms, dims, dense=False))
+        return False, _read_only(dense_terms(terms, dims))
 
     @cached_property
     def interaction_eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of H_I; no eigenvectors, since only extremes are used."""
-        d = self._interaction[2]
-        if d is not None:  # eigvalsh's finiteness check (a real d is Hermitian); sorted, d is what LAPACK returns
-            _require_finite(d)
-        return _read_only(eigvalsh(self._h_interaction) if d is None else np.sort(d))
+        diagonal, h = self._interaction
+        if diagonal:  # eigvalsh's finiteness check (a real diagonal is Hermitian); sorted, it is what LAPACK returns
+            _require_finite(h)
+        return _read_only(np.sort(h) if diagonal else eigvalsh(h))
 
     def interaction_expectation(self, psi: np.ndarray):
         """<psi| H_I |psi> for a unit vector psi; for a family's (k, D) stack of vectors, the list of the k values."""
-        d = self._interaction[2]  # d * psi has the dense product's bits: d is real, and each product it skips is 0
-        h_psi = self._h_interaction @ psi[..., None] if d is None else (d * psi)[..., None]
+        diagonal, h = self._interaction  # a diagonal h * psi has the dense product's bits: each product it skips is 0
+        h_psi = (h * psi)[..., None] if diagonal else h @ psi[..., None]
         return np.real(psi.conj()[..., None, :] @ h_psi)[..., 0, 0].tolist()
 
     def local_expectation(self, psi: np.ndarray):

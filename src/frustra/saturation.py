@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import FrustrationReport, cut_expansion, ground_entanglement, ground_report
 from .errors import UndefinedBoundError
-from .linalg import MIN_GAP, STRUCTURAL_TOL, eigvalsh, tol_scale
+from .linalg import MIN_GAP, STACK_ENTRIES, STRUCTURAL_TOL, eigvalsh, tol_scale
 from .models import OperatorTerm, SpinModel, Splitting, build_dense, dense_terms, expectation
 
 
@@ -50,13 +50,10 @@ def schmidt_splitting(model: SpinModel, gamma: float) -> Splitting:
 @dataclass(frozen=True, eq=False)
 class SweepRecord:
     gamma: float
-    excess: float  # ef_bound - entanglement
-    overshoot_interaction: float  # interaction frustration / delta_e_ent, O(gamma)
+    excess: float | None  # ef_bound - entanglement; None where the bound is undefined
+    overshoot_interaction: float | None  # interaction frustration / delta_e_ent, O(gamma)
     unreliable: bool
     report: FrustrationReport
-
-
-STACK_ENTRIES = 2**16  # saturation_sweep's H_I per eigvalsh call: 1 MiB of complex entries, one H_I from d = 256 on
 
 
 def validate_gammas(gammas: Sequence[float]) -> list[float]:
@@ -77,10 +74,12 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRe
     Gammas below MIN_GAP are rejected: delta_e_ent = gamma would amplify
     eigensolver noise in E_f / gamma beyond double precision.  Records where
     E_f is produced by cancellation below STRUCTURAL_TOL * scale are flagged
-    unreliable instead of silently reported.  No splitting is built: each
+    unreliable instead of silently reported, and a record whose bound is
+    undefined has no excess (None).  No splitting is built: each
     H_I = H + gamma P x I is added to what the model keeps and solved for
-    eigenvalues only, the gammas in stacks of at most STACK_ENTRIES matrix
-    entries: many small H_I take one call, and a large one is solved alone.
+    eigenvalues only, the gammas in stacks of at most linalg.STACK_ENTRIES
+    matrix entries: many small H_I take one call, and from D = 128 on each
+    H_I is solved alone.
     """
     gs = validate_gammas(gammas)
     # the projector first: ground_schmidt refuses a model of more than two sites before any solve
@@ -97,10 +96,9 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRe
         ev = eigvalsh(h_i)
         for gamma, e0_i, e_i_max, exp_i in zip(gs[lo:lo + per], ev[:, 0].tolist(), ev[:, -1].tolist(),
                                                 expectation(h_i, psi).tolist()):
-            report = ground_report(model.name, model.ground, model.ground_state, measured, -gamma, gamma,
-                                   e0_i, e_i_max, -gamma * w, exp_i)
+            report = ground_report(model, measured, -gamma, gamma, e0_i, e_i_max, -gamma * w, exp_i)
             if report.ef_bound is None:
-                records.append(SweepRecord(gamma, float("nan"), float("nan"), True, report))
+                records.append(SweepRecord(gamma, None, None, True, report))
                 continue
             excess = report.ef_bound - report.entanglement
             overshoot = report.interaction_frustration / report.delta_e_ent

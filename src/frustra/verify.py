@@ -19,7 +19,7 @@ from . import entanglement as ent
 from .bounds import analyze_ground, proof_step_check
 from .errors import DegenerateSeparationError, FrustraError
 from .linalg import (
-    MIN_GAP, ORACLE_EXACT_TOL, ORACLE_GRID_TOL, ORACLE_W_TOL, ROUNDOFF_TOL, STRUCTURAL_TOL, TOL_ENT,
+    MIN_GAP, ORACLE_EXACT_TOL, ORACLE_GRID_TOL, ORACLE_W_TOL, ROUNDOFF_TOL, STACK_ENTRIES, STRUCTURAL_TOL, TOL_ENT,
     NormKind, appendix_norm_check, haar_unitary, tol_scale, ui_norm,
 )
 from .models import (
@@ -64,16 +64,16 @@ def random_state(rng: np.random.Generator, dims) -> ent.PureState:
 
 
 def random_two_site_model(rng: np.random.Generator, d: int, name: str = "random2") -> SpinModel:
-    """Random local terms on both sites plus three random product interactions."""
+    """Random local terms on both sites plus three random product interactions, each pair one draw after its
+    coefficient."""
     terms = [
         OperatorTerm(1.0, [(0, gaussian_hermitian(rng, d))]),
         OperatorTerm(1.0, [(1, gaussian_hermitian(rng, d))]),
     ]
     for _ in range(3):
-        terms.append(OperatorTerm(
-            rng.normal(),
-            [(0, gaussian_hermitian(rng, d, norm=1.0)), (1, gaussian_hermitian(rng, d, norm=1.0))],
-        ))
+        coeff = rng.normal()
+        a, b = gaussian_hermitian(rng, d, norm=1.0, lead=(2,))
+        terms.append(OperatorTerm(coeff, [(0, a), (1, b)]))
     return SpinModel(name=name, dims=(d, d), terms=tuple(terms))
 
 
@@ -88,12 +88,9 @@ def random_weak_chain(rng: np.random.Generator) -> SpinModel:
         local_terms.append(OperatorTerm(1.0, [(site, op)]))
         gaps.append(2.0 * g)
     couplings = []
-    for pair in ((0, 1), (1, 2)):
-        couplings.append(OperatorTerm(
-            1.0,
-            [(pair[0], gaussian_hermitian(rng, 2, norm=1.0)),
-             (pair[1], gaussian_hermitian(rng, 2, norm=1.0))],
-        ))
+    for left in (0, 1):  # the bonds (0, 1) and (1, 2), each pair one draw
+        a, b = gaussian_hermitian(rng, 2, norm=1.0, lead=(2,))
+        couplings.append(OperatorTerm(1.0, [(left, a), (left + 1, b)]))
     h_i = dense_terms(couplings, (2, 2, 2))
     current = float(np.linalg.norm(h_i, 2))
     target = min(gaps) / 10.0 * rng.uniform(0.3, 1.0)
@@ -161,13 +158,13 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
     and, when delta_e_ent > MIN_GAP, entanglement <= both bounds + TOL_ENT and
     every step of the bound's proof (``bounds.proof_step_check`` on the model's
     own splitting and report).  A trial fails when any check fails.  The models
-    go to analyze_ground in families of PERTURBATION_STACK_ENTRIES // d^4 models.
+    go to analyze_ground in families of STACK_ENTRIES // d^4 models.
     """
     failures = 0
     worst_ef = np.inf
     worst_slack = -np.inf
     for d in (2, 3):
-        size = max(1, PERTURBATION_STACK_ENTRIES // d**4)
+        size = max(1, STACK_ENTRIES // d**4)
         for lo in range(0, trials_per_kind, size):
             models = [random_two_site_model(np.random.default_rng([seed, d, t]), d, name=f"random2(d={d},t={t})")
                       for t in range(lo, min(lo + size, trials_per_kind))]
@@ -198,9 +195,9 @@ def saturation_suite(instances: int = 50, seed: int = 77,
                      gammas=(1e-1, 1e-2, 1e-3)) -> SuiteResult:
     """Schmidt-splitting sweeps on random bipartite Hamiltonians.
 
-    An instance fails when the excess over the entanglement is not strictly
-    positive at every gamma, or when a record breaks the exact identity of
-    ``saturation.excess_decomposition`` by more than
+    An instance fails when the excess over the entanglement is absent (an
+    undefined bound) or not strictly positive at some gamma, or when a record
+    breaks the exact identity of ``saturation.excess_decomposition`` by more than
     STRUCTURAL_TOL * max(1, |ef_bound|), or when its leftover weight differs
     from the entanglement (``entanglement_gap``) by more than STRUCTURAL_TOL,
     which the construction makes exact.  The suite also needs the excess to
@@ -217,7 +214,7 @@ def saturation_suite(instances: int = 50, seed: int = 77,
         model = dense_bipartite_model(h, (d, d), name=f"gue(d={d},i={i})")
         records = saturation_sweep(model, gammas)
         ex = [r.excess for r in records]
-        if any(not np.isfinite(e) or e <= 0.0 for e in ex):
+        if any(e is None or not 0.0 < e < np.inf for e in ex):
             failures += 1
             continue
         decompositions = [
@@ -246,13 +243,12 @@ def saturation_suite(instances: int = 50, seed: int = 77,
 
 
 PERTURBATION_C_NORMS = (0.01, 0.1, 1.0)  # ||C|| of the trials, one per cycle through dims
-PERTURBATION_STACK_ENTRIES = 2**14  # matrix entries (trials x d x d) of a stack, also of a bound-properties family
 
 
 def perturbation_trial(seed: int, index, dims=(4, 8, 16)):
     """One seeded theorem check, or a list of them for a sequence of trial indices, each bit for bit its own.
 
-    Each dimension's trials are solved as stacks of PERTURBATION_STACK_ENTRIES // d^2 trials (at least one), in
+    Each dimension's trials are solved as stacks of STACK_ENTRIES // d^2 trials (at least one), in
     redraw rounds (_trial_stack): a stack's arrays hold at most that many entries, or one trial's.  An error, or the
     64-attempt cap, is raised for the lowest trial that meets it.
     """
@@ -260,7 +256,7 @@ def perturbation_trial(seed: int, index, dims=(4, 8, 16)):
     done = {}  # trial -> its report, or the error it raised
     for n in dict.fromkeys(dims):
         group = [t for t in dict.fromkeys(indices) if dims[t % len(dims)] == n]
-        size = max(1, PERTURBATION_STACK_ENTRIES // (n * n))
+        size = max(1, STACK_ENTRIES // (n * n))
         for lo in range(0, len(group), size):
             done.update(_trial_stack(seed, group[lo:lo + size], 0, dims))
     for t in sorted(t for t, outcome in done.items() if isinstance(outcome, Exception))[:1]:

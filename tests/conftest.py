@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from frustra.models import model_to_dict
+from frustra.models import SpinModel, _interaction_terms, dense_terms, model_to_dict
 
 settings.register_profile(
     "frustra",
@@ -57,5 +57,11 @@ def product_vector(spec, config) -> np.ndarray:
 
 
 def dense_interaction(splitting) -> np.ndarray:
-    """The splitting's dense H_I, built from its terms; a diagonal H_I's eigenvalues come from its diagonal instead."""
-    return splitting._h_interaction
+    """The splitting's dense H_I: the one it keeps, or the dense build of the terms whose diagonal it keeps."""
+    diagonal, h_i = splitting._interaction
+    if not diagonal:
+        return h_i
+    one = isinstance(splitting.model, SpinModel)
+    models, local = ((splitting.model,), (splitting.local_terms,)) if one else (splitting.model, splitting.local_terms)
+    rows = [_interaction_terms(m.terms, terms) for m, terms in zip(models, local)]
+    return dense_terms(rows[0] if one else rows, models[0].dims)

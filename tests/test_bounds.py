@@ -182,6 +182,21 @@ def test_proof_steps_random_two_qutrit(seed):
     assert diag.all_ok
 
 
+def test_proof_steps_with_an_empty_kept_component():
+    """Fields -(Z_0 + Z_1) keep only |00> below E0_L + delta_e_ent = 0, and J |00><00| with J > 2 lifts it past the
+    degenerate ground level {|01>, |10>}: the kept component is empty, so there is no product state to test."""
+    p0 = np.diag([1.0, 0.0])
+    model = SpinModel("lifted", (2, 2), (OperatorTerm(-1.0, [(0, "Z")]), OperatorTerm(-1.0, [(1, "Z")]),
+                                         OperatorTerm(3.0, [(0, p0), (1, p0)])))
+    s = split(model)
+    report = analyze_ground(s)
+    assert report.degenerate_ground and report.E0 == 0.0 and report.ef_bound == 1.0
+    diag = proof_step_check(s, report)
+    assert diag.below_threshold == ((0, 0),) and diag.sum_alpha_sq == 0.0 and diag.truncated_norm == 0.0
+    assert diag.truncated_entanglement is None and diag.truncated_is_product
+    assert diag.weight_bound == 1.0 and diag.all_ok
+
+
 def test_proof_steps_undefined():
     s = split(triangle(1.0))
     with pytest.raises(UndefinedBoundError):
@@ -210,7 +225,7 @@ def test_bound_suite_draws_its_families_in_chunks(monkeypatch):
         return split_(model, local)
 
     monkeypatch.setattr(frustra.verify, "split", spy)
-    monkeypatch.setattr(frustra.verify, "PERTURBATION_STACK_ENTRIES", 2 * 81)
+    monkeypatch.setattr(frustra.verify, "STACK_ENTRIES", 2 * 81)
     assert json.dumps(dataclasses.asdict(bound_property_suite(trials_per_kind=13, seed=5))) == whole
     assert families == [10, 3] + [2] * 6 + [1]
 

@@ -114,13 +114,18 @@ def test_analyze_builds_each_operator_once(capsys, monkeypatch):
 
 
 def test_analyze_holds_a_diagonal_interaction_as_its_diagonal(capsys, monkeypatch):
-    """The 10-qubit chain's ZZ bonds make H_I diagonal: H is the only dense build, and H_I is never built dense."""
+    """The 10-qubit chain's ZZ bonds make H_I diagonal: H is the only dense build, and H_I is summed as its diagonal."""
     calls = count_calls(monkeypatch, frustra.models, "dense_terms")
-    monkeypatch.setattr(frustra.models.Splitting, "_h_interaction",
-                        property(lambda self: pytest.fail("H_I was built dense")))
+    builds, sum_terms = [], frustra.models._sum_terms
+
+    def spy(terms, dims, dense):
+        builds.append(dense)
+        return sum_terms(terms, dims, dense)
+
+    monkeypatch.setattr(frustra.models, "_sum_terms", spy)
     path = Path(__file__).parent / "data" / "transverse_chain10_model.json"
     code, _, _ = run_cli(capsys, "analyze", "--model", str(path))
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == 1 and builds == [True, False]
 
 
 def count_calls(monkeypatch, module, name):
@@ -300,6 +305,35 @@ def test_config_errors_exit_2(capsys, argv):
     assert "computation error" not in err
     if "--out" in argv:
         assert err.startswith("error: cannot write")
+
+
+CONFIG_MESSAGES = {
+    "param-without-equals": (["analyze", "--model", "ising2", "--param", "g"], "--param expects k=v, got 'g'"),
+    "param-on-a-file": (["analyze", "--model", str(Path(__file__).parent / "data" / "zz_chain6_model.json"),
+                         "--param", "g=1"], "--param applies to built-in models only"),
+    "three-sided-bipartition": (["analyze", "--model", "chain3", "--bipartition", "A|B|C"],
+                                "bipartition must have exactly two sides, got 'A|B|C'"),
+    "schmidt-gamma-not-a-number": (["analyze", "--model", "ising2", "--split", "schmidt:abc"],
+                                   "bad schmidt gamma in 'schmidt:abc'"),
+    "grid-of-two-parts": (["sweep", "--grid", "1:2"], "--grid expects MIN:MAX:N, got '1:2'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", CONFIG_MESSAGES.values(), ids=CONFIG_MESSAGES.keys())
+def test_config_errors_name_their_cause(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_tol_reaches_the_optimizer(capsys, monkeypatch):
+    tols, measure = [], frustra.entanglement.geometric_measure_multipartite
+
+    def spy(psi, **kwargs):
+        tols.append(kwargs["tol"])
+        return measure(psi, **kwargs)
+
+    monkeypatch.setattr(frustra.entanglement, "geometric_measure_multipartite", spy)
+    code, out, _ = run_cli(capsys, "analyze", "--model", "chain3", "--tol", "1e-8")
+    assert code == 0 and tols == [1e-8] and json.loads(out)["entanglement_method"] == "alternating"
 
 
 def _src_env(**extra):
@@ -629,6 +663,27 @@ def test_saturate_json(capsys):
     assert not payload[0]["unreliable"]
     assert list(payload[0]) == ["gamma", "excess", "overshoot_interaction", "unreliable", "report"]
     assert list(payload[0]["report"]) == CSV_HEADERS["analyze"][1]
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and the infinities, as a strict JSON parser does."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_an_undefined_saturate_bound_has_no_excess(capsys):
+    """At g = 1000 the bound of gamma = 1e-6 is undefined (delta_e_ent = gamma <= STRUCTURAL_TOL * scale): its
+    excess and overshoot are null in JSON and empty in CSV, like its bound."""
+    argv = ["saturate", "--model", "ising2", "--param", "g=1000", "--gammas", "1e-5,1e-6"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    defined, undefined = _strict_json(out)
+    assert code == 0 and defined["excess"] is not None and defined["report"]["ef_bound"] is not None
+    assert undefined["excess"] is None and undefined["overshoot_interaction"] is None
+    assert undefined["report"]["ef_bound"] is None and undefined["unreliable"]
+    code, out, _ = run_cli(capsys, *argv)
+    row = parse_csv(out)[1]
+    assert code == 0 and row["ef_bound"] == row["excess"] == row["overshoot_interaction"] == ""
 
 
 def test_perturb_reports_and_summary(tmp_path, capsys):

@@ -290,11 +290,11 @@ def test_diagonal_shortcut_skips_lapack(monkeypatch):
         raise AssertionError("LAPACK called on a diagonal H_I")
 
     s = split(_bonded(np.diag([3.0, -1.0, 2.0, -1.0])))
-    h_i = np.diagonal(dense_terms(s._interaction[0], s.model.dims))
+    h_i = np.diagonal(dense_interaction(s))
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, fail)
     assert np.array_equal(s.interaction_eigenvalues, np.sort(h_i))
-    assert "_h_interaction" not in vars(s)
+    assert s._interaction[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 130])
@@ -326,7 +326,7 @@ def test_diagonal_scan_finds_every_off_diagonal_entry(n):
         m[0, n - 1] = m[n - 1, 0] = 0.5
         for factor, diagonal in ((np.diag(d), True), (m, False), (complex_, False)):
             s = split(_bonded(factor))
-            assert (s._interaction[2] is not None) == diagonal
+            assert s._interaction[0] == diagonal
             assert np.array_equal(s.interaction_eigenvalues, eigvalsh(dense_interaction(s)))
 
 
@@ -334,8 +334,8 @@ def test_a_held_diagonal_that_overflows_is_rejected_as_the_dense_build_is():
     """Finite factors whose bond sum overflows: the held diagonal and the dense H_I both fail the finiteness check."""
     s = split(_bonded(np.diag([1e308, -1e308])))  # two bonds of 1e308 meet on site 1
     with np.errstate(over="ignore"):  # both builds overflow alike
-        held, dense = s._interaction[2], dense_interaction(s)
-    assert held is not None and not np.isfinite(held).all()
+        (diagonal, held), dense = s._interaction, dense_interaction(s)
+    assert diagonal and not np.isfinite(held).all()
     for eigenvalues in (lambda: s.interaction_eigenvalues, lambda: eigvalsh(dense)):
         with pytest.raises(ValueError, match="finite"):
             eigenvalues()
@@ -487,7 +487,7 @@ def test_ground_eig_does_not_scan_for_diagonality(monkeypatch):
     model = load_model(Path(__file__).parent / "data" / "transverse_chain10_model.json")
     assert ground_eig(build_dense(model)) is not None
     s = split(model)
-    assert s.interaction_eigenvalues[[0, -1]].tolist() == [-9.0, 9.0] and "_h_interaction" not in vars(s)
+    assert s.interaction_eigenvalues[[0, -1]].tolist() == [-9.0, 9.0] and s._interaction[0]
 
 
 def test_ground_eig_of_an_overflowing_matrix_gives_no_vector(monkeypatch):

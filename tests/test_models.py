@@ -148,6 +148,33 @@ def test_term_checks_its_factor_when_made(op):
         OperatorTerm(1.0, [(0, op)])
 
 
+REFUSALS = {
+    "unknown-letter": (lambda: OperatorTerm(1.0, [(0, "Q")]), NonHermitianTermError,
+                       "unknown operator letter 'Q' on site 0"),
+    "non-square-factor": (lambda: OperatorTerm(1.0, [(1, [[1.0, 0.0, 0.0]])]), NonHermitianTermError,
+                          r"factor on site 1 must be a square matrix, got shape \(1, 3\)"),
+    "empty-factor": (lambda: OperatorTerm(1.0, [(0, np.zeros((0, 0)))]), NonHermitianTermError,
+                     r"must be a square matrix, got shape \(0, 0\)"),
+    "one-level-site": (lambda: SpinModel("m", (2, 1), ()), ValueError, r"every site dimension must be >= 2"),
+    "no-sites": (lambda: SpinModel("m", (), ()), ValueError, r"every site dimension must be >= 2, got \(\)"),
+    "infinite-coefficient": (lambda: SpinModel("m", (2, 2), (OperatorTerm(1.0, [(0, "Z")]),
+                                                             OperatorTerm(np.inf, [(1, "Z")]))),
+                             NonHermitianTermError, "term 1: coefficient must be finite"),
+    "one-site-local-spectrum": (lambda: split(SpinModel("m", (2,), (OperatorTerm(1.0, [(0, "Z")]),))).local,
+                                ValueError, "local spectrum requires at least 2 sites"),
+    "dense-shape": (lambda: dense_bipartite_model(np.eye(4), (2, 3)), ValueError,
+                    r"matrix shape \(4, 4\) does not match dims \(2, 3\)"),
+    "dense-not-hermitian": (lambda: dense_bipartite_model(np.triu(np.ones((4, 4))), (2, 2)), NonHermitianTermError,
+                            "input matrix is not Hermitian"),
+}
+
+
+@pytest.mark.parametrize("make, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_models_refuse_with_their_message(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_dense_build_is_shared_and_read_only():
     model = chain3()
     h = build_dense(model)
@@ -361,7 +388,7 @@ def test_split_builds_no_dense_operator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20 and "_h_interaction" not in s.__dict__  # a dense H_L would take 8 MiB
+    assert peak < 2**20 and "_interaction" not in s.__dict__  # a dense H_L would take 8 MiB
 
 
 @given(st.integers(0, 10_000), st.integers(2, 6), st.booleans())
@@ -383,8 +410,8 @@ def test_diagonal_interaction_matches_the_dense_route(seed, n, complex_typed):
     family = [member() for _ in range(3)] if n <= 4 else []
     for s in [split(model)] + ([split(family)] if family else []):
         hi = dense_interaction(s)
-        held = s._interaction[2]
-        assert held is not None and held.tobytes() == np.ascontiguousarray(np.diagonal(hi, 0, -2, -1)).tobytes()
+        diagonal, held = s._interaction
+        assert diagonal and held.tobytes() == np.ascontiguousarray(np.diagonal(hi, 0, -2, -1)).tobytes()
         assert np.array_equal(s.interaction_eigenvalues, eigvalsh(hi))
         assert np.array_equal(s.interaction_eigenvalues, np.linalg.eigvalsh(hi))
         lead = hi.shape[:-2]
@@ -404,11 +431,11 @@ def test_one_non_diagonal_factor_builds_the_dense_interaction():
     bonds = [np.diag([1.0, -2.0]), np.array([[1.0, 0.5], [0.5, -2.0]]), np.diag([1.0, -2.0 + 1e-14j])]
     members = [SpinModel("m", (2, 2), (OperatorTerm(-1.0, [(0, "X")]), OperatorTerm(0.7, [(0, b), (1, "Z")])))
                for b in bonds]
-    assert [split(m)._interaction[2] is None for m in members] == [False, True, True]
-    assert split(members[:1] * 2)._interaction[2] is not None
+    assert [split(m)._interaction[0] for m in members] == [True, False, False]
+    assert split(members[:1] * 2)._interaction[0]
     for family in (members[:2], members[::2]):
         s = split(family)
-        assert s._interaction[2] is None
+        assert not s._interaction[0]
         assert np.array_equal(s.interaction_eigenvalues, eigvalsh(dense_interaction(s)))
 
 

@@ -192,7 +192,7 @@ def test_a_stack_holds_at_most_its_entries(monkeypatch):
         sizes.extend([] if attempt else [len(trials)])
         return stack(seed, trials, attempt, dims)
 
-    monkeypatch.setattr(frustra.verify, "PERTURBATION_STACK_ENTRIES", 48)
+    monkeypatch.setattr(frustra.verify, "STACK_ENTRIES", 48)
     monkeypatch.setattr(frustra.verify, "_trial_stack", spy)
     assert list(map(_json, perturbation_trial(3, range(13), (4, 8)))) == whole
     assert sizes == [3, 3, 1] + [1] * 6

@@ -1,0 +1,85 @@
+"""analyze_ground against tests/reference.py, which builds every operator as a full np.kron chain from the
+README's definitions: on random 2- and 3-site models, the built-in ones, a chain on the ground tier and a classical
+chain."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from frustra.bounds import EntanglementOptions, analyze_ground
+from frustra.linalg import RECONSTRUCTION_TOL
+from frustra.models import OperatorTerm, SpinModel, chain3, ising2, load_model, split, transverse_chain, triangle
+from reference import reference_report
+
+CHEAP = EntanglementOptions(restarts=1, max_iters=20)  # the reference gives no entanglement past two sites
+ENERGIES = ("E0", "E0_L", "E0_I", "E_f", "E_I_max", "E_I_tot", "local_frustration", "interaction_frustration")
+
+
+def assert_matches_reference(report, model, local):
+    """Every numeric field within RECONSTRUCTION_TOL * scale, scale = max(1, |energies|); a bound, an energy over
+    delta_e_ent, within that over delta_e_ent."""
+    want = reference_report(model, local, report.ground_state.amplitudes)
+    tol = RECONSTRUCTION_TOL * max(1.0, *(abs(want[key]) for key in ENERGIES))
+    for key in ENERGIES + ("delta_e_ent",):
+        assert abs(getattr(report, key) - want[key]) <= tol, key
+    for key in ("ef_bound", "ratio_bound"):
+        got = getattr(report, key)
+        assert (got is None) == (want[key] is None), key
+        assert got is None or abs(got - want[key]) <= tol / want["delta_e_ent"], key
+    if want["entanglement"] is not None:
+        assert abs(report.entanglement - want["entanglement"]) <= RECONSTRUCTION_TOL
+
+
+def _factor(rng, d, kind) -> np.ndarray:
+    """A real diagonal (kind 0), real symmetric (1) or complex Hermitian (2) d x d matrix."""
+    if kind == 0:
+        return np.diag(rng.normal(size=d))
+    z = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if kind == 2 else 0)
+    return (z + z.conj().T) / 2
+
+
+def _models(seed, count):
+    """``count`` random models that share their dims and the sites of each term, and the indices of their degree-1
+    terms.  Each site gets 0-2 field terms, each pair of sites a bond or not, a 3-site model sometimes a 3-body
+    term; the factors are real diagonal, real or complex per member, or every bond factor diagonal."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(2, 4, size=rng.integers(2, 4)))
+    n = len(dims)
+    sites = [(s,) for s in range(n) for _ in range(rng.integers(0, 3))]
+    sites += [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.8] or [(0, 1)]
+    sites += [tuple(range(n))] if n == 3 and rng.random() < 0.5 else []
+    diagonal_bonds = rng.random() < 0.3
+    models = []
+    for m in range(count):
+        terms = []
+        for ss in sites:
+            kinds = [0 if diagonal_bonds and len(ss) > 1 else rng.integers(3) for _ in ss]
+            terms.append(OperatorTerm(rng.normal(), [(s, _factor(rng, dims[s], k)) for s, k in zip(ss, kinds)]))
+        models.append(SpinModel(f"ref{m}", dims, tuple(terms)))
+    return models, [i for i, ss in enumerate(sites) if len(ss) == 1]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_ground_reports_match_the_reference(seed, explicit):
+    """One model and a family of three, under the default split or with a random subset of the fields local."""
+    models, fields = _models(seed, 4)
+    rng = np.random.default_rng([seed, 1])
+    local = sorted(int(i) for i in fields if rng.random() < 0.5) if explicit else fields
+    one, family = models[0], models[1:]
+    assert_matches_reference(analyze_ground(split(one, local), CHEAP), one, local)
+    for model, report in zip(family, analyze_ground(split(family, local), CHEAP)):
+        assert_matches_reference(report, model, local)
+
+
+CLASSICAL = load_model(Path(__file__).parent / "data" / "classical_chain8_model.json")
+
+
+@pytest.mark.parametrize("model, local", [
+    (ising2(), [0, 1]), (ising2(0.3), [1]), (chain3(), [0, 1, 2]), (chain3(0.5, 2.0), [1]), (triangle(), []),
+    (transverse_chain(8, g=0.7), list(range(8))),  # d = 256: the ground tier
+    (CLASSICAL, [i for i, t in enumerate(CLASSICAL.terms) if t.degree == 1]),
+], ids=["ising2", "ising2-one-field", "chain3", "chain3-middle-field", "triangle", "chain8", "classical-chain8"])
+def test_named_models_match_the_reference(model, local):
+    assert_matches_reference(analyze_ground(split(model, local), CHEAP), model, local)

@@ -266,6 +266,27 @@ def test_saturation_suite_counts_a_leftover_weight_off_the_entanglement(monkeypa
     assert result.trials == 4 and result.failures == 4 and not result.ok
 
 
+def test_saturation_suite_counts_an_undefined_bound(monkeypatch):
+    """A record with no excess (its bound undefined) fails its instance, as a NaN excess did."""
+    sweep = frustra.verify.saturation_sweep
+
+    def undefined_last(model, gammas):
+        *records, last = sweep(model, gammas)
+        return (*records, dataclasses.replace(last, excess=None, overshoot_interaction=None))
+
+    monkeypatch.setattr(frustra.verify, "saturation_sweep", undefined_last)
+    result = saturation_suite(instances=4)
+    assert result.trials == 4 and result.failures == 4 and not result.ok
+
+
+def test_an_undefined_bound_gives_a_record_with_no_excess():
+    """ising2 at g = 1000 has scale 2000: gamma = 1e-6 is not above STRUCTURAL_TOL * scale, 1e-5 is."""
+    defined, undefined = saturation_sweep(ising2(1000.0), (1e-5, 1e-6))
+    assert defined.excess == defined.report.ef_bound - defined.report.entanglement
+    assert undefined.report.ef_bound is None and undefined.unreliable
+    assert undefined.excess is None and undefined.overshoot_interaction is None
+
+
 def test_saturation_suite_decomposes_each_ground_state_once(monkeypatch):
     """One Schmidt decomposition gives the model's ground projector and its entanglement, whatever the gammas."""
     calls = []
