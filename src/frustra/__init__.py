@@ -62,8 +62,6 @@ from .perturbation import (
     hermitian_instance,
 )
 from .saturation import (
-    ExcessDecomposition,
-    excess_decomposition,
     saturation_sweep,
     schmidt_splitting,
 )

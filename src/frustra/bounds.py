@@ -161,20 +161,6 @@ class FrustrationReport:
     ground_state: ent.PureState
 
 
-def cut_expansion(spec: LocalSpectrum, report: FrustrationReport):
-    """The ground state's product-basis expansion, cut at E0_L + delta_e_ent.
-
-    The cut is strict by energy, so degenerate levels are kept or dropped as
-    sets.  Returns (flat indices below the cut, all coefficients alpha,
-    weight below the cut).
-    """
-    threshold = report.E0_L + spec.delta_e_ent
-    eps = STRUCTURAL_TOL * tol_scale(threshold)
-    below = np.flatnonzero(spec.energies < threshold - eps)
-    alpha = local_coefficients(spec, report.ground_state.amplitudes)
-    return below, alpha, float(np.sum(np.abs(alpha[below]) ** 2))
-
-
 def ground_report(model: SpinModel, measured: tuple[float, str], e0_l: float, delta: float, e0_i: float,
                   e_i_max: float, exp_l: float, exp_i: float) -> FrustrationReport:
     """The report of a model, read with its ground level and state from the
@@ -248,6 +234,13 @@ class ProofStepDiagnostics:
     degenerate levels are handled as sets).  The kept component must point
     along a product state; one minus its weight is sandwiched between the
     entanglement and E_f / delta_e_ent.
+
+    The bound's excess over the entanglement splits exactly as
+        excess = ef_bound - entanglement =
+            overshoot_local + overshoot_interaction + entanglement_gap:
+    the local energy overshoot of the cut expansion, the interaction
+    frustration over delta_e_ent, and the gap between the leftover weight
+    and the entanglement itself.
     """
 
     below_threshold: tuple[tuple[int, ...], ...]
@@ -258,22 +251,33 @@ class ProofStepDiagnostics:
     weight_bound: float  # 1 - sum_alpha_sq
     weight_leq_ef_bound: bool
     entanglement_leq_weight: bool
+    excess: float
+    overshoot_local: float  # (local_frustration - weight_bound * delta_e_ent) / delta_e_ent
+    overshoot_interaction: float  # interaction_frustration / delta_e_ent
+    entanglement_gap: float  # weight_bound - entanglement
 
     @property
     def all_ok(self) -> bool:
         return self.truncated_is_product and self.weight_leq_ef_bound and self.entanglement_leq_weight
 
+    @property
+    def identity_residual(self) -> float:
+        return self.excess - (self.overshoot_local + self.overshoot_interaction + self.entanglement_gap)
+
 
 def proof_step_check(splitting: Splitting, report: FrustrationReport,
                      ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> ProofStepDiagnostics:
-    """Recompute the cut expansion of the splitting's ground-state report and verify each step."""
+    """Recompute the cut expansion of the splitting's ground-state report, verify each step and split its excess."""
     model = splitting.one_model()
     spec = splitting.local
     delta = spec.delta_e_ent
     if report.ef_bound is None or delta <= 0:
         raise UndefinedBoundError(f"delta_e_ent = {delta:g} leaves the bound undefined")
 
-    below, alpha, sum_alpha_sq = cut_expansion(spec, report)
+    threshold = report.E0_L + delta
+    below = np.flatnonzero(spec.energies < threshold - STRUCTURAL_TOL * tol_scale(threshold))
+    alpha = local_coefficients(spec, report.ground_state.amplitudes)
+    sum_alpha_sq = float(np.sum(np.abs(alpha[below]) ** 2))
     truncated = np.zeros_like(alpha)
     truncated[below] = alpha[below]
     truncated = truncated.reshape(spec.dims)
@@ -290,9 +294,6 @@ def proof_step_check(splitting: Splitting, report: FrustrationReport,
         is_product = True  # empty component: nothing to test
 
     weight_bound = 1.0 - sum_alpha_sq
-    ok_weight = weight_bound <= report.ef_bound + STRUCTURAL_TOL
-    ok_ent = report.entanglement <= weight_bound + TOL_ENT
-
     return ProofStepDiagnostics(
         below_threshold=tuple(spec.config_of_flat(int(f)) for f in below),
         sum_alpha_sq=sum_alpha_sq,
@@ -300,8 +301,12 @@ def proof_step_check(splitting: Splitting, report: FrustrationReport,
         truncated_entanglement=truncated_entanglement,
         truncated_is_product=is_product,
         weight_bound=weight_bound,
-        weight_leq_ef_bound=ok_weight,
-        entanglement_leq_weight=ok_ent,
+        weight_leq_ef_bound=weight_bound <= report.ef_bound + STRUCTURAL_TOL,
+        entanglement_leq_weight=report.entanglement <= weight_bound + TOL_ENT,
+        excess=report.ef_bound - report.entanglement,
+        overshoot_local=(report.local_frustration - weight_bound * delta) / delta,
+        overshoot_interaction=report.interaction_frustration / delta,
+        entanglement_gap=weight_bound - report.entanglement,
     )
 
 

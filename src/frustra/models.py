@@ -370,8 +370,9 @@ class Splitting:
     def interaction_expectation(self, psi: np.ndarray):
         """<psi| H_I |psi> for a unit vector psi; for a family's (k, D) stack of vectors, the list of the k values."""
         diagonal, h = self._interaction  # a diagonal h * psi has the dense product's bits: each product it skips is 0
-        h_psi = (h * psi)[..., None] if diagonal else h @ psi[..., None]
-        return np.real(psi.conj()[..., None, :] @ h_psi)[..., 0, 0].tolist()
+        if diagonal:
+            return np.real(psi.conj()[..., None, :] @ (h * psi)[..., None])[..., 0, 0].tolist()
+        return expectation(h, psi).tolist()
 
     def local_expectation(self, psi: np.ndarray):
         """<psi| H_L |psi> for a unit vector psi: sum_j Re <psi| H_j |psi>, one contraction per site; for a family's

@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import FrustrationReport, cut_expansion, ground_entanglement, ground_report
-from .errors import UndefinedBoundError
+from .bounds import FrustrationReport, ground_entanglement, ground_report
 from .linalg import MIN_GAP, STACK_ENTRIES, STRUCTURAL_TOL, eigvalsh, tol_scale
 from .models import OperatorTerm, SpinModel, Splitting, build_dense, dense_terms, expectation
 
@@ -106,54 +105,3 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRe
             records.append(SweepRecord(gamma, excess, overshoot, unreliable, report))
     return tuple(records)
 
-
-@dataclass(frozen=True, eq=False)
-class ExcessDecomposition:
-    """Where the bound's excess over the entanglement comes from.
-
-    The exact identity
-        ef_bound - entanglement =
-            overshoot_local + overshoot_interaction + entanglement_gap
-    splits the excess into the local energy overshoot of the cut expansion,
-    the interaction frustration, and the gap between the leftover weight and
-    the entanglement itself.
-    """
-
-    ef_bound: float
-    entanglement: float
-    sum_below_weight: float
-    overshoot_local: float
-    overshoot_interaction: float
-    entanglement_gap: float
-
-    @property
-    def excess(self) -> float:
-        return self.ef_bound - self.entanglement
-
-    @property
-    def identity_residual(self) -> float:
-        return self.excess - (
-            self.overshoot_local + self.overshoot_interaction + self.entanglement_gap
-        )
-
-
-def excess_decomposition(splitting: Splitting, report: FrustrationReport) -> ExcessDecomposition:
-    """Decompose ef_bound - entanglement of the splitting's ground-state report."""
-    splitting.one_model()
-    if report.ef_bound is None:
-        raise UndefinedBoundError(report.ef_bound_reason or "bound undefined")
-    spec = splitting.local
-    delta = spec.delta_e_ent
-
-    _, _, sum_below = cut_expansion(spec, report)
-    overshoot_local = (report.local_frustration - (1.0 - sum_below) * delta) / delta
-    overshoot_interaction = report.interaction_frustration / delta
-    entanglement_gap = (1.0 - sum_below) - report.entanglement
-    return ExcessDecomposition(
-        ef_bound=report.ef_bound,
-        entanglement=report.entanglement,
-        sum_below_weight=sum_below,
-        overshoot_local=overshoot_local,
-        overshoot_interaction=overshoot_interaction,
-        entanglement_gap=entanglement_gap,
-    )

@@ -34,7 +34,7 @@ from .models import (
     split,
 )
 from .perturbation import check_theorem, hermitian_instance
-from .saturation import excess_decomposition, saturation_sweep, schmidt_splitting
+from .saturation import saturation_sweep, schmidt_splitting
 
 # ---------------------------------------------------------------------------
 # ensembles
@@ -196,13 +196,15 @@ def saturation_suite(instances: int = 50, seed: int = 77,
     """Schmidt-splitting sweeps on random bipartite Hamiltonians.
 
     An instance fails when the excess over the entanglement is absent (an
-    undefined bound) or not strictly positive at some gamma, or when a record
-    breaks the exact identity of ``saturation.excess_decomposition`` by more than
-    STRUCTURAL_TOL * max(1, |ef_bound|), or when its leftover weight differs
-    from the entanglement (``entanglement_gap``) by more than STRUCTURAL_TOL,
-    which the construction makes exact.  The suite also needs the excess to
-    decay like the smallest gamma for most instances, and to be negligible
-    against the entanglement at gamma = 1e-3.
+    undefined bound) or not strictly positive at some gamma, or when
+    ``bounds.proof_step_check`` of a record's Schmidt splitting finds a step
+    broken (``all_ok``; the construction promises that the kept component is
+    a product state), or the exact excess identity broken by more than
+    STRUCTURAL_TOL * max(1, |ef_bound|), or the leftover weight off the
+    entanglement (``entanglement_gap``) by more than STRUCTURAL_TOL, which
+    the construction makes exact.  The suite also needs the excess to decay
+    like the smallest gamma for most instances, and to be negligible against
+    the entanglement at gamma = 1e-3.
     """
     failures = 0
     decay_ok = 0
@@ -217,12 +219,9 @@ def saturation_suite(instances: int = 50, seed: int = 77,
         if any(e is None or not 0.0 < e < np.inf for e in ex):
             failures += 1
             continue
-        decompositions = [
-            excess_decomposition(schmidt_splitting(model, r.gamma), r.report)
-            for r in records
-        ]
-        if any(abs(dec.identity_residual) > STRUCTURAL_TOL * tol_scale(dec.ef_bound)
-               or abs(dec.entanglement_gap) > STRUCTURAL_TOL for dec in decompositions):
+        diags = [proof_step_check(schmidt_splitting(model, r.gamma), r.report) for r in records]
+        if any(not diag.all_ok or abs(diag.identity_residual) > STRUCTURAL_TOL * tol_scale(r.report.ef_bound)
+               or abs(diag.entanglement_gap) > STRUCTURAL_TOL for r, diag in zip(records, diags)):
             failures += 1
             continue
         if ex[-1] <= 0.3 * ex[-2]:

@@ -13,7 +13,6 @@ from frustra.bounds import (
     analyze_excited,
     analyze_ground,
     json_values,
-    cut_expansion,
     delta_j_ent,
     ground_entanglement,
     local_coefficients,
@@ -37,7 +36,7 @@ from frustra.models import (
     triangle,
 )
 from frustra.perturbation import hermitian_instance
-from frustra.saturation import excess_decomposition, schmidt_splitting
+from frustra.saturation import schmidt_splitting
 from frustra.verify import (
     bound_property_suite, gaussian_hermitian, ising_sweep_rows, perturbation_trial, random_state,
     random_two_site_model, random_weak_chain,
@@ -307,13 +306,13 @@ def test_delta_j_ent_brute_force_oracle(dims, monkeypatch):
 
     # the truncated ground component against sum_f alpha_f |f>, one Kronecker chain per kept member
     ground = analyze_ground(s)
-    below, alpha, _ = cut_expansion(spec, ground)
-    ref = sum(alpha[f] * product_vector(spec, spec.config_of_flat(f)) for f in below)
-    ref_value, _ = state_entanglement(PureState.normalized(ref, dims))
     measured = []
     monkeypatch.setattr(frustra.bounds, "state_entanglement",
                         lambda psi, opts: measured.append(psi) or state_entanglement(psi, opts))
     diag = proof_step_check(s, ground)
+    alpha = local_coefficients(spec, ground.ground_state.amplitudes)
+    ref = sum(alpha[spec.flat_of_config(c)] * product_vector(spec, c) for c in diag.below_threshold)
+    ref_value, _ = state_entanglement(PureState.normalized(ref, dims))
     np.testing.assert_allclose(measured[0].amplitudes, ref / np.linalg.norm(ref), rtol=0, atol=1e-12)
     assert abs(diag.truncated_norm - np.linalg.norm(ref)) < 1e-12
     assert abs(diag.truncated_entanglement - ref_value) < 1e-12
@@ -572,8 +571,7 @@ def test_an_empty_sequence_gives_an_empty_list_or_a_value_error(call, want):
 @pytest.mark.parametrize("read", [
     lambda s, report: analyze_excited(s, 0),
     lambda s, report: proof_step_check(s, report),
-    lambda s, report: excess_decomposition(s, report),
-], ids=["analyze_excited", "proof_step_check", "excess_decomposition"])
+], ids=["analyze_excited", "proof_step_check"])
 def test_a_family_s_splitting_is_read_by_analyze_ground_only(read):
     family = split([ising2(1.0), ising2(2.0)])
     report = analyze_ground(split(ising2(1.0)))

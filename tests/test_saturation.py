@@ -10,9 +10,9 @@ import pytest
 import frustra.entanglement
 import frustra.saturation
 import frustra.verify
-from frustra.bounds import analyze_ground, json_values
+from frustra.bounds import analyze_ground, json_values, proof_step_check
 from frustra.entanglement import PureState, schmidt
-from frustra.errors import NotBipartiteError, UndefinedBoundError
+from frustra.errors import NotBipartiteError
 from frustra.models import (
     OperatorTerm,
     SpinModel,
@@ -28,7 +28,6 @@ from frustra.models import (
     triangle,
 )
 from frustra.saturation import (
-    excess_decomposition,
     saturation_sweep,
     schmidt_splitting,
 )
@@ -205,25 +204,29 @@ def test_sweep_product_ground_state():
 
 
 def decompose(splitting):
-    return excess_decomposition(splitting, analyze_ground(splitting))
+    """The ground-state report of the splitting and its proof-step diagnostics, which split the bound's excess."""
+    report = analyze_ground(splitting)
+    return report, proof_step_check(splitting, report)
 
 
 def test_excess_decomposition_symmetric_ising():
-    dec = decompose(split(ising2(1.0)))
+    report, dec = decompose(split(ising2(1.0)))
     e = 0.5 - 1 / np.sqrt(5.0)
     assert abs(dec.overshoot_local - e) < 1e-9
     assert abs(dec.entanglement_gap) < 1e-9
     # ef_bound = 2E + interaction overshoot
-    assert abs(dec.ef_bound - (2 * e + dec.overshoot_interaction)) < 1e-9
+    assert abs(report.ef_bound - (2 * e + dec.overshoot_interaction)) < 1e-9
     assert abs(dec.overshoot_interaction - 0.2763932) < 1e-7
+    assert dec.excess == report.ef_bound - report.entanglement
     assert abs(dec.identity_residual) < 1e-9
 
 
 def test_excess_decomposition_schmidt_small_gamma():
-    dec = decompose(schmidt_splitting(ising2(1.0), 1e-3))
+    _, dec = decompose(schmidt_splitting(ising2(1.0), 1e-3))
     assert abs(dec.overshoot_local) <= 1e-9
     assert abs(dec.entanglement_gap) <= 1e-9
     assert abs(dec.identity_residual) < 1e-9
+    assert dec.all_ok
 
 
 def test_excess_decomposition_commuting_zero():
@@ -232,25 +235,20 @@ def test_excess_decomposition_commuting_zero():
         OperatorTerm(-1.0, [(1, "Z")]),
         OperatorTerm(-1.0, [(0, "Z"), (1, "Z")]),
     ))
-    dec = decompose(split(model))
+    _, dec = decompose(split(model))
     assert abs(dec.overshoot_local) < 1e-12
     assert abs(dec.overshoot_interaction) < 1e-12
     assert abs(dec.entanglement_gap) < 1e-12
 
 
-def test_excess_decomposition_undefined():
-    with pytest.raises(UndefinedBoundError):
-        decompose(split(triangle(1.0)))
-
-
 def suite_with_shifted_decomposition(monkeypatch, **shift):
-    real = frustra.verify.excess_decomposition
+    real = frustra.verify.proof_step_check
 
     def broken(splitting, report):
         dec = real(splitting, report)
         return dataclasses.replace(dec, **{k: getattr(dec, k) + v for k, v in shift.items()})
 
-    monkeypatch.setattr(frustra.verify, "excess_decomposition", broken)
+    monkeypatch.setattr(frustra.verify, "proof_step_check", broken)
     return saturation_suite(instances=4)
 
 
@@ -288,14 +286,16 @@ def test_an_undefined_bound_gives_a_record_with_no_excess():
 
 
 def test_saturation_suite_decomposes_each_ground_state_once(monkeypatch):
-    """One Schmidt decomposition gives the model's ground projector and its entanglement, whatever the gammas."""
+    """One Schmidt decomposition gives the model's ground projector and its entanglement, whatever the gammas; each
+    record's proof-step check decomposes its kept component, a product state, once more."""
     calls = []
     real = frustra.entanglement.schmidt
     monkeypatch.setattr(frustra.entanglement, "schmidt", lambda psi: calls.append(psi) or real(psi))
     for gammas in (GAMMAS, (0.5,) + GAMMAS):
         calls.clear()
         assert saturation_suite(instances=4, gammas=gammas).ok
-        assert len(calls) == 4
+        products = [real(psi).coefficients[0] ** 2 > 1 - 1e-9 for psi in calls]
+        assert products == ([False] + [True] * len(gammas)) * 4
 
 
 def test_schmidt_splittings_read_the_model_s_decomposition(monkeypatch):
