@@ -22,9 +22,11 @@ subspace are found by index arithmetic: in row-major order the states that
 differ from flat index f at site s only are base + stride * arange(d_s),
 with stride = prod(dims[s+1:]).
 
-``state_entanglement``, ``ground_entanglement``, ``analyze_ground`` and
-``analyze_excited`` take one input or a sequence (for analyze_ground, a
-family's splitting) and give one result or the list, each bit for bit its own.
+``state_entanglement``, ``analyze_ground`` and ``analyze_excited`` take one
+input or a sequence (for analyze_ground, a family's splitting) and give one
+result or the list, each bit for bit its own.  A state's entanglement is
+measured once per options and kept on the state, so every splitting of a
+model reads its ground state's back.
 Every report's JSON keys are its dataclass fields, in declaration order.
 """
 
@@ -57,44 +59,22 @@ DEFAULT_ENT_OPTS = EntanglementOptions()
 
 
 def state_entanglement(psi: ent.PureState | Sequence[ent.PureState], opts: EntanglementOptions = DEFAULT_ENT_OPTS):
-    """(value, method): exact Schmidt route for two parties, alternating otherwise; for a sequence of states with
-    equal dims, the list of theirs from one batched call, each bit for bit what its state alone gives."""
+    """(value, method) of a state, kept in its ``entanglement_memo`` per options: exact Schmidt route for two
+    parties, alternating otherwise.  For a sequence of states with equal dims, the list of theirs; those not yet
+    measured under opts go to one batched call, each bit for bit what its state alone gives."""
     one = isinstance(psi, ent.PureState)
     psis = [psi] if one else psi
-    if psis and psis[0].num_sites == 2:
-        res = ent.geometric_measure_bipartite(psi)
-    else:
-        measure = ent.geometric_measure_multipartite if one else ent.geometric_measures_multipartite
-        res = measure(psi, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
-    return (res.value, res.method) if one else [(r.value, r.method) for r in res]
-
-
-def ground_entanglement(model: SpinModel | Sequence[SpinModel], opts: EntanglementOptions = DEFAULT_ENT_OPTS):
-    """(value, method) of the model's ground state, computed once per options.
-
-    The ground state is the one the model keeps (``model.ground_state``), so
-    the result depends only on (model, opts); it is kept in
-    ``model.entanglement_memo`` and shared by every splitting of the model.
-    A two-site model's comes from the decomposition it keeps
-    (``model.ground_schmidt``), so its ground state is decomposed once.
-    Given a sequence of models with equal dims, the list of their results;
-    those not yet kept come from one state_entanglement call.
-    """
-    if not isinstance(model, SpinModel):
-        memos = [m.entanglement_memo for m in model]
-        results = [memo.get(opts) for memo in memos]
-        unmeasured = [i for i, res in enumerate(results) if res is None]
-        for i, res in zip(unmeasured, state_entanglement([model[i].ground_state for i in unmeasured], opts)):
-            results[i] = memos[i][opts] = res
-        return results
-    memo = model.entanglement_memo
-    if opts not in memo:
-        if model.num_sites == 2:
-            res = ent.geometric_measure_bipartite(model.ground_state, model.ground_schmidt)
-            memo[opts] = res.value, res.method
+    todo = [p for p in psis if opts not in p.entanglement_memo]
+    if todo:
+        unmeasured = todo[0] if one else todo
+        if todo[0].num_sites == 2:
+            res = ent.geometric_measure_bipartite(unmeasured)
         else:
-            memo[opts] = state_entanglement(model.ground_state, opts)
-    return memo[opts]
+            measure = ent.geometric_measure_multipartite if one else ent.geometric_measures_multipartite
+            res = measure(unmeasured, restarts=opts.restarts, tol=opts.tol, max_iters=opts.max_iters, seed=opts.seed)
+        for p, r in zip(todo, [res] if one else res):
+            p.entanglement_memo[opts] = r.value, r.method
+    return psi.entanglement_memo[opts] if one else [p.entanglement_memo[opts] for p in psis]
 
 
 def local_coefficients(spec: LocalSpectrum, vector: np.ndarray) -> np.ndarray:
@@ -217,7 +197,7 @@ def analyze_ground(splitting: Splitting, ent_opts: EntanglementOptions = DEFAULT
     psi = models[0].ground.vector if one else np.array([m.spectrum.eigenvectors for m in models])[:, :, 0]
     spec = splitting.local
     e0_i, e_i_max = interaction_extremes(splitting)
-    measured = ground_entanglement(splitting.model, ent_opts)
+    measured = state_entanglement(models[0].ground_state if one else [m.ground_state for m in models], ent_opts)
     given = (spec.e0, spec.delta_e_ent, e0_i, e_i_max,
              splitting.local_expectation(psi), splitting.interaction_expectation(psi))
     reports = [ground_report(m, ms, *values) for m, ms, values in

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +57,13 @@ _STACK_BYTES_CAP = 16 * 2**20
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector over the product basis of listed site dims; it keeps a read-only copy."""
+    """Normalized state vector over the product basis of listed site dims; it keeps a read-only copy.
+
+    A state keeps what is measured of it: a two-party state's Schmidt
+    decomposition (``schmidt_decomposition``) and, per set of entanglement
+    options, its (value, method) result (``entanglement_memo``, filled by
+    ``bounds.state_entanglement``); both are freed with the state.
+    """
 
     amplitudes: np.ndarray
     dims: tuple[int, ...]
@@ -90,6 +96,19 @@ class PureState:
 
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
+
+    @cached_property
+    def schmidt_decomposition(self) -> SchmidtDecomposition:
+        """schmidt of this two-party state, read-only, computed once."""
+        dec = schmidt(self)
+        for a in (dec.coefficients, dec.left_vectors, dec.right_vectors):
+            a.flags.writeable = False
+        return dec
+
+    @cached_property
+    def entanglement_memo(self) -> dict:
+        """(value, method) results keyed by the options that made them."""
+        return {}
 
 
 def product_state(vectors: Sequence[np.ndarray]) -> PureState:
@@ -170,14 +189,14 @@ def schmidt(psi: PureState | Sequence[PureState]) -> SchmidtDecomposition:
     return SchmidtDecomposition(dec.singular_values, dec.left, dec.right.conj())
 
 
-def geometric_measure_bipartite(psi: PureState | Sequence[PureState], dec: SchmidtDecomposition | None = None):
-    """Exact geometric measure 1 - lambda_0^2 of a two-party state, from its Schmidt decomposition dec if given:
-    the maximizer is the top Schmidt pair.  For a sequence of states with equal dims (and their stacked dec), the
-    list of theirs from one SVD for all, each bit for bit what a call for its state alone gives; [] for []."""
+def geometric_measure_bipartite(psi: PureState | Sequence[PureState]):
+    """Exact geometric measure 1 - lambda_0^2 of a two-party state, from the Schmidt decomposition it keeps: the
+    maximizer is the top Schmidt pair.  For a sequence of states with equal dims, the list of theirs from one SVD
+    for all, each bit for bit what a call for its state alone gives; [] for []."""
     one = isinstance(psi, PureState)
     if not one and not psi:
         return []
-    dec = schmidt(psi) if dec is None else dec
+    dec = psi.schmidt_decomposition if one else schmidt(psi)
     results = _results((psi,) if one else psi, [np.reshape(v[..., 0], (-1, v.shape[-2]))
                                                 for v in (dec.left_vectors, dec.right_vectors)], "schmidt_exact")
     return results[0] if one else results

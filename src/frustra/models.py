@@ -32,13 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import entanglement as ent
-from .errors import (
-    DimensionCapError,
-    InvalidAssignmentError,
-    InvalidBipartitionError,
-    NonHermitianTermError,
-    NotBipartiteError,
-)
+from .errors import DimensionCapError, InvalidAssignmentError, InvalidBipartitionError, NonHermitianTermError
 from .linalg import (
     RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, GroundState, _as_matrix, _require_finite,
     eigvalsh, ground_eig, hermitian_eig, tol_scale,
@@ -205,26 +199,6 @@ class SpinModel:
     def ground_state(self) -> ent.PureState:
         """The ground vector as a read-only PureState, built once and shared by every report."""
         return ent.PureState(self.ground.vector, self.dims)
-
-    @cached_property
-    def ground_schmidt(self) -> ent.SchmidtDecomposition:
-        """The Schmidt decomposition of a two-site model's ground state, read-only, computed once."""
-        if self.num_sites != 2:  # before any solve
-            raise NotBipartiteError(f"model has {self.num_sites} sites; regroup it into two parties first")
-        dec = ent.schmidt(self.ground_state)
-        for a in (dec.coefficients, dec.left_vectors, dec.right_vectors):
-            _read_only(a)
-        return dec
-
-    @cached_property
-    def entanglement_memo(self) -> dict:
-        """Ground-state entanglement results, keyed by the options that made them.
-
-        The ground state depends only on the model, so ``bounds`` fills this
-        once per set of entanglement options and every splitting of the
-        model reads it back; it is freed with the model.
-        """
-        return {}
 
     @property
     def num_sites(self) -> int:

@@ -9,7 +9,8 @@ Sweeping gamma downward therefore drives the bound toward the ground-state
 entanglement from above; exact saturation is impossible away from the
 extreme values, so the excess stays strictly positive.  A tie at the
 largest Schmidt coefficient is not flagged: the construction holds for any
-choice of a0, and the first vector of the model's ``ground_schmidt`` is used.
+choice of a0, and the first left vector of the Schmidt decomposition the
+ground state keeps (``PureState.schmidt_decomposition``) is used.
 
 For every gamma the local side is closed form, with P = |a0><a0|:
 E0_L = -gamma, delta_e_ent = gamma and <H_L> = -gamma <P x I>.  Only the
@@ -23,14 +24,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import FrustrationReport, ground_entanglement, ground_report
+from .bounds import FrustrationReport, ground_report, state_entanglement
+from .errors import NotBipartiteError
 from .linalg import MIN_GAP, STACK_ENTRIES, STRUCTURAL_TOL, eigvalsh, tol_scale
 from .models import OperatorTerm, SpinModel, Splitting, build_dense, dense_terms, expectation
 
 
 def ground_projector(model: SpinModel) -> np.ndarray:
-    """|a0><a0|, a0 the first left vector of the model's ground Schmidt decomposition."""
-    a0 = model.ground_schmidt.left_vectors[:, 0]
+    """|a0><a0|, a0 the first left vector of the ground state's Schmidt decomposition."""
+    if model.num_sites != 2:  # before any solve
+        raise NotBipartiteError(f"model has {model.num_sites} sites; regroup it into two parties first")
+    a0 = model.ground_state.schmidt_decomposition.left_vectors[:, 0]
     return np.outer(a0, a0.conj())
 
 
@@ -81,12 +85,12 @@ def saturation_sweep(model: SpinModel, gammas: Sequence[float]) -> tuple[SweepRe
     H_I is solved alone.
     """
     gs = validate_gammas(gammas)
-    # the projector first: ground_schmidt refuses a model of more than two sites before any solve
+    # the projector first: it refuses a model of more than two sites before any solve
     p_i = dense_terms((OperatorTerm(1.0, [(0, ground_projector(model))]),), model.dims)
     psi = model.ground.vector
     h = build_dense(model)
     w = float(expectation(p_i, psi))
-    measured = ground_entanglement(model)
+    measured = state_entanglement(model.ground_state)
     records = []
     per = max(1, STACK_ENTRIES // h.size)
     for lo in range(0, len(gs), per):

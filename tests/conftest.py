@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-settings.load_profile("frustra")
+# CI runs the reference tests on more draws: HYPOTHESIS_PROFILE=ci
+settings.register_profile("ci", settings.get_profile("frustra"), max_examples=200)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "frustra"))
 
 
 @pytest.fixture

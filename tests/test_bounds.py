@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import frustra.bounds
+import frustra.entanglement
 import frustra.verify
 from frustra.bounds import (
     EntanglementOptions,
@@ -14,7 +15,6 @@ from frustra.bounds import (
     analyze_ground,
     json_values,
     delta_j_ent,
-    ground_entanglement,
     local_coefficients,
     proof_step_check,
     state_entanglement,
@@ -431,7 +431,35 @@ def test_ground_entanglement_is_kept_per_options():
         assert [analyze_ground(s, opts).entanglement for s in splits] == [want, want]
         values.append(want)
     assert values[0] != values[1]  # the options matter for this state
-    assert len(model.entanglement_memo) == 2
+    assert len(model.ground_state.entanglement_memo) == 2
+
+
+def first_args(monkeypatch, module, name) -> list:
+    """The first argument of each call of module.name, in call order."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda arg, *args, **kwargs: calls.append(arg) or real(arg, *args, **kwargs))
+    return calls
+
+
+def test_a_state_is_measured_once_per_options(monkeypatch):
+    calls = first_args(monkeypatch, frustra.entanglement, "geometric_measures_multipartite")
+    psi = random_state(np.random.default_rng(3), (2, 2, 2))
+    first = state_entanglement(psi, FAST)
+    assert state_entanglement(psi, EntanglementOptions(restarts=8)) == first  # equal options, one run
+    assert len(calls) == 1
+    state_entanglement(psi, EntanglementOptions(restarts=0, max_iters=1))
+    assert len(calls) == 2 and len(psi.entanglement_memo) == 2
+
+
+@pytest.mark.parametrize("dims, route", [((2, 2, 2), "geometric_measures_multipartite"), ((2, 3), "schmidt")])
+def test_a_sequence_measures_only_its_unmeasured_states(monkeypatch, dims, route):
+    psis = [random_state(np.random.default_rng(seed), dims) for seed in range(5)]
+    fresh = [state_entanglement(PureState(p.amplitudes, dims), FAST) for p in psis]
+    for p in psis[::2]:
+        state_entanglement(p, FAST)
+    calls = first_args(monkeypatch, frustra.entanglement, route)
+    assert state_entanglement(psis, FAST) == fresh
+    assert calls == [psis[1::2]]
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +580,13 @@ def test_a_family_shares_its_dims_and_term_sites():
     (lambda: geometric_measure_bipartite([]), []),
     (lambda: geometric_measures_multipartite([]), []),
     (lambda: state_entanglement([]), []),
-    (lambda: ground_entanglement([]), []),
     (lambda: analyze_excited(split(ising2(1.0)), []), []),
     (lambda: schmidt([]), "at least one state"),  # one stacked decomposition: there is none of nothing
     (lambda: split([]), "family"),  # one Splitting, likewise
     (lambda: perturbation_trial(1, []), []),
     (lambda: hermitian_instance(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), [1]), "stack"),  # one stacked instance
-], ids=["geometric_measure_bipartite", "geometric_measures_multipartite", "state_entanglement",
-        "ground_entanglement", "analyze_excited", "schmidt", "split", "perturbation_trial", "hermitian_instance"])
+], ids=["geometric_measure_bipartite", "geometric_measures_multipartite", "state_entanglement", "analyze_excited",
+        "schmidt", "split", "perturbation_trial", "hermitian_instance"])
 def test_an_empty_sequence_gives_an_empty_list_or_a_value_error(call, want):
     if want == []:
         assert call() == []

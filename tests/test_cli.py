@@ -548,7 +548,11 @@ def test_analyze_classical_chain_on_the_ground_tier(capsys):
     ["sweep", "--grid", "0.01:5:48"],
     ["saturate", "--model", str(Path(__file__).parent / "data" / "saturate_qutrit_model.json"),
      "--gammas", "1e-1,1e-2,1e-3"],
-], ids=lambda argv: argv[0])
+    # below the README's two exceptions: excited at d = 64, and the ground tier at d = 256, a power of two
+    ["excited", "--model", str(Path(__file__).parent / "data" / "zz_chain6_model.json"), "--j", "0..7",
+     "--format", "csv"],
+    ["analyze", "--model", str(Path(__file__).parent / "data" / "classical_chain8_model.json")],
+], ids=["analyze", "excited", "sweep", "saturate", "excited-zz-chain6", "analyze-classical-chain8"])
 def test_stdout_does_not_depend_on_blas_threads(argv):
     # the optimizer's per-state GEMMs and the dense solvers must round alike on 1 and 2 threads
     outs = [subprocess.run([sys.executable, "-m", "frustra.cli", *argv], capture_output=True,

@@ -115,6 +115,21 @@ def test_schmidt_bad_bipartition():
             route(GHZ3)
 
 
+def test_a_two_party_state_keeps_its_decomposition(monkeypatch):
+    psi = random_state(np.random.default_rng(7), (2, 3))
+    want = schmidt(psi)
+    calls = []
+    real = frustra.entanglement.schmidt
+    monkeypatch.setattr(frustra.entanglement, "schmidt", lambda p: calls.append(p) or real(p))
+    dec = psi.schmidt_decomposition
+    for got, kept in zip((dec.coefficients, dec.left_vectors, dec.right_vectors),
+                         (want.coefficients, want.left_vectors, want.right_vectors)):
+        assert got.dtype == kept.dtype and got.tobytes() == kept.tobytes() and not got.flags.writeable
+    assert psi.schmidt_decomposition is dec
+    geometric_measure_bipartite(psi)  # reads the kept decomposition
+    assert calls == [psi]
+
+
 @given(st.integers(0, 5_000))
 def test_schmidt_weights_and_reconstruction(seed):
     psi = random_state(np.random.default_rng(seed), (2, 3))
@@ -482,9 +497,6 @@ def test_bipartite_single_is_its_batch_member():
     for psi, got in zip(psis, batch):
         assert_same_result(geometric_measure_bipartite(psi), got)
         assert_same_result(geometric_measure_bipartite([psi])[0], got)
-        # a state's own decomposition, passed as it is
-        assert_same_result(geometric_measure_bipartite(psi, schmidt(psi)), got)
-    assert_same_result(geometric_measure_bipartite(psis, schmidt(psis))[2], batch[2])
 
 
 def assert_close_json(got, want, path="$"):

@@ -1,5 +1,5 @@
 """analyze_ground, proof_step_check and analyze_excited against tests/reference.py, which builds every operator as a
-full np.kron chain from the README's definitions: on random 2- and 3-site models, the built-in ones, a chain on the
+full np.kron chain from the README's definitions: on random models of 2 to 4 sites, the built-in ones, chains on the
 ground tier, a classical chain and Schmidt splittings."""
 
 from pathlib import Path
@@ -47,17 +47,17 @@ def _factor(rng, d, kind) -> np.ndarray:
     return (z + z.conj().T) / 2
 
 
-def _models(seed, count, sites=None, min_fields=0):
+def _models(seed, count, sites=None, min_fields=0, max_dim=3):
     """``count`` random models that share their dims and the sites of each term, and the indices of their degree-1
-    terms.  A model has ``sites`` sites, or 2-3; each site gets min_fields-2 field terms, each pair of sites a bond or
-    not, a 3-site model sometimes a 3-body term; the factors are real diagonal, real or complex per member, or every
-    bond factor diagonal."""
+    terms.  A model has ``sites`` sites, or 2-3, each of dimension 2 to max_dim; each site gets min_fields-2 field
+    terms, each pair of sites a bond or not, a model of 3 or more sites sometimes a term on all of them; the factors
+    are real diagonal, real or complex per member, or every bond factor diagonal."""
     rng = np.random.default_rng(seed)
-    dims = tuple(int(d) for d in rng.integers(2, 4, size=rng.integers(2, 4) if sites is None else sites))
+    dims = tuple(int(d) for d in rng.integers(2, max_dim + 1, size=rng.integers(2, 4) if sites is None else sites))
     n = len(dims)
     sites = [(s,) for s in range(n) for _ in range(rng.integers(min_fields, 3))]
     sites += [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.8] or [(0, 1)]
-    sites += [tuple(range(n))] if n == 3 and rng.random() < 0.5 else []
+    sites += [tuple(range(n))] if n >= 3 and rng.random() < 0.5 else []
     diagonal_bonds = rng.random() < 0.3
     models = []
     for m in range(count):
@@ -69,10 +69,8 @@ def _models(seed, count, sites=None, min_fields=0):
     return models, [i for i, ss in enumerate(sites) if len(ss) == 1]
 
 
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_ground_reports_match_the_reference(seed, explicit):
+def assert_family_matches_reference(seed, explicit, models, fields):
     """One model and a family of three, under the default split or with a random subset of the fields local."""
-    models, fields = _models(seed, 4)
     rng = np.random.default_rng([seed, 1])
     local = sorted(int(i) for i in fields if rng.random() < 0.5) if explicit else fields
     one, family = models[0], models[1:]
@@ -81,7 +79,26 @@ def test_ground_reports_match_the_reference(seed, explicit):
         assert_matches_reference(report, model, local)
 
 
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_ground_reports_match_the_reference(seed, explicit):
+    """Models of 2-3 sites with dims 2-3."""
+    assert_family_matches_reference(seed, explicit, *_models(seed, 4))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_four_qubit_reports_match_the_reference(seed, explicit):
+    assert_family_matches_reference(seed, explicit, *_models(seed, 4, sites=4, max_dim=2))
+
+
 CLASSICAL = load_model(Path(__file__).parent / "data" / "classical_chain8_model.json")
+
+
+def seeded_chain(n: int, seed: int) -> SpinModel:
+    """-sum g_i X_i - sum J_i Z_i Z_{i+1}, g_i uniform in [0.5, 2] and J_i in [0.5, 1.5], drawn from seed."""
+    rng = np.random.default_rng(seed)
+    terms = [OperatorTerm(-g, [(i, "X")]) for i, g in enumerate(rng.uniform(0.5, 2.0, n))]
+    terms += [OperatorTerm(-j, [(i, "Z"), (i + 1, "Z")]) for i, j in enumerate(rng.uniform(0.5, 1.5, n - 1))]
+    return SpinModel(f"chain{n}-seed{seed}", (2,) * n, tuple(terms))
 
 
 @pytest.mark.parametrize("model, local", [
@@ -91,6 +108,12 @@ CLASSICAL = load_model(Path(__file__).parent / "data" / "classical_chain8_model.
 ], ids=["ising2", "ising2-one-field", "chain3", "chain3-middle-field", "triangle", "chain8", "classical-chain8"])
 def test_named_models_match_the_reference(model, local):
     assert_matches_reference(analyze_ground(split(model, local), CHEAP), model, local)
+
+
+def test_a_seeded_chain_on_the_ground_tier_matches_the_reference():
+    model = seeded_chain(9, 512)  # d = 512
+    assert_matches_reference(analyze_ground(split(model), CHEAP), model, list(range(9)))
+    assert "spectrum" not in vars(model)  # the ground tier certified its state: H was never fully decomposed
 
 
 PROOF_FIELDS = ("sum_alpha_sq", "weight_bound", "excess", "overshoot_local", "overshoot_interaction",

@@ -308,7 +308,7 @@ def test_schmidt_splittings_read_the_model_s_decomposition(monkeypatch):
     for gamma in GAMMAS:
         schmidt_splitting(model, gamma)
     assert len(calls) == 1
-    dec = model.ground_schmidt
+    dec = model.ground_state.schmidt_decomposition
     assert not any(a.flags.writeable for a in (dec.coefficients, dec.left_vectors, dec.right_vectors))
 
 
