@@ -177,11 +177,9 @@ def _build_splitting(args):
             raise ConfigError(f"bad split file {path!r}: {exc}") from exc
     if spec.startswith("schmidt:"):
         try:
-            gamma = float(spec[len("schmidt:"):])
-        except ValueError:
-            raise ConfigError(f"bad schmidt gamma in {spec!r}") from None
-        if not 0 < gamma < np.inf:
-            raise ConfigError(f"schmidt gamma must be positive and finite, got {spec!r}")
+            (gamma,) = validate_gammas([spec[len("schmidt:"):]])
+        except ValueError as exc:
+            raise ConfigError(f"bad schmidt gamma in {spec!r}: {exc}") from None
         return schmidt_splitting(model, gamma)
     raise ConfigError(f"unknown --split value {spec!r}")
 

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotBipartiteError, OracleScaleError
-from .linalg import OPTIMIZER_TOL, RECONSTRUCTION_TOL, STRUCTURAL_TOL, fix_phases, svd
+from .linalg import OPTIMIZER_TOL, RECONSTRUCTION_TOL, STRUCTURAL_TOL, _lapack, fix_phases, svd
 
 DEFAULT_RESTARTS = 32
 DEFAULT_TOL = OPTIMIZER_TOL
@@ -369,9 +369,9 @@ def _grid_pass(tensor_conj, candidate_sets):
     for k, (cands, _, _) in enumerate(candidate_sets):
         # x: (c_0..c_{k-1}, d_k, d_{k+1}..) -> contract d_k against candidates
         x = np.moveaxis(np.tensordot(cands, x, axes=([1], [k])), 0, k)
-    tops = np.linalg.svd(x, compute_uv=False)[..., 0]
+    tops = _lapack(np.linalg.svd, x, compute_uv=False)[..., 0]
     idx = np.unravel_index(int(np.argmax(tops)), tops.shape)
-    u, s, vh = np.linalg.svd(x[idx])
+    u, s, vh = _lapack(np.linalg.svd, x[idx])
     return float(s[0]), idx, (u[:, 0].conj(), vh[0].conj())
 
 

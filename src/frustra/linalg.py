@@ -604,6 +604,6 @@ def appendix_norm_check(s) -> bool:
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary, deterministic given the generator state."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
+    q, r = _lapack(np.linalg.qr, z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

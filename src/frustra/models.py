@@ -34,8 +34,8 @@ import numpy as np
 from . import entanglement as ent
 from .errors import DimensionCapError, InvalidAssignmentError, InvalidBipartitionError, NonHermitianTermError
 from .linalg import (
-    RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, GroundState, _as_matrix, _require_finite,
-    eigvalsh, ground_eig, hermitian_eig, tol_scale,
+    RECONSTRUCTION_TOL, ROUNDOFF_TOL, ZERO_COEFF, EigenDecomposition, GroundState, _as_matrix, _lapack,
+    _require_finite, eigvalsh, ground_eig, hermitian_eig, tol_scale,
 )
 
 DEFAULT_DIM_CAP = 4096
@@ -593,7 +593,7 @@ def dense_bipartite_model(h: np.ndarray, dims: tuple[int, int], name: str = "den
         raise NonHermitianTermError("input matrix is not Hermitian")
     basis_a, basis_b = _hermitian_basis(da), _hermitian_basis(db)
     coeffs = np.einsum("aji,blk,ikjl->ab", basis_a, basis_b, h.reshape(da, db, da, db)).real
-    u, s, vt = np.linalg.svd(coeffs, full_matrices=False)
+    u, s, vt = _lapack(np.linalg.svd, coeffs, full_matrices=False)
     ops_a = np.tensordot(u.T, basis_a, axes=1)
     ops_b = np.tensordot(vt, basis_b, axes=1)
     terms = tuple(OperatorTerm(c, [(0, a), (1, b)]) for c, a, b in zip(s, ops_a, ops_b) if c >= ZERO_COEFF)

@@ -41,12 +41,11 @@ def ground_projector(model: SpinModel) -> np.ndarray:
 def schmidt_splitting(model: SpinModel, gamma: float) -> Splitting:
     """Build the rank-1 local splitting from the ground state's Schmidt form.
 
-    The per-site gaps are (gamma, 0), so delta_e_ent equals gamma by
-    construction.  A tie at the largest Schmidt coefficient is not flagged;
-    the first index is used, and the construction stays valid for any choice.
+    gamma passes validate_gammas, so it is at least MIN_GAP.  The per-site gaps are (gamma, 0), so delta_e_ent
+    equals gamma to round-off: this local side is eigensolved, where saturation_sweep's is closed form.  A tie at
+    the largest Schmidt coefficient is not flagged; the first index is used, valid for any choice of a0.
     """
-    if not 0 < gamma < np.inf:  # NaN fails every comparison
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    (gamma,) = validate_gammas([gamma])
     return Splitting(model, (OperatorTerm(-gamma, [(0, ground_projector(model))]),))
 
 

@@ -20,7 +20,7 @@ from .bounds import analyze_ground, proof_step_check
 from .errors import DegenerateSeparationError, FrustraError
 from .linalg import (
     MIN_GAP, ORACLE_EXACT_TOL, ORACLE_GRID_TOL, ORACLE_W_TOL, ROUNDOFF_TOL, STACK_ENTRIES, STRUCTURAL_TOL, TOL_ENT,
-    NormKind, appendix_norm_check, haar_unitary, tol_scale, ui_norm,
+    NormKind, _lapack, appendix_norm_check, haar_unitary, op_norm, tol_scale, ui_norm,
 )
 from .models import (
     OperatorTerm,
@@ -51,7 +51,7 @@ def gaussian_hermitian(rng: np.random.Generator, n: int, norm: float | None = No
 
 def _normalized(h: np.ndarray, norm) -> np.ndarray:
     """h rescaled to operator norm ``norm``, or each matrix of a stack to its own entry of an array of norms."""
-    current = np.linalg.svd(h, compute_uv=False)[..., 0]  # np.linalg.norm(h, 2) of each matrix
+    current = _lapack(np.linalg.svd, h, compute_uv=False)[..., 0]  # np.linalg.norm(h, 2) of each matrix
     if not current.all():
         raise ValueError("zero draw cannot be normalized")
     return h * (norm / current)[..., None, None]
@@ -92,7 +92,7 @@ def random_weak_chain(rng: np.random.Generator) -> SpinModel:
         a, b = gaussian_hermitian(rng, 2, norm=1.0, lead=(2,))
         couplings.append(OperatorTerm(1.0, [(left, a), (left + 1, b)]))
     h_i = dense_terms(couplings, (2, 2, 2))
-    current = float(np.linalg.norm(h_i, 2))
+    current = op_norm(h_i)
     target = min(gaps) / 10.0 * rng.uniform(0.3, 1.0)
     scaled = [OperatorTerm(t.coeff * target / current, t.factors) for t in couplings]
     return SpinModel(name="weak3", dims=(2, 2, 2), terms=tuple(local_terms + scaled))
@@ -279,7 +279,7 @@ def _trial_stack(seed: int, trials: list, attempt: int, dims) -> dict:
         b, c = _normalized(draws, norms).swapaxes(0, 1)
         inst = hermitian_instance(b, c, range(n // 2, n))
         done = {t: rep for t, rep, far in zip(trials, check_theorem(inst), inst.delta_a >= 0.02) if far}
-    except (FrustraError, ValueError, ArithmeticError) as exc:  # ValueError covers LinAlgError
+    except (FrustraError, ValueError, ArithmeticError) as exc:  # ValueError: a zero draw, or entries not finite
         if len(trials) > 1:
             return {t: out for one in trials for t, out in _trial_stack(seed, [one], attempt, dims).items()}
         done = {} if isinstance(exc, DegenerateSeparationError) else {trials[0]: exc}

@@ -314,7 +314,10 @@ CONFIG_MESSAGES = {
     "three-sided-bipartition": (["analyze", "--model", "chain3", "--bipartition", "A|B|C"],
                                 "bipartition must have exactly two sides, got 'A|B|C'"),
     "schmidt-gamma-not-a-number": (["analyze", "--model", "ising2", "--split", "schmidt:abc"],
-                                   "bad schmidt gamma in 'schmidt:abc'"),
+                                   "bad schmidt gamma in 'schmidt:abc': could not convert string to float: 'abc'"),
+    # below MIN_GAP the bound would fall under the entanglement it bounds
+    "schmidt-gamma-below-the-floor": (["analyze", "--model", "ising2", "--split", "schmidt:1e-8"],
+                                      "bad schmidt gamma in 'schmidt:1e-8': smallest gamma must be >= 1e-06"),
     "grid-of-two-parts": (["sweep", "--grid", "1:2"], "--grid expects MIN:MAX:N, got '1:2'"),
 }
 
@@ -422,6 +425,14 @@ def test_analyze_schmidt_split(capsys):
     report = json.loads(out)
     assert abs(report["delta_e_ent"] - 0.01) < 1e-10
     assert report["ef_bound"] >= report["entanglement"] - 1e-9
+
+
+def test_a_schmidt_gamma_at_the_floor_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--model", "ising2", "--split", "schmidt:1e-6")
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["delta_e_ent"] - 1e-6) < 1e-15
+    assert report["ef_bound"] >= report["entanglement"]
 
 
 def test_analyze_out_file(tmp_path, capsys):

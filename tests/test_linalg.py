@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from frustra import linalg, models
+from frustra import entanglement, linalg, models, verify
 from frustra.cli import main
 from frustra.errors import NoConvergenceError, NotHermitianError
 from frustra.linalg import (
@@ -240,13 +240,22 @@ def test_a_lapack_failure_is_no_convergence(monkeypatch, capsys):
         patch.setattr(np.linalg, "cholesky", fail)
         assert linalg._positive_definite(big, psi, c, lowest - 1.0) is None
 
-    for name in ("eigh", "eigvalsh", "svd"):
+    h4 = random_hermitian(rng, 4)
+    bell = entanglement.PureState.normalized([1.0, 0.0, 0.0, 1.0], (2, 2))
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
         monkeypatch.setattr(np.linalg, name, fail)
     solvers = (hermitian_eig, eigvalsh, svd, singular_values, op_norm, ground_eig,
                lambda x: psd_leq(x, 2 * x), lambda x: psd_leq(past, x))
     for solve in solvers:
         with pytest.raises(NoConvergenceError, match="did not converge"):
             solve(big if solve is ground_eig else m)
+    # the factorizations outside linalg's solvers: the ensembles, the operator-Schmidt model and the oracle
+    outside = (lambda: verify.gaussian_hermitian(rng, 4, norm=1.0), lambda: verify.random_weak_chain(rng),
+               lambda: models.dense_bipartite_model(h4, (2, 2)),
+               lambda: entanglement.brute_force_geometric_measure(bell), lambda: haar_unitary(2, rng))
+    for call in outside:
+        with pytest.raises(NoConvergenceError, match="did not converge"):
+            call()
     assert main(["analyze", "--model", "chain3"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "did not converge" in err

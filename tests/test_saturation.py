@@ -118,8 +118,14 @@ def test_schmidt_splitting_rejects_a_non_finite_gamma(gamma):
     """Refused up front, naming gamma, before any splitting arithmetic can warn."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        with pytest.raises(ValueError, match="must be positive and finite"):
             schmidt_splitting(ising2(1.0), gamma)
+
+
+def test_schmidt_splitting_refuses_a_gamma_below_the_floor():
+    """saturation_sweep's MIN_GAP floor: below it E_f / gamma would amplify eigensolver noise."""
+    with pytest.raises(ValueError, match=r"smallest gamma must be >= 1e-06"):
+        schmidt_splitting(ising2(1.0), 5e-7)
 
 
 Y_COUPLED = SpinModel("y-coupled", (2, 2), (

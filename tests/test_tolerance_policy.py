@@ -3,7 +3,8 @@
 
 These tests read the package source with ``ast``, so a bare tolerance
 literal or a hand-written ``max(1.0, ...)`` scale (or ``np.fmax`` / ``np.maximum``
-of 1.0) anywhere else fails them.
+of 1.0) anywhere else fails them, and so does a LAPACK call that does not go
+through ``linalg._lapack``.
 """
 
 import ast
@@ -72,6 +73,33 @@ def test_every_scale_goes_through_tol_scale():
                     and not lo <= node.lineno <= hi):
                 hand_written.append(f"{path.name}:{node.lineno}")
     assert not hand_written, "max(1.0, ...) scales outside tol_scale: " + ", ".join(hand_written)
+
+
+def _np_linalg(node, names) -> bool:
+    """node is np.linalg.<one of names>."""
+    return (isinstance(node, ast.Attribute) and node.attr in names and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg" and getattr(node.value.value, "id", None) == "np")
+
+
+def test_every_lapack_call_goes_through_lapack():
+    """A LAPACK failure is NoConvergenceError on every route: each np.linalg eigh, eigvalsh, svd and qr is the
+    first argument of a _lapack(...) call, and cholesky and solve live in linalg._factor alone, whose
+    LinAlgError is the certificate's refusal."""
+    stray, wrapped_names = [], set()
+    for path, tree in _sources():
+        wrapped = {id(node.args[0]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lapack" and node.args}
+        lo, hi = _function_lines(tree, "_factor") if path.name == "linalg.py" else (0, -1)
+        for node in ast.walk(tree):
+            if _np_linalg(node, ("eigh", "eigvalsh", "svd", "qr")):
+                if id(node) in wrapped:
+                    wrapped_names.add(node.attr)
+                else:
+                    stray.append(f"{path.name}:{node.lineno}: np.linalg.{node.attr}")
+            if _np_linalg(node, ("cholesky", "solve")) and not lo <= node.lineno <= hi:
+                stray.append(f"{path.name}:{node.lineno}: np.linalg.{node.attr} outside _factor")
+    assert not stray, "LAPACK calls outside _lapack: " + ", ".join(stray)
+    assert wrapped_names == {"eigh", "eigvalsh", "svd", "qr"}
 
 
 def test_constants_block_is_documented():
