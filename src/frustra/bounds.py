@@ -245,11 +245,11 @@ class ProofStepDiagnostics:
         return self.excess - (self.overshoot_local + self.overshoot_interaction + self.entanglement_gap)
 
 
-def proof_step_check(splitting: Splitting, report: FrustrationReport,
+def proof_step_check(spec: LocalSpectrum, report: FrustrationReport,
                      ent_opts: EntanglementOptions = DEFAULT_ENT_OPTS) -> ProofStepDiagnostics:
-    """Recompute the cut expansion of the splitting's ground-state report, verify each step and split its excess."""
-    model = splitting.one_model()
-    spec = splitting.local
+    """Check each step of a ground-state report's cut expansion in one model's local spectrum and split its excess."""
+    if spec.energies.ndim > 1:
+        raise ValueError("a family's local spectrum holds many models: pass its member(m)")
     delta = spec.delta_e_ent
     if report.ef_bound is None or delta <= 0:
         raise UndefinedBoundError(f"delta_e_ent = {delta:g} leaves the bound undefined")
@@ -266,7 +266,7 @@ def proof_step_check(splitting: Splitting, report: FrustrationReport,
     truncated = truncated.reshape(-1)
     tnorm = float(np.linalg.norm(truncated))
     if tnorm > ZERO_NORM:
-        tpsi = ent.PureState.normalized(truncated, model.dims)
+        tpsi = ent.PureState.normalized(truncated, spec.dims)
         truncated_entanglement, _ = state_entanglement(tpsi, ent_opts)
         is_product = truncated_entanglement <= STRUCTURAL_TOL
     else:
@@ -371,9 +371,9 @@ def analyze_excited(splitting: Splitting, j: int | Sequence[int], ent_opts: Enta
                     ) -> ExcitedBoundReport | list[ExcitedBoundReport]:
     """Bound report for the j-th eigenstate, paired with the j-th local level.
 
-    The pairing is by sorted index on both sides.  When the maximal-overlap
-    product state belongs to a different local energy level, the report is
-    flagged (``pairing_flag``) rather than silently reassociated.
+    The pairing is by sorted index on both sides, local levels sorted stably
+    (ties in configuration order).  When the maximal-overlap product state
+    is at another local level, the report is flagged (``pairing_flag``).
 
     Given a sequence of indices, the list of their reports, in order.  The
     spectra of H and H_L, the tolerance scale and the extremes of H_I are
@@ -382,7 +382,9 @@ def analyze_excited(splitting: Splitting, j: int | Sequence[int], ent_opts: Enta
     """
     one = isinstance(j, (int, np.integer))
     js = [j] if one else j
-    dec = splitting.one_model().spectrum
+    if not isinstance(splitting.model, SpinModel):
+        raise ValueError("a family's splitting is read by analyze_ground only: split one model")
+    dec = splitting.model.spectrum
     dimension = dec.eigenvalues.size
     for i in js:
         if i < 0 or i >= dimension:
@@ -392,13 +394,14 @@ def analyze_excited(splitting: Splitting, j: int | Sequence[int], ent_opts: Enta
     e_i_0, e_i_max = interaction_extremes(splitting)
     h_norm = max(abs(e_i_0), abs(e_i_max))
     spec = splitting.local
+    order = np.argsort(spec.energies, kind="stable")
     psis = [ent.PureState(dec.eigenvectors[:, j], splitting.model.dims) for j in js]
     measured = state_entanglement(psis, ent_opts)
 
     reports = []
     for j, (value, method) in zip(js, measured):
         e_j = float(dec.eigenvalues[j])
-        flat_j = int(spec.order[j])
+        flat_j = int(order[j])
         e_l_j = float(spec.energies[flat_j])
         config_j = spec.config_of_flat(flat_j)
         delta_j, subspace = delta_j_ent(spec, config_j)

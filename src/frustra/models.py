@@ -315,12 +315,6 @@ class Splitting:
         per_site = site_operators(self.local_terms, dims)
         object.__setattr__(self, "per_site_local", tuple(_read_only(h) for h in per_site))
 
-    def one_model(self) -> SpinModel:
-        """The model of a one-model splitting; ValueError for a family's, which only bounds.analyze_ground reads."""
-        if not isinstance(self.model, SpinModel):
-            raise ValueError("a family's splitting is read by analyze_ground only: split one model")
-        return self.model
-
     @cached_property
     def _interaction(self) -> tuple[bool, np.ndarray]:
         """H_I as it is kept, read-only: (True, its (..., D) diagonal) when every factor of every term is diagonal,
@@ -444,9 +438,8 @@ class LocalSpectrum:
 
     Product-basis configurations are indexed in row-major (site-0 major)
     order, matching the tensor-product embedding, with per-site levels in
-    the eigensolver's ascending order.  ``order`` sorts configurations by
-    local energy (stable, so ties resolve in configuration order).  A
-    family's has a leading member axis on every array, delta_e_ent and e0 too.
+    the eigensolver's ascending order.  A family's has a leading member axis
+    on every array, delta_e_ent and e0 too; ``member(m)`` is member m's own.
     """
 
     dims: tuple[int, ...]
@@ -456,11 +449,12 @@ class LocalSpectrum:
     delta_e_ent: float | np.ndarray
     e0: float | np.ndarray  # E0_L, the sum of the per-site minima
     energies: np.ndarray  # product-basis energies, configuration (lex) order
-    order: np.ndarray  # argsort of energies, stable
 
-    @property
-    def dimension(self) -> int:
-        return int(self.energies.shape[-1])
+    def member(self, m: int) -> LocalSpectrum:
+        """Member m of a family's spectrum, as views of its arrays; of a family of one kind, split(models[m]).local."""
+        return LocalSpectrum(self.dims, tuple(ev[m] for ev in self.site_eigenvalues),
+                             tuple(vecs[m] for vecs in self.site_eigenvectors), self.gaps[m],
+                             float(self.delta_e_ent[m]), float(self.e0[m]), self.energies[m])
 
     def config_of_flat(self, flat: int) -> tuple[int, ...]:
         return tuple(int(c) for c in np.unravel_index(int(flat), self.dims))
@@ -500,7 +494,6 @@ def local_spectrum(splitting: Splitting) -> LocalSpectrum:
         delta_e_ent=_read_only(delta_e_ent) if lead else float(delta_e_ent),
         e0=_read_only(e0) if lead else float(e0),
         energies=_read_only(energies),
-        order=_read_only(np.argsort(energies, axis=-1, kind="stable")),
     )
 
 

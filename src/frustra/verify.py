@@ -20,7 +20,7 @@ from .bounds import analyze_ground, proof_step_check
 from .errors import DegenerateSeparationError, FrustraError
 from .linalg import (
     MIN_GAP, ORACLE_EXACT_TOL, ORACLE_GRID_TOL, ORACLE_W_TOL, ROUNDOFF_TOL, STACK_ENTRIES, STRUCTURAL_TOL, TOL_ENT,
-    NormKind, _lapack, appendix_norm_check, haar_unitary, op_norm, tol_scale, ui_norm,
+    NormKind, _lapack, appendix_norm_check, haar_unitary, op_norm, singular_values, sv_norm, tol_scale,
 )
 from .models import (
     OperatorTerm,
@@ -156,9 +156,9 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
 
     Checks E_f >= -STRUCTURAL_TOL * scale, E_f <= E_I_tot + STRUCTURAL_TOL * scale,
     and, when delta_e_ent > MIN_GAP, entanglement <= both bounds + TOL_ENT and
-    every step of the bound's proof (``bounds.proof_step_check`` on the model's
-    own splitting and report).  A trial fails when any check fails.  The models
-    go to analyze_ground in families of STACK_ENTRIES // d^4 models.
+    every step of the bound's proof (``bounds.proof_step_check`` on the report
+    and the family's ``local.member(m)``).  A trial fails when any check fails.
+    The models are split and analyzed in families of STACK_ENTRIES // d^4.
     """
     failures = 0
     worst_ef = np.inf
@@ -168,7 +168,8 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
         for lo in range(0, trials_per_kind, size):
             models = [random_two_site_model(np.random.default_rng([seed, d, t]), d, name=f"random2(d={d},t={t})")
                       for t in range(lo, min(lo + size, trials_per_kind))]
-            for model, report in zip(models, analyze_ground(split(models))):
+            family = split(models)
+            for m, report in enumerate(analyze_ground(family)):
                 scale = tol_scale(report.E0, report.E0_L, report.E0_I, report.E_I_tot)
                 ok = report.E_f >= -STRUCTURAL_TOL * scale
                 ok = ok and report.E_f <= report.E_I_tot + STRUCTURAL_TOL * scale
@@ -177,11 +178,11 @@ def bound_property_suite(trials_per_kind: int = 500, seed: int = 2024) -> SuiteR
                     slack = max(report.entanglement - report.ef_bound,
                                 report.entanglement - report.ratio_bound)
                     worst_slack = max(worst_slack, slack)
-                    proof_ok = proof_step_check(split(model), report).all_ok
+                    proof_ok = proof_step_check(family.local.member(m), report).all_ok
                     ok = ok and slack <= TOL_ENT and proof_ok
                 if not ok:
                     failures += 1
-            del models  # so that two families are never held at once
+            del models, family  # so that two families are never held at once
     return SuiteResult(
         name="bound-properties",
         trials=2 * trials_per_kind,
@@ -197,14 +198,14 @@ def saturation_suite(instances: int = 50, seed: int = 77,
 
     An instance fails when the excess over the entanglement is absent (an
     undefined bound) or not strictly positive at some gamma, or when
-    ``bounds.proof_step_check`` of a record's Schmidt splitting finds a step
-    broken (``all_ok``; the construction promises that the kept component is
-    a product state), or the exact excess identity broken by more than
-    STRUCTURAL_TOL * max(1, |ef_bound|), or the leftover weight off the
-    entanglement (``entanglement_gap``) by more than STRUCTURAL_TOL, which
-    the construction makes exact.  The suite also needs the excess to decay
-    like the smallest gamma for most instances, and to be negligible against
-    the entanglement at gamma = 1e-3.
+    ``bounds.proof_step_check`` in the local spectrum of a record's Schmidt
+    splitting finds a step broken (``all_ok``; the construction promises
+    that the kept component is a product state), or the exact excess
+    identity broken by more than STRUCTURAL_TOL * max(1, |ef_bound|), or the
+    leftover weight off the entanglement (``entanglement_gap``) by more than
+    STRUCTURAL_TOL, which the construction makes exact.  The suite also
+    needs the excess to decay like the smallest gamma for most instances,
+    and to be negligible against the entanglement at gamma = 1e-3.
     """
     failures = 0
     decay_ok = 0
@@ -219,7 +220,7 @@ def saturation_suite(instances: int = 50, seed: int = 77,
         if any(e is None or not 0.0 < e < np.inf for e in ex):
             failures += 1
             continue
-        diags = [proof_step_check(schmidt_splitting(model, r.gamma), r.report) for r in records]
+        diags = [proof_step_check(schmidt_splitting(model, r.gamma).local, r.report) for r in records]
         if any(not diag.all_ok or abs(diag.identity_residual) > STRUCTURAL_TOL * tol_scale(r.report.ef_bound)
                or abs(diag.entanglement_gap) > STRUCTURAL_TOL for r, diag in zip(records, diags)):
             failures += 1
@@ -372,7 +373,8 @@ def norm_suite(matrices: int = 200, seed: int = 9) -> SuiteResult:
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
         dyad = np.outer(v / np.linalg.norm(v), (w / np.linalg.norm(w)).conj())
-        values = [ui_norm(dyad, kind) for kind in NormKind]
+        sv = singular_values(dyad)
+        values = [sv_norm(sv, kind) for kind in NormKind]
         if max(values) - min(values) > ROUNDOFF_TOL:
             failures += 1
     return SuiteResult(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import frustra.bounds
+import frustra.models
 import frustra.entanglement
 import frustra.verify
 from frustra.bounds import (
@@ -148,7 +149,7 @@ def test_frustration_zero_iff_shared_ground():
 def test_proof_steps_ising():
     s = split(ising2(1.0))
     r = analyze_ground(s)
-    diag = proof_step_check(s, r)
+    diag = proof_step_check(s.local, r)
     # only the (0,0) = |++> configuration lies strictly below E0_L + delta
     assert diag.below_threshold == ((0, 0),)
     lam0_sq = 0.5 + 1 / np.sqrt(5.0)
@@ -165,7 +166,7 @@ def test_proof_steps_commuting_zero_slack():
         OperatorTerm(-1.0, [(0, "Z"), (1, "Z")]),
     ))
     s = split(model)
-    diag = proof_step_check(s, analyze_ground(s))
+    diag = proof_step_check(s.local, analyze_ground(s))
     assert diag.all_ok
     assert diag.weight_bound <= 1e-12  # ground state is the kept product state
 
@@ -177,7 +178,7 @@ def test_proof_steps_random_two_qutrit(seed):
     r = analyze_ground(s)
     if r.ef_bound is None or r.delta_e_ent < 1e-6:
         return
-    diag = proof_step_check(s, r)
+    diag = proof_step_check(s.local, r)
     assert diag.all_ok
 
 
@@ -190,7 +191,7 @@ def test_proof_steps_with_an_empty_kept_component():
     s = split(model)
     report = analyze_ground(s)
     assert report.degenerate_ground and report.E0 == 0.0 and report.ef_bound == 1.0
-    diag = proof_step_check(s, report)
+    diag = proof_step_check(s.local, report)
     assert diag.below_threshold == ((0, 0),) and diag.sum_alpha_sq == 0.0 and diag.truncated_norm == 0.0
     assert diag.truncated_entanglement is None and diag.truncated_is_product
     assert diag.weight_bound == 1.0 and diag.all_ok
@@ -199,7 +200,7 @@ def test_proof_steps_with_an_empty_kept_component():
 def test_proof_steps_undefined():
     s = split(triangle(1.0))
     with pytest.raises(UndefinedBoundError):
-        proof_step_check(s, analyze_ground(s))
+        proof_step_check(s.local, analyze_ground(s))
 
 
 def test_bound_suite_counts_a_failed_proof_step(monkeypatch):
@@ -211,6 +212,14 @@ def test_bound_suite_counts_a_failed_proof_step(monkeypatch):
     monkeypatch.setattr(frustra.verify, "proof_step_check", failing)
     result = bound_property_suite(trials_per_kind=2)
     assert result.trials == 4 and result.failures == 4 and not result.ok
+
+
+def test_bound_suite_solves_each_family_s_local_spectrum_once(monkeypatch):
+    """500 trials a kind are one two-qubit family and three two-qutrit ones; the proof checks read their members."""
+    calls, solve = [], frustra.models.local_spectrum
+    monkeypatch.setattr(frustra.models, "local_spectrum", lambda s: calls.append(s) or solve(s))
+    assert bound_property_suite(trials_per_kind=500).ok
+    assert len(calls) == 4
 
 
 def test_bound_suite_draws_its_families_in_chunks(monkeypatch):
@@ -236,10 +245,10 @@ def test_bound_suite_draws_its_families_in_chunks(monkeypatch):
 def test_subspace_superpositions_are_product(rng):
     model = random_two_site_model(rng, 3)
     spec = local_spectrum(split(model))
-    for rank in range(3):
-        _, sub = delta_j_ent(spec, spec.config_of_flat(spec.order[rank]))
+    for flat in np.argsort(spec.energies, kind="stable")[:3]:
+        _, sub = delta_j_ent(spec, spec.config_of_flat(flat))
         weights = rng.normal(size=len(sub.members)) + 1j * rng.normal(size=len(sub.members))
-        vec = np.zeros(spec.dimension, dtype=complex)
+        vec = np.zeros(spec.energies.size, dtype=complex)
         for w, member in zip(weights, sub.members):
             vec += w * product_vector(spec, member)
         psi = PureState.normalized(vec, spec.dims)
@@ -297,7 +306,7 @@ def test_delta_j_ent_brute_force_oracle(dims, monkeypatch):
 
     e_h = np.linalg.eigvalsh(build_dense(s.model))
     ranked = sorted(configs, key=energy.get)
-    reports = analyze_excited(s, list(range(spec.dimension)),
+    reports = analyze_excited(s, list(range(spec.energies.size)),
                               EntanglementOptions(restarts=0, max_iters=1))
     for j, r in enumerate(reports):
         assert r.local_config == ranked[j]
@@ -309,7 +318,7 @@ def test_delta_j_ent_brute_force_oracle(dims, monkeypatch):
     measured = []
     monkeypatch.setattr(frustra.bounds, "state_entanglement",
                         lambda psi, opts: measured.append(psi) or state_entanglement(psi, opts))
-    diag = proof_step_check(s, ground)
+    diag = proof_step_check(s.local, ground)
     alpha = local_coefficients(spec, ground.ground_state.amplitudes)
     ref = sum(alpha[spec.flat_of_config(c)] * product_vector(spec, c) for c in diag.below_threshold)
     ref_value, _ = state_entanglement(PureState.normalized(ref, dims))
@@ -595,13 +604,35 @@ def test_an_empty_sequence_gives_an_empty_list_or_a_value_error(call, want):
             call()
 
 
-@pytest.mark.parametrize("read", [
-    lambda s, report: analyze_excited(s, 0),
-    lambda s, report: proof_step_check(s, report),
-], ids=["analyze_excited", "proof_step_check"])
-def test_a_family_s_splitting_is_read_by_analyze_ground_only(read):
+def test_a_family_s_splitting_is_read_by_analyze_ground_only():
     family = split([ising2(1.0), ising2(2.0)])
-    report = analyze_ground(split(ising2(1.0)))
     with pytest.raises(ValueError, match="analyze_ground"):
-        read(family, report)
+        analyze_excited(family, 0)
     assert "local" not in vars(family)  # refused before any local solve
+
+
+def test_proof_step_check_refuses_a_family_s_spectrum():
+    family = split([ising2(1.0), ising2(2.0)])
+    with pytest.raises(ValueError, match=r"member\(m\)"):
+        proof_step_check(family.local, analyze_ground(family)[0])
+
+
+@pytest.mark.parametrize("models", [
+    lambda: [ising2(g) for g in (-2.0, -0.5, 0.3, 1.0, 1.7, 4.0)],
+    lambda: [random_two_site_model(np.random.default_rng([11, t]), 3) for t in range(6)],
+], ids=["ising2-grid", "random-qutrit"])
+def test_a_family_member_s_spectrum_is_the_model_s_own(models):
+    """member(m) of a family's local spectrum is split(models[m]).local bit for bit, dtypes included, and so is the
+    proof check that reads it."""
+    models = models()
+    family = split(models)
+    for m, report in enumerate(analyze_ground(family)):
+        own, mine = split(models[m]).local, family.local.member(m)
+        assert mine.dims == own.dims
+        for a, b in zip([*mine.site_eigenvalues, *mine.site_eigenvectors, mine.gaps, mine.energies],
+                        [*own.site_eigenvalues, *own.site_eigenvectors, own.gaps, own.energies]):
+            assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+        assert np.shares_memory(mine.energies, family.local.energies)  # views, not copies
+        assert type(mine.delta_e_ent) is type(mine.e0) is float
+        assert (mine.delta_e_ent, mine.e0) == (own.delta_e_ent, own.e0)
+        assert vars(proof_step_check(mine, report)) == vars(proof_step_check(own, report))

@@ -45,7 +45,7 @@ def test_mixed_dimension_sites():
     assert r.ef_bound is None or r.entanglement <= r.ef_bound + 1e-6
     assert r.entanglement <= 0.5 + 1e-12  # bipartite cap 1 - 1/min(d)
     spec = local_spectrum(split(model))
-    assert spec.dimension == 6
+    assert spec.energies.size == 6
 
 
 def test_saturation_sweep_grouped_chain():

@@ -1024,6 +1024,12 @@ def test_ui_norm_pauli_x_trace():
     assert abs(ui_norm(SX, NormKind.TRACE) - 2.0) < 1e-14
 
 
+def test_norm_suite_takes_one_svd_per_matrix(solver_sizes):
+    """Each random matrix and each rank-1 dyad is decomposed once, and its singular values give all three norms."""
+    assert verify.norm_suite().ok
+    assert len(solver_sizes["svd"]) == 2 * 200
+
+
 @given(st.integers(0, 10_000), st.integers(1, 12))
 def test_norm_dominance(seed, n):
     rng = np.random.default_rng(seed)

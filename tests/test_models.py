@@ -14,7 +14,7 @@ from frustra.errors import (
     NonHermitianTermError,
 )
 from frustra.linalg import ROUNDOFF_TOL, eigvalsh, hermitian_eig, op_norm, tol_scale
-from frustra.bounds import analyze_ground
+from frustra.bounds import analyze_excited, analyze_ground
 from frustra.models import (
     GROUND_TIER_MIN_DIM,
     OperatorTerm,
@@ -191,7 +191,7 @@ def test_splitting_arrays_are_read_only(family):
     """Assigning into a per-site H_j or any local-spectrum array raises, so no caller can move E0_L."""
     s = split([ising2(1.0), ising2(0.5)] if family else ising2(1.0))
     spec = s.local
-    arrays = [*s.per_site_local, *spec.site_eigenvalues, *spec.site_eigenvectors, spec.gaps, spec.energies, spec.order]
+    arrays = [*s.per_site_local, *spec.site_eigenvalues, *spec.site_eigenvectors, spec.gaps, spec.energies]
     for a in arrays + ([spec.delta_e_ent, spec.e0] if family else []):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 5.0
@@ -535,8 +535,8 @@ def test_local_spectrum_asymmetric_ising():
 def test_product_basis_completeness_and_additivity(rng):
     model = random_two_site_model(rng, 3)
     spec = local_spectrum(split(model))
-    assert spec.dimension == 9
-    configs = [spec.config_of_flat(flat) for flat in range(spec.dimension)]
+    assert spec.energies.size == 9
+    configs = [spec.config_of_flat(flat) for flat in range(spec.energies.size)]
     vectors = np.stack([product_vector(spec, config) for config in configs], axis=1)
     gram = vectors.conj().T @ vectors
     assert np.max(np.abs(gram - np.eye(9))) < 1e-10
@@ -561,9 +561,8 @@ def test_per_site_local_embeds_to_dense_local():
 
 
 def test_sorted_config_stable_ties():
-    spec = local_spectrum(split(ising2(1.0)))
-    # energies -2, 0, 0, 2; the two middle states tie and keep lex order
-    ranked = [spec.config_of_flat(flat) for flat in spec.order]
+    # local energies -2, 0, 0, 2; the two middle states tie and keep lex order when analyze_excited pairs levels
+    ranked = [r.local_config for r in analyze_excited(split(ising2(1.0)), [0, 1, 2, 3])]
     assert ranked == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 

@@ -133,9 +133,9 @@ def test_proof_chains_match_the_reference(seed, explicit):
         want = reference_proof_chain(model, s.local_terms, report.ground_state.amplitudes)
         if want is None:
             with pytest.raises(UndefinedBoundError):
-                proof_step_check(s, report)
+                proof_step_check(s.local, report)
             continue
-        diag = proof_step_check(s, report)
+        diag = proof_step_check(s.local, report)
         assert list(diag.below_threshold) == want["below_threshold"]
         tol = scaled_tol(want) / want["delta_e_ent"]
         for key in PROOF_FIELDS:

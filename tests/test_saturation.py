@@ -212,7 +212,7 @@ def test_sweep_product_ground_state():
 def decompose(splitting):
     """The ground-state report of the splitting and its proof-step diagnostics, which split the bound's excess."""
     report = analyze_ground(splitting)
-    return report, proof_step_check(splitting, report)
+    return report, proof_step_check(splitting.local, report)
 
 
 def test_excess_decomposition_symmetric_ising():
